@@ -1,5 +1,5 @@
 //! Gain-matrix solver ablation: the paper's PCG (with each preconditioner)
-//! against the direct envelope Cholesky, on the real IEEE-118 WLS gain
+//! against the direct sparse Cholesky, on the real IEEE-118 WLS gain
 //! matrix.
 
 use criterion::{criterion_group, criterion_main, BenchmarkId, Criterion};
@@ -10,7 +10,7 @@ use pgse_grid::cases::ieee118_like;
 use pgse_grid::Ybus;
 use pgse_powerflow::{solve, PfOptions};
 use pgse_sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse_sparsela::{Csr, EnvelopeCholesky};
+use pgse_sparsela::{Csr, SparseCholesky};
 
 fn gain_system() -> (Csr, Vec<f64>) {
     let net = ieee118_like();
@@ -44,8 +44,8 @@ fn bench_gain_solvers(c: &mut Criterion) {
             b.iter(|| pcg(&gain, &rhs, &precond, &opts).unwrap())
         });
     }
-    group.bench_function("cholesky_envelope", |b| {
-        b.iter(|| EnvelopeCholesky::factor(&gain).unwrap().solve(&rhs))
+    group.bench_function("cholesky_sparse", |b| {
+        b.iter(|| SparseCholesky::factor(&gain).unwrap().solve(&rhs))
     });
     group.finish();
 }

@@ -1,6 +1,6 @@
 //! Gain-solve benchmark → `target/obs/BENCH_solver.json`.
 //!
-//! Two sections, one JSON report:
+//! Three sections, one JSON report:
 //!
 //! 1. **Sequential vs parallel PCG.** Builds the real IEEE-118 WLS gain
 //!    matrix `G = HᵀWH`, replicates it block-diagonally with weak
@@ -22,13 +22,7 @@
 //!    together. This speedup is pure amortization — no extra cores
 //!    involved — so its ≥1.5× floor is asserted on ANY core count.
 //!
-//! 3. **SIMD-widened scatter.** Times the batched numeric
-//!    refactorization with the `LANE_WIDTH`-chunked gather/scatter
-//!    kernels on vs off (`tuning::set_scatter_lanes_min`). The widened
-//!    path must never *regress* (≥0.9× floor, conservatively below the
-//!    noise band); its upside is recorded.
-//!
-//! 4. **Streaming round.** One cross-area `BatchPlan::solve_round` over
+//! 3. **Streaming round.** One cross-area `BatchPlan::solve_round` over
 //!    every in-flight gain system vs each system factoring alone — the
 //!    service's round-level dispatch vs the per-area fan-out it
 //!    replaced. Shared symbolic analysis plus lane amortization must buy
@@ -47,7 +41,7 @@ use pgse_grid::cases::ieee118_like;
 use pgse_grid::Ybus;
 use pgse_powerflow::{solve, PfOptions};
 use pgse_sparsela::pcg::{pcg, CgOptions, CgOutcome, Preconditioner};
-use pgse_sparsela::{tuning, BatchCholesky, BatchPlan, Coo, Csr, SparseCholesky};
+use pgse_sparsela::{BatchCholesky, BatchPlan, Coo, Csr, SparseCholesky};
 
 /// Block copies of the IEEE-118 gain matrix in the large case. Sized so
 /// the per-iteration SpMV (the parallel workhorse) dominates the small
@@ -244,48 +238,6 @@ fn main() {
         t_batch as f64 / 1e6,
     );
 
-    // ---- SIMD-widened scatter vs per-lane scalar scatter ----
-    // Same workload (one batched numeric refactorization of LANES
-    // same-pattern systems); only the value-scatter loop differs. The
-    // two paths are bitwise identical by construction — asserted first.
-    let scatter_frames: Vec<Csr> =
-        (0..LANES).map(|l| lane_frame(&gain, 64 + l as u64)).collect();
-    let scatter_refs: Vec<&Csr> = scatter_frames.iter().collect();
-    let saved_scatter_min = tuning::scatter_lanes_min();
-    tuning::set_scatter_lanes_min(1);
-    let mut widened = BatchCholesky::factor(&scatter_refs).expect("SPD lanes");
-    tuning::set_scatter_lanes_min(usize::MAX);
-    let mut scalar_scatter = BatchCholesky::factor(&scatter_refs).expect("SPD lanes");
-    let scatter_bitwise = (0..LANES).all(|l| {
-        widened
-            .solve_lane(l, &lane_rhs[l])
-            .iter()
-            .zip(&scalar_scatter.solve_lane(l, &lane_rhs[l]))
-            .all(|(a, b)| a.to_bits() == b.to_bits())
-    });
-    let (t_wide, t_scalar_scatter) = paired_best(
-        WARM_ROUNDS,
-        || {
-            tuning::set_scatter_lanes_min(1);
-            time_ns(|| {
-                widened.refactor(&scatter_refs).expect("SPD lanes");
-            })
-        },
-        || {
-            tuning::set_scatter_lanes_min(usize::MAX);
-            time_ns(|| {
-                scalar_scatter.refactor(&scatter_refs).expect("SPD lanes");
-            })
-        },
-    );
-    tuning::set_scatter_lanes_min(saved_scatter_min);
-    let scatter_speedup = t_scalar_scatter as f64 / t_wide as f64;
-    println!(
-        "scatter ({LANES} lanes): scalar {:>9.3} ms, widened {:>9.3} ms — {scatter_speedup:.2}x  bitwise-identical: {scatter_bitwise}",
-        t_scalar_scatter as f64 / 1e6,
-        t_wide as f64 / 1e6,
-    );
-
     // ---- Streaming round: one cross-area batched dispatch vs per-area
     // factoring — the round-level solve the service's wave driver runs.
     // The plan's symbolic cache is warmed outside the timed region, like
@@ -352,10 +304,6 @@ fn main() {
             "  \"warm_batch_ms_per_frame\": {warm_batch:.6},\n",
             "  \"warm_batch_speedup\": {warm_speedup:.4},\n",
             "  \"warm_batch_bitwise\": {warm_bitwise},\n",
-            "  \"scatter_scalar_ms\": {scatter_scalar:.6},\n",
-            "  \"scatter_widened_ms\": {scatter_widened:.6},\n",
-            "  \"scatter_widened_speedup\": {scatter_speedup:.4},\n",
-            "  \"scatter_widened_bitwise\": {scatter_bitwise},\n",
             "  \"stream_round_scalar_ms\": {round_scalar:.6},\n",
             "  \"stream_round_batch_ms\": {round_batch:.6},\n",
             "  \"stream_round_speedup\": {round_speedup:.4}\n",
@@ -376,10 +324,6 @@ fn main() {
         warm_batch = t_batch as f64 / 1e6,
         warm_speedup = warm_speedup,
         warm_bitwise = warm_bitwise,
-        scatter_scalar = t_scalar_scatter as f64 / 1e6,
-        scatter_widened = t_wide as f64 / 1e6,
-        scatter_speedup = scatter_speedup,
-        scatter_bitwise = scatter_bitwise,
         round_scalar = t_round_scalar as f64 / 1e6,
         round_batch = t_round_batch as f64 / 1e6,
         round_speedup = round_speedup,
@@ -403,10 +347,6 @@ fn main() {
         warm_batch_ms_per_frame: f64,
         warm_batch_speedup: f64,
         warm_batch_bitwise: bool,
-        scatter_scalar_ms: f64,
-        scatter_widened_ms: f64,
-        scatter_widened_speedup: f64,
-        scatter_widened_bitwise: bool,
         stream_round_scalar_ms: f64,
         stream_round_batch_ms: f64,
         stream_round_speedup: f64,
@@ -437,12 +377,6 @@ fn main() {
              a single-thread pool on the sequential path (≥0.95x)"
         );
     }
-    assert!(scatter_bitwise, "widened scatter diverged bitwise from the per-lane loop");
-    assert!(
-        scatter_speedup >= 0.9,
-        "SIMD-widened scatter landed at {scatter_speedup:.2}x — it must never regress \
-         the batched refactorization (≥0.9x conservative floor)"
-    );
     assert!(
         round_speedup >= 1.3,
         "streaming-round batched dispatch speedup {round_speedup:.2}x is below the 1.3x \

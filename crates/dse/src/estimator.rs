@@ -1,6 +1,6 @@
 //! One subsystem's state estimator: local telemetry, Step 1, Step 2.
 
-use pgse_estimation::jacobian::{assemble_jacobian, evaluate_h, StateSpace};
+use pgse_estimation::jacobian::StateSpace;
 use pgse_estimation::measurement::{FlowSide, Measurement, MeasurementKind, MeasurementSet};
 use pgse_estimation::synthetic::{SigmaSet, TelemetryPlan};
 use pgse_estimation::wls::{SolveCache, WlsError, WlsEstimator, WlsOptions};
@@ -191,33 +191,19 @@ impl AreaEstimator {
     }
 
     /// The first Gauss–Newton gain system `(G, rhs)` of a Step-1 solve:
-    /// `G = HᵀWH` and `rhs = HᵀWr` evaluated at the flat start. This is
-    /// exactly the linear system [`AreaEstimator::step1`] solves on its
-    /// first iteration — exposed so conformance tests and benchmarks can
-    /// exercise the sparse solvers on *real* per-area gain matrices
-    /// instead of synthetic ones.
+    /// `G = HᵀWH` and `rhs = HᵀWr` evaluated at the flat start, read off a
+    /// freshly begun wave — exactly the linear system
+    /// [`AreaEstimator::step1`] solves on its first iteration. Exposed so
+    /// conformance tests and benchmarks can exercise the sparse solvers on
+    /// *real* per-area gain matrices instead of synthetic ones.
+    ///
+    /// # Panics
+    /// Panics when `set` leaves the area structurally unobservable.
     pub fn step1_gain_system(
         &self,
         set: &MeasurementSet,
     ) -> (pgse_sparsela::Csr, Vec<f64>) {
-        let net = self.step1_est.network();
-        let space = self.step1_est.space();
-        let ybus = Ybus::new(net);
-        let n = net.n_buses();
-        let (vm, va) = (vec![1.0; n], vec![0.0; n]);
-        let h = evaluate_h(net, &ybus, set, &vm, &va);
-        let jac = assemble_jacobian(net, &ybus, set, space, &vm, &va);
-        let w = set.weights();
-        let wr: Vec<f64> = set
-            .values()
-            .iter()
-            .zip(&h)
-            .zip(&w)
-            .map(|((zi, hi), wi)| (zi - hi) * wi)
-            .collect();
-        let mut rhs = vec![0.0; space.dim()];
-        jac.spmv_transpose(&wr, &mut rhs);
-        (jac.ata_weighted(&w), rhs)
+        first_gain_system(&self.step1_est, set, None)
     }
 
     /// Opens a Gauss–Newton *wave* for a Step-1 solve: the caller drives
@@ -253,22 +239,7 @@ impl AreaEstimator {
     ) -> (pgse_sparsela::Csr, Vec<f64>) {
         let (set, vm0, va0) =
             self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
-        let net = self.step2_est.network();
-        let space = self.step2_est.space();
-        let ybus = Ybus::new(net);
-        let h = evaluate_h(net, &ybus, &set, &vm0, &va0);
-        let jac = assemble_jacobian(net, &ybus, &set, space, &vm0, &va0);
-        let w = set.weights();
-        let wr: Vec<f64> = set
-            .values()
-            .iter()
-            .zip(&h)
-            .zip(&w)
-            .map(|((zi, hi), wi)| (zi - hi) * wi)
-            .collect();
-        let mut rhs = vec![0.0; space.dim()];
-        jac.spmv_transpose(&wr, &mut rhs);
-        (jac.ata_weighted(&w), rhs)
+        first_gain_system(&self.step2_est, &set, Some((&vm0, &va0)))
     }
 
     /// DSE Step 1: local WLS on the area's own measurements.
@@ -276,13 +247,7 @@ impl AreaEstimator {
     /// # Errors
     /// Propagates WLS failures (unobservable area, solver breakdown).
     pub fn step1(&self, set: &MeasurementSet) -> Result<AreaSolution, WlsError> {
-        let est = self.step1_est.estimate(set)?;
-        Ok(AreaSolution {
-            vm: est.vm,
-            va: est.va,
-            iterations: est.iterations,
-            objective: est.objective,
-        })
+        self.step1_cached(set, &mut SolveCache::new())
     }
 
     /// [`AreaEstimator::step1`] with cross-frame structure reuse and a
@@ -336,10 +301,8 @@ impl AreaEstimator {
         noise_level: f64,
         seed: u64,
     ) -> Result<AreaSolution, WlsError> {
-        let (set, vm0, va0) =
-            self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
-        let est = self.step2_est.estimate_from(&set, Some((&vm0, &va0)))?;
-        Ok(self.merge_step2(step1, &est.vm, &est.va, est.iterations, est.objective))
+        let mut cache = SolveCache::new();
+        self.step2_cached(step1, neighbor_pseudo, local_set, noise_level, seed, &mut cache)
     }
 
     /// [`AreaEstimator::step2`] with cross-frame structure reuse. The warm
@@ -504,6 +467,18 @@ impl AreaEstimator {
     pub fn n_ties(&self) -> usize {
         self.ties.len()
     }
+}
+
+/// Iteration 1's `(G, rhs)` of `est` on `set`, off a wave on a throwaway
+/// cache.
+fn first_gain_system(
+    est: &WlsEstimator,
+    set: &MeasurementSet,
+    warm: Option<(&[f64], &[f64])>,
+) -> (pgse_sparsela::Csr, Vec<f64>) {
+    let mut cache = SolveCache::new();
+    let wave = est.wave_begin(set, warm, &mut cache).expect("observable measurement set");
+    (wave.gain().clone(), wave.rhs().to_vec())
 }
 
 #[cfg(test)]

@@ -5,7 +5,7 @@
 //! the largest-normalized-residual (LNR) test identifies and removes the
 //! offending measurement, re-estimating until the test passes.
 
-use pgse_sparsela::EnvelopeCholesky;
+use pgse_sparsela::SparseCholesky;
 
 use crate::jacobian::{assemble_jacobian, StateSpace};
 use crate::measurement::MeasurementSet;
@@ -94,10 +94,9 @@ pub fn normalized_residuals(
 ) -> Result<Vec<f64>, WlsError> {
     let space: &StateSpace = est.space();
     let w = set.weights();
-    let ybus = pgse_grid::Ybus::new(est.network());
-    let h = assemble_jacobian(est.network(), &ybus, set, space, &estimate.vm, &estimate.va);
+    let h = assemble_jacobian(est.network(), est.ybus(), set, space, &estimate.vm, &estimate.va);
     let gain = h.ata_weighted(&w);
-    let chol = EnvelopeCholesky::factor(&gain)
+    let chol = SparseCholesky::factor(&gain)
         .map_err(|e| WlsError::NotObservable(e.to_string()))?;
     let mut out = Vec::with_capacity(set.len());
     for (i, m) in set.as_slice().iter().enumerate() {

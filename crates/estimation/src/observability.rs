@@ -8,7 +8,7 @@
 //! feed dropped).
 
 use pgse_grid::{Network, Ybus};
-use pgse_sparsela::EnvelopeCholesky;
+use pgse_sparsela::SparseCholesky;
 
 use crate::jacobian::{assemble_jacobian, StateSpace};
 use crate::measurement::MeasurementSet;
@@ -68,7 +68,7 @@ pub fn check(net: &Network, set: &MeasurementSet, space: &StateSpace) -> Observa
         };
     }
     let gain = h.ata_weighted(&set.weights());
-    match EnvelopeCholesky::factor(&gain) {
+    match SparseCholesky::factor(&gain) {
         Ok(_) => Observability { observable: true, untouched_states, redundancy, reason: None },
         Err(e) => Observability {
             observable: false,
@@ -120,6 +120,38 @@ mod tests {
         let set = TelemetryPlan::full(&net, vec![]).generate(&net, &sol, 1.0, 1);
         let obs = check(&net, &set, &StateSpace::full(14));
         assert!(!obs.observable);
+    }
+
+    #[test]
+    fn near_singular_gain_is_a_typed_verdict_not_a_panic_or_nan() {
+        // The angle reference's *only* measurement — one PMU angle —
+        // down-weighted to 1e-12: every state is structurally touched, but
+        // the gain's smallest pivot sits far below `1e-10 · max|diag|`.
+        use crate::measurement::{Measurement, MeasurementKind};
+        use crate::wls::{StateEstimate, WlsError, WlsEstimator, WlsOptions};
+        let net = ieee14();
+        let sol = solve(&net, &PfOptions::default()).unwrap();
+        let mut set = TelemetryPlan::full(&net, vec![]).generate(&net, &sol, 1.0, 1);
+        set.push(Measurement::new(MeasurementKind::PmuAngle { bus: 0 }, sol.va[0], 1e6));
+        let obs = check(&net, &set, &StateSpace::full(14));
+        assert!(obs.untouched_states.is_empty());
+        assert!(!obs.observable);
+        assert!(obs.reason.unwrap().contains("not positive definite"));
+
+        let est = WlsEstimator::new(net, StateSpace::full(14), WlsOptions::direct());
+        let at_truth = StateEstimate {
+            vm: sol.vm.clone(),
+            va: sol.va.clone(),
+            iterations: 0,
+            objective: 0.0,
+            residuals: vec![0.0; set.len()],
+            solver_iterations: Vec::new(),
+        };
+        assert!(matches!(
+            crate::baddata::normalized_residuals(&est, &set, &at_truth),
+            Err(WlsError::NotObservable(_))
+        ));
+        assert!(matches!(est.estimate(&set), Err(WlsError::NotObservable(_))));
     }
 
     #[test]

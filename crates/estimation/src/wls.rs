@@ -2,16 +2,15 @@
 //!
 //! Each iteration solves the *normal equations*
 //! `G·Δx = HᵀR⁻¹·(z − h(x))` with `G = HᵀR⁻¹H`, using either the paper's
-//! preconditioned conjugate gradient solver or a direct envelope Cholesky
-//! baseline — the ablation the benches compare.
+//! preconditioned conjugate gradient solver or the direct sparse Cholesky
+//! — the ablation the benches compare. There is one Gauss–Newton loop,
+//! [`GnWave`]; every `estimate*` entry point drives it.
 
 use pgse_grid::{Network, Ybus};
 use pgse_sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse_sparsela::{
-    AtaSymbolic, BoundaryCondenser, Csr, EnvelopeCholesky, LaError, SparseCholesky,
-};
+use pgse_sparsela::{AtaSymbolic, BoundaryCondenser, Csr, LaError, SparseCholesky};
 
-use crate::jacobian::{assemble_jacobian, evaluate_h, JacobianPattern, StateSpace};
+use crate::jacobian::{evaluate_h, JacobianPattern, StateSpace};
 use crate::measurement::MeasurementSet;
 
 /// Preconditioner choice for the PCG gain solver.
@@ -29,42 +28,27 @@ pub enum PrecondKind {
 /// How the gain-matrix system is solved in each Gauss–Newton step.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum GainSolver {
-    /// Preconditioned conjugate gradient (the paper's HPC kernel).
+    /// Preconditioned conjugate gradient (the paper's HPC kernel). Whether
+    /// it runs the rayon-parallel SpMV/dot kernels is [`WlsOptions::cg`]'s
+    /// `parallel` flag.
     Pcg {
         /// Preconditioner.
         precond: PrecondKind,
-        /// Use the rayon-parallel SpMV/dot kernels.
-        parallel: bool,
     },
-    /// Direct envelope Cholesky after RCM ordering (baseline).
-    Cholesky,
     /// Direct sparse Cholesky (elimination-tree, minimum-degree ordered)
-    /// with **numeric refactorization reuse**: on the cached path
-    /// ([`WlsEstimator::estimate_cached`]) the factor's symbolic structure
-    /// is kept in the [`SolveCache`], and warm frames whose gain pattern is
-    /// unchanged refresh only the numeric values — bitwise identical to a
+    /// with **numeric refactorization reuse**: the factor's symbolic
+    /// structure is kept in the [`SolveCache`], and every gain solve whose
+    /// pattern is unchanged — later iterations of one solve, and warm
+    /// frames on the cached path ([`WlsEstimator::estimate_cached`]) —
+    /// refreshes only the numeric values: bitwise identical to a
     /// from-scratch factorization, at a fraction of the cost. The
     /// streaming default (see `pgse-stream`).
     Direct,
 }
 
-impl GainSolver {
-    /// PCG with the given preconditioner and the default `parallel`
-    /// choice. Use this instead of spelling out `GainSolver::Pcg { ..,
-    /// parallel: .. }` so call sites don't silently pin the kernels to one
-    /// execution mode — the parallel kernels are bitwise identical to the
-    /// sequential ones, so inheriting the default is always safe.
-    pub fn pcg(precond: PrecondKind) -> Self {
-        let GainSolver::Pcg { parallel, .. } = GainSolver::default() else {
-            unreachable!("default gain solver is PCG");
-        };
-        GainSolver::Pcg { precond, parallel }
-    }
-}
-
 impl Default for GainSolver {
     fn default() -> Self {
-        GainSolver::Pcg { precond: PrecondKind::Ic0, parallel: true }
+        GainSolver::Pcg { precond: PrecondKind::Ic0 }
     }
 }
 
@@ -322,7 +306,7 @@ pub struct StructureDescriptor {
 }
 
 /// Mutable view into a [`SolveCache`]'s direct-solver state, handed to
-/// [`WlsEstimator::solve_gain`] by the cached path.
+/// `WlsEstimator::solve_gain` by `GnWave::step`.
 struct DirectCtx<'a> {
     slot: &'a mut Option<SparseCholesky>,
     reuse: &'a mut u64,
@@ -379,6 +363,11 @@ impl WlsEstimator {
         &self.net
     }
 
+    /// The admittance matrix of [`WlsEstimator::network`], built once.
+    pub fn ybus(&self) -> &Ybus {
+        &self.ybus
+    }
+
     /// The state-space convention in use.
     pub fn space(&self) -> &StateSpace {
         &self.space
@@ -392,94 +381,14 @@ impl WlsEstimator {
         self.estimate_from(set, None)
     }
 
-    /// Runs WLS from the given warm-start profile `(vm, va)`.
+    /// Runs WLS from the given warm-start profile `(vm, va)` — the cached
+    /// engine on a throwaway [`SolveCache`], so nothing survives the call.
     pub fn estimate_from(
         &self,
         set: &MeasurementSet,
         warm: Option<(&[f64], &[f64])>,
     ) -> Result<StateEstimate, WlsError> {
-        let n = self.net.n_buses();
-        if set.len() < self.space.dim() {
-            return Err(WlsError::NotObservable(format!(
-                "{} measurements for {} state variables",
-                set.len(),
-                self.space.dim()
-            )));
-        }
-        let (mut vm, mut va) = match warm {
-            Some((wm, wa)) => (wm.to_vec(), wa.to_vec()),
-            None => (vec![1.0; n], vec![0.0; n]),
-        };
-        let z = set.values();
-        let w = set.weights();
-
-        let mut est_span = pgse_obs::span("wls.estimate");
-        let mut solver_iterations = Vec::new();
-        let mut last_step = f64::INFINITY;
-        for iter in 1..=self.opts.max_iter {
-            let mut iter_span = pgse_obs::span_at("wls.iteration", iter as u64);
-            let (h, jac) = {
-                let _sp = pgse_obs::span("wls.jacobian");
-                let h = evaluate_h(&self.net, &self.ybus, set, &vm, &va);
-                let jac = assemble_jacobian(&self.net, &self.ybus, set, &self.space, &vm, &va);
-                (h, jac)
-            };
-            let r: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-            if iter == 1 {
-                // Structural observability: every state variable must be
-                // touched by at least one measurement, or the gain matrix is
-                // singular no matter how the numbers fall.
-                let mut touched = vec![false; self.space.dim()];
-                for r in 0..jac.nrows() {
-                    for &c in jac.row(r).0 {
-                        touched[c] = true;
-                    }
-                }
-                if let Some(hole) = touched.iter().position(|&t| !t) {
-                    return Err(WlsError::NotObservable(format!(
-                        "state variable {hole} has no incident measurement"
-                    )));
-                }
-            }
-            // rhs = Hᵀ W r
-            let wr: Vec<f64> = r.iter().zip(&w).map(|(ri, wi)| ri * wi).collect();
-            let mut rhs = vec![0.0; self.space.dim()];
-            jac.spmv_transpose(&wr, &mut rhs);
-            // Gain matrix G = Hᵀ W H.
-            let gain = {
-                let _sp = pgse_obs::span("wls.gain");
-                jac.ata_weighted(&w)
-            };
-
-            let solve_span = pgse_obs::span("wls.gain_solve");
-            let (dx, inner) = self.solve_gain(&gain, &rhs, None)?;
-            drop(solve_span);
-            solver_iterations.push(inner);
-            iter_span.record("solver_iterations", inner);
-            self.space.apply_update(&dx, &mut vm, &mut va);
-            last_step = dx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if last_step <= self.opts.tol {
-                drop(iter_span);
-                est_span.record("iterations", iter);
-                est_span.record("converged", true);
-                pgse_obs::counter_add("wls.gn_iterations", iter as u64);
-                let h = evaluate_h(&self.net, &self.ybus, set, &vm, &va);
-                let residuals: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-                let objective = residuals.iter().zip(&w).map(|(ri, wi)| ri * ri * wi).sum();
-                return Ok(StateEstimate {
-                    vm,
-                    va,
-                    iterations: iter,
-                    objective,
-                    residuals,
-                    solver_iterations,
-                });
-            }
-        }
-        est_span.record("iterations", self.opts.max_iter);
-        est_span.record("converged", false);
-        pgse_obs::counter_add("wls.gn_iterations", self.opts.max_iter as u64);
-        Err(WlsError::DidNotConverge { iterations: self.opts.max_iter, last_step })
+        self.estimate_cached(set, warm, &mut SolveCache::new())
     }
 
     /// Runs WLS with cross-frame structure reuse and cache-managed warm
@@ -498,116 +407,11 @@ impl WlsEstimator {
         warm: Option<(&[f64], &[f64])>,
         cache: &mut SolveCache,
     ) -> Result<StateEstimate, WlsError> {
-        let n = self.net.n_buses();
-        if set.len() < self.space.dim() {
-            return Err(WlsError::NotObservable(format!(
-                "{} measurements for {} state variables",
-                set.len(),
-                self.space.dim()
-            )));
-        }
-
-        self.prepare_structures(set, cache)?;
-
-        let warm_used = warm.is_some() || cache.warm.is_some();
-        let (mut vm, mut va) = match (warm, &cache.warm) {
-            (Some((wm, wa)), _) => (wm.to_vec(), wa.to_vec()),
-            (None, Some((wm, wa))) => (wm.clone(), wa.clone()),
-            (None, None) => (vec![1.0; n], vec![0.0; n]),
-        };
-        if warm_used {
-            cache.warm_solves += 1;
-            pgse_obs::counter_add("wls.warm_starts", 1);
-        } else {
-            cache.cold_solves += 1;
-        }
-        let z = set.values();
-        let w = set.weights();
-
         let mut est_span = pgse_obs::span("wls.estimate");
-        est_span.record("warm", warm_used);
-        est_span.record("cached", true);
-        let mut solver_iterations = Vec::new();
-        let mut last_step = f64::INFINITY;
-        let SolveCache {
-            pattern,
-            gain_sym,
-            jac_buf,
-            gain_buf,
-            chol,
-            condense_boundary,
-            condenser,
-            warm: warm_slot,
-            refactor_reuse,
-            refactor_full,
-            condensed_solves,
-            ..
-        } = cache;
-        let pattern = pattern.as_ref().expect("built above");
-        let gain_sym = gain_sym.as_ref().expect("built above");
-        let jac = jac_buf.as_mut().expect("built above");
-        let gain = gain_buf.as_mut().expect("built above");
-        for iter in 1..=self.opts.max_iter {
-            let mut iter_span = pgse_obs::span_at("wls.iteration", iter as u64);
-            let h = {
-                let _sp = pgse_obs::span("wls.jacobian");
-                let h = evaluate_h(&self.net, &self.ybus, set, &vm, &va);
-                pattern.assemble_into(&self.net, &self.ybus, set, &self.space, &vm, &va, jac);
-                h
-            };
-            let r: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-            // rhs = Hᵀ W r
-            let wr: Vec<f64> = r.iter().zip(&w).map(|(ri, wi)| ri * wi).collect();
-            let mut rhs = vec![0.0; self.space.dim()];
-            jac.spmv_transpose(&wr, &mut rhs);
-            {
-                let _sp = pgse_obs::span("wls.gain");
-                gain_sym.compute_into(jac, &w, gain);
-            }
-
-            let solve_span = pgse_obs::span("wls.gain_solve");
-            let (dx, inner) = self.solve_gain(
-                gain,
-                &rhs,
-                Some(DirectCtx {
-                    slot: &mut *chol,
-                    reuse: &mut *refactor_reuse,
-                    full: &mut *refactor_full,
-                    condense: condense_boundary.as_ref().map(|b| CondenseCtx {
-                        boundary: b.as_slice(),
-                        slot: &mut *condenser,
-                        solves: &mut *condensed_solves,
-                    }),
-                }),
-            )?;
-            drop(solve_span);
-            solver_iterations.push(inner);
-            iter_span.record("solver_iterations", inner);
-            self.space.apply_update(&dx, &mut vm, &mut va);
-            last_step = dx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-            if last_step <= self.opts.tol {
-                drop(iter_span);
-                est_span.record("iterations", iter);
-                est_span.record("converged", true);
-                pgse_obs::counter_add("wls.gn_iterations", iter as u64);
-                let h = evaluate_h(&self.net, &self.ybus, set, &vm, &va);
-                let residuals: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-                let objective = residuals.iter().zip(&w).map(|(ri, wi)| ri * ri * wi).sum();
-                *warm_slot = Some((vm.clone(), va.clone()));
-                return Ok(StateEstimate {
-                    vm,
-                    va,
-                    iterations: iter,
-                    objective,
-                    residuals,
-                    solver_iterations,
-                });
-            }
-        }
-        est_span.record("iterations", self.opts.max_iter);
-        est_span.record("converged", false);
-        pgse_obs::counter_add("wls.gn_iterations", self.opts.max_iter as u64);
-        Err(WlsError::DidNotConverge { iterations: self.opts.max_iter, last_step })
+        let mut wave = self.wave_begin(set, warm, cache)?;
+        while !wave.step()? {}
+        est_span.record("iterations", wave.iterations());
+        wave.finish()
     }
 
     /// (Re)builds the cache's symbolic structures when the set's shape or
@@ -655,24 +459,23 @@ impl WlsEstimator {
         Ok(())
     }
 
-    /// Opens a resumable Gauss–Newton solve whose gain systems are solved
-    /// *externally* — the round-batching hook: a scheduler collects the
-    /// `(gain, rhs)` systems of many concurrent waves, solves them through
-    /// one pattern-grouped batched call (`sparsela::BatchPlan`), and feeds
-    /// each step back with [`GnWave::note_solved`] + [`GnWave::apply_step`].
-    ///
-    /// The wave performs exactly the per-iteration floating-point sequence
-    /// of [`WlsEstimator::estimate_cached`] with [`GainSolver::Direct`], so
-    /// driving an area through a wave (with a bitwise-identical external
-    /// solver) yields bitwise-identical states. Cache bookkeeping
-    /// (symbolic build/reuse, warm/cold, refactor counters) matches the
-    /// cached path tick for tick.
+    /// Opens a resumable Gauss–Newton solve — the one GN loop of this
+    /// crate. [`WlsEstimator::estimate_cached`] drives it with the
+    /// estimator's own gain solver; the round-batching scheduler instead
+    /// collects the `(gain, rhs)` systems of many concurrent waves, solves
+    /// them through one pattern-grouped batched call
+    /// (`sparsela::BatchPlan`), and feeds each step back with
+    /// [`GnWave::note_solved`] + [`GnWave::apply_step`]. Either way the
+    /// per-iteration floating-point sequence is the same, so an external
+    /// solver that is bitwise identical to [`GainSolver::Direct`] yields
+    /// bitwise-identical states and the same cache bookkeeping.
     ///
     /// On return the first iteration is already assembled: `gain()`/`rhs()`
     /// hold the first system.
     ///
     /// # Errors
-    /// See [`WlsError`] — the same preamble rejections as the cached path.
+    /// [`WlsError::NotObservable`] when the set is too short or leaves a
+    /// state variable without an incident measurement.
     pub fn wave_begin<'a>(
         &'a self,
         set: &'a MeasurementSet,
@@ -717,27 +520,17 @@ impl WlsEstimator {
     }
 
     /// Solves one gain system `G·Δx = rhs` with the configured solver,
-    /// returning the step and the inner-solver iteration count. `direct`
-    /// carries the cached-factor slot and refactorization counters of the
-    /// cached path; without it the [`GainSolver::Direct`] solver factors
-    /// from scratch every call.
+    /// returning the step and the inner-solver iteration count. `ctx`
+    /// carries the cache's factor slot and refactorization counters (used
+    /// by [`GainSolver::Direct`] only).
     fn solve_gain(
         &self,
         gain: &Csr,
         rhs: &[f64],
-        direct: Option<DirectCtx<'_>>,
+        ctx: DirectCtx<'_>,
     ) -> Result<(Vec<f64>, usize), WlsError> {
         match self.opts.solver {
-            GainSolver::Cholesky => {
-                let chol = EnvelopeCholesky::factor(gain).map_err(spd_err)?;
-                Ok((chol.solve(rhs), 0usize))
-            }
             GainSolver::Direct => {
-                let Some(ctx) = direct else {
-                    let chol = SparseCholesky::factor(gain).map_err(spd_err)?;
-                    pgse_obs::counter_add("wls.refactor.full", 1);
-                    return Ok((chol.solve(rhs), 0usize));
-                };
                 if let Some(c) = ctx.condense {
                     // Schur-condensed path: solve through the boundary
                     // block, refreshing the cached condensation numerically
@@ -791,7 +584,7 @@ impl WlsEstimator {
                     Ok((x, 0usize))
                 }
             }
-            GainSolver::Pcg { precond, parallel } => {
+            GainSolver::Pcg { precond } => {
                 let m = match precond {
                     PrecondKind::Identity => Preconditioner::Identity,
                     PrecondKind::Jacobi => Preconditioner::jacobi(gain)
@@ -799,25 +592,25 @@ impl WlsEstimator {
                     PrecondKind::Ic0 => Preconditioner::ic0(gain)
                         .map_err(|e| WlsError::NotObservable(e.to_string()))?,
                 };
-                let cg_opts = CgOptions { parallel, ..self.opts.cg };
-                let out = pcg(gain, rhs, &m, &cg_opts).map_err(WlsError::Solver)?;
+                let out = pcg(gain, rhs, &m, &self.opts.cg).map_err(WlsError::Solver)?;
                 Ok((out.x, out.iterations))
             }
         }
     }
 }
 
-/// One area's in-flight Gauss–Newton solve with the linear solves
-/// externalized, created by [`WlsEstimator::wave_begin`]. The driver loop
-/// is:
+/// One area's in-flight Gauss–Newton solve, created by
+/// [`WlsEstimator::wave_begin`]. [`WlsEstimator::estimate_cached`] steps
+/// it with the estimator's own gain solver; with the linear solves
+/// externalized the driver loop is:
 ///
 /// 1. read [`GnWave::gain`] / [`GnWave::rhs`] (collect across waves),
 /// 2. solve externally (e.g. one batched round across all areas),
 /// 3. [`GnWave::note_solved`] + [`GnWave::apply_step`] — which assembles
-///    the next iteration unless the wave is [`GnWave::done`],
-/// 4. when done, [`GnWave::finish`] closes the solve exactly as
-///    `estimate_cached` would (residuals, objective, warm-state update,
-///    `wls.gn_iterations`).
+///    the next iteration unless the wave is [`GnWave::done`].
+///
+/// When done, [`GnWave::finish`] closes the solve (residuals, objective,
+/// warm-state update, `wls.gn_iterations`).
 pub struct GnWave<'a> {
     est: &'a WlsEstimator,
     set: &'a MeasurementSet,
@@ -884,11 +677,49 @@ impl<'a> GnWave<'a> {
         }
     }
 
+    /// Solves the current gain system with the estimator's configured
+    /// [`GainSolver`] against the cache's factor slot, then advances like
+    /// [`GnWave::apply_step`]. Returns [`GnWave::done`].
+    ///
+    /// # Errors
+    /// See [`WlsError`] — the gain solve's failures.
+    fn step(&mut self) -> Result<bool, WlsError> {
+        let SolveCache {
+            gain_buf,
+            chol,
+            condense_boundary,
+            condenser,
+            refactor_reuse,
+            refactor_full,
+            condensed_solves,
+            ..
+        } = &mut *self.cache;
+        let ctx = DirectCtx {
+            slot: chol,
+            reuse: refactor_reuse,
+            full: refactor_full,
+            condense: condense_boundary.as_ref().map(|b| CondenseCtx {
+                boundary: b.as_slice(),
+                slot: condenser,
+                solves: condensed_solves,
+            }),
+        };
+        let solve_span = pgse_obs::span("wls.gain_solve");
+        let gain = gain_buf.as_ref().expect("assembled");
+        let (dx, inner) = self.est.solve_gain(gain, &self.rhs, ctx)?;
+        drop(solve_span);
+        Ok(self.advance(&dx, inner))
+    }
+
     /// Applies the externally solved step `Δx`, then assembles the next
     /// iteration unless converged or out of iterations. Returns
     /// [`GnWave::done`].
     pub fn apply_step(&mut self, dx: &[f64]) -> bool {
-        self.solver_iterations.push(0);
+        self.advance(dx, 0)
+    }
+
+    fn advance(&mut self, dx: &[f64], inner_iterations: usize) -> bool {
+        self.solver_iterations.push(inner_iterations);
         self.est.space.apply_update(dx, &mut self.vm, &mut self.va);
         self.last_step = dx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         self.converged = self.last_step <= self.est.opts.tol;
@@ -915,9 +746,8 @@ impl<'a> GnWave<'a> {
     }
 
     /// Closes the solve: on convergence computes residuals and objective,
-    /// stores the warm state in the cache, and returns the estimate —
-    /// exactly what `estimate_cached` does. Ticks `wls.gn_iterations`
-    /// either way.
+    /// stores the warm state in the cache, and returns the estimate. Ticks
+    /// `wls.gn_iterations` either way.
     ///
     /// # Errors
     /// [`WlsError::DidNotConverge`] when the iteration budget ran out.
@@ -1010,25 +840,6 @@ mod tests {
     }
 
     #[test]
-    fn pcg_and_cholesky_agree() {
-        let net = ieee14();
-        let set = exact_set(&net, &[0]);
-        let space = || StateSpace::with_reference(14, 0);
-        let pcg_est = WlsEstimator::new(net.clone(), space(), WlsOptions::default());
-        let chol_est = WlsEstimator::new(
-            net,
-            space(),
-            WlsOptions { solver: GainSolver::Cholesky, ..WlsOptions::default() },
-        );
-        let a = pcg_est.estimate(&set).unwrap();
-        let b = chol_est.estimate(&set).unwrap();
-        for i in 0..14 {
-            assert!((a.vm[i] - b.vm[i]).abs() < 1e-8);
-            assert!((a.va[i] - b.va[i]).abs() < 1e-8);
-        }
-    }
-
-    #[test]
     fn all_preconditioners_converge() {
         let net = ieee14();
         let set = exact_set(&net, &[0]);
@@ -1036,7 +847,7 @@ mod tests {
             let est = WlsEstimator::new(
                 net.clone(),
                 StateSpace::with_reference(14, 0),
-                WlsOptions { solver: GainSolver::pcg(precond), ..WlsOptions::default() },
+                WlsOptions { solver: GainSolver::Pcg { precond }, ..WlsOptions::default() },
             );
             let out = est.estimate(&set);
             assert!(out.is_ok(), "{precond:?} failed: {:?}", out.err());
@@ -1051,7 +862,7 @@ mod tests {
             let est = WlsEstimator::new(
                 net.clone(),
                 StateSpace::with_reference(14, 0),
-                WlsOptions { solver: GainSolver::pcg(precond), ..WlsOptions::default() },
+                WlsOptions { solver: GainSolver::Pcg { precond }, ..WlsOptions::default() },
             );
             let out = est.estimate(&set).unwrap();
             out.solver_iterations.iter().sum::<usize>()
@@ -1074,7 +885,7 @@ mod tests {
         let rec = pgse_obs::Recorder::new("t");
         let est =
             WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::default());
-        assert!(matches!(est.opts().solver, GainSolver::Pcg { parallel: true, .. }));
+        assert!(matches!(est.opts().solver, GainSolver::Pcg { .. }) && est.opts().cg.parallel);
         let before_chunks = rayon::chunks_executed();
         let before_ops = rayon::parallel_ops();
         let out = pool.install(|| pgse_obs::with_recorder(&rec, || est.estimate(&set))).unwrap();
@@ -1203,7 +1014,7 @@ mod tests {
     }
 
     #[test]
-    fn direct_solver_agrees_with_pcg_and_envelope() {
+    fn direct_solver_agrees_with_pcg() {
         let net = ieee14();
         let set = exact_set(&net, &[0]);
         let space = || StateSpace::with_reference(14, 0);

@@ -33,12 +33,18 @@ use std::sync::Arc;
 use crate::csr::Csr;
 use crate::scholesky::{CholSymbolic, SparseCholesky};
 use crate::vecops::{lanes_div, lanes_gather, lanes_gather_at, lanes_mul_sub};
-use crate::{tuning, Coo, LaError, LaResult};
+use crate::{Coo, LaError, LaResult};
+
+/// Same-pattern groups of at least this many systems factor as lanes of one
+/// [`BatchCholesky`]; a lone system takes the scalar numeric pass. The two
+/// passes are bitwise identical per system, so the gate only picks the
+/// cheaper loop shape for the group size at hand.
+const BATCH_LANES_MIN: usize = 2;
 
 /// Groups systems by exact sparsity pattern (dimensions + `row_ptr` +
 /// `col_idx`), preserving first-occurrence order. Each group's members can
 /// share one symbolic analysis and one batched factorization.
-pub fn group_by_pattern(lanes: &[&Csr]) -> Vec<Vec<usize>> {
+fn group_by_pattern(lanes: &[&Csr]) -> Vec<Vec<usize>> {
     let mut groups: Vec<Vec<usize>> = Vec::new();
     for (i, a) in lanes.iter().enumerate() {
         match groups.iter_mut().find(|g| {
@@ -92,33 +98,16 @@ fn factor_values_batched(sym: &CholSymbolic, lanes: &[&Csr]) -> LaResult<Vec<f64
     // profiling-dominant loop of the whole batched pass, and re-deriving
     // `a.values()` per entry keeps the compiler from vectorizing it.
     let lane_vals: Vec<&[f64]> = lanes.iter().map(|a| a.values()).collect();
-    let widened = nl >= tuning::scatter_lanes_min();
     for k in 0..n {
-        // Scatter the lower row A(k, 0..=k) of every lane. The widened
-        // form runs the LANE_WIDTH-chunked gather kernels; both forms are
-        // pure copies, so the threshold only selects a loop shape.
+        // Scatter the lower row A(k, 0..=k) of every lane through the
+        // LANE_WIDTH-chunked gather kernels (pure copies).
         d.fill(0.0);
-        if widened {
-            for p in app[k]..app[k + 1] {
-                let c = apc[p];
-                if c < k {
-                    lanes_gather_at(&mut x, c * nl, &lane_vals, apv[p]);
-                } else if c == k {
-                    lanes_gather(&mut d, &lane_vals, apv[p]);
-                }
-            }
-        } else {
-            for p in app[k]..app[k + 1] {
-                let c = apc[p];
-                if c < k {
-                    for (l, v) in lane_vals.iter().enumerate() {
-                        x[c * nl + l] = v[apv[p]];
-                    }
-                } else if c == k {
-                    for (l, v) in lane_vals.iter().enumerate() {
-                        d[l] = v[apv[p]];
-                    }
-                }
+        for p in app[k]..app[k + 1] {
+            let c = apc[p];
+            if c < k {
+                lanes_gather_at(&mut x, c * nl, &lane_vals, apv[p]);
+            } else if c == k {
+                lanes_gather(&mut d, &lane_vals, apv[p]);
             }
         }
         // Solve L(0..k, 0..k) · l = A(0..k, k) across all lanes at once.
@@ -241,45 +230,9 @@ impl BatchCholesky {
         &self.sym
     }
 
-    /// Solves `A_lane · x = b` for one lane with scalar loops — bitwise
-    /// identical to [`SparseCholesky::solve`] on that lane's own factor.
-    ///
-    /// # Panics
-    /// Panics on a bad lane index or rhs length.
-    pub fn solve_lane(&self, lane: usize, b: &[f64]) -> Vec<f64> {
-        assert!(lane < self.n_lanes, "solve_lane: lane {lane} of {}", self.n_lanes);
-        let sym = &*self.sym;
-        let n = sym.dim();
-        assert_eq!(b.len(), n, "solve_lane: rhs length");
-        let (perm, lp, li) = (sym.perm(), sym.lp(), sym.li());
-        let nl = self.n_lanes;
-        let at = |p: usize| self.lx[p * nl + lane];
-        let mut y: Vec<f64> = perm.iter().map(|&old| b[old]).collect();
-        for j in 0..n {
-            y[j] /= at(lp[j]);
-            let yj = y[j];
-            for p in (lp[j] + 1)..lp[j + 1] {
-                y[li[p]] -= at(p) * yj;
-            }
-        }
-        for j in (0..n).rev() {
-            let mut s = y[j];
-            for p in (lp[j] + 1)..lp[j + 1] {
-                s -= at(p) * y[li[p]];
-            }
-            y[j] = s / at(lp[j]);
-        }
-        let mut out = vec![0.0; n];
-        for (new, &old) in perm.iter().enumerate() {
-            out[old] = y[new];
-        }
-        out
-    }
-
     /// Solves all lanes at once with lane-interleaved sweeps: one pass over
     /// the shared index structure serves every system. Per lane, bitwise
-    /// identical to [`BatchCholesky::solve_lane`] (and hence to the scalar
-    /// solver).
+    /// identical to [`SparseCholesky::solve`] on that lane's own factor.
     ///
     /// # Panics
     /// Panics if `rhs.len() != n_lanes` or any rhs has the wrong length.
@@ -331,53 +284,6 @@ impl BatchCholesky {
     }
 }
 
-/// Factors and solves a set of independent SPD systems, batching the ones
-/// that share a sparsity pattern. Groups smaller than
-/// [`crate::tuning::batch_lanes_min`] fall back to scalar per-system
-/// solves; both paths are bitwise identical, so the threshold only trades
-/// setup cost against amortized index traversal.
-///
-/// # Errors
-/// [`LaError::Lane`] (indexed by position in `systems`) wrapping
-/// [`LaError::DimensionMismatch`] for a non-square matrix or wrong-length
-/// rhs, or [`LaError::NotPositiveDefinite`] for a non-SPD system.
-pub fn solve_systems(systems: &[(&Csr, &[f64])]) -> LaResult<Vec<Vec<f64>>> {
-    for (i, (a, b)) in systems.iter().enumerate() {
-        if a.nrows() != a.ncols() || b.len() != a.nrows() {
-            return Err(LaError::Lane {
-                lane: i,
-                source: Box::new(LaError::DimensionMismatch {
-                    expected: a.nrows(),
-                    found: if a.nrows() != a.ncols() { a.ncols() } else { b.len() },
-                }),
-            });
-        }
-    }
-    let mats: Vec<&Csr> = systems.iter().map(|(a, _)| *a).collect();
-    let groups = group_by_pattern(&mats);
-    let mut out: Vec<Vec<f64>> = vec![Vec::new(); systems.len()];
-    for g in &groups {
-        if g.len() < tuning::batch_lanes_min() {
-            for &i in g {
-                let chol = SparseCholesky::factor(mats[i])
-                    .map_err(|e| LaError::Lane { lane: i, source: Box::new(e) })?;
-                out[i] = chol.solve(systems[i].1);
-            }
-        } else {
-            let lanes: Vec<&Csr> = g.iter().map(|&i| mats[i]).collect();
-            let batch = BatchCholesky::factor(&lanes).map_err(|e| match e {
-                LaError::Lane { lane, source } => LaError::Lane { lane: g[lane], source },
-                other => other,
-            })?;
-            let rhs: Vec<&[f64]> = g.iter().map(|&i| systems[i].1).collect();
-            for (slot, x) in g.iter().zip(batch.solve_all(&rhs)) {
-                out[*slot] = x;
-            }
-        }
-    }
-    Ok(out)
-}
-
 /// Per-round dispatch statistics and results of one [`BatchPlan::solve_round`].
 #[derive(Debug)]
 pub struct RoundOutcome {
@@ -393,9 +299,9 @@ pub struct RoundOutcome {
     pub batch_groups: u64,
     /// Systems solved as lanes of a batched factorization.
     pub batched_lanes: u64,
-    /// Systems solved through the scalar path: group below
-    /// [`tuning::batch_lanes_min`], invalid shape, or recovery after a
-    /// batched group failed on one lane. The accounting identity
+    /// Systems solved through the scalar path: a lone pattern (group of
+    /// one), invalid shape, or recovery after a batched group failed on
+    /// one lane. The accounting identity
     /// `batched_lanes + scalar_fallbacks == systems dispatched` holds by
     /// construction — every system lands in exactly one bucket.
     pub scalar_fallbacks: u64,
@@ -472,9 +378,9 @@ impl BatchPlan {
     }
 
     /// Solves one round's worth of independent SPD systems, batching
-    /// same-pattern groups of at least [`tuning::batch_lanes_min`] lanes
-    /// and reusing cached symbolic analyses from earlier rounds. Errors
-    /// are per-system: one indefinite area cannot fail the round.
+    /// same-pattern groups of two or more as lanes and reusing cached
+    /// symbolic analyses from earlier rounds. Errors are per-system: one
+    /// indefinite area cannot fail the round.
     pub fn solve_round(&mut self, systems: &[(&Csr, &[f64])]) -> RoundOutcome {
         let n = systems.len();
         let mut results: Vec<LaResult<Vec<f64>>> =
@@ -509,7 +415,7 @@ impl BatchPlan {
             }
             let lanes: Vec<&Csr> = idx.iter().map(|&i| systems[i].0).collect();
             let mut batched_ok = false;
-            if lanes.len() >= tuning::batch_lanes_min() {
+            if lanes.len() >= BATCH_LANES_MIN {
                 match BatchCholesky::factor_with_symbolic(Arc::clone(&sym), &lanes) {
                     Ok(batch) => {
                         let rhs: Vec<&[f64]> = idx.iter().map(|&i| systems[i].1).collect();
@@ -767,30 +673,14 @@ mod tests {
         let refs: Vec<&Csr> = lanes.iter().collect();
         let batch = BatchCholesky::factor(&refs).unwrap();
         assert_eq!(batch.n_lanes(), 5);
+        let rhs: Vec<Vec<f64>> = (0..5).map(|l| rhs_for(base.nrows(), l)).collect();
+        let rhs_refs: Vec<&[f64]> = rhs.iter().map(|b| b.as_slice()).collect();
+        let all = batch.solve_all(&rhs_refs);
         for (l, a) in lanes.iter().enumerate() {
             let scalar = SparseCholesky::factor(a).unwrap();
             assert_eq!(batch.l_nnz(), scalar.l_nnz());
-            let b = rhs_for(a.nrows(), l as u64);
-            let xb = batch.solve_lane(l, &b);
-            let xs = scalar.solve(&b);
-            for (p, q) in xb.iter().zip(&xs) {
-                assert_eq!(p.to_bits(), q.to_bits(), "lane {l}");
-            }
-        }
-    }
-
-    #[test]
-    fn solve_all_matches_solve_lane_bitwise() {
-        let base = laplacian2d(5);
-        let lanes: Vec<Csr> = (0..4).map(|s| lane_variant(&base, s)).collect();
-        let refs: Vec<&Csr> = lanes.iter().collect();
-        let batch = BatchCholesky::factor(&refs).unwrap();
-        let rhs: Vec<Vec<f64>> = (0..4).map(|l| rhs_for(base.nrows(), 100 + l)).collect();
-        let rhs_refs: Vec<&[f64]> = rhs.iter().map(|b| b.as_slice()).collect();
-        let all = batch.solve_all(&rhs_refs);
-        for l in 0..4 {
-            let single = batch.solve_lane(l, &rhs[l]);
-            for (p, q) in all[l].iter().zip(&single) {
+            let xs = scalar.solve(&rhs[l]);
+            for (p, q) in all[l].iter().zip(&xs) {
                 assert_eq!(p.to_bits(), q.to_bits(), "lane {l}");
             }
         }
@@ -807,10 +697,9 @@ mod tests {
         batch.refactor(&refs1).unwrap();
         let fresh = BatchCholesky::factor(&refs1).unwrap();
         let b = rhs_for(base.nrows(), 9);
-        for l in 0..3 {
-            let x1 = batch.solve_lane(l, &b);
-            let x2 = fresh.solve_lane(l, &b);
-            for (p, q) in x1.iter().zip(&x2) {
+        let rhs: Vec<&[f64]> = vec![&b; 3];
+        for (l, (x1, x2)) in batch.solve_all(&rhs).iter().zip(&fresh.solve_all(&rhs)).enumerate() {
+            for (p, q) in x1.iter().zip(x2) {
                 assert_eq!(p.to_bits(), q.to_bits(), "lane {l}");
             }
         }
@@ -873,7 +762,7 @@ mod tests {
         assert!(batch.refactor(&bad_refs).is_err());
         // Old factor still solves lane 0's original system.
         let b = rhs_for(base.nrows(), 3);
-        let x = batch.solve_lane(0, &b);
+        let x = batch.solve_all(&[&b, &b]).swap_remove(0);
         let ax = lanes[0].mul_vec(&x);
         for (p, q) in ax.iter().zip(&b) {
             assert!((p - q).abs() < 1e-8, "previous factor lost after failed refactor");
@@ -888,88 +777,6 @@ mod tests {
         let d = laplacian2d(3);
         let lanes: Vec<&Csr> = vec![&a, &c, &b, &d, &c];
         assert_eq!(group_by_pattern(&lanes), vec![vec![0, 2], vec![1, 4], vec![3]]);
-    }
-
-    #[test]
-    fn solve_systems_matches_individual_scalar_solves_bitwise() {
-        let base_a = laplacian2d(5);
-        let base_b = laplacian2d(4);
-        let mats: Vec<Csr> = vec![
-            lane_variant(&base_a, 0),
-            lane_variant(&base_b, 1),
-            lane_variant(&base_a, 2),
-            lane_variant(&base_a, 3),
-            lane_variant(&base_b, 4),
-        ];
-        let rhs: Vec<Vec<f64>> =
-            mats.iter().enumerate().map(|(i, m)| rhs_for(m.nrows(), i as u64)).collect();
-        let systems: Vec<(&Csr, &[f64])> =
-            mats.iter().zip(&rhs).map(|(m, b)| (m, b.as_slice())).collect();
-        let xs = solve_systems(&systems).unwrap();
-        for (i, (m, b)) in systems.iter().enumerate() {
-            let scalar = SparseCholesky::factor(m).unwrap().solve(b);
-            for (p, q) in xs[i].iter().zip(&scalar) {
-                assert_eq!(p.to_bits(), q.to_bits(), "system {i}");
-            }
-        }
-        // Forcing the scalar fallback must not change a single bit.
-        let saved = crate::tuning::batch_lanes_min();
-        crate::tuning::set_batch_lanes_min(usize::MAX);
-        let xs_scalar = solve_systems(&systems).unwrap();
-        crate::tuning::set_batch_lanes_min(saved);
-        for (batched, scalar) in xs.iter().zip(&xs_scalar) {
-            for (p, q) in batched.iter().zip(scalar) {
-                assert_eq!(p.to_bits(), q.to_bits());
-            }
-        }
-    }
-
-    #[test]
-    fn solve_systems_rejects_bad_lanes_with_positions() {
-        let a = laplacian2d(4);
-        let good = lane_variant(&a, 1);
-        let short_rhs = vec![1.0; 3];
-        let b = rhs_for(a.nrows(), 0);
-        let systems: Vec<(&Csr, &[f64])> = vec![(&good, &b), (&good, &short_rhs)];
-        match solve_systems(&systems) {
-            Err(LaError::Lane { lane: 1, source }) => {
-                assert!(matches!(*source, LaError::DimensionMismatch { .. }));
-            }
-            other => panic!("expected lane-1 dimension error, got {other:?}"),
-        }
-        let mut indef = a.clone();
-        for v in indef.values_mut() {
-            *v = -*v;
-        }
-        let bi = rhs_for(a.nrows(), 1);
-        let systems2: Vec<(&Csr, &[f64])> = vec![(&good, &b), (&good, &b), (&indef, &bi)];
-        match solve_systems(&systems2) {
-            Err(LaError::Lane { lane: 2, source }) => {
-                assert!(matches!(*source, LaError::NotPositiveDefinite { .. }));
-            }
-            other => panic!("expected lane-2 SPD failure, got {other:?}"),
-        }
-    }
-
-    #[test]
-    fn widened_scatter_is_bitwise_identical_to_scalar_scatter() {
-        let base = laplacian2d(6);
-        let lanes: Vec<Csr> = (0..6).map(|s| lane_variant(&base, s)).collect();
-        let refs: Vec<&Csr> = lanes.iter().collect();
-        let saved = crate::tuning::scatter_lanes_min();
-        crate::tuning::set_scatter_lanes_min(1); // force the widened kernels
-        let wide = BatchCholesky::factor(&refs).unwrap();
-        crate::tuning::set_scatter_lanes_min(usize::MAX); // force the plain loop
-        let plain = BatchCholesky::factor(&refs).unwrap();
-        crate::tuning::set_scatter_lanes_min(saved);
-        let b = rhs_for(base.nrows(), 7);
-        for l in 0..lanes.len() {
-            let xw = wide.solve_lane(l, &b);
-            let xp = plain.solve_lane(l, &b);
-            for (p, q) in xw.iter().zip(&xp) {
-                assert_eq!(p.to_bits(), q.to_bits(), "lane {l}");
-            }
-        }
     }
 
     #[test]

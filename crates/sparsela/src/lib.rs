@@ -17,10 +17,12 @@
 //!
 //! * storage formats: [`Coo`] (triplet assembly), [`Csr`], [`Csc`];
 //! * kernels: (parallel) SpMV, Gustavson SpGEMM, transpose, `AᵀWA`;
-//! * orderings: reverse Cuthill–McKee and minimum degree;
+//! * ordering: minimum degree ([`ordering`]);
 //! * direct solvers: Gilbert–Peierls sparse LU with partial pivoting
-//!   ([`lu`]), envelope/profile Cholesky ([`cholesky`]), and an
-//!   elimination-tree up-looking sparse Cholesky ([`scholesky`]);
+//!   ([`lu`]) and one sparse Cholesky — an elimination-tree symbolic
+//!   analysis ([`CholSymbolic`]) shared by a scalar up-looking numeric
+//!   pass ([`scholesky`]) and a lane-interleaved one for same-pattern
+//!   groups ([`batch`]);
 //! * iterative solvers: CG and PCG with Jacobi and IC(0) preconditioners
 //!   ([`pcg()`]);
 //! * dense reference implementations used as test oracles ([`dense`]);
@@ -28,7 +30,6 @@
 //!   system crates.
 
 pub mod batch;
-pub mod cholesky;
 pub mod complex;
 pub mod coo;
 pub mod csc;
@@ -43,10 +44,7 @@ pub mod tuning;
 pub mod update;
 pub mod vecops;
 
-pub use batch::{
-    group_by_pattern, solve_systems, BatchCholesky, BatchPlan, BoundaryCondenser, RoundOutcome,
-};
-pub use cholesky::EnvelopeCholesky;
+pub use batch::{BatchCholesky, BatchPlan, BoundaryCondenser, RoundOutcome};
 pub use complex::Cplx;
 pub use coo::Coo;
 pub use csc::Csc;

@@ -1,15 +1,14 @@
-//! Fill-reducing orderings.
+//! Fill-reducing ordering.
 //!
 //! Power-grid matrices are extremely sparse (average bus degree ≈ 3), and
-//! both the envelope Cholesky and the LU factorization profit from a
-//! bandwidth/fill-reducing symmetric permutation. We provide the two
-//! classics: reverse Cuthill–McKee (bandwidth) and minimum degree (fill).
+//! the sparse Cholesky profits from a fill-reducing symmetric permutation:
+//! minimum degree.
 //!
-//! All functions operate on the *pattern* of a square matrix given as
-//! [`Csr`]; values are ignored, and the pattern is symmetrized internally.
+//! It operates on the *pattern* of a square matrix given as [`Csr`];
+//! values are ignored, and the pattern is symmetrized internally.
 //!
-//! A returned permutation `perm` is in "new ← old" form: `perm[new] = old`,
-//! matching [`Csr::permute_sym`].
+//! The returned permutation `perm` is in "new ← old" form:
+//! `perm[new] = old`, matching [`Csr::permute_sym`].
 
 use crate::csr::Csr;
 
@@ -32,80 +31,6 @@ fn symmetric_adjacency(a: &Csr) -> Vec<Vec<usize>> {
         l.dedup();
     }
     adj
-}
-
-/// Finds a pseudo-peripheral vertex of the component containing `start` by
-/// repeated BFS to the farthest minimum-degree vertex.
-fn pseudo_peripheral(adj: &[Vec<usize>], start: usize) -> usize {
-    let n = adj.len();
-    let mut current = start;
-    let mut best_ecc = 0usize;
-    let mut level = vec![usize::MAX; n];
-    loop {
-        level.iter_mut().for_each(|l| *l = usize::MAX);
-        level[current] = 0;
-        let mut frontier = vec![current];
-        let mut last_level = Vec::new();
-        let mut ecc = 0;
-        while !frontier.is_empty() {
-            last_level = frontier.clone();
-            let mut next = Vec::new();
-            for &v in &frontier {
-                for &w in &adj[v] {
-                    if level[w] == usize::MAX {
-                        level[w] = level[v] + 1;
-                        ecc = ecc.max(level[w]);
-                        next.push(w);
-                    }
-                }
-            }
-            frontier = next;
-        }
-        let far = *last_level
-            .iter()
-            .min_by_key(|&&v| adj[v].len())
-            .expect("component has at least the start vertex");
-        if ecc <= best_ecc && current != start {
-            return current;
-        }
-        best_ecc = ecc;
-        if far == current {
-            return current;
-        }
-        current = far;
-    }
-}
-
-/// Reverse Cuthill–McKee ordering.
-///
-/// Returns `perm` with `perm[new] = old`; applying it with
-/// [`Csr::permute_sym`] concentrates entries near the diagonal, shrinking
-/// the envelope the profile Cholesky stores.
-pub fn reverse_cuthill_mckee(a: &Csr) -> Vec<usize> {
-    let adj = symmetric_adjacency(a);
-    let n = adj.len();
-    let mut visited = vec![false; n];
-    let mut order = Vec::with_capacity(n);
-    for seed in 0..n {
-        if visited[seed] {
-            continue;
-        }
-        let root = pseudo_peripheral(&adj, seed);
-        // BFS, visiting neighbours in increasing-degree order.
-        visited[root] = true;
-        let mut queue = std::collections::VecDeque::from([root]);
-        while let Some(v) = queue.pop_front() {
-            order.push(v);
-            let mut nbrs: Vec<usize> = adj[v].iter().copied().filter(|&w| !visited[w]).collect();
-            nbrs.sort_unstable_by_key(|&w| adj[w].len());
-            for w in nbrs {
-                visited[w] = true;
-                queue.push_back(w);
-            }
-        }
-    }
-    order.reverse();
-    order
 }
 
 /// Greedy minimum-degree ordering (clique-update variant).
@@ -142,31 +67,6 @@ pub fn minimum_degree(a: &Csr) -> Vec<usize> {
     order
 }
 
-/// Bandwidth of the symmetrized pattern: `max |i - j|` over stored entries.
-pub fn bandwidth(a: &Csr) -> usize {
-    let mut b = 0usize;
-    for i in 0..a.nrows() {
-        let (cols, _) = a.row(i);
-        for &j in cols {
-            b = b.max(i.abs_diff(j));
-        }
-    }
-    b
-}
-
-/// Envelope (profile) size of the lower triangle of the symmetrized
-/// pattern: `Σ_i (i - first_i)` where `first_i` is the smallest connected
-/// column index in row `i`.
-pub fn envelope_size(a: &Csr) -> usize {
-    let adj = symmetric_adjacency(a);
-    let mut total = 0usize;
-    for (i, nbrs) in adj.iter().enumerate() {
-        let first = nbrs.iter().copied().filter(|&j| j < i).min().unwrap_or(i);
-        total += i - first;
-    }
-    total
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -200,30 +100,13 @@ mod tests {
     }
 
     #[test]
-    fn rcm_is_a_permutation() {
-        let a = shuffled_path(20);
-        assert!(is_permutation(&reverse_cuthill_mckee(&a)));
-    }
-
-    #[test]
-    fn rcm_shrinks_path_bandwidth_to_one() {
-        let a = shuffled_path(31);
-        let before = bandwidth(&a);
-        let p = reverse_cuthill_mckee(&a);
-        let after = bandwidth(&a.permute_sym(&p));
-        assert!(after <= before);
-        // A path relabelled by RCM has bandwidth exactly 1.
-        assert_eq!(after, 1);
-    }
-
-    #[test]
     fn min_degree_is_a_permutation() {
         let a = shuffled_path(17);
         assert!(is_permutation(&minimum_degree(&a)));
     }
 
     #[test]
-    fn orderings_handle_disconnected_graphs() {
+    fn min_degree_handles_disconnected_graphs() {
         // Two disjoint edges plus an isolated vertex.
         let mut coo = Coo::new(5, 5);
         for i in 0..5 {
@@ -234,22 +117,6 @@ mod tests {
         coo.push(2, 3, -1.0);
         coo.push(3, 2, -1.0);
         let a = coo.to_csr();
-        assert!(is_permutation(&reverse_cuthill_mckee(&a)));
         assert!(is_permutation(&minimum_degree(&a)));
-    }
-
-    #[test]
-    fn envelope_size_of_tridiagonal() {
-        let a = shuffled_path(10);
-        let p = reverse_cuthill_mckee(&a);
-        let t = a.permute_sym(&p);
-        // Tridiagonal: every row except the first contributes 1.
-        assert_eq!(envelope_size(&t), 9);
-    }
-
-    #[test]
-    fn bandwidth_of_diagonal_is_zero() {
-        let a = Csr::identity(6);
-        assert_eq!(bandwidth(&a), 0);
     }
 }

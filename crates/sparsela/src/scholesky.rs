@@ -1,8 +1,6 @@
 //! Up-looking sparse Cholesky with elimination-tree symbolic analysis and
 //! numeric-only refactorization.
 //!
-//! The envelope factorization ([`crate::cholesky`]) is simple and fast on
-//! RCM-ordered banded systems, but pays for every zero inside the profile.
 //! This module implements the general sparse factorization used by serious
 //! solvers: the *elimination tree* of the matrix predicts each row's
 //! nonzero pattern (`ereach`), a counting pass sizes the columns of `L`
@@ -425,8 +423,7 @@ impl SparseCholesky {
         self.sym.n
     }
 
-    /// Nonzeros in `L` (fill metric, comparable with
-    /// [`crate::EnvelopeCholesky::profile_nnz`]).
+    /// Nonzeros in `L` (fill metric).
     pub fn l_nnz(&self) -> usize {
         self.lx.len()
     }
@@ -464,7 +461,7 @@ impl SparseCholesky {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::{Coo, EnvelopeCholesky};
+    use crate::Coo;
 
     fn laplacian2d(k: usize) -> Csr {
         let n = k * k;
@@ -502,14 +499,20 @@ mod tests {
     }
 
     #[test]
-    fn solve_matches_envelope_cholesky() {
+    fn solve_matches_dense_oracle_under_every_ordering() {
         let a = laplacian2d(7);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 29 % 13) as f64) - 6.0).collect();
-        let x1 = SparseCholesky::factor(&a).unwrap().solve(&b);
-        let x2 = EnvelopeCholesky::factor(&a).unwrap().solve(&b);
-        for (p, q) in x1.iter().zip(&x2) {
-            assert!((p - q).abs() < 1e-9);
+        let oracle = a.to_dense().solve(&b).unwrap();
+        let reversed: Vec<usize> = (0..n).rev().collect();
+        for chol in [
+            SparseCholesky::factor(&a).unwrap(),
+            SparseCholesky::factor_natural(&a).unwrap(),
+            SparseCholesky::factor_with_perm(&a, reversed).unwrap(),
+        ] {
+            for (p, q) in chol.solve(&b).iter().zip(&oracle) {
+                assert!((p - q).abs() < 1e-9);
+            }
         }
     }
 

@@ -6,76 +6,14 @@
 //! dimension is 235); changing a threshold can never change a result —
 //! the parallel kernels are bitwise identical to their sequential
 //! references (see `vecops`) — only which execution path runs.
-//!
-//! Each threshold can also be overridden at process start through a
-//! `PGSE_TUNING_*` environment variable (see [`ENV_KEYS`]), so CI runners
-//! of different widths tune without code edits. Invalid values are
-//! ignored and the compiled default is kept — a misconfigured runner must
-//! never change results or crash the solver.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Once;
 
-const DEFAULT_PAR_ELEMS: usize = 4096;
-const DEFAULT_PAR_ROWS: usize = 256;
-const DEFAULT_BATCH_LANES_MIN: usize = 2;
-const DEFAULT_SCATTER_LANES_MIN: usize = 2;
-
-static PAR_ELEMS: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_ELEMS);
-static PAR_ROWS: AtomicUsize = AtomicUsize::new(DEFAULT_PAR_ROWS);
-static BATCH_LANES_MIN: AtomicUsize = AtomicUsize::new(DEFAULT_BATCH_LANES_MIN);
-static SCATTER_LANES_MIN: AtomicUsize = AtomicUsize::new(DEFAULT_SCATTER_LANES_MIN);
-
-/// Environment variables recognized by [`apply_env_overrides`], paired
-/// with the setter they drive.
-pub const ENV_KEYS: [&str; 4] = [
-    "PGSE_TUNING_PAR_ELEMS",
-    "PGSE_TUNING_PAR_ROWS",
-    "PGSE_TUNING_BATCH_LANES_MIN",
-    "PGSE_TUNING_SCATTER_LANES_MIN",
-];
-
-static ENV_INIT: Once = Once::new();
-
-fn init_from_env() {
-    ENV_INIT.call_once(|| {
-        let pairs: Vec<(String, String)> = ENV_KEYS
-            .iter()
-            .filter_map(|k| std::env::var(k).ok().map(|v| (k.to_string(), v)))
-            .collect();
-        apply_overrides(pairs.iter().map(|(k, v)| (k.as_str(), v.as_str())));
-    });
-}
-
-/// Applies `(key, value)` override pairs to the thresholds. Unknown keys
-/// and unparseable or zero values are ignored (the current value is
-/// kept). Returns how many overrides were applied. Exposed separately
-/// from the env-var path so tests can feed synthetic pairs without
-/// mutating process-global environment state.
-pub fn apply_overrides<'a>(pairs: impl IntoIterator<Item = (&'a str, &'a str)>) -> usize {
-    let mut applied = 0;
-    for (key, val) in pairs {
-        let Ok(n) = val.trim().parse::<usize>() else {
-            continue;
-        };
-        if n == 0 {
-            continue;
-        }
-        match key {
-            "PGSE_TUNING_PAR_ELEMS" => set_par_elems_threshold(n),
-            "PGSE_TUNING_PAR_ROWS" => set_par_rows_threshold(n),
-            "PGSE_TUNING_BATCH_LANES_MIN" => set_batch_lanes_min(n),
-            "PGSE_TUNING_SCATTER_LANES_MIN" => set_scatter_lanes_min(n),
-            _ => continue,
-        }
-        applied += 1;
-    }
-    applied
-}
+static PAR_ELEMS: AtomicUsize = AtomicUsize::new(4096);
+static PAR_ROWS: AtomicUsize = AtomicUsize::new(256);
 
 /// Minimum vector length before BLAS-1 kernels split across threads.
 pub fn par_elems_threshold() -> usize {
-    init_from_env();
     PAR_ELEMS.load(Ordering::Relaxed)
 }
 
@@ -86,42 +24,12 @@ pub fn set_par_elems_threshold(n: usize) {
 
 /// Minimum row count before SpMV splits across threads.
 pub fn par_rows_threshold() -> usize {
-    init_from_env();
     PAR_ROWS.load(Ordering::Relaxed)
 }
 
 /// Sets the SpMV parallelism threshold (process-wide).
 pub fn set_par_rows_threshold(n: usize) {
     PAR_ROWS.store(n, Ordering::Relaxed);
-}
-
-/// Minimum number of identical-pattern systems in a group before
-/// [`crate::batch::solve_systems`] uses the lane-interleaved batched
-/// factorization; smaller groups solve scalar per-lane. Both paths are
-/// bitwise identical, so this knob only trades setup cost against
-/// amortized index traversal.
-pub fn batch_lanes_min() -> usize {
-    init_from_env();
-    BATCH_LANES_MIN.load(Ordering::Relaxed)
-}
-
-/// Sets the batched-solve lane threshold (process-wide).
-pub fn set_batch_lanes_min(n: usize) {
-    BATCH_LANES_MIN.store(n, Ordering::Relaxed);
-}
-
-/// Minimum lane count before the batched refactorization's scatter phase
-/// uses the `LANE_WIDTH`-chunked gather kernels in `vecops`; below it the
-/// plain per-lane loop runs. Pure copies either way — bitwise identical —
-/// so the knob only selects the faster loop shape per machine.
-pub fn scatter_lanes_min() -> usize {
-    init_from_env();
-    SCATTER_LANES_MIN.load(Ordering::Relaxed)
-}
-
-/// Sets the scatter chunking threshold (process-wide).
-pub fn set_scatter_lanes_min(n: usize) {
-    SCATTER_LANES_MIN.store(n, Ordering::Relaxed);
 }
 
 /// True when splitting work across threads can actually use more than
@@ -132,47 +40,4 @@ pub fn set_scatter_lanes_min(n: usize) {
 /// bitwise identical.
 pub fn pool_parallel() -> bool {
     rayon::current_num_threads() > 1
-}
-
-#[cfg(test)]
-mod tests {
-    use super::*;
-
-    #[test]
-    fn overrides_parse_apply_and_ignore_garbage() {
-        // Snapshot and restore: other tests in this crate read these
-        // process-wide knobs.
-        let save = (
-            par_elems_threshold(),
-            par_rows_threshold(),
-            batch_lanes_min(),
-            scatter_lanes_min(),
-        );
-
-        let applied = apply_overrides([
-            ("PGSE_TUNING_PAR_ELEMS", "123"),
-            ("PGSE_TUNING_PAR_ROWS", " 77 "),          // whitespace tolerated
-            ("PGSE_TUNING_BATCH_LANES_MIN", "potato"), // parse error → ignored
-            ("PGSE_TUNING_SCATTER_LANES_MIN", "0"),    // zero → ignored
-            ("PGSE_TUNING_UNKNOWN", "9"),              // unknown key → ignored
-        ]);
-        assert_eq!(applied, 2);
-        assert_eq!(par_elems_threshold(), 123);
-        assert_eq!(par_rows_threshold(), 77);
-        assert_eq!(batch_lanes_min(), save.2, "bad value must keep current");
-        assert_eq!(scatter_lanes_min(), save.3, "zero must keep current");
-
-        let applied = apply_overrides([
-            ("PGSE_TUNING_BATCH_LANES_MIN", "4"),
-            ("PGSE_TUNING_SCATTER_LANES_MIN", "8"),
-        ]);
-        assert_eq!(applied, 2);
-        assert_eq!(batch_lanes_min(), 4);
-        assert_eq!(scatter_lanes_min(), 8);
-
-        set_par_elems_threshold(save.0);
-        set_par_rows_threshold(save.1);
-        set_batch_lanes_min(save.2);
-        set_scatter_lanes_min(save.3);
-    }
 }

@@ -10,7 +10,7 @@ use proptest::prelude::*;
 use std::sync::Arc;
 
 use pgse_sparsela::{
-    solve_systems, BatchCholesky, CholSymbolic, Coo, Csr, LaError, SparseCholesky,
+    BatchCholesky, BatchPlan, CholSymbolic, Coo, Csr, LaError, SparseCholesky,
 };
 
 /// Strategy: a random sparse SPD matrix as (n, triplets); `AᵀA + cI` of a
@@ -74,19 +74,20 @@ proptest! {
             (0..n_lanes).map(|l| lane_variant(&base, seed + l as u64)).collect();
         let refs: Vec<&Csr> = lanes.iter().collect();
         let batch = BatchCholesky::factor(&refs).unwrap();
+        let rhs: Vec<Vec<f64>> = (0..n_lanes).map(|l| rhs_for(n, seed + l as u64)).collect();
+        let rhs_refs: Vec<&[f64]> = rhs.iter().map(|b| b.as_slice()).collect();
+        let all = batch.solve_all(&rhs_refs);
         for (l, lane) in lanes.iter().enumerate() {
             let scalar = SparseCholesky::factor(lane).unwrap();
-            let b = rhs_for(n, seed + l as u64);
-            let got = batch.solve_lane(l, &b);
-            let want = scalar.solve(&b);
-            for (x, y) in got.iter().zip(&want) {
+            let want = scalar.solve(&rhs[l]);
+            for (x, y) in all[l].iter().zip(&want) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
     }
 
     #[test]
-    fn solve_systems_matches_individual_solves_bitwise(
+    fn solve_round_matches_individual_solves_bitwise(
         (n_a, trips_a) in spd_parts(),
         (n_b, trips_b) in spd_parts(),
         seed in 0u64..1000,
@@ -105,11 +106,11 @@ proptest! {
             mats.iter().enumerate().map(|(i, m)| rhs_for(m.nrows(), seed + i as u64)).collect();
         let systems: Vec<(&Csr, &[f64])> =
             mats.iter().zip(&rhs).map(|(m, b)| (m, b.as_slice())).collect();
-        let sols = solve_systems(&systems).unwrap();
+        let sols = BatchPlan::new().solve_round(&systems).results;
         prop_assert_eq!(sols.len(), systems.len());
         for ((m, b), got) in systems.iter().zip(&sols) {
             let want = SparseCholesky::factor(m).unwrap().solve(b);
-            for (x, y) in got.iter().zip(&want) {
+            for (x, y) in got.as_ref().unwrap().iter().zip(&want) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
@@ -133,10 +134,9 @@ proptest! {
         warm.refactor(&second_refs).unwrap();
         let fresh = BatchCholesky::factor(&second_refs).unwrap();
         let b = rhs_for(n, seed);
-        for l in 0..n_lanes {
-            let got = warm.solve_lane(l, &b);
-            let want = fresh.solve_lane(l, &b);
-            for (x, y) in got.iter().zip(&want) {
+        let rhs: Vec<&[f64]> = vec![&b; n_lanes];
+        for (got, want) in warm.solve_all(&rhs).iter().zip(&fresh.solve_all(&rhs)) {
+            for (x, y) in got.iter().zip(want) {
                 prop_assert_eq!(x.to_bits(), y.to_bits());
             }
         }
@@ -157,14 +157,14 @@ proptest! {
         let rhs_other = rhs_for(n + 1, 1);
         let mut systems: Vec<(&Csr, &[f64])> = vec![(&base, rhs_base.as_slice()); 4];
         // A right-hand side of the wrong length must be rejected as a
-        // typed per-lane dimension error at exactly `bad_pos`.
+        // typed per-system dimension error at exactly `bad_pos`.
         systems[bad_pos] = (&base, rhs_other.as_slice());
-        match solve_systems(&systems) {
-            Err(LaError::Lane { lane, source }) => {
-                prop_assert_eq!(lane, bad_pos);
-                prop_assert!(matches!(*source, LaError::DimensionMismatch { .. }));
+        for (pos, res) in BatchPlan::new().solve_round(&systems).results.iter().enumerate() {
+            if pos == bad_pos {
+                prop_assert!(matches!(res, Err(LaError::DimensionMismatch { .. })), "{:?}", res);
+            } else {
+                prop_assert!(res.is_ok(), "system {} failed: {:?}", pos, res);
             }
-            other => prop_assert!(false, "expected Lane error, got {:?}", other),
         }
         // So must a lane whose pattern differs from its batch symbolic.
         let sym = Arc::new(CholSymbolic::analyze(&base));
@@ -228,11 +228,11 @@ proptest! {
         let refs: Vec<&Csr> = vec![&good];
         let mut batch = BatchCholesky::factor(&refs).unwrap();
         let b = rhs_for(n, seed);
-        let before = batch.solve_lane(0, &b);
+        let before = batch.solve_all(&[&b]);
         prop_assert!(batch.refactor(&[&poisoned]).is_err());
         // The old numeric factor survives a failed refresh untouched.
-        let after = batch.solve_lane(0, &b);
-        for (x, y) in before.iter().zip(&after) {
+        let after = batch.solve_all(&[&b]);
+        for (x, y) in before[0].iter().zip(&after[0]) {
             prop_assert_eq!(x.to_bits(), y.to_bits());
         }
     }

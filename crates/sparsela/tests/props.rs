@@ -3,7 +3,7 @@
 use proptest::prelude::*;
 
 use pgse_sparsela::pcg::Ic0Factor;
-use pgse_sparsela::{Coo, Csr, EnvelopeCholesky, SparseCholesky, SparseLu};
+use pgse_sparsela::{Coo, Csr, DenseMatrix, SparseCholesky, SparseLu};
 
 /// Random SPD matrix via `MᵀM + c·I`, returned with a right-hand side.
 fn spd_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
@@ -36,17 +36,38 @@ fn permutation(n: usize, seed: u64) -> Vec<usize> {
     p
 }
 
+/// The dense oracle: `A = L·Lᵀ` by [`DenseMatrix::cholesky`], then the
+/// two triangular solves written out.
+fn dense_cholesky_solve(a: &DenseMatrix, b: &[f64]) -> Vec<f64> {
+    let l = a.cholesky().unwrap();
+    let n = b.len();
+    let mut y = b.to_vec();
+    for i in 0..n {
+        for k in 0..i {
+            y[i] -= l[(i, k)] * y[k];
+        }
+        y[i] /= l[(i, i)];
+    }
+    for i in (0..n).rev() {
+        for k in (i + 1)..n {
+            y[i] -= l[(k, i)] * y[k];
+        }
+        y[i] /= l[(i, i)];
+    }
+    y
+}
+
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
     #[test]
-    fn all_three_factorizations_agree((spd, rhs) in spd_system()) {
+    fn sparse_factorizations_agree_with_dense_oracles((spd, rhs) in spd_system()) {
         let dense = spd.to_dense().solve(&rhs).unwrap();
-        let env = EnvelopeCholesky::factor(&spd).unwrap().solve(&rhs);
+        let dense_chol = dense_cholesky_solve(&spd.to_dense(), &rhs);
         let tree = SparseCholesky::factor(&spd).unwrap().solve(&rhs);
         let lu = SparseLu::factor_csr(&spd, 1.0).unwrap().solve(&rhs);
         for i in 0..rhs.len() {
-            prop_assert!((env[i] - dense[i]).abs() < 1e-7, "envelope");
+            prop_assert!((dense_chol[i] - dense[i]).abs() < 1e-7, "dense cholesky");
             prop_assert!((tree[i] - dense[i]).abs() < 1e-7, "scholesky");
             prop_assert!((lu[i] - dense[i]).abs() < 1e-7, "lu");
         }
@@ -55,13 +76,13 @@ proptest! {
     #[test]
     fn cholesky_is_ordering_invariant((spd, rhs) in spd_system(), seed in 1u64..500) {
         let n = spd.nrows();
-        let reference = EnvelopeCholesky::factor_natural(&spd).unwrap().solve(&rhs);
-        let perm = permutation(n, seed);
-        let x = EnvelopeCholesky::factor_with_perm(&spd, perm.clone()).unwrap().solve(&rhs);
-        let y = SparseCholesky::factor_with_perm(&spd, perm).unwrap().solve(&rhs);
+        let reference = dense_cholesky_solve(&spd.to_dense(), &rhs);
+        let natural = SparseCholesky::factor_natural(&spd).unwrap().solve(&rhs);
+        let permuted =
+            SparseCholesky::factor_with_perm(&spd, permutation(n, seed)).unwrap().solve(&rhs);
         for i in 0..n {
-            prop_assert!((x[i] - reference[i]).abs() < 1e-7);
-            prop_assert!((y[i] - reference[i]).abs() < 1e-7);
+            prop_assert!((natural[i] - reference[i]).abs() < 1e-7);
+            prop_assert!((permuted[i] - reference[i]).abs() < 1e-7);
         }
     }
 

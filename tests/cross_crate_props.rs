@@ -8,7 +8,7 @@ use proptest::prelude::*;
 use pgse::medici::framing::{read_frame, write_frame};
 use pgse::partition::{brute_force_optimal, partition_kway, WeightedGraph};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse::sparsela::{Coo, Csr, DenseMatrix, EnvelopeCholesky, SparseLu};
+use pgse::sparsela::{Coo, Csr, DenseMatrix, SparseCholesky, SparseLu};
 
 /// Strategy: a random sparse square matrix with a strong diagonal, as
 /// (n, triplets).
@@ -91,7 +91,7 @@ proptest! {
         let a = build(n, &trips);
         let spd = a.ata_weighted(&vec![1.0; n]).add_scaled(&Csr::identity(n), 4.0);
         let b: Vec<f64> = (0..n).map(|i| ((seed + 3 * i as u64) as f64 * 0.29).sin()).collect();
-        let chol = EnvelopeCholesky::factor(&spd).unwrap().solve(&b);
+        let chol = SparseCholesky::factor(&spd).unwrap().solve(&b);
         let cg = pcg(&spd, &b, &Preconditioner::ic0(&spd).unwrap(),
                      &CgOptions { rel_tol: 1e-12, max_iter: 10_000, parallel: false }).unwrap();
         for (p, q) in chol.iter().zip(&cg.x) {

@@ -4,7 +4,7 @@
 //! delta base whose slot the writer has long since recycled, and
 //! observing sequence-regression refusals from a concurrent reader.
 
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Arc;
 
 use pgse::stream::{PublishRejected, SnapshotStore, SystemSnapshot};
@@ -41,6 +41,12 @@ fn subscribe_during_publish_sees_at_least_the_floor_epoch() {
             seq - 1
         })
     };
+
+    // Readers subscribe only once the writer is demonstrably mid-stream
+    // (scheduling alone must not decide whether there was contention).
+    while store.current_frame_seq() < Some(3) {
+        std::thread::yield_now();
+    }
 
     let mut readers = Vec::new();
     for _ in 0..8 {
@@ -101,10 +107,21 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
     let store = Arc::new(SnapshotStore::new());
     store.publish(snap(10, 8)).unwrap();
     let stop = Arc::new(AtomicBool::new(false));
+    // Samples the reader has taken so far. The writer waits on it — before
+    // round 0 and after every refusal — so the interleaving under test is
+    // forced, not left to the scheduler (a 1-core box runs the whole
+    // writer loop before the reader's first load otherwise).
+    let samples = Arc::new(AtomicU64::new(0));
+    let wait_for_sample_after = |seen: u64| {
+        while samples.load(Ordering::Acquire) == seen {
+            std::thread::yield_now();
+        }
+    };
 
     let reader = {
         let store = Arc::clone(&store);
         let stop = Arc::clone(&stop);
+        let samples = Arc::clone(&samples);
         std::thread::spawn(move || {
             let mut last = 0u64;
             let mut observed = 0u64;
@@ -118,11 +135,13 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
                 );
                 last = s.epoch;
                 observed += 1;
+                samples.fetch_add(1, Ordering::Release);
             }
             (last, observed)
         })
     };
 
+    wait_for_sample_after(0);
     let mut refused = 0usize;
     for round in 0..50u64 {
         let good = 11 + round * 2;
@@ -136,6 +155,7 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
             "refusal must carry both sequences"
         );
         refused += 1;
+        wait_for_sample_after(samples.load(Ordering::Acquire));
     }
 
     stop.store(true, Ordering::Relaxed);
@@ -143,7 +163,7 @@ fn regression_refusal_is_invisible_to_concurrent_readers() {
     assert_eq!(refused, 50);
     // The monotonicity assertion lives inside the reader loop; here we
     // only require that it actually sampled under the refusal storm.
-    assert!(observed > 0, "reader loop must have sampled the store");
+    assert!(observed > 50, "reader must have sampled after every refusal, saw {observed}");
     // Refusals left no trace: the store sits exactly at the last good frame.
     assert_eq!(store.current_frame_seq(), Some(11 + 49 * 2));
 }

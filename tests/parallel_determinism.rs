@@ -14,7 +14,7 @@
 use pgse::core::{PrototypeConfig, SystemPrototype};
 use pgse::estimation::jacobian::{assemble_jacobian, StateSpace};
 use pgse::estimation::synthetic::TelemetryPlan;
-use pgse::estimation::wls::{GainSolver, PrecondKind, WlsEstimator, WlsOptions};
+use pgse::estimation::wls::{GainSolver, PrecondKind, SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::grid::Ybus;
 use pgse::powerflow::{solve as solve_pf, PfOptions};
@@ -126,18 +126,16 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
     let pf = solve_pf(&net, &PfOptions::default()).unwrap();
     let plan = TelemetryPlan::full(&net, vec![net.slack()]);
     let set = plan.generate(&net, &pf, 1.0, 7);
-    let solve_with = |parallel: bool| {
-        let opts = WlsOptions {
-            solver: GainSolver::Pcg { precond: PrecondKind::Ic0, parallel },
-            ..WlsOptions::default()
-        };
-        let est =
-            WlsEstimator::new(net.clone(), StateSpace::with_reference(net.n_buses(), net.slack()), opts);
-        est.estimate(&set).unwrap()
+    let estimator = |solver: GainSolver, parallel: bool| {
+        let defaults = WlsOptions::default();
+        let opts =
+            WlsOptions { solver, cg: CgOptions { parallel, ..defaults.cg }, ..defaults };
+        WlsEstimator::new(net.clone(), StateSpace::with_reference(net.n_buses(), net.slack()), opts)
     };
-    let seq = solve_with(false);
+    let pcg_ic0 = GainSolver::Pcg { precond: PrecondKind::Ic0 };
+    let seq = estimator(pcg_ic0, false).estimate(&set).unwrap();
     for threads in POOL_SIZES {
-        let par = with_pool(threads, || solve_with(true));
+        let par = with_pool(threads, || estimator(pcg_ic0, true).estimate(&set).unwrap());
         assert_eq!(par.iterations, seq.iterations, "@ {threads} threads");
         assert_eq!(par.solver_iterations, seq.solver_iterations, "@ {threads} threads");
         for (p, q) in par.vm.iter().zip(&seq.vm) {
@@ -145,6 +143,20 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
         }
         for (p, q) in par.va.iter().zip(&seq.va) {
             assert_eq!(p.to_bits(), q.to_bits(), "va @ {threads} threads");
+        }
+        // The uncached entry point is the cached engine on a throwaway
+        // cache: bitwise the same solve, under either gain solver.
+        for solver in [pcg_ic0, GainSolver::Direct] {
+            let est = estimator(solver, true);
+            let (plain, cached) = with_pool(threads, || {
+                let cached = est.estimate_cached(&set, None, &mut SolveCache::new()).unwrap();
+                (est.estimate(&set).unwrap(), cached)
+            });
+            assert_eq!(plain.iterations, cached.iterations, "{solver:?} @ {threads} threads");
+            for (p, q) in plain.vm.iter().zip(&cached.vm).chain(plain.va.iter().zip(&cached.va)) {
+                assert_eq!(p.to_bits(), q.to_bits(), "{solver:?} @ {threads} threads");
+            }
+            assert_eq!(plain.objective.to_bits(), cached.objective.to_bits());
         }
     }
 }
@@ -160,7 +172,7 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
     let pf = solve_pf(&net, &PfOptions::default()).unwrap();
     let plan = TelemetryPlan::full(&net, vec![net.slack()]);
     let opts = WlsOptions {
-        solver: GainSolver::Pcg { precond: PrecondKind::Ic0, parallel: true },
+        solver: GainSolver::Pcg { precond: PrecondKind::Ic0 },
         ..WlsOptions::default()
     };
     let est = WlsEstimator::new(
@@ -175,7 +187,7 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
     for threads in POOL_SIZES {
         let (survivor, restored, ckpt_desc, restored_desc) = with_pool(threads, || {
             // The uninterrupted worker solves frames 0..=2 and keeps going.
-            let mut cache_a = pgse::estimation::wls::SolveCache::new();
+            let mut cache_a = SolveCache::new();
             for seq in 0..3u64 {
                 let sol = est.estimate_cached(&frame(seq), None, &mut cache_a).unwrap();
                 cache_a.restore_warm(sol.vm.clone(), sol.va.clone());
@@ -186,7 +198,7 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
 
             // The replacement comes up with a fresh cache and only the
             // checkpoint's warm profile.
-            let mut cache_b = pgse::estimation::wls::SolveCache::new();
+            let mut cache_b = SolveCache::new();
             cache_b.restore_warm(warm.0, warm.1);
 
             let survivor = est.estimate_cached(&frame(3), None, &mut cache_a).unwrap();

@@ -31,7 +31,7 @@ use pgse::grid::cases::ieee118_like;
 use pgse::powerflow::{solve, PfOptions};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
 use pgse::sparsela::{
-    solve_systems, BatchCholesky, BatchPlan, BoundaryCondenser, CholSymbolic, Csr, SparseCholesky,
+    BatchCholesky, BatchPlan, BoundaryCondenser, CholSymbolic, Csr, SparseCholesky,
 };
 use pgse::stream::{StreamConfig, StreamService};
 use pgse_bench::timing::{paired_best_until, time_ns};
@@ -89,7 +89,7 @@ fn batched_solve_is_bitwise_identical_to_scalar_across_pools() {
         .collect();
 
     // One flat list mixing all areas' frames exercises pattern grouping:
-    // solve_systems must regroup each area's frames into one batch.
+    // solve_round must regroup each area's frames into one batch.
     let flat: Vec<(&Csr, &[f64])> = areas
         .iter()
         .flat_map(|frames| frames.iter().map(|(g, b)| (g, b.as_slice())))
@@ -97,7 +97,11 @@ fn batched_solve_is_bitwise_identical_to_scalar_across_pools() {
     let flat_ref: Vec<&Vec<f64>> = reference.iter().flatten().collect();
 
     for pool in pools() {
-        let sols = pool.install(|| solve_systems(&flat).unwrap());
+        let sols: Vec<Vec<f64>> = pool
+            .install(|| BatchPlan::new().solve_round(&flat).results)
+            .into_iter()
+            .map(Result::unwrap)
+            .collect();
         assert_eq!(sols.len(), flat_ref.len());
         for (i, (got, want)) in sols.iter().zip(&flat_ref).enumerate() {
             assert_eq!(got.len(), want.len());
@@ -135,7 +139,7 @@ fn refactor_reuse_is_bitwise_identical_to_from_scratch_across_pools() {
                     let shared = SparseCholesky::factor_with_symbolic(sym, g).unwrap();
                     let want = fresh.solve(b);
                     for got in
-                        [batch.solve_lane(0, b), scalar.solve(b), shared.solve(b)]
+                        [batch.solve_all(&[b]).swap_remove(0), scalar.solve(b), shared.solve(b)]
                     {
                         for (x, y) in got.iter().zip(&want) {
                             assert_eq!(
