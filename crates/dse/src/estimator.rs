@@ -203,7 +203,10 @@ impl AreaEstimator {
         &self,
         set: &MeasurementSet,
     ) -> (pgse_sparsela::Csr, Vec<f64>) {
-        first_gain_system(&self.step1_est, set, None)
+        let mut cache = SolveCache::new();
+        let wave =
+            self.step1_est.wave_begin(set, None, &mut cache).expect("observable measurement set");
+        (wave.gain().clone(), wave.rhs().to_vec())
     }
 
     /// Opens a Gauss–Newton *wave* for a Step-1 solve: the caller drives
@@ -222,24 +225,6 @@ impl AreaEstimator {
         cache: &'a mut SolveCache,
     ) -> Result<pgse_estimation::GnWave<'a>, WlsError> {
         self.step1_est.wave_begin(set, None, cache)
-    }
-
-    /// The first Gauss–Newton gain system `(G, rhs)` of a Step-2 solve,
-    /// evaluated at the Step-1 + pseudo warm start — the extended-model
-    /// analogue of [`AreaEstimator::step1_gain_system`], exposed so
-    /// conformance tests and benchmarks can exercise Schur condensation
-    /// on *real* extended gain matrices.
-    pub fn step2_gain_system(
-        &self,
-        step1: &AreaSolution,
-        neighbor_pseudo: &[PseudoMeasurement],
-        local_set: &MeasurementSet,
-        noise_level: f64,
-        seed: u64,
-    ) -> (pgse_sparsela::Csr, Vec<f64>) {
-        let (set, vm0, va0) =
-            self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
-        first_gain_system(&self.step2_est, &set, Some((&vm0, &va0)))
     }
 
     /// DSE Step 1: local WLS on the area's own measurements.
@@ -305,10 +290,11 @@ impl AreaEstimator {
         self.step2_cached(step1, neighbor_pseudo, local_set, noise_level, seed, &mut cache)
     }
 
-    /// [`AreaEstimator::step2`] with cross-frame structure reuse. The warm
-    /// start still comes from Step 1 + pseudo values (fresher than the
-    /// previous frame's extended state); only the symbolic structures are
-    /// carried across frames.
+    /// [`AreaEstimator::step2`] with cross-frame structure reuse: the same
+    /// cached WLS engine as Step 1, on the extended model. The warm start
+    /// still comes from Step 1 + pseudo values (fresher than the previous
+    /// frame's extended state); the symbolic structures and, under the
+    /// direct solver, the factor they refresh are carried across frames.
     ///
     /// # Errors
     /// Propagates WLS failures.
@@ -321,49 +307,10 @@ impl AreaEstimator {
         seed: u64,
         cache: &mut SolveCache,
     ) -> Result<AreaSolution, WlsError> {
-        if cache.condense_targets().is_none() {
-            cache.set_condense_targets(self.step2_condense_targets());
-        }
         let (set, vm0, va0) =
             self.step2_inputs(step1, neighbor_pseudo, local_set, noise_level, seed);
         let est = self.step2_est.estimate_cached(&set, Some((&vm0, &va0)), cache)?;
         Ok(self.merge_step2(step1, &est.vm, &est.va, est.iterations, est.objective))
-    }
-
-    /// The extended-model state indices treated as *boundary* when Step-2
-    /// normal equations are Schur-condensed: the states of the exported
-    /// (boundary/sensitive) local buses plus the appended foreign buses.
-    /// Everything else — the interior bulk whose pattern and values barely
-    /// couple to the pseudo exchange — is condensed away. Returns an empty
-    /// vector (condensation disabled) when the split would be degenerate:
-    /// no boundary at all, or an interior too small (fewer than two buses'
-    /// worth of states) for the Schur complement to eliminate anything.
-    pub fn step2_condense_targets(&self) -> Vec<usize> {
-        let space = self.step2_est.space();
-        let n_local = self.step1_est.network().n_buses();
-        let ext_n = self.step2_est.network().n_buses();
-        let mut states = Vec::new();
-        let push_bus = |b: usize, states: &mut Vec<usize>| {
-            states.push(space.mag_pos(b));
-            if let Some(p) = space.angle_pos(b) {
-                states.push(p);
-            }
-        };
-        for l in self.info.exported_buses() {
-            push_bus(l, &mut states);
-        }
-        for b in n_local..ext_n {
-            push_bus(b, &mut states);
-        }
-        states.sort_unstable();
-        states.dedup();
-        // A Schur complement needs something to condense: require a
-        // non-empty boundary and at least two interior buses' states.
-        if states.is_empty() || states.len() + 4 > space.dim() {
-            Vec::new()
-        } else {
-            states
-        }
     }
 
     /// Builds the Step-2 measurement set (local scan + tie-line flows +
@@ -467,18 +414,6 @@ impl AreaEstimator {
     pub fn n_ties(&self) -> usize {
         self.ties.len()
     }
-}
-
-/// Iteration 1's `(G, rhs)` of `est` on `set`, off a wave on a throwaway
-/// cache.
-fn first_gain_system(
-    est: &WlsEstimator,
-    set: &MeasurementSet,
-    warm: Option<(&[f64], &[f64])>,
-) -> (pgse_sparsela::Csr, Vec<f64>) {
-    let mut cache = SolveCache::new();
-    let wave = est.wave_begin(set, warm, &mut cache).expect("observable measurement set");
-    (wave.gain().clone(), wave.rhs().to_vec())
 }
 
 #[cfg(test)]

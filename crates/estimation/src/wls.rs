@@ -8,7 +8,7 @@
 
 use pgse_grid::{Network, Ybus};
 use pgse_sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse_sparsela::{AtaSymbolic, BoundaryCondenser, Csr, LaError, SparseCholesky};
+use pgse_sparsela::{AtaSymbolic, Csr, LaError, SparseCholesky};
 
 use crate::jacobian::{evaluate_h, JacobianPattern, StateSpace};
 use crate::measurement::MeasurementSet;
@@ -164,12 +164,6 @@ pub struct SolveCache {
     /// unchanged gain pattern refresh its numeric values only
     /// ([`GainSolver::Direct`]).
     chol: Option<SparseCholesky>,
-    /// State indices forming the boundary block of a Schur-condensed
-    /// direct solve ([`SolveCache::set_condense_targets`]); `None` keeps
-    /// the plain factorization.
-    condense_boundary: Option<Vec<usize>>,
-    /// Cached condensation; warm frames refresh it numerically.
-    condenser: Option<BoundaryCondenser>,
     warm: Option<(Vec<f64>, Vec<f64>)>,
     /// Symbolic structures built from scratch (topology/plan changes).
     pub symbolic_builds: u64,
@@ -185,9 +179,6 @@ pub struct SolveCache {
     /// Direct gain solves that factored from scratch (first frame, or the
     /// gain pattern changed).
     pub refactor_full: u64,
-    /// Direct gain solves routed through the Schur-condensed path
-    /// (each also counts in `refactor_reuse`/`refactor_full`).
-    pub condensed_solves: u64,
 }
 
 impl SolveCache {
@@ -202,47 +193,26 @@ impl SolveCache {
     }
 
     /// Drops cached structures and the warm state (e.g. after a topology
-    /// change the caller knows about). Condensation targets survive — they
-    /// derive from the state-space layout, not the frame.
+    /// change the caller knows about).
     pub fn clear(&mut self) {
         self.pattern = None;
         self.jac_buf = None;
         self.gain_sym = None;
         self.gain_buf = None;
         self.chol = None;
-        self.condenser = None;
         self.warm = None;
-    }
-
-    /// Routes [`GainSolver::Direct`] cached solves through a
-    /// [`BoundaryCondenser`]: the given state indices become the boundary
-    /// block and everything else (internal + foreign buses in an extended
-    /// model) is condensed out through the Schur complement. Ignored when
-    /// the split would be degenerate (no internal or no boundary block) —
-    /// the plain factorization runs instead. Condensed solutions agree
-    /// with the uncondensed ones to solver tolerance, not bitwise.
-    pub fn set_condense_targets(&mut self, boundary_states: Vec<usize>) {
-        self.condense_boundary =
-            if boundary_states.is_empty() { None } else { Some(boundary_states) };
-        self.condenser = None;
-    }
-
-    /// The configured condensation boundary, if any.
-    pub fn condense_targets(&self) -> Option<&[usize]> {
-        self.condense_boundary.as_deref()
     }
 
     /// Prepares the cache for a restarted worker whose topology was
     /// verified unchanged (the checkpoint's [`StructureDescriptor`]
     /// matches): the symbolic structures are kept — saving the re-analysis
     /// the restart would otherwise pay — while all per-run numeric state
-    /// (cached factor, condenser, warm start) is dropped and the counters
+    /// (cached factor, warm start) is dropped and the counters
     /// are zeroed, since the supervisor has already absorbed them into its
     /// retired totals. Results are unaffected either way: structures
     /// rebuild deterministically from the first frame.
     pub fn retain_structures_for_restart(&mut self) {
         self.chol = None;
-        self.condenser = None;
         self.warm = None;
         self.symbolic_builds = 0;
         self.symbolic_reuses = 0;
@@ -250,7 +220,6 @@ impl SolveCache {
         self.cold_solves = 0;
         self.refactor_reuse = 0;
         self.refactor_full = 0;
-        self.condensed_solves = 0;
     }
 
     /// Whether symbolic structures are currently cached.
@@ -311,20 +280,11 @@ struct DirectCtx<'a> {
     slot: &'a mut Option<SparseCholesky>,
     reuse: &'a mut u64,
     full: &'a mut u64,
-    condense: Option<CondenseCtx<'a>>,
-}
-
-/// The Schur-condensation half of a [`DirectCtx`], present when the cache
-/// carries condensation targets.
-struct CondenseCtx<'a> {
-    boundary: &'a [usize],
-    slot: &'a mut Option<BoundaryCondenser>,
-    solves: &'a mut u64,
 }
 
 /// Maps an SPD failure to the estimator-level "not observable" diagnosis,
 /// anything else to a solver error — the shared mapping of every direct
-/// gain-solve path (scalar, condensed, and the round-batched waves).
+/// gain-solve path (scalar and the round-batched waves).
 fn spd_err(e: LaError) -> WlsError {
     match e {
         LaError::NotPositiveDefinite { .. } => WlsError::NotObservable(e.to_string()),
@@ -342,13 +302,13 @@ pub struct WlsEstimator {
 }
 
 impl WlsEstimator {
-    /// Builds an estimator. When `set`s will carry a PMU angle reference use
-    /// [`StateSpace::full`]; otherwise use a slack-referenced space.
     /// The options this estimator was built with.
     pub fn opts(&self) -> &WlsOptions {
         &self.opts
     }
 
+    /// Builds an estimator. When `set`s will carry a PMU angle reference use
+    /// [`StateSpace::full`]; otherwise use a slack-referenced space.
     pub fn new(net: Network, space: StateSpace, opts: WlsOptions) -> Self {
         assert_eq!(space.n_buses(), net.n_buses(), "state space size mismatch");
         let ybus = {
@@ -449,7 +409,6 @@ impl WlsEstimator {
             cache.gain_sym = Some(sym);
             cache.pattern = Some(pattern);
             cache.chol = None;
-            cache.condenser = None;
             cache.symbolic_builds += 1;
             pgse_obs::counter_add("wls.symbolic.build", 1);
         } else {
@@ -531,36 +490,6 @@ impl WlsEstimator {
     ) -> Result<(Vec<f64>, usize), WlsError> {
         match self.opts.solver {
             GainSolver::Direct => {
-                if let Some(c) = ctx.condense {
-                    // Schur-condensed path: solve through the boundary
-                    // block, refreshing the cached condensation numerically
-                    // on warm frames. A failed refresh or build falls back
-                    // to the plain factorization below — the condensation
-                    // is an accelerator, never a new failure mode.
-                    let mut reused = false;
-                    if let Some(cond) = c.slot.as_mut() {
-                        if cond.refresh(gain).is_ok() {
-                            reused = true;
-                        } else {
-                            *c.slot = None;
-                        }
-                    }
-                    if !reused {
-                        *c.slot = BoundaryCondenser::new(gain, c.boundary).ok();
-                    }
-                    if let Some(cond) = c.slot.as_ref() {
-                        if reused {
-                            *ctx.reuse += 1;
-                            pgse_obs::counter_add("wls.refactor.reuse", 1);
-                        } else {
-                            *ctx.full += 1;
-                            pgse_obs::counter_add("wls.refactor.full", 1);
-                        }
-                        *c.solves += 1;
-                        pgse_obs::counter_add("wls.condensed", 1);
-                        return Ok((cond.solve(rhs), 0usize));
-                    }
-                }
                 let reusable =
                     ctx.slot.as_ref().map(|c| c.pattern_matches(gain)).unwrap_or(false);
                 if reusable {
@@ -684,26 +613,8 @@ impl<'a> GnWave<'a> {
     /// # Errors
     /// See [`WlsError`] — the gain solve's failures.
     fn step(&mut self) -> Result<bool, WlsError> {
-        let SolveCache {
-            gain_buf,
-            chol,
-            condense_boundary,
-            condenser,
-            refactor_reuse,
-            refactor_full,
-            condensed_solves,
-            ..
-        } = &mut *self.cache;
-        let ctx = DirectCtx {
-            slot: chol,
-            reuse: refactor_reuse,
-            full: refactor_full,
-            condense: condense_boundary.as_ref().map(|b| CondenseCtx {
-                boundary: b.as_slice(),
-                slot: condenser,
-                solves: condensed_solves,
-            }),
-        };
+        let SolveCache { gain_buf, chol, refactor_reuse, refactor_full, .. } = &mut *self.cache;
+        let ctx = DirectCtx { slot: chol, reuse: refactor_reuse, full: refactor_full };
         let solve_span = pgse_obs::span("wls.gain_solve");
         let gain = gain_buf.as_ref().expect("assembled");
         let (dx, inner) = self.est.solve_gain(gain, &self.rhs, ctx)?;
@@ -1144,33 +1055,6 @@ mod tests {
             (waved[0].iterations + waved[1].iterations) as u64
         );
         assert!(cache_wave.warm_state().is_some());
-    }
-
-    #[test]
-    fn condensed_direct_solve_matches_plain_and_counts() {
-        let net = ieee14();
-        let set = exact_set(&net, &[0]);
-        let est = WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::direct());
-
-        let mut plain_cache = SolveCache::new();
-        let plain = est.estimate_cached(&set, None, &mut plain_cache).unwrap();
-
-        // Condense everything except the first six state variables.
-        let mut cond_cache = SolveCache::new();
-        cond_cache.set_condense_targets((0..6).collect());
-        assert_eq!(cond_cache.condense_targets(), Some(&(0..6).collect::<Vec<_>>()[..]));
-        let first = est.estimate_cached(&set, None, &mut cond_cache).unwrap();
-        let second = est.estimate_cached(&set, None, &mut cond_cache).unwrap();
-        for i in 0..14 {
-            assert!((plain.vm[i] - first.vm[i]).abs() < 1e-7, "vm[{i}]");
-            assert!((plain.va[i] - first.va[i]).abs() < 1e-7, "va[{i}]");
-        }
-        // Every gain solve went through the condenser, and each still
-        // ticked exactly one refactor counter.
-        let total = (first.iterations + second.iterations) as u64;
-        assert_eq!(cond_cache.condensed_solves, total);
-        assert_eq!(cond_cache.refactor_reuse + cond_cache.refactor_full, total);
-        assert_eq!(cond_cache.refactor_full, 1, "one build, then numeric refreshes");
     }
 
     #[test]

@@ -22,18 +22,13 @@
 //! [`crate::SparseCholesky`] factorization/solve of that system alone**,
 //! so batched results are bitwise identical to per-system results — the
 //! conformance contract `tests/solver_batch.rs` pins (DESIGN.md §12).
-//!
-//! [`BoundaryCondenser`] implements the companion decomposition: condense
-//! the boundary variables of one system out via a Schur complement over
-//! the internal block, so the internal solve (the large, repeating part)
-//! and the small dense boundary system factor separately.
 
 use std::sync::Arc;
 
 use crate::csr::Csr;
 use crate::scholesky::{CholSymbolic, SparseCholesky};
 use crate::vecops::{lanes_div, lanes_gather, lanes_gather_at, lanes_mul_sub};
-use crate::{Coo, LaError, LaResult};
+use crate::{LaError, LaResult};
 
 /// Same-pattern groups of at least this many systems factor as lanes of one
 /// [`BatchCholesky`]; a lone system takes the scalar numeric pass. The two
@@ -449,181 +444,10 @@ impl BatchPlan {
     }
 }
 
-/// Boundary condensation of one SPD system: splits the variables into an
-/// internal block `I` and a boundary block `B`, factors the internal block
-/// alone, and eliminates the boundary through the Schur complement
-/// `S = A_BB − A_BI · A_II⁻¹ · A_IB`. This is the internal-block/boundary
-/// split of block-bordered power-system matrices: the large internal
-/// factor is reusable across whatever couples the areas at the boundary,
-/// and the boundary system is small and dense.
-///
-/// The condensed solve takes a different floating-point path than a direct
-/// factorization, so its results agree to solver tolerance, **not**
-/// bitwise — it is an accuracy-checked decomposition, not a lane of the
-/// determinism contract.
-#[derive(Debug, Clone)]
-pub struct BoundaryCondenser {
-    n: usize,
-    internal: Vec<usize>,
-    boundary: Vec<usize>,
-    chol_ii: SparseCholesky,
-    a_bi: Csr,
-    chol_s: SparseCholesky,
-}
-
-impl BoundaryCondenser {
-    /// Builds the condensation of `a` for the given boundary variable set
-    /// (deduplicated; order irrelevant).
-    ///
-    /// # Errors
-    /// [`LaError::DimensionMismatch`] for a non-square matrix, an
-    /// out-of-range index, or an empty internal/boundary block;
-    /// [`LaError::NotPositiveDefinite`] when the internal block or the
-    /// Schur complement is not SPD.
-    pub fn new(a: &Csr, boundary: &[usize]) -> LaResult<Self> {
-        let n = a.nrows();
-        if a.ncols() != n {
-            return Err(LaError::DimensionMismatch { expected: n, found: a.ncols() });
-        }
-        let mut is_boundary = vec![false; n];
-        for &b in boundary {
-            if b >= n {
-                return Err(LaError::DimensionMismatch { expected: n, found: b });
-            }
-            is_boundary[b] = true;
-        }
-        let boundary: Vec<usize> = (0..n).filter(|&i| is_boundary[i]).collect();
-        let internal: Vec<usize> = (0..n).filter(|&i| !is_boundary[i]).collect();
-        if boundary.is_empty() || internal.is_empty() {
-            return Err(LaError::DimensionMismatch { expected: n, found: boundary.len() });
-        }
-        let a_ii = a.submatrix(&internal, &internal);
-        let a_bi = a.submatrix(&boundary, &internal);
-        let a_bb = a.submatrix(&boundary, &boundary);
-        let chol_ii = SparseCholesky::factor(&a_ii)?;
-
-        // Schur complement column by column: S·e_j = A_BB e_j − A_BI ·
-        // (A_II⁻¹ · A_IB e_j), with A_IB e_j read off row j of A_BI by
-        // symmetry. Dense in general — the boundary block is small.
-        let (ni, nb) = (internal.len(), boundary.len());
-        let mut coo = Coo::new(nb, nb);
-        let mut col = vec![0.0f64; ni];
-        for j in 0..nb {
-            col.fill(0.0);
-            let (cols, vals) = a_bi.row(j);
-            for (c, v) in cols.iter().zip(vals) {
-                col[*c] = *v;
-            }
-            let t = chol_ii.solve(&col);
-            let down = a_bi.mul_vec(&t);
-            let mut s_col = vec![0.0f64; nb];
-            let (bcols, bvals) = a_bb.row(j);
-            for (c, v) in bcols.iter().zip(bvals) {
-                s_col[*c] = *v;
-            }
-            for (i, s) in s_col.iter_mut().enumerate() {
-                *s -= down[i];
-                coo.push(i, j, *s);
-            }
-        }
-        let chol_s = SparseCholesky::factor_natural(&coo.to_csr())?;
-        Ok(BoundaryCondenser { n, internal, boundary, chol_ii, a_bi, chol_s })
-    }
-
-    /// Numeric refresh for new values of a matrix with the **same**
-    /// dimension, pattern, and boundary split (the warm-frame path): the
-    /// cached index sets re-extract the blocks, the internal factor and
-    /// the Schur factor refresh through [`SparseCholesky::refactor`], and
-    /// only the dense Schur assembly is recomputed. Falls back to a full
-    /// re-factorization of a block when its extracted pattern drifted
-    /// (values structurally dropping to zero can do that).
-    ///
-    /// # Errors
-    /// [`LaError::DimensionMismatch`] on a size change — rebuild with
-    /// [`BoundaryCondenser::new`] instead; [`LaError::NotPositiveDefinite`]
-    /// when the new internal block or Schur complement is not SPD (the
-    /// condenser is left in a mixed state — discard it).
-    pub fn refresh(&mut self, a: &Csr) -> LaResult<()> {
-        if a.nrows() != self.n || a.ncols() != self.n {
-            return Err(LaError::DimensionMismatch { expected: self.n, found: a.nrows() });
-        }
-        let a_ii = a.submatrix(&self.internal, &self.internal);
-        self.a_bi = a.submatrix(&self.boundary, &self.internal);
-        let a_bb = a.submatrix(&self.boundary, &self.boundary);
-        if self.chol_ii.refactor(&a_ii).is_err() {
-            self.chol_ii = SparseCholesky::factor(&a_ii)?;
-        }
-        let (ni, nb) = (self.internal.len(), self.boundary.len());
-        let mut coo = Coo::new(nb, nb);
-        let mut col = vec![0.0f64; ni];
-        for j in 0..nb {
-            col.fill(0.0);
-            let (cols, vals) = self.a_bi.row(j);
-            for (c, v) in cols.iter().zip(vals) {
-                col[*c] = *v;
-            }
-            let t = self.chol_ii.solve(&col);
-            let down = self.a_bi.mul_vec(&t);
-            let mut s_col = vec![0.0f64; nb];
-            let (bcols, bvals) = a_bb.row(j);
-            for (c, v) in bcols.iter().zip(bvals) {
-                s_col[*c] = *v;
-            }
-            for (i, s) in s_col.iter_mut().enumerate() {
-                *s -= down[i];
-                coo.push(i, j, *s);
-            }
-        }
-        let s_csr = coo.to_csr();
-        if self.chol_s.refactor(&s_csr).is_err() {
-            self.chol_s = SparseCholesky::factor_natural(&s_csr)?;
-        }
-        Ok(())
-    }
-
-    /// Number of boundary variables after deduplication.
-    pub fn n_boundary(&self) -> usize {
-        self.boundary.len()
-    }
-
-    /// Number of internal variables.
-    pub fn n_internal(&self) -> usize {
-        self.internal.len()
-    }
-
-    /// Solves `A x = b` through the condensed system: forward-eliminate
-    /// the internal block, solve the boundary Schur system, back-substitute.
-    ///
-    /// # Panics
-    /// Panics on a wrong-length rhs.
-    pub fn solve(&self, b: &[f64]) -> Vec<f64> {
-        assert_eq!(b.len(), self.n, "condensed solve: rhs length");
-        let b_i: Vec<f64> = self.internal.iter().map(|&i| b[i]).collect();
-        let b_b: Vec<f64> = self.boundary.iter().map(|&i| b[i]).collect();
-        // Boundary system: S x_B = b_B − A_BI · A_II⁻¹ b_I.
-        let u = self.chol_ii.solve(&b_i);
-        let coupled = self.a_bi.mul_vec(&u);
-        let t: Vec<f64> = b_b.iter().zip(&coupled).map(|(p, q)| p - q).collect();
-        let x_b = self.chol_s.solve(&t);
-        // Internal back-substitution: A_II x_I = b_I − A_IB x_B.
-        let mut w = vec![0.0f64; self.internal.len()];
-        self.a_bi.spmv_transpose(&x_b, &mut w);
-        let rhs_i: Vec<f64> = b_i.iter().zip(&w).map(|(p, q)| p - q).collect();
-        let x_i = self.chol_ii.solve(&rhs_i);
-        let mut out = vec![0.0f64; self.n];
-        for (&slot, &v) in self.internal.iter().zip(&x_i) {
-            out[slot] = v;
-        }
-        for (&slot, &v) in self.boundary.iter().zip(&x_b) {
-            out[slot] = v;
-        }
-        out
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::Coo;
 
     fn laplacian2d(k: usize) -> Csr {
         let n = k * k;
@@ -873,67 +697,4 @@ mod tests {
         assert!(matches!(round2.results[1], Err(LaError::DimensionMismatch { .. })));
         assert_eq!(round2.batched_lanes + round2.scalar_fallbacks, 2);
     }
-
-    #[test]
-    fn condenser_refresh_matches_fresh_build() {
-        let a0 = lane_variant(&laplacian2d(6), 1);
-        let n = a0.nrows();
-        let boundary: Vec<usize> = (n - 6..n).collect();
-        let mut cond = BoundaryCondenser::new(&a0, &boundary).unwrap();
-        // New frame: same pattern, new values.
-        let a1 = lane_variant(&laplacian2d(6), 7);
-        cond.refresh(&a1).unwrap();
-        let fresh = BoundaryCondenser::new(&a1, &boundary).unwrap();
-        let b = rhs_for(n, 11);
-        let x_r = cond.solve(&b);
-        let x_f = fresh.solve(&b);
-        let x_d = SparseCholesky::factor(&a1).unwrap().solve(&b);
-        for ((p, q), d) in x_r.iter().zip(&x_f).zip(&x_d) {
-            assert_eq!(p.to_bits(), q.to_bits(), "refresh vs fresh condenser");
-            assert!((p - d).abs() < 1e-8, "refresh vs direct: {p} vs {d}");
-        }
-        // A size change is a structural event, not a refresh.
-        let small = laplacian2d(3);
-        assert!(matches!(cond.refresh(&small), Err(LaError::DimensionMismatch { .. })));
-    }
-
-    #[test]
-    fn boundary_condensation_agrees_with_direct_solve() {
-        let a = laplacian2d(6);
-        let n = a.nrows();
-        // The last grid row as the "boundary" with the neighbouring area.
-        let boundary: Vec<usize> = (n - 6..n).collect();
-        let cond = BoundaryCondenser::new(&a, &boundary).unwrap();
-        assert_eq!(cond.n_boundary(), 6);
-        assert_eq!(cond.n_internal(), n - 6);
-        let b = rhs_for(n, 5);
-        let x_cond = cond.solve(&b);
-        let x_direct = SparseCholesky::factor(&a).unwrap().solve(&b);
-        for (p, q) in x_cond.iter().zip(&x_direct) {
-            assert!((p - q).abs() < 1e-8, "condensed {p} vs direct {q}");
-        }
-    }
-
-    #[test]
-    fn boundary_condenser_rejects_bad_sets() {
-        let a = laplacian2d(3);
-        let n = a.nrows();
-        assert!(matches!(
-            BoundaryCondenser::new(&a, &[n]),
-            Err(LaError::DimensionMismatch { .. })
-        ));
-        assert!(matches!(
-            BoundaryCondenser::new(&a, &[]),
-            Err(LaError::DimensionMismatch { .. })
-        ));
-        let all: Vec<usize> = (0..n).collect();
-        assert!(matches!(
-            BoundaryCondenser::new(&a, &all),
-            Err(LaError::DimensionMismatch { .. })
-        ));
-        // Duplicates are tolerated (deduplicated).
-        let cond = BoundaryCondenser::new(&a, &[0, 0, 1]).unwrap();
-        assert_eq!(cond.n_boundary(), 2);
-    }
 }
-

@@ -44,7 +44,7 @@ pub mod tuning;
 pub mod update;
 pub mod vecops;
 
-pub use batch::{BatchCholesky, BatchPlan, BoundaryCondenser, RoundOutcome};
+pub use batch::{BatchCholesky, BatchPlan, RoundOutcome};
 pub use complex::Cplx;
 pub use coo::Coo;
 pub use csc::Csc;

@@ -4,20 +4,24 @@
 //! repo's core reproducibility claim: parallel kernels are **bitwise
 //! identical** to their sequential references for any worker count
 //! (`vecops`' fixed-chunk reduction contract), a full WLS solve is
-//! byte-for-byte the same with `parallel` on or off, and the same-seed
-//! ObsReport stays byte-identical with parallelism enabled.
+//! byte-for-byte the same with `parallel` on or off, DSE Step 2 on a
+//! persistent cache is bit-for-bit Step 2 on a throwaway one, and the
+//! same-seed ObsReport stays byte-identical with parallelism enabled.
 //!
 //! Thresholds are lowered process-wide so the parallel paths engage even
 //! at IEEE-118 scale; that is safe precisely because of the contract under
 //! test — execution strategy can never change a result.
 
 use pgse::core::{PrototypeConfig, SystemPrototype};
+use pgse::dse::decomposition::{decompose, DecompositionOptions};
+use pgse::dse::{AreaEstimator, AreaSolution, PseudoMeasurement};
+use pgse::estimation::measurement::MeasurementSet;
 use pgse::estimation::jacobian::{assemble_jacobian, StateSpace};
 use pgse::estimation::synthetic::TelemetryPlan;
 use pgse::estimation::wls::{GainSolver, PrecondKind, SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
-use pgse::grid::Ybus;
-use pgse::powerflow::{solve as solve_pf, PfOptions};
+use pgse::grid::{Network, Ybus};
+use pgse::powerflow::{solve as solve_pf, PfOptions, PfSolution};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
 use pgse::sparsela::{tuning, vecops, Csr};
 
@@ -47,6 +51,40 @@ fn gain_118() -> (Csr, Vec<f64>) {
     let wr: Vec<f64> = set.values().iter().zip(set.weights()).map(|(z, w)| z * w * 0.01).collect();
     h.spmv_transpose(&wr, &mut rhs);
     (gain, rhs)
+}
+
+/// One frame's Step-2 inputs for one area: its scan, its Step-1 solution
+/// and the neighbours' pseudo measurements.
+type Step2Frame = (MeasurementSet, AreaSolution, Vec<PseudoMeasurement>);
+
+/// Every area's direct-solver estimator with `frames` consecutive frames
+/// of Step-2 inputs (fresh noise per frame, fixed structure).
+fn step2_frames(
+    net: &Network,
+    pf: &PfSolution,
+    frames: u64,
+) -> Vec<(AreaEstimator, Vec<Step2Frame>)> {
+    let d = decompose(net, &DecompositionOptions::default());
+    let ests: Vec<AreaEstimator> = d
+        .areas
+        .iter()
+        .map(|a| AreaEstimator::new(a.clone(), net, pf, WlsOptions::direct()))
+        .collect();
+    let mut inputs: Vec<Vec<Step2Frame>> = vec![Vec::new(); ests.len()];
+    for f in 0..frames {
+        let sets: Vec<MeasurementSet> =
+            ests.iter().map(|e| e.generate_telemetry(1.0, 400 + f)).collect();
+        let s1: Vec<AreaSolution> =
+            ests.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
+        let pseudo: Vec<Vec<PseudoMeasurement>> =
+            ests.iter().zip(&s1).map(|(e, s)| e.export_pseudo(s)).collect();
+        for (a, (set, sol)) in sets.into_iter().zip(s1).enumerate() {
+            let inbox =
+                ests[a].info.neighbors.iter().flat_map(|&nb| pseudo[nb].iter().copied()).collect();
+            inputs[a].push((set, sol, inbox));
+        }
+    }
+    ests.into_iter().zip(inputs).collect()
 }
 
 #[test]
@@ -134,6 +172,7 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
     };
     let pcg_ic0 = GainSolver::Pcg { precond: PrecondKind::Ic0 };
     let seq = estimator(pcg_ic0, false).estimate(&set).unwrap();
+    let step2_areas = step2_frames(&net, &pf, 4);
     for threads in POOL_SIZES {
         let par = with_pool(threads, || estimator(pcg_ic0, true).estimate(&set).unwrap());
         assert_eq!(par.iterations, seq.iterations, "@ {threads} threads");
@@ -158,6 +197,35 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
             }
             assert_eq!(plain.objective.to_bits(), cached.objective.to_bits());
         }
+        // DSE Step 2 is that same engine on the one-hop-extended model: on
+        // every area, frame after frame, the persistent cache (one symbolic
+        // build, one full factorization, numeric refactors after) gives
+        // bit for bit what a throwaway cache gives.
+        with_pool(threads, || {
+            for (a, (est, frames)) in step2_areas.iter().enumerate() {
+                let mut cache = SolveCache::new();
+                let mut gn = 0u64;
+                for (f, (set, s1, inbox)) in frames.iter().enumerate() {
+                    let seed = 900 + f as u64;
+                    let cached = est.step2_cached(s1, inbox, set, 1.0, seed, &mut cache).unwrap();
+                    let plain = est.step2(s1, inbox, set, 1.0, seed).unwrap();
+                    assert_eq!(cached.iterations, plain.iterations, "area {a} frame {f}");
+                    gn += cached.iterations as u64;
+                    for (p, q) in
+                        cached.vm.iter().zip(&plain.vm).chain(cached.va.iter().zip(&plain.va))
+                    {
+                        assert_eq!(
+                            p.to_bits(),
+                            q.to_bits(),
+                            "step 2, area {a} frame {f} @ {threads} threads"
+                        );
+                    }
+                }
+                assert_eq!(cache.symbolic_builds, 1, "area {a}");
+                assert_eq!(cache.refactor_full, 1, "area {a}");
+                assert_eq!(cache.refactor_reuse + cache.refactor_full, gn, "area {a}");
+            }
+        });
     }
 }
 

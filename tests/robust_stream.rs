@@ -13,6 +13,8 @@
 //!   `rtu_outages == frames_restored + short_scan_observable +
 //!   unobservable_degraded` closes from the report *and* the replayed obs
 //!   counters;
+//! * an area whose Step 1 *and* Step 2 both fail on a scan is published
+//!   degraded (its carried state, listed in `degraded_areas`), never clean;
 //! * **a mid-stream branch switch re-runs symbolic analysis only for the
 //!   affected area** (pinned per area via `area_symbolic_builds`), the
 //!   same-seed deterministic ObsReport stays byte-identical across the
@@ -212,6 +214,37 @@ fn rtu_outages_restore_and_the_identity_closes_from_obs_counters() {
     for w in fingerprints.windows(2) {
         assert_eq!(w[0], w[1], "restoration accounting varies with pool size");
     }
+}
+
+#[test]
+fn area_failing_both_steps_is_published_degraded_not_clean() {
+    let _serial = serial();
+    let net = ieee118_like();
+    // With restoration off, the two-site RTU outage on area 2's last scan
+    // leaves it unobservable: Step 1 and Step 2 both fail on it.
+    let cfg = StreamConfig {
+        n_frames: 6,
+        seed: 3,
+        deterministic_rounds: true,
+        restoration: false,
+        scan_faults: Some(ScanFaultPlan {
+            rtu_sites: 2,
+            rtu_at: vec![(5, 2)],
+            ..Default::default()
+        }),
+        ..Default::default()
+    };
+    let service = StreamService::deploy(&net, cfg).unwrap();
+    let report = service.run();
+
+    assert_eq!(report.solve_errors, 2, "{report:?}");
+    assert_eq!(report.unaccounted(), 0, "{report:?}");
+    assert_eq!(report.frames_published, 6, "{report:?}");
+    // The area published its carried state, so the round says so.
+    assert_eq!(report.degraded_area_rounds, 1, "{report:?}");
+    let last = service.store().load().unwrap();
+    assert_eq!(last.frame_seq, 5);
+    assert_eq!(last.degraded_areas, vec![2]);
 }
 
 /// An intra-area branch whose endpoints are both strictly internal (no

@@ -30,9 +30,7 @@ use pgse::estimation::wls::{SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::powerflow::{solve, PfOptions};
 use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse::sparsela::{
-    BatchCholesky, BatchPlan, BoundaryCondenser, CholSymbolic, Csr, SparseCholesky,
-};
+use pgse::sparsela::{BatchCholesky, BatchPlan, CholSymbolic, Csr, SparseCholesky};
 use pgse::stream::{StreamConfig, StreamService};
 use pgse_bench::timing::{paired_best_until, time_ns};
 
@@ -345,68 +343,4 @@ fn round_batch_plan_is_bitwise_identical_to_scalar_across_pools() {
             assert!(plan.cached_symbolics() <= areas.len());
         });
     }
-}
-
-#[test]
-fn condensed_step2_solve_matches_uncondensed_across_pools() {
-    let _serial = serial();
-    // Real Step-2 extended gain systems: Step 1 everywhere, pseudo
-    // exchange, then the extended-model normal equations per area.
-    let net = ieee118_like();
-    let pf = solve(&net, &PfOptions::default()).unwrap();
-    let d = decompose(&net, &DecompositionOptions::default());
-    let estimators: Vec<AreaEstimator> = d
-        .areas
-        .iter()
-        .map(|a| AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::direct()))
-        .collect();
-    let sets: Vec<MeasurementSet> =
-        estimators.iter().map(|e| e.generate_telemetry(1.0, 400)).collect();
-    let s1: Vec<_> =
-        estimators.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
-    let pseudo: Vec<_> =
-        estimators.iter().zip(&s1).map(|(e, s)| e.export_pseudo(s)).collect();
-
-    let mut exercised = 0usize;
-    for (a, est) in estimators.iter().enumerate() {
-        let targets = est.step2_condense_targets();
-        if targets.is_empty() {
-            continue; // degenerate split: condensation stays off
-        }
-        let mut inbox = Vec::new();
-        for &nb in &est.info.neighbors {
-            inbox.extend(pseudo[nb].iter().copied());
-        }
-        let (g, rhs) = est.step2_gain_system(&s1[a], &inbox, &sets[a], 1.0, 900 + a as u64);
-        let direct = SparseCholesky::factor(&g).unwrap().solve(&rhs);
-        let scale = direct.iter().fold(1.0f64, |m, x| m.max(x.abs()));
-
-        // The condensed solution agrees with the uncondensed one to
-        // 1e-10 (relative to the solution scale) on every state…
-        let cond = BoundaryCondenser::new(&g, &targets).unwrap();
-        assert_eq!(cond.n_boundary(), targets.len());
-        let x0 = cond.solve(&rhs);
-        for (i, (c, u)) in x0.iter().zip(&direct).enumerate() {
-            assert!(
-                (c - u).abs() <= 1e-10 * scale,
-                "area {a} state {i}: condensed {c} vs direct {u}"
-            );
-        }
-        // …and is bitwise stable across 1|2|8-thread pools: the Schur
-        // pipeline is sequential per system, so the thread pool must not
-        // perturb a single bit.
-        for pool in pools() {
-            let xs = pool.install(|| BoundaryCondenser::new(&g, &targets).unwrap().solve(&rhs));
-            for (x, y) in xs.iter().zip(&x0) {
-                assert_eq!(
-                    x.to_bits(),
-                    y.to_bits(),
-                    "area {a} condensed solve diverged on a {}-thread pool",
-                    pool.current_num_threads()
-                );
-            }
-        }
-        exercised += 1;
-    }
-    assert!(exercised >= 3, "only {exercised} areas exercised condensation");
 }
