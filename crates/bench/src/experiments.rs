@@ -5,7 +5,7 @@ use std::fmt::Write as _;
 use pgse_core::{CoordinationMode, PrototypeConfig, SystemPrototype};
 use pgse_dse::decomposition::{decompose, DecompositionOptions};
 use pgse_dse::runner::{run_centralized, run_dse, DseOptions};
-use pgse_estimation::itermodel::{fit_affine, IterationModel};
+use crate::itermodel::{fit_affine, IterationModel};
 use pgse_estimation::jacobian::StateSpace;
 use pgse_estimation::synthetic::TelemetryPlan;
 use pgse_estimation::wls::{WlsEstimator, WlsOptions};

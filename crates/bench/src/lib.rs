@@ -5,6 +5,7 @@
 //! them). See DESIGN.md §4 for the experiment index.
 
 pub mod experiments;
+pub mod itermodel;
 pub mod overhead;
 pub mod timing;
 

@@ -29,6 +29,7 @@ pub mod dc;
 pub use dc::{DcScreener, ScreenVerdict, ScreenedCase};
 
 use std::sync::atomic::{AtomicUsize, Ordering};
+use std::sync::Barrier;
 
 use pgse_grid::Network;
 use pgse_obs::{Recorder, ScopeReport};
@@ -389,6 +390,10 @@ fn run_sweep(
     work: impl Fn(usize, &Recorder) -> CtgResult + Sync,
 ) -> SweepReport {
     let sweep_rec = Recorder::new("ctg.sweep");
+    // Every worker claims its first case before any worker starts solving,
+    // so a fast worker cannot drain the list while the others are still
+    // being scheduled.
+    let claimed = Barrier::new(n_workers);
     let per_worker: Vec<(Vec<(usize, CtgResult)>, ScopeReport)> = {
         let mut sweep_span = sweep_rec.span("scenario.sweep");
         sweep_span.record("workers", n_workers);
@@ -398,11 +403,15 @@ fn run_sweep(
                 .map(|w| {
                     let next = &next;
                     let work = &work;
+                    let claimed = &claimed;
                     scope.spawn(move || {
                         let rec = Recorder::new(&format!("ctg.worker{w}"));
                         let mut out: Vec<(usize, CtgResult)> = Vec::new();
-                        while let Some(i) = next(w) {
+                        let mut claim = next(w);
+                        claimed.wait();
+                        while let Some(i) = claim {
                             out.push((i, work(i, &rec)));
+                            claim = next(w);
                         }
                         (out, rec.snapshot())
                     })

@@ -2,12 +2,8 @@
 
 use std::time::Duration;
 
-use pgse_dse::DecompositionOptions;
 use pgse_estimation::synthetic::NoiseProcess;
-use pgse_estimation::wls::WlsOptions;
 use pgse_medici::{FaultPlan, MwConfig};
-use pgse_partition::kway::KwayOptions;
-use pgse_partition::repartition::RepartitionOptions;
 
 /// How state estimators coordinate (paper Fig. 1 supports both).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -90,14 +86,6 @@ pub struct PrototypeConfig {
     pub mode: CoordinationMode,
     /// The time-frame noise process `x = f(δt)`.
     pub noise: NoiseProcess,
-    /// WLS solver settings for every estimator.
-    pub wls: WlsOptions,
-    /// Preliminary-step settings.
-    pub decomposition: DecompositionOptions,
-    /// Multilevel partitioner settings (before Step 1).
-    pub kway: KwayOptions,
-    /// Adaptive repartitioner settings (before Step 2).
-    pub repartition: RepartitionOptions,
     /// Iteration-model slope `g1` (paper §IV-B.2; 14-bus empirical value).
     pub g1: f64,
     /// Iteration-model intercept `g2`.
@@ -121,10 +109,6 @@ impl Default for PrototypeConfig {
             n_clusters: 3,
             mode: CoordinationMode::Decentralized,
             noise: NoiseProcess::default(),
-            wls: WlsOptions::default(),
-            decomposition: DecompositionOptions::default(),
-            kway: KwayOptions::default(),
-            repartition: RepartitionOptions::default(),
             g1: 3.7579,
             g2: 5.2464,
             relay_rate: pgse_medici::throttle::PAPER_RELAY_RATE,

@@ -3,19 +3,19 @@
 use std::time::{Duration, Instant};
 
 use pgse_cluster::{plan_redistribution, ClusterFleet, HpcCluster, InterfaceLayer};
-use pgse_dse::decomposition::{decompose, Decomposition};
+use pgse_dse::decomposition::{decompose, Decomposition, DecompositionOptions};
 use pgse_dse::estimator::{AreaEstimator, AreaSolution};
 use pgse_dse::pseudo::{from_wire, to_wire, PseudoMeasurement};
 use pgse_dse::runner::aggregate;
 use pgse_estimation::measurement::MeasurementSet;
-use pgse_estimation::wls::WlsError;
+use pgse_estimation::wls::{WlsError, WlsOptions};
 use pgse_grid::Network;
 use pgse_medici::{
     EndpointProtocol, EndpointRegistry, FaultKind, FaultProxy, FaultProxyHandle, FaultStats,
     MifPipeline, MwClient, PipelineHandle, SeComponent,
 };
 use pgse_partition::weights::{step1_graph, step2_graph, SubsystemProfile};
-use pgse_partition::{partition_kway, repartition, Partition};
+use pgse_partition::{partition_kway, repartition, KwayOptions, Partition, RepartitionOptions};
 use pgse_powerflow::{PfError, PfOptions, PfSolution};
 
 use crate::config::{CoordinationMode, PrototypeConfig};
@@ -94,11 +94,11 @@ impl SystemPrototype {
     pub fn deploy(net: Network, config: PrototypeConfig) -> Result<Self, PrototypeError> {
         let pf = pgse_powerflow::solve(&net, &PfOptions::default())
             .map_err(PrototypeError::PowerFlow)?;
-        let decomp = decompose(&net, &config.decomposition);
+        let decomp = decompose(&net, &DecompositionOptions::default());
         let estimators: Vec<AreaEstimator> = decomp
             .areas
             .iter()
-            .map(|a| AreaEstimator::new(a.clone(), &net, &pf, config.wls))
+            .map(|a| AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::default()))
             .collect();
         let fleet = if config.n_clusters == 3 {
             ClusterFleet::paper_testbed()
@@ -287,8 +287,8 @@ impl SystemPrototype {
         // Mapping for Step 1: balance the predicted computation.
         let g1_graph = step1_graph(&self.profiles, &self.decomp.edges, x);
         let p1 = match &self.prev_assignment {
-            None => partition_kway(&g1_graph, k, &self.config.kway),
-            Some(prev) => repartition(&g1_graph, prev, &self.config.repartition),
+            None => partition_kway(&g1_graph, k, &KwayOptions::default()),
+            Some(prev) => repartition(&g1_graph, prev, &RepartitionOptions::default()),
         };
 
         // Step 1 on the fleet: each cluster estimates its assigned
@@ -342,7 +342,7 @@ impl SystemPrototype {
         // Mapping for Step 2: minimize communication, keep balance, avoid
         // needless migration; then account the forced data redistribution.
         let g2_graph = step2_graph(&self.profiles, &self.decomp.edges, x);
-        let p2 = repartition(&g2_graph, &p1, &self.config.repartition);
+        let p2 = repartition(&g2_graph, &p1, &RepartitionOptions::default());
         let area_bytes: Vec<u64> = sets.iter().map(|s| s.wire_size() as u64).collect();
         let redistribution =
             plan_redistribution(&p1.assignment, &p2.assignment, &area_bytes);

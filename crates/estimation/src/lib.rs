@@ -20,12 +20,9 @@
 //!   identification of gross measurement errors;
 //! * [`observability`] — numerical observability analysis;
 //! * [`restoration`] — pseudo-measurement observability restoration after
-//!   telemetry loss;
-//! * [`itermodel`] — fitting the paper's iteration-count model
-//!   `Ni = g1·x + g2`.
+//!   telemetry loss.
 
 pub mod baddata;
-pub mod itermodel;
 pub mod jacobian;
 pub mod measurement;
 pub mod observability;

@@ -17,16 +17,16 @@ use rand::{seq::SliceRandom, SeedableRng};
 use crate::graph::WeightedGraph;
 use crate::partition::Partition;
 
+/// Coarsening stops once the graph has at most `COARSEN_TO × k` vertices.
+const COARSEN_TO: usize = 8;
+/// Refinement passes per level.
+const REFINE_PASSES: usize = 8;
+
 /// Options of the multilevel partitioner.
 #[derive(Debug, Clone, Copy)]
 pub struct KwayOptions {
     /// Allowed load-imbalance ratio (METIS default threshold: 1.05).
     pub imbalance_tol: f64,
-    /// Coarsening stops once the graph has at most `coarsen_to × k`
-    /// vertices.
-    pub coarsen_to: usize,
-    /// Refinement passes per level.
-    pub refine_passes: usize,
     /// RNG seed for matching/tie-breaking (results are deterministic per
     /// seed).
     pub seed: u64,
@@ -34,7 +34,7 @@ pub struct KwayOptions {
 
 impl Default for KwayOptions {
     fn default() -> Self {
-        KwayOptions { imbalance_tol: 1.05, coarsen_to: 8, refine_passes: 8, seed: 1 }
+        KwayOptions { imbalance_tol: 1.05, seed: 1 }
     }
 }
 
@@ -53,7 +53,7 @@ pub fn partition_kway(g: &WeightedGraph, k: usize, opts: &KwayOptions) -> Partit
     // Coarsening phase: a stack of (graph, map-to-coarse).
     let mut levels: Vec<(WeightedGraph, Vec<usize>)> = Vec::new();
     let mut current = g.clone();
-    while current.n() > opts.coarsen_to * k {
+    while current.n() > COARSEN_TO * k {
         let (coarse, map) = coarsen_once(&current, &mut rng);
         if coarse.n() == current.n() {
             break; // no matching progress (e.g. no edges)
@@ -216,7 +216,7 @@ pub(crate) fn refine(g: &WeightedGraph, assignment: &mut [usize], k: usize, opts
     for (v, &p) in assignment.iter().enumerate() {
         loads[p] += g.vertex_weight(v);
     }
-    for _ in 0..opts.refine_passes {
+    for _ in 0..REFINE_PASSES {
         let mut improved = false;
         for v in 0..g.n() {
             let a = assignment[v];

@@ -40,6 +40,13 @@ use crate::wire::{
 /// Largest accepted handshake frame (a [`Subscribe`] is tiny).
 const MAX_SUBSCRIBE_FRAME: u64 = 64 * 1024;
 
+/// Sweep pause when a pass made no progress.
+const SWEEP_PAUSE: Duration = Duration::from_micros(200);
+
+/// How long a connection may sit in handshake without completing a
+/// [`Subscribe`] before it is dropped.
+const HANDSHAKE_DEADLINE: Duration = Duration::from_secs(5);
+
 /// Serving reactor configuration.
 #[derive(Debug, Clone)]
 pub struct ServeConfig {
@@ -48,11 +55,6 @@ pub struct ServeConfig {
     /// Connection cap; the `max_conns + 1`-th concurrent connection gets
     /// a typed refusal.
     pub max_conns: usize,
-    /// Sweep pause when a pass made no progress.
-    pub sweep_pause: Duration,
-    /// How long a connection may sit in handshake without completing a
-    /// [`Subscribe`] before it is dropped.
-    pub handshake_deadline: Duration,
 }
 
 impl Default for ServeConfig {
@@ -60,8 +62,6 @@ impl Default for ServeConfig {
         ServeConfig {
             url: "tcp://serve.pgse:9000".into(),
             max_conns: 1024,
-            sweep_pause: Duration::from_micros(200),
-            handshake_deadline: Duration::from_secs(5),
         }
     }
 }
@@ -112,7 +112,7 @@ impl SnapshotServer {
         let registry = registry.clone();
         let thread = std::thread::Builder::new()
             .name("pgse-serve-reactor".into())
-            .spawn(move || reactor_loop(acceptor, registry, cfg, broadcaster, stop_t))
+            .spawn(move || reactor_loop(acceptor, registry, broadcaster, stop_t))
             .expect("spawn serve reactor");
         Ok(SnapshotServer { stop, thread: Some(thread) })
     }
@@ -162,7 +162,6 @@ fn write_refusal(conn: &mut TcpStream, reason: RefuseReason) {
 fn reactor_loop(
     acceptor: Acceptor,
     registry: EndpointRegistry,
-    cfg: ServeConfig,
     bc: Arc<Broadcaster>,
     stop: Arc<AtomicBool>,
 ) {
@@ -200,7 +199,7 @@ fn reactor_loop(
         // --- Connection sweep: handshakes forward, writes forward. ---
         let mut i = 0;
         while i < conns.len() {
-            match step_conn(&mut conns[i], &bc, &cfg, &mut pushes) {
+            match step_conn(&mut conns[i], &bc, &mut pushes) {
                 StepOutcome::Keep { moved } => {
                     progressed |= moved;
                     i += 1;
@@ -225,7 +224,7 @@ fn reactor_loop(
         }
 
         if !progressed {
-            std::thread::sleep(cfg.sweep_pause);
+            std::thread::sleep(SWEEP_PAUSE);
         }
     }
 
@@ -256,12 +255,11 @@ enum StepOutcome {
 fn step_conn(
     conn: &mut Conn,
     bc: &Broadcaster,
-    cfg: &ServeConfig,
     pushes: &mut Vec<PushSub>,
 ) -> StepOutcome {
     match &mut conn.state {
         ConnState::Handshake { buf, since } => {
-            if since.elapsed() > cfg.handshake_deadline {
+            if since.elapsed() > HANDSHAKE_DEADLINE {
                 return StepOutcome::Close;
             }
             let mut chunk = [0u8; 1024];

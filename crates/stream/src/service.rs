@@ -86,6 +86,8 @@ use pgse_estimation::synthetic::NoiseProcess;
 use pgse_estimation::wls::{GnWave, SolveCache, WlsOptions};
 use pgse_estimation::{baddata, restoration};
 use pgse_grid::Network;
+use pgse_medici::endpoint::accept_polled;
+use pgse_medici::framing::read_frame;
 use pgse_medici::{
     EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, MwClient, MwError,
     ScanFault, ScanFaultPlan,
@@ -107,8 +109,12 @@ use crate::supervise::{
 };
 use crate::wire::{self, StreamFrame, TopologyEvent};
 
-/// Poll interval of the ingest listener threads.
+/// Idle poll of the ingest listener threads: how long one accept wait
+/// lasts before the stop flag is checked again.
 const RECV_POLL: Duration = Duration::from_millis(25);
+
+/// How long an accepted ingest connection has to deliver its frame.
+const FRAME_READ_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Model-time spacing between frames in seconds (the noise process' `δt`
 /// step): a SCADA scan cadence.
@@ -194,8 +200,6 @@ pub struct StreamConfig {
     /// When set, every area's feed passes through a fault proxy running
     /// this plan (per-area seeds are derived from `plan.seed`).
     pub chaos: Option<FaultPlan>,
-    /// Supervision deadlines, checkpoint cadence, and fleet size.
-    pub supervision: SupervisorConfig,
     /// Seeded fault schedule: worker kills, cluster kills, injected solve
     /// panics — all keyed by frame sequence, so exactly reproducible.
     pub kills: KillSchedule,
@@ -206,12 +210,6 @@ pub struct StreamConfig {
     /// counts — and a byte-identical deterministic ObsReport. Off by
     /// default: free-running pops are faster but timing-sensitive.
     pub deterministic_rounds: bool,
-    /// The time-frame noise process `x = f(δt)`.
-    pub noise: NoiseProcess,
-    /// WLS solver options for both DSE steps.
-    pub wls: WlsOptions,
-    /// Decomposition tuning.
-    pub decomposition: DecompositionOptions,
     /// Post-WLS chi-square + LNR bad-data gate; `None` trusts every scan.
     pub baddata: Option<BadDataGate>,
     /// Seeded measurement-level fault injection (gross errors, RTU
@@ -240,12 +238,8 @@ impl Default for StreamConfig {
             seed: 0,
             queue_capacity: 8,
             chaos: None,
-            supervision: SupervisorConfig::default(),
             kills: KillSchedule::default(),
             deterministic_rounds: false,
-            noise: NoiseProcess::default(),
-            wls: WlsOptions::direct(),
-            decomposition: DecompositionOptions::default(),
             baddata: None,
             scan_faults: None,
             restoration: true,
@@ -396,15 +390,6 @@ pub struct StreamReport {
     /// Scans unobservable even after restoration: the area degraded to its
     /// carried (checkpoint) profile instead of publishing garbage.
     pub unobservable_degraded: u64,
-    /// Nanoseconds spent in the chi-square gate on fresh frames — the
-    /// clean-frame overhead the robust benchmark bounds against
-    /// `solve_nanos`.
-    pub gate_nanos: u64,
-    /// Nanoseconds spent inside LNR identification (suspect frames only).
-    pub lnr_nanos: u64,
-    /// 99th-percentile restoration latency (milliseconds; 0 when no frame
-    /// was restored).
-    pub restore_p99_ms: f64,
     /// Topology stage boundaries the solver crossed mid-stream.
     pub topology_transitions: u64,
     /// Areas whose symbolic analyses were rebuilt by topology transitions
@@ -469,6 +454,10 @@ pub struct StreamService {
     /// Initial area → cluster mapping (seeded k-way partition).
     assignment: Vec<usize>,
     n_clusters: usize,
+    /// Fleet and watchdog settings: one instance for `deploy` and `run`.
+    supervision: SupervisorConfig,
+    /// Telemetry noise schedule: one instance for feeder and solver.
+    noise: NoiseProcess,
     /// Topology stages 1.. (stage 0 is the deploy-time base above);
     /// empty without a switching schedule.
     topo_stages: Vec<TopologyStage>,
@@ -507,11 +496,11 @@ impl StreamService {
     /// to deploy.
     pub fn deploy(net: &Network, cfg: StreamConfig) -> Result<StreamService, StreamError> {
         let pf = solve_pf(net, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
-        let decomp = decompose(net, &cfg.decomposition);
+        let decomp = decompose(net, &DecompositionOptions::default());
         let estimators: Vec<AreaEstimator> = decomp
             .areas
             .iter()
-            .map(|a| AreaEstimator::new(a.clone(), net, &pf, cfg.wls))
+            .map(|a| AreaEstimator::new(a.clone(), net, &pf, WlsOptions::direct()))
             .collect();
 
         let registry = EndpointRegistry::new();
@@ -545,7 +534,8 @@ impl StreamService {
         // bus counts. The cluster is the liveness and failover domain.
         let bus_counts: Vec<usize> = decomp.areas.iter().map(|a| a.global_ids.len()).collect();
         let graph = initial_graph(&bus_counts, &decomp.edges);
-        let n_clusters = cfg.supervision.n_clusters.clamp(1, n.max(1));
+        let supervision = SupervisorConfig::default();
+        let n_clusters = supervision.n_clusters.clamp(1, n.max(1));
         let assignment = partition_kway(&graph, n_clusters, &KwayOptions::default()).assignment;
 
         // Resolve the switching schedule into topology stages up front:
@@ -573,6 +563,8 @@ impl StreamService {
             graph,
             assignment,
             n_clusters,
+            supervision,
+            noise: NoiseProcess::default(),
             topo_stages,
         })
     }
@@ -682,7 +674,6 @@ impl StreamService {
         let mut last_solutions: Vec<Option<AreaSolution>> = vec![None; n_areas];
         let mut report = StreamReport::default();
         let mut latencies_ms: Vec<f64> = Vec::new();
-        let mut restore_ms: Vec<f64> = Vec::new();
         // The topology stage the solver currently runs; advanced when a
         // round's frames carry a newer version.
         let mut active_version: usize = 0;
@@ -693,8 +684,9 @@ impl StreamService {
 
         // Supervision state: watchdog, checkpoint store, fleet liveness,
         // the live area → cluster mapping, and the kill-schedule flags.
+        let supervision = &self.supervision;
         let mut sup = Supervision {
-            watchdog: Watchdog::new(n_areas, &cfg.supervision),
+            watchdog: Watchdog::new(n_areas, supervision),
             ckpts: CheckpointStore::new(n_areas),
             liveness: FleetLiveness::new(self.n_clusters),
             assignment: self.assignment.clone(),
@@ -722,24 +714,9 @@ impl StreamService {
                 let corrupt = &corrupt[a];
                 let stop = &stop_ingest;
                 ingest_handles.push(scope.spawn(move || loop {
-                    match MwClient::recv_deadline_on(listener, RECV_POLL) {
-                        Ok(body) => match wire::decode(&body) {
-                            Ok(frame) => {
-                                queue.push(frame);
-                            }
-                            Err(_) => {
-                                corrupt.fetch_add(1, Ordering::Relaxed);
-                            }
-                        },
-                        Err(e) if e.is_timeout() => {
-                            if stop.load(Ordering::Acquire) {
-                                break;
-                            }
-                        }
-                        // A truncated/aborted connection: damaged delivery.
-                        Err(_) => {
-                            corrupt.fetch_add(1, Ordering::Relaxed);
-                        }
+                    let idle = !ingest_turn(listener, queue, corrupt, FRAME_READ_DEADLINE);
+                    if idle && stop.load(Ordering::Acquire) {
+                        break;
                     }
                 }));
             }
@@ -760,7 +737,7 @@ impl StreamService {
                     let client = MwClient::new(registry);
                     for s in 0..cfg.n_frames {
                         let dt = s as f64 * FRAME_INTERVAL_SECS;
-                        let noise = cfg.noise.level(dt);
+                        let noise = service.noise.level(dt);
                         let v = service.stage_for_seq(s);
                         for (a, est) in service.stage_estimators(v).iter().enumerate() {
                             let mut set =
@@ -926,7 +903,7 @@ impl StreamService {
                         (f.dt_seconds, active_version.max(f.topology_version as usize))
                     })
                     .unwrap();
-                let noise = cfg.noise.level(dt);
+                let noise = self.noise.level(dt);
 
                 // Fire the seeded kill schedule for this round. A killed
                 // worker loses its in-memory state and stops heartbeating;
@@ -1033,18 +1010,14 @@ impl StreamService {
                             Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
                             _ => (vec![1.0; nb], vec![0.0; nb]),
                         };
-                        let t0 = Instant::now();
                         let (aug, rep) = pgse_obs::with_recorder(&self.area_recs[a], || {
                             restoration::restore(net, set, space, &vm0, &va0)
                         });
-                        let ms = t0.elapsed().as_secs_f64() * 1e3;
                         if rep.added.is_empty() {
                             report.short_scan_observable += 1;
                         } else if rep.after.observable {
                             report.frames_restored += 1;
                             report.pseudo_added += rep.added.len() as u64;
-                            restore_ms.push(ms);
-                            self.rec.observe("volatile.stream.restore_ms", ms);
                             last_sets[a] = Some(aug);
                         } else {
                             report.unobservable_degraded += 1;
@@ -1114,15 +1087,12 @@ impl StreamService {
                         let est1 = ests[a].step1_estimator();
                         let m = set.len();
                         let dim = est1.space().dim();
-                        let t_gate = Instant::now();
                         let fired = m > dim
                             && sol_obj > baddata::chi_square_critical(m - dim, gate.confidence);
-                        report.gate_nanos += t_gate.elapsed().as_nanos() as u64;
                         if !fired {
                             continue;
                         }
                         report.suspect_frames += 1;
-                        let t_lnr = Instant::now();
                         let out = pgse_obs::with_recorder(&self.area_recs[a], || {
                             baddata::identify_and_remove(
                                 est1,
@@ -1131,7 +1101,6 @@ impl StreamService {
                                 gate.max_removals,
                             )
                         });
-                        report.lnr_nanos += t_lnr.elapsed().as_nanos() as u64;
                         match out {
                             Ok(rep) if rep.clean => {
                                 report.cleared_by_lnr += 1;
@@ -1330,7 +1299,7 @@ impl StreamService {
                 // Checkpoint the round's survivors, then close the round on
                 // the watchdog: heartbeats, deadline tick, and whatever
                 // recovery (restart / cluster failover) the tick implies.
-                if report.rounds % cfg.supervision.checkpoint_interval == 0 {
+                if report.rounds % supervision.checkpoint_interval == 0 {
                     for a in 0..n_areas {
                         if sup.worker_alive[a]
                             && fresh[a]
@@ -1518,8 +1487,6 @@ impl StreamService {
         latencies_ms.sort_by(f64::total_cmp);
         report.latency_p50_ms = percentile(&latencies_ms, 0.50);
         report.latency_p99_ms = percentile(&latencies_ms, 0.99);
-        restore_ms.sort_by(f64::total_cmp);
-        report.restore_p99_ms = percentile(&restore_ms, 0.99);
         report.elapsed = start.elapsed();
         report
     }
@@ -2068,11 +2035,11 @@ fn build_topology_stages(
             StreamError::Topology(format!("stage at frame {at_seq}: {e}"))
         })?;
         let pf = solve_pf(&snet, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
-        let decomp = decompose(&snet, &cfg.decomposition);
+        let decomp = decompose(&snet, &DecompositionOptions::default());
         let estimators: Vec<AreaEstimator> = decomp
             .areas
             .iter()
-            .map(|a| AreaEstimator::new(a.clone(), &snet, &pf, cfg.wls))
+            .map(|a| AreaEstimator::new(a.clone(), &snet, &pf, WlsOptions::direct()))
             .collect();
         let sigs: Vec<u64> = decomp.areas.iter().map(area_signature).collect();
         let affected: Vec<bool> =
@@ -2201,6 +2168,39 @@ fn step2_seed(seed: u64, s: u64) -> u64 {
     seed ^ s.wrapping_mul(0x6a09_e667_f3bc_c909).wrapping_add(0x1f83_d9ab_fb41_bd6b)
 }
 
+/// One turn of an area's ingest listener: waits up to [`RECV_POLL`] for a
+/// connection, then reads its frame under `read_budget` — a budget of its
+/// own, so a sender descheduled between `connect` and `write` is not taken
+/// for an idle poll. Every accepted connection ends as a queued frame or a
+/// `corrupt` tick (truncated, aborted, stalled or undecodable delivery).
+/// Returns `false` when the poll passed with nothing to accept.
+fn ingest_turn(
+    listener: &TcpListener,
+    queue: &IngestQueue,
+    corrupt: &AtomicU64,
+    read_budget: Duration,
+) -> bool {
+    let mut conn = match accept_polled(listener, RECV_POLL) {
+        Ok(conn) => conn,
+        Err(e) if e.is_timeout() => return false,
+        Err(_) => {
+            corrupt.fetch_add(1, Ordering::Relaxed);
+            return true;
+        }
+    };
+    let frame = conn
+        .set_read_timeout(Some(read_budget))
+        .and_then(|()| read_frame(&mut conn))
+        .ok()
+        .and_then(|body| wire::decode(&body).ok());
+    if let Some(frame) = frame {
+        queue.push(frame);
+    } else {
+        corrupt.fetch_add(1, Ordering::Relaxed);
+    }
+    true
+}
+
 /// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
 fn percentile(sorted: &[f64], q: f64) -> f64 {
     if sorted.is_empty() {
@@ -2226,6 +2226,7 @@ mod tests {
         assert_eq!(report.frames_fed, 4 * n_areas);
         assert_eq!(report.send_failures, 0);
         assert_eq!(report.corrupt, 0);
+        assert_eq!(report.frames_fed, report.ingested + report.corrupt, "{report:?}");
         assert_eq!(report.frames_published, 4);
         assert_eq!(report.unaccounted(), 0, "{report:?}");
         assert_eq!(report.last_epoch, Some(3));
@@ -2308,6 +2309,63 @@ mod tests {
         assert_eq!(obs.counter("stream.supervise", "failover.restarts"), 1);
     }
 
+    /// Binds a loopback listener and runs [`ingest_turn`] under `read_budget`
+    /// until it accepts `peer`, a raw socket client handed the listener's
+    /// address and a channel that closes once the turn is over.
+    fn one_turn(
+        read_budget: Duration,
+        peer: impl FnOnce(std::net::SocketAddr, std::sync::mpsc::Receiver<()>) + Send,
+    ) -> (IngestQueue, u64) {
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let queue = IngestQueue::new(4);
+        let corrupt = AtomicU64::new(0);
+        let (over_tx, over_rx) = std::sync::mpsc::channel();
+        std::thread::scope(|scope| {
+            scope.spawn(move || peer(addr, over_rx));
+            // The accept wait is an idle poll: early turns may pass empty.
+            let accepted =
+                (0..200).any(|_| ingest_turn(&listener, &queue, &corrupt, read_budget));
+            assert!(accepted, "the peer never connected");
+            drop(over_tx);
+        });
+        (queue, corrupt.into_inner())
+    }
+
+    #[test]
+    fn a_frame_written_after_the_poll_window_is_ingested_not_dropped() {
+        let frame = StreamFrame {
+            area: 3,
+            seq: 7,
+            dt_seconds: 28.0,
+            topology_version: 0,
+            topology_events: Vec::new(),
+            measurements: MeasurementSet::new(),
+        };
+        // The sender connects, is descheduled for longer than RECV_POLL,
+        // then writes: the read has its own budget, so the frame lands.
+        let (queue, corrupt) = one_turn(FRAME_READ_DEADLINE, |addr, _over| {
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            std::thread::sleep(Duration::from_millis(40));
+            pgse_medici::framing::write_frame(&mut conn, &wire::encode(&frame)).unwrap();
+        });
+        assert_eq!(corrupt, 0);
+        assert_eq!(queue.stats().ingested, 1);
+        let (got, _) = queue.pop_latest(Duration::ZERO).expect("frame queued");
+        assert_eq!(got, frame);
+    }
+
+    #[test]
+    fn a_peer_that_connects_and_never_writes_counts_as_corrupt() {
+        let (queue, corrupt) = one_turn(Duration::from_millis(50), |addr, over| {
+            let _conn = std::net::TcpStream::connect(addr).unwrap();
+            // Hold the connection open until the read has timed out.
+            let _ = over.recv();
+        });
+        assert_eq!(corrupt, 1);
+        assert_eq!(queue.stats().ingested, 0);
+    }
+
     #[test]
     fn deploy_maps_areas_onto_the_fleet() {
         let net = ieee118_like();
@@ -2315,7 +2373,7 @@ mod tests {
         let assignment = service.cluster_assignment();
         assert_eq!(assignment.len(), service.n_areas());
         // Every configured cluster hosts at least one area.
-        let k = service.config().supervision.n_clusters;
+        let k = service.supervision.n_clusters;
         for c in 0..k {
             assert!(assignment.contains(&c), "cluster {c} hosts nothing: {assignment:?}");
         }

@@ -15,7 +15,9 @@
 //! ```
 
 use pgse::grid::cases::ieee118_like;
-use pgse::stream::{KillSchedule, StreamConfig, StreamService, SupervisionEvent};
+use pgse::stream::{
+    KillSchedule, StreamConfig, StreamService, SupervisionEvent, SupervisorConfig,
+};
 
 const FRAMES: u64 = 24;
 const KILL_SEQ: u64 = 8;
@@ -33,7 +35,8 @@ fn main() {
         },
         ..StreamConfig::default()
     };
-    let service = StreamService::deploy(&net, cfg.clone()).expect("deploy");
+    let supervision = SupervisorConfig::default();
+    let service = StreamService::deploy(&net, cfg).expect("deploy");
     let assignment = service.cluster_assignment().to_vec();
     let orphans: Vec<usize> = assignment
         .iter()
@@ -45,7 +48,7 @@ fn main() {
         "failover demo: {} buses, {} areas on {} clusters (assignment {:?})",
         net.n_buses(),
         assignment.len(),
-        cfg.supervision.n_clusters,
+        supervision.n_clusters,
         assignment,
     );
     println!(
@@ -77,7 +80,7 @@ fn main() {
     println!(
         "recovery latency: {} rounds (kill at seq {KILL_SEQ}, all fresh by seq {recovered_seq}; bound {})",
         recovered_seq - KILL_SEQ,
-        cfg.supervision.dead_after + 1,
+        supervision.dead_after + 1,
     );
     println!(
         "restarts: {} warm from checkpoints, {} cold | heartbeats {}, suspected {}, dead {}",

@@ -3,10 +3,8 @@
 //! rerun of the same frame stream for comparison, and a free-running
 //! run with a tight queue to demonstrate explicit load shedding.
 //!
-//! Writes two artifacts:
-//! * `target/obs/stream_service.json` — the warm run's full ObsReport;
-//! * `target/obs/BENCH_stream.json` — throughput, frame-latency
-//!   percentiles, and the warm-vs-cold iteration/time ratios.
+//! Writes the warm run's full ObsReport to
+//! `target/obs/stream_service.json`.
 //!
 //! ```text
 //! cargo run --release --example streaming_service
@@ -106,46 +104,8 @@ fn main() {
     let shed = shed_service.run();
     print_report("free-running run (tight queue)", &shed);
 
-    // Artifacts: the warm run's ObsReport and the benchmark summary.
     std::fs::create_dir_all("target/obs").expect("create target/obs");
     let obs = warm_service.obs_report();
     std::fs::write("target/obs/stream_service.json", obs.to_json()).expect("write report");
-    let bench = format!(
-        concat!(
-            "{{\n",
-            "  \"frames\": {},\n",
-            "  \"areas\": {},\n",
-            "  \"frames_per_second\": {:.3},\n",
-            "  \"latency_p50_ms\": {:.3},\n",
-            "  \"latency_p99_ms\": {:.3},\n",
-            "  \"warm_gn_iterations\": {},\n",
-            "  \"cold_gn_iterations\": {},\n",
-            "  \"warm_solve_ms\": {:.3},\n",
-            "  \"cold_solve_ms\": {:.3},\n",
-            "  \"warm_over_cold_iterations\": {:.4},\n",
-            "  \"warm_over_cold_solve_time\": {:.4},\n",
-            "  \"symbolic_builds\": {},\n",
-            "  \"symbolic_reuses\": {},\n",
-            "  \"warm_solves\": {},\n",
-            "  \"freerun_shed\": {}\n",
-            "}}\n"
-        ),
-        FRAMES,
-        warm_service.n_areas(),
-        warm.frames_per_second(),
-        warm.latency_p50_ms,
-        warm.latency_p99_ms,
-        warm.gn_iterations,
-        cold.gn_iterations,
-        warm.solve_nanos as f64 / 1e6,
-        cold.solve_nanos as f64 / 1e6,
-        iter_ratio,
-        time_ratio,
-        warm.symbolic_builds,
-        warm.symbolic_reuses,
-        warm.warm_solves,
-        shed.shed(),
-    );
-    std::fs::write("target/obs/BENCH_stream.json", bench).expect("write bench");
-    println!("artifacts: target/obs/stream_service.json, target/obs/BENCH_stream.json");
+    println!("artifact: target/obs/stream_service.json");
 }

@@ -2,12 +2,12 @@
 //! power flow → telemetry → WLS → DSE, on every bundled network.
 
 use pgse::dse::{run_dse, DseOptions};
-use pgse::estimation::itermodel::fit_affine;
 use pgse::estimation::jacobian::StateSpace;
 use pgse::estimation::synthetic::TelemetryPlan;
 use pgse::estimation::wls::{GainSolver, PrecondKind, WlsEstimator, WlsOptions};
 use pgse::grid::cases::{ieee118_like, ieee14, synthetic_grid, SyntheticSpec};
 use pgse::powerflow::{solve, PfOptions};
+use pgse_bench::itermodel::fit_affine;
 
 #[test]
 fn centralized_wls_works_on_every_bundled_case() {

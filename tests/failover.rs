@@ -24,7 +24,8 @@ use std::time::Duration;
 use pgse::grid::cases::ieee118_like;
 use pgse::medici::FaultPlan;
 use pgse::stream::{
-    KillSchedule, PublishRejected, StreamConfig, StreamService, SupervisionEvent, SystemSnapshot,
+    KillSchedule, PublishRejected, StreamConfig, StreamService, SupervisionEvent, SupervisorConfig,
+    SystemSnapshot,
 };
 
 /// Each test runs a full multi-threaded service; serialize the file so
@@ -37,8 +38,8 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 /// The recovery bound, in rounds, from the kill to a fresh publish: one
 /// round per missed deadline until death, plus the restart round.
-fn recovery_bound(cfg: &StreamConfig) -> u64 {
-    cfg.supervision.dead_after + 1
+fn recovery_bound() -> u64 {
+    SupervisorConfig::default().dead_after + 1
 }
 
 #[test]
@@ -83,7 +84,7 @@ fn killed_worker_is_declared_dead_restarts_warm_and_recovers_within_bound() {
     // Detection on the deterministic clock: suspect at the kill round,
     // dead one deadline later, restarted in place the same round (its
     // cluster survived), fresh again the round after that.
-    let dead_seq = kill_seq + cfg.supervision.dead_after - 1;
+    let dead_seq = kill_seq + SupervisorConfig::default().dead_after - 1;
     assert!(report.events.contains(&SupervisionEvent::Suspected { area: 2, seq: kill_seq }));
     assert!(report.events.contains(&SupervisionEvent::Died { area: 2, seq: dead_seq }));
     assert!(report
@@ -98,10 +99,10 @@ fn killed_worker_is_declared_dead_restarts_warm_and_recovers_within_bound() {
         })
         .expect("area 2 never recovered");
     assert!(
-        recovered_seq - kill_seq <= recovery_bound(&cfg),
+        recovered_seq - kill_seq <= recovery_bound(),
         "recovery took {} rounds, bound is {}",
         recovered_seq - kill_seq,
-        recovery_bound(&cfg)
+        recovery_bound()
     );
 
     // The service never stopped publishing: every frame has a snapshot,
@@ -114,7 +115,7 @@ fn killed_worker_is_declared_dead_restarts_warm_and_recovers_within_bound() {
     assert_eq!(report.checkpoints_restored, 1);
     assert_eq!(report.cold_restarts, 0);
     assert_eq!(report.requeued, 1);
-    assert!(report.degraded_area_rounds >= cfg.supervision.dead_after);
+    assert!(report.degraded_area_rounds >= SupervisorConfig::default().dead_after);
     assert_eq!(report.unaccounted(), 0, "{report:?}");
 
     // The same identity from the ObsReport counters alone.
@@ -166,7 +167,7 @@ fn cluster_kill_fails_over_to_survivors_and_keeps_publishing() {
 
     // The cluster was declared lost exactly once, one deadline after the
     // kill, and every orphaned area was re-hosted off it.
-    let dead_seq = kill_seq + cfg.supervision.dead_after - 1;
+    let dead_seq = kill_seq + SupervisorConfig::default().dead_after - 1;
     assert_eq!(report.cluster_deaths, 1);
     assert!(report
         .events
@@ -202,7 +203,7 @@ fn cluster_kill_fails_over_to_survivors_and_keeps_publishing() {
                 _ => None,
             })
             .unwrap_or_else(|| panic!("area {a} never recovered: {:?}", report.events));
-        assert!(recovered_seq - kill_seq <= recovery_bound(&cfg));
+        assert!(recovered_seq - kill_seq <= recovery_bound());
     }
 
     // Publishing never stopped and the identity closes with the requeued

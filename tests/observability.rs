@@ -8,6 +8,7 @@
 //! across same-seed runs.
 
 use pgse::core::{CoordinationMode, PrototypeConfig, SystemPrototype};
+use pgse::estimation::wls::WlsOptions;
 use pgse::grid::cases::ieee118_like;
 use pgse::obs::ObsReport;
 
@@ -45,7 +46,7 @@ fn every_area_runs_step1_before_step2() {
 
 #[test]
 fn pcg_stays_within_its_iteration_budget_on_every_gn_step() {
-    let budget = PrototypeConfig::default().wls.cg.max_iter as u64;
+    let budget = WlsOptions::default().cg.max_iter as u64;
     let (_proto, obs) = run_healthy();
     let solves = obs.spans_named("pcg.solve");
     assert!(!solves.is_empty(), "the WLS gain solves must trace pcg.solve spans");

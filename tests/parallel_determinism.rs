@@ -157,6 +157,18 @@ fn parallel_pcg_bitwise_identical_across_thread_counts() {
     }
 }
 
+/// Why a `parallel: true` solve cannot lose to the sequential one on a
+/// 1-core runner: `pcg`, `apply_dot`, the `par_*` vecops and `par_spmv`
+/// all AND `tuning::pool_parallel()` into their size gates, and a
+/// 1-thread pool answers `false` — the sequential kernels run.
+#[test]
+fn one_thread_pool_takes_the_sequential_kernels() {
+    for threads in POOL_SIZES {
+        let parallel = with_pool(threads, tuning::pool_parallel);
+        assert_eq!(parallel, threads > 1, "pool_parallel @ {threads} threads");
+    }
+}
+
 #[test]
 fn wls_solve_bitwise_identical_parallel_vs_sequential() {
     engage_parallel_kernels();

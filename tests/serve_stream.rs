@@ -233,11 +233,14 @@ fn encode_work_is_o_areas_not_o_subscribers() {
     };
 
     let (bytes_small, encodes_small, delivered_small) = bytes_encoded_with(12);
-    let (bytes_large, encodes_large, delivered_large) = bytes_encoded_with(120);
-    // 10× the subscribers: identical encode work, 10× the deliveries.
-    assert_eq!(bytes_small, bytes_large, "encode bytes must not scale with subscribers");
-    assert_eq!(encodes_small, encodes_large, "encode count must not scale with subscribers");
-    assert_eq!(delivered_large, delivered_small * 10);
+    // 10× and 833× the subscribers: identical encode work, deliveries in
+    // proportion.
+    for n_subs in [120usize, 10_000] {
+        let (bytes, encodes, delivered) = bytes_encoded_with(n_subs);
+        assert_eq!(bytes, bytes_small, "encode bytes must not scale with subscribers ({n_subs})");
+        assert_eq!(encodes, encodes_small, "encode count must not scale with subscribers ({n_subs})");
+        assert_eq!(delivered * 12, delivered_small * n_subs as u64, "{n_subs} subscribers");
+    }
 }
 
 #[test]
@@ -329,7 +332,7 @@ fn tcp_connection_cap_refuses_with_typed_pgss_message() {
     let store = SnapshotStore::new();
     let server = SnapshotServer::start(
         &registry,
-        ServeConfig { url: url.into(), max_conns: 1, ..ServeConfig::default() },
+        ServeConfig { url: url.into(), max_conns: 1 },
         Arc::clone(&bc),
     )
     .unwrap();

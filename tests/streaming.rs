@@ -78,6 +78,7 @@ fn fifty_frame_lockstep_run_accounts_every_frame_with_concurrent_readers() {
     assert_eq!(report.frames_fed, 50 * n_areas);
     assert_eq!(report.send_failures, 0);
     assert_eq!(report.corrupt, 0);
+    assert_eq!(report.frames_fed, report.ingested + report.corrupt, "{report:?}");
     assert_eq!(report.frames_published, 50);
     assert_eq!(report.last_epoch, Some(49));
     assert_eq!(report.unaccounted(), 0, "{report:?}");
