@@ -24,8 +24,11 @@ use crate::MwError;
 /// Deadline used by the legacy no-deadline receive entry points.
 pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
 
-/// Granularity of the bounded accept poll.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// Floor of the frame-read budget in `recv_deadline_on` /
+/// `recv_discard_on`: a connection accepted as the deadline runs out
+/// still gets this long to deliver its frame (and a zero read timeout
+/// is an error, not "no wait").
+const MIN_READ_BUDGET: Duration = Duration::from_millis(1);
 
 /// Receipt of a successful [`MwClient::send`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -167,7 +170,7 @@ impl MwClient {
     ) -> Result<Vec<u8>, MwError> {
         let start = Instant::now();
         let mut conn = accept_deadline(listener, deadline)?;
-        let remaining = deadline.saturating_sub(start.elapsed()).max(ACCEPT_POLL);
+        let remaining = deadline.saturating_sub(start.elapsed()).max(MIN_READ_BUDGET);
         conn.set_read_timeout(Some(remaining))?;
         read_frame(&mut conn).map_err(map_op_timeout("read", deadline))
     }
@@ -178,7 +181,7 @@ impl MwClient {
         let deadline = DEFAULT_RECV_DEADLINE;
         let start = Instant::now();
         let mut conn = accept_deadline(listener, deadline)?;
-        let remaining = deadline.saturating_sub(start.elapsed()).max(ACCEPT_POLL);
+        let remaining = deadline.saturating_sub(start.elapsed()).max(MIN_READ_BUDGET);
         conn.set_read_timeout(Some(remaining))?;
         read_frame_discard(&mut conn).map_err(map_op_timeout("read", deadline))
     }

@@ -8,7 +8,9 @@
 //! simulated deployment differs from the laboratory testbed.
 
 use std::collections::HashMap;
+use std::ffi::{c_int, c_short, c_ulong};
 use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::os::fd::AsRawFd;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -16,8 +18,12 @@ use parking_lot::Mutex;
 
 use crate::MwError;
 
-/// Poll granularity of every accept loop in the middleware.
-const ACCEPT_POLL: Duration = Duration::from_millis(1);
+/// How long an accept loop that its owner wakes (the pipeline routers,
+/// the fault proxies) parks between looks at its stop flag. The owner's
+/// `shutdown` does not wait this out: it sets the flag and then calls
+/// [`wake_acceptor`], so the bound is only what a *missed* wake would
+/// cost — long enough that an idle loop makes no measurable wake-ups.
+pub(crate) const OWNER_WOKEN_PARK: Duration = Duration::from_secs(5);
 
 /// A parsed `tcp://host:port` endpoint name.
 #[derive(Debug, Clone, PartialEq, Eq, Hash)]
@@ -112,18 +118,22 @@ impl EndpointRegistry {
     }
 }
 
-/// Accepts one connection within `deadline` by polling a non-blocking
-/// listener (the listener is left non-blocking). The accepted stream is
-/// switched back to blocking mode.
+/// Accepts one connection within `deadline`. The listener is left
+/// non-blocking; the accepted stream is switched back to blocking mode.
 ///
-/// Every accept path in the middleware goes through this poll (directly
-/// or via [`Acceptor`]): no component ever parks in a blocking `accept()`
-/// it cannot be recalled from, so listener shutdown is bounded by one
-/// poll interval plus the caller's stop-flag check.
+/// Between non-blocking `accept()` attempts the caller waits in `poll(2)`
+/// on the listener for what is left of the deadline, so a connection
+/// wakes its acceptor at once and an idle acceptor makes one wake-up per
+/// deadline. Every accept path in the middleware goes through this wait
+/// (directly or via [`Acceptor::accept_within`]): an acceptor is parked
+/// for at most the caller's `deadline`, so a loop that must stop sooner
+/// than its deadline needs a wake from its owner — a throwaway
+/// connection, which is what `PipelineHandle` and `FaultProxyHandle`
+/// send on shutdown.
 ///
 /// # Errors
-/// [`MwError::Timeout`] when the deadline expires, [`MwError::Io`] on
-/// socket failure.
+/// [`MwError::Timeout`] once the deadline has expired (never earlier),
+/// [`MwError::Io`] on socket failure.
 pub fn accept_polled(listener: &TcpListener, deadline: Duration) -> Result<TcpStream, MwError> {
     listener.set_nonblocking(true)?;
     let start = Instant::now();
@@ -134,23 +144,73 @@ pub fn accept_polled(listener: &TcpListener, deadline: Duration) -> Result<TcpSt
                 return Ok(conn);
             }
             Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                if start.elapsed() >= deadline {
+                let left = deadline.saturating_sub(start.elapsed());
+                if left.is_zero() {
                     return Err(MwError::Timeout { what: "accept", after: deadline });
                 }
-                std::thread::sleep(ACCEPT_POLL);
+                wait_readable(listener, left)?;
             }
             Err(e) => return Err(e.into()),
         }
     }
 }
 
+/// `struct pollfd` of `poll(2)`.
+#[repr(C)]
+struct PollFd {
+    fd: c_int,
+    events: c_short,
+    revents: c_short,
+}
+
+extern "C" {
+    fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
+}
+
+/// `POLLIN`: on a listening socket, a connection is pending.
+const POLLIN: c_short = 0x001;
+
+/// Parks the calling thread until `listener` has a pending connection or
+/// `timeout` has passed (whole milliseconds, rounded up so the wait never
+/// ends before the caller's deadline). Returning says nothing about which
+/// happened: any readiness bit, the timeout and an interrupting signal
+/// all just mean "try `accept` again" — the caller recomputes what is
+/// left of its deadline either way.
+fn wait_readable(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    let millis = c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
+    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
+    // SAFETY: `fd` is one valid, writable `pollfd` for the duration of the
+    // call and `nfds` is 1, so `poll` reads and writes nothing else; the
+    // descriptor stays open because `listener` is borrowed across the call.
+    let rc = unsafe { poll(&mut fd, 1, millis) };
+    if rc < 0 {
+        let e = std::io::Error::last_os_error();
+        if e.kind() != std::io::ErrorKind::Interrupted {
+            return Err(e);
+        }
+    }
+    Ok(())
+}
+
+/// Wakes an acceptor parked on the listener at `addr` with one throwaway
+/// loopback connection. The connection queues in the backlog, so a loop
+/// that read its stop flag just before the owner set it still finds it
+/// on its next `accept`; it carries no frame, so the loop's `read_frame`
+/// sees EOF and the loop re-reads the flag. Failure is ignored: a
+/// listener that is already gone needs no wake.
+pub(crate) fn wake_acceptor(addr: SocketAddr) {
+    let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
+}
+
 /// A deadline-bounded, capacity-limited accept loop over an owned
 /// listener.
 ///
-/// The listener is kept non-blocking for its whole life: a sweep-style
-/// server calls [`Acceptor::try_accept`] once per loop iteration and is
-/// never parked inside the kernel, so its shutdown latency is bounded by
-/// the sweep period — the serve reactor depends on this. The optional
+/// The listener is kept non-blocking for its whole life. A sweep-style
+/// server calls [`Acceptor::try_accept`] once per loop iteration, which
+/// never waits, so its shutdown latency is bounded by the sweep period —
+/// the serve reactor depends on this. A dedicated accept loop calls
+/// [`Acceptor::accept_within`], which parks for at most the deadline it
+/// is given (or until its owner wakes it). The optional
 /// connection cap turns overload into a *typed refusal*
 /// ([`MwError::ConnLimit`]) instead of an unbounded backlog.
 #[derive(Debug)]
@@ -307,6 +367,35 @@ mod tests {
         assert!(matches!(err, MwError::Timeout { what: "accept", .. }));
         // Bounded: the poll returns promptly once the deadline passes.
         assert!(start.elapsed() < Duration::from_secs(2));
+    }
+
+    #[test]
+    fn accept_polled_returns_a_connection_made_before_the_call() {
+        let reg = EndpointRegistry::new();
+        let listener = reg.bind("tcp://early:1").unwrap();
+        let peer = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+        let conn = accept_polled(&listener, Duration::from_secs(5)).unwrap();
+        assert_eq!(conn.peer_addr().unwrap(), peer.local_addr().unwrap());
+    }
+
+    #[test]
+    fn accept_polled_is_woken_by_a_connection_from_another_thread() {
+        let reg = EndpointRegistry::new();
+        let listener = reg.bind("tcp://late:1").unwrap();
+        let addr = listener.local_addr().unwrap();
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            let peer = s.spawn(|| {
+                go.wait();
+                TcpStream::connect(addr).unwrap()
+            });
+            go.wait();
+            // Parked or not yet parked when the peer connects: either way
+            // the connection is returned, and is the peer's.
+            let conn = accept_polled(&listener, Duration::from_secs(5)).unwrap();
+            let peer = peer.join().unwrap();
+            assert_eq!(conn.peer_addr().unwrap(), peer.local_addr().unwrap());
+        });
     }
 
     #[test]

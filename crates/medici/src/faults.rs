@@ -21,13 +21,10 @@ use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
 use crate::client::accept_deadline;
-use crate::endpoint::EndpointRegistry;
+use crate::endpoint::{wake_acceptor, EndpointRegistry, OWNER_WOKEN_PARK};
 use crate::framing::{read_frame, write_frame};
 use crate::retry::stable_key;
 use crate::MwError;
-
-/// Poll granularity of the proxy accept loop.
-const POLL: Duration = Duration::from_millis(1);
 
 /// Fault probabilities and parameters for one proxied endpoint.
 ///
@@ -144,6 +141,7 @@ impl FaultProxy {
     ) -> Result<FaultProxyHandle, MwError> {
         let listener = registry.bind(public_url)?;
         listener.set_nonblocking(true)?;
+        let addr = listener.local_addr()?;
         let rng = StdRng::seed_from_u64(plan.seed ^ stable_key(public_url));
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(FaultStats::default()));
@@ -156,7 +154,7 @@ impl FaultProxy {
                 proxy_loop(listener, registry, target, plan, rng, stop, stats);
             })
         };
-        Ok(FaultProxyHandle { stop, thread: Some(thread), stats })
+        Ok(FaultProxyHandle { stop, addr, thread: Some(thread), stats })
     }
 
     /// Registers `public_url` as a dead endpoint: the name resolves, but
@@ -176,6 +174,8 @@ impl FaultProxy {
 #[derive(Debug)]
 pub struct FaultProxyHandle {
     stop: Arc<AtomicBool>,
+    /// Live address of the proxy's listener, for the shutdown wake.
+    addr: std::net::SocketAddr,
     thread: Option<JoinHandle<()>>,
     stats: Arc<Mutex<FaultStats>>,
 }
@@ -191,9 +191,12 @@ impl FaultProxyHandle {
         self.shutdown();
     }
 
+    /// Flag, wake, join: the proxy is parked in `accept`, so the flag
+    /// alone would be read only after [`OWNER_WOKEN_PARK`].
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
+            wake_acceptor(self.addr);
             let _ = t.join();
         }
     }
@@ -206,7 +209,10 @@ impl Drop for FaultProxyHandle {
 }
 
 /// Accept loop: one connection at a time, frames in arrival order, one
-/// fault decision per frame.
+/// fault decision per frame. An idle proxy is parked in the accept; the
+/// handle's shutdown wakes it with a connection that carries no frame
+/// (so it draws no fault decision), and `stop` is re-read after every
+/// connection.
 fn proxy_loop(
     listener: std::net::TcpListener,
     registry: EndpointRegistry,
@@ -217,7 +223,7 @@ fn proxy_loop(
     stats: Arc<Mutex<FaultStats>>,
 ) {
     while !stop.load(Ordering::SeqCst) {
-        let mut conn = match accept_deadline(&listener, POLL) {
+        let mut conn = match accept_deadline(&listener, OWNER_WOKEN_PARK) {
             Ok(c) => c,
             Err(MwError::Timeout { .. }) => continue,
             Err(_) => break,
@@ -227,10 +233,15 @@ fn proxy_loop(
         }
         while let Ok(body) = read_frame(&mut conn) {
             let kind = decide(&plan, &mut rng);
+            // Recorded before it is applied: a receiver is woken by the
+            // delivery itself, so whoever observes the frame's effect
+            // downstream must already find it in the stats.
+            {
+                let mut s = stats.lock();
+                s.frames += 1;
+                s.injected.push(kind);
+            }
             apply(&registry, &target, &body, kind, &plan);
-            let mut s = stats.lock();
-            s.frames += 1;
-            s.injected.push(kind);
         }
     }
 }
@@ -439,6 +450,24 @@ mod tests {
         assert_eq!(stats.frames, 5);
         assert!(stats.injected.iter().all(|k| *k == FaultKind::Delivered));
         proxy.stop();
+    }
+
+    #[test]
+    fn stop_wakes_an_idle_proxy_instead_of_waiting_out_its_park() {
+        let (_registry, _dst, proxy) = proxied_pair(FaultPlan::default());
+        let start = Instant::now();
+        proxy.stop();
+        // Liveness margin, not a perf floor: a stop that relied on the
+        // proxy's own timeout would take the whole park bound.
+        assert!(start.elapsed() < OWNER_WOKEN_PARK / 2, "{:?}", start.elapsed());
+    }
+
+    #[test]
+    fn stop_wake_draws_no_fault_decision() {
+        let plan = FaultPlan { drop_prob: 1.0, ..FaultPlan::default() };
+        let (_registry, _dst, mut proxy) = proxied_pair(plan);
+        proxy.shutdown();
+        assert_eq!(proxy.stats(), FaultStats::default());
     }
 
     #[test]

@@ -8,7 +8,7 @@
 //! rate.
 
 use std::io::Write;
-use std::net::TcpStream;
+use std::net::{SocketAddr, TcpStream};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,7 +16,7 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
-use crate::endpoint::EndpointRegistry;
+use crate::endpoint::{wake_acceptor, EndpointRegistry, OWNER_WOKEN_PARK};
 use crate::framing::read_frame;
 
 /// Relay pacing granularity: small enough that the token bucket shapes the
@@ -173,6 +173,7 @@ impl MifPipeline {
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(RelayStats::default()));
         let mut threads = Vec::new();
+        let mut inbound = Vec::new();
         for comp in &self.components {
             let in_url = comp
                 .in_url
@@ -183,6 +184,7 @@ impl MifPipeline {
                 .clone()
                 .ok_or_else(|| MwError::BadUrl(format!("{}: no outbound endpoint", comp.name)))?;
             let listener = crate::endpoint::Acceptor::new(registry.bind(&in_url)?)?;
+            inbound.push(listener.local_addr()?);
             let registry = registry.clone();
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
@@ -196,7 +198,7 @@ impl MifPipeline {
                 router_loop(listener, registry, out_url, cfg, stop, stats, recorder);
             }));
         }
-        Ok(PipelineHandle { stop, threads, stats })
+        Ok(PipelineHandle { stop, inbound, threads, stats })
     }
 }
 
@@ -205,6 +207,9 @@ impl MifPipeline {
 #[derive(Debug)]
 pub struct PipelineHandle {
     stop: Arc<AtomicBool>,
+    /// Live address of every router's inbound listener, for the shutdown
+    /// wake.
+    inbound: Vec<SocketAddr>,
     threads: Vec<JoinHandle<()>>,
     stats: Arc<Mutex<RelayStats>>,
 }
@@ -220,8 +225,13 @@ impl PipelineHandle {
         self.shutdown();
     }
 
+    /// Flag, wake, join: the routers are parked in `accept`, so the flag
+    /// alone would be read only after [`OWNER_WOKEN_PARK`].
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
+        for addr in self.inbound.drain(..) {
+            wake_acceptor(addr);
+        }
         for t in self.threads.drain(..) {
             let _ = t.join();
         }
@@ -244,9 +254,12 @@ struct RouterConfig {
 
 /// Accept loop of one component: store each inbound frame, forward it to
 /// the outbound endpoint at the relay rate. All socket waits are bounded
-/// by the configured IO deadline; the accept itself goes through the
-/// non-blocking [`crate::endpoint::Acceptor`], so shutdown latency is
-/// bounded by one poll interval.
+/// by the configured IO deadline. An idle router is parked in
+/// [`crate::endpoint::Acceptor::accept_within`]: a sender's connection
+/// wakes it at once, and so does [`PipelineHandle`]'s shutdown, which
+/// sets `stop` and then connects once to the inbound endpoint — the stop
+/// flag is re-read after every connection and every
+/// [`OWNER_WOKEN_PARK`].
 fn router_loop(
     listener: crate::endpoint::Acceptor,
     registry: EndpointRegistry,
@@ -258,11 +271,9 @@ fn router_loop(
 ) {
     let retry_key = stable_key(&out_url);
     while !stop.load(Ordering::SeqCst) {
-        match listener.try_accept(0, |_| {}) {
-            Ok(Some(mut conn)) => {
-                if conn.set_nonblocking(false).is_err()
-                    || conn.set_read_timeout(Some(cfg.io_deadline)).is_err()
-                {
+        match listener.accept_within(OWNER_WOKEN_PARK) {
+            Ok(mut conn) => {
+                if conn.set_read_timeout(Some(cfg.io_deadline)).is_err() {
                     continue;
                 }
                 // A connection may carry several frames; relay until EOF
@@ -299,9 +310,7 @@ fn router_loop(
                     }
                 }
             }
-            Ok(None) => {
-                std::thread::sleep(Duration::from_millis(1));
-            }
+            Err(MwError::Timeout { .. }) => {}
             Err(_) => break,
         }
     }
@@ -541,6 +550,17 @@ mod tests {
         let registry = EndpointRegistry::new();
         let handle = one_hop_pipeline(&registry, None);
         handle.stop(); // must return, not hang
+    }
+
+    #[test]
+    fn stop_wakes_an_idle_router_instead_of_waiting_out_its_park() {
+        let registry = EndpointRegistry::new();
+        let handle = one_hop_pipeline(&registry, None);
+        let start = std::time::Instant::now();
+        handle.stop();
+        // Liveness margin, not a perf floor: a stop that relied on the
+        // router's own timeout would take the whole park bound.
+        assert!(start.elapsed() < OWNER_WOKEN_PARK / 2, "{:?}", start.elapsed());
     }
 
     #[test]

@@ -146,7 +146,9 @@ impl IngestQueue {
         s.last_accepted = Some(frame.seq);
         s.frames.push_back((frame, Instant::now()));
         drop(s);
-        self.ready.notify_one();
+        // `notify_all`: `pop_latest` and `wait_accepted` share the condvar,
+        // and a single wake handed to the wrong kind of waiter is lost.
+        self.ready.notify_all();
         PushOutcome::Accepted
     }
 
@@ -166,7 +168,7 @@ impl IngestQueue {
         }
         s.frames.push_front((frame, Instant::now()));
         drop(s);
-        self.ready.notify_one();
+        self.ready.notify_all();
     }
 
     /// Takes the freshest pending frame, shedding every older queued frame
@@ -194,13 +196,30 @@ impl IngestQueue {
         s.frames.pop_front()
     }
 
+    /// Parks until the queue has accepted a frame with sequence number
+    /// `seq` or newer, for at most `deadline`. Returns whether it has —
+    /// `false` means the deadline expired or the queue was closed first.
+    /// The predicate is read under the lock [`IngestQueue::push`] updates
+    /// it under, so an accept between the check and the park cannot be
+    /// missed.
+    pub fn wait_accepted(&self, seq: u64, deadline: Duration) -> bool {
+        let accepted = |s: &QueueState| s.last_accepted.is_some_and(|last| last >= seq);
+        let s = self.state.lock().expect("ingest queue lock poisoned");
+        let (s, _) = self
+            .ready
+            .wait_timeout_while(s, deadline, |s| !s.closed && !accepted(s))
+            .expect("ingest queue lock poisoned");
+        accepted(&s)
+    }
+
     /// Number of pending frames.
     pub fn depth(&self) -> usize {
         self.state.lock().unwrap().frames.len()
     }
 
     /// Marks the queue closed: pending frames stay poppable, blocked and
-    /// future `pop_latest` calls return immediately once empty.
+    /// future `pop_latest` calls return immediately once empty, and a
+    /// blocked `wait_accepted` returns.
     pub fn close(&self) {
         self.state.lock().unwrap().closed = true;
         self.ready.notify_all();
@@ -219,11 +238,6 @@ impl IngestQueue {
     /// Snapshot of the queue's accounting.
     pub fn stats(&self) -> IngestStats {
         self.state.lock().unwrap().stats
-    }
-
-    /// The newest sequence number ever accepted.
-    pub fn last_accepted(&self) -> Option<u64> {
-        self.state.lock().unwrap().last_accepted
     }
 }
 
@@ -319,6 +333,92 @@ mod tests {
         assert_eq!(q2.drain_remaining(), 2);
         assert_eq!(q2.stats().shed_superseded, 2);
         assert_accounted(&q2, 0);
+    }
+
+    #[test]
+    fn wait_accepted_returns_at_once_when_the_sequence_is_already_in() {
+        let q = IngestQueue::new(4);
+        q.push(frame(3));
+        // Popping does not un-accept: the predicate is `last_accepted`.
+        q.pop_latest(Duration::ZERO).unwrap();
+        assert!(q.wait_accepted(3, Duration::ZERO));
+        assert!(q.wait_accepted(2, Duration::ZERO));
+        assert!(!q.wait_accepted(4, Duration::ZERO));
+    }
+
+    #[test]
+    fn wait_accepted_times_out_on_an_empty_queue() {
+        let q = IngestQueue::new(4);
+        let deadline = Duration::from_millis(20);
+        let start = Instant::now();
+        assert!(!q.wait_accepted(0, deadline));
+        assert!(start.elapsed() >= deadline);
+    }
+
+    #[test]
+    fn wait_accepted_wakes_on_a_push_from_another_thread() {
+        let q = IngestQueue::new(4);
+        let go = std::sync::Barrier::new(2);
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                q.push(frame(0)); // older than awaited: the waiter parks again
+                q.push(frame(1));
+            });
+            go.wait();
+            assert!(q.wait_accepted(1, Duration::from_secs(5)));
+        });
+    }
+
+    #[test]
+    fn close_releases_a_blocked_wait_accepted() {
+        let q = IngestQueue::new(4);
+        let go = std::sync::Barrier::new(2);
+        let deadline = Duration::from_secs(5);
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            s.spawn(|| {
+                go.wait();
+                q.close();
+            });
+            go.wait();
+            assert!(!q.wait_accepted(0, deadline));
+        });
+        // Closed and never accepted: later waits return without parking.
+        assert!(!q.wait_accepted(0, deadline));
+        // `false` from a timeout would have taken a whole deadline.
+        assert!(start.elapsed() < deadline, "close did not wake the wait");
+    }
+
+    /// Push *k* → the waiter returns → push *k + 1* → …: every round parks
+    /// or finds the frame already in, and a single lost wake-up costs one
+    /// whole 5 s deadline — more than all 10 000 rounds may take together.
+    #[test]
+    fn ten_thousand_round_handoff_loses_no_wakeup() {
+        const ROUNDS: u64 = 10_000;
+        let per_wait = Duration::from_secs(5);
+        let q = IngestQueue::new(2);
+        let (ack_tx, ack_rx) = std::sync::mpsc::channel::<()>();
+        let start = Instant::now();
+        std::thread::scope(|s| {
+            // Owned by this closure, so a failed assert below hangs up the
+            // channel and releases the pusher before the scope joins it.
+            let ack_tx = ack_tx;
+            let q = &q;
+            s.spawn(move || {
+                for k in 0..ROUNDS {
+                    q.push(frame(k));
+                    if ack_rx.recv().is_err() {
+                        return;
+                    }
+                }
+            });
+            for k in 0..ROUNDS {
+                assert!(q.wait_accepted(k, per_wait), "round {k} waited out its deadline");
+                assert!(start.elapsed() < per_wait, "a wake-up was lost by round {k}");
+                ack_tx.send(()).unwrap();
+            }
+        });
     }
 
     #[test]

@@ -74,6 +74,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::{Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pgse_cluster::{plan_redistribution, FleetLiveness};
@@ -660,7 +661,11 @@ impl StreamService {
 
         let feeder_done = AtomicBool::new(false);
         let stop_ingest = AtomicBool::new(false);
-        let published_seq = AtomicU64::new(u64::MAX);
+        // Sequence of the newest published frame, and the condvar the
+        // publish site notifies after storing it: the lockstep feeder
+        // parks here instead of polling.
+        let published_seq: Mutex<Option<u64>> = Mutex::new(None);
+        let published = Condvar::new();
         let frames_fed = AtomicU64::new(0);
         let send_failures = AtomicU64::new(0);
         let corrupt: Vec<AtomicU64> = (0..n_areas).map(|_| AtomicU64::new(0)).collect();
@@ -728,6 +733,7 @@ impl StreamService {
                 let registry = self.registry.clone();
                 let feeder_done = &feeder_done;
                 let published_seq = &published_seq;
+                let published = &published;
                 let frames_fed = &frames_fed;
                 let send_failures = &send_failures;
                 let gross_fed = &gross_fed;
@@ -808,17 +814,15 @@ impl StreamService {
                             }
                         }
                         if cfg.lockstep {
-                            // Wait for this frame's snapshot; the timeout
-                            // keeps the feeder live when chaos starves a
-                            // whole round.
-                            let wait = Instant::now();
-                            while wait.elapsed() < cfg.lockstep_timeout {
-                                let p = published_seq.load(Ordering::Acquire);
-                                if p != u64::MAX && p >= s {
-                                    break;
-                                }
-                                std::thread::sleep(Duration::from_micros(200));
-                            }
+                            // Park until this frame's snapshot is
+                            // published; the timeout keeps the feeder
+                            // live when chaos starves a whole round.
+                            let seq = published_seq.lock().expect("published_seq lock poisoned");
+                            let _parked = published
+                                .wait_timeout_while(seq, cfg.lockstep_timeout, |p| {
+                                    !p.is_some_and(|p| p >= s)
+                                })
+                                .expect("published_seq lock poisoned");
                         } else if !cfg.pacing.is_zero() {
                             std::thread::sleep(cfg.pacing);
                         }
@@ -836,13 +840,11 @@ impl StreamService {
                 // the round/shed/recovery structure is seed-determined.
                 if cfg.deterministic_rounds && next_expected < cfg.n_frames {
                     let wait = Instant::now();
-                    while wait.elapsed() < cfg.lockstep_timeout
-                        && !self
-                            .queues
-                            .iter()
-                            .all(|q| q.last_accepted().is_some_and(|l| l >= next_expected))
-                    {
-                        std::thread::sleep(Duration::from_micros(200));
+                    for q in &self.queues {
+                        let left = cfg.lockstep_timeout.saturating_sub(wait.elapsed());
+                        if !q.wait_accepted(next_expected, left) {
+                            break;
+                        }
                     }
                 }
 
@@ -1359,7 +1361,9 @@ impl StreamService {
                     };
                     match self.store.publish(snap) {
                         Ok(epoch) => {
-                            published_seq.store(target_seq, Ordering::Release);
+                            *published_seq.lock().expect("published_seq lock poisoned") =
+                                Some(target_seq);
+                            published.notify_one();
                             report.frames_published += 1;
                             report.last_epoch = Some(epoch);
                             self.rec.counter_add("stream.published", 1);
@@ -2231,6 +2235,9 @@ mod tests {
         assert_eq!(report.unaccounted(), 0, "{report:?}");
         assert_eq!(report.last_epoch, Some(3));
         assert_eq!(service.store().load().unwrap().frame_seq, 3);
+        // No feeder wait ran into its timeout: one missed wake is one
+        // `lockstep_timeout` stall.
+        assert!(report.elapsed < service.config().lockstep_timeout, "{:?}", report.elapsed);
         // Structure reuse engaged: at least one build per cache (a round
         // solved before every neighbour reported can rebuild Step 2 once),
         // reuses afterwards.
@@ -2268,6 +2275,28 @@ mod tests {
                 + obs.counter("stream", "stream.scalar_fallbacks"),
             obs.counter("stream", "stream.gain_solves")
         );
+    }
+
+    #[test]
+    fn clean_deterministic_rounds_run_never_waits_out_the_gate() {
+        let net = ieee118_like();
+        let cfg = StreamConfig {
+            n_frames: 8,
+            seed: 21,
+            deterministic_rounds: true,
+            ..StreamConfig::default()
+        };
+        let service = StreamService::deploy(&net, cfg).unwrap();
+        let report = service.run();
+
+        let n_areas = service.n_areas() as u64;
+        assert_eq!(report.frames_fed, 8 * n_areas);
+        assert_eq!(report.frames_published, 8);
+        assert_eq!(report.last_epoch, Some(7));
+        assert_eq!(report.unaccounted(), 0, "{report:?}");
+        // Neither the round gate nor the feeder ran into its timeout: one
+        // missed wake is one `lockstep_timeout` stall.
+        assert!(report.elapsed < service.config().lockstep_timeout, "{:?}", report.elapsed);
     }
 
     #[test]

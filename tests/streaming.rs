@@ -83,6 +83,9 @@ fn fifty_frame_lockstep_run_accounts_every_frame_with_concurrent_readers() {
     assert_eq!(report.last_epoch, Some(49));
     assert_eq!(report.unaccounted(), 0, "{report:?}");
     assert_eq!(report.rounds, report.frames_published + report.publish_rejected + report.rounds_unpublishable);
+    // No feeder wait ran into its timeout: one missed wake is one
+    // `lockstep_timeout` stall.
+    assert!(report.elapsed < service.config().lockstep_timeout, "{:?}", report.elapsed);
 
     // The same identity, from the exported ObsReport counters alone.
     let obs = service.obs_report();
