@@ -18,8 +18,9 @@
 //! * storage formats: [`Coo`] (triplet assembly), [`Csr`], [`Csc`];
 //! * kernels: (parallel) SpMV, Gustavson SpGEMM, transpose, `AᵀWA`;
 //! * ordering: minimum degree ([`ordering`]);
-//! * direct solvers: Gilbert–Peierls sparse LU with partial pivoting
-//!   ([`lu`]) and one sparse Cholesky — an elimination-tree symbolic
+//! * direct solvers: Gilbert–Peierls sparse LU with a minimum-degree
+//!   pre-order analysed once per pattern ([`LuSymbolic`]) and partial
+//!   pivoting ([`lu`]), and one sparse Cholesky — an elimination-tree symbolic
 //!   analysis ([`CholSymbolic`]) shared by a scalar up-looking numeric
 //!   pass ([`scholesky`]) and a lane-interleaved one for same-pattern
 //!   groups ([`batch`]);
@@ -50,7 +51,7 @@ pub use coo::Coo;
 pub use csc::Csc;
 pub use csr::Csr;
 pub use dense::DenseMatrix;
-pub use lu::SparseLu;
+pub use lu::{LuSymbolic, SparseLu};
 pub use scholesky::{CholSymbolic, SparseCholesky};
 pub use pcg::{pcg, CgOptions, CgOutcome, Preconditioner};
 pub use symbolic::AtaSymbolic;

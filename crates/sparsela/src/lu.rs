@@ -1,27 +1,83 @@
-//! Gilbert–Peierls sparse LU factorization with partial pivoting.
+//! Gilbert–Peierls sparse LU factorization with a fill-reducing symmetric
+//! pre-order and row partial pivoting.
 //!
 //! This is the general sparse direct solver the Newton power flow relies on
-//! (the power-flow Jacobian is unsymmetric). The algorithm factors one
-//! column at a time: the column of the factors is the solution of a sparse
-//! triangular system whose nonzero pattern is discovered by a depth-first
-//! reachability search over the columns of `L` computed so far — the total
-//! work is proportional to the number of floating-point operations actually
-//! performed, not to `n²`.
+//! (the power-flow Jacobian is unsymmetric). The work is split in two:
+//!
+//! * [`LuSymbolic`] is the pattern-only half, analysed once per pattern: a
+//!   minimum-degree order `Q` of the pattern of `A + Aᵀ`
+//!   ([`crate::ordering::minimum_degree`]).
+//! * The numeric pass ([`SparseLu::factor_with_symbolic`]) factors `Q·A·Qᵀ`
+//!   one column at a time: the column of the factors is the solution of a
+//!   sparse triangular system whose nonzero pattern is discovered by a
+//!   depth-first reachability search over the columns of `L` computed so
+//!   far — the total work is proportional to the number of floating-point
+//!   operations actually performed, not to `n²`.
+//!
+//! Row pivots are chosen by value, so the patterns of `L` and `U` are only
+//! known after the numeric pass; the order is what carries over between
+//! factorizations. It decides fill, never correctness: any matrix of the
+//! analysed dimension factors over it, including one whose value pattern
+//! lost entries that were exactly zero (a `Coo` drops them) or gained some.
+//! [`SparseLu::factor`] is analyse + numeric in one call.
 //!
 //! Reference: J. R. Gilbert and T. Peierls, "Sparse partial pivoting in time
 //! proportional to arithmetic operations", SIAM J. Sci. Stat. Comput., 1988.
 
+use std::sync::Arc;
+
 use crate::csc::Csc;
 use crate::csr::Csr;
+use crate::ordering;
 use crate::{LaError, LaResult};
 
-/// A sparse LU factorization `P·A = L·U` with row pivoting.
+/// The pattern-only half of a sparse LU factorization: the fill-reducing
+/// symmetric order, reusable by every numeric pass of the same dimension.
+#[derive(Debug, Clone)]
+pub struct LuSymbolic {
+    /// `perm[new] = old`.
+    perm: Vec<usize>,
+    /// `inv[old] = new`.
+    inv: Vec<usize>,
+}
+
+impl LuSymbolic {
+    /// Minimum-degree order of the pattern of `a + aᵀ` (values ignored).
+    pub fn analyze(a: &Csc) -> Self {
+        assert_eq!(a.nrows(), a.ncols(), "lu: square only");
+        let n = a.nrows();
+        // The CSC arrays of A are the CSR arrays of Aᵀ, and the ordering
+        // symmetrizes the pattern itself.
+        let at = Csr::from_raw(
+            n,
+            n,
+            a.col_ptr().to_vec(),
+            a.row_idx().to_vec(),
+            a.values().to_vec(),
+        );
+        let perm = ordering::minimum_degree(&at);
+        let mut inv = vec![0usize; n];
+        for (new, &old) in perm.iter().enumerate() {
+            inv[old] = new;
+        }
+        LuSymbolic { perm, inv }
+    }
+
+    /// Matrix dimension.
+    pub fn dim(&self) -> usize {
+        self.perm.len()
+    }
+}
+
+/// A sparse LU factorization `P·Q·A·Qᵀ = L·U` with a symmetric pre-order
+/// `Q` and row pivoting `P`.
 ///
 /// `L` is unit lower triangular, `U` upper triangular; both are stored
 /// column-compressed in the pivoted row order.
 #[derive(Debug, Clone)]
 pub struct SparseLu {
     n: usize,
+    sym: Arc<LuSymbolic>,
     /// Column pointers of L.
     lp: Vec<usize>,
     /// Row indices of L (pivoted order); the unit diagonal is stored first
@@ -34,8 +90,8 @@ pub struct SparseLu {
     /// each column.
     ui: Vec<usize>,
     ux: Vec<f64>,
-    /// `pinv[old_row] = pivoted_row`.
-    pinv: Vec<usize>,
+    /// `row_of[old_row]` = the row of `L·U` it ends up in (`P` after `Q`).
+    row_of: Vec<usize>,
 }
 
 /// Workspace for the depth-first reach used by the column solves.
@@ -51,7 +107,8 @@ struct ReachWorkspace {
 }
 
 impl SparseLu {
-    /// Factors the square matrix `a` (given in CSC).
+    /// Factors the square matrix `a` (given in CSC): analyses its pattern
+    /// ([`LuSymbolic::analyze`]), then runs the numeric pass.
     ///
     /// `pivot_tol` in `(0, 1]` controls threshold partial pivoting: the
     /// diagonal candidate is kept if it is at least `pivot_tol` times the
@@ -62,9 +119,29 @@ impl SparseLu {
     /// [`LaError::SingularPivot`] if no acceptable pivot exists in some
     /// column.
     pub fn factor(a: &Csc, pivot_tol: f64) -> LaResult<Self> {
+        Self::factor_with_symbolic(Arc::new(LuSymbolic::analyze(a)), a, pivot_tol)
+    }
+
+    /// Convenience: factors a CSR matrix.
+    pub fn factor_csr(a: &Csr, pivot_tol: f64) -> LaResult<Self> {
+        Self::factor(&a.to_csc(), pivot_tol)
+    }
+
+    /// The numeric pass alone: factors `a` under the order of `sym`, which
+    /// may have been analysed on any matrix of the same dimension (see the
+    /// module docs). `pivot_tol` as in [`SparseLu::factor`].
+    ///
+    /// # Errors
+    /// [`LaError::DimensionMismatch`] when `a` and `sym` differ in
+    /// dimension; [`LaError::SingularPivot`] if no acceptable pivot exists
+    /// in some column.
+    pub fn factor_with_symbolic(sym: Arc<LuSymbolic>, a: &Csc, pivot_tol: f64) -> LaResult<Self> {
         assert_eq!(a.nrows(), a.ncols(), "lu: square only");
         assert!(pivot_tol > 0.0 && pivot_tol <= 1.0, "lu: pivot_tol in (0,1]");
         let n = a.nrows();
+        if sym.dim() != n {
+            return Err(LaError::DimensionMismatch { expected: sym.dim(), found: n });
+        }
         let mut lp = Vec::with_capacity(n + 1);
         let mut li: Vec<usize> = Vec::new();
         let mut lx: Vec<f64> = Vec::new();
@@ -84,15 +161,18 @@ impl SparseLu {
         up.push(0);
 
         for k in 0..n {
+            // Column k of Q·A·Qᵀ is column perm[k] of A, rows relabelled.
+            let (rows, vals) = a.col(sym.perm[k]);
             // Sparse triangular solve x = L \ A(:,k); pattern in xi[top..n],
             // in topological order so dependencies resolve front-to-back.
-            let top = sparse_reach(&lp, &li, a, k, &pinv, &mut ws);
-            x_scatter(a, k, &mut x);
+            let top = sparse_reach(&lp, &li, rows.iter().map(|&r| sym.inv[r]), k, &pinv, &mut ws);
+            for (&r, &v) in rows.iter().zip(vals) {
+                x[sym.inv[r]] = v;
+            }
             for &i in &ws.xi[top..n] {
-                let jcol = pinv[i];
-                if jcol == usize::MAX {
+                let Some(jcol) = pinv_col(&pinv, i) else {
                     continue; // row not pivotal yet: no L column to eliminate with
-                }
+                };
                 // L's unit diagonal is the first entry of column jcol.
                 let xj = x[i];
                 for p in (lp[jcol] + 1)..lp[jcol + 1] {
@@ -146,12 +226,8 @@ impl SparseLu {
         for idx in &mut li {
             *idx = pinv[*idx];
         }
-        Ok(SparseLu { n, lp, li, lx, up, ui, ux, pinv })
-    }
-
-    /// Convenience: factors a CSR matrix.
-    pub fn factor_csr(a: &Csr, pivot_tol: f64) -> LaResult<Self> {
-        Self::factor(&a.to_csc(), pivot_tol)
+        let row_of = sym.inv.iter().map(|&new| pinv[new]).collect();
+        Ok(SparseLu { n, sym, lp, li, lx, up, ui, ux, row_of })
     }
 
     /// Matrix dimension.
@@ -167,10 +243,10 @@ impl SparseLu {
     /// Solves `A x = b`.
     pub fn solve(&self, b: &[f64]) -> Vec<f64> {
         assert_eq!(b.len(), self.n, "lu solve: rhs length");
-        // y = P b
+        // y = P Q b
         let mut y = vec![0.0; self.n];
-        for (old, &new) in self.pinv.iter().enumerate() {
-            y[new] = b[old];
+        for (old, &row) in self.row_of.iter().enumerate() {
+            y[row] = b[old];
         }
         // Forward solve L z = y (unit diagonal first in each column).
         for j in 0..self.n {
@@ -182,7 +258,7 @@ impl SparseLu {
                 y[self.li[p]] -= self.lx[p] * yj;
             }
         }
-        // Backward solve U x = z (diagonal last in each column).
+        // Backward solve U w = z (diagonal last in each column).
         for j in (0..self.n).rev() {
             let dpos = self.up[j + 1] - 1;
             debug_assert_eq!(self.ui[dpos], j, "U diagonal position");
@@ -195,39 +271,27 @@ impl SparseLu {
                 y[self.ui[p]] -= self.ux[p] * xj;
             }
         }
-        y
-    }
-
-    /// Solves in place into `b`.
-    pub fn solve_into(&self, b: &mut Vec<f64>) {
-        let x = self.solve(b);
-        *b = x;
+        // x = Qᵀ w
+        self.sym.inv.iter().map(|&new| y[new]).collect()
     }
 }
 
-/// Scatters column `k` of `a` into the dense workspace `x`.
-fn x_scatter(a: &Csc, k: usize, x: &mut [f64]) {
-    let (rows, vals) = a.col(k);
-    for (r, v) in rows.iter().zip(vals) {
-        x[*r] = *v;
-    }
-}
-
-/// Computes the reach of column `k` of `a` in the directed graph of the `L`
-/// columns built so far. Returns `top`; the pattern is `ws.xi[top..n]` in
+/// Computes the reach of the column whose (relabelled) row indices are
+/// `starts` in the directed graph of the `L` columns built so far; `k` is
+/// the factorization step. Returns `top`; the pattern is `ws.xi[top..n]` in
 /// topological order.
 fn sparse_reach(
     lp: &[usize],
     li: &[usize],
-    a: &Csc,
+    starts: impl Iterator<Item = usize>,
     k: usize,
     pinv: &[usize],
     ws: &mut ReachWorkspace,
 ) -> usize {
     let n = pinv.len();
     let mut top = n;
-    let (arows, _) = a.col(k);
-    for &start in arows {
+    let first_child = |node: usize| pinv_col(pinv, node).map_or(0, |j| lp[j] + 1);
+    for start in starts {
         if ws.mark[start] == k {
             continue;
         }
@@ -235,17 +299,16 @@ fn sparse_reach(
         ws.stack.clear();
         ws.stack.push(start);
         ws.mark[start] = k;
-        ws.pstack[start] = pinv[start].map_or(0, |j| lp[j] + 1);
+        ws.pstack[start] = first_child(start);
         while let Some(&node) = ws.stack.last() {
-            let jcol = pinv_col(pinv, node);
-            let end = jcol.map_or(0, |j| lp[j + 1]);
+            let end = pinv_col(pinv, node).map_or(0, |j| lp[j + 1]);
             let mut descended = false;
             while ws.pstack[node] < end {
                 let child = li[ws.pstack[node]];
                 ws.pstack[node] += 1;
                 if ws.mark[child] != k {
                     ws.mark[child] = k;
-                    ws.pstack[child] = pinv_col(pinv, child).map_or(0, |j| lp[j] + 1);
+                    ws.pstack[child] = first_child(child);
                     ws.stack.push(child);
                     descended = true;
                     break;
@@ -261,30 +324,10 @@ fn sparse_reach(
     top
 }
 
-/// The L column associated with original row `i`, if that row is pivotal.
+/// The L column associated with row `i`, if that row is pivotal.
 #[inline]
 fn pinv_col(pinv: &[usize], i: usize) -> Option<usize> {
-    if pinv[i] == usize::MAX {
-        None
-    } else {
-        Some(pinv[i])
-    }
-}
-
-/// Small extension trait used to keep `sparse_reach` readable.
-trait MapOrExt {
-    fn map_or<T>(self, default: T, f: impl FnOnce(usize) -> T) -> T;
-}
-
-impl MapOrExt for usize {
-    #[inline]
-    fn map_or<T>(self, default: T, f: impl FnOnce(usize) -> T) -> T {
-        if self == usize::MAX {
-            default
-        } else {
-            f(self)
-        }
-    }
+    (pinv[i] != usize::MAX).then_some(pinv[i])
 }
 
 #[cfg(test)]
@@ -391,5 +434,59 @@ mod tests {
         // Identity: L has 4 unit diagonals, U has 4 diagonals.
         assert_eq!(lu.factor_nnz(), 8);
         assert_eq!(lu.dim(), 4);
+    }
+
+    /// An arrow matrix with its hub at index 0: factored in natural order
+    /// the first elimination fills everything, eliminated last it fills
+    /// nothing.
+    fn arrow(n: usize) -> Csr {
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + i as f64);
+            if i > 0 {
+                coo.push(0, i, 1.0);
+                coo.push(i, 0, -1.0);
+            }
+        }
+        coo.to_csr()
+    }
+
+    #[test]
+    fn pre_order_keeps_an_arrow_free_of_fill() {
+        let n = 40;
+        let a = arrow(n);
+        let lu = SparseLu::factor_csr(&a, 1.0).unwrap();
+        // L and U together hold exactly A's entries plus L's unit diagonal.
+        assert_eq!(lu.factor_nnz(), a.nnz() + n);
+        let b: Vec<f64> = (0..n).map(|i| (i as f64).cos()).collect();
+        assert!(residual(&a, &lu.solve(&b), &b) < 1e-12);
+    }
+
+    #[test]
+    fn symbolic_is_reused_across_value_patterns() {
+        let n = 12;
+        let full = arrow(n);
+        let sym = Arc::new(LuSymbolic::analyze(&full.to_csc()));
+        assert_eq!(sym.dim(), n);
+        // Drop every hub entry but one from the matrix: a strict subset of
+        // the analysed pattern. Then add entries the analysis never saw.
+        let mut coo = Coo::new(n, n);
+        for i in 0..n {
+            coo.push(i, i, 4.0 + i as f64);
+        }
+        coo.push(0, 5, 1.0);
+        let subset = coo.to_csr();
+        coo.push(3, 7, 2.0);
+        coo.push(7, 3, -0.5);
+        let superset = full.add_scaled(&coo.to_csr(), 1.0);
+        for a in [&full, &subset, &superset] {
+            let lu = SparseLu::factor_with_symbolic(Arc::clone(&sym), &a.to_csc(), 1.0).unwrap();
+            let b: Vec<f64> = (0..n).map(|i| 1.0 + i as f64).collect();
+            assert!(residual(a, &lu.solve(&b), &b) < 1e-12);
+        }
+        assert!(matches!(
+            SparseLu::factor_with_symbolic(sym, &Csc::from_csr(&Csr::identity(n + 1)), 1.0),
+            Err(LaError::DimensionMismatch { expected: 12, found: 13 })
+        ));
     }
 }

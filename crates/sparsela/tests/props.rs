@@ -24,6 +24,27 @@ fn spd_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
     })
 }
 
+/// Random structurally unsymmetric system whose diagonal is mostly zero:
+/// one dominant entry per row at a random column `perm[i]` (nonsingular by
+/// row dominance: it outweighs the row's other entries together) plus
+/// sparse unsymmetric noise, returned with a right-hand side.
+fn unsymmetric_system() -> impl Strategy<Value = (Csr, Vec<f64>)> {
+    (3usize..14).prop_flat_map(|n| {
+        let trips = proptest::collection::vec((0..n, 0..n, -1.0f64..1.0), 0..3 * n);
+        let rhs = proptest::collection::vec(-2.0f64..2.0, n);
+        (trips, 1u64..500, rhs).prop_map(move |(trips, seed, rhs)| {
+            let mut coo = Coo::new(n, n);
+            for (i, &j) in permutation(n, seed).iter().enumerate() {
+                coo.push(i, j, if i % 2 == 0 { 1.0 } else { -1.0 } * (3 * n + 1) as f64);
+            }
+            for (i, j, v) in trips {
+                coo.push(i, j, v);
+            }
+            (coo.to_csr(), rhs)
+        })
+    })
+}
+
 /// Random permutation of `0..n` derived from a seed.
 fn permutation(n: usize, seed: u64) -> Vec<usize> {
     let mut p: Vec<usize> = (0..n).collect();
@@ -70,6 +91,17 @@ proptest! {
             prop_assert!((dense_chol[i] - dense[i]).abs() < 1e-7, "dense cholesky");
             prop_assert!((tree[i] - dense[i]).abs() < 1e-7, "scholesky");
             prop_assert!((lu[i] - dense[i]).abs() < 1e-7, "lu");
+        }
+    }
+
+    #[test]
+    fn lu_solves_unsymmetric_patterns_with_zero_diagonals((a, rhs) in unsymmetric_system()) {
+        let dense = a.to_dense().solve(&rhs).unwrap();
+        for tol in [1.0, 0.1] {
+            let lu = SparseLu::factor_csr(&a, tol).unwrap().solve(&rhs);
+            for i in 0..rhs.len() {
+                prop_assert!((lu[i] - dense[i]).abs() < 1e-9, "tol {tol}, x[{i}]");
+            }
         }
     }
 
