@@ -2,6 +2,7 @@
 
 use pgse_estimation::jacobian::StateSpace;
 use pgse_estimation::measurement::{FlowSide, Measurement, MeasurementKind, MeasurementSet};
+use pgse_estimation::restoration::append_pseudo_superset;
 use pgse_estimation::synthetic::{SigmaSet, TelemetryPlan};
 use pgse_estimation::wls::{SolveCache, WlsError, WlsEstimator, WlsOptions};
 use pgse_grid::{Branch, Network, Ybus};
@@ -58,6 +59,9 @@ pub struct AreaEstimator {
     truth: PfSolution,
     /// Step-1 telemetry plan.
     plan: TelemetryPlan,
+    /// Step-1 measurement layout: the plan's rows, then the inactive
+    /// restoration pseudo superset.
+    layout: MeasurementSet,
     /// Step-1 estimator (local subnet, PMU-anchored full state space).
     step1_est: WlsEstimator,
     /// Step-2 estimator on the extended network.
@@ -152,11 +156,13 @@ impl AreaEstimator {
             ties.push(IncidentTie { ext_branch, side, truth_p, truth_q });
         }
 
-        let step1_est =
-            WlsEstimator::new(subnet, StateSpace::full(n_local), wls);
+        let space = StateSpace::full(n_local);
+        let mut layout = plan.layout(&subnet);
+        append_pseudo_superset(&mut layout, &space);
+        let step1_est = WlsEstimator::new(subnet, space, wls);
         let ext_n = ext_net.n_buses();
         let step2_est = WlsEstimator::new(ext_net, StateSpace::full(ext_n), wls);
-        AreaEstimator { info, truth, plan, step1_est, step2_est, ext_of_global, ties }
+        AreaEstimator { info, truth, plan, layout, step1_est, step2_est, ext_of_global, ties }
     }
 
     /// The local ground truth (testing and error metrics).
@@ -178,6 +184,23 @@ impl AreaEstimator {
     /// check before solving.
     pub fn scan_len(&self) -> usize {
         self.plan.len(self.step1_est.network())
+    }
+
+    /// The area's Step-1 measurement layout, fixed at construction: the
+    /// telemetry plan's [`AreaEstimator::scan_len`] rows in scan order,
+    /// then the inactive restoration pseudo superset
+    /// ([`pgse_estimation::restoration::append_pseudo_superset`]) starting
+    /// at row `scan_len`. Every frame of the area solves on this shape, so
+    /// its Jacobian and gain patterns change only with the topology.
+    pub fn step1_layout(&self) -> &MeasurementSet {
+        &self.layout
+    }
+
+    /// Places a scan onto [`AreaEstimator::step1_layout`]: rows the scan
+    /// lost in flight (an RTU outage) stay in place, inactive. `None` when
+    /// the scan carries a row the plan does not emit, or out of order.
+    pub fn place_scan(&self, scan: &MeasurementSet) -> Option<MeasurementSet> {
+        self.layout.overlay(scan, self.scan_len())
     }
 
     /// Generates this area's telemetry scan for one time frame.
@@ -324,8 +347,9 @@ impl AreaEstimator {
         seed: u64,
     ) -> (MeasurementSet, Vec<f64>, Vec<f64>) {
         // Local measurements re-index unchanged: the extension appends
-        // buses and branches after the local ones.
-        let mut set: MeasurementSet = local_set.as_slice().iter().copied().collect();
+        // buses and branches after the local ones. Inactive local rows stay
+        // inactive, so Step 2 keeps one shape too.
+        let mut set = local_set.clone();
         // Tie-line flow telemetry at the local ends.
         let mut rng_state = seed
             ^ 0x9e37_79b9_7f4a_7c15u64.wrapping_mul(self.info.area as u64 + 1);
@@ -593,6 +617,44 @@ mod tests {
         for (g, r) in gx.iter().zip(&rhs_a) {
             assert!((g - r).abs() < 1e-6 * rhs_a.len() as f64, "residual {g} vs {r}");
         }
+    }
+
+    #[test]
+    fn the_layout_keeps_one_pattern_for_clean_short_and_restored_scans() {
+        let (net, pf, d) = setup();
+        let est = AreaEstimator::new(d.areas[0].clone(), &net, &pf, WlsOptions::direct());
+        let n = est.info.subnet.n_buses();
+        assert_eq!(est.step1_layout().len(), est.scan_len() + 2 * n);
+        assert_eq!(est.step1_layout().n_active(), est.scan_len());
+
+        let scan = est.generate_telemetry(1.0, 4);
+        let clean = est.place_scan(&scan).unwrap();
+        assert_eq!(clean.n_active(), scan.len());
+        // A short scan: every row of one bus lost.
+        let mut short = scan.clone();
+        short.retain(|m| m.kind.site(&est.info.subnet.branches) != 1);
+        let placed = est.place_scan(&short).unwrap();
+        assert_eq!(placed.len(), clean.len());
+        assert_eq!(placed.n_active(), short.len());
+        let mut reversed = scan.clone();
+        let first = reversed.remove(0);
+        reversed.push(first);
+        assert!(est.place_scan(&reversed).is_none(), "out of order does not place");
+
+        // Clean and short frames solve on one cached structure, and the
+        // clean layout solve is bitwise the solve of the bare scan.
+        let mut cache = SolveCache::new();
+        let s_layout = est.step1_cached(&clean, &mut cache).unwrap();
+        est.step1_cached(&placed, &mut cache).ok();
+        assert_eq!(cache.symbolic_builds, 1);
+        let bare = est.step1(&scan).unwrap();
+        let fresh = est.step1_cached(&clean, &mut SolveCache::new()).unwrap();
+        assert_eq!(bare.iterations, fresh.iterations);
+        for (p, q) in bare.vm.iter().chain(&bare.va).zip(fresh.vm.iter().chain(&fresh.va)) {
+            assert_eq!(p.to_bits(), q.to_bits());
+        }
+        assert_eq!(bare.objective.to_bits(), fresh.objective.to_bits());
+        assert!(s_layout.iterations > 0);
     }
 
     #[test]

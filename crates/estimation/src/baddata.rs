@@ -2,14 +2,22 @@
 //!
 //! Classical WLS post-processing (Abur & Expósito ch. 5): the chi-square
 //! test on the weighted objective detects the presence of gross errors, and
-//! the largest-normalized-residual (LNR) test identifies and removes the
-//! offending measurement, re-estimating until the test passes.
+//! the largest-normalized-residual (LNR) test identifies the offending
+//! measurement, re-estimating until the test passes.
+//!
+//! A rejected measurement is *deactivated*, not removed: its row stays in
+//! the set with zero weight, so the Jacobian pattern, the gain's symbolic
+//! analysis and the cached factor all survive the rejection. The loop
+//! starts from a converged estimate, factors the gain numerically over the
+//! cached analysis, and re-solves warm through the same [`SolveCache`] —
+//! see [`identify_cached`].
 
-use pgse_sparsela::SparseCholesky;
+use std::sync::Arc;
 
-use crate::jacobian::{assemble_jacobian, StateSpace};
+use pgse_sparsela::CholSymbolic;
+
 use crate::measurement::MeasurementSet;
-use crate::wls::{StateEstimate, WlsError, WlsEstimator};
+use crate::wls::{SolveCache, StateEstimate, WlsError, WlsEstimator};
 
 /// Upper-tail critical value of the chi-square distribution with `dof`
 /// degrees of freedom at confidence `p` (e.g. `0.95`), via the
@@ -71,100 +79,167 @@ pub fn normal_quantile(p: f64) -> f64 {
     }
 }
 
-/// Whether the chi-square test flags bad data in `estimate`.
-pub fn chi_square_detects(estimate: &StateEstimate, state_dim: usize, confidence: f64) -> bool {
-    let m = estimate.residuals.len();
-    if m <= state_dim {
-        return false;
-    }
-    estimate.objective > chi_square_critical(m - state_dim, confidence)
+/// Whether the chi-square test flags bad data: the weighted objective of
+/// an estimate of `set` against the critical value at `confidence` for
+/// `active rows − state_dim` degrees of freedom. Inactive rows count in no
+/// degree of freedom.
+pub fn chi_square_detects(
+    set: &MeasurementSet,
+    objective: f64,
+    state_dim: usize,
+    confidence: f64,
+) -> bool {
+    let m = set.n_active();
+    m > state_dim && objective > chi_square_critical(m - state_dim, confidence)
 }
 
-/// Normalized residuals `|rᵢ| / √(Sᵢᵢ)` with `S = R − H·G⁻¹·Hᵀ`.
+/// Normalized residuals `|rᵢ| / √(Sᵢᵢ)` with `S = R − H·G⁻¹·Hᵀ`, at the
+/// estimate's state.
 ///
-/// Uses one gain-matrix Cholesky and one solve per measurement, which is
-/// fine at subsystem scale. Measurements whose residual covariance is
-/// numerically zero (leverage ≈ 1, critical measurements) get a normalized
-/// residual of zero — the LNR test cannot identify errors in critical
-/// measurements, matching the theory.
+/// `Sᵢᵢ = σᵢ² − hᵢᵀG⁻¹hᵢ`: one gain factorization, then one forward-only
+/// sparse solve per active row for its quadratic form
+/// ([`pgse_sparsela::SparseCholesky::inv_quad_form`]). Measurements whose residual
+/// covariance is numerically zero (leverage ≈ 1, critical measurements)
+/// get a normalized residual of zero — the LNR test cannot identify errors
+/// in critical measurements, matching the theory. Inactive rows get zero
+/// too.
 pub fn normalized_residuals(
     est: &WlsEstimator,
     set: &MeasurementSet,
     estimate: &StateEstimate,
 ) -> Result<Vec<f64>, WlsError> {
-    let space: &StateSpace = est.space();
-    let w = set.weights();
-    let h = assemble_jacobian(est.network(), est.ybus(), set, space, &estimate.vm, &estimate.va);
-    let gain = h.ata_weighted(&w);
-    let chol = SparseCholesky::factor(&gain)
-        .map_err(|e| WlsError::NotObservable(e.to_string()))?;
-    let mut out = Vec::with_capacity(set.len());
-    for (i, m) in set.as_slice().iter().enumerate() {
-        // hᵢ: the i-th row of H as a dense vector.
-        let (cols, vals) = h.row(i);
-        let mut hi = vec![0.0; space.dim()];
-        for (c, v) in cols.iter().zip(vals) {
-            hi[*c] = *v;
-        }
-        let gi = chol.solve(&hi);
-        let hgh: f64 = hi.iter().zip(&gi).map(|(a, b)| a * b).sum();
-        let r_ii = m.sigma * m.sigma;
-        let s_ii = (r_ii - hgh).max(0.0);
-        if s_ii < 1e-14 {
-            out.push(0.0);
-        } else {
-            out.push(estimate.residuals[i].abs() / s_ii.sqrt());
-        }
-    }
-    Ok(out)
+    let quad =
+        est.gain_quad_forms(set, &estimate.vm, &estimate.va, &mut SolveCache::new(), None)?;
+    Ok(normalize(set, &estimate.residuals, &quad))
 }
 
-/// Outcome of the detect-identify-remove loop.
+/// `|rᵢ| / √(σᵢ² − qᵢ)` per active row, zero where the variance vanishes.
+fn normalize(set: &MeasurementSet, residuals: &[f64], quad: &[f64]) -> Vec<f64> {
+    set.as_slice()
+        .iter()
+        .enumerate()
+        .map(|(i, m)| {
+            if !set.is_active(i) {
+                return 0.0;
+            }
+            let s_ii = (m.sigma * m.sigma - quad[i]).max(0.0);
+            if s_ii < 1e-14 {
+                0.0
+            } else {
+                residuals[i].abs() / s_ii.sqrt()
+            }
+        })
+        .collect()
+}
+
+/// Post-WLS bad-data gate configuration.
+///
+/// After a solve the weighted objective is tested against the chi-square
+/// critical value at `confidence`; a set that fires runs the
+/// largest-normalized-residual loop ([`identify_cached`]), capped at
+/// `max_removals` rejections.
+#[derive(Debug, Clone, Copy)]
+pub struct BadDataGate {
+    /// Chi-square confidence level (e.g. `0.999`). High values keep the
+    /// false-alarm rate on clean frames negligible, which is what makes
+    /// the `suspect == cleared + unidentifiable` accounting exact against
+    /// a seeded injection schedule.
+    pub confidence: f64,
+    /// Maximum measurements the LNR loop rejects from one set.
+    pub max_removals: usize,
+}
+
+impl Default for BadDataGate {
+    fn default() -> Self {
+        BadDataGate { confidence: 0.999, max_removals: 4 }
+    }
+}
+
+/// Outcome of the detect-identify-reject loop.
 #[derive(Debug, Clone)]
 pub struct BadDataReport {
-    /// Indices (into the *original* set) of removed measurements, in
-    /// removal order.
+    /// Indices (into the set the loop was given — rejected rows keep their
+    /// place, so these are the original indices) of the rejected
+    /// measurements, in rejection order.
     pub removed: Vec<usize>,
-    /// The final estimate after all removals.
+    /// The final estimate after all rejections.
     pub estimate: StateEstimate,
     /// Whether the chi-square test passes at the end.
     pub clean: bool,
+    /// Gauss–Newton iterations the loop's re-solves ran.
+    pub resolve_iterations: usize,
 }
 
-/// Runs WLS, then repeatedly removes the measurement with the largest
+/// Runs WLS from a flat start on a throwaway cache, then
+/// [`identify_cached`]: repeatedly rejects the measurement with the largest
 /// normalized residual while the chi-square test fails (capped at
-/// `max_removals`).
+/// `max_removals`). `set` itself is not modified.
 pub fn identify_and_remove(
     est: &WlsEstimator,
     set: &MeasurementSet,
     confidence: f64,
     max_removals: usize,
 ) -> Result<BadDataReport, WlsError> {
+    let mut cache = SolveCache::new();
     let mut working = set.clone();
-    // Track original indices through removals.
-    let mut index_map: Vec<usize> = (0..set.len()).collect();
+    let start = est.estimate_cached(&working, None, &mut cache)?;
+    let gate = BadDataGate { confidence, max_removals };
+    identify_cached(est, &mut working, start, gate, &mut cache, None)
+}
+
+/// The LNR loop on a converged estimate: while the chi-square test fires,
+/// deactivate the active row with the largest normalized residual (ties go
+/// to the later row) and re-solve — warm from the previous estimate,
+/// through `cache`. Stops unidentifiable (`clean: false`) when no residual
+/// reaches 3, or after `gate.max_removals` rejections.
+///
+/// `start` must be the converged estimate of `set` whose structures
+/// `cache` holds. The gain at each pass's state is factored numerically
+/// over a cached analysis — the cache's own factor when its pattern
+/// matches, else `sym` (e.g. the one a streaming round's `BatchPlan`
+/// holds), else a fresh one — and left in the cache; with the direct solver
+/// every re-solve iteration then refreshes that factor in place, so the
+/// cache's `refactor_reuse + refactor_full` grows by exactly
+/// [`BadDataReport::resolve_iterations`]. Nothing about the set's shape
+/// changes: rejected rows are left deactivated in `set`.
+///
+/// # Errors
+/// A re-solve or a gain factorization fails.
+pub fn identify_cached(
+    est: &WlsEstimator,
+    set: &mut MeasurementSet,
+    start: StateEstimate,
+    gate: BadDataGate,
+    cache: &mut SolveCache,
+    mut sym: Option<Arc<CholSymbolic>>,
+) -> Result<BadDataReport, WlsError> {
+    let dim = est.space().dim();
+    let mut estimate = start;
     let mut removed = Vec::new();
-    let mut estimate = est.estimate(&working)?;
-    for _ in 0..max_removals {
-        if !chi_square_detects(&estimate, est.space().dim(), confidence) {
-            return Ok(BadDataReport { removed, estimate, clean: true });
+    let mut resolve_iterations = 0;
+    for _ in 0..gate.max_removals {
+        if !chi_square_detects(set, estimate.objective, dim, gate.confidence) {
+            return Ok(BadDataReport { removed, estimate, clean: true, resolve_iterations });
         }
-        let rn = normalized_residuals(est, &working, &estimate)?;
-        let (worst, &worst_val) = rn
+        let quad = est.gain_quad_forms(set, &estimate.vm, &estimate.va, cache, sym.take())?;
+        let rn = normalize(set, &estimate.residuals, &quad);
+        // Inactive rows read 0 and never reach the threshold.
+        let worst = rn
             .iter()
             .enumerate()
-            .max_by(|a, b| a.1.partial_cmp(b.1).expect("finite residuals"))
-            .expect("non-empty set");
-        if worst_val < 3.0 {
+            .max_by(|a, b| a.1.total_cmp(b.1))
+            .filter(|&(_, &v)| v >= 3.0);
+        let Some((worst, _)) = worst else {
             // Nothing identifiable even though chi-square fired.
-            return Ok(BadDataReport { removed, estimate, clean: false });
-        }
-        working.remove(worst);
-        removed.push(index_map.remove(worst));
-        estimate = est.estimate(&working)?;
+            return Ok(BadDataReport { removed, estimate, clean: false, resolve_iterations });
+        };
+        set.deactivate(worst);
+        removed.push(worst);
+        estimate = est.estimate_cached(set, Some((&estimate.vm, &estimate.va)), cache)?;
+        resolve_iterations += estimate.iterations;
     }
-    let clean = !chi_square_detects(&estimate, est.space().dim(), confidence);
-    Ok(BadDataReport { removed, estimate, clean })
+    let clean = !chi_square_detects(set, estimate.objective, dim, gate.confidence);
+    Ok(BadDataReport { removed, estimate, clean, resolve_iterations })
 }
 
 #[cfg(test)]
@@ -216,7 +291,7 @@ mod tests {
     fn clean_data_passes_chi_square() {
         let (est, set) = setup();
         let out = est.estimate(&set).unwrap();
-        assert!(!chi_square_detects(&out, est.space().dim(), 0.99));
+        assert!(!chi_square_detects(&set, out.objective, est.space().dim(), 0.99));
     }
 
     #[test]
@@ -268,6 +343,41 @@ mod tests {
             .0;
         assert_eq!(max_idx, bad_idx);
         assert!(rn[bad_idx] > 3.0);
+    }
+
+    #[test]
+    fn cached_loop_keeps_the_structures_and_accounts_every_resolve() {
+        let (pcg, mut set) = setup();
+        let est =
+            WlsEstimator::new(pcg.network().clone(), pcg.space().clone(), WlsOptions::direct());
+        let m = set.as_slice()[20];
+        set.get_mut(20).value = m.value + 30.0 * m.sigma;
+        let mut cache = SolveCache::new();
+        let start = est.estimate_cached(&set, None, &mut cache).unwrap();
+        let (builds, solves) = (cache.symbolic_builds, cache.refactor_reuse + cache.refactor_full);
+        let mut working = set.clone();
+        let rep =
+            identify_cached(&est, &mut working, start, BadDataGate::default(), &mut cache, None)
+                .unwrap();
+        assert!(rep.clean);
+        assert_eq!(rep.removed, vec![20]);
+        // Rejection is a zero weight: same rows, same structures, and every
+        // re-solve iteration refreshed the factor the loop left cached.
+        assert_eq!(working.len(), set.len());
+        assert_eq!(working.n_active(), set.len() - 1);
+        assert_eq!(cache.symbolic_builds, builds);
+        assert!(rep.resolve_iterations > 0);
+        assert_eq!(
+            cache.refactor_full + cache.refactor_reuse,
+            solves + rep.resolve_iterations as u64
+        );
+        assert_eq!(cache.refactor_full, 1);
+        // And it lands where the public flat-start loop does.
+        let plain = identify_and_remove(&est, &set, 0.999, 4).unwrap();
+        assert_eq!(plain.removed, rep.removed);
+        for (a, b) in plain.estimate.vm.iter().zip(&rep.estimate.vm) {
+            assert!((a - b).abs() < 1e-9);
+        }
     }
 
     #[test]

@@ -125,8 +125,10 @@ pub fn evaluate_h(
 /// Walks every Jacobian entry at `(vm, va)` in the canonical assembly
 /// order, feeding `(row, col, value)` to `sink`. The *order and positions*
 /// of the emitted entries depend only on the measurement kinds, the Ybus
-/// pattern, and the state space — never on the values — which is what lets
-/// [`JacobianPattern`] replay a recorded emission order frame after frame.
+/// pattern, and the state space — never on the values or on which rows are
+/// active — which is what lets [`JacobianPattern`] replay a recorded
+/// emission order frame after frame. Inactive rows are emitted too; the
+/// callers zero or drop them.
 fn for_each_jacobian_entry(
     net: &Network,
     ybus: &Ybus,
@@ -187,6 +189,7 @@ fn for_each_jacobian_entry(
 }
 
 /// Assembles the sparse measurement Jacobian `H = ∂h/∂x` at `(vm, va)`.
+/// An inactive row is empty (the assembly drops exact zeros).
 pub fn assemble_jacobian(
     net: &Network,
     ybus: &Ybus,
@@ -196,68 +199,12 @@ pub fn assemble_jacobian(
     va: &[f64],
 ) -> Csr {
     let mut coo = Coo::with_capacity(set.len(), space.dim(), 8 * set.len());
-    for_each_jacobian_entry(net, ybus, set, space, vm, va, &mut |r, c, v| coo.push(r, c, v));
+    for_each_jacobian_entry(net, ybus, set, space, vm, va, &mut |r, c, v| {
+        if set.is_active(r) {
+            coo.push(r, c, v);
+        }
+    });
     coo.to_csr()
-}
-
-/// A cheap structural fingerprint of a measurement set: FNV-1a over the
-/// kinds and their indices (values/sigmas excluded — they change every
-/// frame without changing the Jacobian pattern).
-pub fn set_fingerprint(set: &MeasurementSet) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    for m in set.as_slice() {
-        let (tag, a, b) = match m.kind {
-            MeasurementKind::Vmag { bus } => (1u64, bus as u64, 0),
-            MeasurementKind::PmuVmag { bus } => (2, bus as u64, 0),
-            MeasurementKind::PmuAngle { bus } => (3, bus as u64, 0),
-            MeasurementKind::Pinj { bus } => (4, bus as u64, 0),
-            MeasurementKind::Qinj { bus } => (5, bus as u64, 0),
-            MeasurementKind::Pflow { branch, side } => {
-                (6, branch as u64, matches!(side, FlowSide::To) as u64)
-            }
-            MeasurementKind::Qflow { branch, side } => {
-                (7, branch as u64, matches!(side, FlowSide::To) as u64)
-            }
-        };
-        eat(tag);
-        eat(a);
-        eat(b);
-    }
-    eat(set.len() as u64);
-    h
-}
-
-/// A structural fingerprint of an admittance matrix: FNV-1a over the
-/// dimension and the per-row column indices (values excluded — parameter
-/// changes on an unchanged topology keep the Jacobian pattern valid). A
-/// topology change that adds or removes Ybus entries changes this hash,
-/// which is what lets a cached [`JacobianPattern`] detect that its
-/// structure is stale even when the measurement set itself is unchanged.
-pub fn ybus_fingerprint(ybus: &Ybus) -> u64 {
-    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = FNV_OFFSET;
-    let mut eat = |x: u64| {
-        for byte in x.to_le_bytes() {
-            h = (h ^ u64::from(byte)).wrapping_mul(FNV_PRIME);
-        }
-    };
-    eat(ybus.dim() as u64);
-    for i in 0..ybus.dim() {
-        let (cols, _) = ybus.row(i);
-        eat(cols.len() as u64);
-        for &c in cols {
-            eat(c as u64);
-        }
-    }
-    h
 }
 
 /// The cached sparsity pattern of one measurement Jacobian.
@@ -271,8 +218,11 @@ pub fn ybus_fingerprint(ybus: &Ybus) -> u64 {
 /// allocation.
 #[derive(Debug, Clone)]
 pub struct JacobianPattern {
-    fingerprint: u64,
-    ybus_fp: u64,
+    /// The measurement kinds, row by row, the pattern was built for.
+    kinds: Vec<MeasurementKind>,
+    /// The admittance pattern it was built against.
+    ybus_row_ptr: Vec<usize>,
+    ybus_col_idx: Vec<usize>,
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     /// Emission order → CSR value index (duplicates map to the same slot
@@ -317,9 +267,11 @@ impl JacobianPattern {
             })
             .collect();
 
+        let (ybus_row_ptr, ybus_col_idx, _) = ybus.csr_parts();
         JacobianPattern {
-            fingerprint: set_fingerprint(set),
-            ybus_fp: ybus_fingerprint(ybus),
+            kinds: set.as_slice().iter().map(|m| m.kind).collect(),
+            ybus_row_ptr: ybus_row_ptr.to_vec(),
+            ybus_col_idx: ybus_col_idx.to_vec(),
             row_ptr,
             col_idx,
             perm,
@@ -328,14 +280,19 @@ impl JacobianPattern {
     }
 
     /// Whether `set` and `ybus` still have the structure this pattern was
-    /// built from. Both inputs shape the Jacobian: a topology change that
-    /// alters the Ybus pattern invalidates the cache even when the
-    /// measurement set is unchanged (the staleness hole the
-    /// refactorization-reuse path must never fall into).
+    /// built from: the same measurement kinds row by row (values, σ and
+    /// row activity excluded — they change every frame without changing
+    /// the pattern) and the same admittance pattern. Both inputs shape the
+    /// Jacobian: a topology change that alters the Ybus pattern invalidates
+    /// the cache even when the measurement set is unchanged (the staleness
+    /// hole the refactorization-reuse path must never fall into). An exact
+    /// comparison, run once per solve.
     pub fn matches(&self, set: &MeasurementSet, ybus: &Ybus) -> bool {
-        set.len() + 1 == self.row_ptr.len()
-            && set_fingerprint(set) == self.fingerprint
-            && ybus_fingerprint(ybus) == self.ybus_fp
+        let (row_ptr, col_idx, _) = ybus.csr_parts();
+        set.len() == self.kinds.len()
+            && set.as_slice().iter().zip(&self.kinds).all(|(m, k)| m.kind == *k)
+            && row_ptr == self.ybus_row_ptr.as_slice()
+            && col_idx == self.ybus_col_idx.as_slice()
     }
 
     /// Stored entries (structural zeros included).
@@ -356,7 +313,8 @@ impl JacobianPattern {
     }
 
     /// Numeric assembly at `(vm, va)` scattered into `jac`, which must
-    /// carry this pattern (see [`JacobianPattern::template`]).
+    /// carry this pattern (see [`JacobianPattern::template`]). The rows of
+    /// inactive measurements are written as zeros.
     #[allow(clippy::too_many_arguments)]
     pub fn assemble_into(
         &self,
@@ -384,6 +342,12 @@ impl JacobianPattern {
             });
         }
         assert_eq!(k, perm.len(), "JacobianPattern: emission count drifted");
+        if set.n_active() < set.len() {
+            let vals = jac.values_mut();
+            for r in (0..set.len()).filter(|&r| !set.is_active(r)) {
+                vals[self.row_ptr[r]..self.row_ptr[r + 1]].fill(0.0);
+            }
+        }
     }
 }
 
@@ -520,11 +484,16 @@ mod tests {
         grown.push(Measurement::new(MeasurementKind::Vmag { bus: 7 }, 1.0, 0.01));
         assert!(!pattern.matches(&grown, &ybus));
 
-        // Same structure, different values → still matches.
+        // Same structure, different values or activity → still matches.
         let mut renoised = set.clone();
-        renoised.retain(|_| true);
+        renoised.get_mut(2).value = 0.25;
+        renoised.deactivate(4);
         assert!(pattern.matches(&renoised, &ybus));
-        assert_eq!(set_fingerprint(&set), set_fingerprint(&renoised));
+
+        // Same length, one kind changed → mismatch.
+        let mut swapped = set.clone();
+        swapped.get_mut(0).kind = MeasurementKind::Vmag { bus: 4 };
+        assert!(!pattern.matches(&swapped, &ybus));
     }
 
     #[test]
@@ -543,7 +512,6 @@ mod tests {
         let proto = grown.branches[0].clone();
         grown.branches.push(pgse_grid::Branch { from: 2, to: 11, ..proto });
         let ybus2 = Ybus::new(&grown);
-        assert_ne!(ybus_fingerprint(&ybus), ybus_fingerprint(&ybus2));
         assert!(!pattern.matches(&set, &ybus2));
     }
 

@@ -27,7 +27,8 @@ pub struct Observability {
     pub reason: Option<String>,
 }
 
-/// Checks observability of `set` on `net` under `space`.
+/// Checks observability of `set` on `net` under `space`. Only active rows
+/// count: an inactive row observes nothing.
 pub fn check(net: &Network, set: &MeasurementSet, space: &StateSpace) -> Observability {
     let ybus = Ybus::new(net);
     let n = net.n_buses();
@@ -47,14 +48,14 @@ pub fn check(net: &Network, set: &MeasurementSet, space: &StateSpace) -> Observa
         (0..space.dim()).filter(|&c| !touched[c]).collect();
     let redundancy = set.redundancy(space.dim());
 
-    if set.len() < space.dim() {
+    if set.n_active() < space.dim() {
         return Observability {
             observable: false,
             untouched_states,
             redundancy,
             reason: Some(format!(
                 "only {} measurements for {} states",
-                set.len(),
+                set.n_active(),
                 space.dim()
             )),
         };
@@ -152,6 +153,28 @@ mod tests {
             Err(WlsError::NotObservable(_))
         ));
         assert!(matches!(est.estimate(&set), Err(WlsError::NotObservable(_))));
+    }
+
+    #[test]
+    fn an_inactive_row_observes_nothing() {
+        let net = ieee14();
+        let sol = solve(&net, &PfOptions::default()).unwrap();
+        let mut set = TelemetryPlan::full(&net, vec![3]).generate(&net, &sol, 1.0, 1);
+        let space = StateSpace::full(14);
+        assert!(check(&net, &set, &space).observable);
+        // Deactivating the only angle reference leaves the frame free,
+        // exactly as removing it would.
+        let pmu_angle = set
+            .as_slice()
+            .iter()
+            .position(|m| matches!(m.kind, crate::measurement::MeasurementKind::PmuAngle { .. }))
+            .unwrap();
+        set.deactivate(pmu_angle);
+        let masked = check(&net, &set, &space);
+        set.remove(pmu_angle);
+        let removed = check(&net, &set, &space);
+        assert!(!masked.observable && !removed.observable);
+        assert_eq!(masked.redundancy, removed.redundancy);
     }
 
     #[test]

@@ -5,6 +5,14 @@
 //! estimator can be kept runnable by adding *pseudo measurements* drawn
 //! from the last good estimate or from forecasts, with deliberately large
 //! σ so they carry almost no weight wherever real telemetry exists.
+//!
+//! A streaming estimator keeps one measurement layout per area, so the
+//! pseudo rows restoration may need live in a *superset* appended to the
+//! layout at deploy ([`append_pseudo_superset`]): one angle pin per bus with
+//! an angle state and one magnitude pin per bus, inactive until used.
+//! [`place_pseudo`] moves what [`restore`] appended onto those rows, so a
+//! restored frame solves on the same Jacobian and gain patterns as a clean
+//! one.
 
 use pgse_grid::Network;
 
@@ -44,7 +52,7 @@ pub fn restore(
     if before.observable {
         return (set.clone(), RestorationReport { added: Vec::new(), after: before });
     }
-    let mut augmented: MeasurementSet = set.as_slice().iter().copied().collect();
+    let mut augmented = set.clone();
     let mut added = Vec::new();
 
     // Structural holes: pin each untouched state variable directly.
@@ -95,6 +103,54 @@ pub fn restore(
         bus += 1;
     }
     (augmented, RestorationReport { added, after })
+}
+
+/// Appends the inactive pseudo-measurement superset to `set`: per bus, a
+/// [`MeasurementKind::PmuAngle`] pin when `space` has an angle state for
+/// it, then a [`MeasurementKind::Vmag`] pin. Every row touches one state,
+/// so the superset adds only diagonal entries to the gain pattern.
+pub fn append_pseudo_superset(set: &mut MeasurementSet, space: &StateSpace) {
+    for bus in 0..space.n_buses() {
+        if space.angle_pos(bus).is_some() {
+            set.push_inactive(Measurement::new(
+                MeasurementKind::PmuAngle { bus },
+                0.0,
+                PSEUDO_SIGMA_VA,
+            ));
+        }
+        set.push_inactive(Measurement::new(MeasurementKind::Vmag { bus }, 1.0, PSEUDO_SIGMA_VM));
+    }
+}
+
+/// Places pseudo measurements (what [`restore`] appended) onto the
+/// superset rows of `set` that start at row `superset_start`: each row of
+/// the same kind takes the value and σ and becomes active. A row asked for
+/// twice carries the combined information of both — weights summed, value
+/// weight-averaged — which is what two identical-kind rows contribute to
+/// the normal equations.
+///
+/// # Panics
+/// When a pseudo measurement has no superset row (a kind restoration never
+/// emits, or a superset built for another state space).
+pub fn place_pseudo(
+    set: &mut MeasurementSet,
+    superset_start: usize,
+    pseudo: impl IntoIterator<Item = Measurement>,
+) {
+    for m in pseudo {
+        let slot = (superset_start..set.len())
+            .find(|&i| set.as_slice()[i].kind == m.kind)
+            .unwrap_or_else(|| panic!("no superset row for pseudo measurement {:?}", m.kind));
+        if set.is_active(slot) {
+            let old = set.as_slice()[slot];
+            let w = old.weight() + m.weight();
+            let value = (old.weight() * old.value + m.weight() * m.value) / w;
+            *set.get_mut(slot) = Measurement::new(m.kind, value, w.sqrt().recip());
+        } else {
+            *set.get_mut(slot) = m;
+            set.activate(slot);
+        }
+    }
 }
 
 #[cfg(test)]
@@ -179,6 +235,67 @@ mod tests {
         assert!(report.after.observable, "{:?}", report.after.reason);
         let est = WlsEstimator::new(net, space, WlsOptions::default());
         assert!(est.estimate(&aug).is_ok());
+    }
+
+    #[test]
+    fn placed_pseudo_rows_estimate_like_appended_ones() {
+        let (net, pf) = truth();
+        let space = StateSpace::full(14);
+        let mut set = TelemetryPlan::full(&net, vec![0]).generate(&net, &pf, 1.0, 1);
+        let scan_len = set.len();
+        let mut layout = set.clone();
+        append_pseudo_superset(&mut layout, &space);
+        assert_eq!(layout.len(), scan_len + 2 * 14);
+        assert_eq!(layout.n_active(), scan_len);
+        // Shed every row whose equation involves bus 12 or 13: an RTU
+        // outage that leaves both unobserved.
+        let dead = [12usize, 13];
+        let touches = |b: usize| dead.contains(&b);
+        set.retain(|m| match m.kind {
+            MeasurementKind::Pflow { branch, .. } | MeasurementKind::Qflow { branch, .. } => {
+                !touches(net.branches[branch].from) && !touches(net.branches[branch].to)
+            }
+            MeasurementKind::Pinj { bus } | MeasurementKind::Qinj { bus } => {
+                !touches(bus)
+                    && !net.branches.iter().any(|br| {
+                        (br.from == bus && touches(br.to)) || (br.to == bus && touches(br.from))
+                    })
+            }
+            _ => !touches(m.kind.site(&net.branches)),
+        });
+        let mut placed = layout.overlay(&set, scan_len).unwrap();
+        assert_eq!(placed.n_active(), set.len());
+
+        let (vm0, va0) = (vec![1.0; 14], vec![0.0; 14]);
+        let (aug, report) = restore(&net, &set, &space, &vm0, &va0);
+        let (masked_aug, masked_report) = restore(&net, &placed, &space, &vm0, &va0);
+        assert!(!report.added.is_empty());
+        assert_eq!(report.added.len(), masked_report.added.len());
+        let pseudo = masked_report.added.iter().map(|&i| masked_aug.as_slice()[i]);
+        place_pseudo(&mut placed, scan_len, pseudo);
+        assert!(check(&net, &placed, &space).observable);
+
+        let est = WlsEstimator::new(net.clone(), space, WlsOptions::direct());
+        let appended = est.estimate(&aug).unwrap();
+        let in_place = est.estimate(&placed).unwrap();
+        for i in 0..14 {
+            assert!((appended.vm[i] - in_place.vm[i]).abs() < 1e-9, "vm[{i}]");
+            assert!((appended.va[i] - in_place.va[i]).abs() < 1e-9, "va[{i}]");
+        }
+    }
+
+    #[test]
+    fn a_pseudo_row_asked_for_twice_sums_its_weights() {
+        let space = StateSpace::full(2);
+        let mut set = MeasurementSet::new();
+        append_pseudo_superset(&mut set, &space);
+        let pin = |v| Measurement::new(MeasurementKind::Vmag { bus: 1 }, v, PSEUDO_SIGMA_VM);
+        place_pseudo(&mut set, 0, [pin(1.0), pin(1.1)]);
+        assert_eq!(set.n_active(), 1);
+        let row = set.as_slice()[3];
+        assert!(matches!(row.kind, MeasurementKind::Vmag { bus: 1 }));
+        assert!((row.weight() - 2.0 / (PSEUDO_SIGMA_VM * PSEUDO_SIGMA_VM)).abs() < 1e-9);
+        assert!((row.value - 1.05).abs() < 1e-12);
     }
 
     #[test]

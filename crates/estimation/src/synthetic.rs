@@ -134,6 +134,41 @@ impl TelemetryPlan {
             + 2 * self.pmu_buses.len()
     }
 
+    /// The plan's rows in scan order: each measured kind with its accuracy
+    /// class σ.
+    fn rows(&self, net: &Network) -> Vec<(MeasurementKind, f64)> {
+        let sg = &self.sigmas;
+        let mut rows = Vec::with_capacity(self.len(net));
+        if self.vmag_all {
+            rows.extend((0..net.n_buses()).map(|bus| (MeasurementKind::Vmag { bus }, sg.vmag)));
+        }
+        for &bus in &self.injection_buses {
+            rows.push((MeasurementKind::Pinj { bus }, sg.inj));
+            rows.push((MeasurementKind::Qinj { bus }, sg.inj));
+        }
+        for (branches, side) in
+            [(&self.flow_branches_from, FlowSide::From), (&self.flow_branches_to, FlowSide::To)]
+        {
+            for &branch in branches {
+                rows.push((MeasurementKind::Pflow { branch, side }, sg.flow));
+                rows.push((MeasurementKind::Qflow { branch, side }, sg.flow));
+            }
+        }
+        for &bus in &self.pmu_buses {
+            rows.push((MeasurementKind::PmuVmag { bus }, sg.pmu_vmag));
+            rows.push((MeasurementKind::PmuAngle { bus }, sg.pmu_angle));
+        }
+        rows
+    }
+
+    /// The plan's measurement layout: every row a scan of this plan
+    /// carries, in scan order, valued `0.0` at its class σ. A scan that
+    /// lost rows in flight is an ordered subsequence of it (see
+    /// [`MeasurementSet::overlay`]).
+    pub fn layout(&self, net: &Network) -> MeasurementSet {
+        self.rows(net).into_iter().map(|(kind, sigma)| Measurement::new(kind, 0.0, sigma)).collect()
+    }
+
     /// Generates a noisy measurement set from the solved operating point.
     ///
     /// `noise_level` scales every σ (both the sampling noise and the σ
@@ -158,50 +193,31 @@ impl TelemetryPlan {
             let u2: f64 = rng.gen();
             (-2.0 * u1.ln()).sqrt() * (2.0 * std::f64::consts::PI * u2).cos()
         };
-        let mut set = MeasurementSet::new();
-        let mut add = |kind: MeasurementKind, truth: f64, sigma: f64| {
-            let s = sigma * noise_level;
-            set.push(Measurement::new(kind, truth + s * gauss(), s));
-        };
-        if self.vmag_all {
-            for i in 0..net.n_buses() {
-                add(MeasurementKind::Vmag { bus: i }, sol.vm[i], self.sigmas.vmag);
-            }
-        }
-        for &b in &self.injection_buses {
-            add(MeasurementKind::Pinj { bus: b }, sol.p_inj[b], self.sigmas.inj);
-            add(MeasurementKind::Qinj { bus: b }, sol.q_inj[b], self.sigmas.inj);
-        }
-        for &k in &self.flow_branches_from {
-            add(
-                MeasurementKind::Pflow { branch: k, side: FlowSide::From },
-                sol.flows[k].p_from,
-                self.sigmas.flow,
-            );
-            add(
-                MeasurementKind::Qflow { branch: k, side: FlowSide::From },
-                sol.flows[k].q_from,
-                self.sigmas.flow,
-            );
-        }
-        for &k in &self.flow_branches_to {
-            add(
-                MeasurementKind::Pflow { branch: k, side: FlowSide::To },
-                sol.flows[k].p_to,
-                self.sigmas.flow,
-            );
-            add(
-                MeasurementKind::Qflow { branch: k, side: FlowSide::To },
-                sol.flows[k].q_to,
-                self.sigmas.flow,
-            );
-        }
-        for &b in &self.pmu_buses {
-            add(MeasurementKind::PmuVmag { bus: b }, sol.vm[b], self.sigmas.pmu_vmag);
-            add(MeasurementKind::PmuAngle { bus: b }, sol.va[b], self.sigmas.pmu_angle);
-        }
+        let set: MeasurementSet = self
+            .rows(net)
+            .into_iter()
+            .map(|(kind, sigma)| {
+                let s = sigma * noise_level;
+                Measurement::new(kind, true_value(kind, sol) + s * gauss(), s)
+            })
+            .collect();
         sp.record("scan_size", set.len());
         set
+    }
+}
+
+/// The value `kind` reads at the solved operating point `sol`.
+fn true_value(kind: MeasurementKind, sol: &PfSolution) -> f64 {
+    let flow = |branch: usize| &sol.flows[branch];
+    match kind {
+        MeasurementKind::Vmag { bus } | MeasurementKind::PmuVmag { bus } => sol.vm[bus],
+        MeasurementKind::PmuAngle { bus } => sol.va[bus],
+        MeasurementKind::Pinj { bus } => sol.p_inj[bus],
+        MeasurementKind::Qinj { bus } => sol.q_inj[bus],
+        MeasurementKind::Pflow { branch, side: FlowSide::From } => flow(branch).p_from,
+        MeasurementKind::Pflow { branch, side: FlowSide::To } => flow(branch).p_to,
+        MeasurementKind::Qflow { branch, side: FlowSide::From } => flow(branch).q_from,
+        MeasurementKind::Qflow { branch, side: FlowSide::To } => flow(branch).q_to,
     }
 }
 
@@ -283,6 +299,21 @@ mod tests {
         let set = plan.generate(&net, &sol, 2.0, 1);
         // First measurement is a Vmag with σ = 0.004 × 2.
         assert!((set.as_slice()[0].sigma - 0.008).abs() < 1e-15);
+    }
+
+    #[test]
+    fn layout_lists_the_generated_kinds_in_order() {
+        let net = ieee14();
+        let sol = solve(&net, &PfOptions::default()).unwrap();
+        let plan =
+            TelemetryPlan { flow_branches_to: vec![3], ..TelemetryPlan::full(&net, vec![2]) };
+        let scan = plan.generate(&net, &sol, 1.0, 5);
+        let layout = plan.layout(&net);
+        assert_eq!(layout.len(), scan.len());
+        for (l, m) in layout.as_slice().iter().zip(scan.as_slice()) {
+            assert_eq!(l.kind, m.kind);
+            assert_eq!(l.sigma, m.sigma, "noise level 1 records the class σ");
+        }
     }
 
     #[test]

@@ -6,9 +6,11 @@
 //! — the ablation the benches compare. There is one Gauss–Newton loop,
 //! [`GnWave`]; every `estimate*` entry point drives it.
 
+use std::sync::Arc;
+
 use pgse_grid::{Network, Ybus};
 use pgse_sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse_sparsela::{AtaSymbolic, Csr, LaError, SparseCholesky};
+use pgse_sparsela::{AtaSymbolic, CholSymbolic, Csr, LaError, SparseCholesky};
 
 use crate::jacobian::{evaluate_h, JacobianPattern, StateSpace};
 use crate::measurement::MeasurementSet;
@@ -227,6 +229,12 @@ impl SolveCache {
         self.pattern.is_some()
     }
 
+    /// The gain matrix of the last assembled iteration — its *pattern* is
+    /// what a caller looks up a shared symbolic factorization by.
+    pub fn gain(&self) -> Option<&Csr> {
+        self.gain_buf.as_ref()
+    }
+
     /// Clones the warm-start profile out of the cache — the checkpointable
     /// half of a streaming worker's state. `None` until a solve succeeds.
     pub fn export_warm(&self) -> Option<(Vec<f64>, Vec<f64>)> {
@@ -374,15 +382,84 @@ impl WlsEstimator {
         wave.finish()
     }
 
+    /// The residuals `z − h(x)` of `set` at `(vm, va)`; an inactive row's
+    /// residual is exactly `0.0`, whatever its `h(x)` reads.
+    pub fn residuals(&self, set: &MeasurementSet, vm: &[f64], va: &[f64]) -> Vec<f64> {
+        let h = evaluate_h(&self.net, &self.ybus, set, vm, va);
+        set.as_slice()
+            .iter()
+            .zip(h)
+            .enumerate()
+            .map(|(i, (m, hi))| if set.is_active(i) { m.value - hi } else { 0.0 })
+            .collect()
+    }
+
+    /// `hᵢᵀ·G⁻¹·hᵢ` for every active row `i` of `set`, with `H` and
+    /// `G = HᵀWH` evaluated at `(vm, va)` in the cache's buffers (`0.0` for
+    /// inactive rows) — the leverage half of a normalized residual.
+    ///
+    /// `G` is factored numerically over a cached symbolic analysis: the
+    /// cache's own factor when its pattern matches, else `sym` when given
+    /// and matching (e.g. the one a round's `BatchPlan` holds), else a
+    /// fresh analysis. The factor stays in the cache, so the gain solves
+    /// that follow refresh it instead of re-analysing. Each quadratic form
+    /// is one forward-only sparse solve ([`SparseCholesky::inv_quad_form`]).
+    ///
+    /// Neither a Gauss–Newton iteration nor a gain solve: no solve counter
+    /// moves.
+    ///
+    /// # Errors
+    /// [`WlsError::NotObservable`] when the set leaves a state without an
+    /// incident measurement or `G` is not positive definite.
+    pub(crate) fn gain_quad_forms(
+        &self,
+        set: &MeasurementSet,
+        vm: &[f64],
+        va: &[f64],
+        cache: &mut SolveCache,
+        sym: Option<Arc<CholSymbolic>>,
+    ) -> Result<Vec<f64>, WlsError> {
+        self.ensure_structures(set, cache)?;
+        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, chol, .. } = cache;
+        let (Some(pattern), Some(jac), Some(gain_sym), Some(gain)) =
+            (pattern.as_ref(), jac_buf.as_mut(), gain_sym.as_ref(), gain_buf.as_mut())
+        else {
+            unreachable!("ensure_structures built every buffer");
+        };
+        pattern.assemble_into(&self.net, &self.ybus, set, &self.space, vm, va, jac);
+        gain_sym.compute_into(jac, &set.weights(), gain);
+        let factor = match chol.take() {
+            Some(mut c) if c.pattern_matches(gain) => c.refactor(gain).map(|()| c),
+            _ => match sym {
+                Some(s) if s.matches(gain) => SparseCholesky::factor_with_symbolic(s, gain),
+                _ => SparseCholesky::factor(gain),
+            },
+        };
+        let factor = factor.map_err(|e| WlsError::NotObservable(e.to_string()))?;
+        let mut work = vec![0.0; factor.dim()];
+        let quad = (0..set.len())
+            .map(|i| {
+                if !set.is_active(i) {
+                    return 0.0;
+                }
+                let (cols, vals) = jac.row(i);
+                factor.inv_quad_form(cols, vals, &mut work)
+            })
+            .collect();
+        *chol = Some(factor);
+        Ok(quad)
+    }
+
     /// (Re)builds the cache's symbolic structures when the set's shape or
-    /// the network topology (Ybus pattern) changed. The Ybus check is what
-    /// keeps a cached direct factor from being numerically refreshed
-    /// against a stale structure after a topology change.
-    fn prepare_structures(
+    /// the network topology (Ybus pattern) changed, returning whether it
+    /// did. The Ybus check is what keeps a cached direct factor from being
+    /// numerically refreshed against a stale structure after a topology
+    /// change. Row activity is not part of the shape.
+    fn ensure_structures(
         &self,
         set: &MeasurementSet,
         cache: &mut SolveCache,
-    ) -> Result<(), WlsError> {
+    ) -> Result<bool, WlsError> {
         let rebuild = match &cache.pattern {
             Some(p) => !p.matches(set, &self.ybus),
             None => true,
@@ -411,11 +488,8 @@ impl WlsEstimator {
             cache.chol = None;
             cache.symbolic_builds += 1;
             pgse_obs::counter_add("wls.symbolic.build", 1);
-        } else {
-            cache.symbolic_reuses += 1;
-            pgse_obs::counter_add("wls.symbolic.reuse", 1);
         }
-        Ok(())
+        Ok(rebuild)
     }
 
     /// Opens a resumable Gauss–Newton solve — the one GN loop of this
@@ -433,8 +507,8 @@ impl WlsEstimator {
     /// hold the first system.
     ///
     /// # Errors
-    /// [`WlsError::NotObservable`] when the set is too short or leaves a
-    /// state variable without an incident measurement.
+    /// [`WlsError::NotObservable`] when the set has fewer active rows than
+    /// states or leaves a state variable without an incident measurement.
     pub fn wave_begin<'a>(
         &'a self,
         set: &'a MeasurementSet,
@@ -442,14 +516,17 @@ impl WlsEstimator {
         cache: &'a mut SolveCache,
     ) -> Result<GnWave<'a>, WlsError> {
         let n = self.net.n_buses();
-        if set.len() < self.space.dim() {
+        if set.n_active() < self.space.dim() {
             return Err(WlsError::NotObservable(format!(
                 "{} measurements for {} state variables",
-                set.len(),
+                set.n_active(),
                 self.space.dim()
             )));
         }
-        self.prepare_structures(set, cache)?;
+        if !self.ensure_structures(set, cache)? {
+            cache.symbolic_reuses += 1;
+            pgse_obs::counter_add("wls.symbolic.reuse", 1);
+        }
         let warm_used = warm.is_some() || cache.warm.is_some();
         let (vm, va) = match (warm, &cache.warm) {
             (Some((wm, wa)), _) => (wm.to_vec(), wa.to_vec()),
@@ -466,6 +543,7 @@ impl WlsEstimator {
             est: self,
             set,
             cache,
+            w: set.weights(),
             vm,
             va,
             rhs: Vec::new(),
@@ -544,6 +622,8 @@ pub struct GnWave<'a> {
     est: &'a WlsEstimator,
     set: &'a MeasurementSet,
     cache: &'a mut SolveCache,
+    /// The set's weights, fixed for the solve.
+    w: Vec<f64>,
     vm: Vec<f64>,
     va: Vec<f64>,
     rhs: Vec<f64>,
@@ -563,21 +643,18 @@ impl<'a> GnWave<'a> {
         let gain_sym = self.cache.gain_sym.as_ref().expect("prepared by wave_begin");
         let jac = self.cache.jac_buf.as_mut().expect("prepared by wave_begin");
         let gain = self.cache.gain_buf.as_mut().expect("prepared by wave_begin");
-        let h = {
+        let r = {
             let _sp = pgse_obs::span("wls.jacobian");
-            let h = evaluate_h(&est.net, &est.ybus, self.set, &self.vm, &self.va);
+            let r = est.residuals(self.set, &self.vm, &self.va);
             pattern.assemble_into(&est.net, &est.ybus, self.set, &est.space, &self.vm, &self.va, jac);
-            h
+            r
         };
-        let z = self.set.values();
-        let w = self.set.weights();
-        let wr: Vec<f64> =
-            z.iter().zip(&h).zip(&w).map(|((zi, hi), wi)| (zi - hi) * wi).collect();
+        let wr: Vec<f64> = r.iter().zip(&self.w).map(|(ri, wi)| ri * wi).collect();
         self.rhs = vec![0.0; est.space.dim()];
         jac.spmv_transpose(&wr, &mut self.rhs);
         {
             let _sp = pgse_obs::span("wls.gain");
-            gain_sym.compute_into(jac, &w, gain);
+            gain_sym.compute_into(jac, &self.w, gain);
         }
     }
 
@@ -670,12 +747,8 @@ impl<'a> GnWave<'a> {
                 last_step: self.last_step,
             });
         }
-        let est = self.est;
-        let z = self.set.values();
-        let w = self.set.weights();
-        let h = evaluate_h(&est.net, &est.ybus, self.set, &self.vm, &self.va);
-        let residuals: Vec<f64> = z.iter().zip(&h).map(|(zi, hi)| zi - hi).collect();
-        let objective = residuals.iter().zip(&w).map(|(ri, wi)| ri * ri * wi).sum();
+        let residuals = self.est.residuals(self.set, &self.vm, &self.va);
+        let objective = residuals.iter().zip(&self.w).map(|(ri, wi)| ri * ri * wi).sum();
         self.cache.warm = Some((self.vm.clone(), self.va.clone()));
         Ok(StateEstimate {
             vm: self.vm,
@@ -1076,6 +1149,50 @@ mod tests {
         assert_eq!(cache.symbolic_builds, 0);
         assert_eq!(cache.symbolic_reuses, 1);
         assert_eq!(cache.cold_solves, 1, "warm state does not survive a restart");
+    }
+
+    #[test]
+    fn deactivating_a_row_estimates_like_removing_it() {
+        let net = ieee14();
+        let sol = solve(&net, &PfOptions::default()).unwrap();
+        let set = crate::synthetic::TelemetryPlan::full(&net, vec![0]).generate(&net, &sol, 1.0, 3);
+        let est = WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::direct());
+        let dim = est.space().dim();
+        for i in [0usize, 20, 41, set.len() - 1] {
+            let mut masked = set.clone();
+            masked.deactivate(i);
+            let mut removed = set.clone();
+            removed.remove(i);
+            let a = est.estimate(&masked).unwrap();
+            let b = est.estimate(&removed).unwrap();
+            assert_eq!(a.iterations, b.iterations, "row {i}");
+            for k in 0..14 {
+                assert!((a.vm[k] - b.vm[k]).abs() < 1e-10, "row {i}: vm[{k}]");
+                assert!((a.va[k] - b.va[k]).abs() < 1e-10, "row {i}: va[{k}]");
+            }
+            assert!((a.objective - b.objective).abs() <= 1e-10 * b.objective, "row {i}");
+            assert_eq!(masked.n_active() - dim, removed.len() - dim, "row {i}: dof");
+            // The masked row contributes nothing: zero residual, same shape.
+            assert_eq!(a.residuals.len(), set.len());
+            assert_eq!(a.residuals[i], 0.0);
+        }
+    }
+
+    #[test]
+    fn a_masked_set_keeps_its_structures_across_activity_changes() {
+        let net = ieee14();
+        let set = exact_set(&net, &[0]);
+        let est = WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::direct());
+        let mut cache = SolveCache::new();
+        est.estimate_cached(&set, None, &mut cache).unwrap();
+        let mut masked = set.clone();
+        masked.deactivate(5);
+        est.estimate_cached(&masked, None, &mut cache).unwrap();
+        masked.activate(5);
+        masked.deactivate(30);
+        est.estimate_cached(&masked, None, &mut cache).unwrap();
+        assert_eq!(cache.symbolic_builds, 1, "activity is not structure");
+        assert_eq!(cache.refactor_full, 1, "every later solve refreshes one factor");
     }
 
     #[test]

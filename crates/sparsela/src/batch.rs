@@ -362,7 +362,13 @@ impl BatchPlan {
         self.syms.clear();
     }
 
-    fn symbolic_for(&mut self, a: &Csr) -> (Arc<CholSymbolic>, bool) {
+    /// The cached symbolic analysis of `a`'s pattern, analysing (and
+    /// caching) it first when the plan has none; the flag says whether it
+    /// was already cached. A caller that factors outside
+    /// [`BatchPlan::solve_round`] — e.g. a bad-data pass over a gain the
+    /// round just solved — gets the same analysis, so its numeric factor
+    /// is bitwise the round's.
+    pub fn symbolic(&mut self, a: &Csr) -> (Arc<CholSymbolic>, bool) {
         let fp = pattern_fingerprint(a);
         if let Some((_, sym)) = self.syms.iter().find(|(f, s)| *f == fp && s.matches(a)) {
             return (Arc::clone(sym), true);
@@ -404,7 +410,7 @@ impl BatchPlan {
         for group in group_by_pattern(&mats) {
             // Map group positions back to input positions.
             let idx: Vec<usize> = group.iter().map(|&g| valid[g]).collect();
-            let (sym, hit) = self.symbolic_for(systems[idx[0]].0);
+            let (sym, hit) = self.symbolic(systems[idx[0]].0);
             for &i in &idx {
                 sym_reused[i] = hit;
             }
@@ -658,6 +664,16 @@ mod tests {
             for (p, q) in x.iter().zip(&scalar) {
                 assert_eq!(p.to_bits(), q.to_bits(), "warm system {i}");
             }
+        }
+        // A factor taken outside the round over the plan's analysis is
+        // the round's factor, and the lookup analyses nothing new.
+        let (sym, cached) = plan.symbolic(&mats2[1]);
+        assert!(cached);
+        assert_eq!(plan.cached_symbolics(), 2);
+        let outside = SparseCholesky::factor_with_symbolic(sym, &mats2[1]).unwrap();
+        let x = round2.results[1].as_ref().unwrap();
+        for (p, q) in x.iter().zip(&outside.solve(&rhs[1])) {
+            assert_eq!(p.to_bits(), q.to_bits());
         }
         plan.clear();
         assert_eq!(plan.cached_symbolics(), 0);

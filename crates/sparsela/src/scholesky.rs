@@ -102,6 +102,8 @@ pub struct CholSymbolic {
     n: usize,
     /// `perm[new] = old`.
     perm: Vec<usize>,
+    /// `iperm[old] = new`.
+    iperm: Vec<usize>,
     /// Pattern of the (unpermuted) input matrix, for staleness checks.
     a_row_ptr: Vec<usize>,
     a_col_idx: Vec<usize>,
@@ -202,6 +204,7 @@ impl CholSymbolic {
         CholSymbolic {
             n,
             perm,
+            iperm: inv,
             a_row_ptr: a.row_ptr().to_vec(),
             a_col_idx: a.col_idx().to_vec(),
             ap_row_ptr,
@@ -456,6 +459,42 @@ impl SparseCholesky {
         }
         out
     }
+
+    /// The quadratic form `hᵀ·A⁻¹·h = ‖L⁻¹·P·h‖²` for a sparse `h` given
+    /// as `(indices, values)` — one forward substitution, no backward one.
+    /// This is the leverage term of a normalized residual: with `A` the
+    /// gain matrix and `h` a Jacobian row, `σ² − hᵀA⁻¹h` is that row's
+    /// residual variance.
+    ///
+    /// `work` is a caller-owned workspace of length
+    /// [`SparseCholesky::dim`], all zeros on entry and left all zeros on
+    /// return, so a loop over many rows allocates nothing. The substitution
+    /// starts at the first permuted column `h` touches (`L` is lower
+    /// triangular, so everything before it stays zero) and skips columns
+    /// whose running value is exactly zero.
+    pub fn inv_quad_form(&self, idx: &[usize], vals: &[f64], work: &mut [f64]) -> f64 {
+        let sym = &*self.sym;
+        assert_eq!(work.len(), sym.n, "inv_quad_form: workspace length");
+        let mut first = sym.n;
+        for (&i, &v) in idx.iter().zip(vals) {
+            let j = sym.iperm[i];
+            work[j] += v;
+            first = first.min(j);
+        }
+        let mut sum = 0.0;
+        for j in first..sym.n {
+            if work[j] == 0.0 {
+                continue;
+            }
+            let yj = work[j] / self.lx[sym.lp[j]];
+            work[j] = 0.0;
+            sum += yj * yj;
+            for p in (sym.lp[j] + 1)..sym.lp[j + 1] {
+                work[sym.li[p]] -= self.lx[p] * yj;
+            }
+        }
+        sum
+    }
 }
 
 #[cfg(test)]
@@ -673,6 +712,45 @@ mod tests {
         for (p, q) in ax.iter().zip(&b) {
             assert!((p - q).abs() < 1e-10, "previous factor lost after failed refactor");
         }
+    }
+
+    #[test]
+    fn forward_only_quadratic_form_matches_solve_then_dot() {
+        // G = HᵀWH for a random sparse H whose last row is the only one
+        // touching the last column: that row has leverage w·hᵀG⁻¹h = 1
+        // exactly, the critical-measurement case.
+        use rand::{rngs::StdRng, Rng, SeedableRng};
+        let mut rng = StdRng::seed_from_u64(5);
+        let (m, n) = (40, 16);
+        let mut coo = Coo::new(m, n);
+        for r in 0..m - 1 {
+            coo.push(r, r % (n - 1), 1.0 + rng.gen_range(0.0..1.0));
+            for _ in 0..3 {
+                coo.push(r, rng.gen_range(0..n - 1), rng.gen_range(-1.0..1.0));
+            }
+        }
+        coo.push(m - 1, n - 1, 0.7);
+        coo.push(m - 1, 3, -0.4);
+        let h = coo.to_csr();
+        let w: Vec<f64> = (0..m).map(|_| rng.gen_range(0.5..4.0)).collect();
+        let chol = SparseCholesky::factor(&h.ata_weighted(&w)).unwrap();
+        let mut work = vec![0.0; n];
+        for r in 0..m {
+            let (cols, vals) = h.row(r);
+            let mut dense = vec![0.0; n];
+            for (&c, &v) in cols.iter().zip(vals) {
+                dense[c] += v;
+            }
+            let reference: f64 =
+                dense.iter().zip(chol.solve(&dense)).map(|(a, b)| a * b).sum();
+            let q = chol.inv_quad_form(cols, vals, &mut work);
+            let err = (q - reference).abs();
+            assert!(err <= 1e-12 * reference.abs(), "row {r}: {q} vs {reference}");
+            assert!(work.iter().all(|&x| x == 0.0), "workspace left dirty by row {r}");
+        }
+        let (cols, vals) = h.row(m - 1);
+        let leverage = w[m - 1] * chol.inv_quad_form(cols, vals, &mut work);
+        assert!((leverage - 1.0).abs() < 1e-12, "critical row leverage {leverage}");
     }
 
     #[test]

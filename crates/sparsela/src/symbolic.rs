@@ -148,6 +148,7 @@ impl AtaSymbolic {
         assert_eq!(w.len(), a.nrows(), "AtaSymbolic: weight length");
         assert_eq!(g.nnz(), self.g_col_idx.len(), "AtaSymbolic: output nnz");
         assert_eq!(g.row_ptr(), self.g_row_ptr.as_slice(), "AtaSymbolic: output pattern");
+        debug_assert_eq!(g.col_idx(), self.g_col_idx.as_slice(), "AtaSymbolic: output pattern");
         let n = self.a_ncols;
         let mut acc = vec![0f64; n];
         let mut mark = vec![usize::MAX; n];
@@ -167,10 +168,9 @@ impl AtaSymbolic {
                 }
             }
             let (lo, hi) = (self.g_row_ptr[i], self.g_row_ptr[i + 1]);
-            let g_cols: Vec<usize> = g.col_idx()[lo..hi].to_vec();
             let vals = g.values_mut();
-            for (off, j) in g_cols.into_iter().enumerate() {
-                vals[lo + off] = if mark[j] == i { acc[j] } else { 0.0 };
+            for (p, &j) in (lo..hi).zip(&self.g_col_idx[lo..hi]) {
+                vals[p] = if mark[j] == i { acc[j] } else { 0.0 };
             }
         }
     }

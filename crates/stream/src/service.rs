@@ -48,22 +48,27 @@
 //! Robust estimation (the measurement-level chaos layer): a seeded
 //! [`ScanFaultPlan`] corrupts scans *before* they are framed — gross
 //! errors bias one measurement by `k·σ`, RTU outages shed every
-//! measurement touching a site. Downstream, a per-area post-WLS
-//! chi-square gate ([`BadDataGate`]) detects suspect frames and runs the
-//! largest-normalized-residual loop to identify and remove the offender
-//! (`suspect_frames == cleared_by_lnr + degraded_unidentifiable`, and the
-//! removed indices are recorded per event so tests can equate them with
-//! the injected ground truth); shortened scans run an observability check
-//! and are repaired by [`pgse_estimation::restoration`] pseudo
-//! measurements from the last good estimate, or degrade the area to its
-//! carried profile when even restoration cannot close the holes.
+//! measurement touching a site. Downstream, every scan is placed on its
+//! area's fixed measurement layout ([`AreaEstimator::place_scan`]): a row
+//! the scan lost is present but inactive, so a frame's Jacobian and gain
+//! patterns never change between topology transitions. A per-area
+//! post-WLS chi-square gate ([`BadDataGate`]) detects suspect frames, and
+//! the largest-normalized-residual loop deactivates the offender and
+//! re-solves warm through the area's solve cache, suspects fanned out on
+//! the pool (`suspect_frames == cleared_by_lnr + degraded_unidentifiable`,
+//! and the rejected rows are recorded per event so tests can equate them
+//! with the injected ground truth); shortened scans run an observability
+//! check and are repaired by [`pgse_estimation::restoration`] pseudo
+//! measurements from the last good estimate — activated rows of the
+//! layout's pseudo superset — or degrade the area to its carried profile
+//! when even restoration cannot close the holes.
 //!
 //! Live topology: [`SwitchingEvent`]s make grid topology a versioned
 //! per-frame input. The feeder stamps PGSF v2 frames with the stage's
 //! `topology_version` (and the boundary's breaker events); the solver
 //! switches its estimator bank when the version advances, keeping every
-//! *unaffected* area's solve caches — the existing
-//! `StructureDescriptor`/`ybus_fingerprint` staleness detection rebuilds
+//! *unaffected* area's solve caches — the existing staleness detection
+//! (`StructureDescriptor`, `JacobianPattern::matches`) rebuilds
 //! symbolic analyses only where the subnet actually changed
 //! (`symbolic_rebuilds`). Switching that islands part of an area is
 //! detected with [`pgse_contingency::islanding_outages`] and the orphan
@@ -74,7 +79,7 @@
 use std::collections::BTreeMap;
 use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Condvar, Mutex};
+use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pgse_cluster::{plan_redistribution, FleetLiveness};
@@ -82,9 +87,10 @@ use pgse_contingency::islanding_outages;
 use pgse_dse::decomposition::{decompose, AreaInfo};
 use pgse_dse::runner::aggregate;
 use pgse_dse::{AreaEstimator, AreaSolution, Decomposition, DecompositionOptions, PseudoMeasurement};
+use pgse_estimation::baddata::BadDataReport;
 use pgse_estimation::measurement::{MeasurementKind, MeasurementSet};
 use pgse_estimation::synthetic::NoiseProcess;
-use pgse_estimation::wls::{GnWave, SolveCache, WlsOptions};
+use pgse_estimation::wls::{GnWave, SolveCache, StateEstimate, WlsError, WlsOptions};
 use pgse_estimation::{baddata, restoration};
 use pgse_grid::Network;
 use pgse_medici::endpoint::accept_polled;
@@ -99,7 +105,7 @@ use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
 };
 use pgse_powerflow::{solve as solve_pf, PfError, PfOptions};
-use pgse_sparsela::{BatchPlan, Csr};
+use pgse_sparsela::{BatchPlan, CholSymbolic, Csr};
 use rayon::prelude::*;
 
 use crate::ingest::{IngestQueue, IngestStats};
@@ -124,29 +130,11 @@ const FRAME_INTERVAL_SECS: f64 = 4.0;
 /// How long one solver sweep waits on an empty area queue.
 const POP_DEADLINE: Duration = Duration::from_millis(50);
 
-/// Post-WLS bad-data gate configuration.
-///
-/// After every fresh Step-1 solve the weighted objective is tested against
-/// the chi-square critical value at `confidence`; frames that fire run the
-/// largest-normalized-residual identification loop
-/// ([`pgse_estimation::baddata::identify_and_remove`]), capped at
-/// `max_removals` removals per frame.
-#[derive(Debug, Clone, Copy)]
-pub struct BadDataGate {
-    /// Chi-square confidence level (e.g. `0.999`). High values keep the
-    /// false-alarm rate on clean frames negligible, which is what makes
-    /// the `suspect == cleared + unidentifiable` accounting exact against
-    /// a seeded injection schedule.
-    pub confidence: f64,
-    /// Maximum measurements the LNR loop removes from one frame.
-    pub max_removals: usize,
-}
-
-impl Default for BadDataGate {
-    fn default() -> Self {
-        BadDataGate { confidence: 0.999, max_removals: 4 }
-    }
-}
+/// Post-WLS bad-data gate configuration: after every fresh Step-1 solve
+/// the weighted objective is tested against the chi-square critical value,
+/// and frames that fire run the LNR loop
+/// ([`pgse_estimation::baddata::identify_cached`]).
+pub use pgse_estimation::baddata::BadDataGate;
 
 /// One breaker/switch operation applied to the grid mid-stream.
 ///
@@ -166,7 +154,7 @@ pub struct SwitchingEvent {
 }
 
 /// One bad-data identification event: which measurements the LNR loop
-/// removed from which area's frame. Tests equate `removed` with the
+/// rejected from which area's frame. Tests equate `removed` with the
 /// seeded injection ground truth.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct BadDataEvent {
@@ -174,7 +162,9 @@ pub struct BadDataEvent {
     pub seq: u64,
     /// Area whose gate fired.
     pub area: usize,
-    /// Indices (into the area's original scan) removed by the LNR loop.
+    /// Rows of the area's measurement layout the LNR loop deactivated, in
+    /// rejection order. The layout's first `scan_len` rows are the full
+    /// scan, so for a full-length scan these are scan indices.
     pub removed: Vec<usize>,
 }
 
@@ -294,7 +284,8 @@ pub struct StreamReport {
     /// Sum over rounds of areas running degraded (no fresh scan, or a scan
     /// neither step could solve).
     pub degraded_area_rounds: u64,
-    /// Per-area solves that failed (the area carried its last solution).
+    /// Per-area solves that failed (the area carried its last solution),
+    /// counting scans that do not place on the area's layout.
     pub solve_errors: u64,
     /// Frames offered to the ingest queues (accepted or shed).
     pub ingested: u64,
@@ -377,14 +368,15 @@ pub struct StreamReport {
     /// Suspect frames the LNR loop could not clean (critical/unidentifiable
     /// error); the area carried its last good solution for the round.
     pub degraded_unidentifiable: u64,
-    /// Measurements removed by the LNR loop across all cleared frames.
+    /// Measurements the LNR loop rejected across all cleared frames.
     pub bad_data_removed: u64,
     /// Per-event removal record `(seq, area, removed indices)` — compared
     /// against the seeded injection ground truth by the conformance tests.
     pub bad_data_events: Vec<BadDataEvent>,
     /// Shortened scans repaired by observability restoration.
     pub frames_restored: u64,
-    /// Pseudo measurements appended across all restored frames.
+    /// Pseudo measurements restoration asked for across all restored
+    /// frames (each activates a row of the area's pseudo superset).
     pub pseudo_added: u64,
     /// Shortened scans that were still observable without repair.
     pub short_scan_observable: u64,
@@ -748,53 +740,17 @@ impl StreamService {
                         for (a, est) in service.stage_estimators(v).iter().enumerate() {
                             let mut set =
                                 est.generate_telemetry(noise, frame_seed(cfg.seed, s));
-                            match cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s)) {
-                                Some(ScanFault::GrossError { slot, magnitude_sigma })
-                                    if !set.is_empty() =>
-                                {
-                                    // Bias one measurement by k·σ — the
-                                    // classic gross error the LNR loop
-                                    // must identify downstream.
+                            let fault = cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s));
+                            let net = est.step1_estimator().network();
+                            match apply_scan_fault(fault, &mut set, net) {
+                                ScanDamage::Gross => {
                                     gross_fed.fetch_add(1, Ordering::Relaxed);
-                                    let idx = (slot % set.len() as u64) as usize;
-                                    set = set
-                                        .as_slice()
-                                        .iter()
-                                        .enumerate()
-                                        .map(|(i, m)| {
-                                            let mut m = *m;
-                                            if i == idx {
-                                                m.value += magnitude_sigma * m.sigma;
-                                            }
-                                            m
-                                        })
-                                        .collect();
                                 }
-                                Some(ScanFault::RtuOutage { site_slots }) => {
-                                    // An RTU outage silences whole sites:
-                                    // every measurement whose equation
-                                    // involves a dead bus is shed.
+                                ScanDamage::Rtu { shed } => {
                                     rtu_fed.fetch_add(1, Ordering::Relaxed);
-                                    let net = est.step1_estimator().network();
-                                    let n_local = net.n_buses() as u64;
-                                    let dead: Vec<usize> = site_slots
-                                        .iter()
-                                        .map(|&t| (t % n_local) as usize)
-                                        .collect();
-                                    let before = set.len();
-                                    let kept: MeasurementSet = set
-                                        .as_slice()
-                                        .iter()
-                                        .filter(|m| !touches_dead(&m.kind, net, &dead))
-                                        .copied()
-                                        .collect();
-                                    rtu_shed.fetch_add(
-                                        (before - kept.len()) as u64,
-                                        Ordering::Relaxed,
-                                    );
-                                    set = kept;
+                                    rtu_shed.fetch_add(shed, Ordering::Relaxed);
                                 }
-                                _ => {}
+                                ScanDamage::None => {}
                             }
                             let mut frame = StreamFrame::new(a as u32, s, dt, set);
                             if v > 0 {
@@ -934,7 +890,8 @@ impl StreamService {
                 }
 
                 // Assemble the round: freshest frame per area; areas with
-                // nothing new run degraded on carried state.
+                // nothing new run degraded on carried state. An area whose
+                // frame ends the round not fresh publishes no latency.
                 let mut enqueue_times: Vec<Option<Instant>> = vec![None; n_areas];
                 let mut popped_frames: Vec<Option<StreamFrame>> = vec![None; n_areas];
                 for (a, slot) in popped.into_iter().enumerate() {
@@ -947,7 +904,6 @@ impl StreamService {
                             continue;
                         }
                         enqueue_times[a] = Some(t_enq);
-                        last_sets[a] = Some(frame.measurements.clone());
                         popped_frames[a] = Some(frame);
                     }
                 }
@@ -956,7 +912,7 @@ impl StreamService {
                 // Topology transition: this round's frames carry a newer
                 // version — switch the estimator bank. Only *affected*
                 // areas re-run symbolic analysis (their cached
-                // StructureDescriptor/ybus fingerprint goes stale on the
+                // StructureDescriptor/Ybus pattern goes stale on the
                 // next solve); unaffected areas keep symbolic structures,
                 // warm starts, and carried solutions across the switch.
                 if round_version != active_version {
@@ -990,44 +946,14 @@ impl StreamService {
                 }
                 let ests = self.stage_estimators(active_version);
 
-                // Observability restoration: a scan shorter than the
-                // telemetry plan lost measurements in flight (an RTU
-                // outage). Repair with weak pseudo measurements from the
-                // carried estimate before solving; an area unobservable
-                // even after restoration degrades to its carried
-                // (checkpoint) profile instead of publishing garbage.
-                if cfg.restoration {
-                    for a in 0..n_areas {
-                        if !fresh[a] {
-                            continue;
-                        }
-                        let Some(set) = last_sets[a].as_ref() else { continue };
-                        if set.len() >= ests[a].scan_len() {
-                            continue;
-                        }
-                        let w = ests[a].step1_estimator();
-                        let (net, space) = (w.network(), w.space());
-                        let nb = net.n_buses();
-                        let (vm0, va0) = match &last_solutions[a] {
-                            Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
-                            _ => (vec![1.0; nb], vec![0.0; nb]),
-                        };
-                        let (aug, rep) = pgse_obs::with_recorder(&self.area_recs[a], || {
-                            restoration::restore(net, set, space, &vm0, &va0)
-                        });
-                        if rep.added.is_empty() {
-                            report.short_scan_observable += 1;
-                        } else if rep.after.observable {
-                            report.frames_restored += 1;
-                            report.pseudo_added += rep.added.len() as u64;
-                            last_sets[a] = Some(aug);
-                        } else {
-                            report.unobservable_degraded += 1;
-                            fresh[a] = false;
-                            enqueue_times[a] = None;
-                        }
-                    }
-                }
+                self.place_scans(
+                    ests,
+                    &popped_frames,
+                    &last_solutions,
+                    &mut fresh,
+                    &mut last_sets,
+                    &mut report,
+                );
 
                 // Panic injection is decided before the fan-out so the
                 // parallel closures stay deterministic.
@@ -1067,83 +993,18 @@ impl StreamService {
                     &mut report,
                 );
 
-                // Bad-data gate: chi-square test on every fresh Step-1
-                // objective. A clean frame pays only one critical-value
-                // evaluation; an alarmed frame enters the
-                // largest-normalized-residual identification loop, which
-                // removes gross measurements one at a time (re-solving
-                // after each) until the test passes. The gate runs
-                // sequentially so its removals — and therefore the whole
-                // round — do not depend on the worker pool size.
                 let mut step1 = step1;
                 if let Some(gate) = cfg.baddata {
-                    for a in 0..n_areas {
-                        if !fresh[a] {
-                            continue;
-                        }
-                        let (sol_obj, sol_iters) = match &step1[a] {
-                            StageOutcome::Solved(s) => (s.objective, s.iterations),
-                            _ => continue,
-                        };
-                        let Some(set) = last_sets[a].as_ref() else { continue };
-                        let est1 = ests[a].step1_estimator();
-                        let m = set.len();
-                        let dim = est1.space().dim();
-                        let fired = m > dim
-                            && sol_obj > baddata::chi_square_critical(m - dim, gate.confidence);
-                        if !fired {
-                            continue;
-                        }
-                        report.suspect_frames += 1;
-                        let out = pgse_obs::with_recorder(&self.area_recs[a], || {
-                            baddata::identify_and_remove(
-                                est1,
-                                set,
-                                gate.confidence,
-                                gate.max_removals,
-                            )
-                        });
-                        match out {
-                            Ok(rep) if rep.clean => {
-                                report.cleared_by_lnr += 1;
-                                report.bad_data_removed += rep.removed.len() as u64;
-                                let mut cleaned = set.clone();
-                                let mut rm = rep.removed.clone();
-                                rm.sort_unstable_by(|x, y| y.cmp(x));
-                                for i in rm {
-                                    cleaned.remove(i);
-                                }
-                                last_sets[a] = Some(cleaned);
-                                s1_caches[a].restore_warm(
-                                    rep.estimate.vm.clone(),
-                                    rep.estimate.va.clone(),
-                                );
-                                report.bad_data_events.push(BadDataEvent {
-                                    seq: target_seq,
-                                    area: a,
-                                    removed: rep.removed,
-                                });
-                                // Keep the wave's iteration count: the LNR
-                                // re-solves bypass the cache, so folding
-                                // them into `gn_iterations` would break
-                                // the refactorization-accounting pin.
-                                step1[a] = StageOutcome::Solved(AreaSolution {
-                                    vm: rep.estimate.vm,
-                                    va: rep.estimate.va,
-                                    iterations: sol_iters,
-                                    objective: rep.estimate.objective,
-                                });
-                            }
-                            _ => {
-                                // Unidentifiable (no residual stands out)
-                                // or the re-solve itself failed: suppress
-                                // the suspect solution and run degraded on
-                                // the carried state.
-                                report.degraded_unidentifiable += 1;
-                                step1[a] = StageOutcome::Degraded;
-                            }
-                        }
-                    }
+                    self.bad_data_stage(
+                        gate,
+                        ests,
+                        target_seq,
+                        &mut step1,
+                        &mut last_sets,
+                        &mut s1_caches,
+                        &mut plan,
+                        &mut report,
+                    );
                 }
 
                 // Contain Step-1 casualties: the panicked worker's frame
@@ -1162,16 +1023,14 @@ impl StreamService {
                                 self.queues[a].requeue(frame);
                             }
                             fresh[a] = false;
-                            enqueue_times[a] = None;
                             to_restart.push(a);
                         }
-                        StageOutcome::Degraded => {
+                        StageOutcome::Degraded(_) => {
                             // Bad data the LNR loop could not identify:
                             // the frame is consumed (no requeue — its
                             // measurements are known-suspect) and the area
                             // publishes its carried profile this round.
                             fresh[a] = false;
-                            enqueue_times[a] = None;
                         }
                         _ => {}
                     }
@@ -1252,7 +1111,6 @@ impl StreamService {
                         && !matches!(outcome, StageOutcome::Solved(_))
                     {
                         fresh[a] = false;
-                        enqueue_times[a] = None;
                     }
                 }
 
@@ -1260,8 +1118,10 @@ impl StreamService {
                 let degraded: Vec<usize> = (0..n_areas).filter(|&a| !fresh[a]).collect();
                 let mut gn = 0u64;
                 for a in 0..n_areas {
-                    if let StageOutcome::Solved(s) = &step1[a] {
-                        gn += s.iterations as u64;
+                    match &step1[a] {
+                        StageOutcome::Solved(s) => gn += s.iterations as u64,
+                        StageOutcome::Degraded(iterations) => gn += *iterations as u64,
+                        _ => {}
                     }
                     if let StageOutcome::Solved(s) = &step2[a] {
                         gn += s.iterations as u64;
@@ -1368,8 +1228,9 @@ impl StreamService {
                             report.last_epoch = Some(epoch);
                             self.rec.counter_add("stream.published", 1);
                             let now = Instant::now();
-                            for t in enqueue_times.iter().flatten() {
-                                let ms = now.duration_since(*t).as_secs_f64() * 1e3;
+                            let solved = enqueue_times.iter().zip(&fresh);
+                            for t in solved.filter_map(|(t, &f)| t.filter(|_| f)) {
+                                let ms = now.duration_since(t).as_secs_f64() * 1e3;
                                 latencies_ms.push(ms);
                                 self.rec.observe("volatile.stream.frame_latency_ms", ms);
                             }
@@ -1430,63 +1291,7 @@ impl StreamService {
         report.checkpoints_saved = ck.saves;
         report.checkpoints_restored = ck.restores;
         report.cold_restarts = ck.misses;
-        for h in &self.proxies {
-            let st = h.stats();
-            report.faults_injected += st.injected_faults();
-            for kind in [
-                FaultKind::Delivered,
-                FaultKind::Dropped,
-                FaultKind::Truncated,
-                FaultKind::Delayed,
-                FaultKind::Duplicated,
-            ] {
-                let n = st.count_of(kind);
-                if n > 0 {
-                    self.rec.counter_add(&format!("stream.faults.{}", kind.label()), n);
-                }
-            }
-        }
-        self.rec.counter_add("stream.ingested", report.ingested);
-        self.rec.counter_add("stream.solved", report.area_frames_solved);
-        self.rec.counter_add("stream.shed.stale", report.shed_stale);
-        self.rec.counter_add("stream.shed.overflow", report.shed_overflow);
-        self.rec.counter_add("stream.shed.superseded", report.shed_superseded);
-        self.rec.counter_add("stream.corrupt", report.corrupt);
-        self.rec.counter_add("stream.requeued", report.requeued);
-        self.rec.counter_add("stream.worker_panics", report.worker_panics);
-        self.rec.counter_add("stream.refactor_reuse", report.refactor_reuse);
-        self.rec.counter_add("stream.refactor_full", report.refactor_full);
-        self.rec.counter_add("stream.gain_solves", report.gain_solves);
-        self.rec.counter_add("stream.batched_lanes", report.batched_lanes);
-        self.rec.counter_add("stream.batch_groups", report.batch_groups);
-        self.rec.counter_add("stream.scalar_fallbacks", report.scalar_fallbacks);
-        // Robustness counters. Deliberately *counts only* — the gate/LNR
-        // wall-clock nanos stay out of obs so same-seed runs replay to
-        // byte-identical deterministic reports.
-        self.rec.counter_add("stream.baddata.suspect", report.suspect_frames);
-        self.rec.counter_add("stream.baddata.cleared", report.cleared_by_lnr);
-        self.rec
-            .counter_add("stream.baddata.unidentifiable", report.degraded_unidentifiable);
-        self.rec.counter_add("stream.baddata.removed", report.bad_data_removed);
-        self.rec.counter_add("stream.restore.frames", report.frames_restored);
-        self.rec.counter_add("stream.restore.pseudo", report.pseudo_added);
-        self.rec
-            .counter_add("stream.restore.unobservable", report.unobservable_degraded);
-        self.rec.counter_add("stream.faults.gross", report.gross_injected);
-        self.rec.counter_add("stream.faults.rtu", report.rtu_outages);
-        self.rec.counter_add("stream.topology.transitions", report.topology_transitions);
-        self.rec
-            .counter_add("stream.topology.symbolic_rebuilds", report.symbolic_rebuilds);
-        self.sup_rec.counter_add("failover.suspected", report.suspected);
-        self.sup_rec.counter_add("failover.dead", report.workers_declared_dead);
-        self.sup_rec.counter_add("failover.restarts", report.workers_restarted);
-        self.sup_rec.counter_add("failover.cluster_deaths", report.cluster_deaths);
-        self.sup_rec.counter_add("failover.migrations", report.areas_rehosted);
-        self.sup_rec.counter_add("failover.bytes", report.failover_bytes);
-        self.sup_rec.counter_add("failover.checkpoints", report.checkpoints_saved);
-        self.sup_rec.counter_add("failover.restores", report.checkpoints_restored);
-        self.sup_rec
-            .counter_add("failover.symbolic_retained", report.restart_symbolic_retained);
+        self.record_run_counters(&mut report);
 
         latencies_ms.sort_by(f64::total_cmp);
         report.latency_p50_ms = percentile(&latencies_ms, 0.50);
@@ -1629,6 +1434,219 @@ impl StreamService {
     }
 }
 
+impl StreamService {
+    /// Folds the chaos proxies' fault counts into `report` and writes the
+    /// run's totals to the service and supervision obs scopes.
+    fn record_run_counters(&self, report: &mut StreamReport) {
+        for h in &self.proxies {
+            let st = h.stats();
+            report.faults_injected += st.injected_faults();
+            for kind in [
+                FaultKind::Delivered,
+                FaultKind::Dropped,
+                FaultKind::Truncated,
+                FaultKind::Delayed,
+                FaultKind::Duplicated,
+            ] {
+                let n = st.count_of(kind);
+                if n > 0 {
+                    self.rec.counter_add(&format!("stream.faults.{}", kind.label()), n);
+                }
+            }
+        }
+        self.rec.counter_add("stream.ingested", report.ingested);
+        self.rec.counter_add("stream.solved", report.area_frames_solved);
+        self.rec.counter_add("stream.shed.stale", report.shed_stale);
+        self.rec.counter_add("stream.shed.overflow", report.shed_overflow);
+        self.rec.counter_add("stream.shed.superseded", report.shed_superseded);
+        self.rec.counter_add("stream.corrupt", report.corrupt);
+        self.rec.counter_add("stream.requeued", report.requeued);
+        self.rec.counter_add("stream.worker_panics", report.worker_panics);
+        self.rec.counter_add("stream.refactor_reuse", report.refactor_reuse);
+        self.rec.counter_add("stream.refactor_full", report.refactor_full);
+        self.rec.counter_add("stream.gain_solves", report.gain_solves);
+        self.rec.counter_add("stream.batched_lanes", report.batched_lanes);
+        self.rec.counter_add("stream.batch_groups", report.batch_groups);
+        self.rec.counter_add("stream.scalar_fallbacks", report.scalar_fallbacks);
+        // Robustness counters. Deliberately *counts only* — the gate/LNR
+        // wall-clock nanos stay out of obs so same-seed runs replay to
+        // byte-identical deterministic reports.
+        self.rec.counter_add("stream.baddata.suspect", report.suspect_frames);
+        self.rec.counter_add("stream.baddata.cleared", report.cleared_by_lnr);
+        self.rec
+            .counter_add("stream.baddata.unidentifiable", report.degraded_unidentifiable);
+        self.rec.counter_add("stream.baddata.removed", report.bad_data_removed);
+        self.rec.counter_add("stream.restore.frames", report.frames_restored);
+        self.rec.counter_add("stream.restore.pseudo", report.pseudo_added);
+        self.rec
+            .counter_add("stream.restore.unobservable", report.unobservable_degraded);
+        self.rec.counter_add("stream.faults.gross", report.gross_injected);
+        self.rec.counter_add("stream.faults.rtu", report.rtu_outages);
+        self.rec.counter_add("stream.topology.transitions", report.topology_transitions);
+        self.rec
+            .counter_add("stream.topology.symbolic_rebuilds", report.symbolic_rebuilds);
+        self.sup_rec.counter_add("failover.suspected", report.suspected);
+        self.sup_rec.counter_add("failover.dead", report.workers_declared_dead);
+        self.sup_rec.counter_add("failover.restarts", report.workers_restarted);
+        self.sup_rec.counter_add("failover.cluster_deaths", report.cluster_deaths);
+        self.sup_rec.counter_add("failover.migrations", report.areas_rehosted);
+        self.sup_rec.counter_add("failover.bytes", report.failover_bytes);
+        self.sup_rec.counter_add("failover.checkpoints", report.checkpoints_saved);
+        self.sup_rec.counter_add("failover.restores", report.checkpoints_restored);
+        self.sup_rec
+            .counter_add("failover.symbolic_retained", report.restart_symbolic_retained);
+    }
+
+    /// Places each fresh area's scan on its Step-1 layout
+    /// ([`AreaEstimator::place_scan`]) — a row the scan lost in flight
+    /// stays in place, inactive — and, with restoration on, repairs a
+    /// short scan: [`restoration::restore`] picks weak pseudo measurements
+    /// from the carried estimate and they activate rows of the layout's
+    /// pseudo superset. An area unobservable even after restoration, or
+    /// whose scan does not place, degrades to its carried profile.
+    fn place_scans(
+        &self,
+        ests: &[AreaEstimator],
+        frames: &[Option<StreamFrame>],
+        last_solutions: &[Option<AreaSolution>],
+        fresh: &mut [bool],
+        last_sets: &mut [Option<MeasurementSet>],
+        report: &mut StreamReport,
+    ) {
+        for (a, frame) in frames.iter().enumerate() {
+            let Some(frame) = frame else { continue };
+            let est = &ests[a];
+            let Some(mut set) = est.place_scan(&frame.measurements) else {
+                report.solve_errors += 1;
+                fresh[a] = false;
+                continue;
+            };
+            if self.cfg.restoration && frame.measurements.len() < est.scan_len() {
+                let w = est.step1_estimator();
+                let (net, space) = (w.network(), w.space());
+                let nb = net.n_buses();
+                let (vm0, va0) = match &last_solutions[a] {
+                    Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
+                    _ => (vec![1.0; nb], vec![0.0; nb]),
+                };
+                let (aug, rep) = pgse_obs::with_recorder(&self.area_recs[a], || {
+                    restoration::restore(net, &set, space, &vm0, &va0)
+                });
+                if rep.added.is_empty() {
+                    report.short_scan_observable += 1;
+                } else if rep.after.observable {
+                    report.frames_restored += 1;
+                    report.pseudo_added += rep.added.len() as u64;
+                    let pseudo = rep.added.iter().map(|&i| aug.as_slice()[i]);
+                    restoration::place_pseudo(&mut set, est.scan_len(), pseudo);
+                } else {
+                    report.unobservable_degraded += 1;
+                    fresh[a] = false;
+                }
+            }
+            last_sets[a] = Some(set);
+        }
+    }
+
+    /// The bad-data stage of a round: the chi-square gate on every fresh
+    /// Step-1 objective (active rows only count as degrees of freedom),
+    /// then the largest-normalized-residual loop on the suspects
+    /// ([`baddata::identify_cached`]), fanned out across the pool. Each
+    /// suspect starts from its converged Step-1 estimate, factors its gain
+    /// over the symbolic analysis the round's `plan` already holds,
+    /// deactivates the worst row and re-solves warm through its own solve
+    /// cache — no pattern changes, so neither this nor the following Step 2
+    /// re-analyses anything. Re-solve iterations join the area's Step-1
+    /// iterations. Results are applied in area order, so the round does
+    /// not depend on the pool size.
+    #[allow(clippy::too_many_arguments)]
+    fn bad_data_stage(
+        &self,
+        gate: BadDataGate,
+        ests: &[AreaEstimator],
+        seq: u64,
+        step1: &mut [StageOutcome],
+        last_sets: &mut [Option<MeasurementSet>],
+        s1_caches: &mut [SolveCache],
+        plan: &mut BatchPlan,
+        report: &mut StreamReport,
+    ) {
+        let mut suspect = vec![false; ests.len()];
+        let mut syms: Vec<Option<Arc<CholSymbolic>>> = vec![None; ests.len()];
+        for (a, est) in ests.iter().enumerate() {
+            let (StageOutcome::Solved(s), Some(set)) = (&step1[a], &last_sets[a]) else {
+                continue;
+            };
+            let dim = est.step1_estimator().space().dim();
+            if baddata::chi_square_detects(set, s.objective, dim, gate.confidence) {
+                report.suspect_frames += 1;
+                suspect[a] = true;
+                syms[a] = s1_caches[a].gain().map(|g| plan.symbolic(g).0);
+            }
+        }
+        if !suspect.contains(&true) {
+            return;
+        }
+        let solved: &[StageOutcome] = step1;
+        let outcomes: Vec<Option<Result<BadDataReport, WlsError>>> = ests
+            .par_iter()
+            .enumerate()
+            .zip(last_sets.par_iter_mut())
+            .zip(s1_caches.par_iter_mut())
+            .map(|(((a, est), set), cache)| {
+                let (true, StageOutcome::Solved(s), Some(set)) = (suspect[a], &solved[a], set)
+                else {
+                    return None;
+                };
+                let est1 = est.step1_estimator();
+                Some(pgse_obs::with_recorder(&self.area_recs[a], || {
+                    let start = StateEstimate {
+                        residuals: est1.residuals(set, &s.vm, &s.va),
+                        vm: s.vm.clone(),
+                        va: s.va.clone(),
+                        iterations: s.iterations,
+                        objective: s.objective,
+                        solver_iterations: Vec::new(),
+                    };
+                    baddata::identify_cached(est1, set, start, gate, cache, syms[a].clone())
+                }))
+            })
+            .collect();
+        for (a, out) in outcomes.into_iter().enumerate() {
+            let (Some(out), StageOutcome::Solved(s)) = (out, &step1[a]) else { continue };
+            let wave_iterations = s.iterations;
+            step1[a] = match out {
+                Ok(rep) if rep.clean => {
+                    report.cleared_by_lnr += 1;
+                    report.bad_data_removed += rep.removed.len() as u64;
+                    report.bad_data_events.push(BadDataEvent {
+                        seq,
+                        area: a,
+                        removed: rep.removed,
+                    });
+                    StageOutcome::Solved(AreaSolution {
+                        vm: rep.estimate.vm,
+                        va: rep.estimate.va,
+                        iterations: wave_iterations + rep.resolve_iterations,
+                        objective: rep.estimate.objective,
+                    })
+                }
+                // Unidentifiable (no residual stands out) or a re-solve
+                // failed: suppress the suspect solution and run degraded
+                // on the carried state.
+                Ok(rep) => {
+                    report.degraded_unidentifiable += 1;
+                    StageOutcome::Degraded(wave_iterations + rep.resolve_iterations)
+                }
+                Err(_) => {
+                    report.degraded_unidentifiable += 1;
+                    StageOutcome::Degraded(wave_iterations)
+                }
+            };
+        }
+    }
+}
+
 /// Panic payload the kill schedule injects into a Step-1 closure.
 const INJECTED_PANIC: &str = "injected solver fault (kill schedule)";
 
@@ -1643,8 +1661,9 @@ enum StageOutcome {
     /// Nothing to do: no fresh scan, or the worker is down.
     Skipped,
     /// The bad-data gate fired and the LNR loop could not clear the frame;
-    /// the area carries its last solution and the frame is discarded.
-    Degraded,
+    /// the area carries its last solution and the frame is discarded. Holds
+    /// the Gauss–Newton iterations the wave and the loop ran.
+    Degraded(usize),
 }
 
 /// Running totals of retired (replaced) solve caches, so worker restarts
@@ -2138,6 +2157,40 @@ fn area_signature(info: &AreaInfo) -> u64 {
     h
 }
 
+/// What [`apply_scan_fault`] did to one scan.
+enum ScanDamage {
+    None,
+    Gross,
+    /// An RTU outage shed this many rows.
+    Rtu { shed: u64 },
+}
+
+/// Applies one seeded scan fault to a generated scan on `net`: a gross
+/// error biases one row by `k·σ` — the classic error the LNR loop must
+/// identify downstream; an RTU outage silences whole sites, shedding every
+/// row whose equation involves a dead bus.
+fn apply_scan_fault(
+    fault: Option<ScanFault>,
+    set: &mut MeasurementSet,
+    net: &Network,
+) -> ScanDamage {
+    match fault {
+        Some(ScanFault::GrossError { slot, magnitude_sigma }) if !set.is_empty() => {
+            let m = set.get_mut((slot % set.len() as u64) as usize);
+            m.value += magnitude_sigma * m.sigma;
+            ScanDamage::Gross
+        }
+        Some(ScanFault::RtuOutage { site_slots }) => {
+            let n_local = net.n_buses() as u64;
+            let dead: Vec<usize> = site_slots.iter().map(|&t| (t % n_local) as usize).collect();
+            let before = set.len();
+            set.retain(|m| !touches_dead(&m.kind, net, &dead));
+            ScanDamage::Rtu { shed: (before - set.len()) as u64 }
+        }
+        _ => ScanDamage::None,
+    }
+}
+
 /// Whether a measurement depends on the state of any dead bus: metered at
 /// it, a flow on an incident branch, or an injection at a neighbour (the
 /// injection equation involves the dead bus's voltage).
@@ -2393,6 +2446,50 @@ mod tests {
         });
         assert_eq!(corrupt, 1);
         assert_eq!(queue.stats().ingested, 0);
+    }
+
+    #[test]
+    fn scans_are_placed_on_the_layout_and_a_foreign_one_degrades() {
+        let net = ieee118_like();
+        let service = StreamService::deploy(&net, StreamConfig::default()).unwrap();
+        let ests = service.stage_estimators(0);
+        let n = ests.len();
+        let frame = |a: usize, set: MeasurementSet| Some(StreamFrame::new(a as u32, 0, 0.0, set));
+        let mut frames: Vec<Option<StreamFrame>> = vec![None; n];
+        // Area 0: a row no plan emits (decodable, but foreign to the area).
+        let foreign: MeasurementSet = [pgse_estimation::Measurement::new(
+            MeasurementKind::Vmag { bus: 999 },
+            1.0,
+            0.004,
+        )]
+        .into_iter()
+        .collect();
+        frames[0] = frame(0, foreign);
+        // Area 1: a two-site RTU outage; area 2: a clean scan.
+        let mut short = ests[1].generate_telemetry(1.0, 5);
+        let net1 = ests[1].step1_estimator().network();
+        let outage = Some(ScanFault::RtuOutage { site_slots: vec![1, 5] });
+        assert!(matches!(apply_scan_fault(outage, &mut short, net1), ScanDamage::Rtu { .. }));
+        frames[1] = frame(1, short.clone());
+        frames[2] = frame(2, ests[2].generate_telemetry(1.0, 5));
+
+        let mut fresh: Vec<bool> = frames.iter().map(Option::is_some).collect();
+        let mut last_sets = vec![None; n];
+        let mut report = StreamReport::default();
+        service.place_scans(ests, &frames, &vec![None; n], &mut fresh, &mut last_sets, &mut report);
+
+        assert_eq!(report.solve_errors, 1);
+        assert_eq!(fresh[..3], [false, true, true]);
+        assert!(last_sets[0].is_none());
+        // Every placed scan has its area's full layout shape.
+        for a in [1, 2] {
+            let set = last_sets[a].as_ref().unwrap();
+            assert_eq!(set.len(), ests[a].step1_layout().len(), "area {a}");
+        }
+        let placed = last_sets[1].as_ref().unwrap();
+        assert_eq!(report.frames_restored + report.short_scan_observable, 1);
+        assert_eq!(placed.n_active(), short.len() + report.pseudo_added as usize);
+        assert_eq!(last_sets[2].as_ref().unwrap().n_active(), ests[2].scan_len());
     }
 
     #[test]

@@ -17,7 +17,7 @@
 //!   *dead* and the supervisor recovers it.
 //! * **Checkpoints** ([`CheckpointStore`]) — after each successful solve a
 //!   worker serializes its warm state (last converged state vector, frame
-//!   sequence, last raw scan, and the [`StructureDescriptor`] of its
+//!   sequence, last scan on its layout, and the [`StructureDescriptor`] of its
 //!   cached symbolic structures) into a per-area slot. A restarted or
 //!   re-hosted worker restores the checkpoint and re-converges *warm*
 //!   instead of cold; symbolic structures rebuild deterministically from
@@ -296,8 +296,9 @@ pub struct AreaCheckpoint {
     /// worker had converged at least once (cold-mode workers checkpoint
     /// without one).
     pub warm: Option<(Vec<f64>, Vec<f64>)>,
-    /// The last raw scan the worker consumed (the paper's redistributable
-    /// raw measurement data).
+    /// The last scan the worker consumed, placed on its area's layout
+    /// (the paper's redistributable raw measurement data; inactive rows
+    /// ride along with their flags).
     pub last_set: Option<MeasurementSet>,
     /// The last merged solution (for sizing and diagnostics).
     pub last_solution: Option<AreaSolution>,
@@ -315,7 +316,7 @@ impl AreaCheckpoint {
             .as_ref()
             .map_or(0, |(vm, va)| (vm.len() + va.len()) * std::mem::size_of::<f64>())
             as u64;
-        let scan = self.last_set.as_ref().map_or(0, |s| s.len() as u64 * 24);
+        let scan = self.last_set.as_ref().map_or(0, |s| s.n_active() as u64 * 24);
         let sol = self.last_solution.as_ref().map_or(0, AreaSolution::approx_bytes);
         warm + scan + sol + 64
     }

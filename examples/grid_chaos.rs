@@ -86,14 +86,14 @@ fn main() {
         report.frames_published, report.frames_fed, report.rounds, report.degraded_area_rounds,
     );
     println!(
-        "bad data: {} injected, {} suspect frames, {} cleared by LNR, {} measurements removed",
+        "bad data: {} injected, {} suspect frames, {} cleared by LNR, {} measurements rejected",
         report.gross_injected,
         report.suspect_frames,
         report.cleared_by_lnr,
         report.bad_data_removed,
     );
     for ev in &report.bad_data_events {
-        println!("  seq {} area {}: removed scan indices {:?}", ev.seq, ev.area, ev.removed);
+        println!("  seq {} area {}: rejected layout rows {:?}", ev.seq, ev.area, ev.removed);
     }
     println!(
         "restoration: {} outages shed {} measurements, {} frames restored with {} pseudo measurements",

@@ -16,21 +16,27 @@ struct Item {
     kind: ItemKind,
 }
 
+/// A named field and whether it is `#[serde(default)]`.
+type Field = (String, bool);
+
+/// An enum variant: name plus optional named fields.
+type Variant = (String, Option<Vec<Field>>);
+
 enum ItemKind {
     /// Named fields of a struct.
-    Struct(Vec<String>),
-    /// Enum variants: name plus optional named fields.
-    Enum(Vec<(String, Option<Vec<String>>)>),
+    Struct(Vec<Field>),
+    /// Enum variants.
+    Enum(Vec<Variant>),
 }
 
-#[proc_macro_derive(Serialize)]
+#[proc_macro_derive(Serialize, attributes(serde))]
 pub fn derive_serialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.kind {
         ItemKind::Struct(fields) => {
             let entries: Vec<String> = fields
                 .iter()
-                .map(|f| {
+                .map(|(f, _)| {
                     format!(
                         "(::std::string::String::from(\"{f}\"), \
                          ::serde::Serialize::to_content(&self.{f}))"
@@ -49,8 +55,9 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
                         n = item.name
                     ),
                     Some(fields) => {
-                        let binds = fields.join(", ");
-                        let entries: Vec<String> = fields
+                        let names: Vec<&str> = fields.iter().map(|(f, _)| f.as_str()).collect();
+                        let binds = names.join(", ");
+                        let entries: Vec<String> = names
                             .iter()
                             .map(|f| {
                                 format!(
@@ -82,18 +89,29 @@ pub fn derive_serialize(input: TokenStream) -> TokenStream {
     .expect("serde_derive: generated Serialize impl parses")
 }
 
-#[proc_macro_derive(Deserialize)]
+#[proc_macro_derive(Deserialize, attributes(serde))]
 pub fn derive_deserialize(input: TokenStream) -> TokenStream {
     let item = parse_item(input);
     let body = match &item.kind {
         ItemKind::Struct(fields) => {
             let inits: Vec<String> = fields
                 .iter()
-                .map(|f| {
-                    format!(
-                        "{f}: ::serde::Deserialize::from_content(\
-                         ::serde::content_get(map, \"{f}\")?)?"
-                    )
+                .map(|(f, default)| {
+                    if *default {
+                        format!(
+                            "{f}: match ::serde::content_get(map, \"{f}\") {{\
+                             ::std::result::Result::Ok(v) => \
+                             ::serde::Deserialize::from_content(v)?,\
+                             ::std::result::Result::Err(_) => \
+                             ::std::default::Default::default(),\
+                             }}"
+                        )
+                    } else {
+                        format!(
+                            "{f}: ::serde::Deserialize::from_content(\
+                             ::serde::content_get(map, \"{f}\")?)?"
+                        )
+                    }
                 })
                 .collect();
             format!(
@@ -118,7 +136,7 @@ pub fn derive_deserialize(input: TokenStream) -> TokenStream {
                 .map(|(v, fields)| {
                     let inits: Vec<String> = fields
                         .iter()
-                        .map(|f| {
+                        .map(|(f, _)| {
                             format!(
                                 "{f}: ::serde::Deserialize::from_content(\
                                  ::serde::content_get(inner_map, \"{f}\")?)?"
@@ -225,17 +243,23 @@ fn parse_item(input: TokenStream) -> Item {
     Item { name, kind }
 }
 
-/// Parses `name: Type, …` out of a braces group, returning the names.
-fn parse_named_fields(stream: TokenStream, ctx: &str) -> Vec<String> {
+/// Parses `name: Type, …` out of a braces group, returning the names and
+/// whether each carries `#[serde(default)]` (a missing field deserializes
+/// as `Default::default()`).
+fn parse_named_fields(stream: TokenStream, ctx: &str) -> Vec<Field> {
     let mut fields = Vec::new();
     let mut tokens = stream.into_iter().peekable();
     'fields: loop {
+        let mut default = false;
         // Skip attributes and visibility before the field name.
         loop {
             match tokens.peek() {
                 Some(TokenTree::Punct(p)) if p.as_char() == '#' => {
                     tokens.next();
-                    tokens.next();
+                    if let Some(TokenTree::Group(g)) = tokens.next() {
+                        let attr: String = g.stream().to_string().split_whitespace().collect();
+                        default |= attr == "serde(default)";
+                    }
                 }
                 Some(TokenTree::Ident(id)) if id.to_string() == "pub" => {
                     tokens.next();
@@ -257,7 +281,7 @@ fn parse_named_fields(stream: TokenStream, ctx: &str) -> Vec<String> {
             Some(TokenTree::Punct(p)) if p.as_char() == ':' => {}
             other => panic!("serde_derive: expected `:` after `{ctx}.{name}`, got {other:?}"),
         }
-        fields.push(name);
+        fields.push((name, default));
         // Skip the type: consume until a comma at angle-bracket depth 0.
         let mut angle_depth = 0i32;
         loop {
@@ -277,7 +301,7 @@ fn parse_named_fields(stream: TokenStream, ctx: &str) -> Vec<String> {
 
 /// Parses enum variants, returning `(name, Some(fields))` for struct
 /// variants and `(name, None)` for unit variants.
-fn parse_variants(stream: TokenStream, ctx: &str) -> Vec<(String, Option<Vec<String>>)> {
+fn parse_variants(stream: TokenStream, ctx: &str) -> Vec<Variant> {
     let mut variants = Vec::new();
     let mut tokens = stream.into_iter().peekable();
     'variants: loop {

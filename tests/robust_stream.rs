@@ -19,7 +19,12 @@
 //!   affected area** (pinned per area via `area_symbolic_builds`), the
 //!   same-seed deterministic ObsReport stays byte-identical across the
 //!   transition at 1/2/8 threads, and an islanding switch merges the
-//!   orphaned buses into a surviving area within bounded rounds.
+//!   orphaned buses into a surviving area within bounded rounds;
+//! * **outside a topology transition nothing changes shape**: gross
+//!   errors, RTU outages and restoration are weights on a fixed layout, so
+//!   such a run ends with exactly the symbolic builds of a clean one, and
+//!   every Gauss–Newton iteration — LNR re-solves included — is one
+//!   refactorization (`refactor_reuse + refactor_full == gn_iterations`).
 
 use std::collections::HashSet;
 use std::sync::Mutex;
@@ -43,6 +48,12 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
+}
+
+/// Every Gauss–Newton iteration of the run, LNR re-solves included, is
+/// exactly one numeric refactorization or one full factorization.
+fn assert_refactor_identity(r: &StreamReport) {
+    assert_eq!(r.refactor_reuse + r.refactor_full, r.gn_iterations, "{r:?}");
 }
 
 /// The robust counters that must be invariant across worker-pool sizes.
@@ -105,6 +116,7 @@ fn gross_errors_identified_exactly_at_every_pool_size() {
 
         // Every frame fed and accounted; suspect accounting closes exactly.
         assert_eq!(report.unaccounted(), 0, "{report:?}");
+        assert_refactor_identity(&report);
         assert_eq!(report.gross_injected, schedule.len() as u64);
         assert_eq!(
             report.suspect_frames,
@@ -176,6 +188,7 @@ fn rtu_outages_restore_and_the_identity_closes_from_obs_counters() {
         });
 
         assert_eq!(report.unaccounted(), 0, "{report:?}");
+        assert_refactor_identity(&report);
         assert_eq!(report.rtu_outages, schedule.len() as u64, "{report:?}");
         assert!(report.rtu_shed_measurements > 0, "outage shed nothing: {report:?}");
         // Every shortened scan is accounted: restored, already observable,
@@ -239,12 +252,61 @@ fn area_failing_both_steps_is_published_degraded_not_clean() {
 
     assert_eq!(report.solve_errors, 2, "{report:?}");
     assert_eq!(report.unaccounted(), 0, "{report:?}");
+    assert_refactor_identity(&report);
     assert_eq!(report.frames_published, 6, "{report:?}");
     // The area published its carried state, so the round says so.
     assert_eq!(report.degraded_area_rounds, 1, "{report:?}");
     let last = service.store().load().unwrap();
     assert_eq!(last.frame_seq, 5);
     assert_eq!(last.degraded_areas, vec![2]);
+}
+
+#[test]
+fn gross_errors_outages_and_restoration_keep_every_structure() {
+    let _serial = serial();
+    let net = ieee118_like();
+    let n_areas =
+        StreamService::deploy(&net, StreamConfig::default()).unwrap().n_areas();
+    // Gross errors and two-site RTU outages, never on the same (frame,
+    // area) — a scheduled gross error would win — and all after the first
+    // round, so every neighbour has reported once.
+    let gross_at: Vec<(u64, usize)> = (0..n_areas).map(|a| (2 + a as u64, a)).collect();
+    let rtu_at: Vec<(u64, usize)> =
+        (0..n_areas).map(|a| (3 + a as u64, (a + 2) % n_areas)).collect();
+    let cfg = StreamConfig {
+        n_frames: 14,
+        seed: 17,
+        deterministic_rounds: true,
+        baddata: Some(BadDataGate::default()),
+        restoration: true,
+        scan_faults: Some(ScanFaultPlan {
+            seed: 5,
+            gross_magnitude: 25.0,
+            gross_at: gross_at.clone(),
+            rtu_sites: 2,
+            rtu_at: rtu_at.clone(),
+            ..ScanFaultPlan::default()
+        }),
+        ..StreamConfig::default()
+    };
+
+    let mut ledgers = Vec::new();
+    for threads in POOL_SIZES {
+        let report = with_pool(threads, || StreamService::deploy(&net, cfg.clone()).unwrap().run());
+        assert_eq!(report.unaccounted(), 0, "{report:?}");
+        assert_eq!(report.gross_injected, n_areas as u64, "{report:?}");
+        assert_eq!(report.rtu_outages, n_areas as u64, "{report:?}");
+        assert!(report.cleared_by_lnr > 0 && report.frames_restored > 0, "{report:?}");
+        // One Step-1 and one Step-2 analysis per area, exactly what a clean
+        // run pays: no rejection, lost row or pseudo row changed a shape.
+        assert_eq!(report.area_symbolic_builds, vec![2; n_areas], "@ {threads} threads");
+        assert_eq!(report.symbolic_rebuilds, 0);
+        assert_refactor_identity(&report);
+        ledgers.push((robust_fingerprint(&report), report.bad_data_events.clone()));
+    }
+    for w in ledgers.windows(2) {
+        assert_eq!(w[0], w[1], "robust accounting varies with pool size");
+    }
 }
 
 /// An intra-area branch whose endpoints are both strictly internal (no
@@ -331,6 +393,7 @@ fn branch_switch_rebuilds_symbolic_structure_only_for_the_affected_area() {
         assert_eq!(report.topology_transitions, 1, "{report:?}");
         assert_eq!(report.symbolic_rebuilds, 1, "{report:?}");
         assert_eq!(report.topology_version_skew, 0, "{report:?}");
+        assert_refactor_identity(&report);
         for (a, &hit) in affected.iter().enumerate() {
             let builds = report.area_symbolic_builds[a];
             if hit {
@@ -443,6 +506,7 @@ fn islanding_switch_merges_orphaned_buses_into_a_surviving_area() {
     assert!(report_a.symbolic_rebuilds >= 2, "{report_a:?}");
     assert_eq!(report_a.frames_published, 10, "{report_a:?}");
     assert_eq!(report_a.unaccounted(), 0, "{report_a:?}");
+    assert_refactor_identity(&report_a);
 
     // Same seed ⇒ identical run, across the islanding merge.
     assert_eq!(robust_fingerprint(&report_a), robust_fingerprint(&report_b));
