@@ -14,11 +14,14 @@
 //!   islanding ones;
 //! * [`DcScreener`] — the cheap screening tier: cached base-case
 //!   factorization + Sherman–Morrison rank-1 outage pricing ([`dc`]);
-//! * [`analyze_one`] / [`analyze_one_warm`] — the expensive tier: full AC
-//!   re-solve (flat- or warm-started from the base operating point) with
-//!   voltage/loading limit checks;
-//! * [`run_static`] / [`run_dynamic`] — distribute the contingency list
-//!   over worker threads with either static pre-partitioning or the
+//! * [`analyze_with`] — the expensive tier: a full AC re-solve over one
+//!   [`PfModel`] of the base network, the outaged branch a zero admittance
+//!   on the base pattern, flat- or warm-started from the base operating
+//!   point, with voltage/loading limit checks in base branch numbering;
+//!   [`analyze_one`] / [`analyze_one_warm`] build the model for one case;
+//! * [`run_static`] / [`run_dynamic`] — distribute the contingency list,
+//!   over one shared model per sweep, across worker threads with either
+//!   static pre-partitioning or the
 //!   **counter-based dynamic scheme** of \[2\] (a shared atomic task counter
 //!   each worker increments to claim its next case), timed through
 //!   `pgse-obs` span recorders (`scenario.case` spans; no raw `Instant`
@@ -33,7 +36,7 @@ use std::sync::Barrier;
 
 use pgse_grid::Network;
 use pgse_obs::{Recorder, ScopeReport};
-use pgse_powerflow::{solve, solve_warm, PfOptions, PfSolution};
+use pgse_powerflow::{PfModel, PfOptions, PfSolution};
 
 /// One contingency case.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -202,8 +205,8 @@ fn ratings_from_flows(flows: &[pgse_powerflow::BranchFlow], limits: &Limits) -> 
         .collect()
 }
 
-/// Analyzes one contingency from a flat start: removes the branch,
-/// re-solves, checks limits.
+/// Analyzes one contingency from a flat start: builds the base network's
+/// [`PfModel`] and runs [`analyze_with`] on it once.
 pub fn analyze_one(
     net: &Network,
     contingency: Contingency,
@@ -226,7 +229,9 @@ pub fn analyze_one_warm(
     analyze_one_from(net, contingency, ratings, limits, Some((&base.vm, &base.va)))
 }
 
-/// Shared body of the cold/warm single-case analysis.
+/// Shared body of the cold/warm single-case analysis: [`analyze_with`]
+/// over a model built for this one case. A sweep builds the model once
+/// and calls [`analyze_with`] per case instead.
 pub fn analyze_one_from(
     net: &Network,
     contingency: Contingency,
@@ -234,15 +239,28 @@ pub fn analyze_one_from(
     limits: &Limits,
     start: Option<(&[f64], &[f64])>,
 ) -> CtgResult {
-    let Contingency::BranchOutage(k) = contingency;
-    let mut post = net.clone();
-    post.branches.remove(k);
-    let opts = PfOptions::default();
-    let solved = match start {
-        Some((vm0, va0)) => solve_warm(&post, &opts, vm0, va0),
-        None => solve(&post, &opts),
-    };
-    match solved {
+    analyze_with(&PfModel::new(net), contingency, ratings, limits, start)
+}
+
+/// Analyzes one contingency over `model`, the base network's Newton model:
+/// the outaged branch becomes a zero admittance on the base pattern, the
+/// power flow starts from `start` (flat when `None`), and voltages and
+/// loadings are checked against `limits` and `ratings` — all in base
+/// branch numbering. The outaged branch carries no flow and is never
+/// reported overloaded.
+///
+/// # Panics
+/// Panics when the branch is not in the model or `ratings` is shorter
+/// than the branch list.
+pub fn analyze_with(
+    model: &PfModel,
+    contingency: Contingency,
+    ratings: &[f64],
+    limits: &Limits,
+    start: Option<(&[f64], &[f64])>,
+) -> CtgResult {
+    let k = contingency.branch();
+    match model.solve(Some(k), start, &PfOptions::default()) {
         Err(_) => CtgResult { contingency, converged: false, violations: Vec::new(), iterations: 0 },
         Ok(sol) => {
             let mut violations = Vec::new();
@@ -251,16 +269,13 @@ pub fn analyze_one_from(
                     violations.push(Violation::Voltage { bus, vm });
                 }
             }
-            for (kk, f) in sol.flows.iter().enumerate() {
-                // Map the post-contingency branch index back to the base
-                // network's numbering (indices ≥ k shift by one).
-                let orig = if kk >= k { kk + 1 } else { kk };
+            for (branch, f) in sol.flows.iter().enumerate().filter(|&(b, _)| b != k) {
                 let s = (f.p_from * f.p_from + f.q_from * f.q_from).sqrt();
-                if s > ratings[orig] {
+                if s > ratings[branch] {
                     violations.push(Violation::Overload {
-                        branch: orig,
+                        branch,
                         loading: s,
-                        rating: ratings[orig],
+                        rating: ratings[branch],
                     });
                 }
             }
@@ -307,7 +322,8 @@ impl SweepReport {
 }
 
 /// Static scheme: the list is pre-split into contiguous chunks, one per
-/// worker. Every case warm-starts from the base operating point.
+/// worker. Every case warm-starts from the base operating point, over one
+/// [`PfModel`] built for the sweep.
 pub fn run_static(
     net: &Network,
     base: &PfSolution,
@@ -317,6 +333,7 @@ pub fn run_static(
 ) -> SweepReport {
     assert!(n_workers > 0, "need at least one worker");
     let rat = ratings(net, base, limits);
+    let model = PfModel::new(net);
     let chunk = ctgs.len().div_ceil(n_workers);
     // Pre-partitioned: worker w owns one contiguous chunk, tracked by a
     // private cursor.
@@ -330,14 +347,14 @@ pub fn run_static(
             let i = cursors[w].fetch_add(1, Ordering::Relaxed);
             (i < hi).then_some(i)
         },
-        |i, rec| analyze_case(net, base, ctgs, &rat, limits, i, rec),
+        |i, rec| analyze_case(&model, base, ctgs, &rat, limits, i, rec),
     )
 }
 
 /// Counter-based dynamic scheme of \[2\]: workers claim the next case by a
 /// fetch-add on a shared counter, so fast workers absorb the expensive
 /// cases automatically. Every case warm-starts from the base operating
-/// point.
+/// point, over one [`PfModel`] built for the sweep.
 pub fn run_dynamic(
     net: &Network,
     base: &PfSolution,
@@ -347,6 +364,7 @@ pub fn run_dynamic(
 ) -> SweepReport {
     assert!(n_workers > 0, "need at least one worker");
     let rat = ratings(net, base, limits);
+    let model = PfModel::new(net);
     let n = ctgs.len();
     let counter = AtomicUsize::new(0);
     run_sweep(
@@ -356,12 +374,12 @@ pub fn run_dynamic(
             let i = counter.fetch_add(1, Ordering::Relaxed);
             (i < n).then_some(i)
         },
-        |i, rec| analyze_case(net, base, ctgs, &rat, limits, i, rec),
+        |i, rec| analyze_case(&model, base, ctgs, &rat, limits, i, rec),
     )
 }
 
 fn analyze_case(
-    net: &Network,
+    model: &PfModel,
     base: &PfSolution,
     ctgs: &[Contingency],
     rat: &[f64],
@@ -370,7 +388,7 @@ fn analyze_case(
     rec: &Recorder,
 ) -> CtgResult {
     let mut sp = rec.span_at("scenario.case", i as u64);
-    let r = analyze_one_warm(net, ctgs[i], rat, limits, base);
+    let r = analyze_with(model, ctgs[i], rat, limits, Some((&base.vm, &base.va)));
     sp.record("branch", ctgs[i].branch());
     sp.record("converged", r.converged);
     sp.record("iterations", r.iterations);
@@ -455,6 +473,7 @@ fn run_sweep(
 mod tests {
     use super::*;
     use pgse_grid::cases::{ieee118_like, ieee14};
+    use pgse_powerflow::solve;
 
     fn base(net: &Network) -> PfSolution {
         solve(net, &PfOptions::default()).unwrap()
@@ -568,6 +587,30 @@ mod tests {
                 assert!(warm.iterations <= cold.iterations, "{ctg:?}");
             }
         }
+    }
+
+    #[test]
+    fn one_shared_model_analyzes_every_ieee118_outage_like_a_fresh_one() {
+        let net = ieee118_like();
+        let b = base(&net);
+        let limits = Limits { rating_factor: 1.05, rating_floor: 0.01, ..Limits::default() };
+        let rat = ratings(&net, &b, &limits);
+        let model = PfModel::new(&net);
+        let mut overloads = 0;
+        for ctg in screen(&net) {
+            let shared = analyze_with(&model, ctg, &rat, &limits, Some((&b.vm, &b.va)));
+            let fresh = analyze_one_warm(&net, ctg, &rat, &limits, &b);
+            assert_eq!(shared.converged, fresh.converged, "{ctg:?}");
+            assert_eq!(shared.iterations, fresh.iterations, "{ctg:?}");
+            assert_eq!(shared.violations, fresh.violations, "{ctg:?}");
+            for v in &shared.violations {
+                if let Violation::Overload { branch, .. } = v {
+                    assert_ne!(*branch, ctg.branch(), "the open branch is overloaded");
+                    overloads += 1;
+                }
+            }
+        }
+        assert!(overloads > 0, "tight ratings must find overloads");
     }
 
     #[test]

@@ -144,6 +144,13 @@ impl Ybus {
         (&self.row_ptr, &self.col_idx, &self.vals)
     }
 
+    /// The stored admittances, in the order of [`Ybus::csr_parts`], for a
+    /// numeric rewrite on the fixed pattern (an outaged branch's slots
+    /// re-summed without it). An entry set to zero stays stored.
+    pub fn values_mut(&mut self) -> &mut [Cplx] {
+        &mut self.vals
+    }
+
     /// Entry `Y[i][j]`, or zero when structurally absent.
     pub fn get(&self, i: usize, j: usize) -> Cplx {
         let (cols, vals) = self.row(i);

@@ -10,6 +10,7 @@
 //! ```
 
 use pgse_grid::{BranchAdmittance, Network, Ybus};
+use pgse_sparsela::Cplx;
 
 /// Active/reactive flow observed at both ends of one branch (p.u.).
 #[derive(Debug, Clone, Copy, Default)]
@@ -59,23 +60,31 @@ pub fn bus_injections(ybus: &Ybus, vm: &[f64], va: &[f64]) -> (Vec<f64>, Vec<f64
 pub fn branch_flows(net: &Network, vm: &[f64], va: &[f64]) -> Vec<BranchFlow> {
     net.branches
         .iter()
-        .map(|br| {
-            let y = BranchAdmittance::of(br);
-            let (f, t) = (br.from, br.to);
-            let th_ft = va[f] - va[t];
-            let (s, c) = th_ft.sin_cos();
-            let vf2 = vm[f] * vm[f];
-            let vt2 = vm[t] * vm[t];
-            let vfvt = vm[f] * vm[t];
-            BranchFlow {
-                p_from: vf2 * y.yff.re + vfvt * (y.yft.re * c + y.yft.im * s),
-                q_from: -vf2 * y.yff.im + vfvt * (y.yft.re * s - y.yft.im * c),
-                // The to-side sees the angle difference with opposite sign.
-                p_to: vt2 * y.ytt.re + vfvt * (y.ytf.re * c - y.ytf.im * s),
-                q_to: -vt2 * y.ytt.im + vfvt * (-y.ytf.re * s - y.ytf.im * c),
-            }
-        })
+        .map(|br| branch_flow(&BranchAdmittance::of(br), br.from, br.to, vm, va))
         .collect()
+}
+
+/// The terminal flows of one branch with two-port `y` between buses `f`
+/// and `t`.
+pub(crate) fn branch_flow(
+    y: &BranchAdmittance,
+    f: usize,
+    t: usize,
+    vm: &[f64],
+    va: &[f64],
+) -> BranchFlow {
+    let th_ft = va[f] - va[t];
+    let (s, c) = th_ft.sin_cos();
+    let vf2 = vm[f] * vm[f];
+    let vt2 = vm[t] * vm[t];
+    let vfvt = vm[f] * vm[t];
+    BranchFlow {
+        p_from: vf2 * y.yff.re + vfvt * (y.yft.re * c + y.yft.im * s),
+        q_from: -vf2 * y.yff.im + vfvt * (y.yft.re * s - y.yft.im * c),
+        // The to-side sees the angle difference with opposite sign.
+        p_to: vt2 * y.ytt.re + vfvt * (y.ytf.re * c - y.ytf.im * s),
+        q_to: -vt2 * y.ytt.im + vfvt * (-y.ytf.re * s - y.ytf.im * c),
+    }
 }
 
 /// Partial derivatives of the injection pair `(P_i, Q_i)` with respect to
@@ -93,10 +102,23 @@ pub fn injection_derivatives(
     i: usize,
     j: usize,
 ) -> (f64, f64, f64, f64) {
-    let y = ybus.get(i, j);
+    injection_derivatives_of(ybus.get(i, j), vm, va, p_i, q_i, i, j)
+}
+
+/// [`injection_derivatives`] with the admittance `y = Y[i][j]` given, for
+/// callers that walk the stored entries and need no lookup.
+pub(crate) fn injection_derivatives_of(
+    y: Cplx,
+    vm: &[f64],
+    va: &[f64],
+    p_i: f64,
+    q_i: f64,
+    i: usize,
+    j: usize,
+) -> (f64, f64, f64, f64) {
+    let (g, b) = (y.re, y.im);
+    let vi = vm[i];
     if i == j {
-        let (g, b) = (y.re, y.im);
-        let vi = vm[i];
         (
             -q_i - b * vi * vi,
             p_i / vi + g * vi,
@@ -106,8 +128,6 @@ pub fn injection_derivatives(
     } else {
         let th = va[i] - va[j];
         let (s, c) = th.sin_cos();
-        let (g, b) = (y.re, y.im);
-        let vi = vm[i];
         let vj = vm[j];
         (
             vi * vj * (g * s - b * c),

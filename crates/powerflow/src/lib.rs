@@ -11,9 +11,11 @@
 //! [`equations`] holds the AC power-flow arithmetic (bus injections, branch
 //! flows, and their partial derivatives) shared with the state-estimation
 //! crate; [`newton`] implements the full Newton solver on top of the sparse
-//! LU from `pgse-sparsela`; [`fdpf`] is the fast-decoupled variant control
-//! centers favour for SCADA-rate resolves, and [`dcpf`] the linear DC model
-//! used for contingency screening and sensitivity analysis.
+//! LU from `pgse-sparsela`, over a [`PfModel`] built once per network and
+//! solved per operating point or branch outage; [`fdpf`] is the
+//! fast-decoupled variant control centers favour for SCADA-rate resolves,
+//! and [`dcpf`] the linear DC model used for contingency screening and
+//! sensitivity analysis.
 
 pub mod dcpf;
 pub mod equations;
@@ -23,4 +25,4 @@ pub mod newton;
 pub use equations::{branch_flows, bus_injections, BranchFlow};
 pub use dcpf::{solve_dc, DcSolution};
 pub use fdpf::solve_fast_decoupled;
-pub use newton::{solve, solve_warm, PfError, PfOptions, PfSolution};
+pub use newton::{solve, solve_warm, PfError, PfModel, PfOptions, PfSolution};

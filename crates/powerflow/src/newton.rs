@@ -1,11 +1,27 @@
 //! Newton–Raphson power-flow solver.
+//!
+//! Every solve runs on a [`PfModel`], built once per network: the state
+//! index, the admittance matrix with each branch's slots in it, the
+//! structural Jacobian with a scatter map per admittance slot, and one LU
+//! order analysed on that structure. A solve then only refills values:
+//! an outaged branch's slots are re-summed without it (exact zeros on the
+//! same pattern, not a new network), the Jacobian is written in place on
+//! every iteration, and the LU runs its numeric pass alone. The symbolic
+//! structure never depends on values, so a flat start — whose
+//! zero-resistance branches give exactly zero entries — and every N-1
+//! case of a sweep factor over the same order.
+//!
+//! [`solve`] and [`solve_warm`] build a model and solve it once; the N-1
+//! sweeps of `pgse-contingency` build one per network and solve it per
+//! case.
 
+use std::borrow::Cow;
 use std::sync::Arc;
 
-use pgse_grid::{BusKind, Network, Ybus};
-use pgse_sparsela::{Coo, Csc, LuSymbolic, SparseLu};
+use pgse_grid::{BranchAdmittance, BusKind, Network, Ybus};
+use pgse_sparsela::{Cplx, Csc, LuSymbolic, SparseLu};
 
-use crate::equations::{branch_flows, bus_injections, injection_derivatives, BranchFlow};
+use crate::equations::{branch_flow, bus_injections, injection_derivatives_of, BranchFlow};
 
 /// Options for the Newton iteration.
 #[derive(Debug, Clone, Copy)]
@@ -71,12 +87,13 @@ impl PfSolution {
     }
 }
 
-/// Solves the AC power flow of `net` from a flat start.
+/// Solves the AC power flow of `net` from a flat start: one
+/// [`PfModel`] of `net`, solved once.
 ///
 /// # Errors
 /// [`PfError::DidNotConverge`] or [`PfError::SingularJacobian`].
 pub fn solve(net: &Network, opts: &PfOptions) -> Result<PfSolution, PfError> {
-    solve_inner(net, opts, None)
+    PfModel::new(net).solve(None, None, opts)
 }
 
 /// Solves the AC power flow of `net` warm-started from a previous
@@ -99,131 +116,320 @@ pub fn solve_warm(
     vm0: &[f64],
     va0: &[f64],
 ) -> Result<PfSolution, PfError> {
-    assert_eq!(vm0.len(), net.n_buses(), "warm start: vm length");
-    assert_eq!(va0.len(), net.n_buses(), "warm start: va length");
-    solve_inner(net, opts, Some((vm0, va0)))
+    PfModel::new(net).solve(None, Some((vm0, va0)), opts)
 }
 
-fn solve_inner(
-    net: &Network,
-    opts: &PfOptions,
-    start: Option<(&[f64], &[f64])>,
-) -> Result<PfSolution, PfError> {
-    let n = net.n_buses();
-    let ybus = Ybus::new(net);
-    let slack = net.slack();
-    let (th_pos, v_pos, nx) = state_index(net);
+/// One branch of the model: its ends, its two-port and the Ybus slots
+/// (indices into the stored values) of its `ff`, `ft`, `tf`, `tt` entries.
+#[derive(Debug, Clone)]
+struct ModelBranch {
+    from: usize,
+    to: usize,
+    y: BranchAdmittance,
+    slots: [usize; 4],
+}
 
-    // Flat start (setpoint magnitudes at controlled buses, 1.0 elsewhere)
-    // or the caller's warm state with controlled magnitudes clamped back
-    // to setpoints and angles re-referenced to the slack.
-    let (mut vm, mut va): (Vec<f64>, Vec<f64>) = match start {
-        None => (
-            net.buses
+impl ModelBranch {
+    /// The two-port entries, in the order of `slots`.
+    fn parts(&self) -> [Cplx; 4] {
+        [self.y.yff, self.y.yft, self.y.ytf, self.y.ytt]
+    }
+}
+
+/// The Newton power-flow model of one network, built once and solved any
+/// number of times, concurrently if need be (see the module docs).
+#[derive(Debug, Clone)]
+pub struct PfModel {
+    /// Angle state position per bus (`usize::MAX` at the slack).
+    th_pos: Vec<usize>,
+    /// Magnitude state position per bus (`usize::MAX` unless PQ).
+    v_pos: Vec<usize>,
+    slack: usize,
+    /// Flat-start magnitudes: the setpoint at controlled buses, 1.0 at PQ.
+    vm_flat: Vec<f64>,
+    p_sched: Vec<f64>,
+    q_sched: Vec<f64>,
+    /// Bus shunts `gs + j·bs`.
+    shunt: Vec<Cplx>,
+    /// The admittance matrix with every branch in service.
+    ybus: Ybus,
+    branches: Vec<ModelBranch>,
+    /// The structural Jacobian: every entry any Ybus slot can produce.
+    /// Its values are a template; each solve refills a copy.
+    jac: Csc,
+    /// Per Ybus slot, the Jacobian value positions of its `∂P/∂θ`,
+    /// `∂P/∂V`, `∂Q/∂θ`, `∂Q/∂V` entries (`usize::MAX` where the row or
+    /// column state does not exist).
+    jac_map: Vec<[usize; 4]>,
+    /// The LU order of the structural Jacobian, shared by every solve.
+    lu: Arc<LuSymbolic>,
+}
+
+impl PfModel {
+    /// Builds the model of `net`: state index, admittance matrix and
+    /// branch slot map, structural Jacobian and its LU analysis.
+    ///
+    /// # Panics
+    /// Panics when a branch names a bus outside `net`.
+    pub fn new(net: &Network) -> Self {
+        let n = net.n_buses();
+        let (th_pos, v_pos, nx) = state_index(net);
+        let ybus = Ybus::new(net);
+        let (row_ptr, cols, _) = ybus.csr_parts();
+        let slot = |i: usize, j: usize| {
+            let row = &cols[row_ptr[i]..row_ptr[i + 1]];
+            row_ptr[i] + row.binary_search(&j).expect("a branch's entries are stored")
+        };
+        let branches = net
+            .branches
+            .iter()
+            .map(|br| {
+                let (f, t) = (br.from, br.to);
+                ModelBranch {
+                    from: f,
+                    to: t,
+                    y: BranchAdmittance::of(br),
+                    slots: [slot(f, f), slot(f, t), slot(t, f), slot(t, t)],
+                }
+            })
+            .collect();
+
+        // Every (slot, part) with both states present is one Jacobian
+        // entry, and no two share a position: th_pos and v_pos are
+        // injective with disjoint ranges.
+        let mut entries: Vec<(usize, usize, usize)> = Vec::with_capacity(4 * ybus.nnz());
+        for i in 0..n {
+            let (lo, hi) = (row_ptr[i], row_ptr[i + 1]);
+            for (s, &j) in (lo..hi).zip(&cols[lo..hi]) {
+                let rows = [th_pos[i], th_pos[i], v_pos[i], v_pos[i]];
+                let jcols = [th_pos[j], v_pos[j], th_pos[j], v_pos[j]];
+                for (part, (&r, &c)) in rows.iter().zip(&jcols).enumerate() {
+                    if r != usize::MAX && c != usize::MAX {
+                        entries.push((c, r, 4 * s + part));
+                    }
+                }
+            }
+        }
+        entries.sort_unstable();
+        let mut col_ptr = vec![0usize; nx + 1];
+        let mut row_idx = Vec::with_capacity(entries.len());
+        let mut jac_map = vec![[usize::MAX; 4]; ybus.nnz()];
+        for (pos, &(c, r, key)) in entries.iter().enumerate() {
+            col_ptr[c + 1] += 1;
+            row_idx.push(r);
+            jac_map[key / 4][key % 4] = pos;
+        }
+        for c in 0..nx {
+            col_ptr[c + 1] += col_ptr[c];
+        }
+        let jac = Csc::from_raw(nx, nx, col_ptr, row_idx, vec![1.0; entries.len()]);
+        let lu = Arc::new(LuSymbolic::analyze(&jac));
+
+        PfModel {
+            th_pos,
+            v_pos,
+            slack: net.slack(),
+            vm_flat: net
+                .buses
                 .iter()
                 .map(|b| if b.kind == BusKind::Pq { 1.0 } else { b.vm_setpoint })
                 .collect(),
-            vec![0.0f64; n],
-        ),
-        Some((vm0, va0)) => (
-            net.buses
-                .iter()
-                .zip(vm0)
-                .map(|(b, &v)| if b.kind == BusKind::Pq { v } else { b.vm_setpoint })
-                .collect(),
-            va0.iter().map(|&a| a - va0[slack]).collect(),
-        ),
-    };
+            p_sched: net.buses.iter().map(|b| b.p_injection()).collect(),
+            q_sched: net.buses.iter().map(|b| b.q_injection()).collect(),
+            shunt: net.buses.iter().map(|b| Cplx::new(b.gs, b.bs)).collect(),
+            ybus,
+            branches,
+            jac,
+            jac_map,
+            lu,
+        }
+    }
 
-    let p_sched: Vec<f64> = net.buses.iter().map(|b| b.p_injection()).collect();
-    let q_sched: Vec<f64> = net.buses.iter().map(|b| b.q_injection()).collect();
+    /// Solves the power flow with branch `outage` out of service (`None`:
+    /// all in service), from the warm state `start` — sanitized as in
+    /// [`solve_warm`] — or from a flat start when `None`.
+    ///
+    /// The solution is in the base numbering: `flows` holds one entry per
+    /// modelled branch, and the outaged branch's is zero.
+    ///
+    /// # Errors
+    /// [`PfError::DidNotConverge`] or [`PfError::SingularJacobian`]. An
+    /// outage that islands a bus leaves its Jacobian row and column exactly
+    /// zero, so it always reports singular.
+    ///
+    /// # Panics
+    /// Panics when `outage` is not a branch of the model or the `start`
+    /// lengths differ from the bus count.
+    pub fn solve(
+        &self,
+        outage: Option<usize>,
+        start: Option<(&[f64], &[f64])>,
+        opts: &PfOptions,
+    ) -> Result<PfSolution, PfError> {
+        let n = self.th_pos.len();
+        let (th_pos, v_pos) = (&self.th_pos, &self.v_pos);
+        let ybus = match outage {
+            None => Cow::Borrowed(&self.ybus),
+            Some(k) => Cow::Owned(self.ybus_without(k)),
+        };
 
-    // The LU order, analysed on the first Newton step and reused by every
-    // later one. It comes from the structural pattern, not from a
-    // Jacobian's values: at a flat start the off-diagonal ∂P/∂V and ∂Q/∂θ
-    // entries of branches with r = 0 are exactly zero and drop out of the
-    // assembled matrix.
-    let mut lu_sym: Option<Arc<LuSymbolic>> = None;
-    let mut mismatch_norm = f64::INFINITY;
-    for iter in 0..=opts.max_iter {
-        let (p, q) = bus_injections(&ybus, &vm, &va);
-        // Mismatch vector f = [ΔP at non-slack; ΔQ at PQ].
-        let mut f = vec![0.0f64; nx];
-        for i in 0..n {
-            if th_pos[i] != usize::MAX {
-                f[th_pos[i]] = p_sched[i] - p[i];
+        // Flat start or the caller's warm state with controlled magnitudes
+        // clamped back to setpoints and angles re-referenced to the slack.
+        let (mut vm, mut va): (Vec<f64>, Vec<f64>) = match start {
+            None => (self.vm_flat.clone(), vec![0.0f64; n]),
+            Some((vm0, va0)) => {
+                assert_eq!(vm0.len(), n, "warm start: vm length");
+                assert_eq!(va0.len(), n, "warm start: va length");
+                (
+                    (0..n)
+                        .map(|i| if v_pos[i] != usize::MAX { vm0[i] } else { self.vm_flat[i] })
+                        .collect(),
+                    va0.iter().map(|&a| a - va0[self.slack]).collect(),
+                )
             }
-            if v_pos[i] != usize::MAX {
-                f[v_pos[i]] = q_sched[i] - q[i];
-            }
-        }
-        mismatch_norm = f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
-        if mismatch_norm <= opts.tol {
-            let flows = branch_flows(net, &vm, &va);
-            return Ok(PfSolution {
-                vm,
-                va,
-                p_inj: p,
-                q_inj: q,
-                flows,
-                iterations: iter,
-                mismatch: mismatch_norm,
-            });
-        }
-        if iter == opts.max_iter {
-            break;
-        }
+        };
 
-        let sym = lu_sym.get_or_insert_with(|| {
-            Arc::new(LuSymbolic::analyze(&jacobian(&ybus, &th_pos, &v_pos, nx, |_, _| {
-                (1.0, 1.0, 1.0, 1.0)
-            })))
-        });
-        let jac = jacobian(&ybus, &th_pos, &v_pos, nx, |i, j| {
-            injection_derivatives(&ybus, &vm, &va, p[i], q[i], i, j)
-        });
-        let lu = SparseLu::factor_with_symbolic(Arc::clone(sym), &jac, 1.0)
-            .map_err(|e| PfError::SingularJacobian(e.to_string()))?;
-        let dx = lu.solve(&f);
-
-        // Damped update: full Newton steps can overshoot from a flat start
-        // on electrically long systems. Backtrack the step until the
-        // mismatch norm decreases (Armijo-style, accept the last trial if
-        // nothing helps — near convergence the full step is always taken).
-        let mut alpha = 1.0f64;
-        let mut accepted = false;
-        for _ in 0..5 {
-            let mut vm_try = vm.clone();
-            let mut va_try = va.clone();
+        let mut jac = self.jac.clone();
+        let mut mismatch_norm = f64::INFINITY;
+        for iter in 0..=opts.max_iter {
+            let (p, q) = bus_injections(&ybus, &vm, &va);
+            // Mismatch vector f = [ΔP at non-slack; ΔQ at PQ].
+            let mut f = vec![0.0f64; self.jac.ncols()];
             for i in 0..n {
                 if th_pos[i] != usize::MAX {
-                    va_try[i] += alpha * dx[th_pos[i]];
+                    f[th_pos[i]] = self.p_sched[i] - p[i];
                 }
                 if v_pos[i] != usize::MAX {
-                    vm_try[i] += alpha * dx[v_pos[i]];
+                    f[v_pos[i]] = self.q_sched[i] - q[i];
                 }
             }
-            let (pt, qt) = bus_injections(&ybus, &vm_try, &va_try);
-            let mut m_try = 0.0f64;
-            for i in 0..n {
-                if th_pos[i] != usize::MAX {
-                    m_try = m_try.max((p_sched[i] - pt[i]).abs());
-                }
-                if v_pos[i] != usize::MAX {
-                    m_try = m_try.max((q_sched[i] - qt[i]).abs());
-                }
+            mismatch_norm = f.iter().fold(0.0f64, |m, v| m.max(v.abs()));
+            if mismatch_norm <= opts.tol {
+                let flows = self
+                    .branches
+                    .iter()
+                    .enumerate()
+                    .map(|(k, br)| {
+                        if outage == Some(k) {
+                            BranchFlow::default()
+                        } else {
+                            branch_flow(&br.y, br.from, br.to, &vm, &va)
+                        }
+                    })
+                    .collect();
+                return Ok(PfSolution {
+                    vm,
+                    va,
+                    p_inj: p,
+                    q_inj: q,
+                    flows,
+                    iterations: iter,
+                    mismatch: mismatch_norm,
+                });
             }
-            if m_try < mismatch_norm || alpha <= 0.125 {
-                vm = vm_try;
-                va = va_try;
-                accepted = true;
+            if iter == opts.max_iter {
                 break;
             }
-            alpha *= 0.5;
+
+            self.fill_jacobian(&mut jac, &ybus, &vm, &va, &p, &q);
+            let lu = SparseLu::factor_with_symbolic(Arc::clone(&self.lu), &jac, 1.0)
+                .map_err(|e| PfError::SingularJacobian(e.to_string()))?;
+            let dx = lu.solve(&f);
+
+            // Damped update: full Newton steps can overshoot from a flat
+            // start on electrically long systems. Backtrack the step until
+            // the mismatch norm decreases (Armijo-style, accept the last
+            // trial if nothing helps — near convergence the full step is
+            // always taken).
+            let mut alpha = 1.0f64;
+            let mut accepted = false;
+            for _ in 0..5 {
+                let mut vm_try = vm.clone();
+                let mut va_try = va.clone();
+                for i in 0..n {
+                    if th_pos[i] != usize::MAX {
+                        va_try[i] += alpha * dx[th_pos[i]];
+                    }
+                    if v_pos[i] != usize::MAX {
+                        vm_try[i] += alpha * dx[v_pos[i]];
+                    }
+                }
+                let (pt, qt) = bus_injections(&ybus, &vm_try, &va_try);
+                let mut m_try = 0.0f64;
+                for i in 0..n {
+                    if th_pos[i] != usize::MAX {
+                        m_try = m_try.max((self.p_sched[i] - pt[i]).abs());
+                    }
+                    if v_pos[i] != usize::MAX {
+                        m_try = m_try.max((self.q_sched[i] - qt[i]).abs());
+                    }
+                }
+                if m_try < mismatch_norm || alpha <= 0.125 {
+                    vm = vm_try;
+                    va = va_try;
+                    accepted = true;
+                    break;
+                }
+                alpha *= 0.5;
+            }
+            debug_assert!(accepted, "damping loop always accepts a step");
         }
-        debug_assert!(accepted, "damping loop always accepts a step");
+        Err(PfError::DidNotConverge { iterations: opts.max_iter, mismatch: mismatch_norm })
     }
-    Err(PfError::DidNotConverge { iterations: opts.max_iter, mismatch: mismatch_norm })
+
+    /// The admittance matrix with branch `k` out of service, on the full
+    /// pattern. Each slot `k` touches is re-summed from the shunt and the
+    /// branches still in service, so a slot only `k` fed is exactly zero —
+    /// subtracting `k`'s two-port from the base value would leave rounding
+    /// residue where an islanded bus must have nothing.
+    fn ybus_without(&self, k: usize) -> Ybus {
+        let out = &self.branches[k];
+        let mut ybus = self.ybus.clone();
+        let vals = ybus.values_mut();
+        for &s in &out.slots {
+            vals[s] = Cplx::ZERO;
+        }
+        vals[out.slots[0]] += self.shunt[out.from];
+        if out.to != out.from {
+            vals[out.slots[3]] += self.shunt[out.to];
+        }
+        for (j, br) in self.branches.iter().enumerate() {
+            if j == k {
+                continue;
+            }
+            for (&s, y) in br.slots.iter().zip(br.parts()) {
+                if out.slots.contains(&s) {
+                    vals[s] += y;
+                }
+            }
+        }
+        ybus
+    }
+
+    /// Writes the Newton Jacobian at `(vm, va)` into `jac`'s values, one
+    /// pass over the stored admittances of `ybus` (the model's pattern).
+    fn fill_jacobian(
+        &self,
+        jac: &mut Csc,
+        ybus: &Ybus,
+        vm: &[f64],
+        va: &[f64],
+        p: &[f64],
+        q: &[f64],
+    ) {
+        let (row_ptr, cols, y) = ybus.csr_parts();
+        let vals = jac.values_mut();
+        for i in 0..self.th_pos.len() {
+            for s in row_ptr[i]..row_ptr[i + 1] {
+                let d = injection_derivatives_of(y[s], vm, va, p[i], q[i], i, cols[s]);
+                for (&pos, v) in self.jac_map[s].iter().zip([d.0, d.1, d.2, d.3]) {
+                    if pos != usize::MAX {
+                        vals[pos] = v;
+                    }
+                }
+            }
+        }
+    }
 }
 
 /// State indexing `(th_pos, v_pos, nx)`: angles at all non-slack buses,
@@ -251,47 +457,12 @@ fn state_index(net: &Network) -> (Vec<usize>, Vec<usize>, usize) {
     (th_pos, v_pos, nth + nv)
 }
 
-/// The `nx × nx` power-flow Jacobian over the Ybus pattern:
-/// `entry(i, j)` gives `(∂P_i/∂θ_j, ∂P_i/∂V_j, ∂Q_i/∂θ_j, ∂Q_i/∂V_j)` for
-/// every stored `(i, j)` of `ybus`. Exact zeros are dropped.
-fn jacobian(
-    ybus: &Ybus,
-    th_pos: &[usize],
-    v_pos: &[usize],
-    nx: usize,
-    mut entry: impl FnMut(usize, usize) -> (f64, f64, f64, f64),
-) -> Csc {
-    let mut jac = Coo::with_capacity(nx, nx, 8 * ybus.nnz());
-    for i in 0..ybus.dim() {
-        let (cols, _) = ybus.row(i);
-        for &j in cols {
-            let (dp_dth, dp_dv, dq_dth, dq_dv) = entry(i, j);
-            if th_pos[i] != usize::MAX {
-                if th_pos[j] != usize::MAX {
-                    jac.push(th_pos[i], th_pos[j], dp_dth);
-                }
-                if v_pos[j] != usize::MAX {
-                    jac.push(th_pos[i], v_pos[j], dp_dv);
-                }
-            }
-            if v_pos[i] != usize::MAX {
-                if th_pos[j] != usize::MAX {
-                    jac.push(v_pos[i], th_pos[j], dq_dth);
-                }
-                if v_pos[j] != usize::MAX {
-                    jac.push(v_pos[i], v_pos[j], dq_dv);
-                }
-            }
-        }
-    }
-    jac.to_csr().to_csc()
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::equations::bus_injections;
     use pgse_grid::cases::{ieee118_like, ieee14, synthetic_grid, SyntheticSpec};
+    use pgse_sparsela::Coo;
 
     #[test]
     fn ieee14_converges_quadratically() {
@@ -401,14 +572,22 @@ mod tests {
         assert!(sol.iterations <= 8, "took {} iterations", sol.iterations);
     }
 
-    /// The Newton Jacobian of `net` at `(vm, va)`, as the solver assembles it.
+    /// The Newton Jacobian of `net` at `(vm, va)` as the model fills it,
+    /// reassembled on its value pattern: exact zeros dropped, as a `Coo`
+    /// does.
     fn jacobian_at(net: &Network, vm: &[f64], va: &[f64]) -> Csc {
-        let ybus = Ybus::new(net);
-        let (th_pos, v_pos, nx) = state_index(net);
-        let (p, q) = bus_injections(&ybus, vm, va);
-        jacobian(&ybus, &th_pos, &v_pos, nx, |i, j| {
-            injection_derivatives(&ybus, vm, va, p[i], q[i], i, j)
-        })
+        let model = PfModel::new(net);
+        let (p, q) = bus_injections(&model.ybus, vm, va);
+        let mut jac = model.jac.clone();
+        model.fill_jacobian(&mut jac, &model.ybus, vm, va, &p, &q);
+        let mut coo = Coo::new(jac.nrows(), jac.ncols());
+        for c in 0..jac.ncols() {
+            let (rows, vals) = jac.col(c);
+            for (&r, &v) in rows.iter().zip(vals) {
+                coo.push(r, c, v);
+            }
+        }
+        coo.to_csr().to_csc()
     }
 
     fn flat_start(net: &Network) -> (Vec<f64>, Vec<f64>) {
@@ -523,6 +702,56 @@ mod tests {
             }
         }
         assert_eq!(warm.va[net.slack()], 0.0);
+    }
+
+    #[test]
+    fn one_model_solves_every_outage_like_the_branch_removed_network() {
+        let opts = PfOptions::default();
+        for net in [ieee14(), ieee118_like()] {
+            let base = solve(&net, &opts).unwrap();
+            let model = PfModel::new(&net);
+            for k in 0..net.n_branches() {
+                let mut post = net.clone();
+                post.branches.remove(k);
+                if !post.is_connected() {
+                    continue;
+                }
+                let want = solve_warm(&post, &opts, &base.vm, &base.va).unwrap();
+                let got = model.solve(Some(k), Some((&base.vm, &base.va)), &opts).unwrap();
+                assert_eq!(got.iterations, want.iterations, "branch {k}");
+                for i in 0..net.n_buses() {
+                    assert!((got.vm[i] - want.vm[i]).abs() <= 1e-10, "branch {k}: vm bus {i}");
+                    assert!((got.va[i] - want.va[i]).abs() <= 1e-10, "branch {k}: va bus {i}");
+                }
+                // Flows stay in base numbering; the open branch carries none.
+                assert_eq!(got.flows.len(), net.n_branches());
+                assert_eq!(got.flows[k].p_from, 0.0);
+                for (kk, w) in want.flows.iter().enumerate() {
+                    let g = &got.flows[if kk >= k { kk + 1 } else { kk }];
+                    assert!((g.p_from - w.p_from).abs() <= 1e-8, "branch {k}: flow {kk}");
+                    assert!((g.q_to - w.q_to).abs() <= 1e-8, "branch {k}: flow {kk}");
+                }
+            }
+        }
+    }
+
+    #[test]
+    fn an_islanding_outage_leaves_exact_zeros_and_no_solution() {
+        // IEEE-14 branch 13 (7-8) is bus 8's only connection.
+        let net = ieee14();
+        let base = solve(&net, &PfOptions::default()).unwrap();
+        let model = PfModel::new(&net);
+        let out = &model.branches[13];
+        let ybus = model.ybus_without(13);
+        for &s in &out.slots[1..3] {
+            assert_eq!(ybus.csr_parts().2[s], Cplx::ZERO, "off-diagonal slot {s}");
+        }
+        assert_eq!(ybus.get(out.to, out.to), model.shunt[out.to]);
+        assert_eq!(model.shunt[out.to], Cplx::ZERO, "bus 8 carries no shunt");
+        assert!(matches!(
+            model.solve(Some(13), Some((&base.vm, &base.va)), &PfOptions::default()),
+            Err(PfError::SingularJacobian(_))
+        ));
     }
 
     #[test]

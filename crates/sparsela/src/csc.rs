@@ -86,6 +86,12 @@ impl Csc {
         &self.vals
     }
 
+    /// Mutable value array: a numeric refill of a fixed pattern. Entries
+    /// may be set to exactly zero and stay stored.
+    pub fn values_mut(&mut self) -> &mut [f64] {
+        &mut self.vals
+    }
+
     /// Value at `(r, c)`, or `0.0` when absent.
     pub fn get(&self, r: usize, c: usize) -> f64 {
         let (rows, vals) = self.col(c);
@@ -162,6 +168,24 @@ mod tests {
         let mut y = vec![0.0; 3];
         c.spmv(&x, &mut y);
         assert_eq!(y, a.mul_vec(&x));
+    }
+
+    #[test]
+    fn values_mut_refills_in_place_and_keeps_explicit_zeros() {
+        let mut a = Csc::from_csr(&sample_csr());
+        let pattern = (a.col_ptr().to_vec(), a.row_idx().to_vec());
+        let base = a.values().as_ptr();
+        for (k, v) in a.values_mut().iter_mut().enumerate() {
+            *v = if k == 0 { 0.0 } else { 10.0 * k as f64 };
+        }
+        assert_eq!((a.col_ptr().to_vec(), a.row_idx().to_vec()), pattern);
+        assert_eq!(a.values().as_ptr(), base, "refilled without reallocating");
+        assert_eq!(a.nnz(), 5, "an exact zero stays stored");
+        assert_eq!(a.get(0, 0), 0.0);
+        let x = vec![1.0, -2.0, 0.5, 3.0];
+        let mut y = vec![0.0; 3];
+        a.spmv(&x, &mut y);
+        assert_eq!(y, a.to_csr().mul_vec(&x));
     }
 
     #[test]

@@ -7,8 +7,11 @@
 //! list out as a dependency-gated two-tier task graph:
 //!
 //! 1. **Gate** (deterministic, serial): bridge analysis marks islanding
-//!    outages up front, and the base-case DC model is factored once
-//!    ([`pgse_contingency::DcScreener`]).
+//!    outages up front. The bridge list, the base-case DC factor
+//!    ([`pgse_contingency::DcScreener`]) and the Newton model
+//!    ([`pgse_powerflow::PfModel`]) depend on the network alone, so the
+//!    engine builds them on its first sweep and every later sweep reuses
+//!    them.
 //! 2. **Screen tier** (parallel, counter-claimed): every survivable outage
 //!    is priced by a warm Sherman–Morrison rank-1 update against the cached
 //!    base factor — no refactorization per case. Cases whose linearized
@@ -16,8 +19,9 @@
 //!    *cleared* without ever touching AC.
 //! 3. **Solve tier** (parallel, counter-claimed): the suspects, ranked
 //!    worst-first by screen severity, get a full AC re-solve warm-started
-//!    from the base operating point, and their limit checks decide
-//!    *cleared* vs *violated*.
+//!    from the base operating point — on the engine's one Newton model,
+//!    the outaged branch a zero admittance on the base pattern — and their
+//!    limit checks decide *cleared* vs *violated*.
 //!
 //! Work distribution in both parallel tiers is the counter-based dynamic
 //! scheme of Chen, Huang & Chavarría-Miranda \[2\]: a shared atomic counter
@@ -50,15 +54,16 @@
 //! non-deterministic half of [`ScenarioReport`].
 
 use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
-use std::sync::Mutex;
+use std::sync::{Mutex, OnceLock};
 use std::time::Instant;
 
 use pgse_contingency::{
-    analyze_one_from, islanding_outages, ratings_from_state, Contingency, CtgResult, DcScreener,
+    analyze_with, islanding_outages, ratings_from_state, Contingency, CtgResult, DcScreener,
     Limits, ScreenVerdict, Violation,
 };
 use pgse_grid::Network;
 use pgse_obs::{ObsReport, Recorder, ScopeReport};
+use pgse_powerflow::PfModel;
 
 use crate::snapshot::{EpochStore, Sequenced, SnapshotStore, SystemSnapshot};
 use crate::supervise::KillSchedule;
@@ -388,18 +393,31 @@ struct PhaseRun<T> {
     busy_ns_per_worker: Vec<u64>,
 }
 
+/// What a sweep needs of the network alone: the bridge list, the DC
+/// screener (`None` when the base network is disconnected) and the Newton
+/// model every AC confirmation solves on.
+#[derive(Debug)]
+struct NetworkModels {
+    islanding: Vec<usize>,
+    screener: Option<DcScreener>,
+    model: PfModel,
+}
+
 /// The streaming screening service (see the module docs).
 #[derive(Debug)]
 pub struct ScenarioEngine {
     net: Network,
     cfg: ScenarioConfig,
+    /// Built by the first sweep, not by `new`, so set-up stays cheap;
+    /// shared by every sweep after it.
+    models: OnceLock<NetworkModels>,
 }
 
 impl ScenarioEngine {
     /// An engine for `net` under `cfg`.
     pub fn new(net: Network, cfg: ScenarioConfig) -> Self {
         assert!(cfg.n_workers > 0, "need at least one worker");
-        ScenarioEngine { net, cfg }
+        ScenarioEngine { net, cfg, models: OnceLock::new() }
     }
 
     /// The screened network.
@@ -490,11 +508,15 @@ impl ScenarioEngine {
         let mut screen_ns = vec![0u64; n];
         let mut solve_ns = vec![0u64; n];
 
-        for k in islanding_outages(net) {
+        let models = self.models.get_or_init(|| NetworkModels {
+            islanding: islanding_outages(net),
+            screener: DcScreener::new(net, &self.cfg.limits).ok(),
+            model: PfModel::new(net),
+        });
+        for &k in &models.islanding {
             outcome[k] = Some(CaseOutcome::SkippedIslanding);
         }
-        let screener = DcScreener::new(net, &self.cfg.limits).ok();
-        if screener.is_none() {
+        if models.screener.is_none() {
             // Base network already disconnected: every surviving case is
             // unscreenable; treat the whole list as islanding.
             for o in &mut outcome {
@@ -509,7 +531,7 @@ impl ScenarioEngine {
         let mut busy_ns_per_worker = vec![0u64; self.cfg.n_workers];
 
         // ---- Screen tier ----------------------------------------------
-        if let Some(scr) = &screener {
+        if let Some(scr) = &models.screener {
             let to_screen: Vec<usize> = (0..n).filter(|&k| outcome[k].is_none()).collect();
             let run = self.run_phase(
                 &to_screen,
@@ -563,8 +585,8 @@ impl ScenarioEngine {
                 &pending_kills,
                 &requeued,
                 |k| {
-                    analyze_one_from(
-                        net,
+                    analyze_with(
+                        &models.model,
                         Contingency::BranchOutage(k),
                         &rat,
                         &self.cfg.limits,
