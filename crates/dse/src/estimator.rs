@@ -1,13 +1,13 @@
 //! One subsystem's state estimator: local telemetry, Step 1, Step 2.
 
-use pgse_estimation::jacobian::StateSpace;
+use pgse_estimation::jacobian::{live_branch_flows, StateSpace};
 use pgse_estimation::measurement::{FlowSide, Measurement, MeasurementKind, MeasurementSet};
 use pgse_estimation::restoration::append_pseudo_superset;
 use pgse_estimation::synthetic::{SigmaSet, TelemetryPlan};
 use pgse_estimation::wls::{SolveCache, WlsError, WlsEstimator, WlsOptions};
-use pgse_grid::{Branch, Network, Ybus};
-use pgse_powerflow::equations::{branch_flows, bus_injections};
-use pgse_powerflow::{PfSolution, BranchFlow};
+use pgse_grid::{Branch, Network};
+use pgse_powerflow::equations::bus_injections;
+use pgse_powerflow::PfSolution;
 
 use crate::decomposition::AreaInfo;
 use crate::pseudo::PseudoMeasurement;
@@ -52,6 +52,7 @@ struct IncidentTie {
 ///
 /// Holds two models: the local subnet (Step 1) and the one-hop extension
 /// with neighbour boundary buses and tie lines (Step 2).
+#[derive(Clone)]
 pub struct AreaEstimator {
     /// The preliminary-step description of this area.
     pub info: AreaInfo,
@@ -66,6 +67,9 @@ pub struct AreaEstimator {
     step1_est: WlsEstimator,
     /// Step-2 estimator on the extended network.
     step2_est: WlsEstimator,
+    /// Global branch index of every extended-network branch: the subnet's
+    /// branches, then the incident ties.
+    global_branches: Vec<usize>,
     /// Extended-network bus count and mapping: global id → extended local
     /// index for the appended neighbour buses.
     ext_of_global: std::collections::HashMap<usize, usize>,
@@ -84,24 +88,6 @@ impl AreaEstimator {
     ) -> Self {
         let subnet = info.subnet.clone();
         let n_local = subnet.n_buses();
-
-        // Local ground truth: voltages are slices of the global solution;
-        // injections/flows are recomputed on the *local* model so internal
-        // measurements are exactly consistent with it.
-        let vm: Vec<f64> = info.global_ids.iter().map(|&g| global_pf.vm[g]).collect();
-        let va: Vec<f64> = info.global_ids.iter().map(|&g| global_pf.va[g]).collect();
-        let local_ybus = Ybus::new(&subnet);
-        let (p_inj, q_inj) = bus_injections(&local_ybus, &vm, &va);
-        let flows: Vec<BranchFlow> = branch_flows(&subnet, &vm, &va);
-        let truth = PfSolution {
-            vm: vm.clone(),
-            va: va.clone(),
-            p_inj,
-            q_inj,
-            flows,
-            iterations: 0,
-            mismatch: 0.0,
-        };
 
         // Step-1 telemetry: V everywhere, injections at *internal* buses
         // only (boundary injections involve tie-line flows outside the
@@ -124,8 +110,9 @@ impl AreaEstimator {
         for (l, &g) in info.global_ids.iter().enumerate() {
             local_of_global.insert(g, l);
         }
+        let mut global_branches = global_net.internal_branches(info.area);
+        debug_assert_eq!(global_branches.len(), subnet.n_branches(), "info is of global_net");
         let mut ties = Vec::new();
-        let ext_flows_truth = branch_flows(global_net, &global_pf.vm, &global_pf.va);
         for (k, br) in global_net.branches.iter().enumerate() {
             let a_from = global_net.buses[br.from].area;
             let a_to = global_net.buses[br.to].area;
@@ -149,11 +136,8 @@ impl AreaEstimator {
             };
             let ext_branch = ext_net.branches.len();
             ext_net.branches.push(Branch { from: ext_from, to: ext_to, ..br.clone() });
-            let (truth_p, truth_q) = match side {
-                FlowSide::From => (ext_flows_truth[k].p_from, ext_flows_truth[k].q_from),
-                FlowSide::To => (ext_flows_truth[k].p_to, ext_flows_truth[k].q_to),
-            };
-            ties.push(IncidentTie { ext_branch, side, truth_p, truth_q });
+            global_branches.push(k);
+            ties.push(IncidentTie { ext_branch, side, truth_p: 0.0, truth_q: 0.0 });
         }
 
         let space = StateSpace::full(n_local);
@@ -162,7 +146,67 @@ impl AreaEstimator {
         let step1_est = WlsEstimator::new(subnet, space, wls);
         let ext_n = ext_net.n_buses();
         let step2_est = WlsEstimator::new(ext_net, StateSpace::full(ext_n), wls);
-        AreaEstimator { info, truth, plan, layout, step1_est, step2_est, ext_of_global, ties }
+        let mut est = AreaEstimator {
+            info,
+            truth: PfSolution::default(),
+            plan,
+            layout,
+            step1_est,
+            step2_est,
+            global_branches,
+            ext_of_global,
+            ties,
+        };
+        est.set_truth(global_pf);
+        est
+    }
+
+    /// This estimator re-valued for a switched grid: branch `k` of the
+    /// global network is in service iff `closed[k]`, and `global_pf` is the
+    /// switched grid's operating point. The area description, telemetry
+    /// plan, measurement layout and Step-2 numbering are kept; both WLS
+    /// models keep their patterns ([`WlsEstimator::with_branch_status`]), so
+    /// every solve cache of this estimator stays valid on the copy.
+    pub fn with_branch_status(&self, closed: &[bool], global_pf: &PfSolution) -> Self {
+        let ext: Vec<bool> = self.global_branches.iter().map(|&k| closed[k]).collect();
+        let n_sub = self.info.subnet.n_branches();
+        let mut est = AreaEstimator {
+            step1_est: self.step1_est.with_branch_status(&ext[..n_sub]),
+            step2_est: self.step2_est.with_branch_status(&ext),
+            ..self.clone()
+        };
+        est.set_truth(global_pf);
+        est
+    }
+
+    /// Samples the ground truth from the global operating point: voltages
+    /// are slices of it; injections and flows are recomputed on this
+    /// estimator's own models (Step 1 for the local truth, Step 2 for the
+    /// tie flows), so internal measurements are exactly consistent with
+    /// them and an open branch carries nothing.
+    fn set_truth(&mut self, global_pf: &PfSolution) {
+        let n = self.info.global_ids.len();
+        let ext_n = self.step2_est.network().n_buses();
+        let (mut vm, mut va) = (vec![0.0; ext_n], vec![0.0; ext_n]);
+        let globals = self.info.global_ids.iter().enumerate();
+        for (l, &g) in globals.chain(self.ext_of_global.iter().map(|(g, e)| (*e, g))) {
+            (vm[l], va[l]) = (global_pf.vm[g], global_pf.va[g]);
+        }
+        let w2 = &self.step2_est;
+        let ext_flows = live_branch_flows(w2.network(), w2.ybus(), &vm, &va);
+        for tie in &mut self.ties {
+            let f = &ext_flows[tie.ext_branch];
+            (tie.truth_p, tie.truth_q) = match tie.side {
+                FlowSide::From => (f.p_from, f.q_from),
+                FlowSide::To => (f.p_to, f.q_to),
+            };
+        }
+        vm.truncate(n);
+        va.truncate(n);
+        let w1 = &self.step1_est;
+        let (p_inj, q_inj) = bus_injections(w1.ybus(), &vm, &va);
+        let flows = live_branch_flows(w1.network(), w1.ybus(), &vm, &va);
+        self.truth = PfSolution { vm, va, p_inj, q_inj, flows, iterations: 0, mismatch: 0.0 };
     }
 
     /// The local ground truth (testing and error metrics).
@@ -655,6 +699,46 @@ mod tests {
         }
         assert_eq!(bare.objective.to_bits(), fresh.objective.to_bits());
         assert!(s_layout.iterations > 0);
+    }
+
+    #[test]
+    fn a_revalued_area_keeps_its_caches_and_tracks_the_switched_grid() {
+        let (net, pf, d) = setup();
+        let est = AreaEstimator::new(d.areas[0].clone(), &net, &pf, WlsOptions::direct());
+        let mut closed = vec![true; net.n_branches()];
+        // Every branch closed: the re-valued copy is the deployed estimator.
+        let same = est.with_branch_status(&closed, &pf);
+        let scan = |e: &AreaEstimator| e.generate_telemetry(1.0, 3).values();
+        assert_eq!(scan(&same), scan(&est));
+
+        // Open an internal branch of the area that islands nothing.
+        let internal = net.internal_branches(0);
+        let local = (0..internal.len())
+            .find(|&l| {
+                let mut sub = est.info.subnet.clone();
+                sub.branches.remove(l);
+                sub.is_connected()
+            })
+            .expect("area 0 has a cycle");
+        closed[internal[local]] = false;
+        let post_pf = solve(&net.with_branch_status(&closed), &PfOptions::default()).unwrap();
+        let open = est.with_branch_status(&closed, &post_pf);
+        let f = &open.truth().flows[local];
+        assert_eq!((f.p_from, f.q_from, f.p_to, f.q_to), (0.0, 0.0, 0.0, 0.0));
+        assert_eq!(open.step1_layout().len(), est.step1_layout().len());
+
+        // One cache across the switch: no new symbolic analysis, and the
+        // estimate lands on the switched grid's state.
+        let mut cache = SolveCache::new();
+        let before = est.place_scan(&est.generate_telemetry(1.0, 5)).unwrap();
+        est.step1_cached(&before, &mut cache).unwrap();
+        let after = open.place_scan(&open.generate_telemetry(0.05, 6)).unwrap();
+        let sol = open.step1_cached(&after, &mut cache).unwrap();
+        assert_eq!((cache.symbolic_builds, cache.symbolic_reuses), (1, 1));
+        for (l, &g) in open.info.global_ids.iter().enumerate() {
+            assert!((sol.vm[l] - post_pf.vm[g]).abs() < 5e-3, "vm bus {g}");
+            assert!((sol.va[l] - post_pf.va[g]).abs() < 5e-3, "va bus {g}");
+        }
     }
 
     #[test]

@@ -11,7 +11,7 @@
 
 use pgse_grid::{BranchAdmittance, Network, Ybus};
 use pgse_powerflow::equations::{
-    branch_flows, bus_injections, from_flow_derivatives, injection_derivatives,
+    branch_flows, bus_injections, from_flow_derivatives, injection_derivatives, BranchFlow,
 };
 use pgse_sparsela::{Coo, Csr};
 
@@ -92,8 +92,18 @@ impl StateSpace {
     }
 }
 
+/// The terminal flows of every branch of `net` at `(vm, va)`; a branch
+/// `ybus` holds open ([`Ybus::open_branches`]) carries exactly none.
+pub fn live_branch_flows(net: &Network, ybus: &Ybus, vm: &[f64], va: &[f64]) -> Vec<BranchFlow> {
+    let mut flows = branch_flows(net, vm, va);
+    for &k in ybus.open_branches() {
+        flows[k] = BranchFlow::default();
+    }
+    flows
+}
+
 /// Evaluates `h(x)`: the model-predicted value of each measurement at the
-/// voltage profile `(vm, va)`.
+/// voltage profile `(vm, va)`. An open branch's flows read exactly 0.
 pub fn evaluate_h(
     net: &Network,
     ybus: &Ybus,
@@ -102,7 +112,7 @@ pub fn evaluate_h(
     va: &[f64],
 ) -> Vec<f64> {
     let (p, q) = bus_injections(ybus, vm, va);
-    let flows = branch_flows(net, vm, va);
+    let flows = live_branch_flows(net, ybus, vm, va);
     set.as_slice()
         .iter()
         .map(|m| match m.kind {
@@ -128,7 +138,9 @@ pub fn evaluate_h(
 /// pattern, and the state space — never on the values or on which rows are
 /// active — which is what lets [`JacobianPattern`] replay a recorded
 /// emission order frame after frame. Inactive rows are emitted too; the
-/// callers zero or drop them.
+/// callers zero or drop them. An open branch's flow rows emit exact zeros
+/// at their usual positions, and its admittance slots are stored zeros
+/// ([`Ybus::with_branch_status`]), so a switch changes no position.
 fn for_each_jacobian_entry(
     net: &Network,
     ybus: &Ybus,
@@ -178,7 +190,8 @@ fn for_each_jacobian_entry(
                     ),
                 };
                 let (dp, dq) = from_flow_derivatives(&yy, vm[f], vm[t], va[f] - va[t]);
-                let d = if is_p { dp } else { dq };
+                let open = ybus.open_branches().contains(&branch);
+                let d = if open { [0.0; 4] } else if is_p { dp } else { dq };
                 push_angle(sink, f, d[0]);
                 sink(row, space.mag_pos(f), d[1]);
                 push_angle(sink, t, d[2]);

@@ -27,14 +27,20 @@ pub struct Observability {
     pub reason: Option<String>,
 }
 
-/// Checks observability of `set` on `net` under `space`. Only active rows
-/// count: an inactive row observes nothing.
-pub fn check(net: &Network, set: &MeasurementSet, space: &StateSpace) -> Observability {
-    let ybus = Ybus::new(net);
+/// Checks observability of `set` on `net`, with admittance matrix `ybus`,
+/// under `space`. Only active rows count: an inactive row observes
+/// nothing, and neither does a branch `ybus` holds open
+/// ([`Ybus::with_branch_status`], a re-valued estimator's matrix).
+pub fn check(
+    net: &Network,
+    ybus: &Ybus,
+    set: &MeasurementSet,
+    space: &StateSpace,
+) -> Observability {
     let n = net.n_buses();
     let vm = vec![1.0; n];
     let va = vec![0.0; n];
-    let h = assemble_jacobian(net, &ybus, set, space, &vm, &va);
+    let h = assemble_jacobian(net, ybus, set, space, &vm, &va);
 
     // Structural pre-check: columns with no entries.
     let mut touched = vec![false; space.dim()];
@@ -93,7 +99,7 @@ mod tests {
         let net = ieee14();
         let sol = solve(&net, &PfOptions::default()).unwrap();
         let set = TelemetryPlan::full(&net, vec![0]).generate(&net, &sol, 1.0, 1);
-        let obs = check(&net, &set, &StateSpace::with_reference(14, 0));
+        let obs = check(&net, &Ybus::new(&net), &set, &StateSpace::with_reference(14, 0));
         assert!(obs.observable, "{:?}", obs.reason);
         assert!(obs.redundancy > 2.0);
         assert!(obs.untouched_states.is_empty());
@@ -107,7 +113,7 @@ mod tests {
         plan.injection_buses.clear();
         plan.flow_branches_from.clear();
         let set = plan.generate(&net, &sol, 1.0, 1);
-        let obs = check(&net, &set, &StateSpace::with_reference(14, 0));
+        let obs = check(&net, &Ybus::new(&net), &set, &StateSpace::with_reference(14, 0));
         assert!(!obs.observable);
         assert!(obs.reason.unwrap().contains("measurements for"));
     }
@@ -119,7 +125,7 @@ mod tests {
         let net = ieee14();
         let sol = solve(&net, &PfOptions::default()).unwrap();
         let set = TelemetryPlan::full(&net, vec![]).generate(&net, &sol, 1.0, 1);
-        let obs = check(&net, &set, &StateSpace::full(14));
+        let obs = check(&net, &Ybus::new(&net), &set, &StateSpace::full(14));
         assert!(!obs.observable);
     }
 
@@ -134,7 +140,7 @@ mod tests {
         let sol = solve(&net, &PfOptions::default()).unwrap();
         let mut set = TelemetryPlan::full(&net, vec![]).generate(&net, &sol, 1.0, 1);
         set.push(Measurement::new(MeasurementKind::PmuAngle { bus: 0 }, sol.va[0], 1e6));
-        let obs = check(&net, &set, &StateSpace::full(14));
+        let obs = check(&net, &Ybus::new(&net), &set, &StateSpace::full(14));
         assert!(obs.untouched_states.is_empty());
         assert!(!obs.observable);
         assert!(obs.reason.unwrap().contains("not positive definite"));
@@ -161,7 +167,7 @@ mod tests {
         let sol = solve(&net, &PfOptions::default()).unwrap();
         let mut set = TelemetryPlan::full(&net, vec![3]).generate(&net, &sol, 1.0, 1);
         let space = StateSpace::full(14);
-        assert!(check(&net, &set, &space).observable);
+        assert!(check(&net, &Ybus::new(&net), &set, &space).observable);
         // Deactivating the only angle reference leaves the frame free,
         // exactly as removing it would.
         let pmu_angle = set
@@ -170,9 +176,9 @@ mod tests {
             .position(|m| matches!(m.kind, crate::measurement::MeasurementKind::PmuAngle { .. }))
             .unwrap();
         set.deactivate(pmu_angle);
-        let masked = check(&net, &set, &space);
+        let masked = check(&net, &Ybus::new(&net), &set, &space);
         set.remove(pmu_angle);
-        let removed = check(&net, &set, &space);
+        let removed = check(&net, &Ybus::new(&net), &set, &space);
         assert!(!masked.observable && !removed.observable);
         assert_eq!(masked.redundancy, removed.redundancy);
     }
@@ -182,7 +188,7 @@ mod tests {
         let net = ieee14();
         let sol = solve(&net, &PfOptions::default()).unwrap();
         let set = TelemetryPlan::full(&net, vec![3]).generate(&net, &sol, 1.0, 1);
-        let obs = check(&net, &set, &StateSpace::full(14));
+        let obs = check(&net, &Ybus::new(&net), &set, &StateSpace::full(14));
         assert!(obs.observable, "{:?}", obs.reason);
     }
 }

@@ -14,7 +14,7 @@
 //! restored frame solves on the same Jacobian and gain patterns as a clean
 //! one.
 
-use pgse_grid::Network;
+use pgse_grid::{Network, Ybus};
 
 use crate::jacobian::StateSpace;
 use crate::measurement::{Measurement, MeasurementKind, MeasurementSet};
@@ -40,7 +40,8 @@ pub const PSEUDO_SIGMA_VA: f64 = 0.2;
 /// `(vm0, va0)` (e.g. the previous frame's estimate, or flat values).
 ///
 /// Returns the augmented set and a report; if the set was already
-/// observable it is returned unchanged.
+/// observable it is returned unchanged. Every branch of `net` counts as in
+/// service; [`restore_on`] takes the matrix of a switched grid.
 pub fn restore(
     net: &Network,
     set: &MeasurementSet,
@@ -48,7 +49,20 @@ pub fn restore(
     vm0: &[f64],
     va0: &[f64],
 ) -> (MeasurementSet, RestorationReport) {
-    let before = check(net, set, space);
+    restore_on(net, &Ybus::new(net), set, space, vm0, va0)
+}
+
+/// [`restore`] with observability judged on `ybus`, an admittance matrix
+/// of `net` (see [`check`]).
+pub fn restore_on(
+    net: &Network,
+    ybus: &Ybus,
+    set: &MeasurementSet,
+    space: &StateSpace,
+    vm0: &[f64],
+    va0: &[f64],
+) -> (MeasurementSet, RestorationReport) {
+    let before = check(net, ybus, set, space);
     if before.observable {
         return (set.clone(), RestorationReport { added: Vec::new(), after: before });
     }
@@ -83,7 +97,7 @@ pub fn restore(
     // angle reference): anchor the frame at bus 0, then keep adding weak
     // full-state anchors at successive buses until the gain matrix is SPD.
     let mut bus = 0usize;
-    let mut after = check(net, &augmented, space);
+    let mut after = check(net, ybus, &augmented, space);
     while !after.observable && bus < n {
         if let Some(_col) = space.angle_pos(bus) {
             added.push(augmented.len());
@@ -99,7 +113,7 @@ pub fn restore(
             vm0[bus],
             PSEUDO_SIGMA_VM,
         ));
-        after = check(net, &augmented, space);
+        after = check(net, ybus, &augmented, space);
         bus += 1;
     }
     (augmented, RestorationReport { added, after })
@@ -206,7 +220,7 @@ mod tests {
             !dead.contains(&site) && !flows_into_dead
         });
         let space = StateSpace::with_reference(14, 0);
-        let before = check(&net, &set, &space);
+        let before = check(&net, &Ybus::new(&net), &set, &space);
         assert!(!before.observable, "outage must break observability");
 
         // Restore from a flat prior.
@@ -230,7 +244,7 @@ mod tests {
         // Full state space with no PMU: the angle frame is free.
         let set = TelemetryPlan::full(&net, vec![]).generate(&net, &pf, 1.0, 1);
         let space = StateSpace::full(14);
-        assert!(!check(&net, &set, &space).observable);
+        assert!(!check(&net, &Ybus::new(&net), &set, &space).observable);
         let (aug, report) = restore(&net, &set, &space, &pf.vm, &pf.va);
         assert!(report.after.observable, "{:?}", report.after.reason);
         let est = WlsEstimator::new(net, space, WlsOptions::default());
@@ -273,7 +287,7 @@ mod tests {
         assert_eq!(report.added.len(), masked_report.added.len());
         let pseudo = masked_report.added.iter().map(|&i| masked_aug.as_slice()[i]);
         place_pseudo(&mut placed, scan_len, pseudo);
-        assert!(check(&net, &placed, &space).observable);
+        assert!(check(&net, &Ybus::new(&net), &placed, &space).observable);
 
         let est = WlsEstimator::new(net.clone(), space, WlsOptions::direct());
         let appended = est.estimate(&aug).unwrap();

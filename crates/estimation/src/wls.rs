@@ -326,12 +326,29 @@ impl WlsEstimator {
         WlsEstimator { net, ybus, space, opts }
     }
 
+    /// This estimator re-valued for a switched grid: branch `k` of
+    /// [`WlsEstimator::network`] is in service iff `closed[k]`. The
+    /// admittances keep their pattern ([`Ybus::with_branch_status`]) and an
+    /// open branch's flow rows read exactly 0 in `h` and `H` at their usual
+    /// positions, so every [`SolveCache`] built on this estimator stays
+    /// valid on the copy. LNR runs on the copy itself; observability
+    /// checks and restoration read it through [`WlsEstimator::ybus`].
+    pub fn with_branch_status(&self, closed: &[bool]) -> WlsEstimator {
+        WlsEstimator {
+            net: self.net.clone(),
+            ybus: Ybus::with_branch_status(&self.net, closed),
+            space: self.space.clone(),
+            opts: self.opts,
+        }
+    }
+
     /// The network this estimator operates on.
     pub fn network(&self) -> &Network {
         &self.net
     }
 
-    /// The admittance matrix of [`WlsEstimator::network`], built once.
+    /// The admittance matrix of [`WlsEstimator::network`] under this
+    /// estimator's branch status, built once.
     pub fn ybus(&self) -> &Ybus {
         &self.ybus
     }
@@ -1176,6 +1193,91 @@ mod tests {
             assert_eq!(a.residuals.len(), set.len());
             assert_eq!(a.residuals[i], 0.0);
         }
+    }
+
+    #[test]
+    fn an_open_branch_estimates_like_the_branch_removed_network() {
+        use crate::observability::check;
+        use pgse_powerflow::BranchFlow;
+        let net = ieee14();
+        let space = || StateSpace::with_reference(14, 0);
+        let est = WlsEstimator::new(net.clone(), space(), WlsOptions::direct());
+        let (mut cases, mut blind) = (0, 0);
+        for k in 0..net.n_branches() {
+            let mut closed = vec![true; net.n_branches()];
+            closed[k] = false;
+            let post = net.with_branch_status(&closed);
+            if !post.is_connected() {
+                continue; // islanding: a re-deploy, not a value
+            }
+            cases += 1;
+            // A scan of the switched grid in base numbering: branch k reads 0.
+            let mut truth = solve(&post, &PfOptions::default()).unwrap();
+            truth.flows.insert(k, BranchFlow::default());
+            let plan = crate::synthetic::TelemetryPlan::full(&net, vec![0]);
+            let set = plan.generate(&net, &truth, 1.0, 40 + k as u64);
+            // The same scan on the branch-removed network: k's flow rows
+            // dropped, later branches renumbered.
+            let renumber = |set: &MeasurementSet| -> MeasurementSet {
+                let mut out = MeasurementSet::new();
+                for m in set.as_slice() {
+                    let mut m = *m;
+                    match &mut m.kind {
+                        MeasurementKind::Pflow { branch, .. }
+                        | MeasurementKind::Qflow { branch, .. } => {
+                            if *branch == k {
+                                continue;
+                            }
+                            *branch -= usize::from(*branch > k);
+                        }
+                        _ => {}
+                    }
+                    out.push(m);
+                }
+                out
+            };
+            let open = est.with_branch_status(&closed);
+            let removed = WlsEstimator::new(post.clone(), space(), WlsOptions::direct());
+            assert_eq!(open.ybus().csr_parts().1, est.ybus().csr_parts().1, "branch {k}");
+            let a = open.estimate(&set).unwrap();
+            let b = removed.estimate(&renumber(&set)).unwrap();
+            assert_eq!(a.iterations, b.iterations, "branch {k}");
+            for i in 0..14 {
+                assert!((a.vm[i] - b.vm[i]).abs() <= 1e-10, "branch {k}: vm[{i}]");
+                assert!((a.va[i] - b.va[i]).abs() <= 1e-10, "branch {k}: va[{i}]");
+            }
+            // An RTU outage that leaves one end of the open branch seen
+            // through that branch's flow rows alone.
+            for dead in [net.branches[k].from, net.branches[k].to] {
+                let touches = |b: usize| {
+                    b == dead
+                        || net.branches.iter().enumerate().any(|(j, br)| {
+                            j != k && ((br.from, br.to) == (b, dead) || (br.to, br.from) == (b, dead))
+                        })
+                };
+                let mut short = set.clone();
+                short.retain(|m| match m.kind {
+                    MeasurementKind::Pflow { branch, .. } | MeasurementKind::Qflow { branch, .. } => {
+                        let br = &net.branches[branch];
+                        branch == k || (br.from != dead && br.to != dead)
+                    }
+                    MeasurementKind::Pinj { bus } | MeasurementKind::Qinj { bus } => {
+                        !touches(bus) && bus != net.branches[k].from && bus != net.branches[k].to
+                    }
+                    _ => m.kind.site(&net.branches) != dead,
+                });
+                let on_open = check(&net, open.ybus(), &short, &space()).observable;
+                let on_removed =
+                    check(&post, removed.ybus(), &renumber(&short), &space()).observable;
+                assert_eq!(on_open, on_removed, "branch {k}, dead site {dead}");
+                let on_closed = check(&net, est.ybus(), &short, &space()).observable;
+                blind += usize::from(on_closed && !on_open);
+            }
+        }
+        assert!(cases > 0);
+        // The verdicts are not vacuous: a closed-branch model would call
+        // some of these outages observable through the open branch.
+        assert!(blind > 0);
     }
 
     #[test]

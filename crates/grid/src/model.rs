@@ -128,11 +128,9 @@ impl Network {
     }
 
     /// The network with only the branches whose breaker is closed, in the
-    /// original branch order (bus set unchanged).
-    ///
-    /// Because the branch list of the result is a subsequence of this
-    /// network's, admittance assembly over it is bitwise identical to
-    /// [`crate::Ybus::with_branch_status`] on the unfiltered network.
+    /// original branch order (bus set unchanged). Its admittances are the
+    /// values [`crate::Ybus::with_branch_status`] holds on the unfiltered
+    /// network's pattern, where an open branch is an exact zero.
     ///
     /// # Panics
     /// Panics if `closed.len() != self.n_branches()`.

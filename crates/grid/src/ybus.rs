@@ -51,6 +51,8 @@ pub struct Ybus {
     row_ptr: Vec<usize>,
     col_idx: Vec<usize>,
     vals: Vec<Cplx>,
+    /// Branches assembled out of service, ascending.
+    open: Vec<usize>,
 }
 
 impl Ybus {
@@ -59,14 +61,11 @@ impl Ybus {
         Ybus::assemble(net, |_| true)
     }
 
-    /// Assembles the admittance matrix with per-branch breaker status:
-    /// branch `k` contributes its two-port entries iff `closed[k]`.
-    ///
-    /// This is the live-topology edit path: open branches are skipped at
-    /// triplet accumulation, which is **bitwise identical** to a cold
-    /// [`Ybus::new`] of the network with those branches removed — the
-    /// surviving triplets are the same values in the same order, so the
-    /// sort/sum pipeline reproduces the exact same floating-point results.
+    /// Assembles the admittance matrix with per-branch breaker status on
+    /// the pattern of [`Ybus::new`]: branch `k` contributes its two-port
+    /// entries iff `closed[k]`, and an open branch keeps its slots as exact
+    /// zeros. A switch therefore changes values, never the pattern, and with
+    /// every branch closed the result is bitwise [`Ybus::new`]'s.
     ///
     /// # Panics
     /// Panics if `closed.len() != net.n_branches()`.
@@ -75,16 +74,20 @@ impl Ybus {
         Ybus::assemble(net, |k| closed[k])
     }
 
-    fn assemble(net: &Network, keep: impl Fn(usize) -> bool) -> Self {
+    fn assemble(net: &Network, closed: impl Fn(usize) -> bool) -> Self {
         let n = net.n_buses();
         // Triplet accumulation, then row-compress with duplicate summing.
         let mut trips: Vec<(usize, usize, Cplx)> =
             Vec::with_capacity(4 * net.n_branches() + n);
+        let mut open = Vec::new();
         for (k, br) in net.branches.iter().enumerate() {
-            if !keep(k) {
-                continue;
-            }
-            let y = BranchAdmittance::of(br);
+            let y = if closed(k) {
+                BranchAdmittance::of(br)
+            } else {
+                open.push(k);
+                let z = Cplx::ZERO;
+                BranchAdmittance { yff: z, yft: z, ytf: z, ytt: z }
+            };
             trips.push((br.from, br.from, y.yff));
             trips.push((br.from, br.to, y.yft));
             trips.push((br.to, br.from, y.ytf));
@@ -118,7 +121,7 @@ impl Ybus {
             row_ptr.push(col_idx.len());
             row += 1;
         }
-        Ybus { n, row_ptr, col_idx, vals }
+        Ybus { n, row_ptr, col_idx, vals, open }
     }
 
     /// Matrix dimension (number of buses).
@@ -138,8 +141,8 @@ impl Ybus {
         (&self.col_idx[lo..hi], &self.vals[lo..hi])
     }
 
-    /// The raw CSR arrays `(row_ptr, col_idx, vals)` — for bitwise parity
-    /// checks between incremental and cold builds.
+    /// The raw CSR arrays `(row_ptr, col_idx, vals)`: the pattern a cached
+    /// structure is keyed by, and the values for parity checks.
     pub fn csr_parts(&self) -> (&[usize], &[usize], &[Cplx]) {
         (&self.row_ptr, &self.col_idx, &self.vals)
     }
@@ -149,6 +152,12 @@ impl Ybus {
     /// re-summed without it). An entry set to zero stays stored.
     pub fn values_mut(&mut self) -> &mut [Cplx] {
         &mut self.vals
+    }
+
+    /// The branches assembled out of service ([`Ybus::with_branch_status`]),
+    /// ascending: their slots hold exact zeros.
+    pub fn open_branches(&self) -> &[usize] {
+        &self.open
     }
 
     /// Entry `Y[i][j]`, or zero when structurally absent.
@@ -257,15 +266,16 @@ mod tests {
     }
 
     #[test]
-    fn branch_status_build_is_bitwise_identical_to_cold_filtered_build() {
-        // Three buses in a triangle; open one branch and compare against a
-        // cold build of the network with that branch physically removed.
+    fn an_open_branch_keeps_its_slots_and_takes_the_filtered_values() {
+        // A triangle with a doubled side: opening one of the pair leaves the
+        // shared slots fed by the other.
         let mut buses = vec![
             Bus::load(1, 0, 0.0, 0.0),
             Bus::load(2, 0, 0.4, 0.1),
             Bus::load(3, 0, 0.3, 0.05),
         ];
         buses[0].kind = BusKind::Slack;
+        buses[2].bs = 0.05;
         let net = Network {
             name: "tri".into(),
             base_mva: 100.0,
@@ -274,22 +284,30 @@ mod tests {
                 Branch::line(0, 1, 0.02, 0.1, 0.04),
                 Branch::line(1, 2, 0.03, 0.12, 0.02),
                 Branch::line(0, 2, 0.01, 0.08, 0.03),
+                Branch::line(1, 2, 0.04, 0.15, 0.01),
             ],
         };
-        let closed = [true, false, true];
-        let live = Ybus::with_branch_status(&net, &closed);
-        let filtered = net.with_branch_status(&closed);
-        assert_eq!(filtered.n_branches(), 2);
-        let cold = Ybus::new(&filtered);
-        let (lp, lc, lv) = live.csr_parts();
-        let (cp, cc, cv) = cold.csr_parts();
-        assert_eq!(lp, cp);
-        assert_eq!(lc, cc);
-        assert_eq!(lv.len(), cv.len());
-        for (a, b) in lv.iter().zip(cv) {
-            assert_eq!(a.re.to_bits(), b.re.to_bits());
-            assert_eq!(a.im.to_bits(), b.im.to_bits());
+        let full = Ybus::new(&net);
+        for k in 0..net.n_branches() {
+            let mut closed = vec![true; net.n_branches()];
+            closed[k] = false;
+            let live = Ybus::with_branch_status(&net, &closed);
+            let cold = Ybus::new(&net.with_branch_status(&closed));
+            assert_eq!(live.open_branches(), [k]);
+            let (lp, lc, lv) = live.csr_parts();
+            let (fp, fc, _) = full.csr_parts();
+            assert_eq!((lp, lc), (fp, fc), "branch {k}: pattern");
+            for i in 0..net.n_buses() {
+                for (&j, &v) in lc[lp[i]..lp[i + 1]].iter().zip(&lv[lp[i]..lp[i + 1]]) {
+                    let want = cold.get(i, j);
+                    assert!((v - want).abs() <= 1e-12, "branch {k}: Y[{i}][{j}] {v} vs {want}");
+                    if want == Cplx::ZERO {
+                        assert_eq!(v, Cplx::ZERO, "branch {k}: Y[{i}][{j}] is an exact zero");
+                    }
+                }
+            }
         }
+        assert!(full.open_branches().is_empty());
     }
 
     #[test]

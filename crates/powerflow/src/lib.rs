@@ -12,17 +12,13 @@
 //! flows, and their partial derivatives) shared with the state-estimation
 //! crate; [`newton`] implements the full Newton solver on top of the sparse
 //! LU from `pgse-sparsela`, over a [`PfModel`] built once per network and
-//! solved per operating point or branch outage; [`fdpf`] is the
-//! fast-decoupled variant control centers favour for SCADA-rate resolves,
-//! and [`dcpf`] the linear DC model used for contingency screening and
-//! sensitivity analysis.
+//! solved per operating point or branch outage, and [`dcpf`] the linear DC
+//! model used for contingency screening and sensitivity analysis.
 
 pub mod dcpf;
 pub mod equations;
-pub mod fdpf;
 pub mod newton;
 
 pub use equations::{branch_flows, bus_injections, BranchFlow};
 pub use dcpf::{solve_dc, DcSolution};
-pub use fdpf::solve_fast_decoupled;
 pub use newton::{solve, solve_warm, PfError, PfModel, PfOptions, PfSolution};

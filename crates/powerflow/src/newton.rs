@@ -62,7 +62,7 @@ impl std::fmt::Display for PfError {
 impl std::error::Error for PfError {}
 
 /// A converged operating point.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub struct PfSolution {
     /// Voltage magnitudes (p.u.), one per bus.
     pub vm: Vec<f64>,

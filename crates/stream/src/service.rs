@@ -51,7 +51,7 @@
 //! measurement touching a site. Downstream, every scan is placed on its
 //! area's fixed measurement layout ([`AreaEstimator::place_scan`]): a row
 //! the scan lost is present but inactive, so a frame's Jacobian and gain
-//! patterns never change between topology transitions. A per-area
+//! patterns change only at an islanding transition. A per-area
 //! post-WLS chi-square gate ([`BadDataGate`]) detects suspect frames, and
 //! the largest-normalized-residual loop deactivates the offender and
 //! re-solves warm through the area's solve cache, suspects fanned out on
@@ -66,15 +66,15 @@
 //! Live topology: [`SwitchingEvent`]s make grid topology a versioned
 //! per-frame input. The feeder stamps PGSF v2 frames with the stage's
 //! `topology_version` (and the boundary's breaker events); the solver
-//! switches its estimator bank when the version advances, keeping every
-//! *unaffected* area's solve caches — the existing staleness detection
-//! (`StructureDescriptor`, `JacobianPattern::matches`) rebuilds
-//! symbolic analyses only where the subnet actually changed
-//! (`symbolic_rebuilds`). Switching that islands part of an area is
-//! detected with [`pgse_contingency::islanding_outages`] and the orphan
-//! buses are merged onto electrically-adjacent areas with
-//! [`pgse_partition::repartition_shrink`], all resolved at deploy time so
-//! the mid-stream transition itself stays bounded to one round.
+//! switches its estimator bank when the version advances. A switch that
+//! islands nothing is a value: the stage's bank is the previous one
+//! re-valued on the same decomposition and patterns
+//! ([`AreaEstimator::with_branch_status`]), so every cache, warm start and
+//! checkpoint carries across it. A switch that cuts buses off their area
+//! merges the orphans onto electrically-adjacent areas with
+//! [`pgse_partition::repartition_shrink`] and re-deploys the bank
+//! (`symbolic_rebuilds`). Both are resolved at deploy time, so the
+//! mid-stream transition itself stays bounded to one round.
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
@@ -83,8 +83,7 @@ use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
 use pgse_cluster::{plan_redistribution, FleetLiveness};
-use pgse_contingency::islanding_outages;
-use pgse_dse::decomposition::{decompose, AreaInfo};
+use pgse_dse::decomposition::decompose;
 use pgse_dse::runner::aggregate;
 use pgse_dse::{AreaEstimator, AreaSolution, Decomposition, DecompositionOptions, PseudoMeasurement};
 use pgse_estimation::baddata::BadDataReport;
@@ -104,7 +103,7 @@ use pgse_partition::weights::initial_graph;
 use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
 };
-use pgse_powerflow::{solve as solve_pf, PfError, PfOptions};
+use pgse_powerflow::{solve as solve_pf, PfError, PfOptions, PfSolution};
 use pgse_sparsela::{BatchPlan, CholSymbolic, Csr};
 use rayon::prelude::*;
 
@@ -141,7 +140,8 @@ pub use pgse_estimation::baddata::BadDataGate;
 /// All events sharing an `at_seq` form one topology *stage boundary*: the
 /// feeder stamps frames from `at_seq` on with the next topology version
 /// (PGSF v2), and the solver transitions its estimator bank when the
-/// version first reaches it.
+/// version first reaches it. Ingest counts a frame whose version names no
+/// stage as corrupt.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SwitchingEvent {
     /// Frame sequence at which the new topology takes effect (must be
@@ -385,15 +385,15 @@ pub struct StreamReport {
     pub unobservable_degraded: u64,
     /// Topology stage boundaries the solver crossed mid-stream.
     pub topology_transitions: u64,
-    /// Areas whose symbolic analyses were rebuilt by topology transitions
-    /// (affected areas only; unaffected areas keep their caches).
+    /// Areas re-deployed cold by islanding transitions (every area, per
+    /// such transition); a switch that islands nothing rebuilds none.
     pub symbolic_rebuilds: u64,
     /// Frames popped whose topology version lagged the round's (dropped
     /// from the round; their area ran degraded).
     pub topology_version_skew: u64,
-    /// Per-area symbolic builds over the whole run (Step-1 + Step-2
-    /// caches at shutdown) — how tests pin that a topology transition
-    /// re-ran symbolic analysis *only* for the affected areas.
+    /// Per-area symbolic builds over the whole run (Step-1 + Step-2, the
+    /// caches retired by restarts and re-deploys included) — how tests pin
+    /// that a non-islanding switch re-ran no symbolic analysis anywhere.
     pub area_symbolic_builds: Vec<u64>,
     /// Everything the supervision layer observed or did, in round order.
     pub events: Vec<SupervisionEvent>,
@@ -430,8 +430,9 @@ impl StreamReport {
 /// The continuous state-estimation service.
 pub struct StreamService {
     cfg: StreamConfig,
-    decomp: Decomposition,
-    estimators: Vec<AreaEstimator>,
+    /// Topology stages in frame order; stage 0 is the deploy bank, and a
+    /// frame's `topology_version` indexes this list.
+    stages: Vec<TopologyStage>,
     registry: EndpointRegistry,
     queues: Vec<IngestQueue>,
     listeners: Vec<TcpListener>,
@@ -451,14 +452,10 @@ pub struct StreamService {
     supervision: SupervisorConfig,
     /// Telemetry noise schedule: one instance for feeder and solver.
     noise: NoiseProcess,
-    /// Topology stages 1.. (stage 0 is the deploy-time base above);
-    /// empty without a switching schedule.
-    topo_stages: Vec<TopologyStage>,
 }
 
-/// One post-switching topology stage: the filtered network with any
-/// islanded buses re-merged, its operating point, decomposition, and
-/// estimator bank, plus the per-area diff against the previous stage.
+/// One topology stage: the decomposition and estimator bank that solve
+/// frames from `start_seq` on.
 struct TopologyStage {
     /// First frame sequence solved on this topology.
     start_seq: u64,
@@ -467,14 +464,9 @@ struct TopologyStage {
     events: Vec<TopologyEvent>,
     decomp: Decomposition,
     estimators: Vec<AreaEstimator>,
-    /// Areas whose subnet (buses, branches, plan, boundary) changed at
-    /// this boundary — the only areas whose symbolic analyses go stale.
-    affected: Vec<bool>,
-    /// Areas whose *bus set* changed (islanding merge): their carried
-    /// state and caches are dimensionally invalid and reset cold.
-    bus_change: Vec<bool>,
-    /// Opening events at this boundary that were intra-area bridges
-    /// (detected via `islanding_outages`) and triggered an orphan merge.
+    /// Orphan bus components the boundary cut off their areas and
+    /// re-homed. A stage with none is the previous bank re-valued; one
+    /// with any is a re-deploy.
     islanding_events: u64,
 }
 
@@ -488,16 +480,15 @@ impl StreamService {
     /// [`StreamError`] when the power flow diverges or an endpoint fails
     /// to deploy.
     pub fn deploy(net: &Network, cfg: StreamConfig) -> Result<StreamService, StreamError> {
-        let pf = solve_pf(net, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
-        let decomp = decompose(net, &DecompositionOptions::default());
-        let estimators: Vec<AreaEstimator> = decomp
-            .areas
-            .iter()
-            .map(|a| AreaEstimator::new(a.clone(), net, &pf, WlsOptions::direct()))
-            .collect();
+        // Resolve the switching schedule into topology stages up front:
+        // orphan searches, merges, stage power flows and estimator banks
+        // are all deploy-time work, so the mid-stream transition itself is
+        // bounded to one round.
+        let stages = topology_stages(net, &cfg)?;
+        let decomp = &stages[0].decomp;
 
         let registry = EndpointRegistry::new();
-        let n = estimators.len();
+        let n = decomp.areas.len();
         let mut queues = Vec::with_capacity(n);
         let mut listeners = Vec::with_capacity(n);
         let mut feed_urls = Vec::with_capacity(n);
@@ -531,19 +522,12 @@ impl StreamService {
         let n_clusters = supervision.n_clusters.clamp(1, n.max(1));
         let assignment = partition_kway(&graph, n_clusters, &KwayOptions::default()).assignment;
 
-        // Resolve the switching schedule into topology stages up front:
-        // islanding screens, orphan merges, stage power flows, and
-        // estimator banks are all deploy-time work, so the mid-stream
-        // transition itself is bounded to one round.
-        let topo_stages = build_topology_stages(net, &decomp, &cfg)?;
-
         let rec = Recorder::new("stream");
         let area_recs = (0..n).map(|a| Recorder::new(&format!("stream.area{a}"))).collect();
         let sup_rec = Recorder::new("stream.supervise");
         Ok(StreamService {
             cfg,
-            decomp,
-            estimators,
+            stages,
             registry,
             queues,
             listeners,
@@ -558,51 +542,42 @@ impl StreamService {
             n_clusters,
             supervision,
             noise: NoiseProcess::default(),
-            topo_stages,
         })
     }
 
     /// Number of topology stages (1 without a switching schedule).
     pub fn n_topology_stages(&self) -> usize {
-        self.topo_stages.len() + 1
+        self.stages.len()
     }
 
-    /// Which areas stage `v` (≥ 1) changed relative to its predecessor.
+    /// Which areas stage `v` re-deploys relative to its predecessor: every
+    /// area when the stage islands part of one, none when it only
+    /// re-values the bank.
     ///
     /// # Panics
-    /// Panics when `v` is 0 or out of range.
-    pub fn stage_affected_areas(&self, v: usize) -> &[bool] {
-        &self.topo_stages[v - 1].affected
+    /// Panics when `v` is out of range.
+    pub fn stage_affected_areas(&self, v: usize) -> Vec<bool> {
+        vec![self.stages[v].islanding_events > 0; self.n_areas()]
     }
 
-    /// Opening events of stage `v` (≥ 1) that were intra-area bridges and
-    /// triggered an orphan-bus merge.
+    /// Orphan bus components stage `v`'s boundary cut off their areas and
+    /// merged onto surviving ones.
     ///
     /// # Panics
-    /// Panics when `v` is 0 or out of range.
+    /// Panics when `v` is out of range.
     pub fn stage_islanding_events(&self, v: usize) -> u64 {
-        self.topo_stages[v - 1].islanding_events
+        self.stages[v].islanding_events
     }
 
     /// Full clean scan length of `area`'s telemetry plan in the base
     /// topology — what the scan-fault ground truth is derived against.
     pub fn area_scan_len(&self, area: usize) -> usize {
-        self.estimators[area].scan_len()
+        self.stages[0].estimators[area].scan_len()
     }
 
-    /// The estimator bank of topology stage `v` (0 = base).
-    fn stage_estimators(&self, v: usize) -> &[AreaEstimator] {
-        if v == 0 { &self.estimators } else { &self.topo_stages[v - 1].estimators }
-    }
-
-    /// The decomposition of topology stage `v` (0 = base).
-    fn stage_decomp(&self, v: usize) -> &Decomposition {
-        if v == 0 { &self.decomp } else { &self.topo_stages[v - 1].decomp }
-    }
-
-    /// Topology stage feeding frame `s` (0 = base).
+    /// Topology stage feeding frame `s`.
     fn stage_for_seq(&self, s: u64) -> usize {
-        self.topo_stages.iter().take_while(|st| st.start_seq <= s).count()
+        self.stages.iter().take_while(|st| st.start_seq <= s).count() - 1
     }
 
     /// The initial area → cluster mapping (before any failover).
@@ -616,14 +591,14 @@ impl StreamService {
         &self.store
     }
 
-    /// The decomposition the service runs on.
+    /// The decomposition the service deploys with.
     pub fn decomposition(&self) -> &Decomposition {
-        &self.decomp
+        &self.stages[0].decomp
     }
 
     /// Number of areas (subsystems).
     pub fn n_areas(&self) -> usize {
-        self.estimators.len()
+        self.stages[0].estimators.len()
     }
 
     /// The active configuration.
@@ -648,7 +623,7 @@ impl StreamService {
     /// Single-shot: deploy a fresh service for another run.
     pub fn run(&self) -> StreamReport {
         let cfg = &self.cfg;
-        let n_areas = self.estimators.len();
+        let n_areas = self.n_areas();
         let start = Instant::now();
 
         let feeder_done = AtomicBool::new(false);
@@ -692,7 +667,7 @@ impl StreamService {
             sup_rec: &self.sup_rec,
             worker_alive: vec![true; n_areas],
             recovering: vec![false; n_areas],
-            retired: CacheTotals::default(),
+            retired: CacheTotals { builds: vec![0; n_areas], ..CacheTotals::default() },
         };
         let mut fired_worker = vec![false; cfg.kills.worker_kills.len()];
         let mut fired_cluster = vec![false; cfg.kills.cluster_kills.len()];
@@ -701,6 +676,11 @@ impl StreamService {
         // expects, and the stamp recovery-only rounds tick with.
         let mut next_expected: u64 = 0;
         let mut last_target: u64 = 0;
+        // What ingest queues: frames this run can solve — a topology
+        // version that names a stage, a sequence inside the run.
+        let solvable = &|f: &StreamFrame| {
+            (f.topology_version as usize) < self.stages.len() && f.seq < cfg.n_frames
+        };
 
         std::thread::scope(|scope| {
             // --- ingest: one listener thread per area decodes and enqueues.
@@ -711,7 +691,8 @@ impl StreamService {
                 let corrupt = &corrupt[a];
                 let stop = &stop_ingest;
                 ingest_handles.push(scope.spawn(move || loop {
-                    let idle = !ingest_turn(listener, queue, corrupt, FRAME_READ_DEADLINE);
+                    let idle =
+                        !ingest_turn(listener, queue, corrupt, FRAME_READ_DEADLINE, solvable);
                     if idle && stop.load(Ordering::Acquire) {
                         break;
                     }
@@ -737,7 +718,8 @@ impl StreamService {
                         let dt = s as f64 * FRAME_INTERVAL_SECS;
                         let noise = service.noise.level(dt);
                         let v = service.stage_for_seq(s);
-                        for (a, est) in service.stage_estimators(v).iter().enumerate() {
+                        let stage = &service.stages[v];
+                        for (a, est) in stage.estimators.iter().enumerate() {
                             let mut set =
                                 est.generate_telemetry(noise, frame_seed(cfg.seed, s));
                             let fault = cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s));
@@ -753,12 +735,9 @@ impl StreamService {
                                 ScanDamage::None => {}
                             }
                             let mut frame = StreamFrame::new(a as u32, s, dt, set);
-                            if v > 0 {
-                                frame.topology_version = v as u32;
-                                let stage = &service.topo_stages[v - 1];
-                                if s == stage.start_seq {
-                                    frame.topology_events = stage.events.clone();
-                                }
+                            frame.topology_version = v as u32;
+                            if s == stage.start_seq {
+                                frame.topology_events = stage.events.clone();
                             }
                             match client.send(&service.feed_urls[a], &wire::encode(&frame)) {
                                 Ok(_) => {
@@ -910,41 +889,30 @@ impl StreamService {
                 let mut fresh: Vec<bool> = popped_frames.iter().map(Option::is_some).collect();
 
                 // Topology transition: this round's frames carry a newer
-                // version — switch the estimator bank. Only *affected*
-                // areas re-run symbolic analysis (their cached
-                // StructureDescriptor/Ybus pattern goes stale on the
-                // next solve); unaffected areas keep symbolic structures,
-                // warm starts, and carried solutions across the switch.
-                if round_version != active_version {
-                    for v in (active_version + 1)..=round_version {
-                        let stage = &self.topo_stages[v - 1];
-                        report.topology_transitions += 1;
-                        for a in 0..n_areas {
-                            if !stage.affected[a] {
-                                continue;
-                            }
-                            report.symbolic_rebuilds += 1;
-                            // Old-topology checkpoints index branches that
-                            // no longer exist; a restart must come up on
-                            // post-switch state only.
-                            sup.ckpts.clear(a);
-                            if stage.bus_change[a] {
-                                // Bus set changed (islanding merge): the
-                                // carried state is dimensionally invalid.
-                                sup.retired.absorb(&s1_caches[a]);
-                                sup.retired.absorb(&s2_caches[a]);
-                                s1_caches[a] = SolveCache::new();
-                                s2_caches[a] = SolveCache::new();
-                                last_solutions[a] = None;
-                                if !fresh[a] {
-                                    last_sets[a] = None;
-                                }
-                            }
+                // version — switch the estimator bank. A re-valued bank
+                // has the old one's layouts and patterns, so caches, warm
+                // starts, checkpoints and carried solutions all carry over.
+                // An islanding stage re-deploys: every area comes up cold.
+                for stage in &self.stages[active_version + 1..=round_version] {
+                    report.topology_transitions += 1;
+                    if stage.islanding_events == 0 {
+                        continue;
+                    }
+                    for a in 0..n_areas {
+                        report.symbolic_rebuilds += 1;
+                        sup.ckpts.clear(a);
+                        sup.retired.absorb(a, &s1_caches[a]);
+                        sup.retired.absorb(a, &s2_caches[a]);
+                        s1_caches[a] = SolveCache::new();
+                        s2_caches[a] = SolveCache::new();
+                        last_solutions[a] = None;
+                        if !fresh[a] {
+                            last_sets[a] = None;
                         }
                     }
-                    active_version = round_version;
                 }
-                let ests = self.stage_estimators(active_version);
+                active_version = round_version;
+                let ests = &self.stages[active_version].estimators;
 
                 self.place_scans(
                     ests,
@@ -1210,7 +1178,7 @@ impl StreamService {
                 if last_solutions.iter().all(Option::is_some) {
                     let sols: Vec<AreaSolution> =
                         last_solutions.iter().map(|s| s.clone().unwrap()).collect();
-                    let (vm, va) = aggregate(self.stage_decomp(active_version), &sols);
+                    let (vm, va) = aggregate(&self.stages[active_version].decomp, &sols);
                     let snap = SystemSnapshot {
                         epoch: 0, // stamped by the store
                         frame_seq: target_seq,
@@ -1245,7 +1213,7 @@ impl StreamService {
                 }
                 drop(round_span);
                 last_target = target_seq;
-                next_expected = next_expected.max(target_seq + 1);
+                next_expected = next_expected.max(target_seq.saturating_add(1));
             }
         });
 
@@ -1268,20 +1236,15 @@ impl StreamService {
         report.gross_injected = gross_fed.load(Ordering::Relaxed);
         report.rtu_outages = rtu_fed.load(Ordering::Relaxed);
         report.rtu_shed_measurements = rtu_shed.load(Ordering::Relaxed);
-        // Per-area symbolic-build counts from the live caches (a revived
-        // worker's pre-restart builds sit in the retired totals below).
-        // The topology conformance tests pin these: an area untouched by a
-        // switch keeps exactly its cold-start builds, an affected area
-        // shows the rebuild.
-        report.area_symbolic_builds = (0..n_areas)
-            .map(|a| s1_caches[a].symbolic_builds + s2_caches[a].symbolic_builds)
-            .collect();
-        // Live caches join the totals retired by worker restarts, so no
-        // build/reuse/warm-solve is lost or double-counted across revives.
-        for c in s1_caches.iter().chain(&s2_caches) {
-            sup.retired.absorb(c);
+        // Live caches join the totals retired by worker restarts and
+        // re-deploys, so no build/reuse/warm-solve is lost or
+        // double-counted across them.
+        for a in 0..n_areas {
+            sup.retired.absorb(a, &s1_caches[a]);
+            sup.retired.absorb(a, &s2_caches[a]);
         }
-        report.symbolic_builds = sup.retired.builds;
+        report.symbolic_builds = sup.retired.builds.iter().sum();
+        report.area_symbolic_builds = std::mem::take(&mut sup.retired.builds);
         report.symbolic_reuses = sup.retired.reuses;
         report.warm_solves = sup.retired.warm;
         report.refactor_reuse = sup.retired.refac_reuse;
@@ -1500,9 +1463,9 @@ impl StreamService {
     /// Places each fresh area's scan on its Step-1 layout
     /// ([`AreaEstimator::place_scan`]) — a row the scan lost in flight
     /// stays in place, inactive — and, with restoration on, repairs a
-    /// short scan: [`restoration::restore`] picks weak pseudo measurements
-    /// from the carried estimate and they activate rows of the layout's
-    /// pseudo superset. An area unobservable even after restoration, or
+    /// short scan: [`restoration::restore_on`], on the area's status-applied
+    /// Step-1 model, picks weak pseudo measurements from the carried
+    /// estimate and they activate rows of the layout's pseudo superset. An area unobservable even after restoration, or
     /// whose scan does not place, degrades to its carried profile.
     fn place_scans(
         &self,
@@ -1523,14 +1486,13 @@ impl StreamService {
             };
             if self.cfg.restoration && frame.measurements.len() < est.scan_len() {
                 let w = est.step1_estimator();
-                let (net, space) = (w.network(), w.space());
-                let nb = net.n_buses();
+                let nb = w.network().n_buses();
                 let (vm0, va0) = match &last_solutions[a] {
                     Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
                     _ => (vec![1.0; nb], vec![0.0; nb]),
                 };
                 let (aug, rep) = pgse_obs::with_recorder(&self.area_recs[a], || {
-                    restoration::restore(net, &set, space, &vm0, &va0)
+                    restoration::restore_on(w.network(), w.ybus(), &set, w.space(), &vm0, &va0)
                 });
                 if rep.added.is_empty() {
                     report.short_scan_observable += 1;
@@ -1670,7 +1632,8 @@ enum StageOutcome {
 /// never lose or double-count cache statistics.
 #[derive(Debug, Default)]
 struct CacheTotals {
-    builds: u64,
+    /// Symbolic builds per area.
+    builds: Vec<u64>,
     reuses: u64,
     warm: u64,
     refac_reuse: u64,
@@ -1678,8 +1641,8 @@ struct CacheTotals {
 }
 
 impl CacheTotals {
-    fn absorb(&mut self, c: &SolveCache) {
-        self.builds += c.symbolic_builds;
+    fn absorb(&mut self, area: usize, c: &SolveCache) {
+        self.builds[area] += c.symbolic_builds;
         self.reuses += c.symbolic_reuses;
         self.warm += c.warm_solves;
         self.refac_reuse += c.refactor_reuse;
@@ -1832,8 +1795,8 @@ impl Supervision<'_> {
         last_sets: &mut [Option<MeasurementSet>],
         report: &mut StreamReport,
     ) -> bool {
-        self.retired.absorb(&s1_caches[a]);
-        self.retired.absorb(&s2_caches[a]);
+        self.retired.absorb(a, &s1_caches[a]);
+        self.retired.absorb(a, &s2_caches[a]);
         let restored = self.ckpts.restore(a);
         let retained = match (&restored, s1_caches[a].structure_descriptor()) {
             (Some(ck), Some(live)) => ck.structure == Some(live),
@@ -1872,29 +1835,24 @@ impl Supervision<'_> {
 impl std::fmt::Debug for StreamService {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("StreamService")
-            .field("n_areas", &self.estimators.len())
+            .field("n_areas", &self.n_areas())
             .field("cfg", &self.cfg)
             .finish_non_exhaustive()
     }
 }
 
-/// Resolves the switching schedule into topology stages: per boundary,
-/// screen opening events for intra-area islanding
-/// ([`islanding_outages`] on the induced area subnet), merge orphaned
-/// bus components onto adjacent areas ([`repartition_shrink`] on the
-/// bus-level graph), build the filtered stage network, and solve its
-/// operating point + estimator bank. The per-area diff against the
-/// previous stage drives affected-only symbolic rebuilds mid-stream.
-fn build_topology_stages(
-    net: &Network,
-    base_decomp: &Decomposition,
-    cfg: &StreamConfig,
-) -> Result<Vec<TopologyStage>, StreamError> {
-    if cfg.switching.is_empty() {
-        return Ok(Vec::new());
-    }
+/// Resolves the switching schedule into the stage list; stage 0 is the
+/// deploy bank. Per boundary: apply the breaker flips, solve the stage's
+/// operating point, and look for orphans — bus components the closed
+/// intra-area branches no longer join to their area's lowest bus. Without
+/// orphans the stage is the previous bank re-valued on the same
+/// decomposition ([`AreaEstimator::with_branch_status`]). With orphans,
+/// each is merged onto an adjacent surviving area ([`repartition_shrink`])
+/// and the stage re-deploys on the merged areas. Every bank models every
+/// base branch, an open one as a zero admittance, so branch numbering and
+/// a later closing stay values too.
+fn topology_stages(net: &Network, cfg: &StreamConfig) -> Result<Vec<TopologyStage>, StreamError> {
     let n_branches = net.n_branches();
-    let n_buses = net.n_buses();
     let mut by_seq: BTreeMap<u64, Vec<(usize, bool)>> = BTreeMap::new();
     for ev in &cfg.switching {
         if ev.branch >= n_branches {
@@ -1911,250 +1869,158 @@ fn build_topology_stages(
         by_seq.entry(ev.at_seq).or_default().push((ev.branch, ev.close));
     }
 
-    let n_areas = base_decomp.areas.len();
+    let bank = |snet: &Network, pf: &PfSolution| {
+        let decomp = decompose(snet, &DecompositionOptions::default());
+        let ests: Vec<AreaEstimator> = decomp
+            .areas
+            .iter()
+            .map(|a| AreaEstimator::new(a.clone(), snet, pf, WlsOptions::direct()))
+            .collect();
+        (decomp, ests)
+    };
+    let pf = solve_pf(net, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
+    let (decomp, estimators) = bank(net, &pf);
+    let mut stages = vec![TopologyStage {
+        start_seq: 0,
+        events: Vec::new(),
+        decomp,
+        estimators,
+        islanding_events: 0,
+    }];
+    // Every base branch, on the areas of the latest re-deploy.
+    let mut snet = net.clone();
     let mut closed = vec![true; n_branches];
-    let mut areas: Vec<usize> = net.buses.iter().map(|b| b.area).collect();
-    let mut prev_sigs: Vec<u64> = base_decomp.areas.iter().map(area_signature).collect();
-    let mut prev_ids: Vec<Vec<usize>> =
-        base_decomp.areas.iter().map(|a| a.global_ids.clone()).collect();
-    let mut stages = Vec::new();
-
     for (&at_seq, evs) in &by_seq {
-        // Islanding screen against the *current* stage: an opened branch
-        // that is a bridge of its area's subnet splits the area. (A tie
-        // line cannot island an area; opening a global bridge fails the
-        // connectivity validation below instead.)
-        let mut islanding_events = 0u64;
-        for &(k, close) in evs {
-            if close || !closed[k] {
-                continue;
-            }
-            let br = &net.branches[k];
-            if areas[br.from] != areas[br.to] {
-                continue;
-            }
-            if area_bridge_branches(net, &closed, &areas, areas[br.from]).contains(&k) {
-                islanding_events += 1;
-            }
-        }
         for &(k, close) in evs {
             closed[k] = close;
         }
-
-        // Orphan detection: per area, the connected components (over
-        // closed intra-area branches) not containing the area's anchor
-        // (lowest bus id) get synthetic dead parts, then the shrink pass
-        // merges them onto electrically-adjacent surviving areas.
-        let mut orphan_comps: Vec<Vec<usize>> = Vec::new();
-        for a in 0..n_areas {
-            let members: Vec<usize> = (0..n_buses).filter(|&b| areas[b] == a).collect();
-            let anchor = *members.first().ok_or_else(|| {
-                StreamError::Topology(format!("area {a} lost every bus at frame {at_seq}"))
+        let orphans = orphan_components(&snet, &closed);
+        if !orphans.is_empty() {
+            merge_orphans(&mut snet, &closed, &orphans).map_err(|e| {
+                StreamError::Topology(format!("orphan merge at frame {at_seq}: {e}"))
             })?;
-            let mut seen = vec![false; n_buses];
-            for &start in &members {
-                if seen[start] {
-                    continue;
-                }
-                // BFS one component over closed intra-area branches.
-                let mut comp = vec![start];
-                seen[start] = true;
-                let mut head = 0;
-                while head < comp.len() {
-                    let u = comp[head];
-                    head += 1;
-                    for (k, br) in net.branches.iter().enumerate() {
-                        if !closed[k] || areas[br.from] != a || areas[br.to] != a {
-                            continue;
-                        }
-                        for v in [br.from, br.to] {
-                            if (br.from == u || br.to == u) && !seen[v] {
-                                seen[v] = true;
-                                comp.push(v);
-                            }
-                        }
-                    }
-                }
-                if comp.contains(&anchor) {
-                    continue;
-                }
-                orphan_comps.push(comp);
-            }
         }
-        if !orphan_comps.is_empty() {
-            // Condense each orphan component to one supernode so the shrink
-            // pass re-homes it as a unit: the per-vertex greedy would place
-            // an orphan whose only closed edges lead to still-orphaned
-            // neighbours by load tiebreak alone, stranding it in an area it
-            // has no electrical connection to.
-            let mut comp_of = vec![usize::MAX; n_buses];
-            for (c, comp) in orphan_comps.iter().enumerate() {
-                for &b in comp {
-                    comp_of[b] = c;
-                }
-            }
-            let kept: Vec<usize> = (0..n_buses).filter(|&b| comp_of[b] == usize::MAX).collect();
-            let mut vert_of = vec![usize::MAX; n_buses];
-            for (i, &b) in kept.iter().enumerate() {
-                vert_of[b] = i;
-            }
-            let vert = |b: usize| {
-                if comp_of[b] == usize::MAX {
-                    vert_of[b]
-                } else {
-                    kept.len() + comp_of[b]
-                }
-            };
-            let mut weights = vec![1.0; kept.len() + orphan_comps.len()];
-            for (c, comp) in orphan_comps.iter().enumerate() {
-                weights[kept.len() + c] = comp.len() as f64;
-            }
-            let mut g = WeightedGraph::with_vertex_weights(weights);
-            for (k, br) in net.branches.iter().enumerate() {
-                if !closed[k] {
-                    continue;
-                }
-                let (u, v) = (vert(br.from), vert(br.to));
-                if u != v {
-                    g.add_edge(u, v, 1.0);
-                }
-            }
-            let mut assign = vec![0usize; kept.len() + orphan_comps.len()];
-            for (i, &b) in kept.iter().enumerate() {
-                assign[i] = areas[b];
-            }
-            for c in 0..orphan_comps.len() {
-                assign[kept.len() + c] = n_areas + c;
-            }
-            let dead_parts: Vec<usize> = (0..orphan_comps.len()).map(|c| n_areas + c).collect();
-            let shrunk = repartition_shrink(
-                &g,
-                &Partition::new(assign, n_areas + orphan_comps.len()),
-                &dead_parts,
-                &RepartitionOptions::default(),
-            );
-            for (c, comp) in orphan_comps.iter().enumerate() {
-                let part = shrunk.assignment[kept.len() + c];
-                if part >= n_areas {
-                    return Err(StreamError::Topology(format!(
-                        "orphan merge at frame {at_seq} left unhosted buses"
-                    )));
-                }
-                for &b in comp {
-                    areas[b] = part;
-                }
-            }
-        }
-
-        // The stage network: base buses (with merged area assignments),
-        // closed branches only. `Ybus::with_branch_status` on the base is
-        // bitwise identical to `Ybus::new` on this filtered clone, so the
-        // estimator bank below *is* the incremental-rebuild reference.
-        let mut snet = net.with_branch_status(&closed);
-        for (b, bus) in snet.buses.iter_mut().enumerate() {
-            bus.area = areas[b];
-        }
-        snet.validate().map_err(|e| {
+        let live = snet.with_branch_status(&closed);
+        live.validate().map_err(|e| {
             StreamError::Topology(format!("stage at frame {at_seq}: {e}"))
         })?;
-        let pf = solve_pf(&snet, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
-        let decomp = decompose(&snet, &DecompositionOptions::default());
-        let estimators: Vec<AreaEstimator> = decomp
-            .areas
-            .iter()
-            .map(|a| AreaEstimator::new(a.clone(), &snet, &pf, WlsOptions::direct()))
-            .collect();
-        let sigs: Vec<u64> = decomp.areas.iter().map(area_signature).collect();
-        let affected: Vec<bool> =
-            sigs.iter().zip(&prev_sigs).map(|(s, p)| s != p).collect();
-        let bus_change: Vec<bool> = decomp
-            .areas
-            .iter()
-            .zip(&prev_ids)
-            .map(|(a, ids)| &a.global_ids != ids)
-            .collect();
-        let events = evs
-            .iter()
-            .map(|&(k, close)| TopologyEvent { branch: k as u32, closed: close })
-            .collect();
-        prev_sigs = sigs;
-        prev_ids = decomp.areas.iter().map(|a| a.global_ids.clone()).collect();
+        let pf = solve_pf(&live, &PfOptions::default()).map_err(StreamError::PowerFlow)?;
+        let redeploy = (!orphans.is_empty()).then(|| bank(&snet, &pf));
+        let prev = stages.last().expect("stage 0 is the deploy bank");
+        let (decomp, base) = match &redeploy {
+            Some((decomp, ests)) => (decomp, ests),
+            None => (&prev.decomp, &prev.estimators),
+        };
+        let decomp = decomp.clone();
+        let estimators = base.iter().map(|e| e.with_branch_status(&closed, &pf)).collect();
         stages.push(TopologyStage {
             start_seq: at_seq,
-            events,
+            events: evs
+                .iter()
+                .map(|&(k, close)| TopologyEvent { branch: k as u32, closed: close })
+                .collect(),
             decomp,
             estimators,
-            affected,
-            bus_change,
-            islanding_events,
+            islanding_events: orphans.len() as u64,
         });
     }
     Ok(stages)
 }
 
-/// Base-network branch ids that are bridges of `area`'s induced subnet
-/// under the `closed` mask — opening one splits the area into islands.
-fn area_bridge_branches(
-    net: &Network,
-    closed: &[bool],
-    areas: &[usize],
-    area: usize,
-) -> Vec<usize> {
-    let members: Vec<usize> =
-        (0..net.n_buses()).filter(|&b| areas[b] == area).collect();
-    let mut local_of = vec![usize::MAX; net.n_buses()];
-    for (l, &b) in members.iter().enumerate() {
-        local_of[b] = l;
-    }
-    let mut sub = Network {
-        name: String::new(),
-        base_mva: net.base_mva,
-        buses: members.iter().map(|&b| net.buses[b].clone()).collect(),
-        branches: Vec::new(),
-    };
-    let mut kept = Vec::new();
+/// The bus components of `net` that the closed intra-area branches no
+/// longer join to their area's anchor, its lowest bus.
+fn orphan_components(net: &Network, closed: &[bool]) -> Vec<Vec<usize>> {
+    let n = net.n_buses();
+    let area = |b: usize| net.buses[b].area;
+    let mut adj = vec![Vec::new(); n];
     for (k, br) in net.branches.iter().enumerate() {
-        if !closed[k] || areas[br.from] != area || areas[br.to] != area {
+        if closed[k] && area(br.from) == area(br.to) {
+            adj[br.from].push(br.to);
+            adj[br.to].push(br.from);
+        }
+    }
+    let mut seen = vec![false; n];
+    let mut anchored = vec![false; net.n_areas()];
+    let mut orphans = Vec::new();
+    // In ascending bus order an area's first component holds its anchor.
+    for start in 0..n {
+        if seen[start] {
             continue;
         }
-        sub.branches.push(pgse_grid::Branch {
-            from: local_of[br.from],
-            to: local_of[br.to],
-            ..br.clone()
-        });
-        kept.push(k);
+        seen[start] = true;
+        let mut comp = vec![start];
+        let mut head = 0;
+        while head < comp.len() {
+            for &v in &adj[comp[head]] {
+                if !seen[v] {
+                    seen[v] = true;
+                    comp.push(v);
+                }
+            }
+            head += 1;
+        }
+        if std::mem::replace(&mut anchored[area(start)], true) {
+            orphans.push(comp);
+        }
     }
-    islanding_outages(&sub).into_iter().map(|i| kept[i]).collect()
+    orphans
 }
 
-/// Structural signature of one area: bus ids, subnet branches (endpoints
-/// and parameters), PMU sites, and boundary. Two stages whose signatures
-/// match share Ybus and Jacobian patterns, so the area's symbolic
-/// analyses stay valid across the transition.
-fn area_signature(info: &AreaInfo) -> u64 {
-    fn fnv(h: u64, v: u64) -> u64 {
-        (h ^ v).wrapping_mul(0x100_0000_01b3)
+/// Re-homes every orphan component of `net` onto a surviving area it has a
+/// closed branch to. Each component condenses to one supernode so the
+/// shrink pass moves it as a unit: the per-vertex greedy would place an
+/// orphan whose only closed edges lead to still-orphaned neighbours by
+/// load tiebreak alone, stranding it in an area it has no electrical
+/// connection to.
+fn merge_orphans(net: &mut Network, closed: &[bool], orphans: &[Vec<usize>]) -> Result<(), String> {
+    let n_buses = net.n_buses();
+    let n_areas = net.n_areas();
+    let mut comp_of = vec![usize::MAX; n_buses];
+    for (c, comp) in orphans.iter().enumerate() {
+        for &b in comp {
+            comp_of[b] = c;
+        }
     }
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    for &g in &info.global_ids {
-        h = fnv(h, g as u64 + 1);
+    let kept: Vec<usize> = (0..n_buses).filter(|&b| comp_of[b] == usize::MAX).collect();
+    let mut vert_of = vec![usize::MAX; n_buses];
+    for (i, &b) in kept.iter().enumerate() {
+        vert_of[b] = i;
     }
-    for br in &info.subnet.branches {
-        h = fnv(h, br.from as u64);
-        h = fnv(h, br.to as u64);
-        h = fnv(h, br.r.to_bits());
-        h = fnv(h, br.x.to_bits());
-        h = fnv(h, br.b.to_bits());
-        h = fnv(h, br.tap.to_bits());
-        h = fnv(h, br.shift.to_bits());
+    let vert = |b: usize| {
+        if comp_of[b] == usize::MAX {
+            vert_of[b]
+        } else {
+            kept.len() + comp_of[b]
+        }
+    };
+    let mut weights = vec![1.0; kept.len()];
+    weights.extend(orphans.iter().map(|comp| comp.len() as f64));
+    let mut g = WeightedGraph::with_vertex_weights(weights);
+    for (k, br) in net.branches.iter().enumerate() {
+        let (u, v) = (vert(br.from), vert(br.to));
+        if closed[k] && u != v {
+            g.add_edge(u, v, 1.0);
+        }
     }
-    for &p in &info.pmu_sites {
-        h = fnv(h, 0x5050 ^ p as u64);
+    let mut assign: Vec<usize> = kept.iter().map(|&b| net.buses[b].area).collect();
+    assign.extend((0..orphans.len()).map(|c| n_areas + c));
+    let dead_parts: Vec<usize> = (n_areas..n_areas + orphans.len()).collect();
+    let shrunk = repartition_shrink(
+        &g,
+        &Partition::new(assign, n_areas + orphans.len()),
+        &dead_parts,
+        &RepartitionOptions::default(),
+    );
+    for (c, comp) in orphans.iter().enumerate() {
+        let part = shrunk.assignment[kept.len() + c];
+        if part >= n_areas {
+            return Err("an orphan component has no closed branch to a surviving area".into());
+        }
+        for &b in comp {
+            net.buses[b].area = part;
+        }
     }
-    for &b in &info.boundary {
-        h = fnv(h, 0xb0b0 ^ b as u64);
-    }
-    h
+    Ok(())
 }
 
 /// What [`apply_scan_fault`] did to one scan.
@@ -2229,13 +2095,15 @@ fn step2_seed(seed: u64, s: u64) -> u64 {
 /// connection, then reads its frame under `read_budget` — a budget of its
 /// own, so a sender descheduled between `connect` and `write` is not taken
 /// for an idle poll. Every accepted connection ends as a queued frame or a
-/// `corrupt` tick (truncated, aborted, stalled or undecodable delivery).
-/// Returns `false` when the poll passed with nothing to accept.
+/// `corrupt` tick (truncated, aborted, stalled or undecodable delivery, or
+/// a frame `solvable` refuses). Returns `false` when the poll passed with
+/// nothing to accept.
 fn ingest_turn(
     listener: &TcpListener,
     queue: &IngestQueue,
     corrupt: &AtomicU64,
     read_budget: Duration,
+    solvable: &dyn Fn(&StreamFrame) -> bool,
 ) -> bool {
     let mut conn = match accept_polled(listener, RECV_POLL) {
         Ok(conn) => conn,
@@ -2249,7 +2117,8 @@ fn ingest_turn(
         .set_read_timeout(Some(read_budget))
         .and_then(|()| read_frame(&mut conn))
         .ok()
-        .and_then(|body| wire::decode(&body).ok());
+        .and_then(|body| wire::decode(&body).ok())
+        .filter(|frame| solvable(frame));
     if let Some(frame) = frame {
         queue.push(frame);
     } else {
@@ -2407,7 +2276,7 @@ mod tests {
             scope.spawn(move || peer(addr, over_rx));
             // The accept wait is an idle poll: early turns may pass empty.
             let accepted =
-                (0..200).any(|_| ingest_turn(&listener, &queue, &corrupt, read_budget));
+                (0..200).any(|_| ingest_turn(&listener, &queue, &corrupt, read_budget, &|_| true));
             assert!(accepted, "the peer never connected");
             drop(over_tx);
         });
@@ -2449,10 +2318,39 @@ mod tests {
     }
 
     #[test]
+    fn frames_no_stage_or_round_can_take_are_corrupt_not_fatal() {
+        let net = ieee118_like();
+        let cfg = StreamConfig { n_frames: 4, seed: 8, ..StreamConfig::default() };
+        let service = StreamService::deploy(&net, cfg).unwrap();
+        assert_eq!(service.n_topology_stages(), 1);
+        // Written before the run starts: each waits in its listener's
+        // backlog and is the first connection the area's ingest accepts.
+        let mut unknown_version = StreamFrame::new(0, 1, 4.0, MeasurementSet::new());
+        unknown_version.topology_version = 7;
+        let last_seq = StreamFrame::new(1, u64::MAX, 0.0, MeasurementSet::new());
+        for (a, frame) in [(0, &unknown_version), (1, &last_seq)] {
+            let addr = service.listeners[a].local_addr().unwrap();
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            pgse_medici::framing::write_frame(&mut conn, &wire::encode(frame)).unwrap();
+        }
+        // A solver panic would leave the ingest threads running and `run`
+        // blocked on them, so the run gets its own thread and a deadline.
+        let n_areas = service.n_areas() as u64;
+        let (tx, rx) = std::sync::mpsc::channel();
+        let runner = std::thread::spawn(move || tx.send(service.run()).is_ok());
+        let report = rx.recv_timeout(Duration::from_secs(30)).expect("run returns");
+        assert!(runner.join().expect("the run thread exits"));
+        assert_eq!(report.corrupt, 2, "{report:?}");
+        assert_eq!(report.frames_fed, 4 * n_areas);
+        assert_eq!(report.frames_published, 4, "{report:?}");
+        assert_eq!(report.unaccounted(), 0, "{report:?}");
+    }
+
+    #[test]
     fn scans_are_placed_on_the_layout_and_a_foreign_one_degrades() {
         let net = ieee118_like();
         let service = StreamService::deploy(&net, StreamConfig::default()).unwrap();
-        let ests = service.stage_estimators(0);
+        let ests = &service.stages[0].estimators;
         let n = ests.len();
         let frame = |a: usize, set: MeasurementSet| Some(StreamFrame::new(a as u32, 0, 0.0, set));
         let mut frames: Vec<Option<StreamFrame>> = vec![None; n];

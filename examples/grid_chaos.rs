@@ -10,8 +10,9 @@
 //! * observability restoration repairs the shortened post-outage scan
 //!   with pseudo measurements (`rtu_outages == frames_restored +
 //!   short_scan_observable + unobservable_degraded`);
-//! * the topology transition rebuilds symbolic structure only for the
-//!   areas the switched line touches (`symbolic_rebuilds` counted);
+//! * the line switch islands nothing, so the transition re-values every
+//!   area's model on its deployed patterns and rebuilds no symbolic
+//!   structure (`symbolic_rebuilds == 0`, two builds per area);
 //! * publishing never stops and the frame accounting identity closes;
 //! * a same-seed rerun produces a byte-identical deterministic
 //!   ObsReport — chaos included.
@@ -31,8 +32,8 @@ const FRAMES: u64 = 16;
 
 /// First branch whose endpoints share an area: opening it cannot island
 /// the grid (area subgraphs are 2-edge-connected in this case family),
-/// so the switch exercises the incremental-rebuild path, not the
-/// islanding merge.
+/// so the switch is a value on the deployed models, not an islanding
+/// merge.
 fn intra_area_branch(net: &Network) -> usize {
     net.branches
         .iter()
@@ -78,7 +79,7 @@ fn main() {
     );
 
     let service = StreamService::deploy(&net, chaos_config(branch)).expect("deploy");
-    let affected = service.stage_affected_areas(1).to_vec();
+    let affected = service.stage_affected_areas(1);
     let report = service.run();
 
     println!(
@@ -124,6 +125,8 @@ fn main() {
     assert_eq!(report.frames_published, FRAMES, "chaos must not stop publishing");
     assert!(report.cleared_by_lnr >= 1, "the injected gross error must be identified");
     assert_eq!(report.topology_transitions, 1, "one mid-stream topology switch");
+    assert_eq!(report.symbolic_rebuilds, 0, "a switch that islands nothing rebuilds nothing");
+    assert_eq!(report.area_symbolic_builds, vec![2; affected.len()], "deploy-time builds only");
     println!("\nidentities: accounting ✓  bad-data ✓  restoration ✓  publishing never stopped ✓");
 
     // Same-seed rerun: chaos, restoration, and the topology switch are

@@ -15,11 +15,12 @@
 //!   counters;
 //! * an area whose Step 1 *and* Step 2 both fail on a scan is published
 //!   degraded (its carried state, listed in `degraded_areas`), never clean;
-//! * **a mid-stream branch switch re-runs symbolic analysis only for the
-//!   affected area** (pinned per area via `area_symbolic_builds`), the
-//!   same-seed deterministic ObsReport stays byte-identical across the
-//!   transition at 1/2/8 threads, and an islanding switch merges the
-//!   orphaned buses into a surviving area within bounded rounds;
+//! * **a mid-stream branch switch that islands nothing re-runs no symbolic
+//!   analysis** (pinned per area via `area_symbolic_builds`) and ends on
+//!   the switched grid's power-flow truth, the same-seed deterministic
+//!   ObsReport stays byte-identical across the transition at 1/2/8
+//!   threads, and an islanding switch merges the orphaned buses into a
+//!   surviving area within bounded rounds;
 //! * **outside a topology transition nothing changes shape**: gross
 //!   errors, RTU outages and restoration are weights on a fixed layout, so
 //!   such a run ends with exactly the symbolic builds of a clean one, and
@@ -34,7 +35,10 @@ use pgse::dse::decomposition::{decompose, DecompositionOptions};
 use pgse::grid::cases::ieee118_like;
 use pgse::grid::{Branch, Bus, BusKind, Network};
 use pgse::medici::{ScanFault, ScanFaultPlan};
-use pgse::stream::{BadDataGate, StreamConfig, StreamReport, StreamService, SwitchingEvent};
+use pgse::powerflow::{solve, PfOptions};
+use pgse::stream::{
+    BadDataGate, KillSchedule, StreamConfig, StreamReport, StreamService, SwitchingEvent,
+};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
@@ -356,12 +360,18 @@ fn internal_cycle_branch(net: &Network) -> usize {
     panic!("no internal cycle branch in {}", net.name);
 }
 
+/// Root-mean-square difference of two profiles.
+fn rmse(a: &[f64], b: &[f64]) -> f64 {
+    let s: f64 = a.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum();
+    (s / a.len() as f64).sqrt()
+}
+
 #[test]
-fn branch_switch_rebuilds_symbolic_structure_only_for_the_affected_area() {
+fn branch_switch_that_islands_nothing_rebuilds_no_symbolic_structure() {
     let _serial = serial();
     let net = ieee118_like();
-    let branch = internal_cycle_branch(&net);
-    let cfg = StreamConfig {
+    let n_areas = StreamService::deploy(&net, StreamConfig::default()).unwrap().n_areas();
+    let switch_cfg = |branch: usize| StreamConfig {
         n_frames: 12,
         seed: 21,
         warm: true,
@@ -370,52 +380,67 @@ fn branch_switch_rebuilds_symbolic_structure_only_for_the_affected_area() {
         ..StreamConfig::default()
     };
 
-    let mut jsons = Vec::new();
-    for threads in POOL_SIZES {
-        let (report, affected, islanding, json) = with_pool(threads, || {
-            let service = StreamService::deploy(&net, cfg.clone()).unwrap();
-            assert_eq!(service.n_topology_stages(), 2);
-            let affected = service.stage_affected_areas(1).to_vec();
-            let islanding = service.stage_islanding_events(1);
-            let report = service.run();
-            (report, affected, islanding, service.obs_report().to_json_deterministic())
-        });
+    // An internal cycle branch, and the tie line `faults118` opens.
+    for branch in [internal_cycle_branch(&net), net.tie_lines()[0]] {
+        let cfg = switch_cfg(branch);
+        let mut closed = vec![true; net.n_branches()];
+        closed[branch] = false;
+        let truth = solve(&net.with_branch_status(&closed), &PfOptions::default()).unwrap();
+        let mut jsons = Vec::new();
+        for threads in POOL_SIZES {
+            let (report, affected, islanding, json, last) = with_pool(threads, || {
+                let service = StreamService::deploy(&net, cfg.clone()).unwrap();
+                assert_eq!(service.n_topology_stages(), 2);
+                let affected = service.stage_affected_areas(1).to_vec();
+                let islanding = service.stage_islanding_events(1);
+                let report = service.run();
+                let json = service.obs_report().to_json_deterministic();
+                (report, affected, islanding, json, service.store().load().unwrap())
+            });
 
-        // Exactly one area sees a new Ybus; nothing islands.
-        let n_affected = affected.iter().filter(|&&b| b).count();
-        assert_eq!(n_affected, 1, "affected map: {affected:?}");
-        assert_eq!(islanding, 0);
+            // The switch re-values the bank; nothing islands.
+            let n_affected = affected.iter().filter(|&&b| b).count();
+            assert_eq!(n_affected, 0, "branch {branch}: affected map: {affected:?}");
+            assert_eq!(islanding, 0);
 
-        // One transition, one symbolic re-analysis — and the per-area
-        // ledger shows *which* area paid it: the affected area rebuilds
-        // both solve caches (2 cold builds + 2 rebuilds), every other
-        // area keeps exactly its cold-start structures.
-        assert_eq!(report.topology_transitions, 1, "{report:?}");
-        assert_eq!(report.symbolic_rebuilds, 1, "{report:?}");
-        assert_eq!(report.topology_version_skew, 0, "{report:?}");
-        assert_refactor_identity(&report);
-        for (a, &hit) in affected.iter().enumerate() {
-            let builds = report.area_symbolic_builds[a];
-            if hit {
-                assert_eq!(builds, 4, "affected area {a}: {report:?}");
-            } else {
-                assert_eq!(builds, 2, "unaffected area {a}: {report:?}");
-            }
+            // One transition and no symbolic re-analysis anywhere: every
+            // area keeps exactly its cold-start structures (one Step-1 and
+            // one Step-2 analysis).
+            assert_eq!(report.topology_transitions, 1, "{report:?}");
+            assert_eq!(report.symbolic_rebuilds, 0, "{report:?}");
+            assert_eq!(report.topology_version_skew, 0, "{report:?}");
+            assert_refactor_identity(&report);
+            assert_eq!(report.area_symbolic_builds, vec![2; n_areas], "branch {branch}");
+
+            // The stream rides through the switch without losing a frame.
+            assert_eq!(report.frames_published, 12, "{report:?}");
+            assert_eq!(report.unaccounted(), 0, "{report:?}");
+            // Warm reuse continues on both sides of the transition.
+            assert!(report.symbolic_reuses > 0, "{report:?}");
+            // And the last state is the switched grid's.
+            let (vm_err, va_err) = (rmse(&last.vm, &truth.vm), rmse(&last.va, &truth.va));
+            assert!(vm_err <= 5e-3 && va_err <= 5e-3, "branch {branch}: {vm_err} {va_err}");
+
+            jsons.push(json);
         }
-
-        // The stream rides through the switch without losing a frame.
-        assert_eq!(report.frames_published, 12, "{report:?}");
-        assert_eq!(report.unaccounted(), 0, "{report:?}");
-        // Warm reuse continues on both sides of the transition.
-        assert!(report.symbolic_reuses > 0, "{report:?}");
-
-        jsons.push(json);
+        // Same seed + same switch schedule ⇒ byte-identical deterministic
+        // ObsReport at every pool size, *across* the topology transition.
+        for w in jsons.windows(2) {
+            assert_eq!(w[0], w[1], "ObsReport diverges across pool sizes");
+        }
     }
-    // Same seed + same switch schedule ⇒ byte-identical deterministic
-    // ObsReport at every pool size, *across* the topology transition.
-    for w in jsons.windows(2) {
-        assert_eq!(w[0], w[1], "ObsReport diverges across pool sizes");
-    }
+
+    // A worker killed two frames after the switch restarts on the
+    // structures it checkpointed: the switch left them valid.
+    let cfg = StreamConfig {
+        kills: KillSchedule { worker_kills: vec![(8, 0)], ..KillSchedule::default() },
+        ..switch_cfg(internal_cycle_branch(&net))
+    };
+    let report = StreamService::deploy(&net, cfg).unwrap().run();
+    assert!(report.restart_symbolic_retained >= 1, "{report:?}");
+    assert_eq!(report.symbolic_rebuilds, 0, "{report:?}");
+    assert_eq!(report.frames_published, 12, "{report:?}");
+    assert_eq!(report.unaccounted(), 0, "{report:?}");
 }
 
 /// A two-area network where one branch is a bridge of area 0's own
