@@ -447,12 +447,7 @@ fn run_sweep(
     for (cases, scope_rep) in per_worker {
         tasks_per_worker.push(cases.len());
         busy_ns_per_worker.push(
-            scope_rep
-                .spans
-                .iter()
-                .filter(|s| s.name == "scenario.case")
-                .map(|s| s.wall_nanos)
-                .sum(),
+            scope_rep.stage_totals.get("scenario.case").map_or(0, |st| st.wall_nanos as u64),
         );
         scopes.push(scope_rep);
         for (i, r) in cases {

@@ -209,10 +209,9 @@ impl SolveCache {
     /// verified unchanged (the checkpoint's [`StructureDescriptor`]
     /// matches): the symbolic structures are kept — saving the re-analysis
     /// the restart would otherwise pay — while all per-run numeric state
-    /// (cached factor, warm start) is dropped and the counters
-    /// are zeroed, since the supervisor has already absorbed them into its
-    /// retired totals. Results are unaffected either way: structures
-    /// rebuild deterministically from the first frame.
+    /// (cached factor, warm start) is dropped and the counters are
+    /// zeroed, as in a fresh cache. Results are unaffected either way:
+    /// structures rebuild deterministically from the first frame.
     pub fn retain_structures_for_restart(&mut self) {
         self.chol = None;
         self.warm = None;

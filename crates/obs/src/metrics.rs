@@ -137,7 +137,9 @@ impl Default for Histogram {
     }
 }
 
-/// A mergeable snapshot of one recorder's metrics.
+/// A mergeable snapshot of one recorder's metrics. Updates look a name up
+/// by `&str` and copy it only when the metric is first recorded, so a
+/// metric's steady-state update does not allocate.
 #[derive(Debug, Clone, PartialEq, Default)]
 pub struct MetricsSnapshot {
     /// Monotone counters, summed on merge.
@@ -161,7 +163,7 @@ impl MetricsSnapshot {
 
     /// Adds `v` to the named counter.
     pub fn counter_add(&mut self, name: &str, v: u64) {
-        *self.counters.entry(name.to_string()).or_insert(0) += v;
+        *slot(&mut self.counters, name, || 0) += v;
     }
 
     /// Current value of the named counter (0 when absent).
@@ -171,23 +173,20 @@ impl MetricsSnapshot {
 
     /// Sets the named gauge.
     pub fn gauge_set(&mut self, name: &str, v: f64) {
-        let g = self.gauges.entry(name.to_string()).or_default();
+        let g = slot(&mut self.gauges, name, Gauge::default);
         g.value = v;
         g.updates += 1;
     }
 
     /// Records an observation into the named histogram (default buckets).
     pub fn observe(&mut self, name: &str, v: f64) {
-        self.histograms.entry(name.to_string()).or_default().observe(v);
+        slot(&mut self.histograms, name, Histogram::default).observe(v);
     }
 
     /// Records an observation into the named histogram with explicit
     /// bucket bounds (used on first touch; later observations reuse them).
     pub fn observe_with(&mut self, name: &str, v: f64, bounds: &[f64]) {
-        self.histograms
-            .entry(name.to_string())
-            .or_insert_with(|| Histogram::new(bounds))
-            .observe(v);
+        slot(&mut self.histograms, name, || Histogram::new(bounds)).observe(v);
     }
 
     /// Folds `other` into `self` (associative and commutative; see module
@@ -214,6 +213,19 @@ impl MetricsSnapshot {
             }
         }
     }
+}
+
+/// The entry for `name`, looked up by `&str`: the key is allocated only
+/// when the entry is first created.
+pub(crate) fn slot<'m, V>(
+    map: &'m mut BTreeMap<String, V>,
+    name: &str,
+    new: impl FnOnce() -> V,
+) -> &'m mut V {
+    if !map.contains_key(name) {
+        map.insert(name.to_string(), new());
+    }
+    map.get_mut(name).expect("inserted above")
 }
 
 #[cfg(test)]

@@ -14,7 +14,7 @@ use std::collections::BTreeMap;
 
 use serde::Content;
 
-use crate::metrics::{MetricsSnapshot, VOLATILE_PREFIX};
+use crate::metrics::{slot, MetricsSnapshot, VOLATILE_PREFIX};
 use crate::trace::{FieldValue, SpanRecord};
 
 /// Everything one recorder collected.
@@ -24,7 +24,10 @@ pub struct ScopeReport {
     pub scope: String,
     /// The scope's metrics.
     pub metrics: MetricsSnapshot,
-    /// Completed spans in `seq` order.
+    /// Count and wall time of every span the scope closed, by name —
+    /// spans the recorder's ring has since evicted included.
+    pub stage_totals: BTreeMap<String, StageStat>,
+    /// The retained (most recently closed) spans, in `seq` order.
     pub spans: Vec<SpanRecord>,
 }
 
@@ -58,6 +61,7 @@ impl ObsReport {
             match merged.iter_mut().find(|m| m.scope == s.scope) {
                 Some(m) => {
                     m.metrics.merge(&s.metrics);
+                    add_stage_totals(&mut m.stage_totals, &s.stage_totals);
                     m.spans.extend(s.spans);
                 }
                 None => merged.push(s),
@@ -97,15 +101,13 @@ impl ObsReport {
     }
 
     /// Per-stage aggregation: span name → count + total wall time. This is
-    /// the "where does a cycle spend its time" table.
+    /// the "where does a cycle spend its time" table. It reads the scopes'
+    /// aggregates, so it counts every span ever closed, not only the
+    /// retained ones.
     pub fn stage_totals(&self) -> BTreeMap<String, StageStat> {
         let mut out: BTreeMap<String, StageStat> = BTreeMap::new();
         for s in &self.scopes {
-            for sp in &s.spans {
-                let st = out.entry(sp.name.clone()).or_default();
-                st.count += 1;
-                st.wall_nanos += u128::from(sp.wall_nanos);
-            }
+            add_stage_totals(&mut out, &s.stage_totals);
         }
         out
     }
@@ -130,6 +132,15 @@ impl ObsReport {
             .map(|s| scope_content(s, deterministic))
             .collect::<Vec<_>>();
         Content::Map(vec![("scopes".into(), Content::Seq(scopes))])
+    }
+}
+
+/// Folds the per-name span totals `from` into `into`.
+fn add_stage_totals(into: &mut BTreeMap<String, StageStat>, from: &BTreeMap<String, StageStat>) {
+    for (name, st) in from {
+        let total = slot(into, name, StageStat::default);
+        total.count += st.count;
+        total.wall_nanos += st.wall_nanos;
     }
 }
 

@@ -7,6 +7,12 @@
 //! durations ride along for the timing reports but are excluded from the
 //! deterministic export.
 //!
+//! A recorder keeps a bounded trace: the newest [`SPAN_RING`] closed
+//! spans, in a ring, plus a per-name `(count, wall_nanos)` aggregate of
+//! every span it ever closed. A long-running service therefore holds the
+//! same trace memory in its first minute and its tenth hour, and
+//! [`crate::ObsReport::stage_totals`] still counts every span.
+//!
 //! Determinism rule: never share one recorder between threads that run
 //! concurrently — give each concurrent activity its own recorder and merge
 //! the snapshots (scopes with the same name merge canonically in
@@ -14,11 +20,17 @@
 //! thread *can* use one, but interleaved `seq` assignment would then
 //! depend on scheduling.
 
+use std::collections::{BTreeMap, VecDeque};
 use std::sync::{Arc, Mutex};
 use std::time::Instant;
 
-use crate::metrics::MetricsSnapshot;
-use crate::report::ScopeReport;
+use crate::metrics::{slot, MetricsSnapshot};
+use crate::report::{ScopeReport, StageStat};
+
+/// Closed spans one recorder retains: the newest ones, oldest evicted
+/// first. Every span, evicted or not, stays counted in the recorder's
+/// per-name aggregate.
+const SPAN_RING: usize = 1_024;
 
 /// A span/field value.
 #[derive(Debug, Clone, PartialEq)]
@@ -145,7 +157,10 @@ impl SpanRecord {
 #[derive(Debug, Default)]
 struct RecorderState {
     next_seq: u64,
-    spans: Vec<SpanRecord>,
+    /// The newest closed spans, in close order (at most [`SPAN_RING`]).
+    spans: VecDeque<SpanRecord>,
+    /// Count and wall time of every span ever closed, by name.
+    stage_totals: BTreeMap<String, StageStat>,
     metrics: MetricsSnapshot,
 }
 
@@ -220,16 +235,29 @@ impl Recorder {
         }))
     }
 
-    /// Snapshot of everything recorded so far, spans sorted by `seq`.
+    /// Snapshot of everything recorded so far: the metrics, the per-name
+    /// span totals, and the retained spans sorted by `seq`.
     pub fn snapshot(&self) -> ScopeReport {
         let st = self.state.lock().expect("recorder poisoned");
-        let mut spans = st.spans.clone();
+        let mut spans: Vec<SpanRecord> = st.spans.iter().cloned().collect();
         spans.sort_by_key(|s| s.seq);
-        ScopeReport { scope: self.scope.to_string(), metrics: st.metrics.clone(), spans }
+        ScopeReport {
+            scope: self.scope.to_string(),
+            metrics: st.metrics.clone(),
+            stage_totals: st.stage_totals.clone(),
+            spans,
+        }
     }
 
     fn finish(&self, record: SpanRecord) {
-        self.state.lock().expect("recorder poisoned").spans.push(record);
+        let mut st = self.state.lock().expect("recorder poisoned");
+        let total = slot(&mut st.stage_totals, &record.name, StageStat::default);
+        total.count += 1;
+        total.wall_nanos += u128::from(record.wall_nanos);
+        if st.spans.len() == SPAN_RING {
+            st.spans.pop_front();
+        }
+        st.spans.push_back(record);
     }
 }
 
@@ -305,6 +333,23 @@ mod tests {
         assert_eq!(snap.spans[1].name, "inner");
         assert_eq!(snap.spans[1].seq, 1);
         assert_eq!(snap.spans[1].logical, Some(7));
+    }
+
+    #[test]
+    fn the_ring_keeps_the_newest_spans_and_the_totals_count_every_one() {
+        let rec = Recorder::new("t");
+        let closed = 10 * SPAN_RING;
+        for i in 0..closed {
+            let _sp = rec.span_at("s", i as u64);
+        }
+        let snap = rec.snapshot();
+        assert_eq!(snap.spans.len(), SPAN_RING);
+        let first = (closed - SPAN_RING) as u64;
+        assert_eq!(snap.spans[0].seq, first);
+        assert_eq!(snap.spans.last().unwrap().seq, closed as u64 - 1);
+        assert!(snap.spans.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
+        let report = crate::ObsReport::from_scopes(vec![snap]);
+        assert_eq!(report.stage_totals()["s"].count, closed as u64);
     }
 
     #[test]

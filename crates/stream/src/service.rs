@@ -78,7 +78,7 @@
 
 use std::collections::BTreeMap;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
 
@@ -95,10 +95,10 @@ use pgse_grid::Network;
 use pgse_medici::endpoint::accept_polled;
 use pgse_medici::framing::read_frame;
 use pgse_medici::{
-    EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, MwClient, MwError,
-    ScanFault, ScanFaultPlan,
+    EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, FaultStats, MwClient,
+    MwError, ScanFault, ScanFaultPlan,
 };
-use pgse_obs::{ObsReport, Recorder};
+use pgse_obs::{ObsReport, Recorder, ScopeReport};
 use pgse_partition::weights::initial_graph;
 use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
@@ -427,6 +427,89 @@ impl StreamReport {
     }
 }
 
+/// Where one [`StreamReport`] count is kept. Each count has exactly one
+/// book; a recorder book is written where the event happens.
+#[derive(Clone, Copy)]
+enum Book {
+    /// A counter of the service's `stream` recorder.
+    Stream,
+    /// A counter of the `stream.supervise` recorder.
+    Supervise,
+    /// A counter every `stream.area{a}` recorder keeps — the area's WLS
+    /// solve-cache tallies, across restarts and re-deploys — summed.
+    Areas(&'static str),
+    /// A tally of the ingest queues, summed over the areas.
+    Queues(fn(&IngestStats) -> u64),
+    /// Faults the chaos proxies injected.
+    Proxies,
+}
+
+/// A [`StreamReport`] count field.
+type Field = fn(&mut StreamReport) -> &mut u64;
+
+/// The ledger's name table: every count field of [`StreamReport`], its
+/// obs counter and its book. `failover.*` counters live in the
+/// `stream.supervise` scope, the rest in `stream`, where
+/// [`StreamService::obs_report`] also shows the books that are not
+/// recorders. The report reads every count back from that export, so the
+/// two cannot disagree. Wall-clock values and counts the seed does not
+/// determine are `volatile.`.
+const LEDGER: &[(&str, Book, Field)] = &[
+    ("stream.fed", Book::Stream, |r| &mut r.frames_fed),
+    ("stream.send_failures", Book::Stream, |r| &mut r.send_failures),
+    ("stream.rounds", Book::Stream, |r| &mut r.rounds),
+    ("stream.published", Book::Stream, |r| &mut r.frames_published),
+    ("stream.publish.rejected", Book::Stream, |r| &mut r.publish_rejected),
+    ("stream.unpublishable", Book::Stream, |r| &mut r.rounds_unpublishable),
+    ("stream.solved", Book::Stream, |r| &mut r.area_frames_solved),
+    ("stream.degraded", Book::Stream, |r| &mut r.degraded_area_rounds),
+    ("stream.solve_errors", Book::Stream, |r| &mut r.solve_errors),
+    ("stream.ingested", Book::Queues(|q| q.ingested), |r| &mut r.ingested),
+    ("stream.shed.stale", Book::Queues(|q| q.shed_stale), |r| &mut r.shed_stale),
+    ("stream.shed.overflow", Book::Queues(|q| q.shed_overflow), |r| &mut r.shed_overflow),
+    ("stream.shed.superseded", Book::Queues(|q| q.shed_superseded), |r| &mut r.shed_superseded),
+    ("stream.requeued", Book::Queues(|q| q.requeued), |r| &mut r.requeued),
+    ("stream.corrupt", Book::Stream, |r| &mut r.corrupt),
+    ("stream.faults.injected", Book::Proxies, |r| &mut r.faults_injected),
+    ("stream.gn_iterations", Book::Stream, |r| &mut r.gn_iterations),
+    ("volatile.stream.solve_nanos", Book::Stream, |r| &mut r.solve_nanos),
+    ("stream.symbolic_builds", Book::Areas("wls.symbolic.build"), |r| &mut r.symbolic_builds),
+    ("stream.symbolic_reuses", Book::Areas("wls.symbolic.reuse"), |r| &mut r.symbolic_reuses),
+    ("stream.warm_solves", Book::Areas("wls.warm_starts"), |r| &mut r.warm_solves),
+    ("stream.refactor_reuse", Book::Areas("wls.refactor.reuse"), |r| &mut r.refactor_reuse),
+    ("stream.refactor_full", Book::Areas("wls.refactor.full"), |r| &mut r.refactor_full),
+    ("stream.gain_solves", Book::Stream, |r| &mut r.gain_solves),
+    ("stream.batched_lanes", Book::Stream, |r| &mut r.batched_lanes),
+    ("stream.batch_groups", Book::Stream, |r| &mut r.batch_groups),
+    ("stream.scalar_fallbacks", Book::Stream, |r| &mut r.scalar_fallbacks),
+    ("stream.worker_panics", Book::Stream, |r| &mut r.worker_panics),
+    ("stream.faults.gross", Book::Stream, |r| &mut r.gross_injected),
+    ("stream.faults.rtu", Book::Stream, |r| &mut r.rtu_outages),
+    ("stream.faults.rtu_shed", Book::Stream, |r| &mut r.rtu_shed_measurements),
+    ("stream.baddata.suspect", Book::Stream, |r| &mut r.suspect_frames),
+    ("stream.baddata.cleared", Book::Stream, |r| &mut r.cleared_by_lnr),
+    ("stream.baddata.unidentifiable", Book::Stream, |r| &mut r.degraded_unidentifiable),
+    ("stream.baddata.removed", Book::Stream, |r| &mut r.bad_data_removed),
+    ("stream.restore.frames", Book::Stream, |r| &mut r.frames_restored),
+    ("stream.restore.pseudo", Book::Stream, |r| &mut r.pseudo_added),
+    ("stream.restore.observable", Book::Stream, |r| &mut r.short_scan_observable),
+    ("stream.restore.unobservable", Book::Stream, |r| &mut r.unobservable_degraded),
+    ("stream.topology.transitions", Book::Stream, |r| &mut r.topology_transitions),
+    ("stream.topology.symbolic_rebuilds", Book::Stream, |r| &mut r.symbolic_rebuilds),
+    ("stream.topology.version_skew", Book::Stream, |r| &mut r.topology_version_skew),
+    ("volatile.failover.heartbeats", Book::Supervise, |r| &mut r.heartbeats),
+    ("failover.suspected", Book::Supervise, |r| &mut r.suspected),
+    ("failover.dead", Book::Supervise, |r| &mut r.workers_declared_dead),
+    ("failover.restarts", Book::Supervise, |r| &mut r.workers_restarted),
+    ("failover.cluster_deaths", Book::Supervise, |r| &mut r.cluster_deaths),
+    ("failover.migrations", Book::Supervise, |r| &mut r.areas_rehosted),
+    ("failover.bytes", Book::Supervise, |r| &mut r.failover_bytes),
+    ("failover.checkpoints", Book::Supervise, |r| &mut r.checkpoints_saved),
+    ("failover.restores", Book::Supervise, |r| &mut r.checkpoints_restored),
+    ("failover.cold_restarts", Book::Supervise, |r| &mut r.cold_restarts),
+    ("failover.symbolic_retained", Book::Supervise, |r| &mut r.restart_symbolic_retained),
+];
+
 /// The continuous state-estimation service.
 pub struct StreamService {
     cfg: StreamConfig,
@@ -608,11 +691,60 @@ impl StreamService {
 
     /// Observability export: the service scope, the supervision scope
     /// (failover counters and recovery spans), plus one scope per area
-    /// (where the per-solve WLS spans and counters accumulate).
+    /// (where the per-solve WLS spans and counters accumulate). The
+    /// service scope also shows the ledger's books that are not recorders:
+    /// the ingest queues' tallies, the chaos proxies' faults (in total and
+    /// per kind) and the areas' summed solve-cache counts. Safe to call
+    /// from any thread while the service runs: every count is live.
     pub fn obs_report(&self) -> ObsReport {
-        let mut scopes = vec![self.rec.snapshot(), self.sup_rec.snapshot()];
-        scopes.extend(self.area_recs.iter().map(Recorder::snapshot));
+        let mut stream = self.rec.snapshot();
+        let areas: Vec<ScopeReport> = self.area_recs.iter().map(Recorder::snapshot).collect();
+        let mut queues = IngestStats::default();
+        for q in &self.queues {
+            queues.merge(&q.stats());
+        }
+        let faults: Vec<FaultStats> = self.proxies.iter().map(FaultProxyHandle::stats).collect();
+        for &(name, book, _) in LEDGER {
+            let n = match book {
+                Book::Stream | Book::Supervise => continue,
+                Book::Areas(counter) => areas.iter().map(|s| s.metrics.counter(counter)).sum(),
+                Book::Queues(tally) => tally(&queues),
+                Book::Proxies => faults.iter().map(FaultStats::injected_faults).sum(),
+            };
+            stream.metrics.counter_add(name, n);
+        }
+        for kind in [
+            FaultKind::Delivered,
+            FaultKind::Dropped,
+            FaultKind::Truncated,
+            FaultKind::Delayed,
+            FaultKind::Duplicated,
+        ] {
+            let n = faults.iter().map(|st| st.count_of(kind)).sum();
+            if n > 0 {
+                stream.metrics.counter_add(&format!("stream.faults.{}", kind.label()), n);
+            }
+        }
+        let mut scopes = vec![stream, self.sup_rec.snapshot()];
+        scopes.extend(areas);
         ObsReport::from_scopes(scopes)
+    }
+
+    /// The count fields of a [`StreamReport`], read from the ledger
+    /// through [`StreamService::obs_report`].
+    fn counts(&self) -> StreamReport {
+        let obs = self.obs_report();
+        let mut report = StreamReport::default();
+        for &(name, book, field) in LEDGER {
+            let scope = if matches!(book, Book::Supervise) { "stream.supervise" } else { "stream" };
+            *field(&mut report) = obs.counter(scope, name);
+        }
+        report.area_symbolic_builds = self
+            .area_recs
+            .iter()
+            .map(|rec| obs.counter(rec.scope(), "wls.symbolic.build"))
+            .collect();
+        report
     }
 
     /// Runs the service to completion: feeder, per-area ingest listeners,
@@ -633,18 +765,14 @@ impl StreamService {
         // parks here instead of polling.
         let published_seq: Mutex<Option<u64>> = Mutex::new(None);
         let published = Condvar::new();
-        let frames_fed = AtomicU64::new(0);
-        let send_failures = AtomicU64::new(0);
-        let corrupt: Vec<AtomicU64> = (0..n_areas).map(|_| AtomicU64::new(0)).collect();
-        let gross_fed = AtomicU64::new(0);
-        let rtu_fed = AtomicU64::new(0);
-        let rtu_shed = AtomicU64::new(0);
 
         let mut s1_caches: Vec<SolveCache> = (0..n_areas).map(|_| SolveCache::new()).collect();
         let mut s2_caches: Vec<SolveCache> = (0..n_areas).map(|_| SolveCache::new()).collect();
         let mut last_sets: Vec<Option<MeasurementSet>> = vec![None; n_areas];
         let mut last_solutions: Vec<Option<AreaSolution>> = vec![None; n_areas];
-        let mut report = StreamReport::default();
+        let mut bad_data_events: Vec<BadDataEvent> = Vec::new();
+        let mut last_epoch: Option<u64> = None;
+        let mut rounds: u64 = 0;
         let mut latencies_ms: Vec<f64> = Vec::new();
         // The topology stage the solver currently runs; advanced when a
         // round's frames carry a newer version.
@@ -667,7 +795,7 @@ impl StreamService {
             sup_rec: &self.sup_rec,
             worker_alive: vec![true; n_areas],
             recovering: vec![false; n_areas],
-            retired: CacheTotals { builds: vec![0; n_areas], ..CacheTotals::default() },
+            events: Vec::new(),
         };
         let mut fired_worker = vec![false; cfg.kills.worker_kills.len()];
         let mut fired_cluster = vec![false; cfg.kills.cluster_kills.len()];
@@ -688,11 +816,10 @@ impl StreamService {
             for a in 0..n_areas {
                 let listener = &self.listeners[a];
                 let queue = &self.queues[a];
-                let corrupt = &corrupt[a];
                 let stop = &stop_ingest;
                 ingest_handles.push(scope.spawn(move || loop {
                     let idle =
-                        !ingest_turn(listener, queue, corrupt, FRAME_READ_DEADLINE, solvable);
+                        !ingest_turn(listener, queue, &self.rec, FRAME_READ_DEADLINE, solvable);
                     if idle && stop.load(Ordering::Acquire) {
                         break;
                     }
@@ -707,11 +834,7 @@ impl StreamService {
                 let feeder_done = &feeder_done;
                 let published_seq = &published_seq;
                 let published = &published;
-                let frames_fed = &frames_fed;
-                let send_failures = &send_failures;
-                let gross_fed = &gross_fed;
-                let rtu_fed = &rtu_fed;
-                let rtu_shed = &rtu_shed;
+                let rec = &self.rec;
                 scope.spawn(move || {
                     let client = MwClient::new(registry);
                     for s in 0..cfg.n_frames {
@@ -725,12 +848,10 @@ impl StreamService {
                             let fault = cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s));
                             let net = est.step1_estimator().network();
                             match apply_scan_fault(fault, &mut set, net) {
-                                ScanDamage::Gross => {
-                                    gross_fed.fetch_add(1, Ordering::Relaxed);
-                                }
+                                ScanDamage::Gross => rec.counter_add("stream.faults.gross", 1),
                                 ScanDamage::Rtu { shed } => {
-                                    rtu_fed.fetch_add(1, Ordering::Relaxed);
-                                    rtu_shed.fetch_add(shed, Ordering::Relaxed);
+                                    rec.counter_add("stream.faults.rtu", 1);
+                                    rec.counter_add("stream.faults.rtu_shed", shed);
                                 }
                                 ScanDamage::None => {}
                             }
@@ -739,14 +860,11 @@ impl StreamService {
                             if s == stage.start_seq {
                                 frame.topology_events = stage.events.clone();
                             }
-                            match client.send(&service.feed_urls[a], &wire::encode(&frame)) {
-                                Ok(_) => {
-                                    frames_fed.fetch_add(1, Ordering::Relaxed);
-                                }
-                                Err(_) => {
-                                    send_failures.fetch_add(1, Ordering::Relaxed);
-                                }
-                            }
+                            let sent = client.send(&service.feed_urls[a], &wire::encode(&frame));
+                            rec.counter_add(
+                                if sent.is_ok() { "stream.fed" } else { "stream.send_failures" },
+                                1,
+                            );
                         }
                         if cfg.lockstep {
                             // Park until this frame's snapshot is
@@ -790,9 +908,9 @@ impl StreamService {
                     // A dead worker pops nothing: its queue accumulates
                     // (latest-wins) until the supervisor revives it.
                     let f = if sup.worker_alive[a] { q.pop_latest(POP_DEADLINE) } else { None };
-                    any |= f.is_some();
                     if f.is_some() {
-                        report.area_frames_solved += 1;
+                        any = true;
+                        self.rec.counter_add("stream.solved", 1);
                     }
                     popped.push(f);
                 }
@@ -807,7 +925,6 @@ impl StreamService {
                             &mut s1_caches,
                             &mut s2_caches,
                             &mut last_sets,
-                            &mut report,
                         );
                         continue;
                     }
@@ -879,7 +996,7 @@ impl StreamService {
                             // A scan generated against another topology
                             // cannot be solved on this round's estimator
                             // bank; the area runs degraded instead.
-                            report.topology_version_skew += 1;
+                            self.rec.counter_add("stream.topology.version_skew", 1);
                             continue;
                         }
                         enqueue_times[a] = Some(t_enq);
@@ -894,15 +1011,13 @@ impl StreamService {
                 // starts, checkpoints and carried solutions all carry over.
                 // An islanding stage re-deploys: every area comes up cold.
                 for stage in &self.stages[active_version + 1..=round_version] {
-                    report.topology_transitions += 1;
+                    self.rec.counter_add("stream.topology.transitions", 1);
                     if stage.islanding_events == 0 {
                         continue;
                     }
+                    self.rec.counter_add("stream.topology.symbolic_rebuilds", n_areas as u64);
                     for a in 0..n_areas {
-                        report.symbolic_rebuilds += 1;
                         sup.ckpts.clear(a);
-                        sup.retired.absorb(a, &s1_caches[a]);
-                        sup.retired.absorb(a, &s2_caches[a]);
                         s1_caches[a] = SolveCache::new();
                         s2_caches[a] = SolveCache::new();
                         last_solutions[a] = None;
@@ -914,14 +1029,7 @@ impl StreamService {
                 active_version = round_version;
                 let ests = &self.stages[active_version].estimators;
 
-                self.place_scans(
-                    ests,
-                    &popped_frames,
-                    &last_solutions,
-                    &mut fresh,
-                    &mut last_sets,
-                    &mut report,
-                );
+                self.place_scans(ests, &popped_frames, &last_solutions, &mut fresh, &mut last_sets);
 
                 // Panic injection is decided before the fan-out so the
                 // parallel closures stay deterministic.
@@ -951,19 +1059,16 @@ impl StreamService {
                     s1_caches.iter_mut().chain(&mut s2_caches).for_each(SolveCache::clear);
                     plan.clear();
                 }
-                let step1: Vec<StageOutcome> = self.round_batched_step1(
+                let mut step1 = self.round_batched_step1(
                     ests,
                     &fresh,
                     &last_sets,
                     &panic_now,
                     &mut s1_caches,
                     &mut plan,
-                    &mut report,
                 );
-
-                let mut step1 = step1;
                 if let Some(gate) = cfg.baddata {
-                    self.bad_data_stage(
+                    bad_data_events.extend(self.bad_data_stage(
                         gate,
                         ests,
                         target_seq,
@@ -971,8 +1076,7 @@ impl StreamService {
                         &mut last_sets,
                         &mut s1_caches,
                         &mut plan,
-                        &mut report,
-                    );
+                    ));
                 }
 
                 // Contain Step-1 casualties: the panicked worker's frame
@@ -981,11 +1085,10 @@ impl StreamService {
                 let mut to_restart: Vec<usize> = Vec::new();
                 for a in 0..n_areas {
                     match step1[a] {
-                        StageOutcome::Failed => report.solve_errors += 1,
+                        StageOutcome::Failed => self.rec.counter_add("stream.solve_errors", 1),
                         StageOutcome::Panicked => {
-                            report.worker_panics += 1;
-                            report
-                                .events
+                            self.rec.counter_add("stream.worker_panics", 1);
+                            sup.events
                                 .push(SupervisionEvent::Panicked { area: a, seq: target_seq });
                             if let Some(frame) = popped_frames[a].take() {
                                 self.queues[a].requeue(frame);
@@ -1062,11 +1165,10 @@ impl StreamService {
                 // area carries its Step-1 view and the worker restarts.
                 for (a, outcome) in step2.iter().enumerate() {
                     match outcome {
-                        StageOutcome::Failed => report.solve_errors += 1,
+                        StageOutcome::Failed => self.rec.counter_add("stream.solve_errors", 1),
                         StageOutcome::Panicked => {
-                            report.worker_panics += 1;
-                            report
-                                .events
+                            self.rec.counter_add("stream.worker_panics", 1);
+                            sup.events
                                 .push(SupervisionEvent::Panicked { area: a, seq: target_seq });
                             to_restart.push(a);
                         }
@@ -1102,10 +1204,11 @@ impl StreamService {
                         last_solutions[a] = Some(sol);
                     }
                 }
-                report.rounds += 1;
-                report.gn_iterations += gn;
-                report.solve_nanos += round_start.elapsed().as_nanos() as u64;
-                report.degraded_area_rounds += degraded.len() as u64;
+                rounds += 1;
+                self.rec.counter_add("stream.rounds", 1);
+                self.rec.counter_add("stream.gn_iterations", gn);
+                let nanos = round_start.elapsed().as_nanos() as u64;
+                self.rec.counter_add("volatile.stream.solve_nanos", nanos);
                 if !degraded.is_empty() {
                     self.rec.counter_add("stream.degraded", degraded.len() as u64);
                 }
@@ -1120,16 +1223,14 @@ impl StreamService {
                         && matches!(step1[a], StageOutcome::Solved(_))
                     {
                         sup.recovering[a] = false;
-                        report
-                            .events
-                            .push(SupervisionEvent::Recovered { area: a, seq: target_seq });
+                        sup.events.push(SupervisionEvent::Recovered { area: a, seq: target_seq });
                     }
                 }
 
                 // Checkpoint the round's survivors, then close the round on
                 // the watchdog: heartbeats, deadline tick, and whatever
                 // recovery (restart / cluster failover) the tick implies.
-                if report.rounds % supervision.checkpoint_interval == 0 {
+                if rounds.is_multiple_of(supervision.checkpoint_interval) {
                     for a in 0..n_areas {
                         if sup.worker_alive[a]
                             && fresh[a]
@@ -1143,12 +1244,13 @@ impl StreamService {
                                 last_solution: last_solutions[a].clone(),
                                 structure: s1_caches[a].structure_descriptor(),
                             });
+                            self.sup_rec.counter_add("failover.checkpoints", 1);
                         }
                     }
                 }
                 for a in 0..n_areas {
                     if sup.worker_alive[a] && !to_restart.contains(&a) {
-                        sup.watchdog.beat(a);
+                        sup.beat(a);
                     }
                 }
                 let revived = sup.tick_and_recover(
@@ -1156,22 +1258,13 @@ impl StreamService {
                     &mut s1_caches,
                     &mut s2_caches,
                     &mut last_sets,
-                    &mut report,
                 );
                 for a in to_restart {
                     if revived.contains(&a) {
                         continue; // the watchdog path already revived it
                     }
-                    let warm = sup.revive(
-                        a,
-                        &mut s1_caches,
-                        &mut s2_caches,
-                        &mut last_sets,
-                        &mut report,
-                    );
-                    report
-                        .events
-                        .push(SupervisionEvent::Restarted { area: a, seq: target_seq, warm });
+                    let warm = sup.revive(a, &mut s1_caches, &mut s2_caches, &mut last_sets);
+                    sup.events.push(SupervisionEvent::Restarted { area: a, seq: target_seq, warm });
                 }
 
                 // Aggregate and publish once every area has contributed.
@@ -1192,8 +1285,7 @@ impl StreamService {
                             *published_seq.lock().expect("published_seq lock poisoned") =
                                 Some(target_seq);
                             published.notify_one();
-                            report.frames_published += 1;
-                            report.last_epoch = Some(epoch);
+                            last_epoch = Some(epoch);
                             self.rec.counter_add("stream.published", 1);
                             let now = Instant::now();
                             let solved = enqueue_times.iter().zip(&fresh);
@@ -1203,13 +1295,10 @@ impl StreamService {
                                 self.rec.observe("volatile.stream.frame_latency_ms", ms);
                             }
                         }
-                        Err(_) => {
-                            report.publish_rejected += 1;
-                            self.rec.counter_add("stream.publish.rejected", 1);
-                        }
+                        Err(_) => self.rec.counter_add("stream.publish.rejected", 1),
                     }
                 } else {
-                    report.rounds_unpublishable += 1;
+                    self.rec.counter_add("stream.unpublishable", 1);
                 }
                 drop(round_span);
                 last_target = target_seq;
@@ -1217,50 +1306,22 @@ impl StreamService {
             }
         });
 
-        // --- shutdown accounting: close, drain, and fold every counter so
+        // --- shutdown: close and drain the queues, so that
         // ingested + requeued == solved + shed is exact.
-        let mut totals = IngestStats::default();
         for q in &self.queues {
             q.close();
             q.drain_remaining();
-            totals.merge(&q.stats());
         }
-        report.ingested = totals.ingested;
-        report.shed_stale = totals.shed_stale;
-        report.shed_overflow = totals.shed_overflow;
-        report.shed_superseded = totals.shed_superseded;
-        report.requeued = totals.requeued;
-        report.corrupt = corrupt.iter().map(|c| c.load(Ordering::Relaxed)).sum();
-        report.frames_fed = frames_fed.load(Ordering::Relaxed);
-        report.send_failures = send_failures.load(Ordering::Relaxed);
-        report.gross_injected = gross_fed.load(Ordering::Relaxed);
-        report.rtu_outages = rtu_fed.load(Ordering::Relaxed);
-        report.rtu_shed_measurements = rtu_shed.load(Ordering::Relaxed);
-        // Live caches join the totals retired by worker restarts and
-        // re-deploys, so no build/reuse/warm-solve is lost or
-        // double-counted across them.
-        for a in 0..n_areas {
-            sup.retired.absorb(a, &s1_caches[a]);
-            sup.retired.absorb(a, &s2_caches[a]);
-        }
-        report.symbolic_builds = sup.retired.builds.iter().sum();
-        report.area_symbolic_builds = std::mem::take(&mut sup.retired.builds);
-        report.symbolic_reuses = sup.retired.reuses;
-        report.warm_solves = sup.retired.warm;
-        report.refactor_reuse = sup.retired.refac_reuse;
-        report.refactor_full = sup.retired.refac_full;
-        report.heartbeats = sup.watchdog.beats();
-        let ck = sup.ckpts.stats();
-        report.checkpoints_saved = ck.saves;
-        report.checkpoints_restored = ck.restores;
-        report.cold_restarts = ck.misses;
-        self.record_run_counters(&mut report);
-
         latencies_ms.sort_by(f64::total_cmp);
-        report.latency_p50_ms = percentile(&latencies_ms, 0.50);
-        report.latency_p99_ms = percentile(&latencies_ms, 0.99);
-        report.elapsed = start.elapsed();
-        report
+        StreamReport {
+            bad_data_events,
+            events: sup.events,
+            last_epoch,
+            latency_p50_ms: percentile(&latencies_ms, 0.50),
+            latency_p99_ms: percentile(&latencies_ms, 0.99),
+            elapsed: start.elapsed(),
+            ..self.counts()
+        }
     }
 
     /// One round of wave-driven, cross-area batched Step-1 solving.
@@ -1288,7 +1349,6 @@ impl StreamService {
         panic_now: &[bool],
         s1_caches: &mut [SolveCache],
         plan: &mut BatchPlan,
-        report: &mut StreamReport,
     ) -> Vec<StageOutcome> {
         enum WaveSlot<'w> {
             Skipped,
@@ -1341,10 +1401,10 @@ impl StreamService {
                 break;
             }
             let out = plan.solve_round(&systems);
-            report.gain_solves += active.len() as u64;
-            report.batch_groups += out.batch_groups;
-            report.batched_lanes += out.batched_lanes;
-            report.scalar_fallbacks += out.scalar_fallbacks;
+            self.rec.counter_add("stream.gain_solves", active.len() as u64);
+            self.rec.counter_add("stream.batch_groups", out.batch_groups);
+            self.rec.counter_add("stream.batched_lanes", out.batched_lanes);
+            self.rec.counter_add("stream.scalar_fallbacks", out.scalar_fallbacks);
             for (k, &a) in active.iter().enumerate() {
                 let advanced = {
                     let WaveSlot::Wave(wave) = &mut waves[a] else { unreachable!() };
@@ -1398,68 +1458,6 @@ impl StreamService {
 }
 
 impl StreamService {
-    /// Folds the chaos proxies' fault counts into `report` and writes the
-    /// run's totals to the service and supervision obs scopes.
-    fn record_run_counters(&self, report: &mut StreamReport) {
-        for h in &self.proxies {
-            let st = h.stats();
-            report.faults_injected += st.injected_faults();
-            for kind in [
-                FaultKind::Delivered,
-                FaultKind::Dropped,
-                FaultKind::Truncated,
-                FaultKind::Delayed,
-                FaultKind::Duplicated,
-            ] {
-                let n = st.count_of(kind);
-                if n > 0 {
-                    self.rec.counter_add(&format!("stream.faults.{}", kind.label()), n);
-                }
-            }
-        }
-        self.rec.counter_add("stream.ingested", report.ingested);
-        self.rec.counter_add("stream.solved", report.area_frames_solved);
-        self.rec.counter_add("stream.shed.stale", report.shed_stale);
-        self.rec.counter_add("stream.shed.overflow", report.shed_overflow);
-        self.rec.counter_add("stream.shed.superseded", report.shed_superseded);
-        self.rec.counter_add("stream.corrupt", report.corrupt);
-        self.rec.counter_add("stream.requeued", report.requeued);
-        self.rec.counter_add("stream.worker_panics", report.worker_panics);
-        self.rec.counter_add("stream.refactor_reuse", report.refactor_reuse);
-        self.rec.counter_add("stream.refactor_full", report.refactor_full);
-        self.rec.counter_add("stream.gain_solves", report.gain_solves);
-        self.rec.counter_add("stream.batched_lanes", report.batched_lanes);
-        self.rec.counter_add("stream.batch_groups", report.batch_groups);
-        self.rec.counter_add("stream.scalar_fallbacks", report.scalar_fallbacks);
-        // Robustness counters. Deliberately *counts only* — the gate/LNR
-        // wall-clock nanos stay out of obs so same-seed runs replay to
-        // byte-identical deterministic reports.
-        self.rec.counter_add("stream.baddata.suspect", report.suspect_frames);
-        self.rec.counter_add("stream.baddata.cleared", report.cleared_by_lnr);
-        self.rec
-            .counter_add("stream.baddata.unidentifiable", report.degraded_unidentifiable);
-        self.rec.counter_add("stream.baddata.removed", report.bad_data_removed);
-        self.rec.counter_add("stream.restore.frames", report.frames_restored);
-        self.rec.counter_add("stream.restore.pseudo", report.pseudo_added);
-        self.rec
-            .counter_add("stream.restore.unobservable", report.unobservable_degraded);
-        self.rec.counter_add("stream.faults.gross", report.gross_injected);
-        self.rec.counter_add("stream.faults.rtu", report.rtu_outages);
-        self.rec.counter_add("stream.topology.transitions", report.topology_transitions);
-        self.rec
-            .counter_add("stream.topology.symbolic_rebuilds", report.symbolic_rebuilds);
-        self.sup_rec.counter_add("failover.suspected", report.suspected);
-        self.sup_rec.counter_add("failover.dead", report.workers_declared_dead);
-        self.sup_rec.counter_add("failover.restarts", report.workers_restarted);
-        self.sup_rec.counter_add("failover.cluster_deaths", report.cluster_deaths);
-        self.sup_rec.counter_add("failover.migrations", report.areas_rehosted);
-        self.sup_rec.counter_add("failover.bytes", report.failover_bytes);
-        self.sup_rec.counter_add("failover.checkpoints", report.checkpoints_saved);
-        self.sup_rec.counter_add("failover.restores", report.checkpoints_restored);
-        self.sup_rec
-            .counter_add("failover.symbolic_retained", report.restart_symbolic_retained);
-    }
-
     /// Places each fresh area's scan on its Step-1 layout
     /// ([`AreaEstimator::place_scan`]) — a row the scan lost in flight
     /// stays in place, inactive — and, with restoration on, repairs a
@@ -1474,13 +1472,12 @@ impl StreamService {
         last_solutions: &[Option<AreaSolution>],
         fresh: &mut [bool],
         last_sets: &mut [Option<MeasurementSet>],
-        report: &mut StreamReport,
     ) {
         for (a, frame) in frames.iter().enumerate() {
             let Some(frame) = frame else { continue };
             let est = &ests[a];
             let Some(mut set) = est.place_scan(&frame.measurements) else {
-                report.solve_errors += 1;
+                self.rec.counter_add("stream.solve_errors", 1);
                 fresh[a] = false;
                 continue;
             };
@@ -1495,14 +1492,14 @@ impl StreamService {
                     restoration::restore_on(w.network(), w.ybus(), &set, w.space(), &vm0, &va0)
                 });
                 if rep.added.is_empty() {
-                    report.short_scan_observable += 1;
+                    self.rec.counter_add("stream.restore.observable", 1);
                 } else if rep.after.observable {
-                    report.frames_restored += 1;
-                    report.pseudo_added += rep.added.len() as u64;
+                    self.rec.counter_add("stream.restore.frames", 1);
+                    self.rec.counter_add("stream.restore.pseudo", rep.added.len() as u64);
                     let pseudo = rep.added.iter().map(|&i| aug.as_slice()[i]);
                     restoration::place_pseudo(&mut set, est.scan_len(), pseudo);
                 } else {
-                    report.unobservable_degraded += 1;
+                    self.rec.counter_add("stream.restore.unobservable", 1);
                     fresh[a] = false;
                 }
             }
@@ -1520,7 +1517,8 @@ impl StreamService {
     /// cache — no pattern changes, so neither this nor the following Step 2
     /// re-analyses anything. Re-solve iterations join the area's Step-1
     /// iterations. Results are applied in area order, so the round does
-    /// not depend on the pool size.
+    /// not depend on the pool size. Returns the round's cleared frames'
+    /// rejections.
     #[allow(clippy::too_many_arguments)]
     fn bad_data_stage(
         &self,
@@ -1531,8 +1529,7 @@ impl StreamService {
         last_sets: &mut [Option<MeasurementSet>],
         s1_caches: &mut [SolveCache],
         plan: &mut BatchPlan,
-        report: &mut StreamReport,
-    ) {
+    ) -> Vec<BadDataEvent> {
         let mut suspect = vec![false; ests.len()];
         let mut syms: Vec<Option<Arc<CholSymbolic>>> = vec![None; ests.len()];
         for (a, est) in ests.iter().enumerate() {
@@ -1541,13 +1538,14 @@ impl StreamService {
             };
             let dim = est.step1_estimator().space().dim();
             if baddata::chi_square_detects(set, s.objective, dim, gate.confidence) {
-                report.suspect_frames += 1;
+                self.rec.counter_add("stream.baddata.suspect", 1);
                 suspect[a] = true;
                 syms[a] = s1_caches[a].gain().map(|g| plan.symbolic(g).0);
             }
         }
+        let mut events = Vec::new();
         if !suspect.contains(&true) {
-            return;
+            return events;
         }
         let solved: &[StageOutcome] = step1;
         let outcomes: Vec<Option<Result<BadDataReport, WlsError>>> = ests
@@ -1579,13 +1577,9 @@ impl StreamService {
             let wave_iterations = s.iterations;
             step1[a] = match out {
                 Ok(rep) if rep.clean => {
-                    report.cleared_by_lnr += 1;
-                    report.bad_data_removed += rep.removed.len() as u64;
-                    report.bad_data_events.push(BadDataEvent {
-                        seq,
-                        area: a,
-                        removed: rep.removed,
-                    });
+                    self.rec.counter_add("stream.baddata.cleared", 1);
+                    self.rec.counter_add("stream.baddata.removed", rep.removed.len() as u64);
+                    events.push(BadDataEvent { seq, area: a, removed: rep.removed });
                     StageOutcome::Solved(AreaSolution {
                         vm: rep.estimate.vm,
                         va: rep.estimate.va,
@@ -1597,15 +1591,16 @@ impl StreamService {
                 // failed: suppress the suspect solution and run degraded
                 // on the carried state.
                 Ok(rep) => {
-                    report.degraded_unidentifiable += 1;
+                    self.rec.counter_add("stream.baddata.unidentifiable", 1);
                     StageOutcome::Degraded(wave_iterations + rep.resolve_iterations)
                 }
                 Err(_) => {
-                    report.degraded_unidentifiable += 1;
+                    self.rec.counter_add("stream.baddata.unidentifiable", 1);
                     StageOutcome::Degraded(wave_iterations)
                 }
             };
         }
+        events
     }
 }
 
@@ -1628,30 +1623,9 @@ enum StageOutcome {
     Degraded(usize),
 }
 
-/// Running totals of retired (replaced) solve caches, so worker restarts
-/// never lose or double-count cache statistics.
-#[derive(Debug, Default)]
-struct CacheTotals {
-    /// Symbolic builds per area.
-    builds: Vec<u64>,
-    reuses: u64,
-    warm: u64,
-    refac_reuse: u64,
-    refac_full: u64,
-}
-
-impl CacheTotals {
-    fn absorb(&mut self, area: usize, c: &SolveCache) {
-        self.builds[area] += c.symbolic_builds;
-        self.reuses += c.symbolic_reuses;
-        self.warm += c.warm_solves;
-        self.refac_reuse += c.refactor_reuse;
-        self.refac_full += c.refactor_full;
-    }
-}
-
 /// The supervisor's mutable state for one run: watchdog, checkpoints,
-/// fleet liveness, and the live area → cluster mapping.
+/// fleet liveness, the live area → cluster mapping, and the run's
+/// supervision events. Its counts go to `sup_rec` where they happen.
 struct Supervision<'a> {
     watchdog: Watchdog,
     ckpts: CheckpointStore,
@@ -1662,15 +1636,22 @@ struct Supervision<'a> {
     sup_rec: &'a Recorder,
     worker_alive: Vec<bool>,
     recovering: Vec<bool>,
-    retired: CacheTotals,
+    events: Vec<SupervisionEvent>,
 }
 
 impl Supervision<'_> {
+    /// A heartbeat from `area`'s worker, counted when the watchdog takes it.
+    fn beat(&mut self, area: usize) {
+        if self.watchdog.beat(area) {
+            self.sup_rec.counter_add("volatile.failover.heartbeats", 1);
+        }
+    }
+
     /// Heartbeats for every live worker (recovery-only rounds).
     fn beat_alive(&mut self) {
         for a in 0..self.worker_alive.len() {
             if self.worker_alive[a] {
-                self.watchdog.beat(a);
+                self.beat(a);
             }
         }
     }
@@ -1686,20 +1667,21 @@ impl Supervision<'_> {
         s1_caches: &mut [SolveCache],
         s2_caches: &mut [SolveCache],
         last_sets: &mut [Option<MeasurementSet>],
-        report: &mut StreamReport,
     ) -> Vec<usize> {
         let events = self.watchdog.tick(seq);
         let mut newly_dead: Vec<usize> = Vec::new();
         for ev in events {
             match ev {
-                SupervisionEvent::Suspected { .. } => report.suspected += 1,
+                SupervisionEvent::Suspected { .. } => {
+                    self.sup_rec.counter_add("failover.suspected", 1);
+                }
                 SupervisionEvent::Died { area, .. } => {
-                    report.workers_declared_dead += 1;
+                    self.sup_rec.counter_add("failover.dead", 1);
                     newly_dead.push(area);
                 }
                 _ => {}
             }
-            report.events.push(ev);
+            self.events.push(ev);
         }
         if newly_dead.is_empty() {
             return Vec::new();
@@ -1729,8 +1711,8 @@ impl Supervision<'_> {
             let mut span = self.sup_rec.span_at("failover.recover", seq);
             for &c in &dead_clusters {
                 self.liveness.kill(c);
-                report.cluster_deaths += 1;
-                report.events.push(SupervisionEvent::ClusterDied { cluster: c, seq });
+                self.sup_rec.counter_add("failover.cluster_deaths", 1);
+                self.events.push(SupervisionEvent::ClusterDied { cluster: c, seq });
             }
             // Minimal-migration repartition over the survivors, then the
             // redistribution plan that ships the orphans' checkpoints to
@@ -1748,15 +1730,15 @@ impl Supervision<'_> {
             span.record("migrations", plan.migrations() as u64);
             span.record("bytes", plan.total_bytes());
             for m in &plan.moves {
-                report.areas_rehosted += 1;
-                report.failover_bytes += m.bytes;
-                report.events.push(SupervisionEvent::Rehosted {
+                self.sup_rec.counter_add("failover.migrations", 1);
+                self.sup_rec.counter_add("failover.bytes", m.bytes);
+                self.events.push(SupervisionEvent::Rehosted {
                     area: m.area,
                     from_cluster: m.from_cluster,
                     to_cluster: m.to_cluster,
                     seq,
                 });
-                self.revive(m.area, s1_caches, s2_caches, last_sets, report);
+                self.revive(m.area, s1_caches, s2_caches, last_sets);
                 revived.push(m.area);
             }
             self.assignment = shrunk.assignment;
@@ -1767,36 +1749,32 @@ impl Supervision<'_> {
         // Dead state, so they are skipped here).
         for a in newly_dead {
             if self.watchdog.health(a) == WorkerHealth::Dead {
-                let warm = self.revive(a, s1_caches, s2_caches, last_sets, report);
-                report.events.push(SupervisionEvent::Restarted { area: a, seq, warm });
+                let warm = self.revive(a, s1_caches, s2_caches, last_sets);
+                self.events.push(SupervisionEvent::Restarted { area: a, seq, warm });
                 revived.push(a);
             }
         }
         revived
     }
 
-    /// Brings a worker back: folds its retired caches into the running
-    /// totals, installs fresh caches, and restores the latest checkpoint
-    /// (warm WLS start + last raw scan) when one exists. Returns whether
-    /// the restart was warm.
+    /// Brings a worker back: installs fresh caches and restores the
+    /// latest checkpoint (warm WLS start + last raw scan) when one exists.
+    /// Returns whether the restart was warm. The area's recorder keeps its
+    /// solve-cache counts across the restart.
     ///
     /// Structure retention: when the checkpointed
     /// [`pgse_estimation::wls::StructureDescriptor`] matches what the
     /// live cache is running with, the topology is
     /// verified unchanged across the failure, so the symbolic analyses
     /// (Jacobian pattern, gain `AᵀWA` symbolic) survive the restart
-    /// instead of being rebuilt on the first post-revive frame. Counters
-    /// are zeroed either way — the absorb above already banked them.
+    /// instead of being rebuilt on the first post-revive frame.
     fn revive(
         &mut self,
         a: usize,
         s1_caches: &mut [SolveCache],
         s2_caches: &mut [SolveCache],
         last_sets: &mut [Option<MeasurementSet>],
-        report: &mut StreamReport,
     ) -> bool {
-        self.retired.absorb(a, &s1_caches[a]);
-        self.retired.absorb(a, &s2_caches[a]);
         let restored = self.ckpts.restore(a);
         let retained = match (&restored, s1_caches[a].structure_descriptor()) {
             (Some(ck), Some(live)) => ck.structure == Some(live),
@@ -1805,13 +1783,14 @@ impl Supervision<'_> {
         if retained {
             s1_caches[a].retain_structures_for_restart();
             s2_caches[a].retain_structures_for_restart();
-            report.restart_symbolic_retained += 1;
+            self.sup_rec.counter_add("failover.symbolic_retained", 1);
         } else {
             s1_caches[a] = SolveCache::new();
             s2_caches[a] = SolveCache::new();
         }
         let warm = match restored {
             Some(ck) => {
+                self.sup_rec.counter_add("failover.restores", 1);
                 let has_warm = ck.warm.is_some();
                 if let Some((vm, va)) = ck.warm {
                     s1_caches[a].restore_warm(vm, va);
@@ -1820,6 +1799,7 @@ impl Supervision<'_> {
                 has_warm
             }
             None => {
+                self.sup_rec.counter_add("failover.cold_restarts", 1);
                 last_sets[a] = None;
                 false
             }
@@ -1827,7 +1807,7 @@ impl Supervision<'_> {
         self.worker_alive[a] = true;
         self.recovering[a] = true;
         self.watchdog.revive(a);
-        report.workers_restarted += 1;
+        self.sup_rec.counter_add("failover.restarts", 1);
         warm
     }
 }
@@ -2101,7 +2081,7 @@ fn step2_seed(seed: u64, s: u64) -> u64 {
 fn ingest_turn(
     listener: &TcpListener,
     queue: &IngestQueue,
-    corrupt: &AtomicU64,
+    rec: &Recorder,
     read_budget: Duration,
     solvable: &dyn Fn(&StreamFrame) -> bool,
 ) -> bool {
@@ -2109,7 +2089,7 @@ fn ingest_turn(
         Ok(conn) => conn,
         Err(e) if e.is_timeout() => return false,
         Err(_) => {
-            corrupt.fetch_add(1, Ordering::Relaxed);
+            rec.counter_add("stream.corrupt", 1);
             return true;
         }
     };
@@ -2122,7 +2102,7 @@ fn ingest_turn(
     if let Some(frame) = frame {
         queue.push(frame);
     } else {
-        corrupt.fetch_add(1, Ordering::Relaxed);
+        rec.counter_add("stream.corrupt", 1);
     }
     true
 }
@@ -2270,17 +2250,17 @@ mod tests {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
         let queue = IngestQueue::new(4);
-        let corrupt = AtomicU64::new(0);
+        let rec = Recorder::new("stream");
         let (over_tx, over_rx) = std::sync::mpsc::channel();
         std::thread::scope(|scope| {
             scope.spawn(move || peer(addr, over_rx));
             // The accept wait is an idle poll: early turns may pass empty.
             let accepted =
-                (0..200).any(|_| ingest_turn(&listener, &queue, &corrupt, read_budget, &|_| true));
+                (0..200).any(|_| ingest_turn(&listener, &queue, &rec, read_budget, &|_| true));
             assert!(accepted, "the peer never connected");
             drop(over_tx);
         });
-        (queue, corrupt.into_inner())
+        (queue, rec.snapshot().metrics.counter("stream.corrupt"))
     }
 
     #[test]
@@ -2373,8 +2353,8 @@ mod tests {
 
         let mut fresh: Vec<bool> = frames.iter().map(Option::is_some).collect();
         let mut last_sets = vec![None; n];
-        let mut report = StreamReport::default();
-        service.place_scans(ests, &frames, &vec![None; n], &mut fresh, &mut last_sets, &mut report);
+        service.place_scans(ests, &frames, &vec![None; n], &mut fresh, &mut last_sets);
+        let report = service.counts();
 
         assert_eq!(report.solve_errors, 1);
         assert_eq!(fresh[..3], [false, true, true]);

@@ -9,7 +9,9 @@
 //!   steady topology: fewer Gauss–Newton iterations *and* less solve
 //!   time;
 //! * under middleware chaos (drops, truncation, delay, duplication via
-//!   `medici::faults`) the accounting identity still closes exactly.
+//!   `medici::faults`) the accounting identity still closes exactly;
+//! * the counts are **live**: an ObsReport taken while the service runs
+//!   already holds every frame solved so far.
 
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::Mutex;
@@ -218,4 +220,51 @@ fn chaos_run_still_accounts_every_frame_and_epochs_stay_monotone() {
     let obs = service.obs_report();
     assert_eq!(obs.counter("stream", "stream.ingested"), report.ingested);
     assert_eq!(obs.counter("stream", "stream.corrupt"), report.corrupt);
+}
+
+/// Every count is written where it happens, so a reader polling the
+/// export mid-run sees the frames solved so far. Each assertion is a
+/// lower bound that also holds once the run has returned.
+#[test]
+fn counts_are_visible_while_the_service_runs() {
+    let _serial = serial();
+    let net = ieee118_like();
+    let cfg = StreamConfig {
+        n_frames: 200,
+        seed: 23,
+        deterministic_rounds: true,
+        ..StreamConfig::default()
+    };
+    let service = StreamService::deploy(&net, cfg).unwrap();
+    let n_areas = service.n_areas() as u64;
+
+    let report = std::thread::scope(|s| {
+        let service = &service;
+        s.spawn(move || {
+            // The lockstep feeder sends frame 21 only once frame 20 is
+            // published, and the round gate solves every area's frame of
+            // each round, so rounds 0..=20 have all been counted.
+            let waiting = std::time::Instant::now();
+            while service.store().load().is_none_or(|snap| snap.frame_seq < 20) {
+                assert!(waiting.elapsed() < Duration::from_secs(120), "frame 20 never published");
+                std::thread::sleep(Duration::from_micros(200));
+            }
+            let first = service.obs_report();
+            assert!(first.counter("stream", "stream.solved") >= 20 * n_areas);
+            assert!(first.counter("stream", "stream.ingested") >= 20 * n_areas);
+            // Step-1 Gauss–Newton iterations: one dispatched gain system each.
+            assert!(first.counter("stream", "stream.gain_solves") > 0);
+
+            let second = service.obs_report();
+            for scope in &first.scopes {
+                for (name, &n) in &scope.metrics.counters {
+                    let later = second.counter(&scope.scope, name);
+                    assert!(later >= n, "{}/{name} fell from {n} to {later}", scope.scope);
+                }
+            }
+        });
+        service.run()
+    });
+    assert_eq!(report.frames_published, 200);
+    assert_eq!(report.unaccounted(), 0, "{report:?}");
 }
