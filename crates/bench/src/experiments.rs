@@ -411,6 +411,10 @@ pub fn exp_dse_vs_centralized() -> String {
     let mut proto = SystemPrototype::deploy(net.clone(), PrototypeConfig::default())
         .expect("prototype");
     let frame = proto.run_frame(0.0).expect("frame");
+    // The wall time is a second frame's: the first frame of a process also
+    // pays one-time costs (it dials every middleware session, and the
+    // kernel grows the process's descriptor table to hold them).
+    let warm = proto.run_frame(0.0).expect("warm frame");
 
     let central_va_rmse = {
         let s: f64 = central.va.iter().zip(&pf.va).map(|(p, q)| (p - q) * (p - q)).sum();
@@ -444,7 +448,7 @@ pub fn exp_dse_vs_centralized() -> String {
         "solve wall time           | {:>9.2} ms | {:>13.2} ms | {:>22.2} ms",
         central_time.as_secs_f64() * 1e3,
         (report.step1_time + report.step2_time).as_secs_f64() * 1e3,
-        frame.total_time().as_secs_f64() * 1e3
+        warm.total_time().as_secs_f64() * 1e3
     );
     let _ = writeln!(
         out,

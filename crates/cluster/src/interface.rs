@@ -7,20 +7,25 @@
 //! the required fields … and assembles them as inputs to the parallel
 //! power models."
 //!
-//! Here the layer owns the cluster's inbox endpoint, buffers inbound
-//! frames, and hands the extracted payloads to the compute side.
+//! Here the layer owns the cluster's inbox endpoint as a session
+//! receiver ([`Inbox`]): each peer's held connection stays open across
+//! rounds, and every connection is read from one poll on the calling
+//! thread. Inbound frames are buffered and the extracted payloads handed
+//! to the compute side; frames read but not yet consumed by one
+//! collection stay queued for the next.
 
-use std::net::TcpListener;
 use std::time::{Duration, Instant};
 
-use pgse_medici::{Delivery, EndpointRegistry, MwClient, MwConfig, MwError};
+use pgse_medici::client::DEFAULT_RECV_DEADLINE;
+use pgse_medici::{Arrival, Delivery, EndpointRegistry, Inbox, MwClient, MwConfig, MwError};
 
 /// What a deadline-bounded collection actually gathered.
 #[derive(Debug, Clone, Copy, Default, PartialEq, Eq)]
 pub struct CollectOutcome {
     /// Intact frames added to the buffer.
     pub received: usize,
-    /// Connections that delivered a corrupt/truncated frame.
+    /// Corrupt deliveries: a frame cut by its connection's close or reset,
+    /// stalled past the middleware deadline, or rejected by the caller.
     pub corrupt: usize,
     /// Frames discarded as duplicates of an already-received source
     /// (only counted by [`InterfaceLayer::collect_distinct`]).
@@ -35,8 +40,9 @@ pub struct InterfaceLayer {
     inbox_url: String,
     /// The middleware client used to disseminate data.
     client: MwClient,
-    /// The inbox listener (the "local data buffer" feed).
-    listener: TcpListener,
+    /// The inbox endpoint and its held connections (the "local data
+    /// buffer" feed).
+    inbox: Inbox,
     /// Buffered frames not yet consumed by the data processor.
     buffer: Vec<Vec<u8>>,
 }
@@ -52,7 +58,8 @@ impl InterfaceLayer {
     }
 
     /// [`InterfaceLayer::deploy`] with explicit middleware deadlines and
-    /// retry policy for this layer's client.
+    /// retry policy for this layer's client; `config.op_deadline` is also
+    /// how long a partly received inbound frame may stall.
     ///
     /// # Errors
     /// [`MwError`] when the endpoint cannot be bound.
@@ -61,11 +68,11 @@ impl InterfaceLayer {
         inbox_url: &str,
         config: MwConfig,
     ) -> Result<Self, MwError> {
-        let listener = registry.bind(inbox_url)?;
+        let inbox = Inbox::new(registry.bind(inbox_url)?, config.op_deadline)?;
         Ok(InterfaceLayer {
             inbox_url: inbox_url.to_string(),
             client: MwClient::with_config(registry.clone(), config),
-            listener,
+            inbox,
             buffer: Vec::new(),
         })
     }
@@ -89,11 +96,18 @@ impl InterfaceLayer {
     ///
     /// # Errors
     /// [`MwError::Timeout`] when nothing arrives within the default
-    /// middleware deadline, [`MwError::Io`] on socket failure.
+    /// middleware deadline, [`MwError::Io`] on a corrupt delivery.
     pub fn collect(&mut self, n: usize) -> Result<(), MwError> {
         while self.buffer.len() < n {
-            let frame = MwClient::recv_on(&self.listener)?;
-            self.buffer.push(frame);
+            match self.inbox.recv_until(Instant::now() + DEFAULT_RECV_DEADLINE) {
+                Some(Arrival::Frame(frame)) => self.buffer.push(frame),
+                Some(Arrival::Corrupt) => {
+                    return Err(MwError::Io(std::io::ErrorKind::InvalidData.into()))
+                }
+                None => {
+                    return Err(MwError::Timeout { what: "recv", after: DEFAULT_RECV_DEADLINE })
+                }
+            }
         }
         Ok(())
     }
@@ -103,31 +117,13 @@ impl InterfaceLayer {
     /// deadline ends the wait instead of failing it. This is the
     /// fault-tolerant exchange path — the caller decides how to proceed
     /// with whatever arrived.
+    ///
+    /// The deadline bounds the *wait*, not the take: a zero deadline (a
+    /// round whose budget an earlier inbox used up) still takes every
+    /// frame that has already arrived.
     pub fn collect_deadline(&mut self, n: usize, deadline: Duration) -> CollectOutcome {
-        let mut sp = pgse_obs::span("inbox.collect");
-        let start = Instant::now();
-        let mut outcome = CollectOutcome::default();
-        while outcome.received < n {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                outcome.timed_out = true;
-                break;
-            }
-            match MwClient::recv_deadline_on(&self.listener, remaining) {
-                Ok(frame) => {
-                    self.buffer.push(frame);
-                    outcome.received += 1;
-                }
-                Err(MwError::Timeout { .. }) => {
-                    outcome.timed_out = true;
-                    break;
-                }
-                // A connection that died mid-frame (truncation, reset):
-                // skip it and keep waiting for the rest of the round.
-                Err(_) => outcome.corrupt += 1,
-            }
-        }
-        Self::account(&mut sp, n, &outcome);
+        let (frames, outcome) = self.collect_with(n, deadline, &mut |f| Some((0, f)), false);
+        self.buffer.extend(frames.into_iter().map(|(_, f)| f));
         outcome
     }
 
@@ -143,35 +139,58 @@ impl InterfaceLayer {
         deadline: Duration,
         key: &dyn Fn(&[u8]) -> Option<u64>,
     ) -> CollectOutcome {
+        let (frames, outcome) =
+            self.collect_with(n, deadline, &mut |f| key(&f).map(|k| (k, f)), true);
+        self.buffer.extend(frames.into_iter().map(|(_, f)| f));
+        outcome
+    }
+
+    /// [`InterfaceLayer::collect_distinct`] for a caller that decodes every
+    /// frame anyway: `decode` yields a frame's source key and its decoded
+    /// value in one pass (`None`: corrupt), and the first value per source
+    /// is returned with its key, in arrival order, instead of being
+    /// buffered for [`InterfaceLayer::process`].
+    pub fn collect_decoded<T>(
+        &mut self,
+        n: usize,
+        deadline: Duration,
+        decode: impl Fn(&[u8]) -> Option<(u64, T)>,
+    ) -> (Vec<(u64, T)>, CollectOutcome) {
+        self.collect_with(n, deadline, &mut |f| decode(&f), true)
+    }
+
+    fn collect_with<T>(
+        &mut self,
+        n: usize,
+        deadline: Duration,
+        decode: &mut dyn FnMut(Vec<u8>) -> Option<(u64, T)>,
+        distinct: bool,
+    ) -> (Vec<(u64, T)>, CollectOutcome) {
         let mut sp = pgse_obs::span("inbox.collect");
-        let start = Instant::now();
+        let end = Instant::now() + deadline;
         let mut outcome = CollectOutcome::default();
-        let mut seen: Vec<u64> = Vec::new();
+        let mut taken: Vec<(u64, T)> = Vec::with_capacity(n);
         while outcome.received < n {
-            let remaining = deadline.saturating_sub(start.elapsed());
-            if remaining.is_zero() {
-                outcome.timed_out = true;
-                break;
-            }
-            match MwClient::recv_deadline_on(&self.listener, remaining) {
-                Ok(frame) => match key(&frame) {
-                    Some(k) if !seen.contains(&k) => {
-                        seen.push(k);
-                        self.buffer.push(frame);
+            match self.inbox.recv_until(end) {
+                Some(Arrival::Frame(frame)) => match decode(frame) {
+                    Some((k, _)) if distinct && taken.iter().any(|(seen, _)| *seen == k) => {
+                        outcome.duplicate += 1;
+                    }
+                    Some(item) => {
+                        taken.push(item);
                         outcome.received += 1;
                     }
-                    Some(_) => outcome.duplicate += 1,
                     None => outcome.corrupt += 1,
                 },
-                Err(MwError::Timeout { .. }) => {
+                Some(Arrival::Corrupt) => outcome.corrupt += 1,
+                None => {
                     outcome.timed_out = true;
                     break;
                 }
-                Err(_) => outcome.corrupt += 1,
             }
         }
         Self::account(&mut sp, n, &outcome);
-        outcome
+        (taken, outcome)
     }
 
     /// Records one collection round on the active trace. Only *distinct*
@@ -194,14 +213,16 @@ impl InterfaceLayer {
     }
 
     /// Consumes and discards frames still pending on the inbox until
-    /// `grace` passes with nothing arriving. Used after a fault-injected
-    /// round so stragglers (late duplicates) cannot leak into the next
-    /// round's collection.
+    /// `grace` passes with nothing arriving (a zero `grace` takes only what
+    /// is already there). Used after a fault-injected round so stragglers
+    /// (late duplicates) cannot leak into the next round's collection.
     pub fn drain_pending(&mut self, grace: Duration) -> usize {
         let mut sp = pgse_obs::span("inbox.drain");
         let mut drained: usize = 0;
-        while MwClient::recv_deadline_on(&self.listener, grace).is_ok() {
-            drained += 1;
+        while let Some(arrival) = self.inbox.recv_until(Instant::now() + grace) {
+            if matches!(arrival, Arrival::Frame(_)) {
+                drained += 1;
+            }
         }
         sp.record("drained", drained as u64);
         pgse_obs::counter_add("exchange.drained", drained as u64);

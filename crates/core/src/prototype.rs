@@ -23,7 +23,8 @@ use crate::report::FrameReport;
 
 /// How long a fault-injected round lingers after its collection ends to
 /// absorb straggler deliveries (late duplicates / delayed frames), keeping
-/// them out of the next round's inboxes.
+/// them out of the next round's inboxes. One window for every inbox: each
+/// drains what arrived while the ones before it waited.
 const STRAGGLER_GRACE: Duration = Duration::from_millis(60);
 
 /// Prototype construction/run failures.
@@ -57,9 +58,10 @@ pub struct SystemPrototype {
     decomp: Decomposition,
     estimators: Vec<AreaEstimator>,
     fleet: ClusterFleet,
-    registry: EndpointRegistry,
-    /// Per-area inbox (index = area id); `None` while an exchange borrows
-    /// it.
+    /// The deployment's one middleware client: it holds a session per
+    /// pipeline endpoint, dialled on the first send.
+    client: MwClient,
+    /// Per-area inbox (index = area id).
     inboxes: Vec<InterfaceLayer>,
     /// Coordinator inbox (hierarchical mode only).
     coordinator: Option<InterfaceLayer>,
@@ -79,6 +81,9 @@ pub struct SystemPrototype {
     obs_areas: Vec<pgse_obs::Recorder>,
     /// Recorder for the coordinator's inbox (hierarchical mode only).
     obs_coordinator: pgse_obs::Recorder,
+    /// Recorder the pipeline routers run under: their outbound dials
+    /// (`mw.connects`) and `volatile.mw.relay.*` counters.
+    obs_relay: pgse_obs::Recorder,
 }
 
 impl SystemPrototype {
@@ -122,6 +127,11 @@ impl SystemPrototype {
             .collect::<Result<_, _>>()
             .map_err(PrototypeError::Middleware)?;
 
+        let obs_relay = pgse_obs::Recorder::new("relay");
+        let pipeline = |in_url: &str, out_url: &str| {
+            build_pipeline(&registry, in_url, out_url, config.relay_rate, &obs_relay)
+                .map_err(PrototypeError::Middleware)
+        };
         let mut pipelines = Vec::new();
         let mut proxies = Vec::new();
         let mut coordinator = None;
@@ -142,10 +152,7 @@ impl SystemPrototype {
                             }
                             Some(spec) => {
                                 let raw = format!("tcp://raw-{src}-{dst}.dse.pnl.gov:6790");
-                                pipelines.push(
-                                    build_pipeline(&registry, &raw, &inbox, config.relay_rate)
-                                        .map_err(PrototypeError::Middleware)?,
-                                );
+                                pipelines.push(pipeline(&raw, &inbox)?);
                                 proxies.push(
                                     FaultProxy::deploy(
                                         &registry,
@@ -156,10 +163,7 @@ impl SystemPrototype {
                                     .map_err(PrototypeError::Middleware)?,
                                 );
                             }
-                            None => pipelines.push(
-                                build_pipeline(&registry, &public, &inbox, config.relay_rate)
-                                    .map_err(PrototypeError::Middleware)?,
-                            ),
+                            None => pipelines.push(pipeline(&public, &inbox)?),
                         }
                     }
                 }
@@ -175,24 +179,14 @@ impl SystemPrototype {
                     .map_err(PrototypeError::Middleware)?,
                 );
                 for a in 0..decomp.n_areas() {
-                    pipelines.push(
-                        build_pipeline(
-                            &registry,
-                            &format!("tcp://up-{a}.dse.pnl.gov:6789"),
-                            "tcp://coordinator.dse.pnl.gov:5000",
-                            config.relay_rate,
-                        )
-                        .map_err(PrototypeError::Middleware)?,
-                    );
-                    pipelines.push(
-                        build_pipeline(
-                            &registry,
-                            &format!("tcp://down-{a}.dse.pnl.gov:6789"),
-                            &format!("tcp://area-{a}.dse.pnl.gov:5000"),
-                            config.relay_rate,
-                        )
-                        .map_err(PrototypeError::Middleware)?,
-                    );
+                    pipelines.push(pipeline(
+                        &format!("tcp://up-{a}.dse.pnl.gov:6789"),
+                        "tcp://coordinator.dse.pnl.gov:5000",
+                    )?);
+                    pipelines.push(pipeline(
+                        &format!("tcp://down-{a}.dse.pnl.gov:6789"),
+                        &format!("tcp://area-{a}.dse.pnl.gov:5000"),
+                    )?);
                 }
             }
         }
@@ -211,13 +205,13 @@ impl SystemPrototype {
         let obs_areas =
             (0..decomp.n_areas()).map(|a| pgse_obs::Recorder::new(&format!("area{a}"))).collect();
         Ok(SystemPrototype {
+            client: MwClient::with_config(registry, config.middleware),
             config,
             net,
             pf,
             decomp,
             estimators,
             fleet,
-            registry,
             inboxes,
             coordinator,
             pipelines,
@@ -228,6 +222,7 @@ impl SystemPrototype {
             obs_frame: pgse_obs::Recorder::new("frame"),
             obs_areas,
             obs_coordinator: pgse_obs::Recorder::new("coordinator"),
+            obs_relay,
         })
     }
 
@@ -415,14 +410,15 @@ impl SystemPrototype {
     }
 
     /// The merged observability report over every scope the prototype
-    /// records: the `frame` pipeline, one `area{i}` scope per subsystem,
+    /// records: the `frame` pipeline, the `relay` routers, one `area{i}`
+    /// scope per subsystem,
     /// the `coordinator` (hierarchical mode), and — on chaos runs — a
     /// `faults` scope folding the proxies' injection ground truth into
     /// counters. Call after the proxies settle (see
     /// [`SystemPrototype::fault_stats`]); the deterministic export of the
     /// result is byte-identical across same-seed runs.
     pub fn obs_report(&self) -> pgse_obs::ObsReport {
-        let mut scopes = vec![self.obs_frame.snapshot()];
+        let mut scopes = vec![self.obs_frame.snapshot(), self.obs_relay.snapshot()];
         scopes.extend(self.obs_areas.iter().map(pgse_obs::Recorder::snapshot));
         if self.coordinator.is_some() {
             scopes.push(self.obs_coordinator.snapshot());
@@ -503,95 +499,88 @@ impl SystemPrototype {
     }
 
     /// Peer-to-peer exchange: each area ships its batch down the pipeline
-    /// toward every neighbour; each area's interface layer collects one
-    /// frame per distinct neighbour within the round deadline. Failed
+    /// toward every neighbour on the deployment's held sessions, then each
+    /// area's interface layer collects one frame per distinct neighbour —
+    /// every inbox against one round deadline, on this thread. Failed
     /// sends, corrupt frames, duplicates and deadline expiry are tolerated
     /// and accounted — the round always completes.
     fn exchange_decentralized(
         &mut self,
         pseudo: &[Vec<PseudoMeasurement>],
     ) -> (Vec<Vec<PseudoMeasurement>>, u64, ExchangeFaults) {
-        let client = MwClient::with_config(self.registry.clone(), self.config.middleware);
-        let deadline = self.config.exchange_deadline;
-        let chaotic = self.config.chaos.is_some();
+        let round_end = Instant::now() + self.config.exchange_deadline;
         let mut bytes = 0u64;
-        let mut faults = ExchangeFaults::default();
+        // The pipeline routers buffer the sends. A failed send — e.g. a
+        // dead pipeline exhausting its retries — is not fatal: the
+        // destination's collection accounts the miss.
+        for (src, batch) in pseudo.iter().enumerate() {
+            let wire = to_wire(batch);
+            for &dst in &self.decomp.areas[src].neighbors {
+                let url = format!("tcp://pipe-{src}-{dst}.dse.pnl.gov:6789");
+                if self.client.send(&url, &wire).is_ok() {
+                    bytes += wire.len() as u64;
+                }
+            }
+        }
         let expected: Vec<usize> =
             self.decomp.areas.iter().map(|a| a.neighbors.len()).collect();
-        let obs = self.obs_areas.clone();
-        let inbox_frames: Vec<(Vec<Vec<u8>>, pgse_cluster::CollectOutcome, usize)> =
-            std::thread::scope(|scope| {
-                // Collectors first (they block on their listeners)…
-                let collectors: Vec<_> = self
-                    .inboxes
-                    .iter_mut()
-                    .zip(&expected)
-                    .zip(&obs)
-                    .map(|((layer, &n), rec)| {
-                        scope.spawn(move || {
-                            pgse_obs::with_recorder(rec, || {
-                                let outcome = layer.collect_distinct(n, deadline, &|f| {
-                                    from_wire(f)
-                                        .ok()
-                                        .and_then(|b| b.first().map(|p| p.from_area as u64))
-                                });
-                                let late = if chaotic {
-                                    layer.drain_pending(STRAGGLER_GRACE)
-                                } else {
-                                    0
-                                };
-                                (layer.process(|f| f.to_vec()), outcome, late)
-                            })
-                        })
-                    })
-                    .collect();
-                // …then the sends (the pipeline routers buffer them). A
-                // failed send — e.g. a dead pipeline exhausting its retries
-                // — is not fatal: the destination's collector accounts the
-                // miss.
-                for (src, batch) in pseudo.iter().enumerate() {
-                    let wire = to_wire(batch);
-                    for &dst in &self.decomp.areas[src].neighbors {
-                        let url = format!("tcp://pipe-{src}-{dst}.dse.pnl.gov:6789");
-                        if client.send(&url, &wire).is_ok() {
-                            bytes += wire.len() as u64;
-                        }
-                    }
-                }
-                collectors
-                    .into_iter()
-                    .map(|h| h.join().expect("collector panicked"))
-                    .collect()
-            });
-        let mut inboxes = Vec::with_capacity(inbox_frames.len());
-        for (a, (frames, outcome, late)) in inbox_frames.into_iter().enumerate() {
+        let chaotic = self.config.chaos.is_some();
+        let collected = self.collect_round(round_end, chaotic, |a, layer, left| {
+            layer.collect_decoded(expected[a], left, decode_batch)
+        });
+        let mut faults = ExchangeFaults::default();
+        let mut inboxes = Vec::with_capacity(collected.len());
+        for (a, ((mut batches, outcome), late)) in collected.into_iter().enumerate() {
             faults.corrupt += outcome.corrupt as u64;
             faults.duplicates += outcome.duplicate as u64;
             faults.late += late as u64;
-            // collect_distinct already vetted these, so they parse. Sort
-            // the batches by source area: network arrival order is
+            // Sort the batches by source area: network arrival order is
             // timing-dependent, and the inbox order feeds Step-2 numerics
             // — canonical order keeps same-seed runs bit-identical.
-            let mut parsed: Vec<(usize, Vec<PseudoMeasurement>)> = frames
-                .iter()
-                .filter_map(|f| {
-                    let b = from_wire(f).ok()?;
-                    let from = b.first()?.from_area;
-                    Some((from, b))
-                })
-                .collect();
-            parsed.sort_by_key(|&(from, _)| from);
-            let seen: Vec<usize> = parsed.iter().map(|&(from, _)| from).collect();
-            let batches: Vec<PseudoMeasurement> =
-                parsed.into_iter().flat_map(|(_, b)| b).collect();
+            batches.sort_by_key(|&(from, _)| from);
             for &nb in &self.decomp.areas[a].neighbors {
-                if !seen.contains(&nb) {
+                if !batches.iter().any(|&(from, _)| from == nb as u64) {
                     faults.missed.push((nb, a));
                 }
             }
-            inboxes.push(batches);
+            inboxes.push(batches.into_iter().flat_map(|(_, b)| b).collect());
         }
         (inboxes, bytes, faults)
+    }
+
+    /// Collects every area inbox against one round deadline, on this
+    /// thread: `collect(a, layer, left)` runs area `a`'s collection under
+    /// its recorder with what is left of the round (an inbox reached after
+    /// the deadline still takes what has already arrived). With `drain`
+    /// every inbox then drains its stragglers in one shared
+    /// [`STRAGGLER_GRACE`] window. Returns each area's collection and its
+    /// drained-straggler count.
+    fn collect_round<T>(
+        &mut self,
+        round_end: Instant,
+        drain: bool,
+        mut collect: impl FnMut(usize, &mut InterfaceLayer, Duration) -> T,
+    ) -> Vec<(T, usize)> {
+        let mut collected = Vec::with_capacity(self.inboxes.len());
+        for (a, (layer, rec)) in self.inboxes.iter_mut().zip(&self.obs_areas).enumerate() {
+            let left = round_end.saturating_duration_since(Instant::now());
+            collected.push(pgse_obs::with_recorder(rec, || collect(a, layer, left)));
+        }
+        let grace_end = Instant::now() + STRAGGLER_GRACE;
+        self.inboxes
+            .iter_mut()
+            .zip(&self.obs_areas)
+            .zip(collected)
+            .map(|((layer, rec), c)| {
+                let late = if drain {
+                    let left = grace_end.saturating_duration_since(Instant::now());
+                    pgse_obs::with_recorder(rec, || layer.drain_pending(left))
+                } else {
+                    0
+                };
+                (c, late)
+            })
+            .collect()
     }
 
     /// Hierarchical exchange: everything goes up to the coordinator, which
@@ -602,33 +591,23 @@ impl SystemPrototype {
         &mut self,
         pseudo: &[Vec<PseudoMeasurement>],
     ) -> (Vec<Vec<PseudoMeasurement>>, u64, ExchangeFaults) {
-        let client = MwClient::with_config(self.registry.clone(), self.config.middleware);
         let deadline = self.config.exchange_deadline;
         let n_areas = self.decomp.n_areas();
         let mut bytes = 0u64;
         let mut faults = ExchangeFaults::default();
 
         // Up: every area → coordinator.
-        let coordinator = self.coordinator.as_mut().expect("hierarchical mode");
-        let coord_rec = self.obs_coordinator.clone();
-        let (up_frames, up_outcome) = std::thread::scope(|scope| {
-            let collector = scope.spawn(|| {
-                pgse_obs::with_recorder(&coord_rec, || {
-                    let outcome = coordinator.collect_distinct(n_areas, deadline, &|f| {
-                        from_wire(f)
-                            .ok()
-                            .and_then(|b| b.first().map(|p| p.from_area as u64))
-                    });
-                    (coordinator.process(|f| f.to_vec()), outcome)
-                })
-            });
-            for (src, batch) in pseudo.iter().enumerate() {
-                let wire = to_wire(batch);
-                if client.send(&format!("tcp://up-{src}.dse.pnl.gov:6789"), &wire).is_ok() {
-                    bytes += wire.len() as u64;
-                }
+        let round_end = Instant::now() + deadline;
+        for (src, batch) in pseudo.iter().enumerate() {
+            let wire = to_wire(batch);
+            if self.client.send(&format!("tcp://up-{src}.dse.pnl.gov:6789"), &wire).is_ok() {
+                bytes += wire.len() as u64;
             }
-            collector.join().expect("coordinator panicked")
+        }
+        let coordinator = self.coordinator.as_mut().expect("hierarchical mode");
+        let left = round_end.saturating_duration_since(Instant::now());
+        let (up, up_outcome) = pgse_obs::with_recorder(&self.obs_coordinator, || {
+            coordinator.collect_decoded(n_areas, left, decode_batch)
         });
         faults.corrupt += up_outcome.corrupt as u64;
         faults.duplicates += up_outcome.duplicate as u64;
@@ -636,11 +615,9 @@ impl SystemPrototype {
         // that never arrived is a missed exchange toward every neighbour
         // that needed the data.
         let mut by_area: Vec<Vec<PseudoMeasurement>> = vec![Vec::new(); n_areas];
-        for frame in &up_frames {
-            if let Ok(batch) = from_wire(frame) {
-                if let Some(area) = batch.first().map(|p| p.from_area) {
-                    by_area[area] = batch;
-                }
+        for (area, batch) in up {
+            if let Some(slot) = by_area.get_mut(area as usize) {
+                *slot = batch;
             }
         }
         for src in 0..n_areas {
@@ -652,44 +629,24 @@ impl SystemPrototype {
         }
 
         // Down: coordinator → each area, only its neighbours' data.
-        let downlinks: Vec<Vec<u8>> = (0..n_areas)
-            .map(|a| {
-                let inbox: Vec<PseudoMeasurement> = self.decomp.areas[a]
-                    .neighbors
-                    .iter()
-                    .flat_map(|&nb| by_area[nb].iter().copied())
-                    .collect();
-                to_wire(&inbox)
-            })
-            .collect();
-        let obs = self.obs_areas.clone();
-        let inbox_frames: Vec<(Vec<Vec<u8>>, pgse_cluster::CollectOutcome)> =
-            std::thread::scope(|scope| {
-                let collectors: Vec<_> = self
-                    .inboxes
-                    .iter_mut()
-                    .zip(&obs)
-                    .map(|(layer, rec)| {
-                        scope.spawn(move || {
-                            pgse_obs::with_recorder(rec, || {
-                                let outcome = layer.collect_deadline(1, deadline);
-                                (layer.process(|f| f.to_vec()), outcome)
-                            })
-                        })
-                    })
-                    .collect();
-                for (a, wire) in downlinks.iter().enumerate() {
-                    if client.send(&format!("tcp://down-{a}.dse.pnl.gov:6789"), wire).is_ok() {
-                        bytes += wire.len() as u64;
-                    }
-                }
-                collectors
-                    .into_iter()
-                    .map(|h| h.join().expect("collector panicked"))
-                    .collect()
-            });
+        let round_end = Instant::now() + deadline;
+        for a in 0..n_areas {
+            let inbox: Vec<PseudoMeasurement> = self.decomp.areas[a]
+                .neighbors
+                .iter()
+                .flat_map(|&nb| by_area[nb].iter().copied())
+                .collect();
+            let wire = to_wire(&inbox);
+            if self.client.send(&format!("tcp://down-{a}.dse.pnl.gov:6789"), &wire).is_ok() {
+                bytes += wire.len() as u64;
+            }
+        }
+        let collected = self.collect_round(round_end, false, |_, layer, left| {
+            let outcome = layer.collect_deadline(1, left);
+            (layer.process(|f| f.to_vec()), outcome)
+        });
         let mut inboxes = Vec::with_capacity(n_areas);
-        for (a, (frames, outcome)) in inbox_frames.into_iter().enumerate() {
+        for (a, ((frames, outcome), _)) in collected.into_iter().enumerate() {
             faults.corrupt += outcome.corrupt as u64;
             let mut batch: Vec<PseudoMeasurement> = Vec::new();
             for f in &frames {
@@ -711,6 +668,13 @@ impl SystemPrototype {
     }
 }
 
+/// Decodes one pseudo-measurement exchange frame, keyed by its source
+/// area; `None` for a frame that does not parse or names no source.
+fn decode_batch(frame: &[u8]) -> Option<(u64, Vec<PseudoMeasurement>)> {
+    let batch = from_wire(frame).ok()?;
+    Some((batch.first()?.from_area as u64, batch))
+}
+
 /// What the fault-tolerant exchange accounted while completing a round.
 #[derive(Debug, Default)]
 struct ExchangeFaults {
@@ -729,12 +693,14 @@ fn rmse(a: &[f64], b: &[f64]) -> f64 {
     (s / a.len().max(1) as f64).sqrt()
 }
 
-/// Builds and starts one one-way pipeline (Fig. 7).
+/// Builds and starts one one-way pipeline (Fig. 7), its router running
+/// under `relay`.
 fn build_pipeline(
     registry: &EndpointRegistry,
     in_url: &str,
     out_url: &str,
     relay_rate: f64,
+    relay: &pgse_obs::Recorder,
 ) -> Result<PipelineHandle, pgse_medici::MwError> {
     let mut pipeline = MifPipeline::new();
     pipeline.add_mif_connector(EndpointProtocol::Tcp);
@@ -743,6 +709,7 @@ fn build_pipeline(
     se.set_out_hal_endp(out_url);
     pipeline.add_mif_component(se);
     pipeline.set_relay_rate(relay_rate);
+    pipeline.set_recorder(relay.clone());
     pipeline.start(registry)
 }
 
@@ -866,6 +833,26 @@ mod tests {
         assert_eq!(obs.spans_named("area.step2").len(), 9);
         assert_eq!(obs.counter("frame", "mw.send.ok"), 24);
         assert_eq!(obs.counter("frame", "exchange.missed"), 0);
+    }
+
+    #[test]
+    fn sessions_are_dialled_once_however_long_the_run() {
+        let mut proto = deploy(CoordinationMode::Decentralized);
+        let dials = |proto: &SystemPrototype| {
+            let obs = proto.obs_report();
+            (obs.counter("frame", "mw.connects"), obs.counter("relay", "mw.connects"))
+        };
+        // Deploying dials nothing: sessions open on the first send.
+        assert_eq!(dials(&proto), (0, 0));
+        for frame in 0..200u32 {
+            proto.run_frame(f64::from(frame) * 4.0).unwrap();
+            if frame + 1 == 20 {
+                // 24 client → pipeline sessions plus 24 pipeline → inbox.
+                assert_eq!(dials(&proto), (24, 24));
+            }
+        }
+        assert_eq!(dials(&proto), (24, 24));
+        assert_eq!(proto.obs_report().counter("frame", "mw.send.ok"), 200 * 24);
     }
 
     #[test]

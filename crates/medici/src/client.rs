@@ -6,16 +6,29 @@
 //! the data. Here the client resolves the logical URL through the registry
 //! and speaks the EOF frame protocol.
 //!
+//! A client holds one **session** per endpoint: the first send to a URL
+//! dials it (never earlier — deploying costs no connection), later sends
+//! write on the held connection, and the receiver reads frames until EOF
+//! ([`crate::inbox::Inbox`]). Before every write the held socket is
+//! checked for EOF/reset, and it is re-dialled when the peer closed it or
+//! the registry moved the name to a new address — so a frame is never
+//! written into a dead socket, and a restarted endpoint gets the next
+//! send. Every successful dial ticks `mw.connects` on the active
+//! recorder, where the dial happens.
+//!
 //! Every blocking operation is bounded: connects, writes, accept waits and
 //! reads all honour the [`MwConfig`] deadline, and transient send failures
-//! are retried on the deterministic [`RetryPolicy`](crate::RetryPolicy) backoff schedule. A
-//! dead destination therefore costs a bounded number of fast failures —
-//! never a hang.
+//! are retried (each attempt re-dials) on the deterministic
+//! [`RetryPolicy`](crate::RetryPolicy) backoff schedule. A dead destination
+//! therefore costs a bounded number of fast failures — never a hang.
 
-use std::net::{TcpListener, TcpStream};
+use std::collections::HashMap;
+use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::time::{Duration, Instant};
 
-use crate::endpoint::EndpointRegistry;
+use parking_lot::Mutex;
+
+use crate::endpoint::{accept_polled, peer_closed, EndpointRegistry};
 use crate::framing::{read_frame, read_frame_discard, write_frame, write_frame_synthetic};
 use crate::retry::{stable_key, MwConfig};
 use crate::throttle::Throttle;
@@ -37,22 +50,84 @@ pub struct Delivery {
     pub attempts: u32,
 }
 
-/// A middleware client bound to a deployment registry.
-#[derive(Debug, Clone)]
+/// The send side of one session: at most one held connection to one URL,
+/// and the address it was dialled at.
+#[derive(Debug, Default)]
+pub(crate) struct Session {
+    held: Option<(SocketAddr, TcpStream)>,
+}
+
+impl Session {
+    /// The connection to `url`, dialled when none is held, when the
+    /// registry now maps `url` elsewhere, or when the held socket shows
+    /// EOF/reset. A dial sets `TCP_NODELAY` and the write deadline, and
+    /// ticks `mw.connects`.
+    pub(crate) fn stream(
+        &mut self,
+        registry: &EndpointRegistry,
+        url: &str,
+        deadline: Duration,
+    ) -> Result<&mut TcpStream, MwError> {
+        let addr = registry.resolve(url)?;
+        if !matches!(&self.held, Some((at, s)) if *at == addr && !peer_closed(s)) {
+            self.held = None;
+            let conn = TcpStream::connect_timeout(&addr, deadline)
+                .map_err(map_op_timeout("connect", deadline))?;
+            conn.set_nodelay(true)?;
+            conn.set_write_timeout(Some(deadline))?;
+            pgse_obs::counter_add("mw.connects", 1);
+            self.held = Some((addr, conn));
+        }
+        Ok(&mut self.held.as_mut().expect("held after dial").1)
+    }
+
+    /// Writes one frame on the session. A failed write drops the
+    /// connection, so the next attempt dials afresh.
+    pub(crate) fn send(
+        &mut self,
+        registry: &EndpointRegistry,
+        url: &str,
+        body: &[u8],
+        deadline: Duration,
+    ) -> Result<(), MwError> {
+        let written = write_frame(self.stream(registry, url, deadline)?, body);
+        written.map_err(|e| {
+            self.close();
+            map_op_timeout("write", deadline)(e)
+        })
+    }
+
+    /// Drops the held connection (the peer reads a close).
+    pub(crate) fn close(&mut self) {
+        self.held = None;
+    }
+}
+
+/// A middleware client bound to a deployment registry, holding one
+/// session per endpoint it has sent to. A clone shares the registry and
+/// configuration but holds no connections of its own yet.
+#[derive(Debug)]
 pub struct MwClient {
     registry: EndpointRegistry,
     config: MwConfig,
+    sessions: Mutex<HashMap<String, Session>>,
+}
+
+impl Clone for MwClient {
+    fn clone(&self) -> Self {
+        MwClient::with_config(self.registry.clone(), self.config)
+    }
 }
 
 impl MwClient {
     /// Creates a client over `registry` with the default [`MwConfig`].
     pub fn new(registry: EndpointRegistry) -> Self {
-        MwClient { registry, config: MwConfig::default() }
+        MwClient::with_config(registry, MwConfig::default())
     }
 
     /// Creates a client with explicit deadlines and retry policy.
     pub fn with_config(registry: EndpointRegistry, config: MwConfig) -> Self {
-        MwClient { registry, config }
+        MwClient { registry, config, sessions: Mutex::new(HashMap::new()) }
     }
 
     /// The registry this client resolves against.
@@ -66,10 +141,10 @@ impl MwClient {
     }
 
     /// Sends one frame to the endpoint named by `url` (paper:
-    /// `MW_Client_Send`), retrying transient socket failures on the
-    /// configured backoff schedule. The send is traced as a `mw.send` span
-    /// whose `backoff_nanos` field carries the deterministic schedule the
-    /// retries slept — recomputable from
+    /// `MW_Client_Send`) on its session, retrying transient socket
+    /// failures on the configured backoff schedule. The send is traced as
+    /// a `mw.send` span whose `backoff_nanos` field carries the
+    /// deterministic schedule the retries slept — recomputable from
     /// [`crate::retry::RetryPolicy::schedule`].
     ///
     /// # Errors
@@ -78,7 +153,7 @@ impl MwClient {
     /// once every attempt failed.
     pub fn send(&self, url: &str, body: &[u8]) -> Result<Delivery, MwError> {
         // Resolve per attempt: a restarted endpoint re-registers under a
-        // new socket address, and a retry should pick that up.
+        // new socket address, and the session re-dials it.
         let key = stable_key(url);
         let mut sp = pgse_obs::span("mw.send");
         sp.record("url", url);
@@ -90,7 +165,7 @@ impl MwClient {
                 backoffs.push(delay.as_nanos() as u64);
                 std::thread::sleep(delay);
             }
-            match self.try_send_once(url, body) {
+            match self.session(url, |s| s.send(&self.registry, url, body, self.config.op_deadline)) {
                 Ok(()) => {
                     finish_send_span(&mut sp, attempt + 1, true, &backoffs);
                     pgse_obs::counter_add("mw.send.ok", 1);
@@ -116,18 +191,19 @@ impl MwClient {
         })
     }
 
-    fn try_send_once(&self, url: &str, body: &[u8]) -> Result<(), MwError> {
-        let addr = self.registry.resolve(url)?;
-        let mut conn = TcpStream::connect_timeout(&addr, self.config.op_deadline)
-            .map_err(map_op_timeout("connect", self.config.op_deadline))?;
-        conn.set_write_timeout(Some(self.config.op_deadline))?;
-        write_frame(&mut conn, body)
-            .map_err(map_op_timeout("write", self.config.op_deadline))?;
-        Ok(())
+    /// Runs `op` on the session for `url`. The session map stays locked
+    /// for one attempt, so a client shared between threads writes whole
+    /// frames, one at a time per client.
+    fn session<T>(&self, url: &str, op: impl FnOnce(&mut Session) -> T) -> T {
+        let mut sessions = self.sessions.lock();
+        if !sessions.contains_key(url) {
+            sessions.insert(url.to_string(), Session::default());
+        }
+        op(sessions.get_mut(url).expect("inserted above"))
     }
 
-    /// Sends a synthetic frame of `len` bytes, optionally paced at
-    /// `link_rate` bytes/second (the simulated-LAN path of the
+    /// Sends a synthetic frame of `len` bytes on the session, optionally
+    /// paced at `link_rate` bytes/second (the simulated-LAN path of the
     /// measurement harness). Not retried: a half-sent synthetic stream is
     /// only used by the single-shot measurement harness.
     pub fn send_synthetic(
@@ -136,21 +212,31 @@ impl MwClient {
         len: u64,
         link_rate: Option<f64>,
     ) -> Result<(), MwError> {
-        let addr = self.registry.resolve(url)?;
-        let mut conn = TcpStream::connect_timeout(&addr, self.config.op_deadline)
-            .map_err(map_op_timeout("connect", self.config.op_deadline))?;
-        conn.set_write_timeout(Some(self.config.op_deadline))?;
-        let mut throttle = link_rate.map(Throttle::new);
-        write_frame_synthetic(&mut conn, len, |n| {
-            if let Some(t) = throttle.as_mut() {
-                t.account(n);
-            }
-        })?;
-        Ok(())
+        let deadline = self.config.op_deadline;
+        self.session(url, |session| {
+            let conn = session.stream(&self.registry, url, deadline)?;
+            let mut throttle = link_rate.map(Throttle::new);
+            write_frame_synthetic(conn, len, |n| {
+                if let Some(t) = throttle.as_mut() {
+                    t.account(n);
+                }
+            })
+            .map_err(|e| {
+                session.close();
+                e.into()
+            })
+        })
     }
 
     /// Blocks for one inbound frame on `listener` (paper:
     /// `MW_Client_Recv`), waiting at most [`DEFAULT_RECV_DEADLINE`].
+    ///
+    /// One-shot: accepts one connection, reads one frame and closes it. A
+    /// session sender sees the close before its next write and dials
+    /// again, so alternating send/receive pairs lose nothing; frames
+    /// written *behind* the first on the same connection are discarded
+    /// with it — a receiver that expects several frames per connection
+    /// serves an [`crate::inbox::Inbox`].
     ///
     /// # Errors
     /// [`MwError::Timeout`] when nothing arrives in time,
@@ -169,7 +255,7 @@ impl MwClient {
         deadline: Duration,
     ) -> Result<Vec<u8>, MwError> {
         let start = Instant::now();
-        let mut conn = accept_deadline(listener, deadline)?;
+        let mut conn = accept_polled(listener, deadline)?;
         let remaining = deadline.saturating_sub(start.elapsed()).max(MIN_READ_BUDGET);
         conn.set_read_timeout(Some(remaining))?;
         read_frame(&mut conn).map_err(map_op_timeout("read", deadline))
@@ -180,7 +266,7 @@ impl MwClient {
     pub fn recv_discard_on(listener: &TcpListener) -> Result<u64, MwError> {
         let deadline = DEFAULT_RECV_DEADLINE;
         let start = Instant::now();
-        let mut conn = accept_deadline(listener, deadline)?;
+        let mut conn = accept_polled(listener, deadline)?;
         let remaining = deadline.saturating_sub(start.elapsed()).max(MIN_READ_BUDGET);
         conn.set_read_timeout(Some(remaining))?;
         read_frame_discard(&mut conn).map_err(map_op_timeout("read", deadline))
@@ -198,15 +284,6 @@ fn finish_send_span(sp: &mut pgse_obs::SpanGuard, attempts: u32, ok: bool, backo
             backoffs.iter().map(u64::to_string).collect::<Vec<_>>().join(",");
         sp.record("backoff_nanos", joined);
     }
-}
-
-/// Accepts one connection within `deadline`; see
-/// [`crate::endpoint::accept_polled`], which every accept path shares.
-pub(crate) fn accept_deadline(
-    listener: &TcpListener,
-    deadline: Duration,
-) -> Result<TcpStream, MwError> {
-    crate::endpoint::accept_polled(listener, deadline)
 }
 
 /// Maps a socket-timeout `io::Error` (`WouldBlock`/`TimedOut`, the kinds
@@ -240,6 +317,77 @@ mod tests {
         let rx = std::thread::spawn(move || MwClient::recv_on(&listener).unwrap());
         client.send("tcp://estimator-a:9000", b"state vector").unwrap();
         assert_eq!(rx.join().unwrap(), b"state vector");
+    }
+
+    #[test]
+    fn alternating_sends_and_one_shot_receives_lose_nothing() {
+        // Each one-shot receive closes the connection it read; the held
+        // session sees the close before its next write and dials again.
+        let registry = EndpointRegistry::new();
+        let listener = registry.bind("tcp://one-shot:1").unwrap();
+        let client = MwClient::new(registry);
+        let rec = pgse_obs::Recorder::new("t");
+        pgse_obs::with_recorder(&rec, || {
+            for i in 0..1000u32 {
+                client.send("tcp://one-shot:1", &i.to_be_bytes()).unwrap();
+                let got = MwClient::recv_deadline_on(&listener, Duration::from_secs(2)).unwrap();
+                assert_eq!(got, i.to_be_bytes());
+            }
+        });
+        let metrics = rec.snapshot().metrics;
+        assert_eq!(metrics.counter("mw.send.ok"), 1000);
+        assert_eq!(metrics.counter("mw.retry.attempts"), 0);
+        assert_eq!(metrics.counter("mw.connects"), 1000);
+    }
+
+    #[test]
+    fn a_session_dials_once_for_many_frames() {
+        let registry = EndpointRegistry::new();
+        let listener = registry.bind("tcp://held:1").unwrap();
+        let mut inbox = crate::Inbox::new(listener, Duration::from_secs(5)).unwrap();
+        let client = MwClient::new(registry);
+        let rec = pgse_obs::Recorder::new("t");
+        pgse_obs::with_recorder(&rec, || {
+            for i in 0..200u32 {
+                client.send("tcp://held:1", &i.to_be_bytes()).unwrap();
+            }
+        });
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for i in 0..200u32 {
+            let want = crate::Arrival::Frame(i.to_be_bytes().to_vec());
+            assert_eq!(inbox.recv_until(deadline), Some(want));
+        }
+        assert_eq!(inbox.held(), 1);
+        assert_eq!(rec.snapshot().metrics.counter("mw.connects"), 1);
+    }
+
+    #[test]
+    fn a_rebound_endpoint_gets_the_next_send() {
+        let registry = EndpointRegistry::new();
+        let old = registry.bind("tcp://moving:1").unwrap();
+        let mut old = crate::Inbox::new(old, Duration::from_secs(5)).unwrap();
+        let client = MwClient::new(registry.clone());
+        let deadline = Instant::now() + Duration::from_secs(5);
+        client.send("tcp://moving:1", b"first").unwrap();
+        assert_eq!(old.recv_until(deadline), Some(crate::Arrival::Frame(b"first".to_vec())));
+        // The endpoint restarts at a new address while the old listener
+        // and the held connection to it are both still open.
+        let new = registry.bind("tcp://moving:1").unwrap();
+        client.send("tcp://moving:1", b"second").unwrap();
+        let got = MwClient::recv_deadline_on(&new, Duration::from_secs(2)).unwrap();
+        assert_eq!(got, b"second");
+        // The old session was closed at a frame boundary: nothing corrupt.
+        assert_eq!(old.recv_until(Instant::now() + Duration::from_millis(50)), None);
+        assert_eq!(old.held(), 0);
+    }
+
+    #[test]
+    fn held_connections_set_nodelay() {
+        let registry = EndpointRegistry::new();
+        let _listener = registry.bind("tcp://nagle:1").unwrap();
+        let mut session = Session::default();
+        let conn = session.stream(&registry, "tcp://nagle:1", Duration::from_secs(1)).unwrap();
+        assert!(conn.nodelay().unwrap());
     }
 
     #[test]

@@ -18,7 +18,7 @@ use parking_lot::Mutex;
 
 use crate::MwError;
 
-/// How long an accept loop that its owner wakes (the pipeline routers,
+/// How long a receive loop that its owner wakes (the pipeline routers,
 /// the fault proxies) parks between looks at its stop flag. The owner's
 /// `shutdown` does not wait this out: it sets the flag and then calls
 /// [`wake_acceptor`], so the bound is only what a *missed* wake would
@@ -71,7 +71,8 @@ impl EndpointUrl {
 /// the same registry, exactly like a name service.
 #[derive(Debug, Clone, Default)]
 pub struct EndpointRegistry {
-    inner: Arc<Mutex<HashMap<EndpointUrl, SocketAddr>>>,
+    /// Canonical URL string ([`EndpointUrl::to_url_string`]) → address.
+    inner: Arc<Mutex<HashMap<String, SocketAddr>>>,
 }
 
 impl EndpointRegistry {
@@ -90,19 +91,26 @@ impl EndpointRegistry {
         let parsed = EndpointUrl::parse(url)?;
         let listener = TcpListener::bind(("127.0.0.1", 0))?;
         let addr = listener.local_addr()?;
-        self.inner.lock().insert(parsed, addr);
+        self.inner.lock().insert(parsed.to_url_string(), addr);
         Ok(listener)
     }
 
     /// Resolves a logical URL to its live socket address.
     ///
+    /// Every send resolves its URL (a restarted endpoint re-registers
+    /// under a new address), so a URL already in canonical form is looked
+    /// up as written, without parsing or allocating.
+    ///
     /// # Errors
     /// [`MwError::UnknownEndpoint`] when the URL was never bound.
     pub fn resolve(&self, url: &str) -> Result<SocketAddr, MwError> {
-        let parsed = EndpointUrl::parse(url)?;
+        if let Some(&addr) = self.inner.lock().get(url) {
+            return Ok(addr);
+        }
+        let canonical = EndpointUrl::parse(url)?.to_url_string();
         self.inner
             .lock()
-            .get(&parsed)
+            .get(&canonical)
             .copied()
             .ok_or_else(|| MwError::UnknownEndpoint(url.to_string()))
     }
@@ -118,18 +126,15 @@ impl EndpointRegistry {
     }
 }
 
-/// Accepts one connection within `deadline`. The listener is left
-/// non-blocking; the accepted stream is switched back to blocking mode.
+/// Accepts one connection within `deadline` — the one-shot receivers'
+/// accept. The listener is left non-blocking; the accepted stream is
+/// switched back to blocking mode.
 ///
 /// Between non-blocking `accept()` attempts the caller waits in `poll(2)`
 /// on the listener for what is left of the deadline, so a connection
 /// wakes its acceptor at once and an idle acceptor makes one wake-up per
-/// deadline. Every accept path in the middleware goes through this wait
-/// (directly or via [`Acceptor::accept_within`]): an acceptor is parked
-/// for at most the caller's `deadline`, so a loop that must stop sooner
-/// than its deadline needs a wake from its owner — a throwaway
-/// connection, which is what `PipelineHandle` and `FaultProxyHandle`
-/// send on shutdown.
+/// deadline. (Session receivers wait the same way on their listener and
+/// every held connection at once: [`crate::inbox::Inbox`].)
 ///
 /// # Errors
 /// [`MwError::Timeout`] once the deadline has expired (never earlier),
@@ -157,32 +162,56 @@ pub fn accept_polled(listener: &TcpListener, deadline: Duration) -> Result<TcpSt
 
 /// `struct pollfd` of `poll(2)`.
 #[repr(C)]
-struct PollFd {
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct PollFd {
     fd: c_int,
     events: c_short,
     revents: c_short,
+}
+
+impl PollFd {
+    /// Interest in `fd` becoming readable. On a listener that means a
+    /// pending connection; on a stream, bytes, EOF or a reset.
+    pub(crate) fn readable(fd: &impl AsRawFd) -> Self {
+        PollFd { fd: fd.as_raw_fd(), events: POLLIN | POLLRDHUP, revents: 0 }
+    }
+
+    /// True when the last [`poll_fds`] reported any event on the fd
+    /// (readiness, hang-up or error alike).
+    pub(crate) fn fired(&self) -> bool {
+        self.revents != 0
+    }
+
 }
 
 extern "C" {
     fn poll(fds: *mut PollFd, nfds: c_ulong, timeout: c_int) -> c_int;
 }
 
-/// `POLLIN`: on a listening socket, a connection is pending.
+/// `POLLIN`: on a listening socket, a connection is pending; on a stream,
+/// bytes (or EOF) can be read.
 const POLLIN: c_short = 0x001;
 
-/// Parks the calling thread until `listener` has a pending connection or
-/// `timeout` has passed (whole milliseconds, rounded up so the wait never
-/// ends before the caller's deadline). Returning says nothing about which
-/// happened: any readiness bit, the timeout and an interrupting signal
-/// all just mean "try `accept` again" — the caller recomputes what is
-/// left of its deadline either way.
-fn wait_readable(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+/// `POLLRDHUP` (Linux): the peer shut down its writing half.
+const POLLRDHUP: c_short = 0x2000;
+
+/// Parks the calling thread in one `poll(2)` over every descriptor in
+/// `fds` until one of them fires or `timeout` has passed (whole
+/// milliseconds, rounded up so the wait never ends before the caller's
+/// deadline), then leaves each entry's events in its `revents`. Returning
+/// says nothing about which happened: the timeout and an interrupting
+/// signal both leave every entry unfired, and the caller recomputes what
+/// is left of its deadline either way.
+pub(crate) fn poll_fds(fds: &mut [PollFd], timeout: Duration) -> std::io::Result<()> {
     let millis = c_int::try_from(timeout.as_nanos().div_ceil(1_000_000)).unwrap_or(c_int::MAX);
-    let mut fd = PollFd { fd: listener.as_raw_fd(), events: POLLIN, revents: 0 };
-    // SAFETY: `fd` is one valid, writable `pollfd` for the duration of the
-    // call and `nfds` is 1, so `poll` reads and writes nothing else; the
-    // descriptor stays open because `listener` is borrowed across the call.
-    let rc = unsafe { poll(&mut fd, 1, millis) };
+    for fd in fds.iter_mut() {
+        fd.revents = 0;
+    }
+    // SAFETY: `fds` is a valid, writable slice of `pollfd` records for the
+    // duration of the call and `nfds` is its length, so `poll` reads and
+    // writes nothing else; every descriptor in it is owned by a socket the
+    // caller borrows across the call, so none is closed underneath it.
+    let rc = unsafe { poll(fds.as_mut_ptr(), fds.len() as c_ulong, millis) };
     if rc < 0 {
         let e = std::io::Error::last_os_error();
         if e.kind() != std::io::ErrorKind::Interrupted {
@@ -192,25 +221,40 @@ fn wait_readable(listener: &TcpListener, timeout: Duration) -> std::io::Result<(
     Ok(())
 }
 
-/// Wakes an acceptor parked on the listener at `addr` with one throwaway
+/// Parks until `listener` has a pending connection or `timeout` passed;
+/// see [`poll_fds`].
+fn wait_readable(listener: &TcpListener, timeout: Duration) -> std::io::Result<()> {
+    poll_fds(&mut [PollFd::readable(listener)], timeout)
+}
+
+/// True when a held outbound stream can no longer carry a frame: its peer
+/// closed or reset it. Receivers never write, so any readiness on the
+/// sender's side of the connection is EOF, a reset or an error. One
+/// zero-timeout `poll(2)`, run before every write on a held connection,
+/// so a frame is never written into a socket the peer has already closed
+/// (where the peer's reset would discard it).
+pub(crate) fn peer_closed(stream: &TcpStream) -> bool {
+    let mut fd = [PollFd::readable(stream)];
+    poll_fds(&mut fd, Duration::ZERO).is_err() || fd[0].fired()
+}
+
+/// Wakes a loop parked on the listener at `addr` with one throwaway
 /// loopback connection. The connection queues in the backlog, so a loop
 /// that read its stop flag just before the owner set it still finds it
-/// on its next `accept`; it carries no frame, so the loop's `read_frame`
-/// sees EOF and the loop re-reads the flag. Failure is ignored: a
-/// listener that is already gone needs no wake.
+/// on its next poll; it carries no frame, so the loop's
+/// [`crate::inbox::Inbox`] sees a clean close (no arrival) and the loop
+/// re-reads the flag. Failure is ignored: a listener that is already
+/// gone needs no wake.
 pub(crate) fn wake_acceptor(addr: SocketAddr) {
     let _ = TcpStream::connect_timeout(&addr, Duration::from_secs(1));
 }
 
-/// A deadline-bounded, capacity-limited accept loop over an owned
-/// listener.
+/// A non-blocking, capacity-limited accept over an owned listener.
 ///
 /// The listener is kept non-blocking for its whole life. A sweep-style
 /// server calls [`Acceptor::try_accept`] once per loop iteration, which
 /// never waits, so its shutdown latency is bounded by the sweep period —
-/// the serve reactor depends on this. A dedicated accept loop calls
-/// [`Acceptor::accept_within`], which parks for at most the deadline it
-/// is given (or until its owner wakes it). The optional
+/// the serve reactor depends on this. The optional
 /// connection cap turns overload into a *typed refusal*
 /// ([`MwError::ConnLimit`]) instead of an unbounded backlog.
 #[derive(Debug)]
@@ -285,16 +329,6 @@ impl Acceptor {
             Err(e) => Err(e.into()),
         }
     }
-
-    /// Accepts one connection within `deadline` (cap ignored; the stream
-    /// is returned in blocking mode). See [`accept_polled`].
-    ///
-    /// # Errors
-    /// [`MwError::Timeout`] when the deadline expires, [`MwError::Io`] on
-    /// socket failure.
-    pub fn accept_within(&self, deadline: Duration) -> Result<TcpStream, MwError> {
-        accept_polled(&self.listener, deadline)
-    }
 }
 
 #[cfg(test)]
@@ -355,18 +389,6 @@ mod tests {
         let reg = EndpointRegistry::new();
         let acceptor = Acceptor::new(reg.bind("tcp://idle:1").unwrap()).unwrap();
         assert!(acceptor.try_accept(0, |_| {}).unwrap().is_none());
-    }
-
-    #[test]
-    fn accept_within_is_deadline_bounded() {
-        let reg = EndpointRegistry::new();
-        let acceptor = Acceptor::new(reg.bind("tcp://quiet:1").unwrap()).unwrap();
-        let deadline = Duration::from_millis(20);
-        let start = Instant::now();
-        let err = acceptor.accept_within(deadline).unwrap_err();
-        assert!(matches!(err, MwError::Timeout { what: "accept", .. }));
-        // Bounded: the poll returns promptly once the deadline passes.
-        assert!(start.elapsed() < Duration::from_secs(2));
     }
 
     #[test]

@@ -11,6 +11,11 @@
 //! [`FaultProxy::deploy_dead`] models the harshest failure: an endpoint
 //! that is registered (resolvable) but refuses every connection, as a
 //! crashed pipeline host would.
+//!
+//! Both sides of a proxy are sessions: it serves its senders' held
+//! connections from one [`Inbox`] and delivers on one held connection to
+//! its target. A truncation writes half a frame and then closes that
+//! connection, so the next frame goes out on a fresh one.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -20,9 +25,9 @@ use std::time::Duration;
 use parking_lot::Mutex;
 use rand::{rngs::StdRng, Rng, SeedableRng};
 
-use crate::client::accept_deadline;
+use crate::client::Session;
 use crate::endpoint::{wake_acceptor, EndpointRegistry, OWNER_WOKEN_PARK};
-use crate::framing::{read_frame, write_frame};
+use crate::inbox::{Arrival, Inbox};
 use crate::retry::stable_key;
 use crate::MwError;
 
@@ -39,7 +44,7 @@ pub struct FaultPlan {
     pub drop_prob: f64,
     /// Probability a frame is truncated: the full-length prefix is sent,
     /// the body is cut short and the connection closed, so the receiver
-    /// sees a mid-frame EOF (a crashed sender).
+    /// sees a mid-frame EOF (a crashed sender); the next frame re-dials.
     pub truncate_prob: f64,
     /// Probability a frame is delayed by [`FaultPlan::delay`] before
     /// delivery.
@@ -139,9 +144,8 @@ impl FaultProxy {
         target_url: &str,
         plan: FaultPlan,
     ) -> Result<FaultProxyHandle, MwError> {
-        let listener = registry.bind(public_url)?;
-        listener.set_nonblocking(true)?;
-        let addr = listener.local_addr()?;
+        let inbox = Inbox::new(registry.bind(public_url)?, PROXY_IO_DEADLINE)?;
+        let addr = inbox.local_addr()?;
         let rng = StdRng::seed_from_u64(plan.seed ^ stable_key(public_url));
         let stop = Arc::new(AtomicBool::new(false));
         let stats = Arc::new(Mutex::new(FaultStats::default()));
@@ -151,7 +155,7 @@ impl FaultProxy {
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
             std::thread::spawn(move || {
-                proxy_loop(listener, registry, target, plan, rng, stop, stats);
+                proxy_loop(inbox, registry, target, plan, rng, stop, stats);
             })
         };
         Ok(FaultProxyHandle { stop, addr, thread: Some(thread), stats })
@@ -191,8 +195,8 @@ impl FaultProxyHandle {
         self.shutdown();
     }
 
-    /// Flag, wake, join: the proxy is parked in `accept`, so the flag
-    /// alone would be read only after [`OWNER_WOKEN_PARK`].
+    /// Flag, wake, join: the proxy is parked in its inbox's poll, so the
+    /// flag alone would be read only after [`OWNER_WOKEN_PARK`].
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         if let Some(t) = self.thread.take() {
@@ -208,13 +212,16 @@ impl Drop for FaultProxyHandle {
     }
 }
 
-/// Accept loop: one connection at a time, frames in arrival order, one
-/// fault decision per frame. An idle proxy is parked in the accept; the
-/// handle's shutdown wakes it with a connection that carries no frame
-/// (so it draws no fault decision), and `stop` is re-read after every
-/// connection.
+/// Bound on a proxy's socket operations: a partial inbound frame's
+/// stall, the outbound connect and each write.
+const PROXY_IO_DEADLINE: Duration = Duration::from_secs(5);
+
+/// Receive loop: frames in arrival order, one fault decision per frame.
+/// An idle proxy is parked in its inbox's poll; the handle's shutdown
+/// wakes it with a connection that carries no frame (so it draws no
+/// fault decision), and `stop` is re-read after every wake.
 fn proxy_loop(
-    listener: std::net::TcpListener,
+    mut inbox: Inbox,
     registry: EndpointRegistry,
     target: String,
     plan: FaultPlan,
@@ -222,27 +229,22 @@ fn proxy_loop(
     stop: Arc<AtomicBool>,
     stats: Arc<Mutex<FaultStats>>,
 ) {
+    let mut out = Session::default();
     while !stop.load(Ordering::SeqCst) {
-        let mut conn = match accept_deadline(&listener, OWNER_WOKEN_PARK) {
-            Ok(c) => c,
-            Err(MwError::Timeout { .. }) => continue,
-            Err(_) => break,
-        };
-        if conn.set_read_timeout(Some(Duration::from_secs(30))).is_err() {
+        // A cut inbound frame was never a frame: no decision is drawn.
+        let Some(Arrival::Frame(body)) = inbox.next(OWNER_WOKEN_PARK) else {
             continue;
+        };
+        let kind = decide(&plan, &mut rng);
+        // Recorded before it is applied: a receiver is woken by the
+        // delivery itself, so whoever observes the frame's effect
+        // downstream must already find it in the stats.
+        {
+            let mut s = stats.lock();
+            s.frames += 1;
+            s.injected.push(kind);
         }
-        while let Ok(body) = read_frame(&mut conn) {
-            let kind = decide(&plan, &mut rng);
-            // Recorded before it is applied: a receiver is woken by the
-            // delivery itself, so whoever observes the frame's effect
-            // downstream must already find it in the stats.
-            {
-                let mut s = stats.lock();
-                s.frames += 1;
-                s.injected.push(kind);
-            }
-            apply(&registry, &target, &body, kind, &plan);
-        }
+        apply(&mut out, &registry, &target, &body, kind, &plan);
     }
 }
 
@@ -267,58 +269,54 @@ fn decide(plan: &FaultPlan, rng: &mut StdRng) -> FaultKind {
     }
 }
 
-/// Applies the decided fault. Delivery failures are ignored: the proxy
-/// models a lossy link, and the downstream deadline machinery is what
-/// turns loss into a reported missed exchange.
+/// Applies the decided fault on the outbound session. Delivery failures
+/// are ignored: the proxy models a lossy link, and the downstream
+/// deadline machinery is what turns loss into a reported missed exchange.
 fn apply(
+    out: &mut Session,
     registry: &EndpointRegistry,
     target: &str,
     body: &[u8],
     kind: FaultKind,
     plan: &FaultPlan,
 ) {
+    let deliver = |out: &mut Session| out.send(registry, target, body, PROXY_IO_DEADLINE);
     match kind {
         FaultKind::Dropped => {}
         FaultKind::Delivered => {
-            let _ = deliver(registry, target, body);
+            let _ = deliver(out);
         }
         FaultKind::Delayed => {
             std::thread::sleep(plan.delay);
-            let _ = deliver(registry, target, body);
+            let _ = deliver(out);
         }
         FaultKind::Duplicated => {
-            let _ = deliver(registry, target, body);
-            let _ = deliver(registry, target, body);
+            let _ = deliver(out);
+            let _ = deliver(out);
         }
         FaultKind::Truncated => {
-            let _ = deliver_truncated(registry, target, body);
+            let _ = deliver_truncated(out, registry, target, body);
         }
     }
 }
 
-fn deliver(registry: &EndpointRegistry, target: &str, body: &[u8]) -> Result<(), MwError> {
-    let addr = registry.resolve(target)?;
-    let mut out = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    out.set_write_timeout(Some(Duration::from_secs(5)))?;
-    write_frame(&mut out, body)?;
-    Ok(())
-}
-
-/// Sends the full-length prefix but only half the body, then closes — the
-/// receiver observes a mid-frame EOF.
+/// Sends the full-length prefix but only half the body, then closes the
+/// connection — the receiver observes a mid-frame EOF, and the next frame
+/// dials afresh.
 fn deliver_truncated(
+    out: &mut Session,
     registry: &EndpointRegistry,
     target: &str,
     body: &[u8],
 ) -> Result<(), MwError> {
     use std::io::Write;
-    let addr = registry.resolve(target)?;
-    let mut out = std::net::TcpStream::connect_timeout(&addr, Duration::from_secs(5))?;
-    out.set_write_timeout(Some(Duration::from_secs(5)))?;
-    out.write_all(&(body.len() as u64).to_be_bytes())?;
-    out.write_all(&body[..body.len() / 2])?;
-    out.flush()?;
-    Ok(())
+    let conn = out.stream(registry, target, PROXY_IO_DEADLINE)?;
+    let mut cut = Vec::with_capacity(8 + body.len() / 2);
+    cut.extend_from_slice(&(body.len() as u64).to_be_bytes());
+    cut.extend_from_slice(&body[..body.len() / 2]);
+    let written = conn.write_all(&cut).and_then(|()| conn.flush());
+    out.close();
+    Ok(written?)
 }
 
 /// Grid-level (scan-content) fault schedule: gross measurement errors and
@@ -505,10 +503,13 @@ mod tests {
         let (registry, dst, proxy) = proxied_pair(plan);
         let client = MwClient::new(registry);
         client.send("tcp://proxy:1", b"twin").unwrap();
-        let a = MwClient::recv_deadline_on(&dst, Duration::from_secs(5)).unwrap();
-        let b = MwClient::recv_deadline_on(&dst, Duration::from_secs(5)).unwrap();
-        assert_eq!(a, b"twin");
-        assert_eq!(b, b"twin");
+        // Both copies travel on the proxy's one held connection: the
+        // target is a session receiver.
+        let mut inbox = Inbox::new(dst, Duration::from_secs(5)).unwrap();
+        let deadline = Instant::now() + Duration::from_secs(5);
+        let twin = Some(Arrival::Frame(b"twin".to_vec()));
+        assert_eq!(inbox.recv_until(deadline), twin);
+        assert_eq!(inbox.recv_until(deadline), twin);
         proxy.stop();
     }
 

@@ -5,6 +5,15 @@
 //! prefix followed by the body; streaming variants move large payloads in
 //! bounded chunks so multi-gigabyte benchmark frames never need a giant
 //! allocation on the sending side.
+//!
+//! Connections are sessions: a sender writes frame after frame on one held
+//! connection and a receiver reads frames until EOF, so a frame boundary
+//! is the only thing that separates two messages. [`write_frame`] hands
+//! the header and the body to the socket in one write (with
+//! `TCP_NODELAY` set on every held connection, a frame split over two
+//! writes could otherwise sit behind a delayed ACK); the blocking readers
+//! here serve one-shot connections, and [`crate::inbox::Inbox`] assembles
+//! frames from non-blocking session reads.
 
 use std::io::{Read, Write};
 
@@ -15,10 +24,13 @@ pub const CHUNK: usize = 1 << 22; // 4 MiB
 /// must surface as an error, not as a multi-exabyte allocation.
 pub const MAX_FRAME: u64 = 1 << 30; // 1 GiB
 
-/// Writes one frame: 8-byte length prefix + body.
+/// Writes one frame — 8-byte length prefix + body — as one `write_all`
+/// from one buffer.
 pub fn write_frame<W: Write>(w: &mut W, body: &[u8]) -> std::io::Result<()> {
-    w.write_all(&(body.len() as u64).to_be_bytes())?;
-    w.write_all(body)?;
+    let mut frame = Vec::with_capacity(8 + body.len());
+    frame.extend_from_slice(&(body.len() as u64).to_be_bytes());
+    frame.extend_from_slice(body);
+    w.write_all(&frame)?;
     w.flush()
 }
 
@@ -110,6 +122,23 @@ mod tests {
         write_frame(&mut buf, b"hello grid").unwrap();
         let got = read_frame(&mut Cursor::new(&buf)).unwrap();
         assert_eq!(got, b"hello grid");
+    }
+
+    #[test]
+    fn a_frame_is_one_write() {
+        struct Writes(Vec<usize>);
+        impl Write for Writes {
+            fn write(&mut self, buf: &[u8]) -> std::io::Result<usize> {
+                self.0.push(buf.len());
+                Ok(buf.len())
+            }
+            fn flush(&mut self) -> std::io::Result<()> {
+                Ok(())
+            }
+        }
+        let mut w = Writes(Vec::new());
+        write_frame(&mut w, &[3u8; 1000]).unwrap();
+        assert_eq!(w.0, vec![1008]);
     }
 
     #[test]

@@ -18,11 +18,14 @@
 //! [`throttle::Throttle`] models link bandwidth and the relay rate.
 //!
 //! * [`framing`] — the EOF length-prefix wire protocol;
-//! * [`endpoint`] — URL parsing, the URL → socket-address registry, and
-//!   the deadline-bounded [`endpoint::Acceptor`] every accept loop uses;
+//! * [`endpoint`] — URL parsing, the URL → socket-address registry, the
+//!   capacity-limited [`endpoint::Acceptor`] and the `poll(2)` waits;
+//! * [`inbox`] — the session receiver: a listener and its held
+//!   connections served from one multi-fd poll;
 //! * [`throttle`] — token-bucket pacing (relay rate / simulated LAN);
 //! * [`pipeline`] — `MifPipeline` mirroring the paper's Fig. 7 API;
-//! * [`client`] — `MwClient::{send, recv}` used by estimators (Fig. 6);
+//! * [`client`] — `MwClient::{send, recv}` used by estimators (Fig. 6),
+//!   holding one connection (session) per endpoint;
 //! * [`retry`] — deadlines and deterministic bounded backoff;
 //! * [`faults`] — the seeded fault-injection proxy for chaos testing.
 //!
@@ -34,12 +37,14 @@ pub mod client;
 pub mod endpoint;
 pub mod faults;
 pub mod framing;
+pub mod inbox;
 pub mod pipeline;
 pub mod retry;
 pub mod throttle;
 
 pub use client::{Delivery, MwClient};
 pub use endpoint::{Acceptor, EndpointRegistry, EndpointUrl};
+pub use inbox::{Arrival, Inbox};
 pub use faults::{FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, FaultStats, ScanFault, ScanFaultPlan};
 pub use pipeline::{EndpointProtocol, MifPipeline, PipelineHandle, SeComponent};
 pub use retry::{MwConfig, RetryPolicy};

@@ -5,10 +5,12 @@
 //! and outbound endpoints, and `start()` brings the channel up. Each
 //! component is a store-and-forward router: frames arriving at the inbound
 //! endpoint are forwarded to the outbound endpoint at the configured relay
-//! rate.
+//! rate. Both sides are sessions: the router serves its listener and every
+//! sender's held connection from one [`Inbox`], and forwards on one held
+//! connection to its destination.
 
 use std::io::Write;
-use std::net::{SocketAddr, TcpStream};
+use std::net::SocketAddr;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
@@ -16,15 +18,16 @@ use std::time::Duration;
 
 use parking_lot::Mutex;
 
+use crate::client::Session;
 use crate::endpoint::{wake_acceptor, EndpointRegistry, OWNER_WOKEN_PARK};
-use crate::framing::read_frame;
+use crate::inbox::{Arrival, Inbox};
 
 /// Relay pacing granularity: small enough that the token bucket shapes the
 /// stream the receiver sees, large enough to keep syscall overhead low.
 const RELAY_CHUNK: usize = 1 << 20; // 1 MiB
 
-/// Default bound on each router socket operation (read wait, connect,
-/// write); see [`MifPipeline::set_io_deadline`].
+/// Default bound on each router socket operation (inbound stall,
+/// connect, write); see [`MifPipeline::set_io_deadline`].
 pub const DEFAULT_IO_DEADLINE: Duration = Duration::from_secs(30);
 use crate::retry::{stable_key, RetryPolicy};
 use crate::throttle::Throttle;
@@ -133,10 +136,12 @@ impl MifPipeline {
         self
     }
 
-    /// Bounds every router socket operation (inbound read wait, outbound
-    /// connect and write) by `deadline`. Default:
-    /// [`DEFAULT_IO_DEADLINE`]. A stalled or dead peer can then delay a
-    /// router by at most one deadline per frame, never hang it.
+    /// Bounds every router socket operation (an inbound frame's stall,
+    /// outbound connect and write) by `deadline`. Default:
+    /// [`DEFAULT_IO_DEADLINE`]. A stalled inbound peer delays no other
+    /// sender (its partial frame is dropped as corrupt after one
+    /// deadline), and a dead outbound peer delays the router by at most
+    /// one deadline per attempt, never hangs it.
     pub fn set_io_deadline(&mut self, deadline: Duration) -> &mut Self {
         self.io_deadline = deadline;
         self
@@ -154,7 +159,9 @@ impl MifPipeline {
     /// `volatile.mw.relay.*` namespace. Router threads race delivery, so
     /// these counters can trail the wire by a few frames — which is exactly
     /// why they are `volatile.*` and excluded from the deterministic
-    /// export.
+    /// export. The routers run under this recorder, so their outbound
+    /// dials tick its `mw.connects` (a dial precedes the delivery it
+    /// carries, so that count does not trail).
     pub fn set_recorder(&mut self, recorder: pgse_obs::Recorder) -> &mut Self {
         self.recorder = Some(recorder);
         self
@@ -183,8 +190,8 @@ impl MifPipeline {
                 .out_url
                 .clone()
                 .ok_or_else(|| MwError::BadUrl(format!("{}: no outbound endpoint", comp.name)))?;
-            let listener = crate::endpoint::Acceptor::new(registry.bind(&in_url)?)?;
-            inbound.push(listener.local_addr()?);
+            let inbox = Inbox::new(registry.bind(&in_url)?, self.io_deadline)?;
+            inbound.push(inbox.local_addr()?);
             let registry = registry.clone();
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
@@ -195,7 +202,11 @@ impl MifPipeline {
             };
             let recorder = self.recorder.clone();
             threads.push(std::thread::spawn(move || {
-                router_loop(listener, registry, out_url, cfg, stop, stats, recorder);
+                let relay = || router_loop(inbox, &registry, &out_url, cfg, &stop, &stats, &recorder);
+                match &recorder {
+                    Some(rec) => pgse_obs::with_recorder(rec, relay),
+                    None => relay(),
+                }
             }));
         }
         Ok(PipelineHandle { stop, inbound, threads, stats })
@@ -225,8 +236,8 @@ impl PipelineHandle {
         self.shutdown();
     }
 
-    /// Flag, wake, join: the routers are parked in `accept`, so the flag
-    /// alone would be read only after [`OWNER_WOKEN_PARK`].
+    /// Flag, wake, join: the routers are parked in their inbox's poll, so
+    /// the flag alone would be read only after [`OWNER_WOKEN_PARK`].
     fn shutdown(&mut self) {
         self.stop.store(true, Ordering::SeqCst);
         for addr in self.inbound.drain(..) {
@@ -252,66 +263,49 @@ struct RouterConfig {
     retry: RetryPolicy,
 }
 
-/// Accept loop of one component: store each inbound frame, forward it to
-/// the outbound endpoint at the relay rate. All socket waits are bounded
-/// by the configured IO deadline. An idle router is parked in
-/// [`crate::endpoint::Acceptor::accept_within`]: a sender's connection
-/// wakes it at once, and so does [`PipelineHandle`]'s shutdown, which
-/// sets `stop` and then connects once to the inbound endpoint — the stop
-/// flag is re-read after every connection and every
-/// [`OWNER_WOKEN_PARK`].
+/// Receive loop of one component: store each inbound frame, forward it
+/// to the outbound endpoint at the relay rate on the held outbound
+/// session. A cut or stalled inbound frame (beyond the IO deadline) is
+/// corrupt and is not relayed — the destination sees it as missing. An
+/// idle router is parked in its [`Inbox`]'s poll: a frame wakes it at
+/// once, and so does [`PipelineHandle`]'s shutdown, which sets `stop` and
+/// then connects once to the inbound endpoint — the stop flag is re-read
+/// after every wake and every [`OWNER_WOKEN_PARK`].
 fn router_loop(
-    listener: crate::endpoint::Acceptor,
-    registry: EndpointRegistry,
-    out_url: String,
+    mut inbox: Inbox,
+    registry: &EndpointRegistry,
+    out_url: &str,
     cfg: RouterConfig,
-    stop: Arc<AtomicBool>,
-    stats: Arc<Mutex<RelayStats>>,
-    recorder: Option<pgse_obs::Recorder>,
+    stop: &AtomicBool,
+    stats: &Mutex<RelayStats>,
+    recorder: &Option<pgse_obs::Recorder>,
 ) {
-    let retry_key = stable_key(&out_url);
+    let retry_key = stable_key(out_url);
+    let mut out = Session::default();
     while !stop.load(Ordering::SeqCst) {
-        match listener.accept_within(OWNER_WOKEN_PARK) {
-            Ok(mut conn) => {
-                if conn.set_read_timeout(Some(cfg.io_deadline)).is_err() {
-                    continue;
-                }
-                // A connection may carry several frames; relay until EOF
-                // (or until the sender stalls past the IO deadline).
-                while let Ok(body) = read_frame(&mut conn) {
-                    let retried = forward_with_retry(
-                        &registry, &out_url, &body, &cfg, retry_key, &stop,
-                    );
-                    let mut s = stats.lock();
-                    match retried {
-                        Some(extra_attempts) => {
-                            s.frames += 1;
-                            s.bytes += body.len() as u64;
-                            s.retries += u64::from(extra_attempts);
-                            if let Some(rec) = &recorder {
-                                rec.counter_add("volatile.mw.relay.frames", 1);
-                                rec.counter_add(
-                                    "volatile.mw.relay.bytes",
-                                    body.len() as u64,
-                                );
-                                rec.counter_add(
-                                    "volatile.mw.relay.retries",
-                                    u64::from(extra_attempts),
-                                );
-                            }
-                        }
-                        None => {
-                            s.dropped += 1;
-                            s.retries += u64::from(cfg.retry.max_attempts.saturating_sub(1));
-                            if let Some(rec) = &recorder {
-                                rec.counter_add("volatile.mw.relay.dropped", 1);
-                            }
-                        }
-                    }
+        let Some(Arrival::Frame(body)) = inbox.next(OWNER_WOKEN_PARK) else {
+            continue;
+        };
+        let retried = forward_with_retry(&mut out, registry, out_url, &body, &cfg, retry_key, stop);
+        let mut s = stats.lock();
+        match retried {
+            Some(extra_attempts) => {
+                s.frames += 1;
+                s.bytes += body.len() as u64;
+                s.retries += u64::from(extra_attempts);
+                if let Some(rec) = recorder {
+                    rec.counter_add("volatile.mw.relay.frames", 1);
+                    rec.counter_add("volatile.mw.relay.bytes", body.len() as u64);
+                    rec.counter_add("volatile.mw.relay.retries", u64::from(extra_attempts));
                 }
             }
-            Err(MwError::Timeout { .. }) => {}
-            Err(_) => break,
+            None => {
+                s.dropped += 1;
+                s.retries += u64::from(cfg.retry.max_attempts.saturating_sub(1));
+                if let Some(rec) = recorder {
+                    rec.counter_add("volatile.mw.relay.dropped", 1);
+                }
+            }
         }
     }
 }
@@ -320,6 +314,7 @@ fn router_loop(
 /// number of attempts beyond the first) on delivery, `None` when every
 /// attempt failed or the pipeline is stopping.
 fn forward_with_retry(
+    out: &mut Session,
     registry: &EndpointRegistry,
     out_url: &str,
     body: &[u8],
@@ -334,52 +329,57 @@ fn forward_with_retry(
                 return None;
             }
         }
-        if forward(registry, out_url, body, cfg) {
+        if forward(out, registry, out_url, body, cfg).is_ok() {
             return Some(attempt);
         }
+        // A failed write leaves a cut frame behind: the next attempt
+        // starts on a fresh connection.
+        out.close();
     }
     None
 }
 
-/// Forwards one stored frame to the outbound endpoint, paced at the relay
-/// rate. Returns false when delivery failed.
+/// Forwards one stored frame on the outbound session, paced at the relay
+/// rate. The header goes out in one write with the first chunk, so a frame
+/// under [`RELAY_CHUNK`] is one write.
 fn forward(
+    out: &mut Session,
     registry: &EndpointRegistry,
     out_url: &str,
     body: &[u8],
     cfg: &RouterConfig,
-) -> bool {
-    let Ok(addr) = registry.resolve(out_url) else {
-        return false;
-    };
-    let Ok(mut out) = TcpStream::connect_timeout(&addr, cfg.io_deadline) else {
-        return false;
-    };
-    if out.set_write_timeout(Some(cfg.io_deadline)).is_err() {
-        return false;
-    }
+) -> Result<(), crate::MwError> {
+    let conn = out.stream(registry, out_url, cfg.io_deadline)?;
     let mut throttle = cfg.relay_rate.map(Throttle::new);
-    let write = (|| -> std::io::Result<()> {
-        out.write_all(&(body.len() as u64).to_be_bytes())?;
-        // Pace-then-send: the relay may not emit a chunk before its
-        // schedule allows it, so the receiver genuinely observes the relay
-        // rate (paying the cost after the write would let small frames slip
-        // through the kernel buffers unthrottled).
-        for chunk in body.chunks(RELAY_CHUNK) {
-            if let Some(t) = throttle.as_mut() {
-                t.account(chunk.len());
-            }
-            out.write_all(chunk)?;
+    let mut chunks = body.chunks(RELAY_CHUNK);
+    let first = chunks.next().unwrap_or(&[]);
+    // Pace-then-send: the relay may not emit a chunk before its schedule
+    // allows it, so the receiver genuinely observes the relay rate (paying
+    // the cost after the write would let small frames slip through the
+    // kernel buffers unthrottled).
+    if let Some(t) = throttle.as_mut() {
+        t.account(first.len());
+    }
+    let mut head = Vec::with_capacity(8 + first.len());
+    head.extend_from_slice(&(body.len() as u64).to_be_bytes());
+    head.extend_from_slice(first);
+    conn.write_all(&head)?;
+    for chunk in chunks {
+        if let Some(t) = throttle.as_mut() {
+            t.account(chunk.len());
         }
-        out.flush()
-    })();
-    write.is_ok()
+        conn.write_all(chunk)?;
+    }
+    conn.flush()?;
+    Ok(())
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
     use crate::client::MwClient;
+    use std::net::TcpStream;
+    use std::time::Instant;
 
     fn one_hop_pipeline(registry: &EndpointRegistry, relay_rate: Option<f64>) -> PipelineHandle {
         let mut pipeline = MifPipeline::new();
@@ -428,9 +428,13 @@ mod tests {
         pipeline.add_mif_component(se);
         let handle = pipeline.start(&registry).unwrap();
 
+        // The router forwards both on its one held outbound connection:
+        // the destination is a session receiver.
         let receiver = std::thread::spawn(move || {
-            let a = MwClient::recv_on(&dst).unwrap();
-            let b = MwClient::recv_on(&dst).unwrap();
+            let mut inbox = Inbox::new(dst, Duration::from_secs(5)).unwrap();
+            let deadline = Instant::now() + Duration::from_secs(5);
+            let a = inbox.recv_until(deadline).unwrap();
+            let b = inbox.recv_until(deadline).unwrap();
             (a, b)
         });
         // Two frames over a single sender connection.
@@ -440,8 +444,8 @@ mod tests {
         crate::framing::write_frame(&mut conn, b"two").unwrap();
         drop(conn);
         let (a, b) = receiver.join().unwrap();
-        assert_eq!(a, b"one");
-        assert_eq!(b, b"two");
+        assert_eq!(a, Arrival::Frame(b"one".to_vec()));
+        assert_eq!(b, Arrival::Frame(b"two".to_vec()));
         for _ in 0..200 {
             if handle.stats().frames == 2 {
                 break;
@@ -449,6 +453,53 @@ mod tests {
             std::thread::sleep(Duration::from_millis(2));
         }
         assert_eq!(handle.stats().frames, 2);
+    }
+
+    #[test]
+    fn alternating_relayed_sends_and_one_shot_receives_lose_nothing() {
+        // Client → router is a held session; router → destination is
+        // re-dialled after every one-shot receive closes it.
+        let registry = EndpointRegistry::new();
+        let dst = registry.bind("tcp://chinook.emsl.pnl.gov:7890").unwrap();
+        let handle = one_hop_pipeline(&registry, Some(crate::throttle::PAPER_RELAY_RATE));
+        let client = MwClient::new(registry.clone());
+        for i in 0..1000u32 {
+            client.send("tcp://nwiceb.pnl.gov:6789", &i.to_be_bytes()).unwrap();
+            let got = MwClient::recv_deadline_on(&dst, Duration::from_secs(2)).unwrap();
+            assert_eq!(got, i.to_be_bytes());
+        }
+        let stats = handle.stats();
+        assert_eq!((stats.dropped, stats.retries), (0, 0));
+        handle.stop();
+    }
+
+    #[test]
+    fn a_relay_session_dials_each_hop_once() {
+        let registry = EndpointRegistry::new();
+        let dst = registry.bind("tcp://dst:6").unwrap();
+        let mut inbox = Inbox::new(dst, Duration::from_secs(5)).unwrap();
+        let relay = pgse_obs::Recorder::new("relay");
+        let mut pipeline = MifPipeline::new();
+        pipeline.add_mif_connector(EndpointProtocol::Tcp);
+        let mut se = SeComponent::new("SE");
+        se.set_in_name_endp("tcp://in:6");
+        se.set_out_hal_endp("tcp://dst:6");
+        pipeline.add_mif_component(se);
+        pipeline.set_recorder(relay.clone());
+        let handle = pipeline.start(&registry).unwrap();
+        let client = MwClient::new(registry.clone());
+        let sender = pgse_obs::Recorder::new("sender");
+        let deadline = Instant::now() + Duration::from_secs(5);
+        for i in 0..100u32 {
+            pgse_obs::with_recorder(&sender, || client.send("tcp://in:6", &i.to_be_bytes()))
+                .unwrap();
+            let want = Arrival::Frame(i.to_be_bytes().to_vec());
+            assert_eq!(inbox.recv_until(deadline), Some(want));
+        }
+        assert_eq!(sender.snapshot().metrics.counter("mw.connects"), 1);
+        assert_eq!(relay.snapshot().metrics.counter("mw.connects"), 1);
+        assert_eq!(inbox.held(), 1);
+        handle.stop();
     }
 
     #[test]

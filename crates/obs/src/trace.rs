@@ -154,10 +154,12 @@ impl SpanRecord {
     }
 }
 
-#[derive(Debug, Default)]
+#[derive(Debug)]
 struct RecorderState {
+    /// How many closed spans `spans` keeps.
+    ring: usize,
     next_seq: u64,
-    /// The newest closed spans, in close order (at most [`SPAN_RING`]).
+    /// The newest closed spans, in close order (at most `ring`).
     spans: VecDeque<SpanRecord>,
     /// Count and wall time of every span ever closed, by name.
     stage_totals: BTreeMap<String, StageStat>,
@@ -174,7 +176,26 @@ pub struct Recorder {
 impl Recorder {
     /// A fresh recorder for the named scope.
     pub fn new(scope: &str) -> Self {
-        Recorder { scope: Arc::from(scope), state: Arc::default() }
+        Self::with_ring(scope, SPAN_RING)
+    }
+
+    /// A recorder that keeps its metrics and counts every span in its
+    /// per-name totals, but retains no span records: for a loop that
+    /// opens a span per message, where the totals are the useful part and
+    /// a full ring would only be memory.
+    pub fn totals_only(scope: &str) -> Self {
+        Self::with_ring(scope, 0)
+    }
+
+    fn with_ring(scope: &str, ring: usize) -> Self {
+        let state = RecorderState {
+            ring,
+            next_seq: 0,
+            spans: VecDeque::new(),
+            stage_totals: BTreeMap::new(),
+            metrics: MetricsSnapshot::default(),
+        };
+        Recorder { scope: Arc::from(scope), state: Arc::new(Mutex::new(state)) }
     }
 
     /// The scope name.
@@ -254,7 +275,10 @@ impl Recorder {
         let total = slot(&mut st.stage_totals, &record.name, StageStat::default);
         total.count += 1;
         total.wall_nanos += u128::from(record.wall_nanos);
-        if st.spans.len() == SPAN_RING {
+        if st.ring == 0 {
+            return;
+        }
+        if st.spans.len() == st.ring {
             st.spans.pop_front();
         }
         st.spans.push_back(record);
@@ -350,6 +374,19 @@ mod tests {
         assert!(snap.spans.windows(2).all(|w| w[0].seq + 1 == w[1].seq));
         let report = crate::ObsReport::from_scopes(vec![snap]);
         assert_eq!(report.stage_totals()["s"].count, closed as u64);
+    }
+
+    #[test]
+    fn a_totals_only_recorder_counts_spans_and_keeps_none() {
+        let rec = Recorder::totals_only("t");
+        for i in 0..3 * SPAN_RING {
+            let _sp = rec.span_at("s", i as u64);
+        }
+        rec.counter_add("c", 2);
+        let snap = rec.snapshot();
+        assert!(snap.spans.is_empty());
+        assert_eq!(snap.metrics.counter("c"), 2);
+        assert_eq!(snap.stage_totals["s"].count, 3 * SPAN_RING as u64);
     }
 
     #[test]

@@ -92,11 +92,9 @@ use pgse_estimation::synthetic::NoiseProcess;
 use pgse_estimation::wls::{GnWave, SolveCache, StateEstimate, WlsError, WlsOptions};
 use pgse_estimation::{baddata, restoration};
 use pgse_grid::Network;
-use pgse_medici::endpoint::accept_polled;
-use pgse_medici::framing::read_frame;
 use pgse_medici::{
-    EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, FaultStats, MwClient,
-    MwError, ScanFault, ScanFaultPlan,
+    Arrival, EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, FaultStats,
+    Inbox, MwClient, MwError, ScanFault, ScanFaultPlan,
 };
 use pgse_obs::{ObsReport, Recorder, ScopeReport};
 use pgse_partition::weights::initial_graph;
@@ -115,11 +113,12 @@ use crate::supervise::{
 };
 use crate::wire::{self, StreamFrame, TopologyEvent};
 
-/// Idle poll of the ingest listener threads: how long one accept wait
+/// Idle poll of the ingest threads: how long one wait on an area's inbox
 /// lasts before the stop flag is checked again.
 const RECV_POLL: Duration = Duration::from_millis(25);
 
-/// How long an accepted ingest connection has to deliver its frame.
+/// How long a partly received ingest frame may go without progress
+/// before it counts as corrupt.
 const FRAME_READ_DEADLINE: Duration = Duration::from_secs(1);
 
 /// Model-time spacing between frames in seconds (the noise process' `δt`
@@ -525,6 +524,10 @@ pub struct StreamService {
     rec: Recorder,
     area_recs: Vec<Recorder>,
     sup_rec: Recorder,
+    /// The feeder's middleware trace: its `mw.send` span totals and its
+    /// `mw.connects` dials (no retained spans — one per send would be a
+    /// full ring of memory).
+    feed_rec: Recorder,
     /// Weighted decomposition graph (areas = vertices, tie groups =
     /// edges) — what failover repartitions when a cluster dies.
     graph: WeightedGraph,
@@ -608,6 +611,7 @@ impl StreamService {
         let rec = Recorder::new("stream");
         let area_recs = (0..n).map(|a| Recorder::new(&format!("stream.area{a}"))).collect();
         let sup_rec = Recorder::new("stream.supervise");
+        let feed_rec = Recorder::totals_only("stream.feed");
         Ok(StreamService {
             cfg,
             stages,
@@ -620,6 +624,7 @@ impl StreamService {
             rec,
             area_recs,
             sup_rec,
+            feed_rec,
             graph,
             assignment,
             n_clusters,
@@ -690,7 +695,9 @@ impl StreamService {
     }
 
     /// Observability export: the service scope, the supervision scope
-    /// (failover counters and recovery spans), plus one scope per area
+    /// (failover counters and recovery spans), the feeder's middleware
+    /// scope (`stream.feed`: `mw.send` totals, `mw.connects`), plus one
+    /// scope per area
     /// (where the per-solve WLS spans and counters accumulate). The
     /// service scope also shows the ledger's books that are not recorders:
     /// the ingest queues' tallies, the chaos proxies' faults (in total and
@@ -725,7 +732,7 @@ impl StreamService {
                 stream.metrics.counter_add(&format!("stream.faults.{}", kind.label()), n);
             }
         }
-        let mut scopes = vec![stream, self.sup_rec.snapshot()];
+        let mut scopes = vec![stream, self.sup_rec.snapshot(), self.feed_rec.snapshot()];
         scopes.extend(areas);
         ObsReport::from_scopes(scopes)
     }
@@ -811,78 +818,17 @@ impl StreamService {
         };
 
         std::thread::scope(|scope| {
-            // --- ingest: one listener thread per area decodes and enqueues.
-            let mut ingest_handles = Vec::with_capacity(n_areas);
-            for a in 0..n_areas {
-                let listener = &self.listeners[a];
-                let queue = &self.queues[a];
-                let stop = &stop_ingest;
-                ingest_handles.push(scope.spawn(move || loop {
-                    let idle =
-                        !ingest_turn(listener, queue, &self.rec, FRAME_READ_DEADLINE, solvable);
-                    if idle && stop.load(Ordering::Acquire) {
-                        break;
-                    }
-                }));
-            }
+            // --- ingest: one thread per area serves the area's inbox.
+            let stop = &stop_ingest;
+            let mut ingest_handles: Vec<_> = (0..n_areas)
+                .map(|a| scope.spawn(move || self.ingest(a, stop, solvable)))
+                .collect();
 
-            // --- feeder: synthesize, corrupt (scan-fault plan), encode,
-            // and ship each area's frame, stamped with its topology stage.
-            {
-                let service = self;
-                let registry = self.registry.clone();
-                let feeder_done = &feeder_done;
-                let published_seq = &published_seq;
-                let published = &published;
-                let rec = &self.rec;
-                scope.spawn(move || {
-                    let client = MwClient::new(registry);
-                    for s in 0..cfg.n_frames {
-                        let dt = s as f64 * FRAME_INTERVAL_SECS;
-                        let noise = service.noise.level(dt);
-                        let v = service.stage_for_seq(s);
-                        let stage = &service.stages[v];
-                        for (a, est) in stage.estimators.iter().enumerate() {
-                            let mut set =
-                                est.generate_telemetry(noise, frame_seed(cfg.seed, s));
-                            let fault = cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s));
-                            let net = est.step1_estimator().network();
-                            match apply_scan_fault(fault, &mut set, net) {
-                                ScanDamage::Gross => rec.counter_add("stream.faults.gross", 1),
-                                ScanDamage::Rtu { shed } => {
-                                    rec.counter_add("stream.faults.rtu", 1);
-                                    rec.counter_add("stream.faults.rtu_shed", shed);
-                                }
-                                ScanDamage::None => {}
-                            }
-                            let mut frame = StreamFrame::new(a as u32, s, dt, set);
-                            frame.topology_version = v as u32;
-                            if s == stage.start_seq {
-                                frame.topology_events = stage.events.clone();
-                            }
-                            let sent = client.send(&service.feed_urls[a], &wire::encode(&frame));
-                            rec.counter_add(
-                                if sent.is_ok() { "stream.fed" } else { "stream.send_failures" },
-                                1,
-                            );
-                        }
-                        if cfg.lockstep {
-                            // Park until this frame's snapshot is
-                            // published; the timeout keeps the feeder
-                            // live when chaos starves a whole round.
-                            let seq = published_seq.lock().expect("published_seq lock poisoned");
-                            let _parked = published
-                                .wait_timeout_while(seq, cfg.lockstep_timeout, |p| {
-                                    !p.is_some_and(|p| p >= s)
-                                })
-                                .expect("published_seq lock poisoned");
-                        } else if !cfg.pacing.is_zero() {
-                            std::thread::sleep(cfg.pacing);
-                        }
-                    }
-                    feeder_done.store(true, Ordering::Release);
-                });
-            }
+            // --- feeder: one thread ships every area's frames in order.
+            scope.spawn(|| {
+                self.feed(&published_seq, &published);
+                feeder_done.store(true, Ordering::Release);
+            });
 
             // --- solve loop: latest-wins sweep over the area queues,
             // supervised (heartbeats → deadline tick → recovery) per round.
@@ -1322,6 +1268,79 @@ impl StreamService {
             elapsed: start.elapsed(),
             ..self.counts()
         }
+    }
+
+    /// Area `a`'s ingest thread: serves the area's inbox — the listener
+    /// and every held feeder connection, one poll — until `stop` is set
+    /// and a turn passes idle.
+    fn ingest(&self, a: usize, stop: &AtomicBool, solvable: &dyn Fn(&StreamFrame) -> bool) {
+        let mut inbox = self.listeners[a]
+            .try_clone()
+            .map_err(MwError::from)
+            .and_then(|l| Inbox::new(l, FRAME_READ_DEADLINE))
+            .expect("the ingest listener serves an inbox");
+        loop {
+            // Read before the turn: its wait then covers every frame
+            // written before the stop.
+            let stopping = stop.load(Ordering::Acquire);
+            if !ingest_turn(&mut inbox, &self.queues[a], &self.rec, solvable) && stopping {
+                return;
+            }
+        }
+    }
+
+    /// The feeder: synthesizes, corrupts (scan-fault plan), encodes and
+    /// ships each area's frame, stamped with its topology stage, on one
+    /// held session per area. In lockstep it parks on `published` until
+    /// each frame's snapshot is out.
+    fn feed(&self, published_seq: &Mutex<Option<u64>>, published: &Condvar) {
+        let cfg = &self.cfg;
+        let rec = &self.rec;
+        pgse_obs::with_recorder(&self.feed_rec, || {
+            let client = MwClient::new(self.registry.clone());
+            for s in 0..cfg.n_frames {
+                let dt = s as f64 * FRAME_INTERVAL_SECS;
+                let noise = self.noise.level(dt);
+                let v = self.stage_for_seq(s);
+                let stage = &self.stages[v];
+                for (a, est) in stage.estimators.iter().enumerate() {
+                    let mut set = est.generate_telemetry(noise, frame_seed(cfg.seed, s));
+                    let fault = cfg.scan_faults.as_ref().and_then(|p| p.fault_for(a, s));
+                    let net = est.step1_estimator().network();
+                    match apply_scan_fault(fault, &mut set, net) {
+                        ScanDamage::Gross => rec.counter_add("stream.faults.gross", 1),
+                        ScanDamage::Rtu { shed } => {
+                            rec.counter_add("stream.faults.rtu", 1);
+                            rec.counter_add("stream.faults.rtu_shed", shed);
+                        }
+                        ScanDamage::None => {}
+                    }
+                    let mut frame = StreamFrame::new(a as u32, s, dt, set);
+                    frame.topology_version = v as u32;
+                    if s == stage.start_seq {
+                        frame.topology_events = stage.events.clone();
+                    }
+                    let sent = client.send(&self.feed_urls[a], &wire::encode(&frame));
+                    rec.counter_add(
+                        if sent.is_ok() { "stream.fed" } else { "stream.send_failures" },
+                        1,
+                    );
+                }
+                if cfg.lockstep {
+                    // Park until this frame's snapshot is published; the
+                    // timeout keeps the feeder live when chaos starves a
+                    // whole round.
+                    let seq = published_seq.lock().expect("published_seq lock poisoned");
+                    let _parked = published
+                        .wait_timeout_while(seq, cfg.lockstep_timeout, |p| {
+                            !p.is_some_and(|p| p >= s)
+                        })
+                        .expect("published_seq lock poisoned");
+                } else if !cfg.pacing.is_zero() {
+                    std::thread::sleep(cfg.pacing);
+                }
+            }
+        });
     }
 
     /// One round of wave-driven, cross-area batched Step-1 solving.
@@ -2071,34 +2090,26 @@ fn step2_seed(seed: u64, s: u64) -> u64 {
     seed ^ s.wrapping_mul(0x6a09_e667_f3bc_c909).wrapping_add(0x1f83_d9ab_fb41_bd6b)
 }
 
-/// One turn of an area's ingest listener: waits up to [`RECV_POLL`] for a
-/// connection, then reads its frame under `read_budget` — a budget of its
-/// own, so a sender descheduled between `connect` and `write` is not taken
-/// for an idle poll. Every accepted connection ends as a queued frame or a
-/// `corrupt` tick (truncated, aborted, stalled or undecodable delivery, or
-/// a frame `solvable` refuses). Returns `false` when the poll passed with
-/// nothing to accept.
+/// One turn of an area's ingest: waits up to [`RECV_POLL`] on the
+/// area's inbox — the listener and every held feeder connection, one
+/// poll — and takes one arrival. Every arrival ends as a queued frame or
+/// a `corrupt` tick (a cut, stalled or undecodable frame, or one
+/// `solvable` refuses); a connection closed between frames counts
+/// nothing. Returns `false` when the turn was idle: nothing arrived and
+/// no frame is partly received.
 fn ingest_turn(
-    listener: &TcpListener,
+    inbox: &mut Inbox,
     queue: &IngestQueue,
     rec: &Recorder,
-    read_budget: Duration,
     solvable: &dyn Fn(&StreamFrame) -> bool,
 ) -> bool {
-    let mut conn = match accept_polled(listener, RECV_POLL) {
-        Ok(conn) => conn,
-        Err(e) if e.is_timeout() => return false,
-        Err(_) => {
-            rec.counter_add("stream.corrupt", 1);
-            return true;
-        }
+    let Some(arrival) = inbox.next(RECV_POLL) else {
+        return inbox.pending();
     };
-    let frame = conn
-        .set_read_timeout(Some(read_budget))
-        .and_then(|()| read_frame(&mut conn))
-        .ok()
-        .and_then(|body| wire::decode(&body).ok())
-        .filter(|frame| solvable(frame));
+    let frame = match arrival {
+        Arrival::Frame(body) => wire::decode(&body).ok().filter(|frame| solvable(frame)),
+        Arrival::Corrupt => None,
+    };
     if let Some(frame) = frame {
         queue.push(frame);
     } else {
@@ -2240,45 +2251,68 @@ mod tests {
         assert_eq!(obs.counter("stream.supervise", "failover.restarts"), 1);
     }
 
-    /// Binds a loopback listener and runs [`ingest_turn`] under `read_budget`
-    /// until it accepts `peer`, a raw socket client handed the listener's
-    /// address and a channel that closes once the turn is over.
-    fn one_turn(
-        read_budget: Duration,
+    /// Binds a loopback inbox (stall budget `stall`) and runs
+    /// [`ingest_turn`] while `peer`, a raw socket client handed the
+    /// listener's address and a channel that closes once the turns are
+    /// over, talks to it. The turns end once `events` arrivals were queued
+    /// or counted corrupt — with `events == 0`, once the peer is done and
+    /// the inbox holds no connection.
+    fn serve_peer(
+        stall: Duration,
+        events: u64,
         peer: impl FnOnce(std::net::SocketAddr, std::sync::mpsc::Receiver<()>) + Send,
     ) -> (IngestQueue, u64) {
         let listener = TcpListener::bind("127.0.0.1:0").unwrap();
         let addr = listener.local_addr().unwrap();
+        let mut inbox = Inbox::new(listener, stall).unwrap();
         let queue = IngestQueue::new(4);
         let rec = Recorder::new("stream");
+        let peer_done = AtomicBool::new(false);
         let (over_tx, over_rx) = std::sync::mpsc::channel();
+        let corrupt = || rec.snapshot().metrics.counter("stream.corrupt");
         std::thread::scope(|scope| {
-            scope.spawn(move || peer(addr, over_rx));
-            // The accept wait is an idle poll: early turns may pass empty.
-            let accepted =
-                (0..200).any(|_| ingest_turn(&listener, &queue, &rec, read_budget, &|_| true));
-            assert!(accepted, "the peer never connected");
+            scope.spawn(|| {
+                peer(addr, over_rx);
+                peer_done.store(true, Ordering::Release);
+            });
+            let start = Instant::now();
+            loop {
+                // Read before the turn: the turn then sees everything the
+                // peer did before it finished.
+                let finished = peer_done.load(Ordering::Acquire);
+                ingest_turn(&mut inbox, &queue, &rec, &|_| true);
+                let seen = queue.stats().ingested + corrupt();
+                if seen >= events && (events > 0 || (finished && inbox.held() == 0)) {
+                    break;
+                }
+                assert!(start.elapsed() < Duration::from_secs(5), "the peer never finished");
+            }
             drop(over_tx);
         });
-        (queue, rec.snapshot().metrics.counter("stream.corrupt"))
+        (queue, corrupt())
+    }
+
+    fn frame(seq: u64) -> StreamFrame {
+        StreamFrame {
+            area: 3,
+            seq,
+            dt_seconds: 4.0 * seq as f64,
+            topology_version: 0,
+            topology_events: Vec::new(),
+            measurements: MeasurementSet::new(),
+        }
     }
 
     #[test]
     fn a_frame_written_after_the_poll_window_is_ingested_not_dropped() {
-        let frame = StreamFrame {
-            area: 3,
-            seq: 7,
-            dt_seconds: 28.0,
-            topology_version: 0,
-            topology_events: Vec::new(),
-            measurements: MeasurementSet::new(),
-        };
+        let frame = frame(7);
+        let sent = frame.clone();
         // The sender connects, is descheduled for longer than RECV_POLL,
-        // then writes: the read has its own budget, so the frame lands.
-        let (queue, corrupt) = one_turn(FRAME_READ_DEADLINE, |addr, _over| {
+        // then writes: the held connection waits, and the frame lands.
+        let (queue, corrupt) = serve_peer(FRAME_READ_DEADLINE, 1, move |addr, _over| {
             let mut conn = std::net::TcpStream::connect(addr).unwrap();
             std::thread::sleep(Duration::from_millis(40));
-            pgse_medici::framing::write_frame(&mut conn, &wire::encode(&frame)).unwrap();
+            pgse_medici::framing::write_frame(&mut conn, &wire::encode(&sent)).unwrap();
         });
         assert_eq!(corrupt, 0);
         assert_eq!(queue.stats().ingested, 1);
@@ -2287,14 +2321,46 @@ mod tests {
     }
 
     #[test]
-    fn a_peer_that_connects_and_never_writes_counts_as_corrupt() {
-        let (queue, corrupt) = one_turn(Duration::from_millis(50), |addr, over| {
-            let _conn = std::net::TcpStream::connect(addr).unwrap();
-            // Hold the connection open until the read has timed out.
+    fn a_peer_that_writes_a_header_and_stalls_counts_as_corrupt() {
+        let (queue, corrupt) = serve_peer(Duration::from_millis(50), 1, |addr, over| {
+            use std::io::Write;
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.write_all(&64u64.to_be_bytes()).unwrap();
+            // Hold the connection open until the stall has been counted.
             let _ = over.recv();
         });
         assert_eq!(corrupt, 1);
         assert_eq!(queue.stats().ingested, 0);
+    }
+
+    #[test]
+    fn a_clean_close_with_no_bytes_counts_nothing() {
+        let (queue, corrupt) = serve_peer(Duration::from_millis(50), 0, |addr, _over| {
+            drop(std::net::TcpStream::connect(addr).unwrap());
+        });
+        assert_eq!(corrupt, 0);
+        assert_eq!(queue.stats().ingested, 0);
+    }
+
+    #[test]
+    fn a_stalled_session_is_corrupt_and_the_senders_later_frames_are_ingested() {
+        let (queue, corrupt) = serve_peer(Duration::from_millis(50), 3, |addr, _over| {
+            use std::io::{Read, Write};
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            conn.write_all(&64u64.to_be_bytes()).unwrap();
+            // The reader gives up on the stalled frame and closes the
+            // connection; the sender sees EOF and dials again, as a held
+            // session does before its next write.
+            conn.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+            assert_eq!(conn.read(&mut [0u8; 1]).unwrap_or(0), 0);
+            let mut conn = std::net::TcpStream::connect(addr).unwrap();
+            for seq in [1, 2] {
+                pgse_medici::framing::write_frame(&mut conn, &wire::encode(&frame(seq)))
+                    .unwrap();
+            }
+        });
+        assert_eq!(corrupt, 1);
+        assert_eq!(queue.stats().ingested, 2);
     }
 
     #[test]

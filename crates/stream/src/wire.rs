@@ -137,22 +137,21 @@ fn side_tag(side: FlowSide) -> u8 {
 }
 
 fn kind_of(tag: u8, index: u32, side: u8) -> Result<MeasurementKind, WireError> {
-    let bus = index as usize;
-    let branch = index as usize;
-    let flow_side = match side {
-        0 => FlowSide::From,
-        1 => FlowSide::To,
-        s if tag == 6 || tag == 7 => return Err(WireError::BadSide(s)),
-        _ => FlowSide::From, // side byte is ignored for bus measurements
+    let i = index as usize;
+    // The side byte is read for flows only; bus measurements ignore it.
+    let flow_side = || match side {
+        0 => Ok(FlowSide::From),
+        1 => Ok(FlowSide::To),
+        s => Err(WireError::BadSide(s)),
     };
     Ok(match tag {
-        1 => MeasurementKind::Vmag { bus },
-        2 => MeasurementKind::PmuVmag { bus },
-        3 => MeasurementKind::PmuAngle { bus },
-        4 => MeasurementKind::Pinj { bus },
-        5 => MeasurementKind::Qinj { bus },
-        6 => MeasurementKind::Pflow { branch, side: flow_side },
-        7 => MeasurementKind::Qflow { branch, side: flow_side },
+        1 => MeasurementKind::Vmag { bus: i },
+        2 => MeasurementKind::PmuVmag { bus: i },
+        3 => MeasurementKind::PmuAngle { bus: i },
+        4 => MeasurementKind::Pinj { bus: i },
+        5 => MeasurementKind::Qinj { bus: i },
+        6 => MeasurementKind::Pflow { branch: i, side: flow_side()? },
+        7 => MeasurementKind::Qflow { branch: i, side: flow_side()? },
         t => return Err(WireError::BadTag(t)),
     })
 }
@@ -299,21 +298,23 @@ fn decode_up_to(buf: &[u8], max_version: u8) -> Result<StreamFrame, WireError> {
     if buf.len().saturating_sub(body_start) < count.saturating_mul(RECORD_LEN) {
         return Err(WireError::Truncated);
     }
-    let mut measurements = MeasurementSet::new();
-    for _ in 0..count {
-        let tag = r.u8()?;
-        let index = r.u32()?;
-        let side = r.u8()?;
-        let value = r.f64()?;
-        let sigma = r.f64()?;
+    // One bounds check for the whole body, then fixed-offset fields.
+    let records = r.take(count * RECORD_LEN)?;
+    let mut measurements = Vec::with_capacity(count);
+    for rec in records.chunks_exact(RECORD_LEN) {
+        let index = u32::from_le_bytes(rec[1..5].try_into().expect("4 bytes"));
+        let value = f64::from_le_bytes(rec[6..14].try_into().expect("8 bytes"));
+        let sigma = f64::from_le_bytes(rec[14..22].try_into().expect("8 bytes"));
         if !value.is_finite() || !sigma.is_finite() || sigma <= 0.0 {
             return Err(WireError::BadValue);
         }
-        measurements.push(Measurement::new(kind_of(tag, index, side)?, value, sigma));
+        // σ is validated above: build the record directly.
+        measurements.push(Measurement { kind: kind_of(rec[0], index, rec[5])?, value, sigma });
     }
     if r.pos != buf.len() {
         return Err(WireError::TrailingBytes);
     }
+    let measurements: MeasurementSet = measurements.into_iter().collect();
     Ok(StreamFrame { area, seq, dt_seconds, topology_version, topology_events, measurements })
 }
 

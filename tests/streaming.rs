@@ -100,6 +100,10 @@ fn fifty_frame_lockstep_run_accounts_every_frame_with_concurrent_readers() {
     assert_eq!(ingested, solved + shed, "unaccounted frames in ObsReport");
     assert_eq!(obs.counter("stream", "stream.corrupt"), 0);
     assert_eq!(obs.counter("stream", "stream.published"), 50);
+    // The feeder holds one session per area for the whole run: it dials
+    // each ingest endpoint once, not once per frame.
+    assert_eq!(obs.counter("stream.feed", "mw.connects"), n_areas);
+    assert_eq!(obs.counter("stream.feed", "mw.send.ok"), 50 * n_areas);
 
     // The final snapshot is the last frame, and it estimates a real state.
     let snap = service.store().load().unwrap();
