@@ -2,52 +2,29 @@
 //!
 //! Timing assertions on shared CI runners flake when a single noisy
 //! measurement lands on the wrong side of a threshold. Every timing
-//! assert in this repo goes through these helpers: measure both sides in
+//! assert in this repo goes through [`paired_best`]: measure both sides in
 //! alternating pairs (so ambient load hits them symmetrically), keep the
 //! best of each, and stop early once the comparison already holds.
-
-use std::time::Instant;
-
-/// Wall-clocks one call of `f` in nanoseconds.
-pub fn time_ns(f: impl FnOnce()) -> u64 {
-    let t0 = Instant::now();
-    f();
-    t0.elapsed().as_nanos() as u64
-}
 
 /// Best-of-`max_rounds` paired measurement of two workloads expected to
 /// satisfy `fast < slow`.
 ///
 /// Each closure performs one measurement and returns it in nanoseconds
-/// (wall-clock a closure with [`time_ns`], or extract an internal meter
-/// such as a report's solve time). Rounds alternate fast/slow and the
+/// (e.g. a report's solve time). Rounds alternate fast/slow and the
 /// minimum of each side is kept; measurement stops early once the fast
 /// side's best is strictly below the slow side's best. Returns
 /// `(best_fast, best_slow)` — the caller asserts whatever floor it needs.
 pub fn paired_best(
     max_rounds: usize,
-    fast: impl FnMut() -> u64,
-    slow: impl FnMut() -> u64,
-) -> (u64, u64) {
-    paired_best_until(max_rounds, fast, slow, |f, s| f < s)
-}
-
-/// [`paired_best`] with an explicit stopping predicate: rounds continue
-/// until `ok(best_fast, best_slow)` holds or `max_rounds` is exhausted.
-/// Use this to stop only once a margin (e.g. a 1.5× ratio) is met, so a
-/// barely-passing first round still gets the chance to tighten.
-pub fn paired_best_until(
-    max_rounds: usize,
     mut fast: impl FnMut() -> u64,
     mut slow: impl FnMut() -> u64,
-    mut ok: impl FnMut(u64, u64) -> bool,
 ) -> (u64, u64) {
     let mut best_fast = u64::MAX;
     let mut best_slow = u64::MAX;
     for _ in 0..max_rounds.max(1) {
         best_fast = best_fast.min(fast());
         best_slow = best_slow.min(slow());
-        if ok(best_fast, best_slow) {
+        if best_fast < best_slow {
             break;
         }
     }
@@ -60,15 +37,20 @@ mod tests {
 
     #[test]
     fn paired_best_keeps_the_minimum_of_each_side() {
+        // The fast side never wins, so every round runs.
+        let mut rounds = 0;
         let mut f = [30u64, 10, 20].into_iter();
-        let mut s = [300u64, 100, 200].into_iter();
-        let (bf, bs) = paired_best_until(
+        let mut s = [3u64, 1, 2].into_iter();
+        let (bf, bs) = paired_best(
             3,
-            move || f.next().unwrap(),
+            || {
+                rounds += 1;
+                f.next().unwrap()
+            },
             move || s.next().unwrap(),
-            |_, _| false,
         );
-        assert_eq!((bf, bs), (10, 100));
+        assert_eq!((bf, bs), (10, 1));
+        assert_eq!(rounds, 3);
     }
 
     #[test]
@@ -84,27 +66,5 @@ mod tests {
         );
         assert_eq!((bf, bs), (1, 2));
         assert_eq!(rounds, 1);
-    }
-
-    #[test]
-    fn paired_best_until_runs_all_rounds_when_predicate_never_holds() {
-        let mut rounds = 0;
-        let (bf, bs) = paired_best_until(
-            4,
-            || {
-                rounds += 1;
-                5
-            },
-            || 5,
-            |f, s| f < s,
-        );
-        assert_eq!((bf, bs), (5, 5));
-        assert_eq!(rounds, 4);
-    }
-
-    #[test]
-    fn time_ns_measures_real_work() {
-        let ns = time_ns(|| std::thread::sleep(std::time::Duration::from_millis(2)));
-        assert!(ns >= 1_000_000, "{ns}");
     }
 }

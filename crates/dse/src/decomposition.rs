@@ -11,7 +11,7 @@
 //! partitioner's edge-weight model.
 
 use pgse_grid::Network;
-use pgse_sparsela::DenseMatrix;
+use pgse_sparsela::{Coo, SparseCholesky};
 
 /// Tuning of the preliminary step.
 #[derive(Debug, Clone, Copy)]
@@ -191,32 +191,50 @@ pub fn sensitive_internal_buses(
         return Vec::new();
     }
 
-    // Susceptance Laplacian B of the local graph (DC approximation).
-    let mut b_full = DenseMatrix::zeros(n, n);
+    // Grounded block B_ii of the local susceptance Laplacian (DC
+    // approximation), assembled sparse; `row[i]` is internal bus i's row.
+    let ni = internal.len();
+    let mut row = vec![None; n];
+    for (r, &i) in internal.iter().enumerate() {
+        row[i] = Some(r);
+    }
+    let mut bii = Coo::new(ni, ni);
     for br in &subnet.branches {
         let w = 1.0 / br.x;
-        b_full[(br.from, br.from)] += w;
-        b_full[(br.to, br.to)] += w;
-        b_full[(br.from, br.to)] -= w;
-        b_full[(br.to, br.from)] -= w;
-    }
-    // Grounded block B_ii and coupling B_ib.
-    let ni = internal.len();
-    let nb = boundary.len();
-    let mut bii = DenseMatrix::zeros(ni, ni);
-    for (r, &i) in internal.iter().enumerate() {
-        for (c, &j) in internal.iter().enumerate() {
-            bii[(r, c)] = b_full[(i, j)];
+        let (f, t) = (row[br.from], row[br.to]);
+        if let Some(f) = f {
+            bii.push(f, f, w);
         }
-        // Tiny regularisation keeps pathological islands solvable.
-        bii[(r, r)] += 1e-9;
+        if let Some(t) = t {
+            bii.push(t, t, w);
+        }
+        if let (Some(f), Some(t)) = (f, t) {
+            bii.push(f, t, -w);
+            bii.push(t, f, -w);
+        }
     }
-    // Row norms of S = −B_ii⁻¹ B_ib, one boundary column at a time.
+    for r in 0..ni {
+        // Tiny regularisation keeps pathological islands solvable.
+        bii.push(r, r, 1e-9);
+    }
+    // Row norms of S = −B_ii⁻¹ B_ib: one factorization, one solve per
+    // boundary column. A factorization failure leaves every norm at zero.
     let mut norms = vec![0.0f64; ni];
-    for &bb in boundary.iter().take(nb) {
-        let rhs: Vec<f64> = internal.iter().map(|&i| -b_full[(i, bb)]).collect();
-        if let Ok(col) = bii.solve(&rhs) {
-            for (r, v) in col.into_iter().enumerate() {
+    if let Ok(chol) = SparseCholesky::factor(&bii.to_csr()) {
+        for &bb in boundary {
+            // −B_ib's column: the susceptance of each internal–bb branch.
+            let mut rhs = vec![0.0; ni];
+            for br in &subnet.branches {
+                let far = match (br.from == bb, br.to == bb) {
+                    (true, false) => row[br.to],
+                    (false, true) => row[br.from],
+                    _ => None,
+                };
+                if let Some(r) = far {
+                    rhs[r] += 1.0 / br.x;
+                }
+            }
+            for (r, v) in chol.solve(&rhs).into_iter().enumerate() {
                 norms[r] += v * v;
             }
         }
@@ -321,5 +339,42 @@ mod tests {
             assert_eq!(e.len(), sorted.len());
             assert_eq!(e.len(), a.gs());
         }
+    }
+
+    #[test]
+    fn sensitive_sets_are_pinned_on_ieee118_and_a_synthetic_ring() {
+        let d = decompose(&ieee118_like(), &DecompositionOptions::default());
+        let ieee118: Vec<Vec<usize>> = vec![
+            vec![4, 12],
+            vec![1, 8],
+            vec![7, 8, 10],
+            vec![8, 9],
+            vec![8, 12],
+            vec![5, 9],
+            vec![3, 7, 9],
+            vec![5, 8, 11],
+            vec![2, 4, 6],
+        ];
+        let got: Vec<Vec<usize>> = d.areas.iter().map(|a| a.sensitive.clone()).collect();
+        assert_eq!(got, ieee118);
+
+        let plan = pgse_grid::cases::builder::AreaPlan {
+            name: "ring".into(),
+            bus_counts: vec![24, 31, 27, 36],
+            area_edges: vec![(0, 1), (1, 2), (2, 3), (3, 0)],
+            ties_per_edge: 2,
+            seed: 7,
+            load_mw: (15.0, 45.0),
+            chord_fraction: 0.25,
+        };
+        let d = decompose(&pgse_grid::cases::builder::build(&plan), &DecompositionOptions::default());
+        let ring: Vec<Vec<usize>> = vec![
+            vec![1, 3, 4, 5, 13, 15],
+            vec![1, 3, 7, 8, 10, 16, 28],
+            vec![5, 10, 11, 12, 15, 20],
+            vec![10, 18, 26, 27, 28, 29, 30, 35],
+        ];
+        let got: Vec<Vec<usize>> = d.areas.iter().map(|a| a.sensitive.clone()).collect();
+        assert_eq!(got, ring);
     }
 }

@@ -28,7 +28,7 @@ pub struct DseOptions {
     /// Step-2 exchange rounds (the paper bounds useful rounds by the
     /// decomposition diameter).
     pub rounds: usize,
-    /// WLS solver configuration.
+    /// Gauss–Newton controls of every area's WLS.
     pub wls: WlsOptions,
     /// Preliminary-step configuration.
     pub decomposition: DecompositionOptions,
@@ -43,16 +43,6 @@ impl Default for DseOptions {
             wls: WlsOptions::default(),
             decomposition: DecompositionOptions::default(),
         }
-    }
-}
-
-impl DseOptions {
-    /// Defaults, but with every area's gain systems solved by the sparse
-    /// direct Cholesky ([`WlsOptions::direct`]) instead of PCG — the
-    /// configuration the streaming service runs, where warm frames reuse
-    /// the numeric factorization.
-    pub fn direct() -> Self {
-        DseOptions { wls: WlsOptions::direct(), ..DseOptions::default() }
     }
 }
 
@@ -419,23 +409,6 @@ mod tests {
             dse_err < 6.0 * central_err + 1e-4,
             "dse {dse_err} vs central {central_err}"
         );
-    }
-
-    #[test]
-    fn direct_solver_cycle_agrees_with_pcg_cycle() {
-        let (net, pf) = setup();
-        let pcg = run_dse(&net, &pf, &DseOptions::default()).unwrap();
-        let direct = run_dse(&net, &pf, &DseOptions::direct()).unwrap();
-        // Same telemetry, same Gauss–Newton outer loop — only the inner
-        // linear solver differs, so the estimates must agree to solver
-        // tolerance and the direct run must match the PCG run's accuracy.
-        for (a, b) in pcg.vm.iter().zip(&direct.vm) {
-            assert!((a - b).abs() < 1e-6, "vm {a} vs {b}");
-        }
-        for (a, b) in pcg.va.iter().zip(&direct.va) {
-            assert!((a - b).abs() < 1e-6, "va {a} vs {b}");
-        }
-        assert!(direct.vm_rmse(&pf.vm) < 5e-3);
     }
 
     #[test]

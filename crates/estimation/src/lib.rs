@@ -5,15 +5,15 @@
 //!
 //! The estimator solves `min_x (z − h(x))ᵀ R⁻¹ (z − h(x))` by Gauss–Newton:
 //! each iteration assembles the sparse measurement Jacobian `H`, forms the
-//! gain matrix `G = HᵀR⁻¹H`, and solves `G·Δx = HᵀR⁻¹(z − h(x))` with
-//! either the paper's parallel **PCG** solver or a direct sparse Cholesky
-//! baseline.
+//! gain matrix `G = HᵀR⁻¹H`, and solves `G·Δx = HᵀR⁻¹(z − h(x))` with a
+//! sparse Cholesky whose symbolic analysis and factor are cached across
+//! iterations and frames.
 //!
 //! Modules:
 //! * [`measurement`] — the measurement model (SCADA V/P/Q injections and
 //!   flows, PMU phasors) and measurement sets;
 //! * [`jacobian`] — `h(x)` evaluation and sparse `H(x)` assembly;
-//! * [`wls`] — the Gauss–Newton WLS estimator with pluggable linear solver;
+//! * [`wls`] — the Gauss–Newton WLS estimator and its cross-frame solve cache;
 //! * [`synthetic`] — noisy measurement generation from a solved power flow,
 //!   driven by the time-frame noise process `x = f(δt)` of §IV-B.2;
 //! * [`baddata`] — chi-square detection and largest-normalized-residual
@@ -36,6 +36,5 @@ pub use measurement::{Measurement, MeasurementKind, MeasurementSet};
 // synthetic-telemetry generation is a test/benchmark concern, and callers
 // name it explicitly (`pgse_estimation::synthetic::TelemetryPlan`).
 pub use wls::{
-    GainSolver, GnWave, SolveCache, StateEstimate, StructureDescriptor, WlsError, WlsEstimator,
-    WlsOptions,
+    GnWave, SolveCache, StateEstimate, StructureDescriptor, WlsError, WlsEstimator, WlsOptions,
 };

@@ -152,7 +152,6 @@ mod tests {
             iterations: 0,
             objective: 0.0,
             residuals: vec![0.0; set.len()],
-            solver_iterations: Vec::new(),
         };
         assert!(matches!(
             crate::baddata::normalized_residuals(&est, &set, &at_truth),

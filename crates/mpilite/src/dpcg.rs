@@ -144,8 +144,7 @@ pub fn extract_row_block(a: &Csr, size: usize, rank: usize) -> Csr {
 mod tests {
     use super::*;
     use crate::comm::spawn_world;
-    use pgse_sparsela::pcg::{pcg, CgOptions, Preconditioner};
-    use pgse_sparsela::Coo;
+    use pgse_sparsela::{Coo, SparseCholesky};
 
     fn laplacian2d(k: usize) -> Csr {
         let n = k * k;
@@ -262,23 +261,17 @@ mod tests {
             set.values().iter().zip(set.weights()).map(|(z, w)| z * w * 0.01).collect();
         h.spmv_transpose(&wr, &mut rhs);
 
-        let serial = pcg(
-            &gain,
-            &rhs,
-            &Preconditioner::jacobi(&gain).unwrap(),
-            &CgOptions { rel_tol: 1e-10, max_iter: 5000, parallel: false },
-        )
-        .unwrap();
+        let serial = SparseCholesky::factor(&gain).unwrap().solve(&rhs);
         for size in [2usize, 5] {
             let results = spawn_world(size, |mut comm| {
                 let block = extract_row_block(&gain, size, comm.rank());
                 let range = row_range(n, size, comm.rank());
                 dpcg_solve(&mut comm, &block, &rhs[range], 1e-10, 5000).unwrap()
             });
-            let scale = serial.x.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
+            let scale = serial.iter().fold(0.0f64, |m, v| m.max(v.abs())).max(1.0);
             for out in &results {
                 assert!(out.converged, "size {size}");
-                for (p, q) in out.x.iter().zip(&serial.x) {
+                for (p, q) in out.x.iter().zip(&serial) {
                     assert!(
                         (p - q).abs() < 1e-6 * scale,
                         "size {size}: {p} vs {q} (scale {scale})"
@@ -294,13 +287,7 @@ mod tests {
         let a = laplacian2d(9);
         let n = a.nrows();
         let b: Vec<f64> = (0..n).map(|i| ((i * 13 % 7) as f64) - 3.0).collect();
-        let serial = pcg(
-            &a,
-            &b,
-            &Preconditioner::jacobi(&a).unwrap(),
-            &CgOptions { rel_tol: 1e-10, max_iter: 2000, parallel: false },
-        )
-        .unwrap();
+        let serial = SparseCholesky::factor(&a).unwrap().solve(&b);
         for size in [1usize, 2, 4] {
             let results = spawn_world(size, |mut comm| {
                 let block = extract_row_block(&a, size, comm.rank());
@@ -310,7 +297,7 @@ mod tests {
             });
             for out in &results {
                 assert!(out.converged, "size {size}");
-                for (p, q) in out.x.iter().zip(&serial.x) {
+                for (p, q) in out.x.iter().zip(&serial) {
                     assert!((p - q).abs() < 1e-7, "size {size}");
                 }
             }

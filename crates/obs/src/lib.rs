@@ -1,7 +1,7 @@
 //! # pgse-obs — pipeline-wide deterministic observability.
 //!
-//! The measurement substrate of the prototype: every layer (PCG, WLS, the
-//! DSE runner, the middleware, the cluster interface, the per-frame
+//! The measurement substrate of the prototype: every layer (WLS, the DSE
+//! runner, the middleware, the cluster interface, the per-frame
 //! orchestrator) records **spans** and **metrics** here instead of keeping
 //! ad-hoc timers. The design goals, in order:
 //!
@@ -30,12 +30,12 @@
 //! let rec = obs::Recorder::new("area0");
 //! let report = obs::with_recorder(&rec, || {
 //!     let mut sp = obs::span_at("area.step1", 1);
-//!     obs::counter_add("pcg.iterations", 12);
+//!     obs::counter_add("wls.gn_iterations", 3);
 //!     sp.record("gn_iterations", 3u64);
 //!     drop(sp);
 //!     obs::ObsReport::from_scopes(vec![rec.snapshot()])
 //! });
-//! assert_eq!(report.counter("area0", "pcg.iterations"), 12);
+//! assert_eq!(report.counter("area0", "wls.gn_iterations"), 3);
 //! ```
 
 use std::cell::RefCell;

@@ -1,10 +1,7 @@
 //! Compressed sparse row storage and the kernels built on it.
 
-use rayon::prelude::*;
-
 use crate::csc::Csc;
 use crate::dense::DenseMatrix;
-use crate::tuning;
 
 /// A sparse matrix in compressed sparse row format.
 ///
@@ -154,28 +151,6 @@ impl Csr {
         let mut y = vec![0.0; self.nrows];
         self.spmv(x, &mut y);
         y
-    }
-
-    /// Rayon-parallel `y ← A·x`; rows are partitioned across threads. Each
-    /// output element is produced by exactly one row accumulation, so the
-    /// result is bitwise identical to [`Csr::spmv`] for any worker count.
-    ///
-    /// This is the shared-memory analogue of the paper's parallel SpMV inside
-    /// one HPC node; the across-rank version lives in `pgse-mpilite`.
-    pub fn par_spmv(&self, x: &[f64], y: &mut [f64]) {
-        assert_eq!(x.len(), self.ncols, "par_spmv: x length");
-        assert_eq!(y.len(), self.nrows, "par_spmv: y length");
-        if self.nrows < tuning::par_rows_threshold() || !tuning::pool_parallel() {
-            return self.spmv(x, y);
-        }
-        y.par_iter_mut().enumerate().for_each(|(r, yr)| {
-            let (cols, vals) = self.row(r);
-            let mut acc = 0.0;
-            for (c, v) in cols.iter().zip(vals) {
-                acc += v * x[*c];
-            }
-            *yr = acc;
-        });
     }
 
     /// `y ← Aᵀ·x` without materializing the transpose.
@@ -411,15 +386,6 @@ mod tests {
         let a = sample();
         let x = vec![1.0, 2.0, 3.0];
         assert_eq!(a.mul_vec(&x), vec![7.0, 6.0, 19.0]);
-    }
-
-    #[test]
-    fn par_spmv_matches_serial() {
-        let a = sample();
-        let x = vec![1.0, 2.0, 3.0];
-        let mut y = vec![0.0; 3];
-        a.par_spmv(&x, &mut y);
-        assert_eq!(y, vec![7.0, 6.0, 19.0]);
     }
 
     #[test]

@@ -9,14 +9,13 @@
 //! estimation prototype.
 //!
 //! The paper's WLS state estimator solves, in every Gauss–Newton iteration,
-//! a large sparse symmetric positive-definite system `G Δx = rhs` with a
-//! *parallel preconditioned conjugate gradient* (PCG) solver, and the Newton
-//! power flow that produces ground-truth operating points needs a general
-//! sparse LU. Neither existed as a substrate we could assume, so this crate
-//! provides them from scratch:
+//! a large sparse symmetric positive-definite system `G Δx = rhs`, and the
+//! Newton power flow that produces ground-truth operating points needs a
+//! general sparse LU. Neither existed as a substrate we could assume, so
+//! this crate provides them from scratch:
 //!
 //! * storage formats: [`Coo`] (triplet assembly), [`Csr`], [`Csc`];
-//! * kernels: (parallel) SpMV, Gustavson SpGEMM, transpose, `AᵀWA`;
+//! * kernels: SpMV, Gustavson SpGEMM, transpose, `AᵀWA`;
 //! * ordering: minimum degree ([`ordering`]);
 //! * direct solvers: Gilbert–Peierls sparse LU with a minimum-degree
 //!   pre-order analysed once per pattern ([`LuSymbolic`]) and partial
@@ -24,11 +23,11 @@
 //!   analysis ([`CholSymbolic`]) shared by a scalar up-looking numeric
 //!   pass ([`scholesky`]) and a lane-interleaved one for same-pattern
 //!   groups ([`batch`]);
-//! * iterative solvers: CG and PCG with Jacobi and IC(0) preconditioners
-//!   ([`pcg()`]);
 //! * dense reference implementations used as test oracles ([`dense`]);
 //! * a minimal complex number type ([`complex::Cplx`]) shared by the power
 //!   system crates.
+//!
+//! The paper's PCG kernel is the row-distributed one in `pgse-mpilite`.
 
 pub mod batch;
 pub mod complex;
@@ -38,10 +37,8 @@ pub mod csr;
 pub mod dense;
 pub mod lu;
 pub mod ordering;
-pub mod pcg;
 pub mod scholesky;
 pub mod symbolic;
-pub mod tuning;
 pub mod update;
 pub mod vecops;
 
@@ -53,7 +50,6 @@ pub use csr::Csr;
 pub use dense::DenseMatrix;
 pub use lu::{LuSymbolic, SparseLu};
 pub use scholesky::{CholSymbolic, SparseCholesky};
-pub use pcg::{pcg, CgOptions, CgOutcome, Preconditioner};
 pub use symbolic::AtaSymbolic;
 pub use update::UpdatedFactor;
 
@@ -68,8 +64,6 @@ pub enum LaError {
     /// A Cholesky factorization found a non-positive diagonal; the matrix is
     /// not positive definite.
     NotPositiveDefinite { step: usize, value: f64 },
-    /// An iterative solver failed to reach the requested tolerance.
-    DidNotConverge { iterations: usize, residual: f64 },
     /// The matrix handed to a numeric-only refactorization (or to a batched
     /// lane) does not carry the pattern the symbolic structure was built
     /// from; a fresh symbolic analysis is required.
@@ -96,12 +90,6 @@ impl std::fmt::Display for LaError {
                 write!(
                     f,
                     "matrix not positive definite at step {step} (diagonal {value:.3e})"
-                )
-            }
-            LaError::DidNotConverge { iterations, residual } => {
-                write!(
-                    f,
-                    "iterative solver stalled after {iterations} iterations (residual {residual:.3e})"
                 )
             }
             LaError::PatternMismatch { expected_nnz, found_nnz } => {

@@ -1585,7 +1585,6 @@ impl StreamService {
                         va: s.va.clone(),
                         iterations: s.iterations,
                         objective: s.objective,
-                        solver_iterations: Vec::new(),
                     };
                     baddata::identify_cached(est1, set, start, gate, cache, syms[a].clone())
                 }))
@@ -1873,7 +1872,7 @@ fn topology_stages(net: &Network, cfg: &StreamConfig) -> Result<Vec<TopologyStag
         let ests: Vec<AreaEstimator> = decomp
             .areas
             .iter()
-            .map(|a| AreaEstimator::new(a.clone(), snet, pf, WlsOptions::direct()))
+            .map(|a| AreaEstimator::new(a.clone(), snet, pf, WlsOptions::default()))
             .collect();
         (decomp, ests)
     };

@@ -88,16 +88,16 @@ fn main() {
             stat.wall_nanos as f64 / 1e6
         );
     }
-    println!("observability: per-area PCG iterations / middleware retries");
+    println!("observability: per-area gain factors / middleware retries");
     for scope in &obs.scopes {
         if !scope.scope.starts_with("area") {
             continue;
         }
         println!(
-            "  {:<8} pcg iters {:>5} over {:>2} solves | retries {}",
+            "  {:<8} gain factors {:>2} full + {:>3} refreshed | retries {}",
             scope.scope,
-            scope.metrics.counter("pcg.iterations"),
-            scope.metrics.counter("pcg.solves"),
+            scope.metrics.counter("wls.refactor.full"),
+            scope.metrics.counter("wls.refactor.reuse"),
             scope.metrics.counter("mw.retry.attempts"),
         );
     }

@@ -8,7 +8,7 @@
 //!
 //! | Layer | Crate | Role |
 //! |---|---|---|
-//! | sparse linear algebra | [`sparsela`] | CSR/CSC, sparse LU & Cholesky, CG/**PCG** |
+//! | sparse linear algebra | [`sparsela`] | CSR/CSC, sparse LU & Cholesky |
 //! | network model | [`grid`] | buses/branches/areas, Ybus, IEEE-14 & IEEE-118-like cases |
 //! | power flow | [`powerflow`] | Newton–Raphson ground-truth operating points |
 //! | estimation | [`estimation`] | WLS state estimation, telemetry, bad data, observability |

@@ -1,56 +1,29 @@
 //! Determinism acceptance suite for intra-node parallelism.
 //!
 //! The `rayon` shim is a real thread-pool executor, so these tests pin the
-//! repo's core reproducibility claim: parallel kernels are **bitwise
-//! identical** to their sequential references for any worker count
-//! (`vecops`' fixed-chunk reduction contract), a full WLS solve is
-//! byte-for-byte the same with `parallel` on or off, DSE Step 2 on a
-//! persistent cache is bit-for-bit Step 2 on a throwaway one, and the
-//! same-seed ObsReport stays byte-identical with parallelism enabled.
-//!
-//! Thresholds are lowered process-wide so the parallel paths engage even
-//! at IEEE-118 scale; that is safe precisely because of the contract under
-//! test — execution strategy can never change a result.
+//! repo's core reproducibility claim: a WLS solve is byte-for-byte the
+//! same on any pool size, the uncached entry point is bit-for-bit the
+//! cached engine, DSE Step 2 on a persistent cache is bit-for-bit Step 2
+//! on a throwaway one, a worker restarted from a checkpoint converges
+//! bitwise like the one that never died, and the same-seed ObsReport
+//! stays byte-identical with the prototype's clusters fanning areas out
+//! on real pools.
 
 use pgse::core::{PrototypeConfig, SystemPrototype};
 use pgse::dse::decomposition::{decompose, DecompositionOptions};
 use pgse::dse::{AreaEstimator, AreaSolution, PseudoMeasurement};
 use pgse::estimation::measurement::MeasurementSet;
-use pgse::estimation::jacobian::{assemble_jacobian, StateSpace};
+use pgse::estimation::jacobian::StateSpace;
 use pgse::estimation::synthetic::TelemetryPlan;
-use pgse::estimation::wls::{GainSolver, PrecondKind, SolveCache, WlsEstimator, WlsOptions};
+use pgse::estimation::wls::{SolveCache, WlsEstimator, WlsOptions};
 use pgse::grid::cases::ieee118_like;
-use pgse::grid::{Network, Ybus};
+use pgse::grid::Network;
 use pgse::powerflow::{solve as solve_pf, PfOptions, PfSolution};
-use pgse::sparsela::pcg::{pcg, CgOptions, Preconditioner};
-use pgse::sparsela::{tuning, vecops, Csr};
 
 const POOL_SIZES: [usize; 3] = [1, 2, 8];
 
-fn engage_parallel_kernels() {
-    tuning::set_par_elems_threshold(1);
-    tuning::set_par_rows_threshold(1);
-}
-
 fn with_pool<R: Send>(threads: usize, f: impl FnOnce() -> R + Send) -> R {
     rayon::ThreadPoolBuilder::new().num_threads(threads).build().unwrap().install(f)
-}
-
-fn gain_118() -> (Csr, Vec<f64>) {
-    let net = ieee118_like();
-    let pf = solve_pf(&net, &PfOptions::default()).unwrap();
-    let plan = TelemetryPlan::full(&net, vec![net.slack()]);
-    let set = plan.generate(&net, &pf, 1.0, 1);
-    let space = StateSpace::with_reference(net.n_buses(), net.slack());
-    let ybus = Ybus::new(&net);
-    let vm = vec![1.0; net.n_buses()];
-    let va = vec![0.0; net.n_buses()];
-    let h = assemble_jacobian(&net, &ybus, &set, &space, &vm, &va);
-    let gain = h.ata_weighted(&set.weights());
-    let mut rhs = vec![0.0; space.dim()];
-    let wr: Vec<f64> = set.values().iter().zip(set.weights()).map(|(z, w)| z * w * 0.01).collect();
-    h.spmv_transpose(&wr, &mut rhs);
-    (gain, rhs)
 }
 
 /// One frame's Step-2 inputs for one area: its scan, its Step-1 solution
@@ -88,107 +61,22 @@ fn step2_frames(
 }
 
 #[test]
-fn blas1_kernels_bitwise_identical_across_thread_counts() {
-    engage_parallel_kernels();
-    let n = 10_240; // ten DET_CHUNK chunks: a real multi-chunk reduction
-    let x: Vec<f64> = (0..n).map(|i| (i as f64 * 0.137).sin() * 1.7).collect();
-    let y: Vec<f64> = (0..n).map(|i| (i as f64 * 0.071).cos() - 0.3).collect();
-    let dot_ref = vecops::dot(&x, &y);
-    let mut axpy_ref = y.clone();
-    vecops::axpy(-0.37, &x, &mut axpy_ref);
-    for threads in POOL_SIZES {
-        let (d, a) = with_pool(threads, || {
-            let d = vecops::par_dot(&x, &y);
-            let mut a = y.clone();
-            vecops::par_axpy(-0.37, &x, &mut a);
-            (d, a)
-        });
-        assert_eq!(d.to_bits(), dot_ref.to_bits(), "par_dot @ {threads} threads");
-        for (p, q) in a.iter().zip(&axpy_ref) {
-            assert_eq!(p.to_bits(), q.to_bits(), "par_axpy @ {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn par_spmv_bitwise_identical_across_thread_counts() {
-    engage_parallel_kernels();
-    let (gain, rhs) = gain_118();
-    let mut y_ref = vec![0.0; gain.nrows()];
-    gain.spmv(&rhs, &mut y_ref);
-    for threads in POOL_SIZES {
-        let y = with_pool(threads, || {
-            let mut y = vec![0.0; gain.nrows()];
-            gain.par_spmv(&rhs, &mut y);
-            y
-        });
-        for (p, q) in y.iter().zip(&y_ref) {
-            assert_eq!(p.to_bits(), q.to_bits(), "par_spmv @ {threads} threads");
-        }
-    }
-}
-
-#[test]
-fn parallel_pcg_bitwise_identical_across_thread_counts() {
-    engage_parallel_kernels();
-    let (gain, rhs) = gain_118();
-    let m = Preconditioner::jacobi(&gain).unwrap();
-    let seq = pcg(
-        &gain,
-        &rhs,
-        &m,
-        &CgOptions { rel_tol: 1e-10, max_iter: 5000, parallel: false },
-    )
-    .unwrap();
-    for threads in POOL_SIZES {
-        let par = with_pool(threads, || {
-            pcg(&gain, &rhs, &m, &CgOptions { rel_tol: 1e-10, max_iter: 5000, parallel: true })
-                .unwrap()
-        });
-        assert_eq!(par.iterations, seq.iterations, "@ {threads} threads");
-        assert_eq!(
-            par.rel_residual.to_bits(),
-            seq.rel_residual.to_bits(),
-            "@ {threads} threads"
-        );
-        for (p, q) in par.x.iter().zip(&seq.x) {
-            assert_eq!(p.to_bits(), q.to_bits(), "pcg state @ {threads} threads");
-        }
-    }
-}
-
-/// Why a `parallel: true` solve cannot lose to the sequential one on a
-/// 1-core runner: `pcg`, `apply_dot`, the `par_*` vecops and `par_spmv`
-/// all AND `tuning::pool_parallel()` into their size gates, and a
-/// 1-thread pool answers `false` — the sequential kernels run.
-#[test]
-fn one_thread_pool_takes_the_sequential_kernels() {
-    for threads in POOL_SIZES {
-        let parallel = with_pool(threads, tuning::pool_parallel);
-        assert_eq!(parallel, threads > 1, "pool_parallel @ {threads} threads");
-    }
-}
-
-#[test]
 fn wls_solve_bitwise_identical_parallel_vs_sequential() {
-    engage_parallel_kernels();
     let net = ieee118_like();
     let pf = solve_pf(&net, &PfOptions::default()).unwrap();
     let plan = TelemetryPlan::full(&net, vec![net.slack()]);
     let set = plan.generate(&net, &pf, 1.0, 7);
-    let estimator = |solver: GainSolver, parallel: bool| {
-        let defaults = WlsOptions::default();
-        let opts =
-            WlsOptions { solver, cg: CgOptions { parallel, ..defaults.cg }, ..defaults };
-        WlsEstimator::new(net.clone(), StateSpace::with_reference(net.n_buses(), net.slack()), opts)
-    };
-    let pcg_ic0 = GainSolver::Pcg { precond: PrecondKind::Ic0 };
-    let seq = estimator(pcg_ic0, false).estimate(&set).unwrap();
+    let est = WlsEstimator::new(
+        net.clone(),
+        StateSpace::with_reference(net.n_buses(), net.slack()),
+        WlsOptions::default(),
+    );
+    // The sequential reference: solved outside any pool.
+    let seq = est.estimate(&set).unwrap();
     let step2_areas = step2_frames(&net, &pf, 4);
     for threads in POOL_SIZES {
-        let par = with_pool(threads, || estimator(pcg_ic0, true).estimate(&set).unwrap());
+        let par = with_pool(threads, || est.estimate(&set).unwrap());
         assert_eq!(par.iterations, seq.iterations, "@ {threads} threads");
-        assert_eq!(par.solver_iterations, seq.solver_iterations, "@ {threads} threads");
         for (p, q) in par.vm.iter().zip(&seq.vm) {
             assert_eq!(p.to_bits(), q.to_bits(), "vm @ {threads} threads");
         }
@@ -196,19 +84,16 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
             assert_eq!(p.to_bits(), q.to_bits(), "va @ {threads} threads");
         }
         // The uncached entry point is the cached engine on a throwaway
-        // cache: bitwise the same solve, under either gain solver.
-        for solver in [pcg_ic0, GainSolver::Direct] {
-            let est = estimator(solver, true);
-            let (plain, cached) = with_pool(threads, || {
-                let cached = est.estimate_cached(&set, None, &mut SolveCache::new()).unwrap();
-                (est.estimate(&set).unwrap(), cached)
-            });
-            assert_eq!(plain.iterations, cached.iterations, "{solver:?} @ {threads} threads");
-            for (p, q) in plain.vm.iter().zip(&cached.vm).chain(plain.va.iter().zip(&cached.va)) {
-                assert_eq!(p.to_bits(), q.to_bits(), "{solver:?} @ {threads} threads");
-            }
-            assert_eq!(plain.objective.to_bits(), cached.objective.to_bits());
+        // cache: bitwise the same solve.
+        let (plain, cached) = with_pool(threads, || {
+            let cached = est.estimate_cached(&set, None, &mut SolveCache::new()).unwrap();
+            (est.estimate(&set).unwrap(), cached)
+        });
+        assert_eq!(plain.iterations, cached.iterations, "@ {threads} threads");
+        for (p, q) in plain.vm.iter().zip(&cached.vm).chain(plain.va.iter().zip(&cached.va)) {
+            assert_eq!(p.to_bits(), q.to_bits(), "cached @ {threads} threads");
         }
+        assert_eq!(plain.objective.to_bits(), cached.objective.to_bits());
         // DSE Step 2 is that same engine on the one-hop-extended model: on
         // every area, frame after frame, the persistent cache (one symbolic
         // build, one full factorization, numeric refactors after) gives
@@ -243,7 +128,6 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
 
 #[test]
 fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
-    engage_parallel_kernels();
     // The failover contract: a worker restarted from a checkpoint (warm
     // vm/va profile only — symbolic structures rebuild from the frame's
     // measurement layout) must converge **bitwise identically** to the
@@ -251,14 +135,10 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
     let net = ieee118_like();
     let pf = solve_pf(&net, &PfOptions::default()).unwrap();
     let plan = TelemetryPlan::full(&net, vec![net.slack()]);
-    let opts = WlsOptions {
-        solver: GainSolver::Pcg { precond: PrecondKind::Ic0 },
-        ..WlsOptions::default()
-    };
     let est = WlsEstimator::new(
         net.clone(),
         StateSpace::with_reference(net.n_buses(), net.slack()),
-        opts,
+        WlsOptions::default(),
     );
     // Same measurement structure, fresh noise per frame: the streaming
     // workload shape.
@@ -292,7 +172,6 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
         // The rebuilt symbolic structures are the ones the lost worker ran.
         assert_eq!(restored_desc, ckpt_desc, "@ {threads} threads");
         assert_eq!(restored.iterations, survivor.iterations, "@ {threads} threads");
-        assert_eq!(restored.solver_iterations, survivor.solver_iterations, "@ {threads} threads");
         for (p, q) in restored.vm.iter().zip(&survivor.vm) {
             assert_eq!(p.to_bits(), q.to_bits(), "restored vm @ {threads} threads");
         }
@@ -304,10 +183,8 @@ fn checkpoint_restored_solve_bitwise_identical_to_uninterrupted_cache() {
 
 #[test]
 fn same_seed_obsreport_byte_identical_with_parallelism_on() {
-    engage_parallel_kernels();
-    // PrototypeConfig's WLS options now default to parallel kernels, and the
-    // prototype's clusters fan areas out on real pools — the deterministic
-    // trace must survive both levels of concurrency.
+    // The prototype's clusters fan areas out on real pools — the
+    // deterministic trace must survive that concurrency.
     let run = || {
         let mut proto =
             SystemPrototype::deploy(ieee118_like(), PrototypeConfig::default()).unwrap();
