@@ -644,8 +644,13 @@ impl<'a> GnWave<'a> {
 
     /// Applies the externally solved step `Δx`, then assembles the next
     /// iteration unless converged or out of iterations. Returns
-    /// [`GnWave::done`].
+    /// [`GnWave::done`]. A non-finite `Δx` is not applied and ends the
+    /// wave: [`GnWave::finish`] then fails.
     pub fn apply_step(&mut self, dx: &[f64]) -> bool {
+        if !dx.iter().all(|v| v.is_finite()) {
+            self.last_step = f64::NAN;
+            return true;
+        }
         self.est.space.apply_update(dx, &mut self.vm, &mut self.va);
         self.last_step = dx.iter().fold(0.0f64, |m, v| m.max(v.abs()));
         self.converged = self.last_step <= self.est.opts.tol;
@@ -655,9 +660,10 @@ impl<'a> GnWave<'a> {
         self.done()
     }
 
-    /// Whether the wave needs no further solves (converged or exhausted).
+    /// Whether the wave needs no further solves (converged, exhausted, or
+    /// ended by a non-finite step).
     pub fn done(&self) -> bool {
-        self.converged || self.iter >= self.est.opts.max_iter
+        self.converged || self.last_step.is_nan() || self.iter >= self.est.opts.max_iter
     }
 
     /// Gauss–Newton iterations assembled so far.
@@ -670,9 +676,15 @@ impl<'a> GnWave<'a> {
     /// `wls.gn_iterations` either way.
     ///
     /// # Errors
-    /// [`WlsError::DidNotConverge`] when the iteration budget ran out.
+    /// [`WlsError::NonFinite`] when a step was not finite (the warm state
+    /// is left alone); [`WlsError::DidNotConverge`] when the iteration
+    /// budget ran out.
     pub fn finish(self) -> Result<StateEstimate, WlsError> {
         pgse_obs::counter_add("wls.gn_iterations", self.iter as u64);
+        if self.last_step.is_nan() {
+            let step = self.iter;
+            return Err(WlsError::NonFinite(format!("Gauss–Newton step {step} is not finite")));
+        }
         if !self.converged {
             return Err(WlsError::DidNotConverge {
                 iterations: self.iter,
@@ -807,6 +819,25 @@ mod tests {
             let out = est.estimate(&bad);
             assert!(matches!(out, Err(WlsError::NonFinite(_))), "{what}: {out:?}");
         }
+    }
+
+    #[test]
+    fn a_non_finite_step_ends_the_wave_and_keeps_the_warm_start() {
+        let net = ieee14();
+        let set = exact_set(&net, &[0]);
+        let est = WlsEstimator::new(net, StateSpace::with_reference(14, 0), WlsOptions::default());
+        let mut cache = SolveCache::new();
+        let good = est.estimate_cached(&set, None, &mut cache).unwrap();
+        // One NaN in an otherwise zero step: `f64::max` would drop it and
+        // read the step as converged.
+        let mut wave = est.wave_begin(&set, None, &mut cache).unwrap();
+        let mut dx = vec![0.0; wave.rhs().len()];
+        dx[3] = f64::NAN;
+        assert!(wave.apply_step(&dx));
+        assert!(wave.done());
+        let out = wave.finish();
+        assert!(matches!(out, Err(WlsError::NonFinite(_))), "{out:?}");
+        assert_eq!(cache.warm, Some((good.vm, good.va)));
     }
 
     #[test]

@@ -218,6 +218,13 @@ impl Recorder {
         self.state.lock().expect("recorder poisoned").metrics.observe(name, v);
     }
 
+    /// Records a histogram observation into buckets with the given
+    /// strictly increasing upper bounds (used on first touch; later
+    /// observations reuse them).
+    pub fn observe_with(&self, name: &str, v: f64, bounds: &[f64]) {
+        self.state.lock().expect("recorder poisoned").metrics.observe_with(name, v, bounds);
+    }
+
     /// Opens a root span directly on this recorder (no TLS parenting; use
     /// [`crate::span`] inside [`crate::with_recorder`] for nested spans).
     pub fn span(&self, name: &str) -> SpanGuard {

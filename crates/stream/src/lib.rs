@@ -58,6 +58,8 @@
 //!   epoch-stamped store. `enumerated == screened + skipped_islanding`
 //!   and `screened == cleared + violated + shed_stale`, always.
 
+#![warn(clippy::too_many_lines)]
+
 pub mod ingest;
 pub mod scenarios;
 pub mod service;

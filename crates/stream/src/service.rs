@@ -3,10 +3,12 @@
 //! [`StreamService`] is the paper's architecture run *continuously*: a
 //! feeder (standing in for substation data concentrators) ships sequenced
 //! measurement frames per area over `pgse-medici` endpoints; per-area
-//! listener threads decode them into bounded [`IngestQueue`]s; a solver
-//! loop drives DSE Step 1 → pseudo-measurement exchange → Step 2 with
-//! **warm-started, structure-cached WLS** ([`SolveCache`]) and publishes
-//! each aggregated system state into the lock-free [`SnapshotStore`].
+//! listener threads decode them into bounded [`IngestQueue`]s; the solve
+//! loop runs one DSE round per iteration on **warm-started,
+//! structure-cached WLS** ([`SolveCache`]) and publishes each aggregated
+//! system state into the lock-free [`SnapshotStore`]. The steps of a
+//! round, in order and by method name, are DESIGN.md §9 ("Anatomy of a
+//! round").
 //!
 //! Two pacing modes:
 //!
@@ -26,58 +28,37 @@
 //! degrade their area for the round (the previous scan's solution is
 //! carried) without stalling the pipeline.
 //!
-//! Supervision (the self-healing layer, [`crate::supervise`]): at deploy
-//! time the areas are mapped onto [`SupervisorConfig::n_clusters`] HPC
-//! clusters by partitioning the decomposition graph (the same seeded
-//! k-way pass the batch pipeline uses). Each area worker heartbeats once
-//! per solve round; a [`Watchdog`] on the deterministic round clock
-//! declares silent workers suspect, then dead. A dead worker whose host
-//! cluster survives restarts in place from its latest [`AreaCheckpoint`];
-//! when *every* worker hosted on one cluster dies at once the cluster is
-//! declared lost, the graph is repartitioned over the survivors with
-//! minimal migration ([`pgse_partition::repartition_shrink`]), the
-//! implied checkpoint handoff is priced as a redistribution plan
-//! ([`pgse_cluster::plan_redistribution`]), and the orphaned areas are
-//! re-hosted live — the snapshot epoch stays strictly monotone across
-//! the handoff. Solve panics (injectable via [`KillSchedule::panics`])
-//! are contained per area with `catch_unwind` and surface as a degraded
-//! round plus a restart, never as a service crash. A frame popped by a
-//! worker that died before solving it is requeued, widening the
+//! Supervision (DESIGN.md §11): at deploy time the areas are mapped onto
+//! [`SupervisorConfig::n_clusters`] HPC clusters by partitioning the
+//! decomposition graph. Each round closes on a [`Watchdog`]: a dead worker
+//! restarts from its latest [`AreaCheckpoint`], and a cluster whose every
+//! worker died is failed over to the survivors
+//! ([`pgse_partition::repartition_shrink`],
+//! [`pgse_cluster::plan_redistribution`]) with the snapshot epoch strictly
+//! monotone across the handoff. Solve panics (injectable via
+//! [`KillSchedule::panics`]) are contained per area and surface as a
+//! degraded round plus a restart, never as a service crash. A frame popped
+//! by a worker that died before solving it is requeued, widening the
 //! accounting identity to `ingested + requeued == solved + shed`.
 //!
-//! Robust estimation (the measurement-level chaos layer): a seeded
-//! [`ScanFaultPlan`] corrupts scans *before* they are framed — gross
-//! errors bias one measurement by `k·σ`, RTU outages shed every
-//! measurement touching a site. Downstream, every scan is placed on its
-//! area's fixed measurement layout ([`AreaEstimator::place_scan`]): a row
-//! the scan lost is present but inactive, so a frame's Jacobian and gain
-//! patterns change only at an islanding transition. A per-area
-//! post-WLS chi-square gate ([`BadDataGate`]) detects suspect frames, and
-//! the largest-normalized-residual loop deactivates the offender and
-//! re-solves warm through the area's solve cache, suspects fanned out on
-//! the pool (`suspect_frames == cleared_by_lnr + degraded_unidentifiable`,
-//! and the rejected rows are recorded per event so tests can equate them
-//! with the injected ground truth); shortened scans run an observability
-//! check and are repaired by [`pgse_estimation::restoration`] pseudo
-//! measurements from the last good estimate — activated rows of the
-//! layout's pseudo superset — or degrade the area to its carried profile
-//! when even restoration cannot close the holes.
-//!
-//! Live topology: [`SwitchingEvent`]s make grid topology a versioned
-//! per-frame input. The feeder stamps PGSF v2 frames with the stage's
-//! `topology_version` (and the boundary's breaker events); the solver
-//! switches its estimator bank when the version advances. A switch that
-//! islands nothing is a value: the stage's bank is the previous one
-//! re-valued on the same decomposition and patterns
-//! ([`AreaEstimator::with_branch_status`]), so every cache, warm start and
-//! checkpoint carries across it. A switch that cuts buses off their area
-//! merges the orphans onto electrically-adjacent areas with
-//! [`pgse_partition::repartition_shrink`] and re-deploys the bank
-//! (`symbolic_rebuilds`). Both are resolved at deploy time, so the
-//! mid-stream transition itself stays bounded to one round.
+//! Robust estimation and live topology (DESIGN.md §15): a seeded
+//! [`ScanFaultPlan`] corrupts scans before they are framed. Every scan is
+//! placed on its area's fixed measurement layout
+//! ([`AreaEstimator::place_scan`]), so a frame's patterns change only at
+//! an islanding transition; a chi-square gate ([`BadDataGate`]) and the
+//! LNR loop reject gross errors
+//! (`suspect_frames == cleared_by_lnr + degraded_unidentifiable`), and
+//! [`pgse_estimation::restoration`] repairs shortened scans.
+//! [`SwitchingEvent`]s make topology a versioned per-frame input: a switch
+//! that islands nothing re-values the estimator bank
+//! ([`AreaEstimator::with_branch_status`]) and keeps every cache; one that
+//! islands buses merges them onto adjacent areas and re-deploys. Both are
+//! resolved at deploy time.
 
+use std::cmp::Reverse;
 use std::collections::BTreeMap;
 use std::net::TcpListener;
+use std::panic::AssertUnwindSafe;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Condvar, Mutex};
 use std::time::{Duration, Instant};
@@ -96,7 +77,7 @@ use pgse_medici::{
     Arrival, EndpointRegistry, FaultKind, FaultPlan, FaultProxy, FaultProxyHandle, FaultStats,
     Inbox, MwClient, MwError, ScanFault, ScanFaultPlan,
 };
-use pgse_obs::{ObsReport, Recorder, ScopeReport};
+use pgse_obs::{ObsReport, Recorder, ScopeReport, SpanGuard};
 use pgse_partition::weights::initial_graph;
 use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
@@ -398,9 +379,13 @@ pub struct StreamReport {
     pub events: Vec<SupervisionEvent>,
     /// Epoch of the last published snapshot.
     pub last_epoch: Option<u64>,
-    /// Median ingest→publish frame latency (milliseconds).
+    /// Median ingest→publish frame latency (milliseconds), read from the
+    /// `volatile.stream.frame_latency_ms` histogram: an upper bound at most
+    /// 10 % above the exact sample median.
     pub latency_p50_ms: f64,
-    /// 99th-percentile ingest→publish frame latency (milliseconds).
+    /// 99th-percentile ingest→publish frame latency (milliseconds), read
+    /// from the same histogram: an upper bound at most 10 % above the
+    /// exact sample percentile.
     pub latency_p99_ms: f64,
     /// Wall time of the whole run.
     pub elapsed: Duration,
@@ -755,127 +740,44 @@ impl StreamService {
     }
 
     /// Runs the service to completion: feeder, per-area ingest listeners,
-    /// and the supervised solve loop, then drains and closes the queues so
-    /// that the accounting identity `ingested + requeued == solved + shed`
-    /// is exact.
+    /// and the supervised solve loop — one round per iteration, its steps
+    /// called in order below (DESIGN.md §9) — then drains and closes the
+    /// queues so that the accounting identity
+    /// `ingested + requeued == solved + shed` is exact.
     ///
     /// Single-shot: deploy a fresh service for another run.
     pub fn run(&self) -> StreamReport {
-        let cfg = &self.cfg;
-        let n_areas = self.n_areas();
         let start = Instant::now();
-
         let feeder_done = AtomicBool::new(false);
         let stop_ingest = AtomicBool::new(false);
         // Sequence of the newest published frame, and the condvar the
-        // publish site notifies after storing it: the lockstep feeder
+        // publish step notifies after storing it: the lockstep feeder
         // parks here instead of polling.
-        let published_seq: Mutex<Option<u64>> = Mutex::new(None);
-        let published = Condvar::new();
-
-        let mut s1_caches: Vec<SolveCache> = (0..n_areas).map(|_| SolveCache::new()).collect();
-        let mut s2_caches: Vec<SolveCache> = (0..n_areas).map(|_| SolveCache::new()).collect();
-        let mut last_sets: Vec<Option<MeasurementSet>> = vec![None; n_areas];
-        let mut last_solutions: Vec<Option<AreaSolution>> = vec![None; n_areas];
-        let mut bad_data_events: Vec<BadDataEvent> = Vec::new();
-        let mut last_epoch: Option<u64> = None;
-        let mut rounds: u64 = 0;
-        let mut latencies_ms: Vec<f64> = Vec::new();
-        // The topology stage the solver currently runs; advanced when a
-        // round's frames carry a newer version.
-        let mut active_version: usize = 0;
-        // Round-level batch plan: pattern-grouped symbolic analyses shared
-        // by every Step-1 gain solve of the run. Persists across rounds
-        // (warm mode) so same-pattern areas keep hitting one analysis.
-        let mut plan = BatchPlan::new();
-
-        // Supervision state: watchdog, checkpoint store, fleet liveness,
-        // the live area → cluster mapping, and the kill-schedule flags.
-        let supervision = &self.supervision;
-        let mut sup = Supervision {
-            watchdog: Watchdog::new(n_areas, supervision),
-            ckpts: CheckpointStore::new(n_areas),
-            liveness: FleetLiveness::new(self.n_clusters),
-            assignment: self.assignment.clone(),
-            n_clusters: self.n_clusters,
-            graph: &self.graph,
-            sup_rec: &self.sup_rec,
-            worker_alive: vec![true; n_areas],
-            recovering: vec![false; n_areas],
-            events: Vec::new(),
-        };
-        let mut fired_worker = vec![false; cfg.kills.worker_kills.len()];
-        let mut fired_cluster = vec![false; cfg.kills.cluster_kills.len()];
-        let mut fired_panic = vec![false; cfg.kills.panics.len()];
-        // The deterministic round clock: the frame sequence the next round
-        // expects, and the stamp recovery-only rounds tick with.
-        let mut next_expected: u64 = 0;
-        let mut last_target: u64 = 0;
+        let published = (Mutex::new(None), Condvar::new());
+        let mut solver = Solver::new(self);
         // What ingest queues: frames this run can solve — a topology
         // version that names a stage, a sequence inside the run.
         let solvable = &|f: &StreamFrame| {
-            (f.topology_version as usize) < self.stages.len() && f.seq < cfg.n_frames
+            (f.topology_version as usize) < self.stages.len() && f.seq < self.cfg.n_frames
         };
 
         std::thread::scope(|scope| {
-            // --- ingest: one thread per area serves the area's inbox.
             let stop = &stop_ingest;
-            let mut ingest_handles: Vec<_> = (0..n_areas)
+            let mut ingest_handles: Vec<_> = (0..self.n_areas())
                 .map(|a| scope.spawn(move || self.ingest(a, stop, solvable)))
                 .collect();
-
-            // --- feeder: one thread ships every area's frames in order.
             scope.spawn(|| {
-                self.feed(&published_seq, &published);
+                self.feed(&published);
                 feeder_done.store(true, Ordering::Release);
             });
 
-            // --- solve loop: latest-wins sweep over the area queues,
-            // supervised (heartbeats → deadline tick → recovery) per round.
-            let mut ingest_stopped = false;
             loop {
-                // Deterministic-rounds gate: only pop once every queue has
-                // accepted the frame this round is expected to solve, so
-                // the round/shed/recovery structure is seed-determined.
-                if cfg.deterministic_rounds && next_expected < cfg.n_frames {
-                    let wait = Instant::now();
-                    for q in &self.queues {
-                        let left = cfg.lockstep_timeout.saturating_sub(wait.elapsed());
-                        if !q.wait_accepted(next_expected, left) {
-                            break;
-                        }
-                    }
-                }
-
-                let mut popped: Vec<Option<(StreamFrame, Instant)>> =
-                    Vec::with_capacity(n_areas);
-                let mut any = false;
-                for (a, q) in self.queues.iter().enumerate() {
-                    // A dead worker pops nothing: its queue accumulates
-                    // (latest-wins) until the supervisor revives it.
-                    let f = if sup.worker_alive[a] { q.pop_latest(POP_DEADLINE) } else { None };
-                    if f.is_some() {
-                        any = true;
-                        self.rec.counter_add("stream.solved", 1);
-                    }
-                    popped.push(f);
-                }
-                if !any {
-                    if sup.worker_alive.iter().any(|&alive| !alive) {
-                        // Recovery-only round: nothing to solve, but dead
-                        // workers must still be detected and revived so
-                        // their queues drain before shutdown.
-                        sup.beat_alive();
-                        sup.tick_and_recover(
-                            last_target,
-                            &mut s1_caches,
-                            &mut s2_caches,
-                            &mut last_sets,
-                        );
+                let Some(mut round) = solver.pop() else {
+                    if solver.recover_idle() {
                         continue;
                     }
-                    if ingest_stopped {
-                        break;
+                    if ingest_handles.is_empty() {
+                        break; // the listeners are joined and a sweep found nothing
                     }
                     if feeder_done.load(Ordering::Acquire)
                         && self.queues.iter().all(|q| q.depth() == 0)
@@ -886,369 +788,21 @@ impl StreamService {
                         for h in ingest_handles.drain(..) {
                             let _ = h.join();
                         }
-                        ingest_stopped = true;
                     }
                     continue;
-                }
-
-                let target_seq = popped.iter().flatten().map(|(f, _)| f.seq).max().unwrap();
-                let (dt, round_version) = popped
-                    .iter()
-                    .flatten()
-                    .find(|(f, _)| f.seq == target_seq)
-                    .map(|(f, _)| {
-                        // The solver never steps back to an older
-                        // topology: a lagging target frame is handled as
-                        // version skew below.
-                        (f.dt_seconds, active_version.max(f.topology_version as usize))
-                    })
-                    .unwrap();
-                let noise = self.noise.level(dt);
-
-                // Fire the seeded kill schedule for this round. A killed
-                // worker loses its in-memory state and stops heartbeating;
-                // the frame it had just popped goes back on its queue.
-                let mut victims: Vec<usize> = Vec::new();
-                for (i, &(s, a)) in cfg.kills.worker_kills.iter().enumerate() {
-                    if !fired_worker[i] && s <= target_seq {
-                        fired_worker[i] = true;
-                        victims.push(a);
-                    }
-                }
-                for (i, &(s, c)) in cfg.kills.cluster_kills.iter().enumerate() {
-                    if !fired_cluster[i] && s <= target_seq {
-                        fired_cluster[i] = true;
-                        victims.extend((0..n_areas).filter(|&a| sup.assignment[a] == c));
-                    }
-                }
-                for a in victims {
-                    if !sup.worker_alive[a] {
-                        continue;
-                    }
-                    sup.worker_alive[a] = false;
-                    if let Some((frame, _)) = popped[a].take() {
-                        self.queues[a].requeue(frame);
-                    }
-                }
-
-                // Assemble the round: freshest frame per area; areas with
-                // nothing new run degraded on carried state. An area whose
-                // frame ends the round not fresh publishes no latency.
-                let mut enqueue_times: Vec<Option<Instant>> = vec![None; n_areas];
-                let mut popped_frames: Vec<Option<StreamFrame>> = vec![None; n_areas];
-                for (a, slot) in popped.into_iter().enumerate() {
-                    if let Some((frame, t_enq)) = slot {
-                        if frame.topology_version as usize != round_version {
-                            // A scan generated against another topology
-                            // cannot be solved on this round's estimator
-                            // bank; the area runs degraded instead.
-                            self.rec.counter_add("stream.topology.version_skew", 1);
-                            continue;
-                        }
-                        enqueue_times[a] = Some(t_enq);
-                        popped_frames[a] = Some(frame);
-                    }
-                }
-                let mut fresh: Vec<bool> = popped_frames.iter().map(Option::is_some).collect();
-
-                // Topology transition: this round's frames carry a newer
-                // version — switch the estimator bank. A re-valued bank
-                // has the old one's layouts and patterns, so caches, warm
-                // starts, checkpoints and carried solutions all carry over.
-                // An islanding stage re-deploys: every area comes up cold.
-                for stage in &self.stages[active_version + 1..=round_version] {
-                    self.rec.counter_add("stream.topology.transitions", 1);
-                    if stage.islanding_events == 0 {
-                        continue;
-                    }
-                    self.rec.counter_add("stream.topology.symbolic_rebuilds", n_areas as u64);
-                    for a in 0..n_areas {
-                        sup.ckpts.clear(a);
-                        s1_caches[a] = SolveCache::new();
-                        s2_caches[a] = SolveCache::new();
-                        last_solutions[a] = None;
-                        if !fresh[a] {
-                            last_sets[a] = None;
-                        }
-                    }
-                }
-                active_version = round_version;
-                let ests = &self.stages[active_version].estimators;
-
-                self.place_scans(ests, &popped_frames, &last_solutions, &mut fresh, &mut last_sets);
-
-                // Panic injection is decided before the fan-out so the
-                // parallel closures stay deterministic.
-                let mut panic_now = vec![false; n_areas];
-                for (i, &(s, a)) in cfg.kills.panics.iter().enumerate() {
-                    if !fired_panic[i] && s <= target_seq && fresh[a] {
-                        fired_panic[i] = true;
-                        panic_now[a] = true;
-                    }
-                }
-
-                let round_start = Instant::now();
-                let mut round_span = self.rec.span_at("stream.frame", target_seq);
-
-                // DSE Step 1: fresh areas fan out across the thread pool
-                // (the per-area recorder keeps each area's trace on its own
-                // deterministic logical clock regardless of which worker
-                // thread runs it). `catch_unwind` sits *inside* the closure
-                // so the pool never sees a panic — the supervisor does.
-                //
-                // The round runs through Gauss–Newton *waves*: the areas'
-                // gain systems are collected per iteration and dispatched
-                // through one pattern-grouped batched solve instead of
-                // each area factoring alone. A cold run takes the same
-                // path with nothing carried over from the previous round.
-                if !cfg.warm {
-                    s1_caches.iter_mut().chain(&mut s2_caches).for_each(SolveCache::clear);
-                    plan.clear();
-                }
-                let mut step1 = self.round_batched_step1(
-                    ests,
-                    &fresh,
-                    &last_sets,
-                    &panic_now,
-                    &mut s1_caches,
-                    &mut plan,
-                );
-                if let Some(gate) = cfg.baddata {
-                    bad_data_events.extend(self.bad_data_stage(
-                        gate,
-                        ests,
-                        target_seq,
-                        &mut step1,
-                        &mut last_sets,
-                        &mut s1_caches,
-                        &mut plan,
-                    ));
-                }
-
-                // Contain Step-1 casualties: the panicked worker's frame
-                // was never solved, so it is requeued; the worker restarts
-                // at the end of the round and its area runs degraded.
-                let mut to_restart: Vec<usize> = Vec::new();
-                for a in 0..n_areas {
-                    match step1[a] {
-                        StageOutcome::Failed => self.rec.counter_add("stream.solve_errors", 1),
-                        StageOutcome::Panicked => {
-                            self.rec.counter_add("stream.worker_panics", 1);
-                            sup.events
-                                .push(SupervisionEvent::Panicked { area: a, seq: target_seq });
-                            if let Some(frame) = popped_frames[a].take() {
-                                self.queues[a].requeue(frame);
-                            }
-                            fresh[a] = false;
-                            to_restart.push(a);
-                        }
-                        StageOutcome::Degraded(_) => {
-                            // Bad data the LNR loop could not identify:
-                            // the frame is consumed (no requeue — its
-                            // measurements are known-suspect) and the area
-                            // publishes its carried profile this round.
-                            fresh[a] = false;
-                        }
-                        _ => {}
-                    }
-                }
-
-                // This round's Step-1 view: fresh result or carried state.
-                let s1_solutions: Vec<Option<AreaSolution>> = (0..n_areas)
-                    .map(|a| match &step1[a] {
-                        StageOutcome::Solved(s) => Some(s.clone()),
-                        _ => last_solutions[a].clone(),
-                    })
-                    .collect();
-
-                // Exchange: boundary/sensitive solutions as pseudo
-                // measurements (in-memory; the framed middleware variant
-                // of this exchange lives in pgse-core's pipeline).
-                let pseudo: Vec<Vec<PseudoMeasurement>> = ests
-                    .iter()
-                    .zip(&s1_solutions)
-                    .map(|(est, sol)| {
-                        sol.as_ref().map(|s| est.export_pseudo(s)).unwrap_or_default()
-                    })
-                    .collect();
-
-                // DSE Step 2: re-evaluate boundaries on the extended model,
-                // again fanned out across the pool, again panic-contained.
-                let pseudo = &pseudo;
-                let step2: Vec<StageOutcome> = ests
-                    .par_iter()
-                    .enumerate()
-                    .zip(s2_caches.par_iter_mut())
-                    .map(|((a, est), cache)| {
-                        if !fresh[a] {
-                            return StageOutcome::Skipped;
-                        }
-                        let (Some(s1), Some(set)) =
-                            (s1_solutions[a].as_ref(), last_sets[a].as_ref())
-                        else {
-                            return StageOutcome::Skipped;
-                        };
-                        let rec = &self.area_recs[a];
-                        let mut inbox = Vec::new();
-                        for &nb in &est.info.neighbors {
-                            inbox.extend(pseudo[nb].iter().copied());
-                        }
-                        let seed = step2_seed(cfg.seed, target_seq);
-                        let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                            pgse_obs::with_recorder(rec, || {
-                                est.step2_cached(s1, &inbox, set, noise, seed, cache)
-                            })
-                        }));
-                        match out {
-                            Ok(Ok(sol)) => StageOutcome::Solved(sol),
-                            Ok(Err(_)) => StageOutcome::Failed,
-                            Err(_) => StageOutcome::Panicked,
-                        }
-                    })
-                    .collect();
-
-                // Step-2 casualties consumed their frame (no requeue): the
-                // area carries its Step-1 view and the worker restarts.
-                for (a, outcome) in step2.iter().enumerate() {
-                    match outcome {
-                        StageOutcome::Failed => self.rec.counter_add("stream.solve_errors", 1),
-                        StageOutcome::Panicked => {
-                            self.rec.counter_add("stream.worker_panics", 1);
-                            sup.events
-                                .push(SupervisionEvent::Panicked { area: a, seq: target_seq });
-                            to_restart.push(a);
-                        }
-                        _ => {}
-                    }
-                    // Neither step estimated anything from this scan: the
-                    // frame stays consumed, but what the area publishes is
-                    // its carried profile, so the round lists it degraded.
-                    if !matches!(step1[a], StageOutcome::Solved(_))
-                        && !matches!(outcome, StageOutcome::Solved(_))
-                    {
-                        fresh[a] = false;
-                    }
-                }
-
-                // Merge and account the round.
-                let degraded: Vec<usize> = (0..n_areas).filter(|&a| !fresh[a]).collect();
-                let mut gn = 0u64;
-                for a in 0..n_areas {
-                    match &step1[a] {
-                        StageOutcome::Solved(s) => gn += s.iterations as u64,
-                        StageOutcome::Degraded(iterations) => gn += *iterations as u64,
-                        _ => {}
-                    }
-                    if let StageOutcome::Solved(s) = &step2[a] {
-                        gn += s.iterations as u64;
-                    }
-                    let s2_new = match &step2[a] {
-                        StageOutcome::Solved(s) => Some(s.clone()),
-                        _ => None,
-                    };
-                    if let Some(sol) = s2_new.or_else(|| s1_solutions[a].clone()) {
-                        last_solutions[a] = Some(sol);
-                    }
-                }
-                rounds += 1;
-                self.rec.counter_add("stream.rounds", 1);
-                self.rec.counter_add("stream.gn_iterations", gn);
-                let nanos = round_start.elapsed().as_nanos() as u64;
-                self.rec.counter_add("volatile.stream.solve_nanos", nanos);
-                if !degraded.is_empty() {
-                    self.rec.counter_add("stream.degraded", degraded.len() as u64);
-                }
-                round_span.record("fresh_areas", (n_areas - degraded.len()) as u64);
-                round_span.record("gn_iterations", gn);
-
-                // A revived worker that just produced a fresh solve again
-                // has fully recovered.
-                for a in 0..n_areas {
-                    if sup.recovering[a]
-                        && fresh[a]
-                        && matches!(step1[a], StageOutcome::Solved(_))
-                    {
-                        sup.recovering[a] = false;
-                        sup.events.push(SupervisionEvent::Recovered { area: a, seq: target_seq });
-                    }
-                }
-
-                // Checkpoint the round's survivors, then close the round on
-                // the watchdog: heartbeats, deadline tick, and whatever
-                // recovery (restart / cluster failover) the tick implies.
-                if rounds.is_multiple_of(supervision.checkpoint_interval) {
-                    for a in 0..n_areas {
-                        if sup.worker_alive[a]
-                            && fresh[a]
-                            && matches!(step1[a], StageOutcome::Solved(_))
-                        {
-                            sup.ckpts.save(AreaCheckpoint {
-                                area: a,
-                                frame_seq: target_seq,
-                                warm: s1_caches[a].export_warm(),
-                                last_set: last_sets[a].clone(),
-                                last_solution: last_solutions[a].clone(),
-                                structure: s1_caches[a].structure_descriptor(),
-                            });
-                            self.sup_rec.counter_add("failover.checkpoints", 1);
-                        }
-                    }
-                }
-                for a in 0..n_areas {
-                    if sup.worker_alive[a] && !to_restart.contains(&a) {
-                        sup.beat(a);
-                    }
-                }
-                let revived = sup.tick_and_recover(
-                    target_seq,
-                    &mut s1_caches,
-                    &mut s2_caches,
-                    &mut last_sets,
-                );
-                for a in to_restart {
-                    if revived.contains(&a) {
-                        continue; // the watchdog path already revived it
-                    }
-                    let warm = sup.revive(a, &mut s1_caches, &mut s2_caches, &mut last_sets);
-                    sup.events.push(SupervisionEvent::Restarted { area: a, seq: target_seq, warm });
-                }
-
-                // Aggregate and publish once every area has contributed.
-                if last_solutions.iter().all(Option::is_some) {
-                    let sols: Vec<AreaSolution> =
-                        last_solutions.iter().map(|s| s.clone().unwrap()).collect();
-                    let (vm, va) = aggregate(&self.stages[active_version].decomp, &sols);
-                    let snap = SystemSnapshot {
-                        epoch: 0, // stamped by the store
-                        frame_seq: target_seq,
-                        dt_seconds: dt,
-                        vm,
-                        va,
-                        degraded_areas: degraded,
-                    };
-                    match self.store.publish(snap) {
-                        Ok(epoch) => {
-                            *published_seq.lock().expect("published_seq lock poisoned") =
-                                Some(target_seq);
-                            published.notify_one();
-                            last_epoch = Some(epoch);
-                            self.rec.counter_add("stream.published", 1);
-                            let now = Instant::now();
-                            let solved = enqueue_times.iter().zip(&fresh);
-                            for t in solved.filter_map(|(t, &f)| t.filter(|_| f)) {
-                                let ms = now.duration_since(t).as_secs_f64() * 1e3;
-                                latencies_ms.push(ms);
-                                self.rec.observe("volatile.stream.frame_latency_ms", ms);
-                            }
-                        }
-                        Err(_) => self.rec.counter_add("stream.publish.rejected", 1),
-                    }
-                } else {
-                    self.rec.counter_add("stream.unpublishable", 1);
-                }
-                drop(round_span);
-                last_target = target_seq;
-                next_expected = next_expected.max(target_seq.saturating_add(1));
+                };
+                solver.fire_kills(&mut round);
+                solver.assemble(&mut round);
+                solver.transition(&round);
+                solver.place_scans(&mut round);
+                let started = Instant::now();
+                let mut span = self.rec.span_at("stream.frame", round.seq);
+                solver.step1(&mut round);
+                solver.bad_data(&mut round);
+                solver.step2(&mut round);
+                solver.account(&mut round, started, &mut span);
+                solver.supervise(&round);
+                solver.publish(&round, &published);
             }
         });
 
@@ -1258,13 +812,14 @@ impl StreamService {
             q.close();
             q.drain_remaining();
         }
-        latencies_ms.sort_by(f64::total_cmp);
+        let latency = self.rec.snapshot().metrics.histograms.remove(FRAME_LATENCY);
+        let quantile = |q| latency.as_ref().and_then(|h| h.quantile(q)).unwrap_or(0.0);
         StreamReport {
-            bad_data_events,
-            events: sup.events,
-            last_epoch,
-            latency_p50_ms: percentile(&latencies_ms, 0.50),
-            latency_p99_ms: percentile(&latencies_ms, 0.99),
+            bad_data_events: solver.bad_data_events,
+            events: solver.events,
+            last_epoch: self.store.current_epoch(),
+            latency_p50_ms: quantile(0.50),
+            latency_p99_ms: quantile(0.99),
             elapsed: start.elapsed(),
             ..self.counts()
         }
@@ -1293,7 +848,7 @@ impl StreamService {
     /// ships each area's frame, stamped with its topology stage, on one
     /// held session per area. In lockstep it parks on `published` until
     /// each frame's snapshot is out.
-    fn feed(&self, published_seq: &Mutex<Option<u64>>, published: &Condvar) {
+    fn feed(&self, published: &(Mutex<Option<u64>>, Condvar)) {
         let cfg = &self.cfg;
         let rec = &self.rec;
         pgse_obs::with_recorder(&self.feed_rec, || {
@@ -1330,8 +885,9 @@ impl StreamService {
                     // Park until this frame's snapshot is published; the
                     // timeout keeps the feeder live when chaos starves a
                     // whole round.
-                    let seq = published_seq.lock().expect("published_seq lock poisoned");
-                    let _parked = published
+                    let (seq, cv) = published;
+                    let seq = seq.lock().expect("published_seq lock poisoned");
+                    let _parked = cv
                         .wait_timeout_while(seq, cfg.lockstep_timeout, |p| {
                             !p.is_some_and(|p| p >= s)
                         })
@@ -1342,193 +898,484 @@ impl StreamService {
             }
         });
     }
+}
 
-    /// One round of wave-driven, cross-area batched Step-1 solving.
+/// Name of the frame-latency histogram in the `stream` recorder.
+const FRAME_LATENCY: &str = "volatile.stream.frame_latency_ms";
+
+/// One area's outcome of one [`contain`]ed solve step (while a Step-1
+/// wave is open, `Solved` holds the wave).
+#[derive(Default)]
+enum Step<T> {
+    /// Nothing to do: no fresh scan, or the worker is down.
+    #[default]
+    Skipped,
+    /// A fresh result.
+    Solved(T),
+    /// The solver reported an error; the area carries its last solution.
+    Failed,
+    /// The solve closure panicked (contained); the worker restarts.
+    Panicked,
+    /// The bad-data gate fired and the LNR loop could not clear the frame;
+    /// the area carries its last solution and the frame is discarded. Holds
+    /// the Gauss–Newton iterations the wave and the loop ran.
+    Degraded(usize),
+}
+
+impl<T> Step<T> {
+    fn solved(&self) -> Option<&T> {
+        match self {
+            Step::Solved(v) => Some(v),
+            _ => None,
+        }
+    }
+}
+
+/// An area's Step-1 solution from its estimate and the Gauss–Newton
+/// iterations it took.
+fn solution(iterations: usize, est: StateEstimate) -> AreaSolution {
+    AreaSolution { vm: est.vm, va: est.va, iterations, objective: est.objective }
+}
+
+/// Runs one area's solve step on the area's recorder with its panics
+/// contained. `catch_unwind` sits inside the pool's closures, so the pool
+/// never sees a panic — the supervisor does.
+fn contain<T, E>(rec: &Recorder, f: impl FnOnce() -> Result<T, E>) -> Step<T> {
+    match std::panic::catch_unwind(AssertUnwindSafe(|| pgse_obs::with_recorder(rec, f))) {
+        Ok(Ok(v)) => Step::Solved(v),
+        Ok(Err(_)) => Step::Failed,
+        Err(_) => Step::Panicked,
+    }
+}
+
+/// What one area carries from round to round.
+#[derive(Default)]
+struct AreaSlot {
+    /// Step-1 solve cache: symbolic structures, cached factor, warm start.
+    s1: SolveCache,
+    /// Step-2 solve cache.
+    s2: SolveCache,
+    /// The area's last scan, placed on its Step-1 layout (with the rows
+    /// the LNR loop rejected inactive).
+    set: Option<MeasurementSet>,
+    /// The area's last merged solution: what it publishes when a round
+    /// brings it nothing fresh.
+    solution: Option<AreaSolution>,
+}
+
+impl AreaSlot {
+    /// A checkpoint of the slot after a fresh solve of frame `seq`.
+    fn checkpoint(&self, area: usize, seq: u64) -> AreaCheckpoint {
+        AreaCheckpoint {
+            area,
+            frame_seq: seq,
+            warm: self.s1.export_warm(),
+            last_set: self.set.clone(),
+            last_solution: self.solution.clone(),
+            structure: self.s1.structure_descriptor(),
+        }
+    }
+
+    /// Brings the slot back for a restarted worker: fresh caches, then the
+    /// checkpoint's warm start and scan when there is one. Returns whether
+    /// the symbolic structures were retained.
+    ///
+    /// Structure retention: when the checkpointed
+    /// [`pgse_estimation::wls::StructureDescriptor`] matches what the live
+    /// Step-1 cache is running with, the topology is verified unchanged
+    /// across the failure, so the symbolic analyses (Jacobian pattern,
+    /// gain `AᵀWA` symbolic) survive the restart instead of being rebuilt
+    /// on the first post-revive frame.
+    fn revive(&mut self, ck: Option<AreaCheckpoint>) -> bool {
+        let live = self.s1.structure_descriptor();
+        let retained = live.is_some() && ck.as_ref().is_some_and(|ck| ck.structure == live);
+        if retained {
+            self.s1.retain_structures_for_restart();
+            self.s2.retain_structures_for_restart();
+        } else {
+            self.s1 = SolveCache::new();
+            self.s2 = SolveCache::new();
+        }
+        self.set = ck.and_then(|ck| {
+            if let Some((vm, va)) = ck.warm {
+                self.s1.restore_warm(vm, va);
+            }
+            ck.last_set
+        });
+        retained
+    }
+}
+
+/// One solve round: the frame sequence it solves and each area's part.
+struct Round {
+    /// The newest frame sequence popped — the round's clock.
+    seq: u64,
+    /// Model time of that frame.
+    dt: f64,
+    /// The topology stage the round solves on.
+    version: usize,
+    areas: Vec<AreaRound>,
+}
+
+/// One area's part of a round.
+#[derive(Default)]
+struct AreaRound {
+    /// The popped frame and its arrival time; taken when it is requeued.
+    frame: Option<(StreamFrame, Instant)>,
+    /// The area publishes an estimate from this round's scan.
+    fresh: bool,
+    /// The kill schedule makes the area's Step 1 panic this round.
+    panic: bool,
+    step1: Step<AreaSolution>,
+    step2: Step<AreaSolution>,
+    /// The worker panicked and restarts at the end of the round.
+    restart: bool,
+}
+
+/// Removes the entries of one kill-schedule list that are due by frame
+/// `seq` and that `ready` accepts, returning their targets in schedule
+/// order: each entry fires once.
+fn drain_due(list: &mut Vec<(u64, usize)>, seq: u64, ready: impl Fn(usize) -> bool) -> Vec<usize> {
+    let (due, kept): (Vec<_>, Vec<_>) =
+        std::mem::take(list).into_iter().partition(|&(s, target)| s <= seq && ready(target));
+    *list = kept;
+    due.into_iter().map(|(_, target)| target).collect()
+}
+
+/// The solve loop's state across one run: each area's slot, the
+/// round-level batch plan, the round clock and the supervisor's state.
+/// Its methods are the steps of a round, in the order
+/// [`StreamService::run`] calls them; the supervisor's counts go to
+/// `stream.supervise` where they happen.
+struct Solver<'s> {
+    svc: &'s StreamService,
+    slots: Vec<AreaSlot>,
+    /// Round-level batch plan: pattern-grouped symbolic analyses shared
+    /// by every Step-1 gain solve of the run. Persists across rounds
+    /// (warm mode) so same-pattern areas keep hitting one analysis.
+    plan: BatchPlan,
+    /// Kill-schedule entries that have not fired yet.
+    kills: KillSchedule,
+    /// The topology stage the solver runs; advanced when a round's frames
+    /// carry a newer version.
+    version: usize,
+    /// The deterministic round clock: the frame sequence the next round
+    /// expects, and the stamp recovery-only rounds tick with.
+    next_expected: u64,
+    last_target: u64,
+    rounds: u64,
+    bad_data_events: Vec<BadDataEvent>,
+    /// Bucket upper bounds of [`FRAME_LATENCY`], in milliseconds: 1.1×
+    /// apart from 10 µs to 150 s, so a quantile read from it is at
+    /// most 10 % above the exact sample quantile (the overflow bucket
+    /// reads the observed maximum).
+    latency_buckets: Vec<f64>,
+    watchdog: Watchdog,
+    ckpts: CheckpointStore,
+    liveness: FleetLiveness,
+    /// The live area → cluster mapping.
+    assignment: Vec<usize>,
+    worker_alive: Vec<bool>,
+    recovering: Vec<bool>,
+    /// Everything the supervisor observed or did, in round order.
+    events: Vec<SupervisionEvent>,
+}
+
+impl<'s> Solver<'s> {
+    fn new(svc: &'s StreamService) -> Self {
+        let n = svc.n_areas();
+        Solver {
+            svc,
+            slots: (0..n).map(|_| AreaSlot::default()).collect(),
+            plan: BatchPlan::new(),
+            kills: svc.cfg.kills.clone(),
+            version: 0,
+            next_expected: 0,
+            last_target: 0,
+            rounds: 0,
+            bad_data_events: Vec::new(),
+            latency_buckets: std::iter::successors(Some(0.01), |b| Some(b * 1.1))
+                .take_while(|&b| b < 1.5e5)
+                .collect(),
+            watchdog: Watchdog::new(n, &svc.supervision),
+            ckpts: CheckpointStore::new(n),
+            liveness: FleetLiveness::new(svc.n_clusters),
+            assignment: svc.assignment.clone(),
+            worker_alive: vec![true; n],
+            recovering: vec![false; n],
+            events: Vec::new(),
+        }
+    }
+
+    /// The estimator bank of the active topology stage.
+    fn ests(&self) -> &'s [AreaEstimator] {
+        &self.svc.stages[self.version].estimators
+    }
+
+    /// Pops a round: each live area's freshest frame (latest-wins). With
+    /// `deterministic_rounds` it first waits, bounded by
+    /// `lockstep_timeout`, until every queue has accepted the frame the
+    /// round is expected to solve, so the round/shed/recovery structure
+    /// is seed-determined. Advances the round clock; `None` when nothing
+    /// was popped.
+    fn pop(&mut self) -> Option<Round> {
+        let svc = self.svc;
+        if svc.cfg.deterministic_rounds && self.next_expected < svc.cfg.n_frames {
+            let wait = Instant::now();
+            for q in &svc.queues {
+                let left = svc.cfg.lockstep_timeout.saturating_sub(wait.elapsed());
+                if !q.wait_accepted(self.next_expected, left) {
+                    break;
+                }
+            }
+        }
+        let areas: Vec<AreaRound> = svc
+            .queues
+            .iter()
+            .zip(&self.worker_alive)
+            .map(|(q, &alive)| {
+                // A dead worker pops nothing: its queue accumulates
+                // (latest-wins) until the supervisor revives it.
+                let frame = if alive { q.pop_latest(POP_DEADLINE) } else { None };
+                if frame.is_some() {
+                    svc.rec.counter_add("stream.solved", 1);
+                }
+                AreaRound { frame, ..AreaRound::default() }
+            })
+            .collect();
+        // The round's target: the first popped frame of the newest sequence.
+        let frames = areas.iter().filter_map(|ar| ar.frame.as_ref().map(|(f, _)| f));
+        let target = frames.min_by_key(|f| Reverse(f.seq))?;
+        let (seq, dt) = (target.seq, target.dt_seconds);
+        // The solver never steps back to an older topology: a lagging
+        // target frame is handled as version skew.
+        let version = self.version.max(target.topology_version as usize);
+        self.last_target = seq;
+        self.next_expected = self.next_expected.max(seq.saturating_add(1));
+        Some(Round { seq, dt, version, areas })
+    }
+
+    /// A round that popped nothing: while any worker is down, the watchdog
+    /// still ticks so dead workers are revived and their queues drain
+    /// before shutdown. Returns whether it ran.
+    fn recover_idle(&mut self) -> bool {
+        if !self.worker_alive.contains(&false) {
+            return false;
+        }
+        for a in 0..self.worker_alive.len() {
+            if self.worker_alive[a] {
+                self.beat(a);
+            }
+        }
+        self.tick_and_recover(self.last_target);
+        true
+    }
+
+    /// Fires the kill schedule's worker and cluster kills due by the
+    /// round. A killed worker loses its in-memory state and stops
+    /// heartbeating; the frame it had just popped goes back on its queue.
+    fn fire_kills(&mut self, round: &mut Round) {
+        let mut victims = drain_due(&mut self.kills.worker_kills, round.seq, |_| true);
+        for c in drain_due(&mut self.kills.cluster_kills, round.seq, |_| true) {
+            victims.extend((0..round.areas.len()).filter(|&a| self.assignment[a] == c));
+        }
+        for a in victims {
+            if std::mem::replace(&mut self.worker_alive[a], false) {
+                if let Some((frame, _)) = round.areas[a].frame.take() {
+                    self.svc.queues[a].requeue(frame);
+                }
+            }
+        }
+    }
+
+    /// Assembles the round: an area with a frame of the round's topology
+    /// is fresh; one with nothing new runs degraded on carried state.
+    fn assemble(&self, round: &mut Round) {
+        for ar in &mut round.areas {
+            let skewed = ar
+                .frame
+                .as_ref()
+                .is_some_and(|(f, _)| f.topology_version as usize != round.version);
+            if skewed {
+                // A scan generated against another topology cannot be
+                // solved on this round's estimator bank; the area runs
+                // degraded instead.
+                self.svc.rec.counter_add("stream.topology.version_skew", 1);
+                ar.frame = None;
+            }
+            ar.fresh = ar.frame.is_some();
+        }
+    }
+
+    /// Topology transition: the round's frames carry a newer version, so
+    /// the solver switches estimator banks. A re-valued bank has the old
+    /// one's layouts and patterns, so caches, warm starts, checkpoints and
+    /// carried solutions all carry over. An islanding stage re-deploys:
+    /// every area comes up cold.
+    fn transition(&mut self, round: &Round) {
+        let rec = &self.svc.rec;
+        for stage in &self.svc.stages[self.version + 1..=round.version] {
+            rec.counter_add("stream.topology.transitions", 1);
+            if stage.islanding_events == 0 {
+                continue;
+            }
+            rec.counter_add("stream.topology.symbolic_rebuilds", self.slots.len() as u64);
+            for (a, slot) in self.slots.iter_mut().enumerate() {
+                self.ckpts.clear(a);
+                *slot = AreaSlot::default();
+            }
+        }
+        self.version = round.version;
+    }
+
+    /// Places each fresh area's scan on its Step-1 layout
+    /// ([`AreaEstimator::place_scan`]) — a row the scan lost in flight
+    /// stays in place, inactive — and, with restoration on, repairs a
+    /// short scan: [`restoration::restore_on`], on the area's
+    /// status-applied Step-1 model, picks weak pseudo measurements from
+    /// the carried estimate and they activate rows of the layout's pseudo
+    /// superset. An area unobservable even after restoration, or whose
+    /// scan does not place, degrades to its carried profile.
+    fn place_scans(&mut self, round: &mut Round) {
+        let (svc, ests) = (self.svc, self.ests());
+        for (a, (ar, slot)) in round.areas.iter_mut().zip(&mut self.slots).enumerate() {
+            let Some((frame, _)) = &ar.frame else { continue };
+            let est = &ests[a];
+            let Some(mut set) = est.place_scan(&frame.measurements) else {
+                svc.rec.counter_add("stream.solve_errors", 1);
+                ar.fresh = false;
+                continue;
+            };
+            if svc.cfg.restoration && frame.measurements.len() < est.scan_len() {
+                let w = est.step1_estimator();
+                let nb = w.network().n_buses();
+                let (vm0, va0) = match &slot.solution {
+                    Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
+                    _ => (vec![1.0; nb], vec![0.0; nb]),
+                };
+                let (aug, rep) = pgse_obs::with_recorder(&svc.area_recs[a], || {
+                    restoration::restore_on(w.network(), w.ybus(), &set, w.space(), &vm0, &va0)
+                });
+                if rep.added.is_empty() {
+                    svc.rec.counter_add("stream.restore.observable", 1);
+                } else if rep.after.observable {
+                    svc.rec.counter_add("stream.restore.frames", 1);
+                    svc.rec.counter_add("stream.restore.pseudo", rep.added.len() as u64);
+                    let pseudo = rep.added.iter().map(|&i| aug.as_slice()[i]);
+                    restoration::place_pseudo(&mut set, est.scan_len(), pseudo);
+                } else {
+                    svc.rec.counter_add("stream.restore.unobservable", 1);
+                    ar.fresh = false;
+                }
+            }
+            slot.set = Some(set);
+        }
+    }
+
+    /// DSE Step 1 for every fresh area, in wave-driven, cross-area batched
+    /// Gauss–Newton. The kill schedule's panics due this round are armed
+    /// first, so the parallel closures stay deterministic; a cold run
+    /// clears every cache and the plan first, and otherwise takes the same
+    /// path.
     ///
     /// Phase A (parallel): every fresh area assembles its first Jacobian /
-    /// gain system and opens a [`GnWave`] — panic injection and
-    /// containment sit here, exactly like the callback fan-out, so the
-    /// thread pool never sees a panic. Phase B (the round driver): while
-    /// any wave is still iterating, the in-flight gain systems are
-    /// dispatched through **one** pattern-grouped batched solve on the
-    /// shared [`BatchPlan`]; lane solutions scatter back and each wave
-    /// advances one Gauss–Newton step. Areas whose gain patterns coincide
-    /// share a symbolic analysis and a lane-interleaved factorization;
-    /// odd-pattern areas fall back to the scalar path *inside* the plan,
-    /// so every area's result is bitwise identical to solving alone (the
-    /// per-lane FP op sequence is the scalar sequence — see the
-    /// conformance pins in `pgse-sparsela::batch`). Phase C finishes the
-    /// converged waves (residuals, objective, warm-start handoff).
-    #[allow(clippy::too_many_arguments)]
-    fn round_batched_step1(
-        &self,
-        ests: &[AreaEstimator],
-        fresh: &[bool],
-        last_sets: &[Option<MeasurementSet>],
-        panic_now: &[bool],
-        s1_caches: &mut [SolveCache],
-        plan: &mut BatchPlan,
-    ) -> Vec<StageOutcome> {
-        enum WaveSlot<'w> {
-            Skipped,
-            Failed,
-            Panicked,
-            Wave(GnWave<'w>),
+    /// gain system and opens a [`GnWave`], on its own recorder (each
+    /// area's trace stays on its own deterministic logical clock whichever
+    /// pool thread runs it). Phase B (the round driver): while any wave is
+    /// still iterating, the in-flight gain systems are dispatched through
+    /// **one** pattern-grouped batched solve on the shared [`BatchPlan`];
+    /// lane solutions scatter back and each wave advances one Gauss–Newton
+    /// step. Areas whose gain patterns coincide share a symbolic analysis
+    /// and a lane-interleaved factorization; odd-pattern areas fall back to
+    /// the scalar path *inside* the plan, so every area's result is bitwise
+    /// identical to solving alone (the per-lane FP op sequence is the
+    /// scalar sequence — see the conformance pins in
+    /// `pgse-sparsela::batch`). Phase C finishes the converged waves
+    /// (residuals, objective, warm-start handoff). Every phase runs each
+    /// area [`contain`]ed.
+    fn step1(&mut self, round: &mut Round) {
+        let svc = self.svc;
+        if !svc.cfg.warm {
+            for slot in &mut self.slots {
+                slot.s1.clear();
+                slot.s2.clear();
+            }
+            self.plan.clear();
+        }
+        for a in drain_due(&mut self.kills.panics, round.seq, |a| round.areas[a].fresh) {
+            round.areas[a].panic = true;
         }
 
         // Phase A — open the waves in parallel.
-        let mut waves: Vec<WaveSlot> = ests
+        let areas = &round.areas;
+        let mut waves: Vec<Step<GnWave>> = self
+            .ests()
             .par_iter()
             .enumerate()
-            .zip(s1_caches.par_iter_mut())
-            .map(|((a, est), cache)| {
-                if !fresh[a] {
-                    return WaveSlot::Skipped;
-                }
-                let Some(set) = last_sets[a].as_ref() else {
-                    return WaveSlot::Skipped;
+            .zip(self.slots.par_iter_mut())
+            .map(|((a, est), slot)| {
+                let AreaSlot { s1, set, .. } = slot;
+                let (true, Some(set)) = (areas[a].fresh, set.as_ref()) else {
+                    return Step::Skipped;
                 };
-                let rec = &self.area_recs[a];
-                let inject = panic_now[a];
-                let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(move || {
+                let inject = areas[a].panic;
+                contain(&svc.area_recs[a], move || {
                     if inject {
-                        std::panic::panic_any(INJECTED_PANIC);
+                        std::panic::panic_any("injected solver fault (kill schedule)");
                     }
-                    pgse_obs::with_recorder(rec, move || est.step1_wave(set, cache))
-                }));
-                match out {
-                    Ok(Ok(wave)) => WaveSlot::Wave(wave),
-                    Ok(Err(_)) => WaveSlot::Failed,
-                    Err(_) => WaveSlot::Panicked,
-                }
+                    est.step1_wave(set, s1)
+                })
             })
             .collect();
 
         // Phase B — the round driver: one cross-area solve per GN wave.
         loop {
-            let mut active: Vec<usize> = Vec::new();
-            let mut systems: Vec<(&Csr, &[f64])> = Vec::new();
-            for (a, slot) in waves.iter().enumerate() {
-                if let WaveSlot::Wave(w) = slot {
-                    if !w.done() {
-                        active.push(a);
-                        systems.push((w.gain(), w.rhs()));
-                    }
-                }
-            }
+            let (active, systems): (Vec<usize>, Vec<(&Csr, &[f64])>) = (waves.iter().enumerate())
+                .filter_map(|(a, wave)| match wave {
+                    Step::Solved(w) if !w.done() => Some((a, (w.gain(), w.rhs()))),
+                    _ => None,
+                })
+                .unzip();
             if active.is_empty() {
                 break;
             }
-            let out = plan.solve_round(&systems);
-            self.rec.counter_add("stream.gain_solves", active.len() as u64);
-            self.rec.counter_add("stream.batch_groups", out.batch_groups);
-            self.rec.counter_add("stream.batched_lanes", out.batched_lanes);
-            self.rec.counter_add("stream.scalar_fallbacks", out.scalar_fallbacks);
+            let out = self.plan.solve_round(&systems);
+            svc.rec.counter_add("stream.gain_solves", active.len() as u64);
+            svc.rec.counter_add("stream.batch_groups", out.batch_groups);
+            svc.rec.counter_add("stream.batched_lanes", out.batched_lanes);
+            svc.rec.counter_add("stream.scalar_fallbacks", out.scalar_fallbacks);
             for (k, &a) in active.iter().enumerate() {
-                let advanced = {
-                    let WaveSlot::Wave(wave) = &mut waves[a] else { unreachable!() };
-                    let rec = &self.area_recs[a];
-                    std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pgse_obs::with_recorder(rec, || match &out.results[k] {
-                            Ok(dx) => {
-                                wave.note_solved(out.sym_reused[k]);
-                                wave.apply_step(dx);
-                                true
-                            }
-                            Err(_) => false,
-                        })
-                    }))
-                };
+                let Step::Solved(wave) = &mut waves[a] else { unreachable!() };
+                let advanced = contain(&svc.area_recs[a], || {
+                    out.results[k].as_ref().map(|dx| {
+                        wave.note_solved(out.sym_reused[k]);
+                        wave.apply_step(dx);
+                    })
+                });
                 match advanced {
-                    Ok(true) => {}
-                    Ok(false) => waves[a] = WaveSlot::Failed,
-                    Err(_) => waves[a] = WaveSlot::Panicked,
+                    Step::Solved(()) => {}
+                    Step::Panicked => waves[a] = Step::Panicked,
+                    _ => waves[a] = Step::Failed,
                 }
             }
         }
 
         // Phase C — close out the waves.
-        waves
-            .into_iter()
-            .enumerate()
-            .map(|(a, slot)| match slot {
-                WaveSlot::Skipped => StageOutcome::Skipped,
-                WaveSlot::Failed => StageOutcome::Failed,
-                WaveSlot::Panicked => StageOutcome::Panicked,
-                WaveSlot::Wave(wave) => {
-                    let rec = &self.area_recs[a];
-                    let out = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-                        pgse_obs::with_recorder(rec, || wave.finish())
-                    }));
-                    match out {
-                        Ok(Ok(est)) => StageOutcome::Solved(AreaSolution {
-                            vm: est.vm,
-                            va: est.va,
-                            iterations: est.iterations,
-                            objective: est.objective,
-                        }),
-                        Ok(Err(_)) => StageOutcome::Failed,
-                        Err(_) => StageOutcome::Panicked,
-                    }
-                }
-            })
-            .collect()
-    }
-}
-
-impl StreamService {
-    /// Places each fresh area's scan on its Step-1 layout
-    /// ([`AreaEstimator::place_scan`]) — a row the scan lost in flight
-    /// stays in place, inactive — and, with restoration on, repairs a
-    /// short scan: [`restoration::restore_on`], on the area's status-applied
-    /// Step-1 model, picks weak pseudo measurements from the carried
-    /// estimate and they activate rows of the layout's pseudo superset. An area unobservable even after restoration, or
-    /// whose scan does not place, degrades to its carried profile.
-    fn place_scans(
-        &self,
-        ests: &[AreaEstimator],
-        frames: &[Option<StreamFrame>],
-        last_solutions: &[Option<AreaSolution>],
-        fresh: &mut [bool],
-        last_sets: &mut [Option<MeasurementSet>],
-    ) {
-        for (a, frame) in frames.iter().enumerate() {
-            let Some(frame) = frame else { continue };
-            let est = &ests[a];
-            let Some(mut set) = est.place_scan(&frame.measurements) else {
-                self.rec.counter_add("stream.solve_errors", 1);
-                fresh[a] = false;
-                continue;
+        for (a, (ar, wave)) in round.areas.iter_mut().zip(waves).enumerate() {
+            ar.step1 = match wave {
+                Step::Solved(wave) => contain(&svc.area_recs[a], || {
+                    wave.finish().map(|est| solution(est.iterations, est))
+                }),
+                Step::Failed => Step::Failed,
+                Step::Panicked => Step::Panicked,
+                Step::Skipped | Step::Degraded(_) => Step::Skipped,
             };
-            if self.cfg.restoration && frame.measurements.len() < est.scan_len() {
-                let w = est.step1_estimator();
-                let nb = w.network().n_buses();
-                let (vm0, va0) = match &last_solutions[a] {
-                    Some(s) if s.vm.len() == nb => (s.vm.clone(), s.va.clone()),
-                    _ => (vec![1.0; nb], vec![0.0; nb]),
-                };
-                let (aug, rep) = pgse_obs::with_recorder(&self.area_recs[a], || {
-                    restoration::restore_on(w.network(), w.ybus(), &set, w.space(), &vm0, &va0)
-                });
-                if rep.added.is_empty() {
-                    self.rec.counter_add("stream.restore.observable", 1);
-                } else if rep.after.observable {
-                    self.rec.counter_add("stream.restore.frames", 1);
-                    self.rec.counter_add("stream.restore.pseudo", rep.added.len() as u64);
-                    let pseudo = rep.added.iter().map(|&i| aug.as_slice()[i]);
-                    restoration::place_pseudo(&mut set, est.scan_len(), pseudo);
-                } else {
-                    self.rec.counter_add("stream.restore.unobservable", 1);
-                    fresh[a] = false;
-                }
-            }
-            last_sets[a] = Some(set);
         }
     }
 
-    /// The bad-data stage of a round: the chi-square gate on every fresh
-    /// Step-1 objective (active rows only count as degrees of freedom),
-    /// then the largest-normalized-residual loop on the suspects
+    /// The bad-data step: the chi-square gate on every fresh Step-1
+    /// objective (active rows only count as degrees of freedom), then the
+    /// largest-normalized-residual loop on the suspects
     /// ([`baddata::identify_cached`]), fanned out across the pool. Each
     /// suspect starts from its converged Step-1 estimate, factors its gain
     /// over the symbolic analysis the round's `plan` already holds,
@@ -1536,49 +1383,39 @@ impl StreamService {
     /// cache — no pattern changes, so neither this nor the following Step 2
     /// re-analyses anything. Re-solve iterations join the area's Step-1
     /// iterations. Results are applied in area order, so the round does
-    /// not depend on the pool size. Returns the round's cleared frames'
-    /// rejections.
-    #[allow(clippy::too_many_arguments)]
-    fn bad_data_stage(
-        &self,
-        gate: BadDataGate,
-        ests: &[AreaEstimator],
-        seq: u64,
-        step1: &mut [StageOutcome],
-        last_sets: &mut [Option<MeasurementSet>],
-        s1_caches: &mut [SolveCache],
-        plan: &mut BatchPlan,
-    ) -> Vec<BadDataEvent> {
-        let mut suspect = vec![false; ests.len()];
-        let mut syms: Vec<Option<Arc<CholSymbolic>>> = vec![None; ests.len()];
-        for (a, est) in ests.iter().enumerate() {
-            let (StageOutcome::Solved(s), Some(set)) = (&step1[a], &last_sets[a]) else {
+    /// not depend on the pool size.
+    fn bad_data(&mut self, round: &mut Round) {
+        let (svc, ests) = (self.svc, self.ests());
+        let Some(gate) = svc.cfg.baddata else { return };
+        // A suspect's gain analysis, looked up in the round's plan.
+        let mut suspects: Vec<Option<Arc<CholSymbolic>>> = vec![None; ests.len()];
+        for (a, (est, slot)) in ests.iter().zip(&self.slots).enumerate() {
+            let (Step::Solved(s), Some(set)) = (&round.areas[a].step1, &slot.set) else {
                 continue;
             };
             let dim = est.step1_estimator().space().dim();
             if baddata::chi_square_detects(set, s.objective, dim, gate.confidence) {
-                self.rec.counter_add("stream.baddata.suspect", 1);
-                suspect[a] = true;
-                syms[a] = s1_caches[a].gain().map(|g| plan.symbolic(g).0);
+                svc.rec.counter_add("stream.baddata.suspect", 1);
+                let gain = slot.s1.gain().expect("a solved Step 1 leaves its gain");
+                suspects[a] = Some(self.plan.symbolic(gain).0);
             }
         }
-        let mut events = Vec::new();
-        if !suspect.contains(&true) {
-            return events;
+        if suspects.iter().all(Option::is_none) {
+            return;
         }
-        let solved: &[StageOutcome] = step1;
+        let areas = &round.areas;
         let outcomes: Vec<Option<Result<BadDataReport, WlsError>>> = ests
             .par_iter()
             .enumerate()
-            .zip(last_sets.par_iter_mut())
-            .zip(s1_caches.par_iter_mut())
-            .map(|(((a, est), set), cache)| {
-                let (true, StageOutcome::Solved(s), Some(set)) = (suspect[a], &solved[a], set)
+            .zip(self.slots.par_iter_mut())
+            .map(|((a, est), slot)| {
+                let AreaSlot { s1, set, .. } = slot;
+                let (Some(sym), Step::Solved(s), Some(set)) = (&suspects[a], &areas[a].step1, set)
                 else {
                     return None;
                 };
                 let est1 = est.step1_estimator();
-                Some(pgse_obs::with_recorder(&self.area_recs[a], || {
+                Some(pgse_obs::with_recorder(&svc.area_recs[a], || {
                     let start = StateEstimate {
                         residuals: est1.residuals(set, &s.vm, &s.va),
                         vm: s.vm.clone(),
@@ -1586,91 +1423,204 @@ impl StreamService {
                         iterations: s.iterations,
                         objective: s.objective,
                     };
-                    baddata::identify_cached(est1, set, start, gate, cache, syms[a].clone())
+                    baddata::identify_cached(est1, set, start, gate, s1, Some(Arc::clone(sym)))
                 }))
             })
             .collect();
         for (a, out) in outcomes.into_iter().enumerate() {
-            let (Some(out), StageOutcome::Solved(s)) = (out, &step1[a]) else { continue };
+            let ar = &mut round.areas[a];
+            let (Some(out), Step::Solved(s)) = (out, &ar.step1) else { continue };
             let wave_iterations = s.iterations;
-            step1[a] = match out {
+            ar.step1 = match out {
                 Ok(rep) if rep.clean => {
-                    self.rec.counter_add("stream.baddata.cleared", 1);
-                    self.rec.counter_add("stream.baddata.removed", rep.removed.len() as u64);
-                    events.push(BadDataEvent { seq, area: a, removed: rep.removed });
-                    StageOutcome::Solved(AreaSolution {
-                        vm: rep.estimate.vm,
-                        va: rep.estimate.va,
-                        iterations: wave_iterations + rep.resolve_iterations,
-                        objective: rep.estimate.objective,
-                    })
+                    svc.rec.counter_add("stream.baddata.cleared", 1);
+                    svc.rec.counter_add("stream.baddata.removed", rep.removed.len() as u64);
+                    let removed = rep.removed;
+                    self.bad_data_events.push(BadDataEvent { seq: round.seq, area: a, removed });
+                    Step::Solved(solution(wave_iterations + rep.resolve_iterations, rep.estimate))
                 }
                 // Unidentifiable (no residual stands out) or a re-solve
                 // failed: suppress the suspect solution and run degraded
                 // on the carried state.
                 Ok(rep) => {
-                    self.rec.counter_add("stream.baddata.unidentifiable", 1);
-                    StageOutcome::Degraded(wave_iterations + rep.resolve_iterations)
+                    svc.rec.counter_add("stream.baddata.unidentifiable", 1);
+                    Step::Degraded(wave_iterations + rep.resolve_iterations)
                 }
                 Err(_) => {
-                    self.rec.counter_add("stream.baddata.unidentifiable", 1);
-                    StageOutcome::Degraded(wave_iterations)
+                    svc.rec.counter_add("stream.baddata.unidentifiable", 1);
+                    Step::Degraded(wave_iterations)
                 }
             };
         }
-        events
     }
-}
 
-/// Panic payload the kill schedule injects into a Step-1 closure.
-const INJECTED_PANIC: &str = "injected solver fault (kill schedule)";
-
-/// Per-area result of one supervised solve stage.
-enum StageOutcome {
-    /// A fresh solution.
-    Solved(AreaSolution),
-    /// The solver reported an error; the area carries its last solution.
-    Failed,
-    /// The solve closure panicked (contained); the worker restarts.
-    Panicked,
-    /// Nothing to do: no fresh scan, or the worker is down.
-    Skipped,
-    /// The bad-data gate fired and the LNR loop could not clear the frame;
-    /// the area carries its last solution and the frame is discarded. Holds
-    /// the Gauss–Newton iterations the wave and the loop ran.
-    Degraded(usize),
-}
-
-/// The supervisor's mutable state for one run: watchdog, checkpoints,
-/// fleet liveness, the live area → cluster mapping, and the run's
-/// supervision events. Its counts go to `sup_rec` where they happen.
-struct Supervision<'a> {
-    watchdog: Watchdog,
-    ckpts: CheckpointStore,
-    liveness: FleetLiveness,
-    assignment: Vec<usize>,
-    n_clusters: usize,
-    graph: &'a WeightedGraph,
-    sup_rec: &'a Recorder,
-    worker_alive: Vec<bool>,
-    recovering: Vec<bool>,
-    events: Vec<SupervisionEvent>,
-}
-
-impl Supervision<'_> {
-    /// A heartbeat from `area`'s worker, counted when the watchdog takes it.
-    fn beat(&mut self, area: usize) {
-        if self.watchdog.beat(area) {
-            self.sup_rec.counter_add("volatile.failover.heartbeats", 1);
+    /// The exchange and DSE Step 2. Each area exports its boundary and
+    /// sensitive buses' Step-1 view — the fresh result, else its carried
+    /// solution — as pseudo measurements (in memory; the framed middleware
+    /// variant of this exchange lives in pgse-core's pipeline). Every area
+    /// whose scan Step 1 consumed then re-evaluates its boundary on the
+    /// extended model, fanned out across the pool, [`contain`]ed.
+    fn step2(&mut self, round: &mut Round) {
+        let (svc, ests) = (self.svc, self.ests());
+        let pseudo: Vec<Vec<PseudoMeasurement>> = ests
+            .iter()
+            .zip(&round.areas)
+            .zip(&self.slots)
+            .map(|((est, ar), slot)| {
+                let view = ar.step1.solved().or(slot.solution.as_ref());
+                view.map(|s| est.export_pseudo(s)).unwrap_or_default()
+            })
+            .collect();
+        let noise = svc.noise.level(round.dt);
+        let seed = step2_seed(svc.cfg.seed, round.seq);
+        let areas = &round.areas;
+        let step2: Vec<Step<AreaSolution>> = ests
+            .par_iter()
+            .enumerate()
+            .zip(self.slots.par_iter_mut())
+            .map(|((a, est), slot)| {
+                // A scan whose Step 1 panicked or was degraded by bad data
+                // goes no further.
+                let ar = &areas[a];
+                if !ar.fresh || matches!(ar.step1, Step::Panicked | Step::Degraded(_)) {
+                    return Step::Skipped;
+                }
+                let AreaSlot { s2, set, solution, .. } = slot;
+                let (Some(s1), Some(set)) = (ar.step1.solved().or(solution.as_ref()), set.as_ref())
+                else {
+                    return Step::Skipped;
+                };
+                let inbox: Vec<PseudoMeasurement> =
+                    est.info.neighbors.iter().flat_map(|&nb| pseudo[nb].iter().copied()).collect();
+                contain(&svc.area_recs[a], || est.step2_cached(s1, &inbox, set, noise, seed, s2))
+            })
+            .collect();
+        for (ar, step) in round.areas.iter_mut().zip(step2) {
+            ar.step2 = step;
         }
     }
 
-    /// Heartbeats for every live worker (recovery-only rounds).
-    fn beat_alive(&mut self) {
-        for a in 0..self.worker_alive.len() {
-            if self.worker_alive[a] {
+    /// Accounts the round in one pass over the areas. A failed step counts
+    /// a solve error. A panicked step restarts its worker at the end of the
+    /// round; a Step-1 panic never solved its frame, so the frame is
+    /// requeued, while a Step-2 panic consumed it. An area's newest
+    /// solution becomes its carried one; an area neither step estimated
+    /// anything for publishes its carried profile, so the round lists it
+    /// degraded.
+    fn account(&mut self, round: &mut Round, started: Instant, span: &mut SpanGuard) {
+        let (rec, seq) = (&self.svc.rec, round.seq);
+        let mut gn = 0u64;
+        for (a, (ar, slot)) in round.areas.iter_mut().zip(&mut self.slots).enumerate() {
+            for step in [&ar.step1, &ar.step2] {
+                match step {
+                    Step::Solved(s) => gn += s.iterations as u64,
+                    Step::Degraded(iterations) => gn += *iterations as u64,
+                    Step::Failed => rec.counter_add("stream.solve_errors", 1),
+                    Step::Panicked => {
+                        rec.counter_add("stream.worker_panics", 1);
+                        self.events.push(SupervisionEvent::Panicked { area: a, seq });
+                        ar.restart = true;
+                    }
+                    Step::Skipped => {}
+                }
+            }
+            if matches!(ar.step1, Step::Panicked) {
+                if let Some((frame, _)) = ar.frame.take() {
+                    self.svc.queues[a].requeue(frame);
+                }
+            }
+            match ar.step2.solved().or(ar.step1.solved()) {
+                Some(sol) => slot.solution = Some(sol.clone()),
+                None => ar.fresh = false,
+            }
+        }
+        let degraded = round.areas.iter().filter(|ar| !ar.fresh).count() as u64;
+        self.rounds += 1;
+        rec.counter_add("stream.rounds", 1);
+        rec.counter_add("stream.gn_iterations", gn);
+        rec.counter_add("volatile.stream.solve_nanos", started.elapsed().as_nanos() as u64);
+        if degraded > 0 {
+            rec.counter_add("stream.degraded", degraded);
+        }
+        span.record("fresh_areas", round.areas.len() as u64 - degraded);
+        span.record("gn_iterations", gn);
+    }
+
+    /// Closes the round on the supervisor: a revived worker that solved
+    /// fresh again has recovered; the round's survivors checkpoint and
+    /// heartbeat; the watchdog ticks, with whatever recovery (restart /
+    /// cluster failover) the tick implies; panicked workers it did not
+    /// already revive restart.
+    fn supervise(&mut self, round: &Round) {
+        let seq = round.seq;
+        let checkpoint = self.rounds.is_multiple_of(self.svc.supervision.checkpoint_interval);
+        for (a, ar) in round.areas.iter().enumerate() {
+            let solved = ar.fresh && matches!(ar.step1, Step::Solved(_));
+            if solved && std::mem::take(&mut self.recovering[a]) {
+                self.events.push(SupervisionEvent::Recovered { area: a, seq });
+            }
+            if !self.worker_alive[a] {
+                continue;
+            }
+            if solved && checkpoint {
+                self.ckpts.save(self.slots[a].checkpoint(a, seq));
+                self.svc.sup_rec.counter_add("failover.checkpoints", 1);
+            }
+            if !ar.restart {
                 self.beat(a);
             }
+        }
+        let revived = self.tick_and_recover(seq);
+        for (a, ar) in round.areas.iter().enumerate() {
+            if ar.restart && !revived.contains(&a) {
+                let warm = self.revive(a);
+                self.events.push(SupervisionEvent::Restarted { area: a, seq, warm });
+            }
+        }
+    }
+
+    /// Aggregates and publishes the round once every area has contributed,
+    /// wakes the lockstep feeder, and records each fresh frame's
+    /// arrival → publish latency.
+    fn publish(&mut self, round: &Round, published: &(Mutex<Option<u64>>, Condvar)) {
+        let svc = self.svc;
+        let Some(sols) = self.slots.iter().map(|s| s.solution.clone()).collect::<Option<Vec<_>>>()
+        else {
+            svc.rec.counter_add("stream.unpublishable", 1);
+            return;
+        };
+        let (vm, va) = aggregate(&svc.stages[self.version].decomp, &sols);
+        let snap = SystemSnapshot {
+            epoch: 0, // stamped by the store
+            frame_seq: round.seq,
+            dt_seconds: round.dt,
+            vm,
+            va,
+            degraded_areas: (0..round.areas.len()).filter(|&a| !round.areas[a].fresh).collect(),
+        };
+        if svc.store.publish(snap).is_err() {
+            svc.rec.counter_add("stream.publish.rejected", 1);
+            return;
+        }
+        *published.0.lock().expect("published_seq lock poisoned") = Some(round.seq);
+        published.1.notify_one();
+        svc.rec.counter_add("stream.published", 1);
+        let now = Instant::now();
+        for ar in round.areas.iter().filter(|ar| ar.fresh) {
+            if let Some((_, arrived)) = &ar.frame {
+                let ms = now.duration_since(*arrived).as_secs_f64() * 1e3;
+                svc.rec.observe_with(FRAME_LATENCY, ms, &self.latency_buckets);
+            }
+        }
+    }
+}
+
+/// The supervisor: heartbeats, the watchdog tick and recovery.
+impl Solver<'_> {
+    /// A heartbeat from `area`'s worker, counted when the watchdog takes it.
+    fn beat(&mut self, area: usize) {
+        if self.watchdog.beat(area) {
+            self.svc.sup_rec.counter_add("volatile.failover.heartbeats", 1);
         }
     }
 
@@ -1679,22 +1629,14 @@ impl Supervision<'_> {
     /// survivors, price and execute the checkpoint handoff) for clusters
     /// whose every hosted worker died, restart-in-place for everyone else.
     /// Returns the areas revived this round.
-    fn tick_and_recover(
-        &mut self,
-        seq: u64,
-        s1_caches: &mut [SolveCache],
-        s2_caches: &mut [SolveCache],
-        last_sets: &mut [Option<MeasurementSet>],
-    ) -> Vec<usize> {
-        let events = self.watchdog.tick(seq);
+    fn tick_and_recover(&mut self, seq: u64) -> Vec<usize> {
+        let rec = &self.svc.sup_rec;
         let mut newly_dead: Vec<usize> = Vec::new();
-        for ev in events {
+        for ev in self.watchdog.tick(seq) {
             match ev {
-                SupervisionEvent::Suspected { .. } => {
-                    self.sup_rec.counter_add("failover.suspected", 1);
-                }
+                SupervisionEvent::Suspected { .. } => rec.counter_add("failover.suspected", 1),
                 SupervisionEvent::Died { area, .. } => {
-                    self.sup_rec.counter_add("failover.dead", 1);
+                    rec.counter_add("failover.dead", 1);
                     newly_dead.push(area);
                 }
                 _ => {}
@@ -1726,18 +1668,18 @@ impl Supervision<'_> {
             })
             .collect();
         if !dead_clusters.is_empty() && dead_clusters.len() < self.liveness.n_alive() {
-            let mut span = self.sup_rec.span_at("failover.recover", seq);
+            let mut span = rec.span_at("failover.recover", seq);
             for &c in &dead_clusters {
                 self.liveness.kill(c);
-                self.sup_rec.counter_add("failover.cluster_deaths", 1);
+                rec.counter_add("failover.cluster_deaths", 1);
                 self.events.push(SupervisionEvent::ClusterDied { cluster: c, seq });
             }
             // Minimal-migration repartition over the survivors, then the
             // redistribution plan that ships the orphans' checkpoints to
             // their new hosts.
-            let prev = Partition::new(self.assignment.clone(), self.n_clusters);
+            let prev = Partition::new(self.assignment.clone(), self.svc.n_clusters);
             let shrunk = repartition_shrink(
-                self.graph,
+                &self.svc.graph,
                 &prev,
                 &dead_clusters,
                 &RepartitionOptions::default(),
@@ -1748,15 +1690,15 @@ impl Supervision<'_> {
             span.record("migrations", plan.migrations() as u64);
             span.record("bytes", plan.total_bytes());
             for m in &plan.moves {
-                self.sup_rec.counter_add("failover.migrations", 1);
-                self.sup_rec.counter_add("failover.bytes", m.bytes);
+                rec.counter_add("failover.migrations", 1);
+                rec.counter_add("failover.bytes", m.bytes);
                 self.events.push(SupervisionEvent::Rehosted {
                     area: m.area,
                     from_cluster: m.from_cluster,
                     to_cluster: m.to_cluster,
                     seq,
                 });
-                self.revive(m.area, s1_caches, s2_caches, last_sets);
+                self.revive(m.area);
                 revived.push(m.area);
             }
             self.assignment = shrunk.assignment;
@@ -1767,7 +1709,7 @@ impl Supervision<'_> {
         // Dead state, so they are skipped here).
         for a in newly_dead {
             if self.watchdog.health(a) == WorkerHealth::Dead {
-                let warm = self.revive(a, s1_caches, s2_caches, last_sets);
+                let warm = self.revive(a);
                 self.events.push(SupervisionEvent::Restarted { area: a, seq, warm });
                 revived.push(a);
             }
@@ -1775,57 +1717,22 @@ impl Supervision<'_> {
         revived
     }
 
-    /// Brings a worker back: installs fresh caches and restores the
-    /// latest checkpoint (warm WLS start + last raw scan) when one exists.
-    /// Returns whether the restart was warm. The area's recorder keeps its
-    /// solve-cache counts across the restart.
-    ///
-    /// Structure retention: when the checkpointed
-    /// [`pgse_estimation::wls::StructureDescriptor`] matches what the
-    /// live cache is running with, the topology is
-    /// verified unchanged across the failure, so the symbolic analyses
-    /// (Jacobian pattern, gain `AᵀWA` symbolic) survive the restart
-    /// instead of being rebuilt on the first post-revive frame.
-    fn revive(
-        &mut self,
-        a: usize,
-        s1_caches: &mut [SolveCache],
-        s2_caches: &mut [SolveCache],
-        last_sets: &mut [Option<MeasurementSet>],
-    ) -> bool {
-        let restored = self.ckpts.restore(a);
-        let retained = match (&restored, s1_caches[a].structure_descriptor()) {
-            (Some(ck), Some(live)) => ck.structure == Some(live),
-            _ => false,
-        };
-        if retained {
-            s1_caches[a].retain_structures_for_restart();
-            s2_caches[a].retain_structures_for_restart();
-            self.sup_rec.counter_add("failover.symbolic_retained", 1);
-        } else {
-            s1_caches[a] = SolveCache::new();
-            s2_caches[a] = SolveCache::new();
+    /// Brings a worker back ([`AreaSlot::revive`]) from its latest
+    /// checkpoint, when one exists. Returns whether the restart was warm.
+    /// The area's recorder keeps its solve-cache counts across the restart.
+    fn revive(&mut self, a: usize) -> bool {
+        let rec = &self.svc.sup_rec;
+        let ck = self.ckpts.restore(a);
+        let warm = ck.as_ref().is_some_and(|ck| ck.warm.is_some());
+        let book = if ck.is_some() { "failover.restores" } else { "failover.cold_restarts" };
+        rec.counter_add(book, 1);
+        if self.slots[a].revive(ck) {
+            rec.counter_add("failover.symbolic_retained", 1);
         }
-        let warm = match restored {
-            Some(ck) => {
-                self.sup_rec.counter_add("failover.restores", 1);
-                let has_warm = ck.warm.is_some();
-                if let Some((vm, va)) = ck.warm {
-                    s1_caches[a].restore_warm(vm, va);
-                }
-                last_sets[a] = ck.last_set;
-                has_warm
-            }
-            None => {
-                self.sup_rec.counter_add("failover.cold_restarts", 1);
-                last_sets[a] = None;
-                false
-            }
-        };
         self.worker_alive[a] = true;
         self.recovering[a] = true;
         self.watchdog.revive(a);
-        self.sup_rec.counter_add("failover.restarts", 1);
+        rec.counter_add("failover.restarts", 1);
         warm
     }
 }
@@ -2117,15 +2024,6 @@ fn ingest_turn(
     true
 }
 
-/// Nearest-rank percentile of an ascending-sorted sample; 0 when empty.
-fn percentile(sorted: &[f64], q: f64) -> f64 {
-    if sorted.is_empty() {
-        return 0.0;
-    }
-    let idx = ((sorted.len() as f64 - 1.0) * q).round() as usize;
-    sorted[idx.min(sorted.len() - 1)]
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -2395,7 +2293,8 @@ mod tests {
     fn scans_are_placed_on_the_layout_and_a_foreign_one_degrades() {
         let net = ieee118_like();
         let service = StreamService::deploy(&net, StreamConfig::default()).unwrap();
-        let ests = &service.stages[0].estimators;
+        let mut solver = Solver::new(&service);
+        let ests = solver.ests();
         let n = ests.len();
         let frame = |a: usize, set: MeasurementSet| Some(StreamFrame::new(a as u32, 0, 0.0, set));
         let mut frames: Vec<Option<StreamFrame>> = vec![None; n];
@@ -2416,10 +2315,16 @@ mod tests {
         frames[1] = frame(1, short.clone());
         frames[2] = frame(2, ests[2].generate_telemetry(1.0, 5));
 
-        let mut fresh: Vec<bool> = frames.iter().map(Option::is_some).collect();
-        let mut last_sets = vec![None; n];
-        service.place_scans(ests, &frames, &vec![None; n], &mut fresh, &mut last_sets);
+        let areas = frames.into_iter().map(|frame| AreaRound {
+            fresh: frame.is_some(),
+            frame: frame.map(|f| (f, Instant::now())),
+            ..AreaRound::default()
+        });
+        let mut round = Round { seq: 0, dt: 0.0, version: 0, areas: areas.collect() };
+        solver.place_scans(&mut round);
         let report = service.counts();
+        let fresh: Vec<bool> = round.areas.iter().map(|ar| ar.fresh).collect();
+        let last_sets: Vec<&Option<MeasurementSet>> = solver.slots.iter().map(|s| &s.set).collect();
 
         assert_eq!(report.solve_errors, 1);
         assert_eq!(fresh[..3], [false, true, true]);

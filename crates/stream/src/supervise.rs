@@ -81,13 +81,6 @@ pub struct KillSchedule {
     pub panics: Vec<(u64, usize)>,
 }
 
-impl KillSchedule {
-    /// True when the schedule contains no faults at all.
-    pub fn is_empty(&self) -> bool {
-        self.worker_kills.is_empty() && self.cluster_kills.is_empty() && self.panics.is_empty()
-    }
-}
-
 /// Watchdog belief about one worker.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum WorkerHealth {

@@ -537,3 +537,78 @@ fn islanding_switch_merges_orphaned_buses_into_a_surviving_area() {
     assert_eq!(robust_fingerprint(&report_a), robust_fingerprint(&report_b));
     assert_eq!(json_a, json_b, "same-seed ObsReports diverge across islanding");
 }
+
+/// Every optional round step at once: gross errors and RTU outages, the
+/// LNR gate and restoration, a tie-line opening that islands nothing, a
+/// worker kill, a cluster kill and an injected panic. The run stays
+/// pool-invariant, every frame is accounted, and no step re-analyses a
+/// structure.
+#[test]
+fn every_round_step_composed_is_pool_invariant_and_accounted() {
+    let _serial = serial();
+    let net = ieee118_like();
+    let cfg = StreamConfig {
+        n_frames: 16,
+        seed: 61,
+        deterministic_rounds: true,
+        baddata: Some(BadDataGate::default()),
+        restoration: true,
+        scan_faults: Some(ScanFaultPlan {
+            seed: 23,
+            gross_prob: 0.15,
+            gross_magnitude: 25.0,
+            rtu_prob: 0.1,
+            rtu_sites: 2,
+            ..ScanFaultPlan::default()
+        }),
+        switching: vec![SwitchingEvent { at_seq: 8, branch: net.tie_lines()[0], close: false }],
+        kills: KillSchedule {
+            worker_kills: vec![(5, 3)],
+            cluster_kills: vec![(3, 2)],
+            panics: vec![(10, 4)],
+        },
+        ..StreamConfig::default()
+    };
+    // A report's counts and event lists, without its wall-clock values.
+    let counts = |r: &StreamReport| {
+        let zero = std::time::Duration::ZERO;
+        let r = StreamReport {
+            solve_nanos: 0,
+            heartbeats: 0,
+            latency_p50_ms: 0.0,
+            latency_p99_ms: 0.0,
+            elapsed: zero,
+            ..r.clone()
+        };
+        format!("{r:?}")
+    };
+
+    let mut runs = Vec::new();
+    for threads in POOL_SIZES {
+        let (report, json, n_areas) = with_pool(threads, || {
+            let service = StreamService::deploy(&net, cfg.clone()).unwrap();
+            let report = service.run();
+            (report, service.obs_report().to_json_deterministic(), service.n_areas())
+        });
+        assert_eq!(report.unaccounted(), 0, "{report:?}");
+        assert_eq!(
+            report.suspect_frames,
+            report.cleared_by_lnr + report.degraded_unidentifiable,
+            "{report:?}"
+        );
+        assert_eq!(report.topology_transitions, 1, "{report:?}");
+        assert!(report.worker_panics >= 1, "{report:?}");
+        assert!(report.cluster_deaths >= 1, "{report:?}");
+        // Every composed step did its work.
+        assert!(report.cleared_by_lnr > 0 && report.frames_restored > 0, "{report:?}");
+        assert!(report.workers_restarted > report.worker_panics, "{report:?}");
+        assert_eq!(report.frames_published, 16, "{report:?}");
+        assert_eq!(report.area_symbolic_builds, vec![2; n_areas], "@ {threads} threads");
+        assert_refactor_identity(&report);
+        runs.push((counts(&report), json));
+    }
+    for w in runs.windows(2) {
+        assert_eq!(w[0].0, w[1].0, "report counts vary with pool size");
+        assert!(w[0].1 == w[1].1, "deterministic ObsReport varies with pool size");
+    }
+}
