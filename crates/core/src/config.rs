@@ -92,8 +92,9 @@ pub struct PrototypeConfig {
     pub g2: f64,
     /// Middleware relay rate in bytes/second (paper measured ≈ 0.4 GB/s).
     pub relay_rate: f64,
-    /// Deadlines and retry schedule for every middleware client the
-    /// prototype deploys (interface layers and the exchange sender).
+    /// Deadlines and retry schedule of the prototype's exchange sender;
+    /// `op_deadline` also bounds how long a partly received frame may
+    /// stall an interface layer's inbox.
     pub middleware: MwConfig,
     /// Wall-clock budget of one exchange round: each interface layer stops
     /// waiting for neighbour pseudo measurements once this expires and the

@@ -21,7 +21,11 @@
 //!
 //! Calling [`SystemPrototype::run_frame`] executes one full time frame and
 //! returns a [`FrameReport`] with every quantity the paper's evaluation
-//! tracks.
+//! tracks. The frame is the mapping plus the MeDICi exchange around
+//! `pgse-dse`'s one DSE cycle (`pgse_dse::run_cycle`): the prototype
+//! supplies where each step's areas run and how a round's batches travel.
+
+#![warn(clippy::too_many_lines)]
 
 pub mod config;
 pub mod prototype;

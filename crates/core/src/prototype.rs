@@ -6,8 +6,7 @@ use pgse_cluster::{plan_redistribution, ClusterFleet, HpcCluster, InterfaceLayer
 use pgse_dse::decomposition::{decompose, Decomposition, DecompositionOptions};
 use pgse_dse::estimator::{AreaEstimator, AreaSolution};
 use pgse_dse::pseudo::{from_wire, to_wire, PseudoMeasurement};
-use pgse_dse::runner::aggregate;
-use pgse_estimation::measurement::MeasurementSet;
+use pgse_dse::runner::{run_cycle, Delivery, Exchange, Step};
 use pgse_estimation::wls::{WlsError, WlsOptions};
 use pgse_grid::Network;
 use pgse_medici::{
@@ -17,6 +16,7 @@ use pgse_medici::{
 use pgse_partition::weights::{step1_graph, step2_graph, SubsystemProfile};
 use pgse_partition::{partition_kway, repartition, KwayOptions, Partition, RepartitionOptions};
 use pgse_powerflow::{PfError, PfOptions, PfSolution};
+use rayon::prelude::*;
 
 use crate::config::{CoordinationMode, PrototypeConfig};
 use crate::report::FrameReport;
@@ -258,9 +258,9 @@ impl SystemPrototype {
     }
 
     /// Executes one time frame at `dt_seconds` since the run epoch:
-    /// noise estimation → weight update → (re)partition → Step 1 →
-    /// middleware exchange → repartition + redistribution → Step 2 →
-    /// aggregation.
+    /// noise estimation → weight update → Step-1 (re)partition and Step-2
+    /// repartition → the DSE cycle (Step 1 on the fleet → MeDICi exchange
+    /// → Step 2 on the fleet → aggregation) → redistribution accounting.
     ///
     /// # Errors
     /// [`PrototypeError::Wls`] when any estimator fails.
@@ -272,101 +272,53 @@ impl SystemPrototype {
         pgse_obs::with_recorder(&rec, || self.run_frame_inner(dt_seconds))
     }
 
+    /// Frame `frame`'s telemetry seed and its one round's Step-2 seed.
+    fn seeds(&self, frame: u64) -> (u64, [u64; 1]) {
+        let seed = self.config.noise.seed ^ frame.wrapping_mul(0xa076_1d64_78bd_642f);
+        (seed, [seed ^ 0xdead_beef])
+    }
+
     fn run_frame_inner(&mut self, dt_seconds: f64) -> Result<FrameReport, PrototypeError> {
         self.frame += 1;
         let mut frame_span = pgse_obs::span_at("frame", self.frame);
-        let frame_seed = self.config.noise.seed ^ self.frame.wrapping_mul(0xa076_1d64_78bd_642f);
+        let (frame_seed, step2_seeds) = self.seeds(self.frame);
         let x = self.config.noise.level(dt_seconds);
         let k = self.fleet.len();
 
-        // Mapping for Step 1: balance the predicted computation.
+        // Mapping for Step 1: balance the predicted computation. Mapping
+        // for Step 2: minimize communication, keep balance, avoid needless
+        // migration. Both need only the noise level and the Step-1 mapping.
         let g1_graph = step1_graph(&self.profiles, &self.decomp.edges, x);
         let p1 = match &self.prev_assignment {
             None => partition_kway(&g1_graph, k, &KwayOptions::default()),
             Some(prev) => repartition(&g1_graph, prev, &RepartitionOptions::default()),
         };
-
-        // Step 1 on the fleet: each cluster estimates its assigned
-        // subsystems concurrently.
-        let step1_span = pgse_obs::span("frame.step1");
-        let sets: Vec<MeasurementSet> = self
-            .estimators
-            .iter()
-            .map(|e| e.generate_telemetry(x, frame_seed))
-            .collect();
-        let t0 = Instant::now();
-        let step1 = self.run_on_fleet("area.step1", &p1, |area| {
-            self.estimators[area].step1(&sets[area])
-        })?;
-        let step1_time = t0.elapsed();
-        drop(step1_span);
-
-        // Exchange through the middleware.
-        let mut exchange_span = pgse_obs::span("frame.exchange");
-        let t1 = Instant::now();
-        let relayed_before = self.relayed_frames();
-        let pseudo: Vec<Vec<PseudoMeasurement>> = self
-            .estimators
-            .iter()
-            .zip(&step1)
-            .map(|(e, s)| e.export_pseudo(s))
-            .collect();
-        let (inboxes, exchanged_bytes, mut faults) = match self.config.mode {
-            CoordinationMode::Decentralized => self.exchange_decentralized(&pseudo),
-            CoordinationMode::Hierarchical => self.exchange_hierarchical(&pseudo),
-        };
-        faults.missed.sort_unstable();
-        faults.missed.dedup();
-        let exchange_time = t1.elapsed();
-        let relayed_frames = self.relayed_frames() - relayed_before;
-        // Areas whose entire neighbourhood went silent proceed on Step 1
-        // alone (graceful degradation).
-        let degraded_areas: Vec<usize> = (0..self.decomp.n_areas())
-            .filter(|&a| {
-                inboxes[a].is_empty() && !self.decomp.areas[a].neighbors.is_empty()
-            })
-            .collect();
-        exchange_span.record("bytes", exchanged_bytes);
-        exchange_span.record("missed", faults.missed.len() as u64);
-        exchange_span.record("degraded", degraded_areas.len() as u64);
-        drop(exchange_span);
-        pgse_obs::counter_add("exchange.bytes", exchanged_bytes);
-        pgse_obs::counter_add("exchange.missed", faults.missed.len() as u64);
-        pgse_obs::counter_add("exchange.degraded", degraded_areas.len() as u64);
-
-        // Mapping for Step 2: minimize communication, keep balance, avoid
-        // needless migration; then account the forced data redistribution.
         let g2_graph = step2_graph(&self.profiles, &self.decomp.edges, x);
         let p2 = repartition(&g2_graph, &p1, &RepartitionOptions::default());
+
+        let relayed_before = self.relayed_frames();
+        let mut exchange = FrameExchange {
+            fleet: &self.fleet,
+            mappings: [&p1, &p2],
+            frame: self.frame,
+            decomp: &self.decomp,
+            config: &self.config,
+            client: &self.client,
+            inboxes: &mut self.inboxes,
+            obs_areas: &self.obs_areas,
+            coordinator: self.coordinator.as_mut().map(|c| (c, &self.obs_coordinator)),
+            faults: ExchangeFaults::default(),
+            times: [Duration::ZERO; 3],
+        };
+        let (dse, sets) =
+            run_cycle(&self.decomp, &self.estimators, x, frame_seed, &step2_seeds, &mut exchange)
+                .map_err(PrototypeError::Wls)?;
+        let FrameExchange { faults, times: [step1_time, exchange_time, step2_time], .. } = exchange;
+        let relayed_frames = self.relayed_frames() - relayed_before;
+
+        // The raw-data redistribution the re-mapping forces.
         let area_bytes: Vec<u64> = sets.iter().map(|s| s.wire_size() as u64).collect();
-        let redistribution =
-            plan_redistribution(&p1.assignment, &p2.assignment, &area_bytes);
-
-        // Step 2 on the fleet under the new mapping.
-        let step2_span = pgse_obs::span("frame.step2");
-        let t2 = Instant::now();
-        let step2 = self.run_on_fleet("area.step2", &p2, |area| {
-            if degraded_areas.contains(&area) {
-                // No neighbour data arrived: keep the Step-1 solution
-                // rather than re-estimating against an empty exchange.
-                return Ok(step1[area].clone());
-            }
-            self.estimators[area].step2(
-                &step1[area],
-                &inboxes[area],
-                &sets[area],
-                x,
-                frame_seed ^ 0xdead_beef,
-            )
-        })?;
-        let step2_time = t2.elapsed();
-        drop(step2_span);
-
-        // Final step: aggregate.
-        let (vm, va) = aggregate(&self.decomp, &step2);
-        let vm_rmse = rmse(&vm, &self.pf.vm);
-        let va_rmse = rmse(&va, &self.pf.va);
-
+        let redistribution = plan_redistribution(&p1.assignment, &p2.assignment, &area_bytes);
         let buses_per_cluster = (0..k)
             .map(|c| {
                 p1.part(c)
@@ -381,7 +333,6 @@ impl SystemPrototype {
             dt_seconds,
             noise_level: x,
             predicted_iterations: self.config.g1 * x + self.config.g2,
-            step1_iterations: step1.iter().map(|s| s.iterations).collect(),
             step1_assignment: p1.assignment.clone(),
             step1_imbalance: p1.imbalance(&g1_graph),
             step2_assignment: p2.assignment.clone(),
@@ -389,19 +340,24 @@ impl SystemPrototype {
             step2_cut: p2.edge_cut(&g2_graph),
             migrations: redistribution.migrations(),
             redistributed_bytes: redistribution.total_bytes(),
-            exchanged_bytes,
+            exchanged_bytes: dse.exchanged_bytes,
             relayed_frames,
-            missed_exchanges: faults.missed,
-            degraded_areas,
+            missed_exchanges: dse
+                .missed_exchanges
+                .iter()
+                .map(|m| (m.from_area, m.to_area))
+                .collect(),
             corrupt_frames: faults.corrupt,
             duplicate_frames: faults.duplicates,
             late_frames: faults.late,
             step1_time,
             exchange_time,
             step2_time,
-            vm_rmse,
-            va_rmse,
+            vm_rmse: dse.vm_rmse(&self.pf.vm),
+            va_rmse: dse.va_rmse(&self.pf.va),
             buses_per_cluster,
+            step1_iterations: dse.step1_iterations,
+            degraded_areas: dse.degraded_areas,
         };
         frame_span.record("vm_rmse", report.vm_rmse);
         frame_span.record("healthy", report.exchange_healthy());
@@ -446,70 +402,100 @@ impl SystemPrototype {
         }
         pgse_obs::ObsReport::from_scopes(scopes)
     }
+}
 
-    /// Runs `job(area)` for every area, grouped by the mapping: each
-    /// cluster processes its subsystems on its own pool, all clusters
+/// The prototype's side of one frame's DSE cycle: a step's areas run on
+/// the cluster fleet under that step's mapping, and a round's batches
+/// travel through MeDICi — peer to peer or via the coordinator — within
+/// the round deadline. Failed sends, corrupt frames, duplicates and
+/// deadline expiry are tolerated and accounted; the round always
+/// completes.
+struct FrameExchange<'a> {
+    fleet: &'a ClusterFleet,
+    /// The Step-1 and Step-2 mappings.
+    mappings: [&'a Partition; 2],
+    frame: u64,
+    decomp: &'a Decomposition,
+    config: &'a PrototypeConfig,
+    client: &'a MwClient,
+    inboxes: &'a mut [InterfaceLayer],
+    obs_areas: &'a [pgse_obs::Recorder],
+    /// The coordinator's inbox and recorder (hierarchical mode only).
+    coordinator: Option<(&'a mut InterfaceLayer, &'a pgse_obs::Recorder)>,
+    faults: ExchangeFaults,
+    /// Wall time of Step 1, the exchange and Step 2.
+    times: [Duration; 3],
+}
+
+impl Exchange for FrameExchange<'_> {
+    /// Runs the step's areas grouped by its mapping: each cluster
+    /// processes its subsystems on its own pool, all clusters
     /// concurrently. Each area's work runs under that area's recorder
-    /// inside a `stage` span stamped with the frame index, so the trace is
-    /// identical no matter which cluster thread executed the area.
-    fn run_on_fleet<F>(
-        &self,
-        stage: &'static str,
-        mapping: &Partition,
-        job: F,
-    ) -> Result<Vec<AreaSolution>, PrototypeError>
-    where
-        F: Fn(usize) -> Result<AreaSolution, WlsError> + Sync,
-    {
-        let k = self.fleet.len();
-        let job = &job;
-        let frame = self.frame;
-        let per_cluster: Vec<Result<Vec<(usize, AreaSolution)>, WlsError>> = self.fleet.run_all(
-            (0..k)
-                .map(|c| {
-                    let areas = mapping.part(c);
-                    let obs = self.obs_areas.clone();
-                    Box::new(move || {
-                        use rayon::prelude::*;
-                        areas
-                            .par_iter()
-                            .map(|&a| {
-                                pgse_obs::with_recorder(&obs[a], || {
-                                    let mut sp = pgse_obs::span_at(stage, frame);
-                                    let r = job(a);
-                                    if let Ok(sol) = &r {
-                                        sp.record("iterations", sol.iterations as u64);
-                                    }
-                                    r.map(|s| (a, s))
-                                })
+    /// inside an `area.step1`/`area.step2` span stamped with the frame
+    /// index, so the trace is identical no matter which cluster thread
+    /// executed the area.
+    fn run_step(
+        &mut self,
+        step: Step,
+        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+    ) -> Result<Vec<AreaSolution>, WlsError> {
+        let (stage, mapping, slot) = match step {
+            Step::One => ("area.step1", self.mappings[0], 0),
+            Step::Two => ("area.step2", self.mappings[1], 2),
+        };
+        let (frame, obs) = (self.frame, self.obs_areas);
+        let t = Instant::now();
+        let jobs = (0..self.fleet.len())
+            .map(|c| {
+                let areas = mapping.part(c);
+                Box::new(move || {
+                    areas
+                        .par_iter()
+                        .map(|&a| {
+                            pgse_obs::with_recorder(&obs[a], || {
+                                let mut sp = pgse_obs::span_at(stage, frame);
+                                let r = job(a);
+                                if let Ok(sol) = &r {
+                                    sp.record("iterations", sol.iterations as u64);
+                                }
+                                r.map(|s| (a, s))
                             })
-                            .collect::<Result<Vec<_>, _>>()
-                    })
-                        as Box<dyn FnOnce() -> Result<Vec<(usize, AreaSolution)>, WlsError> + Send>
+                        })
+                        .collect::<Result<Vec<_>, _>>()
                 })
-                .collect(),
-        );
+                    as Box<dyn FnOnce() -> Result<Vec<(usize, AreaSolution)>, WlsError> + Send>
+            })
+            .collect();
         let mut out: Vec<Option<AreaSolution>> = vec![None; self.decomp.n_areas()];
-        for cluster_result in per_cluster {
-            for (a, sol) in cluster_result.map_err(PrototypeError::Wls)? {
+        for cluster in self.fleet.run_all(jobs) {
+            for (a, sol) in cluster? {
                 out[a] = Some(sol);
             }
         }
+        self.times[slot] += t.elapsed();
         Ok(out.into_iter().map(|s| s.expect("every area estimated")).collect())
     }
 
+    fn deliver(&mut self, _: usize, batches: &[Vec<PseudoMeasurement>]) -> Delivery {
+        let t = Instant::now();
+        let mut delivery = match self.config.mode {
+            CoordinationMode::Decentralized => self.exchange_decentralized(batches),
+            CoordinationMode::Hierarchical => self.exchange_hierarchical(batches),
+        };
+        delivery.missed.sort_unstable();
+        delivery.missed.dedup();
+        self.times[1] += t.elapsed();
+        delivery
+    }
+}
+
+impl FrameExchange<'_> {
     /// Peer-to-peer exchange: each area ships its batch down the pipeline
     /// toward every neighbour on the deployment's held sessions, then each
-    /// area's interface layer collects one frame per distinct neighbour —
-    /// every inbox against one round deadline, on this thread. Failed
-    /// sends, corrupt frames, duplicates and deadline expiry are tolerated
-    /// and accounted — the round always completes.
-    fn exchange_decentralized(
-        &mut self,
-        pseudo: &[Vec<PseudoMeasurement>],
-    ) -> (Vec<Vec<PseudoMeasurement>>, u64, ExchangeFaults) {
+    /// area's interface layer collects one frame per distinct neighbour.
+    fn exchange_decentralized(&mut self, pseudo: &[Vec<PseudoMeasurement>]) -> Delivery {
         let round_end = Instant::now() + self.config.exchange_deadline;
-        let mut bytes = 0u64;
+        let mut out = Delivery::default();
         // The pipeline routers buffer the sends. A failed send — e.g. a
         // dead pipeline exhausting its retries — is not fatal: the
         // destination's collection accounts the miss.
@@ -518,179 +504,156 @@ impl SystemPrototype {
             for &dst in &self.decomp.areas[src].neighbors {
                 let url = format!("tcp://pipe-{src}-{dst}.dse.pnl.gov:6789");
                 if self.client.send(&url, &wire).is_ok() {
-                    bytes += wire.len() as u64;
+                    out.bytes += wire.len() as u64;
                 }
             }
         }
-        let expected: Vec<usize> =
-            self.decomp.areas.iter().map(|a| a.neighbors.len()).collect();
-        let chaotic = self.config.chaos.is_some();
-        let collected = self.collect_round(round_end, chaotic, |a, layer, left| {
-            layer.collect_decoded(expected[a], left, decode_batch)
-        });
-        let mut faults = ExchangeFaults::default();
-        let mut inboxes = Vec::with_capacity(collected.len());
-        for (a, ((mut batches, outcome), late)) in collected.into_iter().enumerate() {
-            faults.corrupt += outcome.corrupt as u64;
-            faults.duplicates += outcome.duplicate as u64;
-            faults.late += late as u64;
-            // Sort the batches by source area: network arrival order is
-            // timing-dependent, and the inbox order feeds Step-2 numerics
-            // — canonical order keeps same-seed runs bit-identical.
-            batches.sort_by_key(|&(from, _)| from);
-            for &nb in &self.decomp.areas[a].neighbors {
-                if !batches.iter().any(|&(from, _)| from == nb as u64) {
-                    faults.missed.push((nb, a));
-                }
-            }
-            inboxes.push(batches.into_iter().flat_map(|(_, b)| b).collect());
-        }
-        (inboxes, bytes, faults)
-    }
-
-    /// Collects every area inbox against one round deadline, on this
-    /// thread: `collect(a, layer, left)` runs area `a`'s collection under
-    /// its recorder with what is left of the round (an inbox reached after
-    /// the deadline still takes what has already arrived). With `drain`
-    /// every inbox then drains its stragglers in one shared
-    /// [`STRAGGLER_GRACE`] window. Returns each area's collection and its
-    /// drained-straggler count.
-    fn collect_round<T>(
-        &mut self,
-        round_end: Instant,
-        drain: bool,
-        mut collect: impl FnMut(usize, &mut InterfaceLayer, Duration) -> T,
-    ) -> Vec<(T, usize)> {
-        let mut collected = Vec::with_capacity(self.inboxes.len());
-        for (a, (layer, rec)) in self.inboxes.iter_mut().zip(&self.obs_areas).enumerate() {
-            let left = round_end.saturating_duration_since(Instant::now());
-            collected.push(pgse_obs::with_recorder(rec, || collect(a, layer, left)));
-        }
-        let grace_end = Instant::now() + STRAGGLER_GRACE;
-        self.inboxes
-            .iter_mut()
-            .zip(&self.obs_areas)
-            .zip(collected)
-            .map(|((layer, rec), c)| {
-                let late = if drain {
-                    let left = grace_end.saturating_duration_since(Instant::now());
-                    pgse_obs::with_recorder(rec, || layer.drain_pending(left))
-                } else {
-                    0
-                };
-                (c, late)
-            })
-            .collect()
+        self.collect_areas(round_end, true, self.config.chaos.is_some(), &mut out);
+        out
     }
 
     /// Hierarchical exchange: everything goes up to the coordinator, which
     /// fans the relevant batches back down — two middleware hops, each
-    /// bounded by the round deadline. A missing uplink degrades every
-    /// destination that needed it; a missing downlink degrades one area.
-    fn exchange_hierarchical(
-        &mut self,
-        pseudo: &[Vec<PseudoMeasurement>],
-    ) -> (Vec<Vec<PseudoMeasurement>>, u64, ExchangeFaults) {
+    /// bounded by the round deadline. A missing uplink misses every
+    /// destination that needed it; a missing downlink misses one area.
+    fn exchange_hierarchical(&mut self, pseudo: &[Vec<PseudoMeasurement>]) -> Delivery {
         let deadline = self.config.exchange_deadline;
-        let n_areas = self.decomp.n_areas();
-        let mut bytes = 0u64;
-        let mut faults = ExchangeFaults::default();
+        let decomp = self.decomp;
+        let n_areas = decomp.n_areas();
+        let mut out = Delivery::default();
 
         // Up: every area → coordinator.
         let round_end = Instant::now() + deadline;
         for (src, batch) in pseudo.iter().enumerate() {
             let wire = to_wire(batch);
             if self.client.send(&format!("tcp://up-{src}.dse.pnl.gov:6789"), &wire).is_ok() {
-                bytes += wire.len() as u64;
+                out.bytes += wire.len() as u64;
             }
         }
-        let coordinator = self.coordinator.as_mut().expect("hierarchical mode");
+        let (coordinator, rec) = self.coordinator.as_mut().expect("hierarchical mode");
         let left = round_end.saturating_duration_since(Instant::now());
-        let (up, up_outcome) = pgse_obs::with_recorder(&self.obs_coordinator, || {
-            coordinator.collect_decoded(n_areas, left, decode_batch)
+        let (up, up_outcome) = pgse_obs::with_recorder(rec, || {
+            coordinator
+                .collect_decoded(n_areas, left, |f| keyed(decode_batch(f, decomp, |_| true)?))
         });
-        faults.corrupt += up_outcome.corrupt as u64;
-        faults.duplicates += up_outcome.duplicate as u64;
-        // The coordinator re-indexes arrivals by source area; an uplink
-        // that never arrived is a missed exchange toward every neighbour
-        // that needed the data.
+        self.faults.corrupt += up_outcome.corrupt as u64;
+        self.faults.duplicates += up_outcome.duplicate as u64;
+        // The coordinator re-indexes arrivals by source area.
         let mut by_area: Vec<Vec<PseudoMeasurement>> = vec![Vec::new(); n_areas];
         for (area, batch) in up {
-            if let Some(slot) = by_area.get_mut(area as usize) {
-                *slot = batch;
-            }
-        }
-        for src in 0..n_areas {
-            if by_area[src].is_empty() && !pseudo[src].is_empty() {
-                for &dst in &self.decomp.areas[src].neighbors {
-                    faults.missed.push((src, dst));
-                }
-            }
+            by_area[area as usize] = batch;
         }
 
         // Down: coordinator → each area, only its neighbours' data.
         let round_end = Instant::now() + deadline;
         for a in 0..n_areas {
-            let inbox: Vec<PseudoMeasurement> = self.decomp.areas[a]
+            let inbox: Vec<PseudoMeasurement> = decomp.areas[a]
                 .neighbors
                 .iter()
                 .flat_map(|&nb| by_area[nb].iter().copied())
                 .collect();
             let wire = to_wire(&inbox);
             if self.client.send(&format!("tcp://down-{a}.dse.pnl.gov:6789"), &wire).is_ok() {
-                bytes += wire.len() as u64;
+                out.bytes += wire.len() as u64;
             }
         }
-        let collected = self.collect_round(round_end, false, |_, layer, left| {
-            let outcome = layer.collect_deadline(1, left);
-            (layer.process(|f| f.to_vec()), outcome)
-        });
-        let mut inboxes = Vec::with_capacity(n_areas);
-        for (a, ((frames, outcome), _)) in collected.into_iter().enumerate() {
-            faults.corrupt += outcome.corrupt as u64;
-            let mut batch: Vec<PseudoMeasurement> = Vec::new();
-            for f in &frames {
-                match from_wire(f) {
-                    Ok(b) => batch.extend(b),
-                    Err(_) => faults.corrupt += 1,
+        self.collect_areas(round_end, false, false, &mut out);
+        out
+    }
+
+    /// Collects every area's inbox against one round deadline, on this
+    /// thread, each under its area's recorder with what is left of the
+    /// round (an inbox reached after the deadline still takes what has
+    /// already arrived). With `per_source` an area takes one batch per
+    /// distinct neighbour; without, one batch in all (the coordinator's
+    /// downlink, keyed alike so an empty one is taken, not rejected). A
+    /// neighbour none of whose entries arrived is missed. With `drain`
+    /// every inbox then drains its stragglers in one shared
+    /// [`STRAGGLER_GRACE`] window.
+    fn collect_areas(
+        &mut self,
+        round_end: Instant,
+        per_source: bool,
+        drain: bool,
+        out: &mut Delivery,
+    ) {
+        let decomp = self.decomp;
+        for (a, (layer, rec)) in self.inboxes.iter_mut().zip(self.obs_areas).enumerate() {
+            let neighbors = &decomp.areas[a].neighbors;
+            let decode = |f: &[u8]| {
+                let batch = decode_batch(f, decomp, |from| neighbors.contains(&from))?;
+                if per_source {
+                    keyed(batch)
+                } else {
+                    Some((0, batch))
+                }
+            };
+            let n = if per_source { neighbors.len() } else { 1 };
+            let left = round_end.saturating_duration_since(Instant::now());
+            let (mut batches, outcome) =
+                pgse_obs::with_recorder(rec, || layer.collect_decoded(n, left, decode));
+            self.faults.corrupt += outcome.corrupt as u64;
+            self.faults.duplicates += outcome.duplicate as u64;
+            // Sort the batches by source area: network arrival order is
+            // timing-dependent, and the inbox order feeds Step-2 numerics
+            // — canonical order keeps same-seed runs bit-identical.
+            batches.sort_by_key(|&(from, _)| from);
+            let inbox: Vec<PseudoMeasurement> = batches.into_iter().flat_map(|(_, b)| b).collect();
+            for &nb in neighbors {
+                if !inbox.iter().any(|p| p.from_area == nb) {
+                    out.missed.push((nb, a));
                 }
             }
-            if batch.is_empty() {
-                // The whole downlink was lost: every neighbour's data
-                // missed this area.
-                for &nb in &self.decomp.areas[a].neighbors {
-                    faults.missed.push((nb, a));
-                }
-            }
-            inboxes.push(batch);
+            out.inboxes.push(inbox);
         }
-        (inboxes, bytes, faults)
+        if drain {
+            let grace_end = Instant::now() + STRAGGLER_GRACE;
+            for (layer, rec) in self.inboxes.iter_mut().zip(self.obs_areas) {
+                let left = grace_end.saturating_duration_since(Instant::now());
+                self.faults.late +=
+                    pgse_obs::with_recorder(rec, || layer.drain_pending(left)) as u64;
+            }
+        }
     }
 }
 
-/// Decodes one pseudo-measurement exchange frame, keyed by its source
-/// area; `None` for a frame that does not parse or names no source.
-fn decode_batch(frame: &[u8]) -> Option<(u64, Vec<PseudoMeasurement>)> {
+/// The one check at the exchange boundary: a pseudo-measurement batch
+/// decodes only if every entry comes from a source `allowed` admits, names
+/// a bus of that source's area, and carries finite values with σ > 0.
+/// Anything else — a frame that does not parse included — is `None`, which
+/// the collection counts corrupt.
+fn decode_batch(
+    frame: &[u8],
+    decomp: &Decomposition,
+    allowed: impl Fn(usize) -> bool,
+) -> Option<Vec<PseudoMeasurement>> {
     let batch = from_wire(frame).ok()?;
+    let sound = |p: &PseudoMeasurement| {
+        allowed(p.from_area)
+            && decomp.areas.get(p.from_area).is_some_and(|a| a.global_ids.contains(&p.global_bus))
+            && [p.vm, p.va, p.sigma_vm, p.sigma_va].iter().all(|v| v.is_finite())
+            && p.sigma_vm > 0.0
+            && p.sigma_va > 0.0
+    };
+    batch.iter().all(sound).then_some(batch)
+}
+
+/// Keys a batch by its source area (its first entry's); an empty batch
+/// names no source.
+fn keyed(batch: Vec<PseudoMeasurement>) -> Option<(u64, Vec<PseudoMeasurement>)> {
     Some((batch.first()?.from_area as u64, batch))
 }
 
-/// What the fault-tolerant exchange accounted while completing a round.
+/// What the fault-tolerant exchange counted beyond the delivery itself.
 #[derive(Debug, Default)]
 struct ExchangeFaults {
-    /// Directed `(from, to)` exchanges that never reached `to`.
-    missed: Vec<(usize, usize)>,
-    /// Frames that arrived corrupt or unparseable.
+    /// Frames that arrived corrupt, unparseable or failing the decode
+    /// check.
     corrupt: u64,
     /// Duplicate deliveries discarded during collection.
     duplicates: u64,
     /// Stragglers drained after the round's collection ended.
     late: u64,
-}
-
-fn rmse(a: &[f64], b: &[f64]) -> f64 {
-    let s: f64 = a.iter().zip(b).map(|(p, q)| (p - q) * (p - q)).sum();
-    (s / a.len().max(1) as f64).sqrt()
 }
 
 /// Builds and starts one one-way pipeline (Fig. 7), its router running
@@ -717,6 +680,7 @@ fn build_pipeline(
 mod tests {
     use super::*;
     use crate::config::ChaosSpec;
+    use pgse_dse::runner::{DropPlan, InProcess};
     use pgse_grid::cases::ieee118_like;
 
     fn deploy(mode: CoordinationMode) -> SystemPrototype {
@@ -873,6 +837,69 @@ mod tests {
         assert!(morning.noise_level > evening.noise_level);
         assert!(morning.predicted_iterations > evening.predicted_iterations);
         assert_eq!(evening.frame, 2);
+    }
+
+    #[test]
+    fn an_unsound_batch_is_counted_corrupt_instead_of_crashing_the_frame() {
+        let mut proto = deploy(CoordinationMode::Decentralized);
+        let net = proto.network();
+        let bus = net
+            .branches
+            .iter()
+            .find_map(|b| match (net.buses[b.from].area, net.buses[b.to].area) {
+                (0, 1) => Some(b.from),
+                (1, 0) => Some(b.to),
+                _ => None,
+            })
+            .expect("a 0–1 tie line");
+        assert!(proto.decomp.areas[0].global_ids.contains(&bus));
+        // Parses, names area 0 and one of its buses, but carries σ = 0:
+        // Step 2 must never see it.
+        let bad = PseudoMeasurement {
+            from_area: 0,
+            global_bus: bus,
+            vm: 1.0,
+            va: 0.0,
+            sigma_vm: 0.0,
+            sigma_va: 0.0,
+        };
+        proto.client.send("tcp://pipe-0-1.dse.pnl.gov:6789", &to_wire(&[bad])).unwrap();
+        let report = proto.run_frame(0.0).unwrap();
+        assert_eq!(report.corrupt_frames, 1);
+        assert!(report.missed_exchanges.is_empty(), "{:?}", report.missed_exchanges);
+        assert!(report.degraded_areas.is_empty());
+        assert!(report.vm_rmse < 1e-2, "vm rmse {}", report.vm_rmse);
+    }
+
+    #[test]
+    fn every_exchange_gives_the_same_estimate() {
+        let frame = |mode| {
+            let mut proto = deploy(mode);
+            let report = proto.run_frame(0.0).unwrap();
+            (proto, report)
+        };
+        let (proto, decentralized) = frame(CoordinationMode::Decentralized);
+        let (_, hierarchical) = frame(CoordinationMode::Hierarchical);
+        // The in-process exchange on the prototype's estimators, noise and
+        // seeds for frame 1.
+        let (seed, step2_seeds) = proto.seeds(1);
+        let (in_process, _) = run_cycle(
+            &proto.decomp,
+            &proto.estimators,
+            proto.config.noise.level(0.0),
+            seed,
+            &step2_seeds,
+            &mut InProcess { decomp: &proto.decomp, plan: DropPlan::default() },
+        )
+        .unwrap();
+        let (vm, va) = (in_process.vm_rmse(&proto.pf.vm), in_process.va_rmse(&proto.pf.va));
+        for report in [&decentralized, &hierarchical] {
+            assert!(report.exchange_healthy());
+            assert_eq!(report.vm_rmse.to_bits(), vm.to_bits());
+            assert_eq!(report.va_rmse.to_bits(), va.to_bits());
+            assert_eq!(report.step1_iterations, in_process.step1_iterations);
+        }
+        assert_eq!(decentralized.exchanged_bytes, in_process.exchanged_bytes);
     }
 
     #[test]

@@ -23,9 +23,14 @@
 //! the architecture's hierarchical mode a real algorithm and an
 //! accuracy/latency comparison point.
 //!
-//! The crate is deliberately transport-agnostic: pseudo measurements are
-//! serializable values, and `pgse-core` ships them between estimators
-//! through the MeDICi middleware exactly as Fig. 6 describes.
+//! [`runner::run_cycle`] runs these steps as one time frame, whatever
+//! hosts it: the [`runner::Exchange`] seam says where a step's areas run
+//! and how a round's pseudo measurements travel. [`runner::InProcess`]
+//! runs them on one rayon pool; `pgse-core` runs them on its cluster
+//! fleet and ships the batches through the MeDICi middleware exactly as
+//! Fig. 6 describes.
+
+#![warn(clippy::too_many_lines)]
 
 pub mod decomposition;
 pub mod estimator;
@@ -38,6 +43,6 @@ pub use estimator::{AreaEstimator, AreaSolution};
 pub use hierarchical::{reconcile_hierarchy, Coordinator};
 pub use pseudo::PseudoMeasurement;
 pub use runner::{
-    run_centralized, run_dse, run_dse_degraded, DegradationDelta, DropPlan, DseOptions,
-    DseReport, MissedExchange,
+    run_centralized, run_cycle, run_dse, run_dse_degraded, DegradationDelta, Delivery, DropPlan,
+    DseOptions, DseReport, Exchange, InProcess, MissedExchange, Step,
 };

@@ -1,14 +1,19 @@
-//! Orchestration of a full DSE cycle and the centralized baseline.
+//! The DSE cycle, its in-process exchange, and the centralized baseline.
 //!
-//! This runner drives the *algorithm* (all areas in one process, rayon
-//! across subsystems); `pgse-core` layers the system architecture on top —
-//! clusters, the mapping method, and middleware transport for the
-//! exchange. Keeping the algorithm runnable stand-alone is what makes the
-//! accuracy comparisons (DSE vs centralized) cheap to script.
+//! [`run_cycle`] is the one algorithm of a time frame: telemetry and
+//! Step 1, then per round the pseudo-measurement exchange and Step 2, then
+//! aggregation. It reaches the outside through the [`Exchange`] seam. This
+//! crate's implementation runs every area in one process (rayon across
+//! subsystems, losses from a [`DropPlan`]), which keeps the accuracy
+//! comparisons (DSE vs centralized) cheap to script; `pgse-core`'s runs
+//! the areas on its cluster fleet and delivers through MeDICi.
+
+use std::time::{Duration, Instant};
 
 use rayon::prelude::*;
 
 use pgse_estimation::jacobian::StateSpace;
+use pgse_estimation::measurement::MeasurementSet;
 use pgse_estimation::synthetic::TelemetryPlan;
 use pgse_estimation::wls::{StateEstimate, WlsError, WlsEstimator, WlsOptions};
 use pgse_grid::Network;
@@ -28,21 +33,11 @@ pub struct DseOptions {
     /// Step-2 exchange rounds (the paper bounds useful rounds by the
     /// decomposition diameter).
     pub rounds: usize,
-    /// Gauss–Newton controls of every area's WLS.
-    pub wls: WlsOptions,
-    /// Preliminary-step configuration.
-    pub decomposition: DecompositionOptions,
 }
 
 impl Default for DseOptions {
     fn default() -> Self {
-        DseOptions {
-            noise_level: 1.0,
-            seed: 1,
-            rounds: 1,
-            wls: WlsOptions::default(),
-            decomposition: DecompositionOptions::default(),
-        }
+        DseOptions { noise_level: 1.0, seed: 1, rounds: 1 }
     }
 }
 
@@ -79,19 +74,19 @@ pub struct DseReport {
     /// Aggregated system-wide voltage angles.
     pub va: Vec<f64>,
     /// Wall time of Step 1 (all areas).
-    pub step1_time: std::time::Duration,
+    pub step1_time: Duration,
     /// Wall time of the exchange + Step 2 rounds.
-    pub step2_time: std::time::Duration,
+    pub step2_time: Duration,
     /// Serialized pseudo-measurement bytes exchanged over all rounds (the
     /// "only the pseudo measurements" volume the paper credits DSE with).
     pub exchanged_bytes: u64,
     /// Step-1 Gauss–Newton iteration counts per area (feeds `Ni` fitting).
     pub step1_iterations: Vec<usize>,
-    /// Neighbour batches that never arrived, in `(round, from, to)` order.
-    /// Empty on a healthy run.
+    /// Neighbour batches that never arrived, in the order the exchange
+    /// reported them, round by round. Empty on a healthy run.
     pub missed_exchanges: Vec<MissedExchange>,
     /// Areas that ran at least one Step-2 round on an empty inbox and
-    /// therefore kept their Step-1 solution for that round (sorted,
+    /// therefore kept their current solution for that round (sorted,
     /// deduplicated).
     pub degraded_areas: Vec<usize>,
 }
@@ -124,8 +119,9 @@ impl DseReport {
 
 /// Deterministic, stateless exchange-loss model: whether the batch
 /// `from → to` of a given round is lost depends only on `(seed, round,
-/// from, to)` — the same plan always kills the same exchanges.
-#[derive(Debug, Clone, Copy, PartialEq)]
+/// from, to)` — the same plan always kills the same exchanges. The default
+/// plan loses nothing.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct DropPlan {
     /// Seed decorrelating different plans.
     pub seed: u64,
@@ -175,19 +171,175 @@ pub fn aggregate(decomp: &Decomposition, areas: &[AreaSolution]) -> (Vec<f64>, V
     (vm, va)
 }
 
+/// The two estimation steps of a cycle.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Step {
+    /// Local estimation on each area's own telemetry.
+    One,
+    /// Re-evaluation with the neighbours' pseudo measurements.
+    Two,
+}
+
+/// What one exchange round brought the areas.
+#[derive(Debug, Default)]
+pub struct Delivery {
+    /// `inboxes[a]`: the pseudo measurements that reached area `a`.
+    pub inboxes: Vec<Vec<PseudoMeasurement>>,
+    /// Serialized bytes that went out.
+    pub bytes: u64,
+    /// Directed `(from, to)` batches that never reached `to`.
+    pub missed: Vec<(usize, usize)>,
+}
+
+/// The seam between the DSE cycle and what hosts it: where the areas of a
+/// step run, and how a round's batches travel.
+pub trait Exchange {
+    /// Runs `job(area)` for every area of `step`; the result is indexed by
+    /// area.
+    ///
+    /// # Errors
+    /// The first WLS failure of any area.
+    fn run_step(
+        &mut self,
+        step: Step,
+        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+    ) -> Result<Vec<AreaSolution>, WlsError>;
+
+    /// Delivers round `round`'s batches (`batches[a]` is area `a`'s
+    /// export) to the neighbours that need them.
+    fn deliver(&mut self, round: usize, batches: &[Vec<PseudoMeasurement>]) -> Delivery;
+}
+
+/// Runs one DSE cycle: each area's telemetry at `noise_level` from `seed`
+/// and Step 1, then one exchange + Step-2 round per entry of
+/// `step2_seeds` (the round's Step-2 seed), then aggregation. An area
+/// whose inbox comes back empty keeps its current solution for the round,
+/// and one with neighbours is then degraded. Returns the report and the
+/// frame's telemetry.
+///
+/// # Errors
+/// The first WLS failure of any area.
+pub fn run_cycle(
+    decomp: &Decomposition,
+    estimators: &[AreaEstimator],
+    noise_level: f64,
+    seed: u64,
+    step2_seeds: &[u64],
+    exchange: &mut impl Exchange,
+) -> Result<(DseReport, Vec<MeasurementSet>), WlsError> {
+    let step1_span = pgse_obs::span("frame.step1");
+    let t0 = Instant::now();
+    let sets: Vec<MeasurementSet> =
+        estimators.iter().map(|e| e.generate_telemetry(noise_level, seed)).collect();
+    let step1 = exchange.run_step(Step::One, &|a| estimators[a].step1(&sets[a]))?;
+    let step1_time = t0.elapsed();
+    drop(step1_span);
+
+    let t1 = Instant::now();
+    let mut current = step1.clone();
+    let mut exchanged_bytes = 0;
+    let mut missed_exchanges = Vec::new();
+    let mut degraded_areas = Vec::new();
+    for (round, &step2_seed) in step2_seeds.iter().enumerate() {
+        let mut exchange_span = pgse_obs::span("frame.exchange");
+        let batches: Vec<Vec<PseudoMeasurement>> =
+            estimators.iter().zip(&current).map(|(e, s)| e.export_pseudo(s)).collect();
+        let Delivery { inboxes, bytes, missed } = exchange.deliver(round, &batches);
+        let degraded: Vec<usize> = (0..estimators.len())
+            .filter(|&a| inboxes[a].is_empty() && !estimators[a].info.neighbors.is_empty())
+            .collect();
+        exchange_span.record("bytes", bytes);
+        exchange_span.record("missed", missed.len() as u64);
+        exchange_span.record("degraded", degraded.len() as u64);
+        drop(exchange_span);
+        pgse_obs::counter_add("exchange.bytes", bytes);
+        pgse_obs::counter_add("exchange.missed", missed.len() as u64);
+        pgse_obs::counter_add("exchange.degraded", degraded.len() as u64);
+
+        let step2_span = pgse_obs::span("frame.step2");
+        current = exchange.run_step(Step::Two, &|a| {
+            if inboxes[a].is_empty() {
+                // No boundary information this round: the area proceeds
+                // on its current solution rather than failing the cycle.
+                return Ok(current[a].clone());
+            }
+            estimators[a].step2(&current[a], &inboxes[a], &sets[a], noise_level, step2_seed)
+        })?;
+        drop(step2_span);
+        exchanged_bytes += bytes;
+        for (from_area, to_area) in missed {
+            missed_exchanges.push(MissedExchange { round, from_area, to_area });
+        }
+        degraded_areas.extend(degraded);
+    }
+    let step2_time = t1.elapsed();
+    degraded_areas.sort_unstable();
+    degraded_areas.dedup();
+
+    let (vm, va) = aggregate(decomp, &current);
+    let step1_iterations = step1.iter().map(|s| s.iterations).collect();
+    let report = DseReport {
+        step1,
+        final_areas: current,
+        vm,
+        va,
+        step1_time,
+        step2_time,
+        exchanged_bytes,
+        step1_iterations,
+        missed_exchanges,
+        degraded_areas,
+    };
+    Ok((report, sets))
+}
+
+/// The in-process [`Exchange`]: every area of a step runs on the rayon
+/// pool, and every batch reaches each neighbour unless `plan` loses it.
+#[derive(Debug, Clone, Copy)]
+pub struct InProcess<'a> {
+    /// The decomposition whose neighbours exchange.
+    pub decomp: &'a Decomposition,
+    /// The exchange-loss model.
+    pub plan: DropPlan,
+}
+
+impl Exchange for InProcess<'_> {
+    fn run_step(
+        &mut self,
+        _: Step,
+        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+    ) -> Result<Vec<AreaSolution>, WlsError> {
+        (0..self.decomp.n_areas()).into_par_iter().map(job).collect()
+    }
+
+    fn deliver(&mut self, round: usize, batches: &[Vec<PseudoMeasurement>]) -> Delivery {
+        let wire_len: Vec<u64> = batches.iter().map(|b| to_wire(b).len() as u64).collect();
+        let mut out = Delivery::default();
+        // Every area sends its batch to each neighbour (bidirectional
+        // exchange, paper §IV-A); the plan decides which arrive.
+        for (to, info) in self.decomp.areas.iter().enumerate() {
+            let mut inbox = Vec::new();
+            for &from in &info.neighbors {
+                if self.plan.drops(round, from, to) {
+                    out.missed.push((from, to));
+                } else {
+                    out.bytes += wire_len[from];
+                    inbox.extend_from_slice(&batches[from]);
+                }
+            }
+            out.inboxes.push(inbox);
+        }
+        out
+    }
+}
+
 /// Runs one full DSE cycle (preliminary step → Step 1 → exchange →
 /// Step 2 → aggregation) on `net` at the operating point `pf`.
 ///
 /// # Errors
 /// Propagates the first WLS failure of any area.
 pub fn run_dse(net: &Network, pf: &PfSolution, opts: &DseOptions) -> Result<DseReport, WlsError> {
-    let decomp = decompose(net, &opts.decomposition);
-    let estimators: Vec<AreaEstimator> = decomp
-        .areas
-        .iter()
-        .map(|a| AreaEstimator::new(a.clone(), net, pf, opts.wls))
-        .collect();
-    run_dse_with(&decomp, &estimators, opts)
+    run_dse_degraded(net, pf, opts, &DropPlan::default())
 }
 
 /// [`run_dse`] under an exchange-loss model: lost neighbour batches are
@@ -203,143 +355,19 @@ pub fn run_dse_degraded(
     opts: &DseOptions,
     plan: &DropPlan,
 ) -> Result<DseReport, WlsError> {
-    let decomp = decompose(net, &opts.decomposition);
+    let decomp = decompose(net, &DecompositionOptions::default());
     let estimators: Vec<AreaEstimator> = decomp
         .areas
         .iter()
-        .map(|a| AreaEstimator::new(a.clone(), net, pf, opts.wls))
+        .map(|a| AreaEstimator::new(a.clone(), net, pf, WlsOptions::default()))
         .collect();
-    run_dse_filtered(&decomp, &estimators, opts, &|round, from, to| {
-        !plan.drops(round, from, to)
-    })
-}
-
-/// Same as [`run_dse`] but with pre-built estimators (reused across time
-/// frames, as a deployed system would).
-pub fn run_dse_with(
-    decomp: &Decomposition,
-    estimators: &[AreaEstimator],
-    opts: &DseOptions,
-) -> Result<DseReport, WlsError> {
-    run_dse_filtered(decomp, estimators, opts, &|_, _, _| true)
-}
-
-/// The general cycle: `delivered(round, from, to)` decides whether a
-/// neighbour batch reaches its destination.
-fn run_dse_filtered(
-    decomp: &Decomposition,
-    estimators: &[AreaEstimator],
-    opts: &DseOptions,
-    delivered: &(dyn Fn(usize, usize, usize) -> bool + Sync),
-) -> Result<DseReport, WlsError> {
-    // Step 1: every subsystem independently (parallel across areas — each
-    // "cluster" works at once).
-    pgse_obs::counter_add("dse.cycles", 1);
-    let t0 = std::time::Instant::now();
-    let step1_span = pgse_obs::span("dse.step1");
-    let sets: Vec<_> = estimators
-        .iter()
-        .map(|e| e.generate_telemetry(opts.noise_level, opts.seed))
-        .collect();
-    let step1: Vec<AreaSolution> = estimators
-        .par_iter()
-        .zip(&sets)
-        .map(|(e, s)| e.step1(s))
-        .collect::<Result<_, _>>()?;
-    drop(step1_span);
-    let step1_time = t0.elapsed();
-
-    // Exchange + Step 2, up to `rounds` times (bounded by the diameter).
+    // Exchange rounds are bounded by the decomposition diameter.
     let rounds = opts.rounds.clamp(1, decomp.diameter().max(1));
-    let t1 = std::time::Instant::now();
-    let mut current = step1.clone();
-    let mut exchanged_bytes = 0u64;
-    let mut missed_exchanges = Vec::new();
-    let mut degraded_areas = Vec::new();
-    for round in 0..rounds {
-        let mut round_span = pgse_obs::span_at("dse.round", round as u64);
-        let bytes_before = exchanged_bytes;
-        let missed_before = missed_exchanges.len();
-        let pseudo: Vec<Vec<PseudoMeasurement>> = estimators
-            .iter()
-            .zip(&current)
-            .map(|(e, s)| e.export_pseudo(s))
-            .collect();
-        // Account the wire volume of the batches that actually went out:
-        // each area sends its batch to every reachable neighbour
-        // (bidirectional exchange, paper §IV-A).
-        for (from, (info, batch)) in decomp.areas.iter().zip(&pseudo).enumerate() {
-            let reached = info
-                .neighbors
-                .iter()
-                .filter(|&&to| delivered(round, from, to))
-                .count();
-            exchanged_bytes += (to_wire(batch).len() * reached) as u64;
-        }
-        for (to, e) in estimators.iter().enumerate() {
-            for &from in &e.info.neighbors {
-                if !delivered(round, from, to) {
-                    missed_exchanges.push(MissedExchange { round, from_area: from, to_area: to });
-                }
-            }
-        }
-        current = estimators
-            .par_iter()
-            .enumerate()
-            .map(|(a, e)| {
-                let inbox: Vec<PseudoMeasurement> = e
-                    .info
-                    .neighbors
-                    .iter()
-                    .filter(|&&nb| delivered(round, nb, a))
-                    .flat_map(|&nb| pseudo[nb].iter().copied())
-                    .collect();
-                if inbox.is_empty() {
-                    // Graceful degradation: with no boundary information
-                    // this round, the area proceeds on its own solution
-                    // rather than failing the cycle.
-                    return Ok(current[a].clone());
-                }
-                e.step2(
-                    &current[a],
-                    &inbox,
-                    &sets[a],
-                    opts.noise_level,
-                    opts.seed ^ (round as u64 + 1),
-                )
-            })
-            .collect::<Result<_, _>>()?;
-        for (a, e) in estimators.iter().enumerate() {
-            let all_lost =
-                e.info.neighbors.iter().all(|&nb| !delivered(round, nb, a));
-            if all_lost && !e.info.neighbors.is_empty() {
-                degraded_areas.push(a);
-            }
-        }
-        let round_missed = (missed_exchanges.len() - missed_before) as u64;
-        round_span.record("exchanged_bytes", exchanged_bytes - bytes_before);
-        round_span.record("missed", round_missed);
-        pgse_obs::counter_add("dse.exchange.bytes", exchanged_bytes - bytes_before);
-        pgse_obs::counter_add("dse.exchange.missed", round_missed);
-    }
-    let step2_time = t1.elapsed();
-    degraded_areas.sort_unstable();
-    degraded_areas.dedup();
-
-    let (vm, va) = aggregate(decomp, &current);
-    let step1_iterations = step1.iter().map(|s| s.iterations).collect();
-    Ok(DseReport {
-        step1,
-        final_areas: current,
-        vm,
-        va,
-        step1_time,
-        step2_time,
-        exchanged_bytes,
-        step1_iterations,
-        missed_exchanges,
-        degraded_areas,
-    })
+    let step2_seeds: Vec<u64> = (0..rounds).map(|r| opts.seed ^ (r as u64 + 1)).collect();
+    let mut exchange = InProcess { decomp: &decomp, plan: *plan };
+    let (report, _) =
+        run_cycle(&decomp, &estimators, opts.noise_level, opts.seed, &step2_seeds, &mut exchange)?;
+    Ok(report)
 }
 
 /// The centralized baseline: one WLS over the whole interconnection with
@@ -351,8 +379,8 @@ pub fn run_centralized(
     net: &Network,
     pf: &PfSolution,
     opts: &DseOptions,
-) -> Result<(StateEstimate, std::time::Duration), WlsError> {
-    let decomp = decompose(net, &opts.decomposition);
+) -> Result<(StateEstimate, Duration), WlsError> {
+    let decomp = decompose(net, &DecompositionOptions::default());
     let pmu_buses: Vec<usize> = decomp
         .areas
         .iter()
@@ -360,8 +388,9 @@ pub fn run_centralized(
         .collect();
     let plan = TelemetryPlan::full(net, pmu_buses);
     let set = plan.generate(net, pf, opts.noise_level, opts.seed);
-    let est = WlsEstimator::new(net.clone(), StateSpace::full(net.n_buses()), opts.wls);
-    let t0 = std::time::Instant::now();
+    let est =
+        WlsEstimator::new(net.clone(), StateSpace::full(net.n_buses()), WlsOptions::default());
+    let t0 = Instant::now();
     let out = est.estimate(&set)?;
     Ok((out, t0.elapsed()))
 }
@@ -439,11 +468,11 @@ mod tests {
         let (net, pf) = setup();
         let opts = DseOptions::default();
         let report = run_dse(&net, &pf, &opts).unwrap();
-        let decomp = decompose(&net, &opts.decomposition);
+        let decomp = decompose(&net, &DecompositionOptions::default());
         let estimators: Vec<AreaEstimator> = decomp
             .areas
             .iter()
-            .map(|a| AreaEstimator::new(a.clone(), &net, &pf, opts.wls))
+            .map(|a| AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::default()))
             .collect();
         let raw_bytes: u64 = estimators
             .iter()
@@ -524,10 +553,8 @@ mod tests {
         // Every area lost every neighbour: all are degraded and the final
         // solution is exactly Step 1.
         assert_eq!(degraded.degraded_areas, (0..degraded.step1.len()).collect::<Vec<_>>());
-        let (vm1, _) = aggregate(
-            &decompose(&net, &opts.decomposition),
-            &degraded.step1,
-        );
+        let (vm1, _) =
+            aggregate(&decompose(&net, &DecompositionOptions::default()), &degraded.step1);
         assert_eq!(degraded.vm, vm1);
         assert_eq!(degraded.exchanged_bytes, 0);
     }
