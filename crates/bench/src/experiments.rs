@@ -411,9 +411,11 @@ pub fn exp_dse_vs_centralized() -> String {
     let mut proto = SystemPrototype::deploy(net.clone(), PrototypeConfig::default())
         .expect("prototype");
     let frame = proto.run_frame(0.0).expect("frame");
-    // The wall time is a second frame's: the first frame of a process also
-    // pays one-time costs (it dials every middleware session, and the
-    // kernel grows the process's descriptor table to hold them).
+    // The wall time is a second frame's: the first frame of a deployment
+    // also pays one-time costs (it dials every middleware session, the
+    // kernel grows the process's descriptor table to hold them, and every
+    // area analyses and factors its gains cold; the second frame refreshes
+    // the held factors from a warm start).
     let warm = proto.run_frame(0.0).expect("warm frame");
 
     let central_va_rmse = {
@@ -472,7 +474,8 @@ pub fn exp_coordination_modes() -> String {
         let config = PrototypeConfig { mode, ..Default::default() };
         let mut proto =
             SystemPrototype::deploy(ieee118_like(), config).expect("prototype");
-        // Warm frame to populate caches, then a measured frame.
+        // Warm frame to dial the sessions and build each area's held
+        // factors, then a measured frame.
         let _ = proto.run_frame(0.0).expect("warm frame");
         proto.run_frame(4.0).expect("frame")
     };

@@ -6,7 +6,7 @@ use pgse_cluster::{plan_redistribution, ClusterFleet, HpcCluster, InterfaceLayer
 use pgse_dse::decomposition::{decompose, Decomposition, DecompositionOptions};
 use pgse_dse::estimator::{AreaEstimator, AreaSolution};
 use pgse_dse::pseudo::{from_wire, to_wire, PseudoMeasurement};
-use pgse_dse::runner::{run_cycle, Delivery, Exchange, Step};
+use pgse_dse::runner::{run_cycle, AreaSlot, Delivery, Exchange, Step};
 use pgse_estimation::wls::{WlsError, WlsOptions};
 use pgse_grid::Network;
 use pgse_medici::{
@@ -57,6 +57,10 @@ pub struct SystemPrototype {
     pf: PfSolution,
     decomp: Decomposition,
     estimators: Vec<AreaEstimator>,
+    /// One slot per area for the deployment's life: its solve caches and
+    /// last frame. The slots live with the prototype, not with a cluster,
+    /// so an area the Step-1 or Step-2 mapping moves keeps its factor.
+    slots: Vec<AreaSlot>,
     fleet: ClusterFleet,
     /// The deployment's one middleware client: it holds a session per
     /// pipeline endpoint, dialled on the first send.
@@ -209,6 +213,7 @@ impl SystemPrototype {
             config,
             net,
             pf,
+            slots: (0..decomp.n_areas()).map(|_| AreaSlot::default()).collect(),
             decomp,
             estimators,
             fleet,
@@ -310,14 +315,17 @@ impl SystemPrototype {
             faults: ExchangeFaults::default(),
             times: [Duration::ZERO; 3],
         };
-        let (dse, sets) =
-            run_cycle(&self.decomp, &self.estimators, x, frame_seed, &step2_seeds, &mut exchange)
-                .map_err(PrototypeError::Wls)?;
+        let (decomp, estimators, slots) = (&self.decomp, &self.estimators, &mut self.slots);
+        let dse = run_cycle(decomp, estimators, slots, x, frame_seed, &step2_seeds, &mut exchange)
+            .map_err(PrototypeError::Wls)?;
         let FrameExchange { faults, times: [step1_time, exchange_time, step2_time], .. } = exchange;
         let relayed_frames = self.relayed_frames() - relayed_before;
 
-        // The raw-data redistribution the re-mapping forces.
-        let area_bytes: Vec<u64> = sets.iter().map(|s| s.wire_size() as u64).collect();
+        // The raw-data redistribution the re-mapping forces: each area's
+        // scan. Its solve caches stay in the prototype's slot, so they are
+        // not priced.
+        let area_bytes: Vec<u64> =
+            self.slots.iter().map(|s| s.set.as_ref().map_or(0, |s| s.wire_size() as u64)).collect();
         let redistribution = plan_redistribution(&p1.assignment, &p2.assignment, &area_bytes);
         let buses_per_cluster = (0..k)
             .map(|c| {
@@ -430,31 +438,37 @@ struct FrameExchange<'a> {
 impl Exchange for FrameExchange<'_> {
     /// Runs the step's areas grouped by its mapping: each cluster
     /// processes its subsystems on its own pool, all clusters
-    /// concurrently. Each area's work runs under that area's recorder
-    /// inside an `area.step1`/`area.step2` span stamped with the frame
-    /// index, so the trace is identical no matter which cluster thread
-    /// executed the area.
+    /// concurrently, each area on its own slot — the slots are split
+    /// across the clusters' jobs, so no lock guards them. Each area's work
+    /// runs under that area's recorder inside an `area.step1`/`area.step2`
+    /// span stamped with the frame index, so the trace is identical no
+    /// matter which cluster thread executed the area.
     fn run_step(
         &mut self,
         step: Step,
-        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+        slots: &mut [AreaSlot],
+        job: &(dyn Fn(usize, &mut AreaSlot) -> Result<AreaSolution, WlsError> + Sync),
     ) -> Result<Vec<AreaSolution>, WlsError> {
-        let (stage, mapping, slot) = match step {
+        let (stage, mapping, time) = match step {
             Step::One => ("area.step1", self.mappings[0], 0),
             Step::Two => ("area.step2", self.mappings[1], 2),
         };
         let (frame, obs) = (self.frame, self.obs_areas);
         let t = Instant::now();
-        let jobs = (0..self.fleet.len())
-            .map(|c| {
-                let areas = mapping.part(c);
+        let mut parts: Vec<Vec<(usize, &mut AreaSlot)>> =
+            (0..self.fleet.len()).map(|_| Vec::new()).collect();
+        for (a, slot) in slots.iter_mut().enumerate() {
+            parts[mapping.assignment[a]].push((a, slot));
+        }
+        let jobs = parts
+            .into_iter()
+            .map(|part| {
                 Box::new(move || {
-                    areas
-                        .par_iter()
-                        .map(|&a| {
+                    part.into_par_iter()
+                        .map(|(a, slot)| {
                             pgse_obs::with_recorder(&obs[a], || {
                                 let mut sp = pgse_obs::span_at(stage, frame);
-                                let r = job(a);
+                                let r = job(a, slot);
                                 if let Ok(sol) = &r {
                                     sp.record("iterations", sol.iterations as u64);
                                 }
@@ -472,7 +486,7 @@ impl Exchange for FrameExchange<'_> {
                 out[a] = Some(sol);
             }
         }
-        self.times[slot] += t.elapsed();
+        self.times[time] += t.elapsed();
         Ok(out.into_iter().map(|s| s.expect("every area estimated")).collect())
     }
 
@@ -873,33 +887,68 @@ mod tests {
 
     #[test]
     fn every_exchange_gives_the_same_estimate() {
-        let frame = |mode| {
+        // Each driver holds its own slots for the whole run, so frames 2–4
+        // solve warm on held factors; only frame 1 starts cold.
+        const FRAMES: usize = 4;
+        let dt = |f: usize| f as f64 * 4.0;
+        let run = |mode| {
             let mut proto = deploy(mode);
-            let report = proto.run_frame(0.0).unwrap();
-            (proto, report)
+            let reports: Vec<FrameReport> =
+                (0..FRAMES).map(|f| proto.run_frame(dt(f)).unwrap()).collect();
+            (proto, reports)
         };
-        let (proto, decentralized) = frame(CoordinationMode::Decentralized);
-        let (_, hierarchical) = frame(CoordinationMode::Hierarchical);
+        let (proto, decentralized) = run(CoordinationMode::Decentralized);
+        let (_, hierarchical) = run(CoordinationMode::Hierarchical);
         // The in-process exchange on the prototype's estimators, noise and
-        // seeds for frame 1.
-        let (seed, step2_seeds) = proto.seeds(1);
-        let (in_process, _) = run_cycle(
-            &proto.decomp,
-            &proto.estimators,
-            proto.config.noise.level(0.0),
-            seed,
-            &step2_seeds,
-            &mut InProcess { decomp: &proto.decomp, plan: DropPlan::default() },
-        )
-        .unwrap();
-        let (vm, va) = (in_process.vm_rmse(&proto.pf.vm), in_process.va_rmse(&proto.pf.va));
-        for report in [&decentralized, &hierarchical] {
-            assert!(report.exchange_healthy());
-            assert_eq!(report.vm_rmse.to_bits(), vm.to_bits());
-            assert_eq!(report.va_rmse.to_bits(), va.to_bits());
-            assert_eq!(report.step1_iterations, in_process.step1_iterations);
+        // seeds, frame by frame on slots of its own.
+        let mut slots: Vec<AreaSlot> =
+            proto.estimators.iter().map(|_| AreaSlot::default()).collect();
+        for f in 0..FRAMES {
+            let (seed, step2_seeds) = proto.seeds(f as u64 + 1);
+            let in_process = run_cycle(
+                &proto.decomp,
+                &proto.estimators,
+                &mut slots,
+                proto.config.noise.level(dt(f)),
+                seed,
+                &step2_seeds,
+                &mut InProcess { decomp: &proto.decomp, plan: DropPlan::default() },
+            )
+            .unwrap();
+            let (vm, va) = (in_process.vm_rmse(&proto.pf.vm), in_process.va_rmse(&proto.pf.va));
+            for report in [&decentralized[f], &hierarchical[f]] {
+                assert!(report.exchange_healthy(), "frame {}", f + 1);
+                assert_eq!(report.vm_rmse.to_bits(), vm.to_bits(), "frame {}", f + 1);
+                assert_eq!(report.va_rmse.to_bits(), va.to_bits(), "frame {}", f + 1);
+                assert_eq!(report.step1_iterations, in_process.step1_iterations, "frame {}", f + 1);
+            }
+            assert_eq!(decentralized[f].exchanged_bytes, in_process.exchanged_bytes);
         }
-        assert_eq!(decentralized.exchanged_bytes, in_process.exchanged_bytes);
+        // A second same-seed run traces byte for byte alike.
+        let (again, _) = run(CoordinationMode::Decentralized);
+        assert_eq!(
+            proto.obs_report().to_json_deterministic(),
+            again.obs_report().to_json_deterministic()
+        );
+    }
+
+    #[test]
+    fn held_slots_stay_accurate_under_seeded_drops() {
+        // A missed batch changes an area's Step-2 set shape; its held cache
+        // rebuilds for that frame and the next full one.
+        let config = PrototypeConfig {
+            chaos: Some(ChaosSpec { seed: 42, drop_prob: 0.4, ..Default::default() }),
+            exchange_deadline: Duration::from_millis(500),
+            ..Default::default()
+        };
+        let mut proto = SystemPrototype::deploy(ieee118_like(), config).unwrap();
+        let mut missed = 0;
+        for f in 0..6u32 {
+            let report = proto.run_frame(f64::from(f) * 4.0).unwrap();
+            assert!(report.vm_rmse < 1e-2, "frame {}: vm rmse {}", report.frame, report.vm_rmse);
+            missed += report.missed_exchanges.len();
+        }
+        assert!(missed > 0, "40% drops over 6 frames should lose something");
     }
 
     #[test]

@@ -259,8 +259,8 @@ impl AreaEstimator {
 
     /// The first Gauss–Newton gain system `(G, rhs)` of a Step-1 solve:
     /// `G = HᵀWH` and `rhs = HᵀWr` evaluated at the flat start, read off a
-    /// freshly begun wave — exactly the linear system
-    /// [`AreaEstimator::step1`] solves on its first iteration. Exposed so
+    /// freshly begun wave — exactly the linear system a cold
+    /// [`AreaEstimator::step1_cached`] solves on its first iteration. Exposed so
     /// conformance tests and benchmarks can exercise the sparse solvers on
     /// *real* per-area gain matrices instead of synthetic ones.
     ///
@@ -294,17 +294,10 @@ impl AreaEstimator {
         self.step1_est.wave_begin(set, None, cache)
     }
 
-    /// DSE Step 1: local WLS on the area's own measurements.
-    ///
-    /// # Errors
-    /// Propagates WLS failures (unobservable area, solver breakdown).
-    pub fn step1(&self, set: &MeasurementSet) -> Result<AreaSolution, WlsError> {
-        self.step1_cached(set, &mut SolveCache::new())
-    }
-
-    /// [`AreaEstimator::step1`] with cross-frame structure reuse and a
-    /// warm start from the previous frame's Step-1 solution — the
-    /// streaming service's hot path.
+    /// DSE Step 1: local WLS on the area's own measurements, through
+    /// `cache`. The cache carries the symbolic structures and the factor
+    /// across frames and warm-starts the solve from the previous frame's
+    /// Step-1 solution; a new [`SolveCache`] gives the cold solve.
     ///
     /// # Errors
     /// Propagates WLS failures (unobservable area, solver breakdown).
@@ -340,28 +333,12 @@ impl AreaEstimator {
 
     /// DSE Step 2: re-evaluates the boundary and sensitive states using the
     /// local measurements plus the neighbours' pseudo measurements on the
-    /// one-hop-extended model. Buses outside the re-evaluated set keep
-    /// their Step-1 solution.
-    ///
-    /// # Errors
-    /// Propagates WLS failures.
-    pub fn step2(
-        &self,
-        step1: &AreaSolution,
-        neighbor_pseudo: &[PseudoMeasurement],
-        local_set: &MeasurementSet,
-        noise_level: f64,
-        seed: u64,
-    ) -> Result<AreaSolution, WlsError> {
-        let mut cache = SolveCache::new();
-        self.step2_cached(step1, neighbor_pseudo, local_set, noise_level, seed, &mut cache)
-    }
-
-    /// [`AreaEstimator::step2`] with cross-frame structure reuse: the same
-    /// cached WLS engine as Step 1, on the extended model. The warm start
-    /// still comes from Step 1 + pseudo values (fresher than the previous
-    /// frame's extended state); the symbolic structures and, under the
-    /// direct solver, the factor they refresh are carried across frames.
+    /// one-hop-extended model, through `cache`. Buses outside the
+    /// re-evaluated set keep their Step-1 solution. The warm start is
+    /// explicit — Step 1 + the pseudo values — so a held cache gives bit
+    /// for bit what a new one gives; it carries the symbolic structures
+    /// and the factor they refresh, and rebuilds them when a missed
+    /// neighbour batch changes the set's shape.
     ///
     /// # Errors
     /// Propagates WLS failures.
@@ -504,7 +481,7 @@ mod tests {
         let est = AreaEstimator::new(d.areas[0].clone(), &net, &pf, WlsOptions::default());
         // Tiny noise: Step 1 must land very near the truth.
         let set = est.generate_telemetry(0.05, 7);
-        let sol = est.step1(&set).unwrap();
+        let sol = est.step1_cached(&set, &mut SolveCache::new()).unwrap();
         for (l, &g) in est.info.global_ids.iter().enumerate() {
             assert!((sol.vm[l] - pf.vm[g]).abs() < 5e-3, "vm bus {g}");
             assert!((sol.va[l] - pf.va[g]).abs() < 5e-3, "va bus {g}");
@@ -517,7 +494,7 @@ mod tests {
         for info in &d.areas {
             let est = AreaEstimator::new(info.clone(), &net, &pf, WlsOptions::default());
             let set = est.generate_telemetry(1.0, 3);
-            let sol = est.step1(&set);
+            let sol = est.step1_cached(&set, &mut SolveCache::new());
             assert!(sol.is_ok(), "area {} failed: {:?}", info.area, sol.err());
         }
     }
@@ -527,7 +504,7 @@ mod tests {
         let (net, pf, d) = setup();
         let est = AreaEstimator::new(d.areas[2].clone(), &net, &pf, WlsOptions::default());
         let set = est.generate_telemetry(1.0, 1);
-        let sol = est.step1(&set).unwrap();
+        let sol = est.step1_cached(&set, &mut SolveCache::new()).unwrap();
         let pseudo = est.export_pseudo(&sol);
         assert_eq!(pseudo.len(), est.info.gs());
         for p in &pseudo {
@@ -547,8 +524,11 @@ mod tests {
         let noise = 1.0;
         let sets: Vec<MeasurementSet> =
             estimators.iter().map(|e| e.generate_telemetry(noise, 11)).collect();
-        let step1: Vec<AreaSolution> =
-            estimators.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
+        let step1: Vec<AreaSolution> = estimators
+            .iter()
+            .zip(&sets)
+            .map(|(e, s)| e.step1_cached(s, &mut SolveCache::new()).unwrap())
+            .collect();
         let all_pseudo: Vec<Vec<PseudoMeasurement>> = estimators
             .iter()
             .zip(&step1)
@@ -562,7 +542,9 @@ mod tests {
         for &nb in &estimators[a].info.neighbors {
             inbox.extend(all_pseudo[nb].iter().copied());
         }
-        let s2 = estimators[a].step2(&step1[a], &inbox, &sets[a], noise, 13).unwrap();
+        let s2 = estimators[a]
+            .step2_cached(&step1[a], &inbox, &sets[a], noise, 13, &mut SolveCache::new())
+            .unwrap();
 
         let err = |sol: &AreaSolution| -> f64 {
             estimators[a]
@@ -599,8 +581,11 @@ mod tests {
         let noise = 1.0;
         let sets: Vec<MeasurementSet> =
             estimators.iter().map(|e| e.generate_telemetry(noise, 11)).collect();
-        let step1: Vec<AreaSolution> =
-            estimators.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
+        let step1: Vec<AreaSolution> = estimators
+            .iter()
+            .zip(&sets)
+            .map(|(e, s)| e.step1_cached(s, &mut SolveCache::new()).unwrap())
+            .collect();
         let all_pseudo: Vec<Vec<PseudoMeasurement>> =
             estimators.iter().zip(&step1).map(|(e, s)| e.export_pseudo(s)).collect();
 
@@ -616,7 +601,9 @@ mod tests {
         for &nb in &estimators[a].info.neighbors {
             inbox.extend(all_pseudo[nb].iter().copied());
         }
-        let s2 = estimators[a].step2(&step1[a], &inbox, &sets[a], noise, 13).unwrap();
+        let s2 = estimators[a]
+            .step2_cached(&step1[a], &inbox, &sets[a], noise, 13, &mut SolveCache::new())
+            .unwrap();
         let mut s2_cache = SolveCache::new();
         let s2c = estimators[a]
             .step2_cached(&step1[a], &inbox, &sets[a], noise, 13, &mut s2_cache)
@@ -635,6 +622,52 @@ mod tests {
         assert_eq!(s1_cache.symbolic_builds, 1);
         assert_eq!(s1_cache.symbolic_reuses, 1);
         assert_eq!(s1_cache.warm_solves, 1);
+    }
+
+    #[test]
+    fn a_held_step2_cache_follows_a_changing_inbox_exactly() {
+        let (net, pf, d) = setup();
+        let ests: Vec<AreaEstimator> = d
+            .areas
+            .iter()
+            .map(|a| AreaEstimator::new(a.clone(), &net, &pf, WlsOptions::default()))
+            .collect();
+        let a = 4usize;
+        let lost = ests[a].info.neighbors[0];
+        assert!(ests[a].info.neighbors.len() > 1);
+        // One held cache through full → one-neighbour-missing → full →
+        // full inboxes: a missed batch drops its pseudo rows, so the set
+        // changes shape and the cache rebuilds once per change.
+        let mut held = SolveCache::new();
+        for (f, (missing, builds)) in
+            [(None, 1), (Some(lost), 2), (None, 3), (None, 3)].into_iter().enumerate()
+        {
+            let seed = 30 + f as u64;
+            let sets: Vec<MeasurementSet> =
+                ests.iter().map(|e| e.generate_telemetry(1.0, seed)).collect();
+            let step1: Vec<AreaSolution> = ests
+                .iter()
+                .zip(&sets)
+                .map(|(e, s)| e.step1_cached(s, &mut SolveCache::new()).unwrap())
+                .collect();
+            let inbox: Vec<PseudoMeasurement> = (ests[a].info.neighbors.iter())
+                .filter(|&&nb| Some(nb) != missing)
+                .flat_map(|&nb| ests[nb].export_pseudo(&step1[nb]))
+                .collect();
+            let step2 = |cache: &mut SolveCache| {
+                ests[a].step2_cached(&step1[a], &inbox, &sets[a], 1.0, seed, cache).unwrap()
+            };
+            let (h, fresh) = (step2(&mut held), step2(&mut SolveCache::new()));
+            // The warm start is explicit, so the held cache is bit for bit
+            // the fresh one.
+            assert_eq!(h.iterations, fresh.iterations, "frame {f}");
+            for (p, q) in h.vm.iter().chain(&h.va).zip(fresh.vm.iter().chain(&fresh.va)) {
+                assert_eq!(p.to_bits(), q.to_bits(), "frame {f}");
+            }
+            assert_eq!(h.objective.to_bits(), fresh.objective.to_bits(), "frame {f}");
+            assert_eq!(held.symbolic_builds, builds, "frame {f}");
+        }
+        assert_eq!(held.symbolic_reuses, 1);
     }
 
     #[test]
@@ -691,7 +724,7 @@ mod tests {
         let s_layout = est.step1_cached(&clean, &mut cache).unwrap();
         est.step1_cached(&placed, &mut cache).ok();
         assert_eq!(cache.symbolic_builds, 1);
-        let bare = est.step1(&scan).unwrap();
+        let bare = est.step1_cached(&scan, &mut SolveCache::new()).unwrap();
         let fresh = est.step1_cached(&clean, &mut SolveCache::new()).unwrap();
         assert_eq!(bare.iterations, fresh.iterations);
         for (p, q) in bare.vm.iter().chain(&bare.va).zip(fresh.vm.iter().chain(&fresh.va)) {

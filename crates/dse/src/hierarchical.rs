@@ -214,6 +214,7 @@ mod tests {
     use super::*;
     use crate::decomposition::{decompose, DecompositionOptions};
     use crate::estimator::AreaEstimator;
+    use pgse_estimation::wls::SolveCache;
     use pgse_grid::cases::ieee118_like;
     use pgse_powerflow::{solve, PfOptions};
 
@@ -236,7 +237,7 @@ mod tests {
             .collect();
         let step1: Vec<AreaSolution> = estimators
             .iter()
-            .map(|e| e.step1(&e.generate_telemetry(1.0, 9)).unwrap())
+            .map(|e| e.step1_cached(&e.generate_telemetry(1.0, 9), &mut SolveCache::new()).unwrap())
             .collect();
         let uploads: Vec<Vec<PseudoMeasurement>> = estimators
             .iter()

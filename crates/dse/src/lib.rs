@@ -7,10 +7,10 @@
 //!   decomposed into non-overlapping subsystems (areas) joined by tie
 //!   lines; off-line sensitivity analysis identifies each subsystem's
 //!   boundary buses and *sensitive internal* buses.
-//! * **Step 1** ([`estimator::AreaEstimator::step1`]): every subsystem runs
+//! * **Step 1** ([`estimator::AreaEstimator::step1_cached`]): every subsystem runs
 //!   local WLS estimation on its own measurements. PMUs provide the shared
 //!   angle reference, so local solutions live in the global frame.
-//! * **Step 2** ([`estimator::AreaEstimator::step2`]): neighbours exchange
+//! * **Step 2** ([`estimator::AreaEstimator::step2_cached`]): neighbours exchange
 //!   their boundary/sensitive-bus solutions as *pseudo measurements*
 //!   ([`pseudo::PseudoMeasurement`]); each subsystem re-evaluates its
 //!   boundary and sensitive states on a one-hop-extended model.
@@ -28,7 +28,9 @@
 //! and how a round's pseudo measurements travel. [`runner::InProcess`]
 //! runs them on one rayon pool; `pgse-core` runs them on its cluster
 //! fleet and ships the batches through the MeDICi middleware exactly as
-//! Fig. 6 describes.
+//! Fig. 6 describes. Each area solves on its [`runner::AreaSlot`], which
+//! its host keeps across frames, so a warm frame refreshes the area's
+//! factors instead of re-analysing them.
 
 #![warn(clippy::too_many_lines)]
 
@@ -43,6 +45,6 @@ pub use estimator::{AreaEstimator, AreaSolution};
 pub use hierarchical::{reconcile_hierarchy, Coordinator};
 pub use pseudo::PseudoMeasurement;
 pub use runner::{
-    run_centralized, run_cycle, run_dse, run_dse_degraded, DegradationDelta, Delivery, DropPlan,
-    DseOptions, DseReport, Exchange, InProcess, MissedExchange, Step,
+    run_centralized, run_cycle, run_dse, run_dse_degraded, AreaSlot, DegradationDelta, Delivery,
+    DropPlan, DseOptions, DseReport, Exchange, InProcess, MissedExchange, Step,
 };

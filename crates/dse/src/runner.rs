@@ -15,8 +15,9 @@ use rayon::prelude::*;
 use pgse_estimation::jacobian::StateSpace;
 use pgse_estimation::measurement::MeasurementSet;
 use pgse_estimation::synthetic::TelemetryPlan;
-use pgse_estimation::wls::{StateEstimate, WlsError, WlsEstimator, WlsOptions};
+use pgse_estimation::wls::{SolveCache, StateEstimate, WlsError, WlsEstimator, WlsOptions};
 use pgse_grid::Network;
+use pgse_obs::SpanGuard;
 use pgse_powerflow::PfSolution;
 
 use crate::decomposition::{decompose, Decomposition, DecompositionOptions};
@@ -171,6 +172,26 @@ pub fn aggregate(decomp: &Decomposition, areas: &[AreaSolution]) -> (Vec<f64>, V
     (vm, va)
 }
 
+/// What one area carries from frame to frame: the solve caches of its two
+/// steps and what its last frame left. Whoever hosts the areas owns one
+/// slot per area for as long as the topology holds — the prototype for its
+/// deployment, the streaming service for its run, a `run_dse` call for
+/// that call — so a warm frame refreshes each area's factor instead of
+/// re-analysing and re-factoring its gain.
+#[derive(Debug, Default)]
+pub struct AreaSlot {
+    /// Step-1 solve cache: symbolic structures, cached factor, warm start.
+    pub s1: SolveCache,
+    /// Step-2 solve cache.
+    pub s2: SolveCache,
+    /// The area's last scan, placed on its Step-1 layout (the streaming
+    /// service keeps the rows its LNR loop rejected inactive).
+    pub set: Option<MeasurementSet>,
+    /// The area's last merged solution: what it publishes when a round
+    /// brings it nothing fresh.
+    pub solution: Option<AreaSolution>,
+}
+
 /// The two estimation steps of a cycle.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum Step {
@@ -194,15 +215,16 @@ pub struct Delivery {
 /// The seam between the DSE cycle and what hosts it: where the areas of a
 /// step run, and how a round's batches travel.
 pub trait Exchange {
-    /// Runs `job(area)` for every area of `step`; the result is indexed by
-    /// area.
+    /// Runs `job(area, slot)` for every area of `step`, each on its own
+    /// area's slot (`slots[area]`); the result is indexed by area.
     ///
     /// # Errors
     /// The first WLS failure of any area.
     fn run_step(
         &mut self,
         step: Step,
-        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+        slots: &mut [AreaSlot],
+        job: &(dyn Fn(usize, &mut AreaSlot) -> Result<AreaSolution, WlsError> + Sync),
     ) -> Result<Vec<AreaSolution>, WlsError>;
 
     /// Delivers round `round`'s batches (`batches[a]` is area `a`'s
@@ -214,24 +236,29 @@ pub trait Exchange {
 /// and Step 1, then one exchange + Step-2 round per entry of
 /// `step2_seeds` (the round's Step-2 seed), then aggregation. An area
 /// whose inbox comes back empty keeps its current solution for the round,
-/// and one with neighbours is then degraded. Returns the report and the
-/// frame's telemetry.
+/// and one with neighbours is then degraded. Every solve goes through its
+/// area's slot: Step 1 warm-starts from the slot's last Step-1 solution,
+/// and both steps refresh the slot's factors while their shapes hold. On
+/// success each slot holds the frame's telemetry and final solution.
 ///
 /// # Errors
 /// The first WLS failure of any area.
 pub fn run_cycle(
     decomp: &Decomposition,
     estimators: &[AreaEstimator],
+    slots: &mut [AreaSlot],
     noise_level: f64,
     seed: u64,
     step2_seeds: &[u64],
     exchange: &mut impl Exchange,
-) -> Result<(DseReport, Vec<MeasurementSet>), WlsError> {
+) -> Result<DseReport, WlsError> {
     let step1_span = pgse_obs::span("frame.step1");
     let t0 = Instant::now();
     let sets: Vec<MeasurementSet> =
         estimators.iter().map(|e| e.generate_telemetry(noise_level, seed)).collect();
-    let step1 = exchange.run_step(Step::One, &|a| estimators[a].step1(&sets[a]))?;
+    let step1 = exchange.run_step(Step::One, slots, &|a, slot| {
+        estimators[a].step1_cached(&sets[a], &mut slot.s1)
+    })?;
     let step1_time = t0.elapsed();
     drop(step1_span);
 
@@ -241,29 +268,24 @@ pub fn run_cycle(
     let mut missed_exchanges = Vec::new();
     let mut degraded_areas = Vec::new();
     for (round, &step2_seed) in step2_seeds.iter().enumerate() {
-        let mut exchange_span = pgse_obs::span("frame.exchange");
+        let exchange_span = pgse_obs::span("frame.exchange");
         let batches: Vec<Vec<PseudoMeasurement>> =
             estimators.iter().zip(&current).map(|(e, s)| e.export_pseudo(s)).collect();
         let Delivery { inboxes, bytes, missed } = exchange.deliver(round, &batches);
         let degraded: Vec<usize> = (0..estimators.len())
             .filter(|&a| inboxes[a].is_empty() && !estimators[a].info.neighbors.is_empty())
             .collect();
-        exchange_span.record("bytes", bytes);
-        exchange_span.record("missed", missed.len() as u64);
-        exchange_span.record("degraded", degraded.len() as u64);
-        drop(exchange_span);
-        pgse_obs::counter_add("exchange.bytes", bytes);
-        pgse_obs::counter_add("exchange.missed", missed.len() as u64);
-        pgse_obs::counter_add("exchange.degraded", degraded.len() as u64);
+        close_exchange(exchange_span, bytes, missed.len() as u64, degraded.len() as u64);
 
         let step2_span = pgse_obs::span("frame.step2");
-        current = exchange.run_step(Step::Two, &|a| {
+        current = exchange.run_step(Step::Two, slots, &|a, slot| {
             if inboxes[a].is_empty() {
                 // No boundary information this round: the area proceeds
                 // on its current solution rather than failing the cycle.
                 return Ok(current[a].clone());
             }
-            estimators[a].step2(&current[a], &inboxes[a], &sets[a], noise_level, step2_seed)
+            let (sol, inbox) = (&current[a], &inboxes[a]);
+            estimators[a].step2_cached(sol, inbox, &sets[a], noise_level, step2_seed, &mut slot.s2)
         })?;
         drop(step2_span);
         exchanged_bytes += bytes;
@@ -277,8 +299,11 @@ pub fn run_cycle(
     degraded_areas.dedup();
 
     let (vm, va) = aggregate(decomp, &current);
-    let step1_iterations = step1.iter().map(|s| s.iterations).collect();
-    let report = DseReport {
+    for ((slot, set), sol) in slots.iter_mut().zip(sets).zip(&current) {
+        (slot.set, slot.solution) = (Some(set), Some(sol.clone()));
+    }
+    Ok(DseReport {
+        step1_iterations: step1.iter().map(|s| s.iterations).collect(),
         step1,
         final_areas: current,
         vm,
@@ -286,11 +311,21 @@ pub fn run_cycle(
         step1_time,
         step2_time,
         exchanged_bytes,
-        step1_iterations,
         missed_exchanges,
         degraded_areas,
-    };
-    Ok((report, sets))
+    })
+}
+
+/// Closes a round's `frame.exchange` span with the round's counts and adds
+/// them to the `exchange.{bytes,missed,degraded}` counters.
+fn close_exchange(mut span: SpanGuard, bytes: u64, missed: u64, degraded: u64) {
+    span.record("bytes", bytes);
+    span.record("missed", missed);
+    span.record("degraded", degraded);
+    drop(span);
+    pgse_obs::counter_add("exchange.bytes", bytes);
+    pgse_obs::counter_add("exchange.missed", missed);
+    pgse_obs::counter_add("exchange.degraded", degraded);
 }
 
 /// The in-process [`Exchange`]: every area of a step runs on the rayon
@@ -307,9 +342,10 @@ impl Exchange for InProcess<'_> {
     fn run_step(
         &mut self,
         _: Step,
-        job: &(dyn Fn(usize) -> Result<AreaSolution, WlsError> + Sync),
+        slots: &mut [AreaSlot],
+        job: &(dyn Fn(usize, &mut AreaSlot) -> Result<AreaSolution, WlsError> + Sync),
     ) -> Result<Vec<AreaSolution>, WlsError> {
-        (0..self.decomp.n_areas()).into_par_iter().map(job).collect()
+        slots.par_iter_mut().enumerate().map(|(a, slot)| job(a, slot)).collect()
     }
 
     fn deliver(&mut self, round: usize, batches: &[Vec<PseudoMeasurement>]) -> Delivery {
@@ -345,7 +381,8 @@ pub fn run_dse(net: &Network, pf: &PfSolution, opts: &DseOptions) -> Result<DseR
 /// [`run_dse`] under an exchange-loss model: lost neighbour batches are
 /// recorded as [`MissedExchange`]s and the affected areas degrade
 /// gracefully (an empty inbox keeps the area's current solution for that
-/// round) instead of failing the cycle.
+/// round) instead of failing the cycle. Every call runs on fresh
+/// [`AreaSlot`]s, so its report depends on its arguments only.
 ///
 /// # Errors
 /// Propagates the first WLS failure of any area.
@@ -364,10 +401,10 @@ pub fn run_dse_degraded(
     // Exchange rounds are bounded by the decomposition diameter.
     let rounds = opts.rounds.clamp(1, decomp.diameter().max(1));
     let step2_seeds: Vec<u64> = (0..rounds).map(|r| opts.seed ^ (r as u64 + 1)).collect();
+    let mut slots: Vec<AreaSlot> = estimators.iter().map(|_| AreaSlot::default()).collect();
     let mut exchange = InProcess { decomp: &decomp, plan: *plan };
-    let (report, _) =
-        run_cycle(&decomp, &estimators, opts.noise_level, opts.seed, &step2_seeds, &mut exchange)?;
-    Ok(report)
+    let (noise, seed) = (opts.noise_level, opts.seed);
+    run_cycle(&decomp, &estimators, &mut slots, noise, seed, &step2_seeds, &mut exchange)
 }
 
 /// The centralized baseline: one WLS over the whole interconnection with

@@ -178,11 +178,6 @@ impl SolveCache {
         self.refactor_full = 0;
     }
 
-    /// Whether symbolic structures are currently cached.
-    pub fn has_structures(&self) -> bool {
-        self.pattern.is_some()
-    }
-
     /// The gain matrix of the last assembled iteration — its *pattern* is
     /// what a caller looks up a shared symbolic factorization by.
     pub fn gain(&self) -> Option<&Csr> {
@@ -335,22 +330,13 @@ impl WlsEstimator {
         &self.space
     }
 
-    /// Runs Gauss–Newton WLS from a flat start.
+    /// Runs Gauss–Newton WLS from a flat start — the cached engine on a
+    /// throwaway [`SolveCache`], so nothing survives the call.
     ///
     /// # Errors
     /// See [`WlsError`].
     pub fn estimate(&self, set: &MeasurementSet) -> Result<StateEstimate, WlsError> {
-        self.estimate_from(set, None)
-    }
-
-    /// Runs WLS from the given warm-start profile `(vm, va)` — the cached
-    /// engine on a throwaway [`SolveCache`], so nothing survives the call.
-    pub fn estimate_from(
-        &self,
-        set: &MeasurementSet,
-        warm: Option<(&[f64], &[f64])>,
-    ) -> Result<StateEstimate, WlsError> {
-        self.estimate_cached(set, warm, &mut SolveCache::new())
+        self.estimate_cached(set, None, &mut SolveCache::new())
     }
 
     /// Runs WLS with cross-frame structure reuse and cache-managed warm
@@ -1043,7 +1029,6 @@ mod tests {
         est.estimate_cached(&set, None, &mut cache).unwrap();
         let desc = cache.structure_descriptor().unwrap();
         cache.retain_structures_for_restart();
-        assert!(cache.has_structures());
         assert_eq!(cache.structure_descriptor(), Some(desc));
         assert!(cache.warm_state().is_none());
         assert_eq!(cache.symbolic_builds, 0);
@@ -1195,7 +1180,9 @@ mod tests {
             WlsOptions::default(),
         );
         let cold = est.estimate(&set).unwrap();
-        let warm = est.estimate_from(&set, Some((&truth.vm, &truth.va))).unwrap();
+        let warm = est
+            .estimate_cached(&set, Some((&truth.vm, &truth.va)), &mut SolveCache::new())
+            .unwrap();
         assert!(warm.iterations <= cold.iterations);
     }
 }

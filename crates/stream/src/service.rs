@@ -5,10 +5,10 @@
 //! measurement frames per area over `pgse-medici` endpoints; per-area
 //! listener threads decode them into bounded [`IngestQueue`]s; the solve
 //! loop runs one DSE round per iteration on **warm-started,
-//! structure-cached WLS** ([`SolveCache`]) and publishes each aggregated
-//! system state into the lock-free [`SnapshotStore`]. The steps of a
-//! round, in order and by method name, are DESIGN.md §9 ("Anatomy of a
-//! round").
+//! structure-cached WLS** (each area's [`AreaSlot`]) and publishes each
+//! aggregated system state into the lock-free [`SnapshotStore`]. The
+//! steps of a round, in order and by method name, are DESIGN.md §9
+//! ("Anatomy of a round").
 //!
 //! Two pacing modes:
 //!
@@ -31,8 +31,8 @@
 //! Supervision (DESIGN.md §11): at deploy time the areas are mapped onto
 //! [`SupervisorConfig::n_clusters`] HPC clusters by partitioning the
 //! decomposition graph. Each round closes on a [`Watchdog`]: a dead worker
-//! restarts from its latest [`AreaCheckpoint`], and a cluster whose every
-//! worker died is failed over to the survivors
+//! restarts from its latest [`supervise::AreaCheckpoint`], and a cluster
+//! whose every worker died is failed over to the survivors
 //! ([`pgse_partition::repartition_shrink`],
 //! [`pgse_cluster::plan_redistribution`]) with the snapshot epoch strictly
 //! monotone across the handoff. Solve panics (injectable via
@@ -66,11 +66,13 @@ use std::time::{Duration, Instant};
 use pgse_cluster::{plan_redistribution, FleetLiveness};
 use pgse_dse::decomposition::decompose;
 use pgse_dse::runner::aggregate;
-use pgse_dse::{AreaEstimator, AreaSolution, Decomposition, DecompositionOptions, PseudoMeasurement};
+use pgse_dse::{
+    AreaEstimator, AreaSlot, AreaSolution, Decomposition, DecompositionOptions, PseudoMeasurement,
+};
 use pgse_estimation::baddata::BadDataReport;
 use pgse_estimation::measurement::{MeasurementKind, MeasurementSet};
 use pgse_estimation::synthetic::NoiseProcess;
-use pgse_estimation::wls::{GnWave, SolveCache, StateEstimate, WlsError, WlsOptions};
+use pgse_estimation::wls::{GnWave, StateEstimate, WlsError, WlsOptions};
 use pgse_estimation::{baddata, restoration};
 use pgse_grid::Network;
 use pgse_medici::{
@@ -89,7 +91,7 @@ use rayon::prelude::*;
 use crate::ingest::{IngestQueue, IngestStats};
 use crate::snapshot::{SnapshotStore, SystemSnapshot};
 use crate::supervise::{
-    AreaCheckpoint, CheckpointStore, KillSchedule, SupervisionEvent, SupervisorConfig, Watchdog,
+    self, CheckpointStore, KillSchedule, SupervisionEvent, SupervisorConfig, Watchdog,
     WorkerHealth,
 };
 use crate::wire::{self, StreamFrame, TopologyEvent};
@@ -948,64 +950,6 @@ fn contain<T, E>(rec: &Recorder, f: impl FnOnce() -> Result<T, E>) -> Step<T> {
     }
 }
 
-/// What one area carries from round to round.
-#[derive(Default)]
-struct AreaSlot {
-    /// Step-1 solve cache: symbolic structures, cached factor, warm start.
-    s1: SolveCache,
-    /// Step-2 solve cache.
-    s2: SolveCache,
-    /// The area's last scan, placed on its Step-1 layout (with the rows
-    /// the LNR loop rejected inactive).
-    set: Option<MeasurementSet>,
-    /// The area's last merged solution: what it publishes when a round
-    /// brings it nothing fresh.
-    solution: Option<AreaSolution>,
-}
-
-impl AreaSlot {
-    /// A checkpoint of the slot after a fresh solve of frame `seq`.
-    fn checkpoint(&self, area: usize, seq: u64) -> AreaCheckpoint {
-        AreaCheckpoint {
-            area,
-            frame_seq: seq,
-            warm: self.s1.export_warm(),
-            last_set: self.set.clone(),
-            last_solution: self.solution.clone(),
-            structure: self.s1.structure_descriptor(),
-        }
-    }
-
-    /// Brings the slot back for a restarted worker: fresh caches, then the
-    /// checkpoint's warm start and scan when there is one. Returns whether
-    /// the symbolic structures were retained.
-    ///
-    /// Structure retention: when the checkpointed
-    /// [`pgse_estimation::wls::StructureDescriptor`] matches what the live
-    /// Step-1 cache is running with, the topology is verified unchanged
-    /// across the failure, so the symbolic analyses (Jacobian pattern,
-    /// gain `AᵀWA` symbolic) survive the restart instead of being rebuilt
-    /// on the first post-revive frame.
-    fn revive(&mut self, ck: Option<AreaCheckpoint>) -> bool {
-        let live = self.s1.structure_descriptor();
-        let retained = live.is_some() && ck.as_ref().is_some_and(|ck| ck.structure == live);
-        if retained {
-            self.s1.retain_structures_for_restart();
-            self.s2.retain_structures_for_restart();
-        } else {
-            self.s1 = SolveCache::new();
-            self.s2 = SolveCache::new();
-        }
-        self.set = ck.and_then(|ck| {
-            if let Some((vm, va)) = ck.warm {
-                self.s1.restore_warm(vm, va);
-            }
-            ck.last_set
-        });
-        retained
-    }
-}
-
 /// One solve round: the frame sequence it solves and each area's part.
 struct Round {
     /// The newest frame sequence popped — the round's clock.
@@ -1563,7 +1507,7 @@ impl<'s> Solver<'s> {
                 continue;
             }
             if solved && checkpoint {
-                self.ckpts.save(self.slots[a].checkpoint(a, seq));
+                self.ckpts.save(supervise::checkpoint(&self.slots[a], a, seq));
                 self.svc.sup_rec.counter_add("failover.checkpoints", 1);
             }
             if !ar.restart {
@@ -1717,7 +1661,7 @@ impl Solver<'_> {
         revived
     }
 
-    /// Brings a worker back ([`AreaSlot::revive`]) from its latest
+    /// Brings a worker back ([`supervise::revive`]) from its latest
     /// checkpoint, when one exists. Returns whether the restart was warm.
     /// The area's recorder keeps its solve-cache counts across the restart.
     fn revive(&mut self, a: usize) -> bool {
@@ -1726,7 +1670,7 @@ impl Solver<'_> {
         let warm = ck.as_ref().is_some_and(|ck| ck.warm.is_some());
         let book = if ck.is_some() { "failover.restores" } else { "failover.cold_restarts" };
         rec.counter_add(book, 1);
-        if self.slots[a].revive(ck) {
+        if supervise::revive(&mut self.slots[a], ck) {
             rec.counter_add("failover.symbolic_retained", 1);
         }
         self.worker_alive[a] = true;

@@ -35,9 +35,9 @@
 
 use std::sync::Mutex;
 
-use pgse_dse::AreaSolution;
+use pgse_dse::{AreaSlot, AreaSolution};
 use pgse_estimation::measurement::MeasurementSet;
-use pgse_estimation::wls::StructureDescriptor;
+use pgse_estimation::wls::{SolveCache, StructureDescriptor};
 
 /// Supervisor tuning. All deadlines are measured in solve rounds — the
 /// deterministic clock — never in wall time.
@@ -313,6 +313,46 @@ impl AreaCheckpoint {
         let sol = self.last_solution.as_ref().map_or(0, AreaSolution::approx_bytes);
         warm + scan + sol + 64
     }
+}
+
+/// A checkpoint of `area`'s slot after a fresh solve of frame `seq`.
+pub(crate) fn checkpoint(slot: &AreaSlot, area: usize, seq: u64) -> AreaCheckpoint {
+    AreaCheckpoint {
+        area,
+        frame_seq: seq,
+        warm: slot.s1.export_warm(),
+        last_set: slot.set.clone(),
+        last_solution: slot.solution.clone(),
+        structure: slot.s1.structure_descriptor(),
+    }
+}
+
+/// Brings `slot` back for a restarted worker: fresh caches, then the
+/// checkpoint's warm start and scan when there is one. Returns whether the
+/// symbolic structures were retained.
+///
+/// Structure retention: when the checkpointed [`StructureDescriptor`]
+/// matches what the live Step-1 cache is running with, the topology is
+/// verified unchanged across the failure, so the symbolic analyses
+/// (Jacobian pattern, gain `AᵀWA` symbolic) survive the restart instead of
+/// being rebuilt on the first post-revive frame.
+pub(crate) fn revive(slot: &mut AreaSlot, ck: Option<AreaCheckpoint>) -> bool {
+    let live = slot.s1.structure_descriptor();
+    let retained = live.is_some() && ck.as_ref().is_some_and(|ck| ck.structure == live);
+    if retained {
+        slot.s1.retain_structures_for_restart();
+        slot.s2.retain_structures_for_restart();
+    } else {
+        slot.s1 = SolveCache::new();
+        slot.s2 = SolveCache::new();
+    }
+    slot.set = ck.and_then(|ck| {
+        if let Some((vm, va)) = ck.warm {
+            slot.s1.restore_warm(vm, va);
+        }
+        ck.last_set
+    });
+    retained
 }
 
 /// Checkpoint accounting.

@@ -11,7 +11,7 @@ use pgse::core::{PrototypeConfig, SystemPrototype};
 use pgse::dse::decomposition::{decompose, DecompositionOptions};
 use pgse::dse::estimator::AreaEstimator;
 use pgse::dse::hierarchical::{reconcile_hierarchy, Coordinator};
-use pgse::estimation::wls::WlsOptions;
+use pgse::estimation::wls::{SolveCache, WlsOptions};
 use pgse::grid::cases::{synthetic_grid, SyntheticSpec};
 use pgse::powerflow::{solve, PfOptions};
 
@@ -54,7 +54,9 @@ fn main() {
     let t0 = std::time::Instant::now();
     let step1: Vec<_> = estimators
         .iter()
-        .map(|e| e.step1(&e.generate_telemetry(1.0, 17)).expect("step1"))
+        .map(|e| {
+            e.step1_cached(&e.generate_telemetry(1.0, 17), &mut SolveCache::new()).expect("step1")
+        })
         .collect();
     let uploads: Vec<_> =
         estimators.iter().zip(&step1).map(|(e, s)| e.export_pseudo(s)).collect();

@@ -3,9 +3,10 @@
 //! Runs the full IEEE-118 prototype and checks the pipeline's behaviour
 //! *from its own trace*: the per-scope `ObsReport` must prove that every
 //! area ran Step 1 before Step 2, that every Gauss–Newton step solved its
-//! gain system through exactly one (re)factorization, that a healthy
-//! exchange spent zero retries, and that the logical-clock trace is
-//! byte-identical across same-seed runs.
+//! gain system through exactly one (re)factorization, that each area's
+//! gain structures are analysed once however many frames run, that a
+//! healthy exchange spent zero retries, and that the logical-clock trace
+//! is byte-identical across same-seed runs.
 
 use pgse::core::{CoordinationMode, PrototypeConfig, SystemPrototype};
 use pgse::grid::cases::ieee118_like;
@@ -60,6 +61,28 @@ fn every_gn_step_factors_its_gain_exactly_once() {
         let pcg: Vec<&String> =
             scope.metrics.counters.keys().filter(|k| k.starts_with("pcg.")).collect();
         assert!(pcg.is_empty(), "{}: unexpected counters {pcg:?}", scope.scope);
+    }
+}
+
+#[test]
+fn held_slots_analyse_each_gain_structure_once_per_deployment() {
+    const FRAMES: u64 = 20;
+    let mut proto = SystemPrototype::deploy(ieee118_like(), PrototypeConfig::default()).unwrap();
+    for f in 0..FRAMES {
+        proto.run_frame(f as f64 * 4.0).unwrap();
+    }
+    let obs = proto.obs_report();
+    // Two gain structures per area (Step 1 and Step 2), analysed on the
+    // first frame and reused on every later one.
+    let structures = 2 * N_AREAS as u64;
+    assert_eq!(obs.total_counter("wls.symbolic.build"), structures);
+    assert_eq!(obs.total_counter("wls.symbolic.reuse"), structures * (FRAMES - 1));
+    for a in 0..N_AREAS {
+        let scope = format!("area{a}");
+        let gn = obs.counter(&scope, "wls.gn_iterations");
+        let reuse = obs.counter(&scope, "wls.refactor.reuse");
+        let full = obs.counter(&scope, "wls.refactor.full");
+        assert_eq!(reuse + full, gn, "{scope}: one gain factor per Gauss–Newton step");
     }
 }
 

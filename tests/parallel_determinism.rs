@@ -47,8 +47,11 @@ fn step2_frames(
     for f in 0..frames {
         let sets: Vec<MeasurementSet> =
             ests.iter().map(|e| e.generate_telemetry(1.0, 400 + f)).collect();
-        let s1: Vec<AreaSolution> =
-            ests.iter().zip(&sets).map(|(e, s)| e.step1(s).unwrap()).collect();
+        let s1: Vec<AreaSolution> = ests
+            .iter()
+            .zip(&sets)
+            .map(|(e, s)| e.step1_cached(s, &mut SolveCache::new()).unwrap())
+            .collect();
         let pseudo: Vec<Vec<PseudoMeasurement>> =
             ests.iter().zip(&s1).map(|(e, s)| e.export_pseudo(s)).collect();
         for (a, (set, sol)) in sets.into_iter().zip(s1).enumerate() {
@@ -105,7 +108,9 @@ fn wls_solve_bitwise_identical_parallel_vs_sequential() {
                 for (f, (set, s1, inbox)) in frames.iter().enumerate() {
                     let seed = 900 + f as u64;
                     let cached = est.step2_cached(s1, inbox, set, 1.0, seed, &mut cache).unwrap();
-                    let plain = est.step2(s1, inbox, set, 1.0, seed).unwrap();
+                    let plain = est
+                        .step2_cached(s1, inbox, set, 1.0, seed, &mut SolveCache::new())
+                        .unwrap();
                     assert_eq!(cached.iterations, plain.iterations, "area {a} frame {f}");
                     gn += cached.iterations as u64;
                     for (p, q) in
