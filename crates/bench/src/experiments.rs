@@ -21,7 +21,7 @@ use pgse_partition::{brute_force_optimal, partition_kway};
 use pgse_powerflow::{solve, PfOptions};
 
 /// The paper's cluster names, in partition-index order.
-pub const CLUSTERS: [&str; 3] = ["Nwiceb", "Catamount", "Chinook"];
+const CLUSTERS: [&str; 3] = ["Nwiceb", "Catamount", "Chinook"];
 
 /// Table I / Fig. 3: the initial vertex and edge weights of the IEEE-118
 /// decomposition graph.
@@ -182,7 +182,7 @@ pub fn exp_table2() -> String {
 /// A "utility-area" style split: three BFS regions grown a hop layer at a
 /// time from spread seeds, with no load balancing — the decomposition a
 /// control-center hierarchy gives you before any mapping method runs.
-pub fn naive_three_regions(net: &Network) -> Vec<usize> {
+fn naive_three_regions(net: &Network) -> Vec<usize> {
     let n = net.n_buses();
     let mut adj = vec![Vec::new(); n];
     for br in &net.branches {
@@ -250,7 +250,7 @@ pub fn naive_three_regions(net: &Network) -> Vec<usize> {
 }
 
 /// Tables III/IV payload sizes (bytes), scaled.
-pub fn payload_sizes(scale: f64) -> Vec<u64> {
+fn payload_sizes(scale: f64) -> Vec<u64> {
     [100e6, 200e6, 500e6, 1e9, 2e9]
         .into_iter()
         .map(|s: f64| (s * scale).max(1e6) as u64)

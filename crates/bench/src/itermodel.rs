@@ -19,11 +19,6 @@ pub struct IterationModel {
 impl IterationModel {
     /// The paper's empirical constants for a 14-bus subsystem.
     pub const PAPER_14BUS: IterationModel = IterationModel { g1: 3.7579, g2: 5.2464 };
-
-    /// Predicted iteration count at noise level `x`, clamped to at least 1.
-    pub fn predict(&self, x: f64) -> f64 {
-        (self.g1 * x + self.g2).max(1.0)
-    }
 }
 
 /// Ordinary least-squares fit of `y ≈ g1·x + g2`.
@@ -85,17 +80,10 @@ mod tests {
     }
 
     #[test]
-    fn predict_clamps_at_one() {
-        let m = IterationModel { g1: 1.0, g2: -5.0 };
-        assert_eq!(m.predict(0.0), 1.0);
-        assert_eq!(m.predict(10.0), 5.0);
-    }
-
-    #[test]
     fn paper_constants_available() {
         let m = IterationModel::PAPER_14BUS;
         // The paper's example: a 14-bus subsystem at nominal noise.
-        assert!((m.predict(1.0) - 9.0043).abs() < 1e-3);
+        assert!((m.g1 * 1.0 + m.g2 - 9.0043).abs() < 1e-3);
     }
 
     #[test]

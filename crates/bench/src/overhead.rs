@@ -91,7 +91,7 @@ impl OverheadProbe {
     /// # Panics
     /// Panics on socket failures (the harness runs on loopback; failures
     /// are programming errors, not expected conditions).
-    pub fn direct_nanos(&self, size: u64, link_rate: Option<f64>) -> u64 {
+    fn direct_nanos(&self, size: u64, link_rate: Option<f64>) -> u64 {
         with_recorder(&self.rec, || {
             let registry = EndpointRegistry::new();
             let listener = registry.bind("tcp://destination-se:7000").expect("bind");
@@ -113,7 +113,7 @@ impl OverheadProbe {
 
     /// Measures the same transfer through a MeDICi pipeline relaying at
     /// `relay_rate` (the paper's `T2`/`T4`), in nanoseconds.
-    pub fn middleware_nanos(&self, size: u64, relay_rate: f64, link_rate: Option<f64>) -> u64 {
+    fn middleware_nanos(&self, size: u64, relay_rate: f64, link_rate: Option<f64>) -> u64 {
         with_recorder(&self.rec, || {
             let registry = EndpointRegistry::new();
             let dst = registry.bind("tcp://destination-se:7000").expect("bind dst");

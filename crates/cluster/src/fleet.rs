@@ -51,21 +51,10 @@ impl HpcCluster {
         &self.name
     }
 
-    /// Worker-thread count.
-    pub fn cores(&self) -> usize {
-        self.cores
-    }
-
     /// Runs `job` on this cluster's pool (rayon parallelism inside `job`
     /// uses the cluster's threads, not the global pool).
     pub fn run<T: Send>(&self, job: impl FnOnce() -> T + Send) -> T {
         self.pool.install(job)
-    }
-
-    /// The master node's endpoint URL for `service` — the paper's
-    /// URL-identified estimators (e.g. `tcp://nwiceb.pnl.gov:6789`).
-    pub fn endpoint_url(&self, port: u16) -> String {
-        format!("tcp://{}.pnl.gov:{}", self.name.to_lowercase(), port)
     }
 }
 
@@ -175,11 +164,6 @@ impl FleetLiveness {
         !was
     }
 
-    /// Whether cluster `c` is believed alive.
-    pub fn is_alive(&self, c: usize) -> bool {
-        self.alive[c]
-    }
-
     /// Count of alive clusters.
     pub fn n_alive(&self) -> usize {
         self.alive.iter().filter(|&&a| a).count()
@@ -194,11 +178,6 @@ impl FleetLiveness {
     pub fn dead_clusters(&self) -> Vec<usize> {
         (0..self.alive.len()).filter(|&c| !self.alive[c]).collect()
     }
-
-    /// True when no cluster is left alive (the unrecoverable state).
-    pub fn all_dead(&self) -> bool {
-        self.n_alive() == 0
-    }
 }
 
 #[cfg(test)]
@@ -211,10 +190,10 @@ mod tests {
         assert_eq!(l.n_alive(), 3);
         assert!(l.kill(1), "first kill reports a state change");
         assert!(!l.kill(1), "second kill of the same cluster is a no-op");
-        assert!(!l.is_alive(1));
+        assert!(!l.alive[1]);
         assert_eq!(l.alive_clusters(), vec![0, 2]);
         assert_eq!(l.dead_clusters(), vec![1]);
-        assert!(!l.all_dead());
+        assert!(l.n_alive() != 0);
         assert!(l.revive(1));
         assert!(!l.revive(1), "reviving an alive cluster is a no-op");
         assert_eq!(l.n_alive(), 3);
@@ -225,7 +204,7 @@ mod tests {
         let mut l = FleetLiveness::new(2);
         l.kill(0);
         l.kill(1);
-        assert!(l.all_dead());
+        assert_eq!(l.n_alive(), 0);
         assert_eq!(l.alive_clusters(), Vec::<usize>::new());
     }
 
@@ -238,18 +217,11 @@ mod tests {
     }
 
     #[test]
-    fn endpoint_urls_follow_paper_scheme() {
-        let fleet = ClusterFleet::paper_testbed();
-        assert_eq!(fleet.cluster(0).endpoint_url(6789), "tcp://nwiceb.pnl.gov:6789");
-        assert_eq!(fleet.cluster(2).endpoint_url(7890), "tcp://chinook.pnl.gov:7890");
-    }
-
-    #[test]
     fn cluster_pool_runs_jobs() {
         let c = HpcCluster::new("test", 2);
         let out = c.run(|| (0..100).sum::<i32>());
         assert_eq!(out, 4950);
-        assert_eq!(c.cores(), 2);
+        assert_eq!(c.cores, 2);
     }
 
     #[test]

@@ -14,8 +14,6 @@
 //!   between Step 1 and Step 2 (§IV-C) and their cost on the simulated
 //!   inter-cluster links.
 
-#![warn(clippy::too_many_lines)]
-
 pub mod fleet;
 pub mod interface;
 pub mod redistribution;

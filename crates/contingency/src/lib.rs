@@ -7,35 +7,24 @@
 //! the downstream consumers of the estimated state the paper lists
 //! (§I: "contingency analysis, optimal power flow, economic dispatch…").
 //!
-//! The crate provides the tiers the streaming scenario engine
-//! (`pgse-stream`'s `scenarios` module) composes:
-//! * [`islanding_outages`] / [`screen`] — O(buses + branches) bridge
-//!   analysis of the branch multigraph separating survivable outages from
-//!   islanding ones;
+//! The crate provides the per-case tiers the streaming scenario engine
+//! (`pgse-stream`'s `scenarios` module) composes; the engine owns the
+//! sweep, claiming cases through the counter-based dynamic scheme of \[2\]:
+//! * [`islanding_outages`] — O(buses + branches) bridge analysis of the
+//!   branch multigraph separating survivable outages from islanding ones;
 //! * [`DcScreener`] — the cheap screening tier: cached base-case
 //!   factorization + Sherman–Morrison rank-1 outage pricing ([`dc`]);
 //! * [`analyze_with`] — the expensive tier: a full AC re-solve over one
 //!   [`PfModel`] of the base network, the outaged branch a zero admittance
 //!   on the base pattern, flat- or warm-started from the base operating
 //!   point, with voltage/loading limit checks in base branch numbering;
-//!   [`analyze_one`] / [`analyze_one_warm`] build the model for one case;
-//! * [`run_static`] / [`run_dynamic`] — distribute the contingency list,
-//!   over one shared model per sweep, across worker threads with either
-//!   static pre-partitioning or the
-//!   **counter-based dynamic scheme** of \[2\] (a shared atomic task counter
-//!   each worker increments to claim its next case), timed through
-//!   `pgse-obs` span recorders (`scenario.case` spans; no raw `Instant`
-//!   in this crate), plus the balance metrics that paper compares.
+//!   [`analyze_one`] / [`analyze_one_warm`] build the model for one case.
 
 pub mod dc;
 
 pub use dc::{DcScreener, ScreenVerdict, ScreenedCase};
 
-use std::sync::atomic::{AtomicUsize, Ordering};
-use std::sync::Barrier;
-
 use pgse_grid::Network;
-use pgse_obs::{Recorder, ScopeReport};
 use pgse_powerflow::{PfModel, PfOptions, PfSolution};
 
 /// One contingency case.
@@ -169,20 +158,6 @@ pub fn islanding_outages(net: &Network) -> Vec<usize> {
     bridges
 }
 
-/// Enumerates all single-branch outages that leave the network connected
-/// (islanding outages need remedial-action modelling, out of scope here —
-/// and in \[2\]). The complement of [`islanding_outages`].
-pub fn screen(net: &Network) -> Vec<Contingency> {
-    let mut islands = vec![false; net.n_branches()];
-    for k in islanding_outages(net) {
-        islands[k] = true;
-    }
-    (0..net.n_branches())
-        .filter(|&k| !islands[k])
-        .map(Contingency::BranchOutage)
-        .collect()
-}
-
 /// Emergency ratings derived from the base case.
 pub fn ratings(_net: &Network, base: &PfSolution, limits: &Limits) -> Vec<f64> {
     ratings_from_flows(&base.flows, limits)
@@ -213,7 +188,7 @@ pub fn analyze_one(
     ratings: &[f64],
     limits: &Limits,
 ) -> CtgResult {
-    analyze_one_from(net, contingency, ratings, limits, None)
+    analyze_with(&PfModel::new(net), contingency, ratings, limits, None)
 }
 
 /// [`analyze_one`] warm-started from the base operating point — the
@@ -226,20 +201,7 @@ pub fn analyze_one_warm(
     limits: &Limits,
     base: &PfSolution,
 ) -> CtgResult {
-    analyze_one_from(net, contingency, ratings, limits, Some((&base.vm, &base.va)))
-}
-
-/// Shared body of the cold/warm single-case analysis: [`analyze_with`]
-/// over a model built for this one case. A sweep builds the model once
-/// and calls [`analyze_with`] per case instead.
-pub fn analyze_one_from(
-    net: &Network,
-    contingency: Contingency,
-    ratings: &[f64],
-    limits: &Limits,
-    start: Option<(&[f64], &[f64])>,
-) -> CtgResult {
-    analyze_with(&PfModel::new(net), contingency, ratings, limits, start)
+    analyze_with(&PfModel::new(net), contingency, ratings, limits, Some((&base.vm, &base.va)))
 }
 
 /// Analyzes one contingency over `model`, the base network's Newton model:
@@ -284,186 +246,6 @@ pub fn analyze_with(
     }
 }
 
-/// A completed sweep with the balance metrics \[2\] reports.
-#[derive(Debug)]
-pub struct SweepReport {
-    /// Per-case results, in contingency-list order.
-    pub results: Vec<CtgResult>,
-    /// Cases processed by each worker.
-    pub tasks_per_worker: Vec<usize>,
-    /// Busy nanoseconds of each worker (sum of its `scenario.case` span
-    /// durations).
-    pub busy_ns_per_worker: Vec<u64>,
-    /// Wall nanoseconds of the sweep.
-    pub wall_ns: u64,
-    /// The per-worker obs scopes (`ctg.worker{w}`) plus the sweep scope
-    /// (`ctg.sweep`), mergeable into an `ObsReport`.
-    pub scopes: Vec<ScopeReport>,
-}
-
-impl SweepReport {
-    /// Load-imbalance ratio across workers: max busy time over mean busy
-    /// time (1.0 is perfect).
-    pub fn imbalance(&self) -> f64 {
-        let total: f64 = self.busy_ns_per_worker.iter().map(|&b| b as f64).sum();
-        let mean = total / self.busy_ns_per_worker.len() as f64;
-        let max = self.busy_ns_per_worker.iter().map(|&b| b as f64).fold(0.0f64, f64::max);
-        if mean > 0.0 {
-            max / mean
-        } else {
-            1.0
-        }
-    }
-
-    /// Insecure cases found.
-    pub fn insecure(&self) -> Vec<&CtgResult> {
-        self.results.iter().filter(|r| r.is_insecure()).collect()
-    }
-}
-
-/// Static scheme: the list is pre-split into contiguous chunks, one per
-/// worker. Every case warm-starts from the base operating point, over one
-/// [`PfModel`] built for the sweep.
-pub fn run_static(
-    net: &Network,
-    base: &PfSolution,
-    ctgs: &[Contingency],
-    n_workers: usize,
-    limits: &Limits,
-) -> SweepReport {
-    assert!(n_workers > 0, "need at least one worker");
-    let rat = ratings(net, base, limits);
-    let model = PfModel::new(net);
-    let chunk = ctgs.len().div_ceil(n_workers);
-    // Pre-partitioned: worker w owns one contiguous chunk, tracked by a
-    // private cursor.
-    let cursors: Vec<AtomicUsize> =
-        (0..n_workers).map(|w| AtomicUsize::new((w * chunk).min(ctgs.len()))).collect();
-    run_sweep(
-        n_workers,
-        ctgs.len(),
-        |w| {
-            let hi = ((w + 1) * chunk).min(ctgs.len());
-            let i = cursors[w].fetch_add(1, Ordering::Relaxed);
-            (i < hi).then_some(i)
-        },
-        |i, rec| analyze_case(&model, base, ctgs, &rat, limits, i, rec),
-    )
-}
-
-/// Counter-based dynamic scheme of \[2\]: workers claim the next case by a
-/// fetch-add on a shared counter, so fast workers absorb the expensive
-/// cases automatically. Every case warm-starts from the base operating
-/// point, over one [`PfModel`] built for the sweep.
-pub fn run_dynamic(
-    net: &Network,
-    base: &PfSolution,
-    ctgs: &[Contingency],
-    n_workers: usize,
-    limits: &Limits,
-) -> SweepReport {
-    assert!(n_workers > 0, "need at least one worker");
-    let rat = ratings(net, base, limits);
-    let model = PfModel::new(net);
-    let n = ctgs.len();
-    let counter = AtomicUsize::new(0);
-    run_sweep(
-        n_workers,
-        n,
-        |_w| {
-            let i = counter.fetch_add(1, Ordering::Relaxed);
-            (i < n).then_some(i)
-        },
-        |i, rec| analyze_case(&model, base, ctgs, &rat, limits, i, rec),
-    )
-}
-
-fn analyze_case(
-    model: &PfModel,
-    base: &PfSolution,
-    ctgs: &[Contingency],
-    rat: &[f64],
-    limits: &Limits,
-    i: usize,
-    rec: &Recorder,
-) -> CtgResult {
-    let mut sp = rec.span_at("scenario.case", i as u64);
-    let r = analyze_with(model, ctgs[i], rat, limits, Some((&base.vm, &base.va)));
-    sp.record("branch", ctgs[i].branch());
-    sp.record("converged", r.converged);
-    sp.record("iterations", r.iterations);
-    sp.record("violations", r.violations.len());
-    r
-}
-
-/// Shared sweep skeleton: spawn `n_workers` scoped threads, let each claim
-/// its next case via `next` (interleaved with the solves, so dynamic
-/// claiming actually balances), analyze with `work` under a per-worker obs
-/// recorder, and assemble the report (busy time = per-worker
-/// `scenario.case` span totals; wall time = the `ctg.sweep` span).
-fn run_sweep(
-    n_workers: usize,
-    n_cases: usize,
-    next: impl Fn(usize) -> Option<usize> + Sync,
-    work: impl Fn(usize, &Recorder) -> CtgResult + Sync,
-) -> SweepReport {
-    let sweep_rec = Recorder::new("ctg.sweep");
-    // Every worker claims its first case before any worker starts solving,
-    // so a fast worker cannot drain the list while the others are still
-    // being scheduled.
-    let claimed = Barrier::new(n_workers);
-    let per_worker: Vec<(Vec<(usize, CtgResult)>, ScopeReport)> = {
-        let mut sweep_span = sweep_rec.span("scenario.sweep");
-        sweep_span.record("workers", n_workers);
-        sweep_span.record("cases", n_cases);
-        std::thread::scope(|scope| {
-            let handles: Vec<_> = (0..n_workers)
-                .map(|w| {
-                    let next = &next;
-                    let work = &work;
-                    let claimed = &claimed;
-                    scope.spawn(move || {
-                        let rec = Recorder::new(&format!("ctg.worker{w}"));
-                        let mut out: Vec<(usize, CtgResult)> = Vec::new();
-                        let mut claim = next(w);
-                        claimed.wait();
-                        while let Some(i) = claim {
-                            out.push((i, work(i, &rec)));
-                            claim = next(w);
-                        }
-                        (out, rec.snapshot())
-                    })
-                })
-                .collect();
-            handles.into_iter().map(|h| h.join().expect("worker panicked")).collect()
-        })
-    };
-    let wall_ns =
-        sweep_rec.snapshot().spans.first().map(|s| s.wall_nanos).unwrap_or(0);
-    let mut slots: Vec<Option<CtgResult>> = vec![None; n_cases];
-    let mut tasks_per_worker = Vec::with_capacity(per_worker.len());
-    let mut busy_ns_per_worker = Vec::with_capacity(per_worker.len());
-    let mut scopes = Vec::with_capacity(per_worker.len() + 1);
-    for (cases, scope_rep) in per_worker {
-        tasks_per_worker.push(cases.len());
-        busy_ns_per_worker.push(
-            scope_rep.stage_totals.get("scenario.case").map_or(0, |st| st.wall_nanos as u64),
-        );
-        scopes.push(scope_rep);
-        for (i, r) in cases {
-            slots[i] = Some(r);
-        }
-    }
-    scopes.push(sweep_rec.snapshot());
-    SweepReport {
-        results: slots.into_iter().map(|s| s.expect("every case analyzed")).collect(),
-        tasks_per_worker,
-        busy_ns_per_worker,
-        wall_ns,
-        scopes,
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -474,10 +256,19 @@ mod tests {
         solve(net, &PfOptions::default()).unwrap()
     }
 
+    /// Every single-branch outage that leaves the network connected.
+    fn survivable(net: &Network) -> Vec<Contingency> {
+        let bridges = islanding_outages(net);
+        (0..net.n_branches())
+            .filter(|k| !bridges.contains(k))
+            .map(Contingency::BranchOutage)
+            .collect()
+    }
+
     #[test]
     fn screening_excludes_islanding_outages() {
         let net = ieee14();
-        let ctgs = screen(&net);
+        let ctgs = survivable(&net);
         // Branch 13 (7-8) is bus 8's only connection: its outage islands.
         assert!(!ctgs.contains(&Contingency::BranchOutage(13)));
         assert!(ctgs.len() < net.n_branches());
@@ -564,7 +355,7 @@ mod tests {
         let b = base(&net);
         let limits = Limits { rating_factor: 1.05, rating_floor: 0.01, ..Limits::default() };
         let rat = ratings(&net, &b, &limits);
-        for ctg in screen(&net) {
+        for ctg in survivable(&net) {
             let cold = analyze_one(&net, ctg, &rat, &limits);
             let warm = analyze_one_warm(&net, ctg, &rat, &limits, &b);
             assert_eq!(cold.converged, warm.converged, "{ctg:?}");
@@ -592,7 +383,7 @@ mod tests {
         let rat = ratings(&net, &b, &limits);
         let model = PfModel::new(&net);
         let mut overloads = 0;
-        for ctg in screen(&net) {
+        for ctg in survivable(&net) {
             let shared = analyze_with(&model, ctg, &rat, &limits, Some((&b.vm, &b.va)));
             let fresh = analyze_one_warm(&net, ctg, &rat, &limits, &b);
             assert_eq!(shared.converged, fresh.converged, "{ctg:?}");
@@ -620,67 +411,5 @@ mod tests {
         let r = analyze_one(&net, Contingency::BranchOutage(0), &rat, &limits);
         assert!(r.is_insecure(), "heavy-line outage must violate tight ratings");
         assert!(r.violations.iter().any(|v| matches!(v, Violation::Overload { .. })));
-    }
-
-    #[test]
-    fn static_and_dynamic_schemes_agree_on_results() {
-        let net = ieee14();
-        let b = base(&net);
-        let limits = Limits::default();
-        let ctgs = screen(&net);
-        let s = run_static(&net, &b, &ctgs, 3, &limits);
-        let d = run_dynamic(&net, &b, &ctgs, 3, &limits);
-        assert_eq!(s.results.len(), d.results.len());
-        for (a, b) in s.results.iter().zip(&d.results) {
-            assert_eq!(a.contingency, b.contingency);
-            assert_eq!(a.converged, b.converged);
-            assert_eq!(a.violations, b.violations);
-        }
-        assert_eq!(s.tasks_per_worker.iter().sum::<usize>(), ctgs.len());
-        assert_eq!(d.tasks_per_worker.iter().sum::<usize>(), ctgs.len());
-    }
-
-    #[test]
-    fn dynamic_scheme_distributes_work() {
-        let net = ieee118_like();
-        let b = base(&net);
-        let limits = Limits::default();
-        let ctgs: Vec<Contingency> = screen(&net).into_iter().take(40).collect();
-        let d = run_dynamic(&net, &b, &ctgs, 4, &limits);
-        // Every worker claimed at least one case, none claimed everything.
-        assert!(d.tasks_per_worker.iter().all(|&t| t > 0), "{:?}", d.tasks_per_worker);
-        assert!(d.tasks_per_worker.iter().all(|&t| t < ctgs.len()));
-        assert!(d.imbalance() >= 1.0);
-    }
-
-    #[test]
-    fn single_worker_processes_everything() {
-        let net = ieee14();
-        let b = base(&net);
-        let ctgs = screen(&net);
-        let r = run_static(&net, &b, &ctgs, 1, &Limits::default());
-        assert_eq!(r.tasks_per_worker, vec![ctgs.len()]);
-        assert!(r.imbalance() - 1.0 < 1e-9);
-    }
-
-    #[test]
-    fn sweep_report_carries_case_spans() {
-        let net = ieee14();
-        let b = base(&net);
-        let ctgs = screen(&net);
-        let r = run_dynamic(&net, &b, &ctgs, 2, &Limits::default());
-        let case_spans: usize = r
-            .scopes
-            .iter()
-            .flat_map(|s| &s.spans)
-            .filter(|s| s.name == "scenario.case")
-            .count();
-        assert_eq!(case_spans, ctgs.len());
-        assert!(r.wall_ns > 0);
-        assert!(r.busy_ns_per_worker.iter().all(|&b| b > 0));
-        // No raw Instant left: the wall clock is the sweep span itself.
-        let sweep = r.scopes.iter().find(|s| s.scope == "ctg.sweep").unwrap();
-        assert_eq!(sweep.spans[0].name, "scenario.sweep");
-        assert_eq!(sweep.spans[0].wall_nanos, r.wall_ns);
     }
 }

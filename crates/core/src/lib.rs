@@ -25,8 +25,6 @@
 //! `pgse-dse`'s one DSE cycle (`pgse_dse::run_cycle`): the prototype
 //! supplies where each step's areas run and how a round's batches travel.
 
-#![warn(clippy::too_many_lines)]
-
 pub mod config;
 pub mod prototype;
 pub mod report;

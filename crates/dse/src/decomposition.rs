@@ -173,7 +173,7 @@ pub fn decompose(net: &Network, opts: &DecompositionOptions) -> Decomposition {
 ///
 /// Falls back to an empty set when the area has no boundary or no internal
 /// buses.
-pub fn sensitive_internal_buses(
+fn sensitive_internal_buses(
     subnet: &Network,
     boundary: &[usize],
     fraction: f64,

@@ -449,16 +449,6 @@ impl AreaEstimator {
         }
         AreaSolution { vm, va, iterations, objective }
     }
-
-    /// Number of extended (foreign) buses in the Step-2 model.
-    pub fn n_foreign_buses(&self) -> usize {
-        self.ext_of_global.len()
-    }
-
-    /// Number of incident tie lines.
-    pub fn n_ties(&self) -> usize {
-        self.ties.len()
-    }
 }
 
 #[cfg(test)]
@@ -779,9 +769,9 @@ mod tests {
         let (net, pf, d) = setup();
         for info in &d.areas {
             let est = AreaEstimator::new(info.clone(), &net, &pf, WlsOptions::default());
-            assert!(est.n_ties() > 0, "area {}", info.area);
-            assert!(est.n_foreign_buses() > 0, "area {}", info.area);
-            assert!(est.n_foreign_buses() <= est.n_ties());
+            assert!(!est.ties.is_empty(), "area {}", info.area);
+            assert!(!est.ext_of_global.is_empty(), "area {}", info.area);
+            assert!(est.ext_of_global.len() <= est.ties.len());
         }
     }
 

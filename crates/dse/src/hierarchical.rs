@@ -108,7 +108,7 @@ impl Coordinator {
     ///
     /// # Errors
     /// Propagates WLS failures.
-    pub fn reconcile(
+    fn reconcile(
         &self,
         uploads: &[Vec<PseudoMeasurement>],
         noise_level: f64,

@@ -32,8 +32,6 @@
 //! its host keeps across frames, so a warm frame refreshes the area's
 //! factors instead of re-analysing them.
 
-#![warn(clippy::too_many_lines)]
-
 pub mod decomposition;
 pub mod estimator;
 pub mod hierarchical;

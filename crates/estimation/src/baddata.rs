@@ -33,7 +33,7 @@ pub fn chi_square_critical(dof: usize, p: f64) -> f64 {
 
 /// Standard normal quantile (Acklam-style rational approximation, adequate
 /// for test thresholds).
-pub fn normal_quantile(p: f64) -> f64 {
+fn normal_quantile(p: f64) -> f64 {
     // Beasley-Springer-Moro.
     let a = [
         -3.969683028665376e+01,

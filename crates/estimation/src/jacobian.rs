@@ -25,8 +25,6 @@ pub struct StateSpace {
     th_pos: Vec<usize>,
     /// Magnitude-variable position per bus.
     v_pos: Vec<usize>,
-    /// The fixed-angle reference bus, if any.
-    ref_bus: Option<usize>,
     dim: usize,
 }
 
@@ -35,7 +33,7 @@ impl StateSpace {
     pub fn full(n: usize) -> Self {
         let th_pos: Vec<usize> = (0..n).collect();
         let v_pos: Vec<usize> = (n..2 * n).collect();
-        StateSpace { n, th_pos, v_pos, ref_bus: None, dim: 2 * n }
+        StateSpace { n, th_pos, v_pos, dim: 2 * n }
     }
 
     /// Angle at `ref_bus` fixed to zero; all other angles and every
@@ -51,7 +49,7 @@ impl StateSpace {
             }
         }
         let v_pos: Vec<usize> = (k..k + n).collect();
-        StateSpace { n, th_pos, v_pos, ref_bus: Some(ref_bus), dim: 2 * n - 1 }
+        StateSpace { n, th_pos, v_pos, dim: 2 * n - 1 }
     }
 
     /// Number of buses.
@@ -62,11 +60,6 @@ impl StateSpace {
     /// State dimension.
     pub fn dim(&self) -> usize {
         self.dim
-    }
-
-    /// The fixed-angle reference bus, if any.
-    pub fn ref_bus(&self) -> Option<usize> {
-        self.ref_bus
     }
 
     /// State-vector position of bus `i`'s angle, if it is a variable.

@@ -56,7 +56,7 @@ impl MeasurementKind {
     }
 
     /// True for PMU (synchrophasor) measurements.
-    pub fn is_pmu(&self) -> bool {
+    fn is_pmu(&self) -> bool {
         matches!(
             self,
             MeasurementKind::PmuVmag { .. } | MeasurementKind::PmuAngle { .. }
@@ -207,19 +207,13 @@ impl MeasurementSet {
     }
 
     /// Active rows, in order, with their indices.
-    pub fn active_rows(&self) -> impl Iterator<Item = (usize, &Measurement)> {
+    fn active_rows(&self) -> impl Iterator<Item = (usize, &Measurement)> {
         self.measurements.iter().enumerate().filter(|(i, _)| self.is_active(*i))
     }
 
     /// Count of active PMU measurements.
     pub fn n_pmu(&self) -> usize {
         self.active_rows().filter(|(_, m)| m.kind.is_pmu()).count()
-    }
-
-    /// Whether any active PMU angle measurement is present (i.e. the set
-    /// carries an absolute angle reference).
-    pub fn has_angle_reference(&self) -> bool {
-        self.active_rows().any(|(_, m)| matches!(m.kind, MeasurementKind::PmuAngle { .. }))
     }
 
     /// Measurement redundancy `m / s` over active rows for a state
@@ -310,7 +304,7 @@ mod tests {
         assert_eq!(set.len(), 2);
         assert_eq!(set.values(), vec![0.3, 0.0]);
         assert_eq!(set.n_pmu(), 1);
-        assert!(set.has_angle_reference());
+        assert!(set.active_rows().any(|(_, m)| matches!(m.kind, MeasurementKind::PmuAngle { .. })));
         assert!((set.redundancy(4) - 0.5).abs() < 1e-15);
     }
 
@@ -355,7 +349,9 @@ mod tests {
         assert_eq!(set.len(), 3);
         assert_eq!(set.n_active(), 2);
         assert_eq!(set.weights(), vec![4.0, 1e4, 0.0]);
-        assert!(!set.has_angle_reference());
+        assert!(!set
+            .active_rows()
+            .any(|(_, m)| matches!(m.kind, MeasurementKind::PmuAngle { .. })));
         assert_eq!(set.n_pmu(), 0);
         assert!((set.redundancy(2) - 1.0).abs() < 1e-15);
         // A pushed row is active; an explicitly inactive one is not.

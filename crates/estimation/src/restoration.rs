@@ -31,9 +31,9 @@ pub struct RestorationReport {
 
 /// Standard deviation given to restoration pseudo measurements: large
 /// enough that any real measurement dominates them.
-pub const PSEUDO_SIGMA_VM: f64 = 0.1;
+const PSEUDO_SIGMA_VM: f64 = 0.1;
 /// Angle pseudo-measurement deviation (radians).
-pub const PSEUDO_SIGMA_VA: f64 = 0.2;
+const PSEUDO_SIGMA_VA: f64 = 0.2;
 
 /// Restores observability of `set` on `net` by appending weak pseudo
 /// measurements at the untouched state variables, using the prior profile

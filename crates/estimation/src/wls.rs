@@ -144,11 +144,6 @@ impl SolveCache {
         SolveCache::default()
     }
 
-    /// The stored warm-start profile, if a previous solve succeeded.
-    pub fn warm_state(&self) -> Option<(&[f64], &[f64])> {
-        self.warm.as_ref().map(|(vm, va)| (vm.as_slice(), va.as_slice()))
-    }
-
     /// Drops cached structures and the warm state (e.g. after a topology
     /// change the caller knows about).
     pub fn clear(&mut self) {
@@ -862,7 +857,7 @@ mod tests {
             second.iterations,
             first.iterations
         );
-        assert!(cache.warm_state().is_some());
+        assert!(cache.warm.is_some());
     }
 
     #[test]
@@ -1017,7 +1012,7 @@ mod tests {
             cache_wave.refactor_reuse + cache_wave.refactor_full,
             (waved[0].iterations + waved[1].iterations) as u64
         );
-        assert!(cache_wave.warm_state().is_some());
+        assert!(cache_wave.warm.is_some());
     }
 
     #[test]
@@ -1030,7 +1025,7 @@ mod tests {
         let desc = cache.structure_descriptor().unwrap();
         cache.retain_structures_for_restart();
         assert_eq!(cache.structure_descriptor(), Some(desc));
-        assert!(cache.warm_state().is_none());
+        assert!(cache.warm.is_none());
         assert_eq!(cache.symbolic_builds, 0);
         assert_eq!(cache.refactor_reuse + cache.refactor_full, 0);
         // The next solve reuses the kept analysis instead of rebuilding.

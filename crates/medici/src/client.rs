@@ -35,7 +35,7 @@ use crate::throttle::Throttle;
 use crate::MwError;
 
 /// Deadline used by the legacy no-deadline receive entry points.
-pub const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
+const DEFAULT_RECV_DEADLINE: Duration = Duration::from_secs(30);
 
 /// Floor of the frame-read budget in `recv_deadline_on` /
 /// `recv_discard_on`: a connection accepted as the deadline runs out
@@ -229,7 +229,7 @@ impl MwClient {
     }
 
     /// Blocks for one inbound frame on `listener` (paper:
-    /// `MW_Client_Recv`), waiting at most [`DEFAULT_RECV_DEADLINE`].
+    /// `MW_Client_Recv`), waiting at most `DEFAULT_RECV_DEADLINE` (30 s).
     ///
     /// One-shot: accepts one connection, reads one frame and closes it. A
     /// session sender sees the close before its next write and dials
@@ -262,7 +262,7 @@ impl MwClient {
     }
 
     /// Receives one frame and discards the body, returning its length
-    /// (benchmark receivers). Bounded by [`DEFAULT_RECV_DEADLINE`].
+    /// (benchmark receivers). Bounded by `DEFAULT_RECV_DEADLINE` (30 s).
     pub fn recv_discard_on(listener: &TcpListener) -> Result<u64, MwError> {
         let deadline = DEFAULT_RECV_DEADLINE;
         let start = Instant::now();

@@ -18,7 +18,7 @@
 use std::io::{Read, Write};
 
 /// Chunk size used by the streaming send/receive paths.
-pub const CHUNK: usize = 1 << 22; // 4 MiB
+const CHUNK: usize = 1 << 22; // 4 MiB
 
 /// Largest frame [`read_frame`] will buffer. A corrupted length prefix
 /// must surface as an error, not as a multi-exabyte allocation.
@@ -74,7 +74,7 @@ pub fn read_frame_limited<R: Read>(r: &mut R, max_len: u64) -> std::io::Result<V
 }
 
 /// Writes a frame of `total` synthetic bytes (the measurement-harness
-/// payload) in [`CHUNK`]-sized pieces, pacing each piece through `pace`.
+/// payload) in `CHUNK`-sized (4 MiB) pieces, pacing each piece through `pace`.
 pub fn write_frame_synthetic<W: Write>(
     w: &mut W,
     total: u64,

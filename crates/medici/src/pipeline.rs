@@ -26,9 +26,12 @@ use crate::inbox::{Arrival, Inbox};
 /// stream the receiver sees, large enough to keep syscall overhead low.
 const RELAY_CHUNK: usize = 1 << 20; // 1 MiB
 
-/// Default bound on each router socket operation (inbound stall,
-/// connect, write); see [`MifPipeline::set_io_deadline`].
-pub const DEFAULT_IO_DEADLINE: Duration = Duration::from_secs(30);
+/// Bound on each router socket operation: an inbound frame's stall,
+/// outbound connect and write. A stalled inbound peer delays no other
+/// sender (its partial frame is dropped as corrupt after one deadline),
+/// and a dead outbound peer delays the router by at most one deadline per
+/// attempt, never hangs it.
+const IO_DEADLINE: Duration = Duration::from_secs(30);
 use crate::retry::{stable_key, RetryPolicy};
 use crate::throttle::Throttle;
 use crate::MwError;
@@ -88,27 +91,13 @@ pub struct RelayStats {
 }
 
 /// A MeDICi pipeline under construction.
-#[derive(Debug)]
+#[derive(Debug, Default)]
 pub struct MifPipeline {
     connector: Option<EndpointProtocol>,
     components: Vec<SeComponent>,
     relay_rate: Option<f64>,
-    io_deadline: Duration,
     retry: RetryPolicy,
     recorder: Option<pgse_obs::Recorder>,
-}
-
-impl Default for MifPipeline {
-    fn default() -> Self {
-        MifPipeline {
-            connector: None,
-            components: Vec::new(),
-            relay_rate: None,
-            io_deadline: DEFAULT_IO_DEADLINE,
-            retry: RetryPolicy::default(),
-            recorder: None,
-        }
-    }
 }
 
 impl MifPipeline {
@@ -133,17 +122,6 @@ impl MifPipeline {
     /// unthrottled). The paper's measured middleware relays at ≈ 0.4 GB/s.
     pub fn set_relay_rate(&mut self, bytes_per_sec: f64) -> &mut Self {
         self.relay_rate = Some(bytes_per_sec);
-        self
-    }
-
-    /// Bounds every router socket operation (an inbound frame's stall,
-    /// outbound connect and write) by `deadline`. Default:
-    /// [`DEFAULT_IO_DEADLINE`]. A stalled inbound peer delays no other
-    /// sender (its partial frame is dropped as corrupt after one
-    /// deadline), and a dead outbound peer delays the router by at most
-    /// one deadline per attempt, never hangs it.
-    pub fn set_io_deadline(&mut self, deadline: Duration) -> &mut Self {
-        self.io_deadline = deadline;
         self
     }
 
@@ -190,16 +168,12 @@ impl MifPipeline {
                 .out_url
                 .clone()
                 .ok_or_else(|| MwError::BadUrl(format!("{}: no outbound endpoint", comp.name)))?;
-            let inbox = Inbox::new(registry.bind(&in_url)?, self.io_deadline)?;
+            let inbox = Inbox::new(registry.bind(&in_url)?, IO_DEADLINE)?;
             inbound.push(inbox.local_addr()?);
             let registry = registry.clone();
             let stop = Arc::clone(&stop);
             let stats = Arc::clone(&stats);
-            let cfg = RouterConfig {
-                relay_rate: self.relay_rate,
-                io_deadline: self.io_deadline,
-                retry: self.retry,
-            };
+            let cfg = RouterConfig { relay_rate: self.relay_rate, retry: self.retry };
             let recorder = self.recorder.clone();
             threads.push(std::thread::spawn(move || {
                 let relay = || router_loop(inbox, &registry, &out_url, cfg, &stop, &stats, &recorder);
@@ -259,7 +233,6 @@ impl Drop for PipelineHandle {
 #[derive(Debug, Clone, Copy)]
 struct RouterConfig {
     relay_rate: Option<f64>,
-    io_deadline: Duration,
     retry: RetryPolicy,
 }
 
@@ -349,7 +322,7 @@ fn forward(
     body: &[u8],
     cfg: &RouterConfig,
 ) -> Result<(), crate::MwError> {
-    let conn = out.stream(registry, out_url, cfg.io_deadline)?;
+    let conn = out.stream(registry, out_url, IO_DEADLINE)?;
     let mut throttle = cfg.relay_rate.map(Throttle::new);
     let mut chunks = body.chunks(RELAY_CHUNK);
     let first = chunks.next().unwrap_or(&[]);

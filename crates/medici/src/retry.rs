@@ -36,11 +36,6 @@ impl Default for RetryPolicy {
 }
 
 impl RetryPolicy {
-    /// A policy that never retries.
-    pub fn none() -> Self {
-        RetryPolicy { max_attempts: 1, ..Self::default() }
-    }
-
     /// Backoff to sleep after failed attempt `attempt` (0-based). `key`
     /// decorrelates concurrent operations (hash of the endpoint URL);
     /// the same `(attempt, key)` always yields the same delay.
@@ -147,7 +142,8 @@ mod tests {
         for (a, d) in sched.iter().enumerate() {
             assert_eq!(*d, p.backoff(a as u32, key));
         }
-        assert!(RetryPolicy::none().schedule(key).is_empty());
+        let never_retries = RetryPolicy { max_attempts: 1, ..RetryPolicy::default() };
+        assert!(never_retries.schedule(key).is_empty());
     }
 
     #[test]

@@ -57,17 +57,6 @@ impl Throttle {
             std::thread::sleep(due - elapsed);
         }
     }
-
-    /// Total bytes accounted so far.
-    pub fn bytes_sent(&self) -> u64 {
-        self.sent
-    }
-
-    /// Resets the schedule (new transfer).
-    pub fn reset(&mut self) {
-        self.started = None;
-        self.sent = 0;
-    }
 }
 
 #[cfg(test)]
@@ -100,9 +89,7 @@ mod tests {
         let mut t = Throttle::new(1e9);
         t.account(10);
         t.account(20);
-        assert_eq!(t.bytes_sent(), 30);
-        t.reset();
-        assert_eq!(t.bytes_sent(), 0);
+        assert_eq!(t.sent, 30);
     }
 
     #[test]

@@ -44,7 +44,7 @@ pub mod metrics;
 pub mod report;
 pub mod trace;
 
-pub use metrics::{Gauge, Histogram, MetricsSnapshot, DEFAULT_BUCKETS, VOLATILE_PREFIX};
+pub use metrics::{Gauge, Histogram, MetricsSnapshot, VOLATILE_PREFIX};
 pub use report::{ObsReport, ScopeReport, StageStat};
 pub use trace::{FieldValue, Recorder, SpanGuard, SpanRecord};
 

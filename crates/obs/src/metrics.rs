@@ -20,7 +20,7 @@ pub const VOLATILE_PREFIX: &str = "volatile.";
 
 /// Default histogram bucket upper bounds — tuned for iteration counts and
 /// other small-cardinality pipeline quantities.
-pub const DEFAULT_BUCKETS: &[f64] =
+const DEFAULT_BUCKETS: &[f64] =
     &[1.0, 2.0, 5.0, 10.0, 20.0, 50.0, 100.0, 200.0, 500.0, 1000.0, 2000.0, 5000.0];
 
 /// A last-writer-wins gauge. Merging keeps the value with the most

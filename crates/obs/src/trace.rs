@@ -49,7 +49,7 @@ pub enum FieldValue {
 
 impl FieldValue {
     /// The unsigned value, when this is a `U64`.
-    pub fn as_u64(&self) -> Option<u64> {
+    fn as_u64(&self) -> Option<u64> {
         match self {
             FieldValue::U64(v) => Some(*v),
             _ => None,

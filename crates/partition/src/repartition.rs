@@ -9,7 +9,6 @@
 //! paper's example only subsystems 4 and 5 swap clusters (Figs. 4→5).
 
 use crate::graph::WeightedGraph;
-use crate::kway::KwayOptions;
 use crate::partition::Partition;
 
 /// Options of the adaptive repartitioner.
@@ -201,24 +200,10 @@ pub fn repartition_shrink(
     Partition::new(assignment, k)
 }
 
-/// Convenience: the paper's full sequence — partition for Step 1, then
-/// repartition for Step 2 after the weights change.
-pub fn partition_then_adapt(
-    step1_graph: &WeightedGraph,
-    step2_graph: &WeightedGraph,
-    k: usize,
-    kway: &KwayOptions,
-    re: &RepartitionOptions,
-) -> (Partition, Partition) {
-    let p1 = crate::kway::partition_kway(step1_graph, k, kway);
-    let p2 = repartition(step2_graph, &p1, re);
-    (p1, p2)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::kway::{partition_kway, tests::table1_graph};
+    use crate::kway::{partition_kway, tests::table1_graph, KwayOptions};
 
     #[test]
     fn stable_weights_cause_no_migration() {
@@ -358,13 +343,8 @@ mod tests {
         }
         // Step 2: Table I communication weights.
         let g2 = table1_graph();
-        let (p1, p2) = partition_then_adapt(
-            &g1,
-            &g2,
-            3,
-            &KwayOptions::default(),
-            &RepartitionOptions::default(),
-        );
+        let p1 = partition_kway(&g1, 3, &KwayOptions::default());
+        let p2 = repartition(&g2, &p1, &RepartitionOptions::default());
         assert!(p1.all_parts_used() && p2.all_parts_used());
         assert!(p2.imbalance(&g2) <= 1.10);
         // Paper: the Step-2 scheme moves only a couple of subsystems.

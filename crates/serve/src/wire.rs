@@ -283,14 +283,13 @@ fn degraded_into(buf: &mut Vec<u8>, degraded: &[u32]) {
 }
 
 /// Encoded size of a [`FullView`] with `n_ids` buses and `n_degraded`
-/// degraded areas (used by the bench to price delta-vs-full without
-/// encoding both).
-pub fn full_encoded_len(n_ids: usize, n_degraded: usize) -> usize {
+/// degraded areas: [`encode_msg`] allocates its buffer once at this size.
+fn full_encoded_len(n_ids: usize, n_degraded: usize) -> usize {
     HEADER_LEN + 8 + 8 + 8 + FILTER_LEN + 2 + 4 * n_degraded + 4 + n_ids * (4 + FULL_RECORD_LEN)
 }
 
 /// Encoded size of a [`DeltaView`] with `n_changed` changed buses.
-pub fn delta_encoded_len(n_changed: usize, n_degraded: usize) -> usize {
+fn delta_encoded_len(n_changed: usize, n_degraded: usize) -> usize {
     HEADER_LEN + 8 + 8 + 8 + 8 + FILTER_LEN + 2 + 4 * n_degraded + 4 + n_changed * DELTA_RECORD_LEN
 }
 

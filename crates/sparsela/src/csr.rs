@@ -56,18 +56,6 @@ impl Csr {
         }
     }
 
-    /// A square diagonal matrix from the given diagonal entries.
-    pub fn from_diag(diag: &[f64]) -> Self {
-        let n = diag.len();
-        Csr {
-            nrows: n,
-            ncols: n,
-            row_ptr: (0..=n).collect(),
-            col_idx: (0..n).collect(),
-            vals: diag.to_vec(),
-        }
-    }
-
     /// Builds from a dense matrix, dropping exact zeros. Intended for tests.
     pub fn from_dense(d: &DenseMatrix) -> Self {
         let mut coo = crate::Coo::new(d.nrows(), d.ncols());

@@ -26,14 +26,8 @@ use crate::csr::Csr;
 use crate::ordering;
 use crate::{LaError, LaResult};
 
-/// The elimination tree of a symmetric matrix given by the *lower* pattern
-/// in CSR (`parent[k] = usize::MAX` for roots).
-pub fn elimination_tree(a: &Csr) -> Vec<usize> {
-    assert_eq!(a.nrows(), a.ncols(), "etree: square only");
-    etree_from_pattern(a.nrows(), a.row_ptr(), a.col_idx())
-}
-
-/// [`elimination_tree`] on a raw CSR pattern.
+/// The elimination tree of an `n × n` symmetric matrix given by its *lower*
+/// pattern in raw CSR (`parent[k] = usize::MAX` for roots).
 fn etree_from_pattern(n: usize, row_ptr: &[usize], col_idx: &[usize]) -> Vec<usize> {
     let mut parent = vec![usize::MAX; n];
     let mut ancestor = vec![usize::MAX; n];
@@ -132,7 +126,7 @@ impl CholSymbolic {
     }
 
     /// Runs the symbolic analysis under the given `perm[new] = old`.
-    pub fn analyze_with_perm(a: &Csr, perm: Vec<usize>) -> Self {
+    fn analyze_with_perm(a: &Csr, perm: Vec<usize>) -> Self {
         assert_eq!(a.nrows(), a.ncols(), "cholesky: square only");
         assert_eq!(perm.len(), a.nrows(), "cholesky: perm length");
         let n = a.nrows();
@@ -415,12 +409,6 @@ impl SparseCholesky {
         &self.sym
     }
 
-    /// A handle to the symbolic structure, for sharing with other factors
-    /// of the same pattern (see [`crate::batch`]).
-    pub fn symbolic_arc(&self) -> Arc<CholSymbolic> {
-        Arc::clone(&self.sym)
-    }
-
     /// Matrix dimension.
     pub fn dim(&self) -> usize {
         self.sym.n
@@ -533,7 +521,8 @@ mod tests {
                 coo.push(i + 1, i, -1.0);
             }
         }
-        let parent = elimination_tree(&coo.to_csr());
+        let a = coo.to_csr();
+        let parent = etree_from_pattern(a.nrows(), a.row_ptr(), a.col_idx());
         assert_eq!(parent, vec![1, 2, 3, 4, usize::MAX]);
     }
 

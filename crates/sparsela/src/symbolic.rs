@@ -111,11 +111,6 @@ impl AtaSymbolic {
         self.a_ncols
     }
 
-    /// Stored entries in the cached `G` pattern.
-    pub fn g_nnz(&self) -> usize {
-        self.g_col_idx.len()
-    }
-
     /// An all-zero matrix with the cached `G` structure — the reusable
     /// output buffer for [`AtaSymbolic::compute_into`].
     pub fn g_template(&self) -> Csr {

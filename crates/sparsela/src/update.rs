@@ -84,7 +84,7 @@ impl UpdatedFactor {
     }
 
     /// `uᵀx` for the stored sparse `u`.
-    pub fn dot_u(&self, x: &[f64]) -> f64 {
+    fn dot_u(&self, x: &[f64]) -> f64 {
         self.u_idx.iter().zip(&self.u_val).map(|(&i, &v)| v * x[i]).sum()
     }
 

@@ -2,12 +2,12 @@
 //!
 //! Each kernel works on one lane block — the same structural position
 //! across every system of a same-pattern group — with a fixed
-//! [`LANE_WIDTH`]-wide body the compiler can keep in vector registers.
+//! `LANE_WIDTH`-wide body the compiler can keep in vector registers.
 //! Every output element is written from exactly one input position, so
 //! the kernels are bitwise identical to the naive per-lane loops.
 
 /// Fixed lane width of the batched-solve lane loops ([`crate::batch`]).
-pub const LANE_WIDTH: usize = 4;
+const LANE_WIDTH: usize = 4;
 
 /// Elementwise fused multiply-subtract across a lane block:
 /// `acc[i] ← acc[i] − a[i]·b[i]`. The lane-inner kernel of the batched

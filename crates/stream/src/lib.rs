@@ -58,8 +58,6 @@
 //!   epoch-stamped store. `enumerated == screened + skipped_islanding`
 //!   and `screened == cleared + violated + shed_stale`, always.
 
-#![warn(clippy::too_many_lines)]
-
 pub mod ingest;
 pub mod scenarios;
 pub mod service;
@@ -78,7 +76,7 @@ pub use service::{
 };
 pub use snapshot::{EpochStore, PublishRejected, Sequenced, SnapshotStore, SystemSnapshot};
 pub use supervise::{
-    AreaCheckpoint, CheckpointStats, CheckpointStore, KillSchedule, SupervisionEvent,
-    SupervisorConfig, Watchdog, WorkerHealth,
+    AreaCheckpoint, CheckpointStats, CheckpointStore, KillSchedule, SupervisionEvent, Watchdog,
+    WorkerHealth,
 };
-pub use wire::{decode, decode_v1, encode, StreamFrame, TopologyEvent, WireError};
+pub use wire::{decode, encode, StreamFrame, TopologyEvent, WireError};

@@ -159,7 +159,7 @@ pub struct CaseReport {
 
 impl CaseReport {
     /// Total measured case latency.
-    pub fn case_ns(&self) -> u64 {
+    fn case_ns(&self) -> u64 {
         self.screen_ns + self.solve_ns
     }
 }

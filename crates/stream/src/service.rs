@@ -29,7 +29,7 @@
 //! carried) without stalling the pipeline.
 //!
 //! Supervision (DESIGN.md §11): at deploy time the areas are mapped onto
-//! [`SupervisorConfig::n_clusters`] HPC clusters by partitioning the
+//! [`supervise::N_CLUSTERS`] HPC clusters by partitioning the
 //! decomposition graph. Each round closes on a [`Watchdog`]: a dead worker
 //! restarts from its latest [`supervise::AreaCheckpoint`], and a cluster
 //! whose every worker died is failed over to the survivors
@@ -91,8 +91,7 @@ use rayon::prelude::*;
 use crate::ingest::{IngestQueue, IngestStats};
 use crate::snapshot::{SnapshotStore, SystemSnapshot};
 use crate::supervise::{
-    self, CheckpointStore, KillSchedule, SupervisionEvent, SupervisorConfig, Watchdog,
-    WorkerHealth,
+    self, CheckpointStore, KillSchedule, SupervisionEvent, Watchdog, WorkerHealth,
 };
 use crate::wire::{self, StreamFrame, TopologyEvent};
 
@@ -521,8 +520,6 @@ pub struct StreamService {
     /// Initial area → cluster mapping (seeded k-way partition).
     assignment: Vec<usize>,
     n_clusters: usize,
-    /// Fleet and watchdog settings: one instance for `deploy` and `run`.
-    supervision: SupervisorConfig,
     /// Telemetry noise schedule: one instance for feeder and solver.
     noise: NoiseProcess,
 }
@@ -591,8 +588,7 @@ impl StreamService {
         // bus counts. The cluster is the liveness and failover domain.
         let bus_counts: Vec<usize> = decomp.areas.iter().map(|a| a.global_ids.len()).collect();
         let graph = initial_graph(&bus_counts, &decomp.edges);
-        let supervision = SupervisorConfig::default();
-        let n_clusters = supervision.n_clusters.clamp(1, n.max(1));
+        let n_clusters = supervise::N_CLUSTERS.clamp(1, n.max(1));
         let assignment = partition_kway(&graph, n_clusters, &KwayOptions::default()).assignment;
 
         let rec = Recorder::new("stream");
@@ -615,7 +611,6 @@ impl StreamService {
             graph,
             assignment,
             n_clusters,
-            supervision,
             noise: NoiseProcess::default(),
         })
     }
@@ -1007,7 +1002,6 @@ struct Solver<'s> {
     /// expects, and the stamp recovery-only rounds tick with.
     next_expected: u64,
     last_target: u64,
-    rounds: u64,
     bad_data_events: Vec<BadDataEvent>,
     /// Bucket upper bounds of [`FRAME_LATENCY`], in milliseconds: 1.1×
     /// apart from 10 µs to 150 s, so a quantile read from it is at
@@ -1036,12 +1030,11 @@ impl<'s> Solver<'s> {
             version: 0,
             next_expected: 0,
             last_target: 0,
-            rounds: 0,
             bad_data_events: Vec::new(),
             latency_buckets: std::iter::successors(Some(0.01), |b| Some(b * 1.1))
                 .take_while(|&b| b < 1.5e5)
                 .collect(),
-            watchdog: Watchdog::new(n, &svc.supervision),
+            watchdog: Watchdog::new(n, supervise::SUSPECT_AFTER, supervise::DEAD_AFTER),
             ckpts: CheckpointStore::new(n),
             liveness: FleetLiveness::new(svc.n_clusters),
             assignment: svc.assignment.clone(),
@@ -1479,7 +1472,6 @@ impl<'s> Solver<'s> {
             }
         }
         let degraded = round.areas.iter().filter(|ar| !ar.fresh).count() as u64;
-        self.rounds += 1;
         rec.counter_add("stream.rounds", 1);
         rec.counter_add("stream.gn_iterations", gn);
         rec.counter_add("volatile.stream.solve_nanos", started.elapsed().as_nanos() as u64);
@@ -1497,7 +1489,6 @@ impl<'s> Solver<'s> {
     /// already revive restart.
     fn supervise(&mut self, round: &Round) {
         let seq = round.seq;
-        let checkpoint = self.rounds.is_multiple_of(self.svc.supervision.checkpoint_interval);
         for (a, ar) in round.areas.iter().enumerate() {
             let solved = ar.fresh && matches!(ar.step1, Step::Solved(_));
             if solved && std::mem::take(&mut self.recovering[a]) {
@@ -1506,7 +1497,7 @@ impl<'s> Solver<'s> {
             if !self.worker_alive[a] {
                 continue;
             }
-            if solved && checkpoint {
+            if solved {
                 self.ckpts.save(supervise::checkpoint(&self.slots[a], a, seq));
                 self.svc.sup_rec.counter_add("failover.checkpoints", 1);
             }
@@ -2291,7 +2282,7 @@ mod tests {
         let assignment = service.cluster_assignment();
         assert_eq!(assignment.len(), service.n_areas());
         // Every configured cluster hosts at least one area.
-        let k = service.supervision.n_clusters;
+        let k = supervise::N_CLUSTERS;
         for c in 0..k {
             assert!(assignment.contains(&c), "cluster {c} hosts nothing: {assignment:?}");
         }

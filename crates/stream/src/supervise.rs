@@ -12,9 +12,9 @@
 //!   counter, not wall time, so the same fault schedule always produces
 //!   the same `healthy → suspect → dead` transition sequence (and the
 //!   same byte-identical ObsReport). A worker that misses
-//!   [`SupervisorConfig::suspect_after`] consecutive rounds is *suspect*;
-//!   at [`SupervisorConfig::dead_after`] missed rounds it is declared
-//!   *dead* and the supervisor recovers it.
+//!   [`SUSPECT_AFTER`] consecutive rounds is *suspect*; at
+//!   [`DEAD_AFTER`] missed rounds it is declared *dead* and the
+//!   supervisor recovers it.
 //! * **Checkpoints** ([`CheckpointStore`]) — after each successful solve a
 //!   worker serializes its warm state (last converged state vector, frame
 //!   sequence, last scan on its layout, and the [`StructureDescriptor`] of its
@@ -39,31 +39,18 @@ use pgse_dse::{AreaSlot, AreaSolution};
 use pgse_estimation::measurement::MeasurementSet;
 use pgse_estimation::wls::{SolveCache, StructureDescriptor};
 
-/// Supervisor tuning. All deadlines are measured in solve rounds — the
-/// deterministic clock — never in wall time.
-#[derive(Debug, Clone, Copy)]
-pub struct SupervisorConfig {
-    /// Consecutive missed heartbeats before a worker turns *suspect*.
-    pub suspect_after: u64,
-    /// Consecutive missed heartbeats before a worker is declared *dead*
-    /// and recovered. Must be `>= suspect_after`.
-    pub dead_after: u64,
-    /// Checkpoint cadence in rounds (1 = after every solved frame).
-    pub checkpoint_interval: u64,
-    /// Clusters the service maps its areas onto (the paper's fleet size).
-    pub n_clusters: usize,
-}
+/// Consecutive missed heartbeats before a streaming worker turns
+/// *suspect*. Deadlines count solve rounds — the deterministic clock —
+/// never wall time.
+pub const SUSPECT_AFTER: u64 = 1;
 
-impl Default for SupervisorConfig {
-    fn default() -> Self {
-        SupervisorConfig {
-            suspect_after: 1,
-            dead_after: 2,
-            checkpoint_interval: 1,
-            n_clusters: 3,
-        }
-    }
-}
+/// Consecutive missed heartbeats before a streaming worker is declared
+/// *dead* and recovered.
+pub const DEAD_AFTER: u64 = 2;
+
+/// Clusters the streaming service maps its areas onto (the paper's fleet
+/// size).
+pub const N_CLUSTERS: usize = 3;
 
 /// A seeded fault schedule, keyed by frame sequence so that the same
 /// schedule against the same stream is exactly reproducible.
@@ -182,45 +169,36 @@ pub struct Watchdog {
     health: Vec<WorkerHealth>,
     beat_this_round: Vec<bool>,
     missed: Vec<u64>,
-    /// Heartbeats accepted over the run.
-    beats: u64,
-    /// Beats refused because the sender was already declared dead.
-    zombie_beats: u64,
 }
 
 impl Watchdog {
-    /// A watchdog over `n` workers, all healthy.
+    /// A watchdog over `n` workers, all healthy: a worker turns suspect
+    /// after `suspect_after` consecutive missed rounds and dead after
+    /// `dead_after`.
     ///
     /// # Panics
-    /// Panics when `cfg.dead_after < cfg.suspect_after` or either is zero.
-    pub fn new(n: usize, cfg: &SupervisorConfig) -> Self {
-        assert!(cfg.suspect_after >= 1, "suspect_after must be at least 1");
-        assert!(
-            cfg.dead_after >= cfg.suspect_after,
-            "dead_after must be >= suspect_after"
-        );
+    /// Panics when `dead_after < suspect_after` or either is zero.
+    pub fn new(n: usize, suspect_after: u64, dead_after: u64) -> Self {
+        assert!(suspect_after >= 1, "suspect_after must be at least 1");
+        assert!(dead_after >= suspect_after, "dead_after must be >= suspect_after");
         Watchdog {
-            suspect_after: cfg.suspect_after,
-            dead_after: cfg.dead_after,
+            suspect_after,
+            dead_after,
             health: vec![WorkerHealth::Healthy; n],
             beat_this_round: vec![false; n],
             missed: vec![0; n],
-            beats: 0,
-            zombie_beats: 0,
         }
     }
 
     /// Records a heartbeat for `area` in the current round. Returns `false`
-    /// (and counts a zombie beat) when the worker is already declared dead:
+    /// (a zombie beat) when the worker is already declared dead:
     /// a revived-but-not-reinstated worker cannot talk its way back in —
     /// only [`Watchdog::revive`] (the supervisor) can.
     pub fn beat(&mut self, area: usize) -> bool {
         if self.health[area] == WorkerHealth::Dead {
-            self.zombie_beats += 1;
             return false;
         }
         self.beat_this_round[area] = true;
-        self.beats += 1;
         true
     }
 
@@ -265,16 +243,6 @@ impl Watchdog {
     /// Current belief about `area`.
     pub fn health(&self, area: usize) -> WorkerHealth {
         self.health[area]
-    }
-
-    /// Heartbeats accepted so far.
-    pub fn beats(&self) -> u64 {
-        self.beats
-    }
-
-    /// Beats refused from already-dead workers.
-    pub fn zombie_beats(&self) -> u64 {
-        self.zombie_beats
     }
 }
 
@@ -419,11 +387,6 @@ impl CheckpointStore {
         self.slots.lock().unwrap().0[area] = None;
     }
 
-    /// Frame sequence of the latest checkpoint for `area`, if any.
-    pub fn latest_seq(&self, area: usize) -> Option<u64> {
-        self.slots.lock().unwrap().0[area].as_ref().map(|c| c.frame_seq)
-    }
-
     /// Approximate size of `area`'s latest checkpoint (0 when none) — the
     /// number failover prices its redistribution plan on. A peek: does
     /// not count as a restore.
@@ -443,13 +406,9 @@ impl CheckpointStore {
 mod tests {
     use super::*;
 
-    fn cfg(suspect_after: u64, dead_after: u64) -> SupervisorConfig {
-        SupervisorConfig { suspect_after, dead_after, ..SupervisorConfig::default() }
-    }
-
     #[test]
     fn watchdog_declares_suspect_then_dead_on_the_deterministic_clock() {
-        let mut wd = Watchdog::new(2, &cfg(1, 2));
+        let mut wd = Watchdog::new(2, 1, 2);
         // Round 0: both beat.
         assert!(wd.beat(0));
         assert!(wd.beat(1));
@@ -470,7 +429,7 @@ mod tests {
 
     #[test]
     fn a_beat_clears_suspicion_but_not_death() {
-        let mut wd = Watchdog::new(1, &cfg(1, 3));
+        let mut wd = Watchdog::new(1, 1, 3);
         assert_eq!(wd.tick(0), vec![SupervisionEvent::Suspected { area: 0, seq: 0 }]);
         // It comes back: suspicion clears, missed counter resets.
         assert!(wd.beat(0));
@@ -480,9 +439,8 @@ mod tests {
         wd.tick(2);
         wd.tick(3);
         assert_eq!(wd.tick(4), vec![SupervisionEvent::Died { area: 0, seq: 4 }]);
-        // A zombie beat is refused and counted; only revive reinstates.
+        // A zombie beat is refused; only revive reinstates.
         assert!(!wd.beat(0));
-        assert_eq!(wd.zombie_beats(), 1);
         wd.revive(0);
         assert_eq!(wd.health(0), WorkerHealth::Healthy);
         assert!(wd.beat(0));
@@ -492,7 +450,7 @@ mod tests {
     #[test]
     fn same_miss_pattern_yields_identical_event_sequences() {
         let run = || {
-            let mut wd = Watchdog::new(3, &cfg(1, 2));
+            let mut wd = Watchdog::new(3, 1, 2);
             let mut events = Vec::new();
             for round in 0..6u64 {
                 for area in 0..3 {
@@ -533,7 +491,9 @@ mod tests {
             last_solution: None,
             structure: None,
         });
-        assert_eq!(store.latest_seq(0), Some(5));
+        let latest_seq =
+            |area: usize| store.slots.lock().unwrap().0[area].as_ref().map(|c| c.frame_seq);
+        assert_eq!(latest_seq(0), Some(5));
         let got = store.restore(0).unwrap();
         assert_eq!(got.frame_seq, 5);
         assert!(got.approx_bytes() > 0);
@@ -541,12 +501,12 @@ mod tests {
             store.stats(),
             CheckpointStats { saves: 2, restores: 1, misses: 1 }
         );
-        assert_eq!(store.latest_seq(1), None);
+        assert_eq!(latest_seq(1), None);
     }
 
     #[test]
     #[should_panic(expected = "dead_after must be >= suspect_after")]
     fn watchdog_rejects_inverted_deadlines() {
-        Watchdog::new(1, &cfg(3, 2));
+        Watchdog::new(1, 3, 2);
     }
 }

@@ -18,7 +18,7 @@ pub const VERSION: u8 = 1;
 /// Topology-aware wire version: the frame additionally carries the grid
 /// topology version it was scanned under plus any breaker/switch events
 /// that took effect at this frame boundary.
-pub const VERSION_TOPOLOGY: u8 = 2;
+const VERSION_TOPOLOGY: u8 = 2;
 /// Header length in bytes: magic + version + area + seq + dt + count.
 const HEADER_LEN: usize = 4 + 1 + 4 + 8 + 8 + 4;
 /// Per-measurement record length: tag + index + side + value + sigma.
@@ -70,7 +70,7 @@ impl StreamFrame {
     }
 
     /// Whether this frame needs the v2 encoding to be represented.
-    pub fn needs_v2(&self) -> bool {
+    fn needs_v2(&self) -> bool {
         self.topology_version != 0 || !self.topology_events.is_empty()
     }
 }
@@ -157,7 +157,7 @@ fn kind_of(tag: u8, index: u32, side: u8) -> Result<MeasurementKind, WireError> 
 }
 
 /// Serialized length of `frame` in bytes.
-pub fn encoded_len(frame: &StreamFrame) -> usize {
+fn encoded_len(frame: &StreamFrame) -> usize {
     let v2 = if frame.needs_v2() {
         V2_EXTRA_LEN + EVENT_LEN * frame.topology_events.len()
     } else {
@@ -246,16 +246,9 @@ pub fn decode(buf: &[u8]) -> Result<StreamFrame, WireError> {
     decode_up_to(buf, VERSION_TOPOLOGY)
 }
 
-/// Decodes a wire buffer as a topology-unaware **v1** peer would: a v2
-/// frame is rejected with `WireError::BadVersion(2)` — typed forward
-/// compatibility, never a panic.
-///
-/// # Errors
-/// [`WireError`] describing the first defect found.
-pub fn decode_v1(buf: &[u8]) -> Result<StreamFrame, WireError> {
-    decode_up_to(buf, VERSION)
-}
-
+/// Decodes frames of versions `VERSION..=max_version`; a topology-unaware
+/// v1 peer is `max_version == VERSION`, and rejects a v2 frame with
+/// `WireError::BadVersion(2)` — typed forward compatibility, never a panic.
 fn decode_up_to(buf: &[u8], max_version: u8) -> Result<StreamFrame, WireError> {
     let mut r = Reader { buf, pos: 0 };
     if r.u32()? != MAGIC {
@@ -443,7 +436,7 @@ mod tests {
         let frame = sample_frame();
         let bytes = encode(&frame);
         assert_eq!(bytes[4], VERSION);
-        assert_eq!(decode_v1(&bytes).unwrap(), frame);
+        assert_eq!(decode_up_to(&bytes, VERSION).unwrap(), frame);
     }
 
     #[test]
@@ -458,7 +451,7 @@ mod tests {
     #[test]
     fn v1_decoder_rejects_v2_with_typed_bad_version() {
         let bytes = encode(&sample_v2_frame());
-        assert_eq!(decode_v1(&bytes), Err(WireError::BadVersion(VERSION_TOPOLOGY)));
+        assert_eq!(decode_up_to(&bytes, VERSION), Err(WireError::BadVersion(VERSION_TOPOLOGY)));
     }
 
     #[test]
@@ -475,7 +468,7 @@ mod tests {
             );
             // And a v1 peer never panics either: the version byte survives
             // every prefix longer than the magic + version header.
-            let v1_err = decode_v1(&bytes[..n]).unwrap_err();
+            let v1_err = decode_up_to(&bytes[..n], VERSION).unwrap_err();
             if n >= 5 {
                 assert_eq!(v1_err, WireError::BadVersion(VERSION_TOPOLOGY), "prefix {n}");
             }

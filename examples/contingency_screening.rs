@@ -5,7 +5,9 @@
 //! (progressively more stressed), sweeps each with the two-tier
 //! screening engine (warm rank-1 DC screen → warm-started AC
 //! confirmation of the suspects), and prints the per-epoch accounting
-//! plus the published product stream.
+//! plus the published product stream. Asserts that every sweep closes its
+//! accounting identity and that the published products advance with the
+//! base epoch.
 //!
 //! ```text
 //! cargo run --release --example contingency_screening
@@ -35,6 +37,7 @@ fn main() {
     println!("epoch | islanded | screened | suspects | violated | cleared | p99 case | identity");
     println!("------+----------+----------+----------+----------+---------+----------+---------");
 
+    let mut last_base_epoch = None;
     for (epoch, stress) in [1.0f64, 1.03, 1.06].iter().enumerate() {
         let snap = SystemSnapshot {
             epoch: epoch as u64,
@@ -57,6 +60,13 @@ fn main() {
             r.p99_case_ns() as f64 / 1e6,
             if r.identity_holds() { "closed" } else { "VIOLATED" },
         );
+        assert!(r.identity_holds(), "epoch {}: accounting identity violated", r.base_epoch);
+        let base_epoch = out.load().expect("a completed sweep publishes").base_epoch;
+        assert!(
+            last_base_epoch < Some(base_epoch),
+            "products must advance with the base epoch: {last_base_epoch:?} then {base_epoch}"
+        );
+        last_base_epoch = Some(base_epoch);
     }
 
     let product = out.load().expect("products published");

@@ -15,9 +15,8 @@
 //! ```
 
 use pgse::grid::cases::ieee118_like;
-use pgse::stream::{
-    KillSchedule, StreamConfig, StreamService, SupervisionEvent, SupervisorConfig,
-};
+use pgse::stream::supervise::{DEAD_AFTER, N_CLUSTERS};
+use pgse::stream::{KillSchedule, StreamConfig, StreamService, SupervisionEvent};
 
 const FRAMES: u64 = 24;
 const KILL_SEQ: u64 = 8;
@@ -35,7 +34,6 @@ fn main() {
         },
         ..StreamConfig::default()
     };
-    let supervision = SupervisorConfig::default();
     let service = StreamService::deploy(&net, cfg).expect("deploy");
     let assignment = service.cluster_assignment().to_vec();
     let orphans: Vec<usize> = assignment
@@ -48,7 +46,7 @@ fn main() {
         "failover demo: {} buses, {} areas on {} clusters (assignment {:?})",
         net.n_buses(),
         assignment.len(),
-        supervision.n_clusters,
+        N_CLUSTERS,
         assignment,
     );
     println!(
@@ -63,7 +61,7 @@ fn main() {
     }
 
     // Recovery latency: rounds from the kill to the last orphan's fresh
-    // publish. The watchdog bound is `dead_after + 1` rounds.
+    // publish. The watchdog bound is `DEAD_AFTER + 1` rounds.
     let recovered_seq = report
         .events
         .iter()
@@ -80,7 +78,7 @@ fn main() {
     println!(
         "recovery latency: {} rounds (kill at seq {KILL_SEQ}, all fresh by seq {recovered_seq}; bound {})",
         recovered_seq - KILL_SEQ,
-        supervision.dead_after + 1,
+        DEAD_AFTER + 1,
     );
     println!(
         "restarts: {} warm from checkpoints, {} cold | heartbeats {}, suspected {}, dead {}",

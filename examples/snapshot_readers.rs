@@ -18,6 +18,7 @@
 //! cargo run --release --example snapshot_readers
 //! ```
 
+use std::net::TcpListener;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::time::Duration;
@@ -74,6 +75,29 @@ fn run_reader(
     out
 }
 
+/// The push-mode reader: accepts one connection per surviving frame on
+/// `sink` until `stop`, and returns the epochs it decoded.
+fn collect_pushes(sink: &TcpListener, stop: &AtomicBool) -> Vec<u64> {
+    let mut epochs = Vec::new();
+    while !stop.load(Ordering::SeqCst) {
+        match sink.accept() {
+            Ok((mut conn, _)) => {
+                conn.set_read_timeout(Some(Duration::from_secs(2))).ok();
+                if let Ok(body) = pgse::medici::framing::read_frame(&mut conn) {
+                    if let Ok(ServeMsg::Full(v)) = pgse::serve::decode_msg(&body) {
+                        epochs.push(v.epoch);
+                    }
+                }
+            }
+            Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
+                std::thread::sleep(Duration::from_millis(1));
+            }
+            Err(_) => break,
+        }
+    }
+    epochs
+}
+
 fn main() {
     let net = ieee118_like();
     let service = StreamService::deploy(
@@ -122,7 +146,7 @@ fn main() {
     .expect("deploy fault proxy");
 
     let stop_tail = AtomicBool::new(false);
-    let stop_sink = Arc::new(AtomicBool::new(false));
+    let stop_sink = AtomicBool::new(false);
 
     let (full, delta, area, range, pushed, report) = std::thread::scope(|s| {
         // The live service: solves frames and publishes into its store.
@@ -132,31 +156,7 @@ fn main() {
             tail_store(service.store(), &bc, &stop_tail, Duration::from_micros(200))
         });
 
-        // Push-mode collector: one connection per surviving frame.
-        let collector = {
-            let stop = Arc::clone(&stop_sink);
-            let sink = &sink;
-            s.spawn(move || {
-                let mut epochs = Vec::new();
-                while !stop.load(Ordering::SeqCst) {
-                    match sink.accept() {
-                        Ok((mut conn, _)) => {
-                            conn.set_read_timeout(Some(Duration::from_secs(2))).ok();
-                            if let Ok(body) = pgse::medici::framing::read_frame(&mut conn) {
-                                if let Ok(ServeMsg::Full(v)) = pgse::serve::decode_msg(&body) {
-                                    epochs.push(v.epoch);
-                                }
-                            }
-                        }
-                        Err(ref e) if e.kind() == std::io::ErrorKind::WouldBlock => {
-                            std::thread::sleep(Duration::from_millis(1));
-                        }
-                        Err(_) => break,
-                    }
-                }
-                epochs
-            })
-        };
+        let collector = s.spawn(|| collect_pushes(&sink, &stop_sink));
 
         // The push subscription itself (control connection closes once
         // the endpoint is registered server-side).

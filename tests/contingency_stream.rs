@@ -17,6 +17,7 @@
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 
+use pgse::contingency::{analyze_one_warm, ratings_from_state, Contingency, CtgResult};
 use pgse::grid::cases::{ieee14, ieee118_like};
 use pgse::grid::Network;
 use pgse::powerflow::{solve, PfOptions};
@@ -181,6 +182,35 @@ fn deterministic_exports_are_byte_identical_across_pool_sizes() {
         sweeps[1].tasks_per_worker.iter().sum::<usize>(),
         sweeps[1].screened + ac_solved
     );
+}
+
+/// The live sweep against the single-case reference: with a zero screen
+/// margin every survivable IEEE-118 outage escalates to AC, and each AC
+/// result equals `analyze_one_warm` (a fresh model, warm from the same base
+/// point, the same ratings) at one and at four workers.
+#[test]
+fn every_escalated_case_matches_the_single_case_reference() {
+    let net = ieee118_like();
+    let sol = solve(&net, &PfOptions::default()).expect("base case solves");
+    let base = base_snapshot(&net, 0);
+    let cfg = |n_workers| ScenarioConfig { screen_margin: 0.0, ..exercised_config(n_workers) };
+    let limits = cfg(1).limits;
+    let rat = ratings_from_state(&net, &base.vm, &base.va, &limits);
+    let reference: Vec<CtgResult> = (0..net.n_branches())
+        .map(|k| analyze_one_warm(&net, Contingency::BranchOutage(k), &rat, &limits, &sol))
+        .collect();
+    for n_workers in [1usize, 4] {
+        let r = ScenarioEngine::new(net.clone(), cfg(n_workers)).sweep(&base, &Never);
+        assert_eq!(r.suspects, r.screened, "a zero margin escalates every screened case");
+        assert!(r.violated > 0, "tight ratings must confirm violations");
+        for c in &r.cases {
+            let want = &reference[c.branch];
+            let ac = c.ac.as_ref().unwrap_or_else(|| panic!("branch {}: no AC", c.branch));
+            assert_eq!(ac.converged, want.converged, "{n_workers} workers, branch {}", c.branch);
+            assert_eq!(ac.violations, want.violations, "{n_workers} workers, branch {}", c.branch);
+            assert_eq!(ac.iterations, want.iterations, "{n_workers} workers, branch {}", c.branch);
+        }
+    }
 }
 
 #[test]

@@ -4,7 +4,7 @@
 //! * a **worker kill** mid-stream is detected on the deterministic round
 //!   clock, the worker restarts warm from its checkpoint, and its area is
 //!   publishing fresh again within the bounded recovery window
-//!   (`dead_after + 1` rounds);
+//!   (`DEAD_AFTER + 1` rounds);
 //! * a **whole-cluster kill** triggers live failover: the decomposition
 //!   graph is repartitioned over the survivors, every orphaned area is
 //!   re-hosted (all redistribution moves originate at the dead cluster),
@@ -23,9 +23,9 @@ use std::time::Duration;
 
 use pgse::grid::cases::ieee118_like;
 use pgse::medici::FaultPlan;
+use pgse::stream::supervise::DEAD_AFTER;
 use pgse::stream::{
-    KillSchedule, PublishRejected, StreamConfig, StreamService, SupervisionEvent, SupervisorConfig,
-    SystemSnapshot,
+    KillSchedule, PublishRejected, StreamConfig, StreamService, SupervisionEvent, SystemSnapshot,
 };
 
 /// Each test runs a full multi-threaded service; serialize the file so
@@ -39,7 +39,7 @@ fn serial() -> std::sync::MutexGuard<'static, ()> {
 /// The recovery bound, in rounds, from the kill to a fresh publish: one
 /// round per missed deadline until death, plus the restart round.
 fn recovery_bound() -> u64 {
-    SupervisorConfig::default().dead_after + 1
+    DEAD_AFTER + 1
 }
 
 #[test]
@@ -84,7 +84,7 @@ fn killed_worker_is_declared_dead_restarts_warm_and_recovers_within_bound() {
     // Detection on the deterministic clock: suspect at the kill round,
     // dead one deadline later, restarted in place the same round (its
     // cluster survived), fresh again the round after that.
-    let dead_seq = kill_seq + SupervisorConfig::default().dead_after - 1;
+    let dead_seq = kill_seq + DEAD_AFTER - 1;
     assert!(report.events.contains(&SupervisionEvent::Suspected { area: 2, seq: kill_seq }));
     assert!(report.events.contains(&SupervisionEvent::Died { area: 2, seq: dead_seq }));
     assert!(report
@@ -115,7 +115,7 @@ fn killed_worker_is_declared_dead_restarts_warm_and_recovers_within_bound() {
     assert_eq!(report.checkpoints_restored, 1);
     assert_eq!(report.cold_restarts, 0);
     assert_eq!(report.requeued, 1);
-    assert!(report.degraded_area_rounds >= SupervisorConfig::default().dead_after);
+    assert!(report.degraded_area_rounds >= DEAD_AFTER);
     assert_eq!(report.unaccounted(), 0, "{report:?}");
 
     // The same identity from the ObsReport counters alone.
@@ -167,7 +167,7 @@ fn cluster_kill_fails_over_to_survivors_and_keeps_publishing() {
 
     // The cluster was declared lost exactly once, one deadline after the
     // kill, and every orphaned area was re-hosted off it.
-    let dead_seq = kill_seq + SupervisorConfig::default().dead_after - 1;
+    let dead_seq = kill_seq + DEAD_AFTER - 1;
     assert_eq!(report.cluster_deaths, 1);
     assert!(report
         .events
