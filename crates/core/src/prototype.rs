@@ -579,8 +579,9 @@ impl FrameExchange<'_> {
     /// thread, each under its area's recorder with what is left of the
     /// round (an inbox reached after the deadline still takes what has
     /// already arrived). With `per_source` an area takes one batch per
-    /// distinct neighbour; without, one batch in all (the coordinator's
-    /// downlink, keyed alike so an empty one is taken, not rejected). A
+    /// distinct neighbour, each from that neighbour alone ([`keyed`]);
+    /// without, one batch in all (the coordinator's downlink, keyed alike
+    /// so an empty one is taken, not rejected). A
     /// neighbour none of whose entries arrived is missed. With `drain`
     /// every inbox then drains its stragglers in one shared
     /// [`STRAGGLER_GRACE`] window.
@@ -635,7 +636,8 @@ impl FrameExchange<'_> {
 /// decodes only if every entry comes from a source `allowed` admits, names
 /// a bus of that source's area, and carries finite values with σ > 0.
 /// Anything else — a frame that does not parse included — is `None`, which
-/// the collection counts corrupt.
+/// the collection counts corrupt. Where a batch stands for one sender,
+/// [`keyed`] also requires every entry to name that sender.
 fn decode_batch(
     frame: &[u8],
     decomp: &Decomposition,
@@ -652,10 +654,13 @@ fn decode_batch(
     batch.iter().all(sound).then_some(batch)
 }
 
-/// Keys a batch by its source area (its first entry's); an empty batch
-/// names no source.
+/// Keys a batch by its one source area. A batch stands for one sender:
+/// an empty one names no source, and one whose entries name more than
+/// one source is unsound — an entry from a neighbour that did not send
+/// would hide that neighbour's missed delivery.
 fn keyed(batch: Vec<PseudoMeasurement>) -> Option<(u64, Vec<PseudoMeasurement>)> {
-    Some((batch.first()?.from_area as u64, batch))
+    let from = batch.first()?.from_area;
+    batch.iter().all(|p| p.from_area == from).then_some((from as u64, batch))
 }
 
 /// What the fault-tolerant exchange counted beyond the delivery itself.
@@ -853,36 +858,102 @@ mod tests {
         assert_eq!(evening.frame, 2);
     }
 
-    #[test]
-    fn an_unsound_batch_is_counted_corrupt_instead_of_crashing_the_frame() {
-        let mut proto = deploy(CoordinationMode::Decentralized);
+    /// A bus of area `from` on a tie line to area `to`.
+    fn tie_bus(proto: &SystemPrototype, from: usize, to: usize) -> usize {
         let net = proto.network();
         let bus = net
             .branches
             .iter()
-            .find_map(|b| match (net.buses[b.from].area, net.buses[b.to].area) {
-                (0, 1) => Some(b.from),
-                (1, 0) => Some(b.to),
-                _ => None,
+            .find_map(|b| {
+                let areas = (net.buses[b.from].area, net.buses[b.to].area);
+                if areas == (from, to) {
+                    Some(b.from)
+                } else {
+                    (areas == (to, from)).then_some(b.to)
+                }
             })
-            .expect("a 0–1 tie line");
-        assert!(proto.decomp.areas[0].global_ids.contains(&bus));
-        // Parses, names area 0 and one of its buses, but carries σ = 0:
-        // Step 2 must never see it.
-        let bad = PseudoMeasurement {
-            from_area: 0,
+            .expect("a tie line");
+        assert!(proto.decomp.areas[from].global_ids.contains(&bus));
+        bus
+    }
+
+    /// A sound estimate of `bus` as area `from` would export it.
+    fn pseudo(from: usize, bus: usize) -> PseudoMeasurement {
+        PseudoMeasurement {
+            from_area: from,
             global_bus: bus,
             vm: 1.0,
             va: 0.0,
-            sigma_vm: 0.0,
-            sigma_va: 0.0,
-        };
-        proto.client.send("tcp://pipe-0-1.dse.pnl.gov:6789", &to_wire(&[bad])).unwrap();
+            sigma_vm: 0.003,
+            sigma_va: 0.002,
+        }
+    }
+
+    /// Sends the bytes `wire` makes down the 0 → 1 pipeline ahead of a
+    /// frame and runs the frame: the bad batch is counted corrupt, area
+    /// 0's real batch still reaches area 1, and nothing is missed or
+    /// degraded.
+    fn run_after_injecting(wire: impl FnOnce(&SystemPrototype) -> Vec<u8>) {
+        let mut proto = deploy(CoordinationMode::Decentralized);
+        let wire = wire(&proto);
+        proto.client.send("tcp://pipe-0-1.dse.pnl.gov:6789", &wire).unwrap();
         let report = proto.run_frame(0.0).unwrap();
         assert_eq!(report.corrupt_frames, 1);
         assert!(report.missed_exchanges.is_empty(), "{:?}", report.missed_exchanges);
         assert!(report.degraded_areas.is_empty());
         assert!(report.vm_rmse < 1e-2, "vm rmse {}", report.vm_rmse);
+    }
+
+    #[test]
+    fn an_unsound_batch_is_counted_corrupt_instead_of_crashing_the_frame() {
+        // Parses, names area 0 and one of its buses, but carries σ = 0:
+        // Step 2 must never see it.
+        run_after_injecting(|proto| {
+            let bus = tie_bus(proto, 0, 1);
+            to_wire(&[PseudoMeasurement { sigma_vm: 0.0, sigma_va: 0.0, ..pseudo(0, bus) }])
+        });
+    }
+
+    #[test]
+    fn a_batch_that_mixes_sources_is_counted_corrupt() {
+        // Each entry alone is sound for area 1's inbox, but a batch keyed
+        // by area 0 that also speaks for `other` would hide a missed
+        // `other` → 1 delivery.
+        run_after_injecting(|proto| {
+            let other = *proto.decomp.areas[1]
+                .neighbors
+                .iter()
+                .find(|&&nb| nb != 0)
+                .expect("area 1 has a neighbour besides 0");
+            to_wire(&[pseudo(0, tie_bus(proto, 0, 1)), pseudo(other, tie_bus(proto, other, 1))])
+        });
+    }
+
+    #[test]
+    fn a_truncated_batch_is_counted_corrupt() {
+        run_after_injecting(|proto| {
+            let mut wire = to_wire(&[pseudo(0, tie_bus(proto, 0, 1))]);
+            wire.pop();
+            wire
+        });
+    }
+
+    #[test]
+    fn decode_batch_admits_every_finite_pattern_and_rejects_the_rest() {
+        let proto = deploy(CoordinationMode::Decentralized);
+        let bus = tie_bus(&proto, 0, 1);
+        let decode = |p: PseudoMeasurement| decode_batch(&to_wire(&[p]), &proto.decomp, |_| true);
+        for v in [-0.0, f64::from_bits(1), f64::MIN_POSITIVE / 2.0] {
+            let p = PseudoMeasurement { vm: v, va: v, ..pseudo(0, bus) };
+            let back = decode(p).expect("finite values are sound");
+            assert_eq!((back[0].vm.to_bits(), back[0].va.to_bits()), (v.to_bits(), v.to_bits()));
+        }
+        let nan = f64::from_bits(0x7ff8_dead_beef_0001);
+        for v in [f64::INFINITY, f64::NEG_INFINITY, nan] {
+            assert!(decode(PseudoMeasurement { vm: v, ..pseudo(0, bus) }).is_none());
+            assert!(decode(PseudoMeasurement { va: v, ..pseudo(0, bus) }).is_none());
+            assert!(decode(PseudoMeasurement { sigma_vm: v, ..pseudo(0, bus) }).is_none());
+        }
     }
 
     #[test]

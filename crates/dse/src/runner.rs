@@ -22,7 +22,7 @@ use pgse_powerflow::PfSolution;
 
 use crate::decomposition::{decompose, Decomposition, DecompositionOptions};
 use crate::estimator::{AreaEstimator, AreaSolution};
-use crate::pseudo::{to_wire, PseudoMeasurement};
+use crate::pseudo::{wire_len, PseudoMeasurement};
 
 /// Options of a DSE cycle.
 #[derive(Debug, Clone, Copy)]
@@ -349,7 +349,6 @@ impl Exchange for InProcess<'_> {
     }
 
     fn deliver(&mut self, round: usize, batches: &[Vec<PseudoMeasurement>]) -> Delivery {
-        let wire_len: Vec<u64> = batches.iter().map(|b| to_wire(b).len() as u64).collect();
         let mut out = Delivery::default();
         // Every area sends its batch to each neighbour (bidirectional
         // exchange, paper §IV-A); the plan decides which arrive.
@@ -359,7 +358,7 @@ impl Exchange for InProcess<'_> {
                 if self.plan.drops(round, from, to) {
                     out.missed.push((from, to));
                 } else {
-                    out.bytes += wire_len[from];
+                    out.bytes += wire_len(batches[from].len()) as u64;
                     inbox.extend_from_slice(&batches[from]);
                 }
             }
