@@ -12,7 +12,7 @@ use std::sync::Arc;
 use pgse_grid::{Network, Ybus};
 use pgse_sparsela::{AtaSymbolic, CholSymbolic, Csr, LaError, SparseCholesky};
 
-use crate::jacobian::{evaluate_h, JacobianPattern, StateSpace};
+use crate::jacobian::{BranchPorts, JacobianPattern, PointTrig, StateSpace};
 use crate::measurement::MeasurementSet;
 
 /// Options of the Gauss–Newton loop.
@@ -122,6 +122,12 @@ pub struct SolveCache {
     /// factorization at a fraction of the cost.
     chol: Option<SparseCholesky>,
     warm: Option<(Vec<f64>, Vec<f64>)>,
+    /// One iteration's scratch, reused so a warm iteration allocates
+    /// nothing: the point half of the linearization, the weighted
+    /// residuals `W·(z − h(x))`, and the right-hand side `HᵀW·(z − h(x))`.
+    at: PointTrig,
+    wr: Vec<f64>,
+    rhs: Vec<f64>,
     /// Symbolic structures built from scratch (topology/plan changes).
     pub symbolic_builds: u64,
     /// Frames that reused the cached structures.
@@ -242,9 +248,9 @@ fn factor_err(e: LaError, gain: &Csr, rhs: &[f64]) -> WlsError {
 }
 
 /// Solves one gain system `G·Δx = rhs` through the cache's factor slot:
-/// a numeric refresh of the cached factor when its pattern matches `gain`,
-/// else a factorization from scratch that replaces it. Each call ticks
-/// exactly one of `reuse`/`full`.
+/// a numeric refresh of the cached factor when its pattern matches `gain`
+/// (the refresh itself checks), else a factorization from scratch that
+/// replaces it. Each call ticks exactly one of `reuse`/`full`.
 fn solve_gain(
     gain: &Csr,
     rhs: &[f64],
@@ -252,17 +258,22 @@ fn solve_gain(
     reuse: &mut u64,
     full: &mut u64,
 ) -> Result<Vec<f64>, WlsError> {
-    if let Some(chol) = slot.as_mut().filter(|c| c.pattern_matches(gain)) {
-        if let Err(e) = chol.refactor(gain) {
-            // The values turned indefinite (or similar): drop the factor
-            // so the next frame starts clean, and fail this solve like a
-            // from-scratch one would.
-            *slot = None;
-            return Err(factor_err(e, gain, rhs));
+    if let Some(chol) = slot.as_mut() {
+        match chol.refactor(gain) {
+            Ok(()) => {
+                *reuse += 1;
+                pgse_obs::counter_add("wls.refactor.reuse", 1);
+                return Ok(chol.solve(rhs));
+            }
+            Err(LaError::PatternMismatch { .. }) => {}
+            Err(e) => {
+                // The values turned indefinite (or similar): drop the
+                // factor so the next frame starts clean, and fail this
+                // solve like a from-scratch one would.
+                *slot = None;
+                return Err(factor_err(e, gain, rhs));
+            }
         }
-        *reuse += 1;
-        pgse_obs::counter_add("wls.refactor.reuse", 1);
-        return Ok(chol.solve(rhs));
     }
     let chol = SparseCholesky::factor(gain).map_err(|e| factor_err(e, gain, rhs))?;
     *full += 1;
@@ -277,6 +288,8 @@ fn solve_gain(
 pub struct WlsEstimator {
     net: Network,
     ybus: Ybus,
+    /// The network half of every linearization, built with `ybus`.
+    ports: BranchPorts,
     space: StateSpace,
     opts: WlsOptions,
 }
@@ -290,7 +303,8 @@ impl WlsEstimator {
             let _sp = pgse_obs::span("wls.ybus");
             Ybus::new(&net)
         };
-        WlsEstimator { net, ybus, space, opts }
+        let ports = BranchPorts::new(&net, &ybus);
+        WlsEstimator { net, ybus, ports, space, opts }
     }
 
     /// This estimator re-valued for a switched grid: branch `k` of
@@ -301,9 +315,11 @@ impl WlsEstimator {
     /// valid on the copy. LNR runs on the copy itself; observability
     /// checks and restoration read it through [`WlsEstimator::ybus`].
     pub fn with_branch_status(&self, closed: &[bool]) -> WlsEstimator {
+        let ybus = Ybus::with_branch_status(&self.net, closed);
         WlsEstimator {
             net: self.net.clone(),
-            ybus: Ybus::with_branch_status(&self.net, closed),
+            ports: self.ports.with_open(ybus.open_branches()),
+            ybus,
             space: self.space.clone(),
             opts: self.opts,
         }
@@ -360,13 +376,30 @@ impl WlsEstimator {
     /// The residuals `z − h(x)` of `set` at `(vm, va)`; an inactive row's
     /// residual is exactly `0.0`, whatever its `h(x)` reads.
     pub fn residuals(&self, set: &MeasurementSet, vm: &[f64], va: &[f64]) -> Vec<f64> {
-        let h = evaluate_h(&self.net, &self.ybus, set, vm, va);
-        set.as_slice()
-            .iter()
-            .zip(h)
-            .enumerate()
-            .map(|(i, (m, hi))| if set.is_active(i) { m.value - hi } else { 0.0 })
-            .collect()
+        let mut r = Vec::with_capacity(set.len());
+        self.residuals_into(set, vm, va, &mut PointTrig::default(), &mut r);
+        r
+    }
+
+    /// [`WlsEstimator::residuals`] into `r`, evaluating `at` at `(vm, va)`
+    /// on the way: the one pass over the admittances an iteration makes.
+    fn residuals_into(
+        &self,
+        set: &MeasurementSet,
+        vm: &[f64],
+        va: &[f64],
+        at: &mut PointTrig,
+        r: &mut Vec<f64>,
+    ) {
+        at.evaluate(&self.ybus, vm, va);
+        r.clear();
+        r.extend(set.as_slice().iter().enumerate().map(|(i, m)| {
+            if set.is_active(i) {
+                m.value - self.ports.h(m.kind, vm, va, at)
+            } else {
+                0.0
+            }
+        }));
     }
 
     /// `hᵢᵀ·G⁻¹·hᵢ` for every active row `i` of `set`, with `H` and
@@ -395,20 +428,25 @@ impl WlsEstimator {
         sym: Option<Arc<CholSymbolic>>,
     ) -> Result<Vec<f64>, WlsError> {
         self.ensure_structures(set, cache)?;
-        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, chol, .. } = cache;
+        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, chol, at, .. } = cache;
         let (Some(pattern), Some(jac), Some(gain_sym), Some(gain)) =
-            (pattern.as_ref(), jac_buf.as_mut(), gain_sym.as_ref(), gain_buf.as_mut())
+            (pattern.as_ref(), jac_buf.as_mut(), gain_sym.as_mut(), gain_buf.as_mut())
         else {
             unreachable!("ensure_structures built every buffer");
         };
-        pattern.assemble_into(&self.net, &self.ybus, set, &self.space, vm, va, jac);
+        at.evaluate(&self.ybus, vm, va);
+        pattern.assemble_into(&self.ports, &self.ybus, set, &self.space, vm, at, jac);
         gain_sym.compute_into(jac, &set.weights(), gain);
+        let fresh = |gain: &Csr| match sym {
+            Some(s) if s.matches(gain) => SparseCholesky::factor_with_symbolic(s, gain),
+            _ => SparseCholesky::factor(gain),
+        };
         let factor = match chol.take() {
-            Some(mut c) if c.pattern_matches(gain) => c.refactor(gain).map(|()| c),
-            _ => match sym {
-                Some(s) if s.matches(gain) => SparseCholesky::factor_with_symbolic(s, gain),
-                _ => SparseCholesky::factor(gain),
+            Some(mut c) => match c.refactor(gain) {
+                Err(LaError::PatternMismatch { .. }) => fresh(gain),
+                refreshed => refreshed.map(|()| c),
             },
+            None => fresh(gain),
         };
         let factor = factor.map_err(|e| factor_err(e, gain, &[]))?;
         let mut work = vec![0.0; factor.dim()];
@@ -521,7 +559,6 @@ impl WlsEstimator {
             w: set.weights(),
             vm,
             va,
-            rhs: Vec::new(),
             iter: 0,
             last_step: f64::INFINITY,
             converged: false,
@@ -551,7 +588,6 @@ pub struct GnWave<'a> {
     w: Vec<f64>,
     vm: Vec<f64>,
     va: Vec<f64>,
-    rhs: Vec<f64>,
     iter: usize,
     last_step: f64,
     converged: bool,
@@ -559,23 +595,27 @@ pub struct GnWave<'a> {
 
 impl<'a> GnWave<'a> {
     /// Assembles the next iteration's Jacobian, right-hand side, and gain
-    /// matrix into the cache buffers.
+    /// matrix into the cache buffers: one pass over the admittances at the
+    /// current point, then `h`, `H` and `G = HᵀWH` from it, allocating
+    /// nothing.
     fn assemble(&mut self) {
         self.iter += 1;
         let est = self.est;
-        let pattern = self.cache.pattern.as_ref().expect("prepared by wave_begin");
-        let gain_sym = self.cache.gain_sym.as_ref().expect("prepared by wave_begin");
-        let jac = self.cache.jac_buf.as_mut().expect("prepared by wave_begin");
-        let gain = self.cache.gain_buf.as_mut().expect("prepared by wave_begin");
-        let r = {
+        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, at, wr, rhs, .. } = &mut *self.cache;
+        let pattern = pattern.as_ref().expect("prepared by wave_begin");
+        let gain_sym = gain_sym.as_mut().expect("prepared by wave_begin");
+        let jac = jac_buf.as_mut().expect("prepared by wave_begin");
+        let gain = gain_buf.as_mut().expect("prepared by wave_begin");
+        {
             let _sp = pgse_obs::span("wls.jacobian");
-            let r = est.residuals(self.set, &self.vm, &self.va);
-            pattern.assemble_into(&est.net, &est.ybus, self.set, &est.space, &self.vm, &self.va, jac);
-            r
-        };
-        let wr: Vec<f64> = r.iter().zip(&self.w).map(|(ri, wi)| ri * wi).collect();
-        self.rhs = vec![0.0; est.space.dim()];
-        jac.spmv_transpose(&wr, &mut self.rhs);
+            est.residuals_into(self.set, &self.vm, &self.va, at, wr);
+            pattern.assemble_into(&est.ports, &est.ybus, self.set, &est.space, &self.vm, at, jac);
+        }
+        for (ri, wi) in wr.iter_mut().zip(&self.w) {
+            *ri *= wi;
+        }
+        rhs.resize(est.space.dim(), 0.0);
+        jac.spmv_transpose(wr, rhs);
         {
             let _sp = pgse_obs::span("wls.gain");
             gain_sym.compute_into(jac, &self.w, gain);
@@ -589,7 +629,7 @@ impl<'a> GnWave<'a> {
 
     /// The current iteration's right-hand side `HᵀWr`.
     pub fn rhs(&self) -> &[f64] {
-        &self.rhs
+        &self.cache.rhs
     }
 
     /// Records how the external solver handled this iteration's system —
@@ -615,10 +655,10 @@ impl<'a> GnWave<'a> {
     fn step(&mut self) -> Result<bool, WlsError> {
         let dx = {
             let _sp = pgse_obs::span("wls.gain_solve");
-            let SolveCache { gain_buf, chol, refactor_reuse, refactor_full, .. } =
+            let SolveCache { gain_buf, chol, refactor_reuse, refactor_full, rhs, .. } =
                 &mut *self.cache;
             let gain = gain_buf.as_ref().expect("assembled");
-            solve_gain(gain, &self.rhs, chol, refactor_reuse, refactor_full)?
+            solve_gain(gain, rhs, chol, refactor_reuse, refactor_full)?
         };
         Ok(self.apply_step(&dx))
     }
@@ -672,7 +712,8 @@ impl<'a> GnWave<'a> {
                 last_step: self.last_step,
             });
         }
-        let residuals = self.est.residuals(self.set, &self.vm, &self.va);
+        let mut residuals = Vec::with_capacity(self.set.len());
+        self.est.residuals_into(self.set, &self.vm, &self.va, &mut self.cache.at, &mut residuals);
         let objective = residuals.iter().zip(&self.w).map(|(ri, wi)| ri * ri * wi).sum();
         self.cache.warm = Some((self.vm.clone(), self.va.clone()));
         Ok(StateEstimate {
@@ -691,6 +732,30 @@ mod tests {
     use crate::measurement::{FlowSide, Measurement, MeasurementKind};
     use pgse_grid::cases::ieee14;
     use pgse_powerflow::{solve, PfOptions};
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts this thread's allocations, so a test can show a warm
+    /// iteration allocates nothing.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
 
     /// Exact (noise-free) measurement set from the solved power flow.
     fn exact_set(net: &pgse_grid::Network, pmu_buses: &[usize]) -> MeasurementSet {
@@ -1179,5 +1244,31 @@ mod tests {
             .estimate_cached(&set, Some((&truth.vm, &truth.va)), &mut SolveCache::new())
             .unwrap();
         assert!(warm.iterations <= cold.iterations);
+    }
+
+    #[test]
+    fn a_warm_iteration_linearizes_and_forms_the_gain_without_allocating() {
+        let net = ieee14();
+        let mut set = exact_set(&net, &[0]);
+        set.deactivate(7);
+        let mut closed = vec![true; net.n_branches()];
+        closed[4] = false;
+        for est in [
+            WlsEstimator::new(
+                net.clone(),
+                StateSpace::with_reference(14, 0),
+                WlsOptions::default(),
+            ),
+            WlsEstimator::new(net.clone(), StateSpace::full(14), WlsOptions::default())
+                .with_branch_status(&closed),
+        ] {
+            let mut cache = SolveCache::new();
+            est.estimate_cached(&set, None, &mut cache).unwrap();
+            let mut wave = est.wave_begin(&set, None, &mut cache).unwrap();
+            let before = ALLOCS.with(Cell::get);
+            wave.assemble();
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert_eq!(allocs, 0, "h, H, the right-hand side and G of one iteration");
+        }
     }
 }

@@ -36,24 +36,45 @@ impl BranchFlow {
 /// voltage profile `(vm, va)`.
 pub fn bus_injections(ybus: &Ybus, vm: &[f64], va: &[f64]) -> (Vec<f64>, Vec<f64>) {
     let n = ybus.dim();
-    assert_eq!(vm.len(), n, "bus_injections: vm length");
-    assert_eq!(va.len(), n, "bus_injections: va length");
     let mut p = vec![0.0; n];
     let mut q = vec![0.0; n];
+    bus_injections_into(ybus, vm, va, &mut p, &mut q, |_, _| {});
+    (p, q)
+}
+
+/// [`bus_injections`] written into `p` and `q`, handing `each(s, (sin θ,
+/// cos θ))` the trigonometry of every stored entry `s` (in
+/// [`Ybus::csr_parts`] order, `θ = θ_i − θ_j` for row `i`, column `j`) as
+/// the one pass computes it.
+pub fn bus_injections_into(
+    ybus: &Ybus,
+    vm: &[f64],
+    va: &[f64],
+    p: &mut [f64],
+    q: &mut [f64],
+    mut each: impl FnMut(usize, (f64, f64)),
+) {
+    let n = ybus.dim();
+    assert_eq!(vm.len(), n, "bus_injections: vm length");
+    assert_eq!(va.len(), n, "bus_injections: va length");
+    assert_eq!(p.len(), n, "bus_injections: p length");
+    assert_eq!(q.len(), n, "bus_injections: q length");
+    let row_ptr = ybus.csr_parts().0;
     for i in 0..n {
         let (cols, vals) = ybus.row(i);
+        let lo = row_ptr[i];
         let mut pi = 0.0;
         let mut qi = 0.0;
-        for (j, y) in cols.iter().zip(vals) {
+        for (k, (j, y)) in cols.iter().zip(vals).enumerate() {
             let th = va[i] - va[*j];
             let (s, c) = th.sin_cos();
+            each(lo + k, (s, c));
             pi += vm[*j] * (y.re * c + y.im * s);
             qi += vm[*j] * (y.re * s - y.im * c);
         }
         p[i] = vm[i] * pi;
         q[i] = vm[i] * qi;
     }
-    (p, q)
 }
 
 /// Computes the four terminal flows of every branch.
@@ -73,11 +94,22 @@ pub(crate) fn branch_flow(
     vm: &[f64],
     va: &[f64],
 ) -> BranchFlow {
-    let th_ft = va[f] - va[t];
-    let (s, c) = th_ft.sin_cos();
-    let vf2 = vm[f] * vm[f];
-    let vt2 = vm[t] * vm[t];
-    let vfvt = vm[f] * vm[t];
+    branch_flow_at(y, vm[f], vm[t], (va[f] - va[t]).sin_cos())
+}
+
+/// The terminal flows of one branch with two-port `y` (as in
+/// [`branch_flows`]) given `V_f`, `V_t` and `(sin θ_ft, cos θ_ft)`, for
+/// callers that already hold the angle's trigonometry.
+#[inline]
+pub fn branch_flow_at(
+    y: &BranchAdmittance,
+    vm_f: f64,
+    vm_t: f64,
+    (s, c): (f64, f64),
+) -> BranchFlow {
+    let vf2 = vm_f * vm_f;
+    let vt2 = vm_t * vm_t;
+    let vfvt = vm_f * vm_t;
     BranchFlow {
         p_from: vf2 * y.yff.re + vfvt * (y.yft.re * c + y.yft.im * s),
         q_from: -vf2 * y.yff.im + vfvt * (y.yft.re * s - y.yft.im * c),
@@ -116,6 +148,27 @@ pub(crate) fn injection_derivatives_of(
     i: usize,
     j: usize,
 ) -> (f64, f64, f64, f64) {
+    // One call per arm, so each inlined copy sees which formulas it runs.
+    if i == j {
+        injection_derivatives_at(y, vm, p_i, q_i, i, j, (0.0, 1.0))
+    } else {
+        injection_derivatives_at(y, vm, p_i, q_i, i, j, (va[i] - va[j]).sin_cos())
+    }
+}
+
+/// [`injection_derivatives`] with the admittance `y = Y[i][j]` and
+/// `(sin θ_ij, cos θ_ij)` given; the diagonal (`i == j`) formulas do not
+/// read the trigonometry.
+#[inline]
+pub fn injection_derivatives_at(
+    y: Cplx,
+    vm: &[f64],
+    p_i: f64,
+    q_i: f64,
+    i: usize,
+    j: usize,
+    (s, c): (f64, f64),
+) -> (f64, f64, f64, f64) {
     let (g, b) = (y.re, y.im);
     let vi = vm[i];
     if i == j {
@@ -126,8 +179,6 @@ pub(crate) fn injection_derivatives_of(
             q_i / vi - b * vi,
         )
     } else {
-        let th = va[i] - va[j];
-        let (s, c) = th.sin_cos();
         let vj = vm[j];
         (
             vi * vj * (g * s - b * c),
@@ -148,7 +199,17 @@ pub fn from_flow_derivatives(
     vm_t: f64,
     th_ft: f64,
 ) -> ([f64; 4], [f64; 4]) {
-    let (s, c) = th_ft.sin_cos();
+    from_flow_derivatives_at(y, vm_f, vm_t, th_ft.sin_cos())
+}
+
+/// [`from_flow_derivatives`] given `(sin θ_ft, cos θ_ft)`.
+#[inline]
+pub fn from_flow_derivatives_at(
+    y: &BranchAdmittance,
+    vm_f: f64,
+    vm_t: f64,
+    (s, c): (f64, f64),
+) -> ([f64; 4], [f64; 4]) {
     let (gff, bff) = (y.yff.re, y.yff.im);
     let (gft, bft) = (y.yft.re, y.yft.im);
     let vfvt = vm_f * vm_t;

@@ -377,12 +377,6 @@ impl SparseCholesky {
         Ok(SparseCholesky { sym, lx })
     }
 
-    /// Whether `a` carries the pattern this factor was built from — the
-    /// gate for [`SparseCholesky::refactor`].
-    pub fn pattern_matches(&self, a: &Csr) -> bool {
-        self.sym.matches(a)
-    }
-
     /// Numeric-only refactorization: refreshes the factor for new values of
     /// a matrix with the *same* pattern, skipping the symbolic analysis.
     /// The result is bitwise identical to a from-scratch
@@ -657,7 +651,7 @@ mod tests {
         let b: Vec<f64> = (0..a.nrows()).map(|i| ((i * 7 % 11) as f64) - 5.0).collect();
         for seed in [1u64, 2, 3] {
             let a2 = rescaled(&a, seed);
-            assert!(chol.pattern_matches(&a2));
+            assert!(chol.symbolic().matches(&a2));
             chol.refactor(&a2).unwrap();
             let fresh = SparseCholesky::factor(&a2).unwrap();
             assert_eq!(chol.l_nnz(), fresh.l_nnz());
@@ -675,7 +669,7 @@ mod tests {
         let mut chol = SparseCholesky::factor(&a).unwrap();
         // A different pattern: drop the grid couplings, keep the diagonal.
         let diag = Csr::identity(a.nrows());
-        assert!(!chol.pattern_matches(&diag));
+        assert!(!chol.symbolic().matches(&diag));
         assert!(matches!(chol.refactor(&diag), Err(LaError::PatternMismatch { .. })));
         // The previous factor is still usable after the rejection.
         let b = vec![1.0; a.nrows()];

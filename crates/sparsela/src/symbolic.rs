@@ -38,6 +38,10 @@ pub struct AtaSymbolic {
     /// Structure of `G = AᵀWA`.
     g_row_ptr: Vec<usize>,
     g_col_idx: Vec<usize>,
+    /// Column → value slot of the `G` row being filled: the one piece of
+    /// scratch [`AtaSymbolic::compute_into`] writes, held so it allocates
+    /// nothing.
+    slot: Vec<usize>,
 }
 
 impl AtaSymbolic {
@@ -96,6 +100,7 @@ impl AtaSymbolic {
             at_val_of_a,
             g_row_ptr,
             g_col_idx,
+            slot: vec![0; n],
         }
     }
 
@@ -123,49 +128,58 @@ impl AtaSymbolic {
         )
     }
 
-    /// Numeric `AᵀWA` into the cached pattern (no allocation beyond the
-    /// internal scratch), returning a fresh matrix.
+    /// Numeric `AᵀWA` into the cached pattern, returning a fresh matrix.
     ///
     /// # Panics
     /// Panics if `a` does not match the cached pattern or `w` has the
     /// wrong length (debug-checked; release relies on the caller keeping
     /// the estimator/cache pairing straight).
-    pub fn compute(&self, a: &Csr, w: &[f64]) -> Csr {
+    pub fn compute(&mut self, a: &Csr, w: &[f64]) -> Csr {
         let mut g = self.g_template();
         self.compute_into(a, w, &mut g);
         g
     }
 
     /// Numeric `AᵀWA` written into `g`, which must carry the cached
-    /// structure (see [`AtaSymbolic::g_template`]).
-    pub fn compute_into(&self, a: &Csr, w: &[f64], g: &mut Csr) {
+    /// structure (see [`AtaSymbolic::g_template`]); allocates nothing.
+    ///
+    /// Row `i` of `G` is zero-filled, then every product `a_ki·w_k·a_kj`
+    /// is added straight into its value slot, found through a column map
+    /// of that row — the same `(i, t, p)` order, and so the same bits, as
+    /// a dense accumulator gathered into the pattern.
+    pub fn compute_into(&mut self, a: &Csr, w: &[f64], g: &mut Csr) {
         debug_assert!(self.matches(a), "AtaSymbolic: pattern mismatch");
         assert_eq!(w.len(), a.nrows(), "AtaSymbolic: weight length");
         assert_eq!(g.nnz(), self.g_col_idx.len(), "AtaSymbolic: output nnz");
         assert_eq!(g.row_ptr(), self.g_row_ptr.as_slice(), "AtaSymbolic: output pattern");
         debug_assert_eq!(g.col_idx(), self.g_col_idx.as_slice(), "AtaSymbolic: output pattern");
-        let n = self.a_ncols;
-        let mut acc = vec![0f64; n];
-        let mut mark = vec![usize::MAX; n];
+        let AtaSymbolic {
+            a_row_ptr,
+            a_col_idx,
+            a_ncols,
+            at_row_ptr,
+            at_col_idx,
+            at_val_of_a,
+            g_row_ptr,
+            g_col_idx,
+            slot,
+        } = self;
         let a_vals = a.values();
-        for i in 0..n {
-            // Row i of Aᵀ = column i of A: accumulate a_ki · w_k · row_k(A).
-            for t in self.at_row_ptr[i]..self.at_row_ptr[i + 1] {
-                let k = self.at_col_idx[t];
-                let aki_w = a_vals[self.at_val_of_a[t]] * w[k];
-                for p in self.a_row_ptr[k]..self.a_row_ptr[k + 1] {
-                    let j = self.a_col_idx[p];
-                    if mark[j] != i {
-                        mark[j] = i;
-                        acc[j] = 0.0;
-                    }
-                    acc[j] += aki_w * a_vals[p];
-                }
+        let vals = g.values_mut();
+        for i in 0..*a_ncols {
+            let (lo, hi) = (g_row_ptr[i], g_row_ptr[i + 1]);
+            for (p, &j) in (lo..hi).zip(&g_col_idx[lo..hi]) {
+                slot[j] = p;
+                vals[p] = 0.0;
             }
-            let (lo, hi) = (self.g_row_ptr[i], self.g_row_ptr[i + 1]);
-            let vals = g.values_mut();
-            for (p, &j) in (lo..hi).zip(&self.g_col_idx[lo..hi]) {
-                vals[p] = if mark[j] == i { acc[j] } else { 0.0 };
+            // Row i of Aᵀ = column i of A: add a_ki · w_k · row_k(A).
+            for t in at_row_ptr[i]..at_row_ptr[i + 1] {
+                let k = at_col_idx[t];
+                let aki_w = a_vals[at_val_of_a[t]] * w[k];
+                let (lo, hi) = (a_row_ptr[k], a_row_ptr[k + 1]);
+                for (&j, &a_kj) in a_col_idx[lo..hi].iter().zip(&a_vals[lo..hi]) {
+                    vals[slot[j]] += aki_w * a_kj;
+                }
             }
         }
     }
@@ -198,7 +212,7 @@ mod tests {
     fn cached_product_matches_ata_weighted() {
         let a = sample();
         let w = [1.0, 0.5, 2.0, 0.25, 4.0];
-        let sym = AtaSymbolic::new(&a);
+        let mut sym = AtaSymbolic::new(&a);
         assert!(sym.matches(&a));
         let g = sym.compute(&a, &w);
         let reference = a.ata_weighted(&w);
@@ -216,7 +230,7 @@ mod tests {
         coo.push(1, 0, 1.0);
         coo.push(1, 1, -1.0);
         let a = coo.to_csr();
-        let sym = AtaSymbolic::new(&a);
+        let mut sym = AtaSymbolic::new(&a);
         let g = sym.compute(&a, &[1.0, 1.0]);
         assert_eq!(g.nnz(), 4, "structural pattern retained");
         assert_eq!(g.get(0, 1), 0.0);
@@ -227,7 +241,7 @@ mod tests {
     #[test]
     fn reuse_across_value_changes() {
         let a = sample();
-        let sym = AtaSymbolic::new(&a);
+        let mut sym = AtaSymbolic::new(&a);
         let mut g = sym.g_template();
         for scale in [1.0, 2.0, 0.1] {
             let mut b = a.clone();
@@ -249,5 +263,99 @@ mod tests {
         coo.push(0, 0, 1.0);
         let b = coo.to_csr();
         assert!(!sym.matches(&b));
+    }
+
+    /// The gather-based product as it was before the slot map, kept
+    /// verbatim as the oracle: a dense accumulator with a row mark, then a
+    /// gather into the pattern.
+    fn oracle_compute_into(sym: &AtaSymbolic, a: &Csr, w: &[f64], g: &mut Csr) {
+        let n = sym.a_ncols;
+        let mut acc = vec![0f64; n];
+        let mut mark = vec![usize::MAX; n];
+        let a_vals = a.values();
+        for i in 0..n {
+            // Row i of Aᵀ = column i of A: accumulate a_ki · w_k · row_k(A).
+            for t in sym.at_row_ptr[i]..sym.at_row_ptr[i + 1] {
+                let k = sym.at_col_idx[t];
+                let aki_w = a_vals[sym.at_val_of_a[t]] * w[k];
+                for p in sym.a_row_ptr[k]..sym.a_row_ptr[k + 1] {
+                    let j = sym.a_col_idx[p];
+                    if mark[j] != i {
+                        mark[j] = i;
+                        acc[j] = 0.0;
+                    }
+                    acc[j] += aki_w * a_vals[p];
+                }
+            }
+            let (lo, hi) = (sym.g_row_ptr[i], sym.g_row_ptr[i + 1]);
+            let vals = g.values_mut();
+            for (p, &j) in (lo..hi).zip(&sym.g_col_idx[lo..hi]) {
+                vals[p] = if mark[j] == i { acc[j] } else { 0.0 };
+            }
+        }
+    }
+
+    /// A seeded `m × n` pattern with about `per_row` entries a row, values
+    /// of mixed sign and magnitude, some exact zeros and negative zeros.
+    fn random_matrix(m: usize, n: usize, per_row: usize, seed: u64) -> Csr {
+        let mut state = seed;
+        let mut next = move || {
+            state = state
+                .wrapping_mul(6_364_136_223_846_793_005)
+                .wrapping_add(1_442_695_040_888_963_407);
+            state >> 11
+        };
+        let (mut row_ptr, mut col_idx, mut vals) = (vec![0usize], Vec::new(), Vec::new());
+        for _ in 0..m {
+            let mut cols: Vec<usize> = (0..per_row).map(|_| (next() as usize) % n).collect();
+            cols.sort_unstable();
+            cols.dedup();
+            for &c in &cols {
+                let v = match next() % 9 {
+                    0 => 0.0,
+                    1 => -0.0,
+                    k => (next() as f64 / (1u64 << 53) as f64 - 0.5) * 10f64.powi(k as i32 - 4),
+                };
+                col_idx.push(c);
+                vals.push(v);
+            }
+            row_ptr.push(col_idx.len());
+        }
+        Csr::from_raw(m, n, row_ptr, col_idx, vals)
+    }
+
+    #[test]
+    fn the_slot_map_product_is_bitwise_the_gather_product() {
+        for (seed, (m, n, per_row)) in
+            [(5, 4, 2), (60, 25, 4), (200, 80, 6), (40, 40, 1)].into_iter().enumerate()
+        {
+            let a = random_matrix(m, n, per_row, seed as u64 + 1);
+            let mut sym = AtaSymbolic::new(&a);
+            let (mut got, mut want) = (sym.g_template(), sym.g_template());
+            for round in 0..3u64 {
+                let mut b = a.clone();
+                for (p, v) in b.values_mut().iter_mut().enumerate() {
+                    *v *= 1.0 + (p as f64 + round as f64).sin() * 0.5;
+                }
+                // Zero weights are inactive rows.
+                let w: Vec<f64> = (0..m)
+                    .map(|k| {
+                        if (k as u64 + round).is_multiple_of(5) {
+                            0.0
+                        } else {
+                            1.0 / (k as f64 + 0.5)
+                        }
+                    })
+                    .collect();
+                // Stale values in the output buffers must not leak through.
+                got.values_mut().fill(f64::NAN);
+                want.values_mut().fill(f64::NAN);
+                sym.compute_into(&b, &w, &mut got);
+                oracle_compute_into(&sym, &b, &w, &mut want);
+                for (p, (x, y)) in got.values().iter().zip(want.values()).enumerate() {
+                    assert_eq!(x.to_bits(), y.to_bits(), "case {seed} round {round} slot {p}");
+                }
+            }
+        }
     }
 }
