@@ -278,8 +278,8 @@ impl AreaEstimator {
 
     /// Opens a Gauss–Newton *wave* for a Step-1 solve: the caller drives
     /// the iteration loop and supplies each gain-system solution itself,
-    /// which lets a streaming round collect the gain systems of *every*
-    /// area and dispatch them through one cross-area batched solve. The
+    /// which lets a streaming round solve the gain systems of same-pattern
+    /// areas together as lanes of one batched factorization. The
     /// per-iteration numeric sequence is identical to
     /// [`AreaEstimator::step1_cached`], so a wave-driven solve is bitwise
     /// equal to the callback-driven one.

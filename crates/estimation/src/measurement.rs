@@ -191,11 +191,16 @@ impl MeasurementSet {
 
     /// The WLS weight vector `diag(R⁻¹)`; an inactive row weighs zero.
     pub fn weights(&self) -> Vec<f64> {
-        self.measurements
-            .iter()
-            .enumerate()
-            .map(|(i, m)| if self.is_active(i) { m.weight() } else { 0.0 })
-            .collect()
+        let mut w = Vec::with_capacity(self.len());
+        self.weights_into(&mut w);
+        w
+    }
+
+    /// [`MeasurementSet::weights`] into `w`, reusing its allocation.
+    pub(crate) fn weights_into(&self, w: &mut Vec<f64>) {
+        w.clear();
+        let rows = self.measurements.iter().enumerate();
+        w.extend(rows.map(|(i, m)| if self.is_active(i) { m.weight() } else { 0.0 }));
     }
 
     /// Removes the row at `idx`, shifting every later row down.

@@ -122,9 +122,11 @@ pub struct SolveCache {
     /// factorization at a fraction of the cost.
     chol: Option<SparseCholesky>,
     warm: Option<(Vec<f64>, Vec<f64>)>,
-    /// One iteration's scratch, reused so a warm iteration allocates
-    /// nothing: the point half of the linearization, the weighted
-    /// residuals `W·(z − h(x))`, and the right-hand side `HᵀW·(z − h(x))`.
+    /// One solve's scratch, reused so a warm solve allocates only what it
+    /// returns: the set's weights, and per iteration the point half of the
+    /// linearization, the weighted residuals `W·(z − h(x))` and the
+    /// right-hand side `HᵀW·(z − h(x))`.
+    w: Vec<f64>,
     at: PointTrig,
     wr: Vec<f64>,
     rhs: Vec<f64>,
@@ -428,7 +430,7 @@ impl WlsEstimator {
         sym: Option<Arc<CholSymbolic>>,
     ) -> Result<Vec<f64>, WlsError> {
         self.ensure_structures(set, cache)?;
-        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, chol, at, .. } = cache;
+        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, chol, w, at, .. } = cache;
         let (Some(pattern), Some(jac), Some(gain_sym), Some(gain)) =
             (pattern.as_ref(), jac_buf.as_mut(), gain_sym.as_mut(), gain_buf.as_mut())
         else {
@@ -436,7 +438,8 @@ impl WlsEstimator {
         };
         at.evaluate(&self.ybus, vm, va);
         pattern.assemble_into(&self.ports, &self.ybus, set, &self.space, vm, at, jac);
-        gain_sym.compute_into(jac, &set.weights(), gain);
+        set.weights_into(w);
+        gain_sym.compute_into(jac, w, gain);
         let fresh = |gain: &Csr| match sym {
             Some(s) if s.matches(gain) => SparseCholesky::factor_with_symbolic(s, gain),
             _ => SparseCholesky::factor(gain),
@@ -507,10 +510,9 @@ impl WlsEstimator {
 
     /// Opens a resumable Gauss–Newton solve — the one GN loop of this
     /// crate. [`WlsEstimator::estimate_cached`] drives it with the
-    /// estimator's own gain solver; the round-batching scheduler instead
-    /// collects the `(gain, rhs)` systems of many concurrent waves, solves
-    /// them through one pattern-grouped batched call
-    /// (`sparsela::BatchPlan`), and feeds each step back with
+    /// estimator's own gain solver; the streaming round instead collects
+    /// the `(gain, rhs)` systems of same-pattern waves, solves them as one
+    /// group (`sparsela::solve_group`), and feeds each step back with
     /// [`GnWave::note_solved`] + [`GnWave::apply_step`]. Either way the
     /// per-iteration floating-point sequence is the same, so an external
     /// solver that is bitwise identical to the cached Cholesky yields
@@ -552,11 +554,11 @@ impl WlsEstimator {
         } else {
             cache.cold_solves += 1;
         }
+        set.weights_into(&mut cache.w);
         let mut wave = GnWave {
             est: self,
             set,
             cache,
-            w: set.weights(),
             vm,
             va,
             iter: 0,
@@ -574,7 +576,7 @@ impl WlsEstimator {
 /// externalized the driver loop is:
 ///
 /// 1. read [`GnWave::gain`] / [`GnWave::rhs`] (collect across waves),
-/// 2. solve externally (e.g. one batched round across all areas),
+/// 2. solve externally (e.g. as lanes of one batched factorization),
 /// 3. [`GnWave::note_solved`] + [`GnWave::apply_step`] — which assembles
 ///    the next iteration unless the wave is [`GnWave::done`].
 ///
@@ -583,9 +585,9 @@ impl WlsEstimator {
 pub struct GnWave<'a> {
     est: &'a WlsEstimator,
     set: &'a MeasurementSet,
+    /// Holds the set's weights (`w`), fixed for the solve, and the
+    /// iteration's buffers.
     cache: &'a mut SolveCache,
-    /// The set's weights, fixed for the solve.
-    w: Vec<f64>,
     vm: Vec<f64>,
     va: Vec<f64>,
     iter: usize,
@@ -601,7 +603,8 @@ impl<'a> GnWave<'a> {
     fn assemble(&mut self) {
         self.iter += 1;
         let est = self.est;
-        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, at, wr, rhs, .. } = &mut *self.cache;
+        let SolveCache { pattern, jac_buf, gain_sym, gain_buf, w, at, wr, rhs, .. } =
+            &mut *self.cache;
         let pattern = pattern.as_ref().expect("prepared by wave_begin");
         let gain_sym = gain_sym.as_mut().expect("prepared by wave_begin");
         let jac = jac_buf.as_mut().expect("prepared by wave_begin");
@@ -611,14 +614,14 @@ impl<'a> GnWave<'a> {
             est.residuals_into(self.set, &self.vm, &self.va, at, wr);
             pattern.assemble_into(&est.ports, &est.ybus, self.set, &est.space, &self.vm, at, jac);
         }
-        for (ri, wi) in wr.iter_mut().zip(&self.w) {
+        for (ri, wi) in wr.iter_mut().zip(w.iter()) {
             *ri *= wi;
         }
         rhs.resize(est.space.dim(), 0.0);
         jac.spmv_transpose(wr, rhs);
         {
             let _sp = pgse_obs::span("wls.gain");
-            gain_sym.compute_into(jac, &self.w, gain);
+            gain_sym.compute_into(jac, w, gain);
         }
     }
 
@@ -714,8 +717,14 @@ impl<'a> GnWave<'a> {
         }
         let mut residuals = Vec::with_capacity(self.set.len());
         self.est.residuals_into(self.set, &self.vm, &self.va, &mut self.cache.at, &mut residuals);
-        let objective = residuals.iter().zip(&self.w).map(|(ri, wi)| ri * ri * wi).sum();
-        self.cache.warm = Some((self.vm.clone(), self.va.clone()));
+        let objective = residuals.iter().zip(&self.cache.w).map(|(ri, wi)| ri * ri * wi).sum();
+        match &mut self.cache.warm {
+            Some((vm, va)) => {
+                vm.clone_from(&self.vm);
+                va.clone_from(&self.va);
+            }
+            warm => *warm = Some((self.vm.clone(), self.va.clone())),
+        }
         Ok(StateEstimate {
             vm: self.vm,
             va: self.va,
@@ -1244,6 +1253,26 @@ mod tests {
             .estimate_cached(&set, Some((&truth.vm, &truth.va)), &mut SolveCache::new())
             .unwrap();
         assert!(warm.iterations <= cold.iterations);
+    }
+
+    #[test]
+    fn a_warm_solve_allocates_its_estimate_and_the_gain_solves_only() {
+        let net = ieee14();
+        let sol = solve(&net, &PfOptions::default()).unwrap();
+        let plan = crate::synthetic::TelemetryPlan::full(&net, vec![0]);
+        let est = WlsEstimator::new(net.clone(), StateSpace::full(14), WlsOptions::default());
+        let mut cache = SolveCache::new();
+        est.estimate_cached(&plan.generate(&net, &sol, 1.0, 1), None, &mut cache).unwrap();
+        for seed in 2..5 {
+            let set = plan.generate(&net, &sol, 1.0, seed);
+            let before = ALLOCS.with(Cell::get);
+            let out = est.estimate_cached(&set, None, &mut cache).unwrap();
+            let allocs = ALLOCS.with(Cell::get) - before;
+            assert!(out.iterations > 1, "seed {seed}: a warm solve that steps");
+            // The returned vm, va and residuals; per iteration, the gain
+            // solve's permuted right-hand side and its result.
+            assert_eq!(allocs, 3 + 2 * out.iterations, "seed {seed}");
+        }
     }
 
     #[test]

@@ -303,12 +303,13 @@ pub struct RoundOutcome {
 }
 
 /// Round-level batched solving across areas: groups the gain systems of
-/// one streaming round by sparsity pattern and solves same-pattern groups
-/// through one lane-interleaved [`BatchCholesky`], caching the symbolic
-/// analyses (`CholSymbolic`) **across rounds** so warm rounds run
-/// numeric-only passes. Odd-pattern areas fall back to scalar solves that
-/// still reuse a cached symbolic when one matches, so the fallback costs
-/// no more than today's per-area path.
+/// one streaming round by sparsity pattern ([`BatchPlan::group`]) and
+/// solves same-pattern groups through one lane-interleaved
+/// [`BatchCholesky`] ([`solve_group`]), caching the symbolic analyses
+/// (`CholSymbolic`) **across rounds** so warm rounds run numeric-only
+/// passes. Odd-pattern areas fall back to scalar solves over the cached
+/// symbolic of their pattern, so the fallback costs no more than the
+/// per-area path.
 ///
 /// Shared symbolic analyses use the same fill-reducing ordering a scalar
 /// [`SparseCholesky::factor`] would pick for the pattern, and the batched
@@ -322,27 +323,55 @@ pub struct BatchPlan {
     syms: Vec<(u64, Arc<CholSymbolic>)>,
 }
 
-/// FNV-1a over the full sparsity pattern (dims + `row_ptr` + `col_idx`).
-/// Lookup key only — reuse is always confirmed with the exact comparison
-/// in [`CholSymbolic::matches`], so a collision costs a miss, never a
-/// wrong factorization.
+/// FNV-1a over the full sparsity pattern (dims + `row_ptr` + `col_idx`),
+/// one whole word per step. Lookup key only — reuse is always confirmed
+/// with the exact comparison in [`CholSymbolic::matches`], so a collision
+/// costs a miss, never a wrong factorization.
 fn pattern_fingerprint(a: &Csr) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut eat = |x: u64| {
-        for b in x.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x1000_0000_01b3);
+    let words = [a.nrows(), a.ncols()].into_iter().chain(a.row_ptr().iter().copied());
+    words
+        .chain(a.col_idx().iter().copied())
+        .fold(0xcbf2_9ce4_8422_2325, |h: u64, x| (h ^ x as u64).wrapping_mul(0x1000_0000_01b3))
+}
+
+/// One same-pattern group of the systems handed to [`BatchPlan::group`].
+#[derive(Debug)]
+pub struct PatternGroup {
+    /// The members' positions in the input, ascending.
+    pub members: Vec<usize>,
+    /// The plan's symbolic analysis of the members' pattern.
+    pub sym: Arc<CholSymbolic>,
+    /// Whether the plan held `sym` before this lookup (else it analysed
+    /// the pattern now).
+    pub cached: bool,
+}
+
+/// Solves one pattern group's SPD systems over their shared analysis
+/// `sym`: as lanes of one [`BatchCholesky`] when there are at least two of
+/// them and every lane factors, else one scalar factorization each, so a
+/// lane that does not factor (e.g. not SPD) fails alone. Returns the
+/// per-system results, in input order, and whether the group ran batched.
+/// Either way each result is bitwise the scalar factor-and-solve of that
+/// system.
+///
+/// Every system carries `sym`'s pattern and a right-hand side of its
+/// dimension (the per-group body of [`BatchPlan::solve_round`], which
+/// checks both).
+pub fn solve_group(
+    sym: &Arc<CholSymbolic>,
+    systems: &[(&Csr, &[f64])],
+) -> (Vec<LaResult<Vec<f64>>>, bool) {
+    if systems.len() >= BATCH_LANES_MIN {
+        let lanes: Vec<&Csr> = systems.iter().map(|&(a, _)| a).collect();
+        if let Ok(batch) = BatchCholesky::factor_with_symbolic(Arc::clone(sym), &lanes) {
+            let rhs: Vec<&[f64]> = systems.iter().map(|&(_, b)| b).collect();
+            return (batch.solve_all(&rhs).into_iter().map(Ok).collect(), true);
         }
-    };
-    eat(a.nrows() as u64);
-    eat(a.ncols() as u64);
-    for &p in a.row_ptr() {
-        eat(p as u64);
     }
-    for &c in a.col_idx() {
-        eat(c as u64);
-    }
-    h
+    let scalar = systems.iter().map(|&(a, b)| {
+        SparseCholesky::factor_with_symbolic(Arc::clone(sym), a).map(|chol| chol.solve(b))
+    });
+    (scalar.collect(), false)
 }
 
 impl BatchPlan {
@@ -378,18 +407,31 @@ impl BatchPlan {
         (sym, false)
     }
 
+    /// Groups `mats` by exact sparsity pattern, in first-occurrence order,
+    /// and looks each group's analysis up once ([`BatchPlan::symbolic`]).
+    /// A caller that iterates — a Gauss–Newton wave whose gain keeps its
+    /// pattern — groups once and solves each group with [`solve_group`]
+    /// on every iteration; groups share nothing, so they can run apart.
+    pub fn group(&mut self, mats: &[&Csr]) -> Vec<PatternGroup> {
+        let groups = group_by_pattern(mats).into_iter().map(|members| {
+            let (sym, cached) = self.symbolic(mats[members[0]]);
+            PatternGroup { members, sym, cached }
+        });
+        groups.collect()
+    }
+
     /// Solves one round's worth of independent SPD systems, batching
     /// same-pattern groups of two or more as lanes and reusing cached
-    /// symbolic analyses from earlier rounds. Errors are per-system: one
-    /// indefinite area cannot fail the round.
+    /// symbolic analyses from earlier rounds: [`BatchPlan::group`], then
+    /// [`solve_group`] per group. Errors are per-system: one indefinite
+    /// area cannot fail the round.
     pub fn solve_round(&mut self, systems: &[(&Csr, &[f64])]) -> RoundOutcome {
         let n = systems.len();
-        let mut results: Vec<LaResult<Vec<f64>>> =
-            (0..n).map(|_| Err(LaError::DimensionMismatch { expected: 0, found: 0 })).collect();
-        let mut sym_reused = vec![false; n];
         let mut out = RoundOutcome {
-            results: Vec::new(),
-            sym_reused: Vec::new(),
+            results: (0..n)
+                .map(|_| Err(LaError::DimensionMismatch { expected: 0, found: 0 }))
+                .collect(),
+            sym_reused: vec![false; n],
             batch_groups: 0,
             batched_lanes: 0,
             scalar_fallbacks: 0,
@@ -397,7 +439,7 @@ impl BatchPlan {
         let mut valid: Vec<usize> = Vec::with_capacity(n);
         for (i, (a, b)) in systems.iter().enumerate() {
             if a.nrows() != a.ncols() || b.len() != a.nrows() {
-                results[i] = Err(LaError::DimensionMismatch {
+                out.results[i] = Err(LaError::DimensionMismatch {
                     expected: a.nrows(),
                     found: if a.nrows() != a.ncols() { a.ncols() } else { b.len() },
                 });
@@ -407,45 +449,22 @@ impl BatchPlan {
             }
         }
         let mats: Vec<&Csr> = valid.iter().map(|&i| systems[i].0).collect();
-        for group in group_by_pattern(&mats) {
+        for PatternGroup { members, sym, cached } in self.group(&mats) {
             // Map group positions back to input positions.
-            let idx: Vec<usize> = group.iter().map(|&g| valid[g]).collect();
-            let (sym, hit) = self.symbolic(systems[idx[0]].0);
-            for &i in &idx {
-                sym_reused[i] = hit;
+            let idx: Vec<usize> = members.iter().map(|&g| valid[g]).collect();
+            let group: Vec<(&Csr, &[f64])> = idx.iter().map(|&i| systems[i]).collect();
+            let (results, batched) = solve_group(&sym, &group);
+            for (&i, x) in idx.iter().zip(results) {
+                out.results[i] = x;
+                out.sym_reused[i] = cached;
             }
-            let lanes: Vec<&Csr> = idx.iter().map(|&i| systems[i].0).collect();
-            let mut batched_ok = false;
-            if lanes.len() >= BATCH_LANES_MIN {
-                match BatchCholesky::factor_with_symbolic(Arc::clone(&sym), &lanes) {
-                    Ok(batch) => {
-                        let rhs: Vec<&[f64]> = idx.iter().map(|&i| systems[i].1).collect();
-                        for (&i, x) in idx.iter().zip(batch.solve_all(&rhs)) {
-                            results[i] = Ok(x);
-                        }
-                        out.batch_groups += 1;
-                        out.batched_lanes += idx.len() as u64;
-                        batched_ok = true;
-                    }
-                    Err(_) => {
-                        // One lane spoiled the batch (e.g. not SPD); recover
-                        // scalar per lane so only the bad system errors.
-                    }
-                }
-            }
-            if !batched_ok {
-                for &i in &idx {
-                    results[i] = SparseCholesky::factor_with_symbolic(
-                        Arc::clone(&sym),
-                        systems[i].0,
-                    )
-                    .map(|chol| chol.solve(systems[i].1));
-                    out.scalar_fallbacks += 1;
-                }
+            if batched {
+                out.batch_groups += 1;
+                out.batched_lanes += idx.len() as u64;
+            } else {
+                out.scalar_fallbacks += idx.len() as u64;
             }
         }
-        out.results = results;
-        out.sym_reused = sym_reused;
         out
     }
 }
@@ -677,6 +696,63 @@ mod tests {
         }
         plan.clear();
         assert_eq!(plan.cached_symbolics(), 0);
+    }
+
+    #[test]
+    fn a_group_with_an_indefinite_lane_fails_that_lane_alone_and_runs_scalar() {
+        let base = laplacian2d(4);
+        let sym = Arc::new(CholSymbolic::analyze(&base));
+        let good: Vec<Csr> = (0..3).map(|s| lane_variant(&base, s)).collect();
+        let mut indef = base.clone();
+        for v in indef.values_mut() {
+            *v = -*v;
+        }
+        let b = rhs_for(base.nrows(), 4);
+        let scalar = |a: &Csr| SparseCholesky::factor(a).unwrap().solve(&b);
+        let bitwise = |x: &LaResult<Vec<f64>>, want: &[f64], what: &str| {
+            let x = x.as_ref().unwrap();
+            assert!(x.iter().zip(want).all(|(p, q)| p.to_bits() == q.to_bits()), "{what}");
+        };
+
+        // All lanes factor: one batched pass.
+        let systems: Vec<(&Csr, &[f64])> = good.iter().map(|a| (a, b.as_slice())).collect();
+        let (results, batched) = solve_group(&sym, &systems);
+        assert!(batched);
+        for (l, a) in good.iter().enumerate() {
+            bitwise(&results[l], &scalar(a), "batched lane");
+        }
+
+        // One indefinite lane: the group runs scalar and only that lane errs.
+        let systems: Vec<(&Csr, &[f64])> =
+            vec![(&good[0], &b), (&indef, &b), (&good[1], &b), (&good[2], &b)];
+        let (results, batched) = solve_group(&sym, &systems);
+        assert!(!batched, "a group whose batch failed is reported scalar");
+        assert_eq!(results.len(), 4);
+        assert!(matches!(results[1], Err(LaError::NotPositiveDefinite { .. })));
+        for (k, a) in [(0, &good[0]), (2, &good[1]), (3, &good[2])] {
+            bitwise(&results[k], &scalar(a), "recovered lane");
+        }
+
+        // A lone system takes the scalar pass.
+        let (results, batched) = solve_group(&sym, &systems[..1]);
+        assert!(!batched);
+        bitwise(&results[0], &scalar(&good[0]), "lone system");
+    }
+
+    #[test]
+    fn group_looks_each_pattern_up_once_in_first_occurrence_order() {
+        let (a, c) = (laplacian2d(4), laplacian2d(3));
+        let b = lane_variant(&a, 2);
+        let mut plan = BatchPlan::new();
+        plan.symbolic(&c);
+        let groups = plan.group(&[&a, &c, &b]);
+        let shape: Vec<(Vec<usize>, bool)> =
+            groups.iter().map(|g| (g.members.clone(), g.cached)).collect();
+        assert_eq!(shape, vec![(vec![0, 2], false), (vec![1], true)]);
+        assert!(groups[0].sym.matches(&b) && groups[1].sym.matches(&c));
+        assert_eq!(plan.cached_symbolics(), 2);
+        assert!(plan.group(&[&b]).iter().all(|g| g.cached));
+        assert_eq!(plan.cached_symbolics(), 2);
     }
 
     #[test]

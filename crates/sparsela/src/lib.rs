@@ -42,7 +42,7 @@ pub mod symbolic;
 pub mod update;
 pub mod vecops;
 
-pub use batch::{BatchCholesky, BatchPlan, RoundOutcome};
+pub use batch::{solve_group, BatchCholesky, BatchPlan, PatternGroup, RoundOutcome};
 pub use complex::Cplx;
 pub use coo::Coo;
 pub use csc::Csc;

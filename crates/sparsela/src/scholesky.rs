@@ -275,21 +275,27 @@ impl CholSymbolic {
         1e-10 * scale
     }
 
-    /// Numeric factorization of `a` over this structure: the up-looking
-    /// pass with all pattern discovery pre-resolved. The floating-point
-    /// operation sequence is identical to a from-scratch factorization of
-    /// the same matrix, so the returned values are bitwise identical to
-    /// that factor's.
+    /// Numeric factorization of `a` over this structure into `work.spare`:
+    /// the up-looking pass with all pattern discovery pre-resolved. The
+    /// floating-point operation sequence is identical to a from-scratch
+    /// factorization of the same matrix, so the values are bitwise
+    /// identical to that factor's. Every entry of `L` is written before it
+    /// is read, so whatever `work` held before does not matter, and a
+    /// buffer of the right size is reused without allocating.
     ///
     /// # Errors
-    /// [`LaError::NotPositiveDefinite`] when the matrix is not SPD.
-    pub(crate) fn factor_values(&self, a: &Csr) -> LaResult<Vec<f64>> {
+    /// [`LaError::NotPositiveDefinite`] when the matrix is not SPD; `L` is
+    /// then left partial in `work.spare`.
+    fn factor_values(&self, a: &Csr, work: &mut FactorWork) -> LaResult<()> {
         debug_assert!(self.matches(a), "CholSymbolic: pattern mismatch");
         let n = self.n;
         let av = a.values();
-        let mut lx = vec![0.0f64; self.lp[n]];
-        let mut free: Vec<usize> = self.lp[..n].to_vec();
-        let mut x = vec![0.0f64; n];
+        let FactorWork { spare: lx, free, x } = work;
+        lx.resize(self.lp[n], 0.0);
+        free.clear();
+        free.extend_from_slice(&self.lp[..n]);
+        x.clear();
+        x.resize(n, 0.0);
         let tiny = self.tiny_of(av);
         for k in 0..n {
             // Scatter the lower row A(k, 0..=k) of the permuted matrix.
@@ -324,8 +330,19 @@ impl CholSymbolic {
             lx[free[k]] = d.sqrt();
             free[k] += 1;
         }
-        Ok(lx)
+        Ok(())
     }
+}
+
+/// The numeric pass's buffers a factor keeps between refreshes, so a warm
+/// [`SparseCholesky::refactor`] allocates nothing: the values a refresh
+/// factors into (swapped with the factor's own on success), each column's
+/// fill cursor and the scattered row.
+#[derive(Debug, Clone, Default)]
+struct FactorWork {
+    spare: Vec<f64>,
+    free: Vec<usize>,
+    x: Vec<f64>,
 }
 
 /// A sparse `L·Lᵀ` factorization with a fill-reducing symmetric
@@ -336,6 +353,7 @@ impl CholSymbolic {
 pub struct SparseCholesky {
     sym: Arc<CholSymbolic>,
     lx: Vec<f64>,
+    work: FactorWork,
 }
 
 impl SparseCholesky {
@@ -355,9 +373,7 @@ impl SparseCholesky {
 
     /// Factors `P·a·Pᵀ` for `perm[new] = old`.
     pub fn factor_with_perm(a: &Csr, perm: Vec<usize>) -> LaResult<Self> {
-        let sym = Arc::new(CholSymbolic::analyze_with_perm(a, perm));
-        let lx = sym.factor_values(a)?;
-        Ok(SparseCholesky { sym, lx })
+        Self::numeric(Arc::new(CholSymbolic::analyze_with_perm(a, perm)), a)
     }
 
     /// Factors `a` over a pre-built symbolic structure (which `a` must
@@ -373,15 +389,24 @@ impl SparseCholesky {
                 found_nnz: a.nnz(),
             });
         }
-        let lx = sym.factor_values(a)?;
-        Ok(SparseCholesky { sym, lx })
+        Self::numeric(sym, a)
+    }
+
+    /// The numeric pass of `a` over `sym`, which `a` matches.
+    fn numeric(sym: Arc<CholSymbolic>, a: &Csr) -> LaResult<Self> {
+        let mut work = FactorWork::default();
+        sym.factor_values(a, &mut work)?;
+        let lx = std::mem::take(&mut work.spare);
+        Ok(SparseCholesky { sym, lx, work })
     }
 
     /// Numeric-only refactorization: refreshes the factor for new values of
     /// a matrix with the *same* pattern, skipping the symbolic analysis.
     /// The result is bitwise identical to a from-scratch
     /// [`SparseCholesky::factor`] of `a` (same permutation, same operation
-    /// order). On error the previous factor is retained untouched.
+    /// order). On error the previous factor is retained untouched: the
+    /// refresh factors into a spare buffer the factor holds and swaps it in
+    /// on success, so from the second refresh on it allocates nothing.
     ///
     /// # Errors
     /// [`LaError::PatternMismatch`] when `a`'s pattern differs from the
@@ -394,7 +419,8 @@ impl SparseCholesky {
                 found_nnz: a.nnz(),
             });
         }
-        self.lx = self.sym.factor_values(a)?;
+        self.sym.factor_values(a, &mut self.work)?;
+        std::mem::swap(&mut self.lx, &mut self.work.spare);
         Ok(())
     }
 
@@ -483,6 +509,30 @@ impl SparseCholesky {
 mod tests {
     use super::*;
     use crate::Coo;
+    use std::alloc::{GlobalAlloc, Layout, System};
+    use std::cell::Cell;
+
+    /// Counts this thread's allocations, so a test can show a warm
+    /// refresh allocates nothing.
+    struct Counting;
+
+    thread_local! {
+        static ALLOCS: Cell<usize> = const { Cell::new(0) };
+    }
+
+    unsafe impl GlobalAlloc for Counting {
+        unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+            ALLOCS.with(|n| n.set(n.get() + 1));
+            unsafe { System.alloc(layout) }
+        }
+
+        unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+            unsafe { System.dealloc(ptr, layout) }
+        }
+    }
+
+    #[global_allocator]
+    static COUNTING: Counting = Counting;
 
     fn laplacian2d(k: usize) -> Csr {
         let n = k * k;
@@ -694,6 +744,40 @@ mod tests {
         let ax = a.mul_vec(&chol.solve(&b));
         for (p, q) in ax.iter().zip(&b) {
             assert!((p - q).abs() < 1e-10, "previous factor lost after failed refactor");
+        }
+    }
+
+    #[test]
+    fn a_warm_refactor_allocates_nothing() {
+        let a = laplacian2d(8);
+        let mut chol = SparseCholesky::factor(&a).unwrap();
+        let frames: Vec<Csr> = (1..5).map(|seed| rescaled(&a, seed)).collect();
+        // The first refresh sizes the spare buffer the later ones reuse.
+        chol.refactor(&frames[0]).unwrap();
+        let b = vec![1.0; a.nrows()];
+        for a2 in &frames[1..] {
+            let before = ALLOCS.with(Cell::get);
+            chol.refactor(a2).unwrap();
+            assert_eq!(ALLOCS.with(Cell::get) - before, 0, "a warm refresh allocated");
+            let x = chol.solve(&b);
+            let fresh = SparseCholesky::factor(a2).unwrap().solve(&b);
+            for (p, q) in x.iter().zip(&fresh) {
+                assert_eq!(p.to_bits(), q.to_bits());
+            }
+        }
+        let mut bad = a.clone();
+        for v in bad.values_mut() {
+            *v = -*v;
+        }
+        // A failed refresh leaves the spare partial; the next one overwrites
+        // every entry it reads.
+        assert!(chol.refactor(&bad).is_err());
+        let before = ALLOCS.with(Cell::get);
+        chol.refactor(&frames[0]).unwrap();
+        assert_eq!(ALLOCS.with(Cell::get) - before, 0, "a refresh after a failed one allocated");
+        let fresh = SparseCholesky::factor(&frames[0]).unwrap().solve(&b);
+        for (p, q) in chol.solve(&b).iter().zip(&fresh) {
+            assert_eq!(p.to_bits(), q.to_bits(), "refresh after a failed one");
         }
     }
 

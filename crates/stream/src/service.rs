@@ -85,7 +85,7 @@ use pgse_partition::{
     partition_kway, repartition_shrink, KwayOptions, Partition, RepartitionOptions, WeightedGraph,
 };
 use pgse_powerflow::{solve as solve_pf, PfError, PfOptions, PfSolution};
-use pgse_sparsela::{BatchPlan, CholSymbolic, Csr};
+use pgse_sparsela::{solve_group, BatchPlan, CholSymbolic, Csr, PatternGroup};
 use rayon::prelude::*;
 
 use crate::ingest::{IngestQueue, IngestStats};
@@ -945,6 +945,79 @@ fn contain<T, E>(rec: &Recorder, f: impl FnOnce() -> Result<T, E>) -> Step<T> {
     }
 }
 
+/// The `stream` counters a Step-1 [`WaveGroup`] tallies, in the order
+/// [`run_group`] returns them.
+const GROUP_COUNTS: [&str; 4] = [
+    "stream.gain_solves",
+    "stream.batch_groups",
+    "stream.batched_lanes",
+    "stream.scalar_fallbacks",
+];
+
+/// Step-1 waves whose gains share one pattern, run to convergence
+/// together on one pool task ([`run_group`]).
+struct WaveGroup<'a> {
+    /// The round plan's analysis of the group's gain pattern.
+    sym: Arc<CholSymbolic>,
+    /// Whether the plan held `sym` before this round: the first
+    /// iteration's `sym_reused`; every later iteration reuses it.
+    cached: bool,
+    /// Each member's area and wave; a wave whose solve fails or panics is
+    /// replaced by that outcome and leaves the group.
+    members: Vec<(usize, Step<GnWave<'a>>)>,
+}
+
+/// Runs one [`WaveGroup`] to convergence. Per Gauss–Newton iteration the
+/// open members' gain systems solve as one group ([`solve_group`]: lanes
+/// of one batched factorization, or scalar per member), then every open
+/// member notes the solve and applies its step — which assembles its next
+/// linearization — [`contain`]ed on its area's recorder. The members step
+/// on the group's own task: fanning their steps out across the pool gave
+/// `tiles12x30`'s 12-member group no clear latency gain for about 8 % more
+/// CPU per frame (DESIGN §12). Returns the group's [`GROUP_COUNTS`], which
+/// the round driver adds to `stream`.
+fn run_group(svc: &StreamService, group: &mut WaveGroup) -> [u64; 4] {
+    let mut tally = [0u64; 4];
+    let mut reused = group.cached;
+    loop {
+        let (open, systems): (Vec<usize>, Vec<(&Csr, &[f64])>) = (group.members.iter())
+            .enumerate()
+            .filter_map(|(k, (_, wave))| match wave {
+                Step::Solved(w) if !w.done() => Some((k, (w.gain(), w.rhs()))),
+                _ => None,
+            })
+            .unzip();
+        if open.is_empty() {
+            return tally;
+        }
+        let (results, batched) = solve_group(&group.sym, &systems);
+        let n = open.len() as u64;
+        tally[0] += n;
+        if batched {
+            tally[1] += 1;
+            tally[2] += n;
+        } else {
+            tally[3] += n;
+        }
+        for (k, dx) in open.into_iter().zip(results) {
+            let (a, wave) = &mut group.members[k];
+            let Step::Solved(w) = wave else { unreachable!("an open member is solved") };
+            let advanced = contain(&svc.area_recs[*a], || {
+                dx.map(|dx| {
+                    w.note_solved(reused);
+                    w.apply_step(&dx);
+                })
+            });
+            match advanced {
+                Step::Solved(()) => {}
+                Step::Panicked => *wave = Step::Panicked,
+                _ => *wave = Step::Failed,
+            }
+        }
+        reused = true;
+    }
+}
+
 /// One solve round: the frame sequence it solves and each area's part.
 struct Round {
     /// The newest frame sequence popped — the round's clock.
@@ -989,8 +1062,10 @@ fn drain_due(list: &mut Vec<(u64, usize)>, seq: u64, ready: impl Fn(usize) -> bo
 struct Solver<'s> {
     svc: &'s StreamService,
     slots: Vec<AreaSlot>,
-    /// Round-level batch plan: pattern-grouped symbolic analyses shared
-    /// by every Step-1 gain solve of the run. Persists across rounds
+    /// Step 1's symbolic analyses, one per gain pattern, shared by every
+    /// Step-1 gain solve of the run: each round groups its open waves by
+    /// pattern and looks each group up here once ([`BatchPlan::group`]),
+    /// and bad data looks a suspect's gain up here. Persists across rounds
     /// (warm mode) so same-pattern areas keep hitting one analysis.
     plan: BatchPlan,
     /// Kill-schedule entries that have not fired yet.
@@ -1209,27 +1284,29 @@ impl<'s> Solver<'s> {
         }
     }
 
-    /// DSE Step 1 for every fresh area, in wave-driven, cross-area batched
-    /// Gauss–Newton. The kill schedule's panics due this round are armed
-    /// first, so the parallel closures stay deterministic; a cold run
-    /// clears every cache and the plan first, and otherwise takes the same
-    /// path.
+    /// DSE Step 1 for every fresh area, in wave-driven Gauss–Newton. The
+    /// kill schedule's panics due this round are armed first, so the
+    /// parallel closures stay deterministic; a cold run clears every cache
+    /// and the plan first, and otherwise takes the same path.
     ///
     /// Phase A (parallel): every fresh area assembles its first Jacobian /
     /// gain system and opens a [`GnWave`], on its own recorder (each
     /// area's trace stays on its own deterministic logical clock whichever
-    /// pool thread runs it). Phase B (the round driver): while any wave is
-    /// still iterating, the in-flight gain systems are dispatched through
-    /// **one** pattern-grouped batched solve on the shared [`BatchPlan`];
-    /// lane solutions scatter back and each wave advances one Gauss–Newton
-    /// step. Areas whose gain patterns coincide share a symbolic analysis
-    /// and a lane-interleaved factorization; odd-pattern areas fall back to
-    /// the scalar path *inside* the plan, so every area's result is bitwise
-    /// identical to solving alone (the per-lane FP op sequence is the
-    /// scalar sequence — see the conformance pins in
-    /// `pgse-sparsela::batch`). Phase C finishes the converged waves
-    /// (residuals, objective, warm-start handoff). Every phase runs each
-    /// area [`contain`]ed.
+    /// pool thread runs it). Phase B: the open waves are grouped by gain
+    /// pattern **once**, with one lookup per group in the shared
+    /// [`BatchPlan`] ([`BatchPlan::group`]), and each group runs to
+    /// convergence on its own pool task ([`run_group`]): per iteration its
+    /// open members' gains solve as one group — lanes of one batched
+    /// factorization when two or more share the pattern, scalar otherwise
+    /// ([`solve_group`]) — and each member applies its step on the group's
+    /// task. A wave's gain keeps its pattern, so the groups are the ones a
+    /// per-iteration regrouping would find, nothing couples two groups, and
+    /// every area's result is bitwise identical to solving alone (the
+    /// per-lane FP op sequence is the scalar sequence — see the
+    /// conformance pins in `pgse-sparsela::batch`). Each group's counts are
+    /// added to `stream` on this thread. Phase C finishes the converged
+    /// waves (residuals, objective, warm-start handoff). Every phase runs
+    /// each area [`contain`]ed.
     fn step1(&mut self, round: &mut Round) {
         let svc = self.svc;
         if !svc.cfg.warm {
@@ -1265,36 +1342,30 @@ impl<'s> Solver<'s> {
             })
             .collect();
 
-        // Phase B — the round driver: one cross-area solve per GN wave.
-        loop {
-            let (active, systems): (Vec<usize>, Vec<(&Csr, &[f64])>) = (waves.iter().enumerate())
-                .filter_map(|(a, wave)| match wave {
-                    Step::Solved(w) if !w.done() => Some((a, (w.gain(), w.rhs()))),
-                    _ => None,
-                })
-                .unzip();
-            if active.is_empty() {
-                break;
+        // Phase B — one pool task per gain-pattern group, run to convergence.
+        let (open, gains): (Vec<usize>, Vec<&Csr>) = (waves.iter().enumerate())
+            .filter_map(|(a, wave)| match wave {
+                Step::Solved(w) if !w.done() => Some((a, w.gain())),
+                _ => None,
+            })
+            .unzip();
+        let mut groups: Vec<WaveGroup> = Vec::new();
+        for PatternGroup { members, sym, cached } in self.plan.group(&gains) {
+            let members = members
+                .into_iter()
+                .map(|k| (open[k], std::mem::replace(&mut waves[open[k]], Step::Skipped)));
+            groups.push(WaveGroup { sym, cached, members: members.collect() });
+        }
+        let tallies: Vec<[u64; 4]> = groups.par_iter_mut().map(|g| run_group(svc, g)).collect();
+        // A round that solves nothing touches no counter: an added 0 would
+        // still show in the export.
+        if !groups.is_empty() {
+            for (i, name) in GROUP_COUNTS.iter().enumerate() {
+                svc.rec.counter_add(name, tallies.iter().map(|t| t[i]).sum());
             }
-            let out = self.plan.solve_round(&systems);
-            svc.rec.counter_add("stream.gain_solves", active.len() as u64);
-            svc.rec.counter_add("stream.batch_groups", out.batch_groups);
-            svc.rec.counter_add("stream.batched_lanes", out.batched_lanes);
-            svc.rec.counter_add("stream.scalar_fallbacks", out.scalar_fallbacks);
-            for (k, &a) in active.iter().enumerate() {
-                let Step::Solved(wave) = &mut waves[a] else { unreachable!() };
-                let advanced = contain(&svc.area_recs[a], || {
-                    out.results[k].as_ref().map(|dx| {
-                        wave.note_solved(out.sym_reused[k]);
-                        wave.apply_step(dx);
-                    })
-                });
-                match advanced {
-                    Step::Solved(()) => {}
-                    Step::Panicked => waves[a] = Step::Panicked,
-                    _ => waves[a] = Step::Failed,
-                }
-            }
+        }
+        for (a, wave) in groups.into_iter().flat_map(|g| g.members) {
+            waves[a] = wave;
         }
 
         // Phase C — close out the waves.

@@ -15,6 +15,9 @@
 //!   set's shape invalidates the cached pattern and numeric factor; the
 //!   `refactor_reuse`/`refactor_full` counters account for every
 //!   Gauss–Newton iteration exactly, in the report and the obs scope.
+//! * **The stream's lanes.** On a ring of identical tiles the stream's
+//!   Step 1 solves same-pattern areas as lanes of one batched factor, with
+//!   the same export and final state on every pool size.
 
 use std::sync::{Arc, Mutex};
 
@@ -22,7 +25,9 @@ use pgse::dse::decomposition::{decompose, DecompositionOptions};
 use pgse::dse::AreaEstimator;
 use pgse::estimation::measurement::MeasurementSet;
 use pgse::estimation::wls::{SolveCache, WlsEstimator, WlsOptions};
+use pgse::grid::cases::builder::{build, AreaPlan};
 use pgse::grid::cases::ieee118_like;
+use pgse::grid::{Branch, BusKind, Network};
 use pgse::powerflow::{solve, PfOptions};
 use pgse::sparsela::{BatchCholesky, BatchPlan, CholSymbolic, Csr, SparseCholesky};
 use pgse::stream::{StreamConfig, StreamService};
@@ -274,5 +279,96 @@ fn round_batch_plan_is_bitwise_identical_to_scalar_across_pools() {
             // One analysis per distinct area pattern, never more.
             assert!(plan.cached_symbolics() <= areas.len());
         });
+    }
+}
+
+/// A ring of `n` copies of one seeded 30-bus area, consecutive tiles
+/// joined by two tie lines — the grid `benchmark/src/tiles.rs` builds for
+/// `tiles12x30`, whose identical tiles give identical Step-1 gain patterns.
+fn tile_ring(n: usize) -> Network {
+    const TILE: usize = 30;
+    let tile = build(&AreaPlan {
+        name: "tile".into(),
+        bus_counts: vec![TILE],
+        area_edges: vec![],
+        ties_per_edge: 0,
+        seed: 30,
+        load_mw: (15.0, 45.0),
+        chord_fraction: 0.25,
+    });
+    let (mut buses, mut branches) = (Vec::new(), Vec::new());
+    for t in 0..n {
+        for b in &tile.buses {
+            let mut bus = b.clone();
+            bus.id = t * TILE + b.id;
+            bus.area = t;
+            if t > 0 && bus.kind == BusKind::Slack {
+                bus.kind = BusKind::Pv;
+            }
+            buses.push(bus);
+        }
+        for br in &tile.branches {
+            branches.push(Branch { from: t * TILE + br.from, to: t * TILE + br.to, ..br.clone() });
+        }
+    }
+    for t in 0..n {
+        for (here, there) in [(7, 19), (11, 23)] {
+            let (from, to) = (t * TILE + here, (t + 1) % n * TILE + there);
+            branches.push(Branch::line(from, to, 0.03, 0.12, 0.02));
+        }
+    }
+    let net =
+        Network { name: format!("tiles{n}x{TILE}"), base_mva: tile.base_mva, buses, branches };
+    net.validate().unwrap();
+    net
+}
+
+#[test]
+fn the_stream_solves_identical_tiles_as_lanes_on_every_pool() {
+    let _serial = serial();
+    // The smallest ring (three tiles) already has a same-pattern group.
+    let net = tile_ring(3);
+    let truth = solve(&net, &PfOptions::default()).unwrap();
+    let rmse = |a: &[f64], b: &[f64]| {
+        (a.iter().zip(b).map(|(x, y)| (x - y) * (x - y)).sum::<f64>() / a.len() as f64).sqrt()
+    };
+    let mut first: Option<(String, Vec<u64>)> = None;
+    for pool in pools() {
+        let threads = pool.current_num_threads();
+        let (obs, report, snap) = pool.install(|| {
+            let cfg = StreamConfig {
+                n_frames: 8,
+                seed: 30,
+                deterministic_rounds: true,
+                ..StreamConfig::default()
+            };
+            let service = StreamService::deploy(&net, cfg).unwrap();
+            let report = service.run();
+            (service.obs_report().to_json_deterministic(), report, service.store().load())
+        });
+        assert_eq!(report.frames_published, 8, "{threads} threads");
+        let snap = snap.expect("a published state");
+        assert!(report.batched_lanes > 0, "{threads} threads: {report:?}");
+        assert_eq!(
+            report.batched_lanes + report.scalar_fallbacks,
+            report.gain_solves,
+            "{threads} threads: every gain solve is a lane or a scalar fallback"
+        );
+        // Each area's step goes to that area's wave: a step applied to
+        // another member's state leaves the estimate off the truth (or
+        // never converges, and nothing publishes).
+        let (vm_err, va_err) = (rmse(&snap.vm, &truth.vm), rmse(&snap.va, &truth.va));
+        assert!(
+            vm_err <= 5e-3 && va_err <= 5e-3,
+            "{threads} threads: rmse {vm_err:.2e} {va_err:.2e}"
+        );
+        let bits: Vec<u64> = snap.vm.iter().chain(&snap.va).map(|x| x.to_bits()).collect();
+        match &first {
+            None => first = Some((obs, bits)),
+            Some((obs1, bits1)) => {
+                assert!(obs == *obs1, "{threads} threads: the deterministic export differs");
+                assert!(bits == *bits1, "{threads} threads: the final state differs");
+            }
+        }
     }
 }
